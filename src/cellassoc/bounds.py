@@ -34,7 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .model import CellAssociation, frac_from_str, frac_to_str
+from .model import (
+    CellAssociation,
+    frac_from_str,
+    frac_to_str,
+    int_from_json,
+    ints_from_json,
+)
 
 KIND_CHAIN = "lemma2_chain"
 KIND_RECONSTRUCTION = "dl_reconstruction"
@@ -87,17 +93,31 @@ class BoundCertificate:
             raise ValidationError("certificate JSON must have kind, flagged, value, k, nc")
         kind = data["kind"]
         if kind == KIND_CHAIN:
-            flagged = tuple(int(i) for i in data["flagged"])
+            flagged = tuple(ints_from_json(data["flagged"], "flagged"))
         elif kind in (KIND_RECONSTRUCTION, KIND_COUNTING):
+            if not isinstance(data["flagged"], list) or not all(
+                isinstance(f, dict) and not {"block", "start", "good"} - set(f)
+                for f in data["flagged"]
+            ):
+                raise ValidationError("flagged must be a list of block, start, good objects")
             flagged = tuple(
-                BlockFlag(block=int(f["block"]), start=int(f["start"]), good=bool(f["good"]))
+                BlockFlag(
+                    block=int_from_json(f["block"], "block"),
+                    start=int_from_json(f["start"], "start"),
+                    good=bool(f["good"]),
+                )
                 for f in data["flagged"]
             )
         else:
             raise ValidationError(f"unknown certificate kind {kind!r}")
         value = frac_from_str(data["value"])
-        k, nc = int(data["k"]), int(data["nc"])
+        k, nc = int_from_json(data["k"], "k"), int_from_json(data["nc"], "nc")
+        if k < 1:
+            raise ValidationError(f"certificate k must be positive, got {k}")
         per_user = frac_from_str(data["per_user"]) if "per_user" in data else value / k
+        assumptions = data.get("assumptions", [])
+        if not isinstance(assumptions, list) or not all(isinstance(a, str) for a in assumptions):
+            raise ValidationError("assumptions must be a list of strings")
         return cls(
             kind=kind,
             flagged=flagged,
@@ -105,7 +125,7 @@ class BoundCertificate:
             k=k,
             nc=nc,
             per_user=per_user,
-            assumptions=tuple(data.get("assumptions", ())),
+            assumptions=tuple(assumptions),
         )
 
 

@@ -32,6 +32,7 @@ from .model import (
     CellAssociation,
     ChannelRealization,
     draw_channels,
+    int_from_json,
 )
 
 DEFAULT_EXACT_LIMIT = 16
@@ -63,10 +64,21 @@ class ZfWitness:
     def from_json(cls, data: object) -> "ZfWitness":
         if not isinstance(data, dict) or {"seed", "prime", "precoders"} - set(data):
             raise ValidationError("witness JSON must have seed, prime, precoders")
+        if not isinstance(data["precoders"], dict):
+            raise ValidationError("witness precoders must be an object")
         precoders = {}
         for m, vec in data["precoders"].items():
-            precoders[int(m)] = {int(j): int(v) for j, v in vec.items()}
-        return cls(seed=int(data["seed"]), prime=int(data["prime"]), precoders=precoders)
+            if not isinstance(vec, dict):
+                raise ValidationError(f"precoder of message {m!r} must be an object")
+            precoders[int_from_json(m, "message")] = {
+                int_from_json(j, "bs"): int_from_json(v, "precoder coefficient")
+                for j, v in vec.items()
+            }
+        return cls(
+            seed=int_from_json(data["seed"], "seed"),
+            prime=int_from_json(data["prime"], "prime"),
+            precoders=precoders,
+        )
 
 
 @dataclass(frozen=True)
@@ -117,20 +129,23 @@ def _gain(ch: ChannelRealization, i: int, j: int) -> int:
     return 0
 
 
-def _message_witness(assoc, active, ch, m):
-    """Nullspace precoder for message m, or None when forced to zero gain."""
+def _message_witness(cell, active, ch, m):
+    """Nullspace precoder for message m over base stations cell, or None.
+
+    The interference rows are the other active users that hear a column.
+    Base station j is heard by users j and j+1 only, so the rows are built
+    from {j, j+1 : j in cell} & active - {m}, in ascending user order: the
+    same rows in the same order as a scan over every active user, hence
+    the same elimination and the same witness, at O(|cell|) per message.
+    """
     p = ch.prime
-    cols = sorted(j for j in assoc.cells[m - 1] if 1 <= j <= assoc.k)
+    cols = sorted(j for j in cell if 1 <= j <= ch.k)
     if not cols:
         return None
     ncols = len(cols)
 
-    rows = []
-    for r in sorted(active):
-        if r == m:
-            continue
-        if any(j in (r - 1, r) for j in cols):
-            rows.append([_gain(ch, r, j) for j in cols])
+    heard = sorted({r for j in cols for r in (j, j + 1) if r != m and r in active})
+    rows = [[_gain(ch, r, j) for j in cols] for r in heard]
 
     # Reduced row echelon form, tracking pivot columns.
     pivots = []
@@ -181,11 +196,34 @@ def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
         raise ValidationError(f"realization has k={ch.k}, association has k={assoc.k}")
     precoders = {}
     for m in sorted(active):
-        vec = _message_witness(assoc, active, ch, m)
+        vec = _message_witness(assoc.cells[m - 1], active, ch, m)
         if vec is None:
             return None
         precoders[m] = vec
     return ZfWitness(seed=ch.seed, prime=ch.prime, precoders=precoders)
+
+
+def unserved_messages(assoc, silent, active, ch, messages) -> int:
+    """How many of messages lack a precoder once the silent base stations are off.
+
+    Counts the messages m in active for which zf_feasible(strip_silent(
+    assoc, silent), active, ch) would find no precoder.  A message's
+    precoder depends only on its own association set and on which users
+    hearing that set are active, so a caller that changes the plan near a
+    few users needs to recount only the messages around them.  An active
+    message with an empty association set raises EmptyCellError, as in
+    zf_feasible.
+    """
+    count = 0
+    for m in messages:
+        if m not in active:
+            continue
+        cell = assoc.cells[m - 1] - silent
+        if not cell:
+            raise EmptyCellError(f"active user {m} has an empty association set")
+        if _message_witness(cell, active, ch, m) is None:
+            count += 1
+    return count
 
 
 def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
@@ -211,14 +249,20 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     return True
 
 
-def _warn_disagreements(count: int, seeds, context: str) -> None:
+def _warn_disagreements(count: int, seeds, context: str, stacklevel: int = 3) -> None:
     if count:
         warnings.warn(
             f"channel seeds {tuple(seeds)} disagreed on {count} feasibility "
             f"decision(s) during {context}; majority vote was used",
             GenericityWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def seed_majority(votes: int, seeds, context: str) -> bool:
+    """True when votes is a strict majority of seeds; warns when the seeds split."""
+    _warn_disagreements(int(0 < votes < len(seeds)), seeds, context, stacklevel=4)
+    return votes >= len(seeds) // 2 + 1
 
 
 def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PRIME):
@@ -231,9 +275,7 @@ def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PR
     realizations = [draw_channels(assoc.k, s, prime) for s in seeds]
     witnesses = [zf_feasible(assoc, active, ch) for ch in realizations]
     votes = sum(1 for w in witnesses if w is not None)
-    if 0 < votes < len(seeds):
-        _warn_disagreements(1, seeds, "plan certification")
-    feasible = votes >= len(seeds) // 2 + 1
+    feasible = seed_majority(votes, seeds, "plan certification")
     witness = next((w for w in witnesses if w is not None), None) if feasible else None
     return feasible, witness
 

@@ -171,7 +171,7 @@ class CellAssociation:
         if missing:
             raise ValidationError(f"association JSON missing keys: {sorted(missing)}")
         k, nc, cells = data["k"], data["nc"], data["cells"]
-        if not isinstance(cells, list):
+        if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
             raise ValidationError("cells must be a list of lists")
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValidationError(f"k must be an integer, got {k!r}")
@@ -206,6 +206,30 @@ def validate_association(assoc: CellAssociation) -> list[Violation]:
                 Violation(i=i, reason=f"bs indices {out} out of range [1..{assoc.k}]")
             )
     return violations
+
+
+def int_from_json(value: object, what: str) -> int:
+    """Read an integer from parsed JSON: an int or a decimal string.
+
+    Strings are accepted because JSON object keys are strings (witness
+    precoders are keyed by message and bs).  Anything else, bools and
+    floats included, raises ValidationError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def ints_from_json(values: object, what: str) -> list[int]:
+    """Read a JSON list of integers, each checked by int_from_json."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    return [int_from_json(v, what) for v in values]
 
 
 def frac_to_str(value: Fraction | int) -> str:

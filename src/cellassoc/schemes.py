@@ -24,6 +24,19 @@ Partial trailing blocks never get closed-form claims; their activation is
 chosen by running the oracles on the truncated sub-network, which is
 legitimate because the preceding block's silent base station severs every
 cross-boundary path.
+
+Block trials are certified locally.  Downlink messages decouple: message
+m has a precoder iff its own association set, minus the silent base
+stations, can null the active users that hear it, and in the pair
+association those are only users m-1, m and m+1 and base stations m-1
+and m.  A trial of the block at offset off activates users among
+off+1..off+3 and silences one of those base stations, so it can change
+only messages off..off+3.  Each seed's channels are drawn once per plan,
+a per-seed count of the accepted plan's messages without a precoder is
+kept, and a trial recounts those four messages; the majority over seeds
+is then the same decision that zf_feasible_majority takes on the whole
+cumulative plan, at constant cost per block.  Every finished plan is
+still certified as a whole by _certify_plan.
 """
 
 from __future__ import annotations
@@ -32,15 +45,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .downlink_zf import max_downlink_dof, strip_silent, zf_feasible_majority
+from .downlink_zf import (
+    max_downlink_dof,
+    seed_majority,
+    strip_silent,
+    unserved_messages,
+    zf_feasible_majority,
+)
 from .errors import InternalCheckError, ValidationError
 from .model import (
     DEFAULT_PRIME,
     DEFAULT_SEEDS,
     CellAssociation,
     association,
+    draw_channels,
     frac_from_str,
     frac_to_str,
+    ints_from_json,
 )
 from .uplink_decode import max_uplink_dof, uplink_feasible
 
@@ -78,11 +99,14 @@ class SchemePlan:
         }
         if not isinstance(data, dict) or required - set(data):
             raise ValidationError(f"plan JSON must have keys {sorted(required)}")
+        assoc = CellAssociation.from_json(data["assoc"])
+        index_sets = {
+            key: frozenset(ints_from_json(data[key], key))
+            for key in ("dl_active_users", "dl_silent_bs", "ul_active_users")
+        }
         return cls(
-            assoc=CellAssociation.from_json(data["assoc"]),
-            dl_active_users=frozenset(int(i) for i in data["dl_active_users"]),
-            dl_silent_bs=frozenset(int(j) for j in data["dl_silent_bs"]),
-            ul_active_users=frozenset(int(i) for i in data["ul_active_users"]),
+            assoc=assoc,
+            **index_sets,
             claimed_dl_dof=frac_from_str(data["claimed_dl_dof"]),
             claimed_ul_dof=frac_from_str(data["claimed_ul_dof"]),
         )
@@ -244,29 +268,53 @@ def _avg_plan_ncone(k, seeds, prime) -> SchemePlan:
 _PAIR_BLOCK_CANDIDATES = ((2, 3), (1, 2), (3, 1))
 
 
+def _try_block(assoc, channels, dl_active, silent, failing, off, du, sb):
+    """Try one block candidate against the accepted plan, in place.
+
+    failing[i] counts the accepted plan's messages without a precoder on
+    channels[i].  The candidate activates the block's users other than
+    off + du and silences base station off + sb, which can change only
+    messages off..off+3, so only those are recounted.  On a majority of
+    seeds with no failing message the candidate stays in dl_active and
+    silent and the new counts are returned; otherwise both sets are
+    restored and None is returned.
+    """
+    touched = range(off, off + 4)
+    before = [unserved_messages(assoc, silent, dl_active, ch, touched) for ch in channels]
+    added = {off + u for u in (1, 2, 3) if u != du}
+    dl_active |= added
+    silent.add(off + sb)
+    after = [
+        f - b + unserved_messages(assoc, silent, dl_active, ch, touched)
+        for f, b, ch in zip(failing, before, channels)
+    ]
+    votes = sum(1 for f in after if f == 0)
+    seeds = [ch.seed for ch in channels]
+    if seed_majority(votes, seeds, "plan certification"):
+        return after
+    dl_active -= added
+    silent.discard(off + sb)
+    return None
+
+
 def _avg_plan_pair(k, seeds, prime) -> SchemePlan:
     assoc = pair_association(k)
     blocks, t = divmod(k, 3)
+    channels = [draw_channels(k, s, prime) for s in seeds]
     dl_active: set[int] = set()
     silent: set[int] = set()
+    failing = [0] * len(seeds)
     for b in range(blocks):
         off = b * 3
-        chosen = None
         for du, sb in _PAIR_BLOCK_CANDIDATES:
-            trial_active = dl_active | {off + u for u in (1, 2, 3) if u != du}
-            trial_silent = silent | {off + sb}
-            feasible, _w = zf_feasible_majority(
-                strip_silent(assoc, trial_silent), trial_active,
-                seeds=seeds, prime=prime,
-            )
-            if feasible:
-                chosen = (trial_active, trial_silent)
+            counts = _try_block(assoc, channels, dl_active, silent, failing, off, du, sb)
+            if counts is not None:
+                failing = counts
                 break
-        if chosen is None:
+        else:
             raise InternalCheckError(
                 f"no downlink candidate certified for block {b + 1}"
             )
-        dl_active, silent = set(chosen[0]), set(chosen[1])
 
     off = blocks * 3
     part_active, part_silent = _partial_dl(assoc, silent, 2, off, seeds=seeds, prime=prime)

@@ -13,13 +13,14 @@ prune() removes them without changing any feasibility decision.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
 from ._encode import cells_masks
 from .errors import InternalCheckError, ValidationError
-from .model import CellAssociation, connected_bs, heard_mts
+from .model import CellAssociation, connected_bs, heard_mts, int_from_json
 
 DEFAULT_EXACT_LIMIT = 20
 
@@ -37,11 +38,13 @@ class DecodingOrder:
     def from_json(cls, data: object) -> "DecodingOrder":
         if not isinstance(data, dict) or "steps" not in data:
             raise ValidationError("order JSON must be an object with steps")
+        if not isinstance(data["steps"], list):
+            raise ValidationError("order steps must be a list")
         steps = []
         for step in data["steps"]:
             if not isinstance(step, dict) or {"m", "bs"} - set(step):
                 raise ValidationError("order step must have m and bs")
-            steps.append((int(step["m"]), int(step["bs"])))
+            steps.append((int_from_json(step["m"], "m"), int_from_json(step["bs"], "bs")))
         return cls(steps=tuple(steps))
 
 
@@ -96,23 +99,35 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
 
     At every step the smallest eligible (message, bs) pair is scheduled, so
     the order is deterministic and independent of internal data layout.
+    Whether m is eligible depends only on which of m-1 and m+1 are decoded,
+    and decoding never makes a step disallowed.  So the scheduler keeps
+    every eligible undecoded message in a min-heap, re-checks only m-1 and
+    m+1 after decoding m, and picks the smallest allowed bs when m is
+    popped: the same order as rescanning all messages at every step, in
+    O(|active| log |active|).
     """
     active = _check_active(assoc, active)
     decoded: set[int] = set()
+
+    def first_bs(m):
+        for b in sorted(assoc.cells[m - 1] & connected_bs(m, assoc.k)):
+            if _step_allowed(assoc, active, decoded, m, b):
+                return b
+        return None
+
+    queued = {m for m in active if first_bs(m) is not None}
+    heap = sorted(queued)
     steps = []
-    while len(decoded) < len(active):
-        chosen = None
-        for m in sorted(active - decoded):
-            for b in sorted(assoc.cells[m - 1] & connected_bs(m, assoc.k)):
-                if _step_allowed(assoc, active, decoded, m, b):
-                    chosen = (m, b)
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            return None
-        decoded.add(chosen[0])
-        steps.append(chosen)
+    while heap:
+        m = heapq.heappop(heap)
+        steps.append((m, first_bs(m)))
+        decoded.add(m)
+        for n in (m - 1, m + 1):
+            if n in active and n not in queued and first_bs(n) is not None:
+                queued.add(n)
+                heapq.heappush(heap, n)
+    if len(decoded) < len(active):
+        return None
     return DecodingOrder(steps=tuple(steps))
 
 
