@@ -1,64 +1,16 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""Exact feasibility and maximization kernels on the line.
 
-The compiled backend handles k <= 62 (masks live in one 64-bit word); larger
-instances silently use the pure backend, which has no size limit.  Set
-CELLASSOC_KERNELS=pure or =compiled to force a backend; forcing `compiled`
-raises at import time if the extension is missing.
+One pure-Python implementation (`_pure`): a value-free local rule per
+session and one left-to-right DP that maximizes either of them exactly at
+every k, in O(k) for a fixed budget.  `_pure` states the rules and the DP.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pure
-
-try:
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:  # extension not built; pure fallback is always available
-    _speedups = None
-
-_COMPILED_MAX_K = 62
-
-_forced = os.environ.get("CELLASSOC_KERNELS", "").strip().lower()
-if _forced == "pure":
-    _speedups = None
-elif _forced == "compiled" and _speedups is None:
-    raise ImportError(
-        "CELLASSOC_KERNELS=compiled but the compiled kernels are not built"
-    )
-elif _forced not in ("", "pure", "compiled"):
-    raise ImportError(f"CELLASSOC_KERNELS must be 'pure' or 'compiled', got {_forced!r}")
+from ._pure import dl_max_active, dl_set_feasible, ul_max_active, ul_set_feasible
 
 
 def backend_name() -> str:
-    return "compiled" if _speedups is not None else "pure"
-
-
-def _impl(k: int):
-    if _speedups is not None and k <= _COMPILED_MAX_K:
-        return _speedups
-    return _pure
-
-
-def dl_set_feasible(k, cells, h0, h1, p, active_mask):
-    return _impl(k).dl_set_feasible(k, list(cells), list(h0), list(h1), p, active_mask)
-
-
-def dl_max_active(k, cells, h0s, h1s, p, candidates):
-    impl = _impl(k)
-    return impl.dl_max_active(
-        k,
-        list(cells),
-        [list(h) for h in h0s],
-        [list(h) for h in h1s],
-        p,
-        list(candidates),
-    )
-
-
-def ul_set_feasible(k, cells, active_mask):
-    return _impl(k).ul_set_feasible(k, list(cells), active_mask)
-
-
-def ul_max_active(k, cells, candidates):
-    return _impl(k).ul_max_active(k, list(cells), list(candidates))
+    """Name of the kernel implementation in use; there is only "pure"."""
+    return "pure"

@@ -1,227 +1,155 @@
-"""Pure-Python feasibility kernels over bitmask-encoded instances.
+"""The two feasibility rules and the line DP, over bitmask-encoded instances.
 
-Shared encoding (identical in the compiled backend):
+Encoding: user/bs index i is bit (i-1) of a mask, and cells[i-1] is the
+association set of user i as a bs mask, out-of-range indices dropped.
 
-  * user/bs index i is bit (i-1) of a mask;
-  * cells[i-1] is the association set of user i as a bs mask;
-  * h0[i-1] = coefficient from bs i-1 to user i (0 when i = 1);
-  * h1[i-1] = coefficient from bs i to user i.
+User i hears base stations i-1 and i only, so each rule looks at a few
+neighbours of a user and never at channel values.  Both hold for every
+realization with nonzero coefficients, over any field.
 
-The subset searches are include-first depth-first branch and bound over
-candidate users in ascending order, updating the incumbent only on strict
-improvement.  With downward-closed feasibility this returns the
-lexicographically smallest maximum-size set, and both backends visit
-nodes in the same order so disagreement counts match exactly.
+Downlink (zero-forcing).  Message m is served iff one side of it is left
+open.  Let [a, m-1] be the run of consecutive base stations in C_m that
+ends at m-1, and [m, b] the run that starts at m.  Active users a..m-1
+each add one interference row on the columns a..m-1 with a nonzero
+diagonal, so the left side is open iff m-1 is in C_m and some user in
+[a, m-1] is inactive.  Likewise the right side is open iff m is in C_m
+and either b = k or some user in [m+1, b+1] is inactive.  Other runs of
+C_m cannot reach user m.
+
+Uplink (decode-and-pass).  Active user m decodes at bs m-1 (L) or bs m (R)
+when that bs is in C_m.  L waits on user m-1 if it is active, which must
+then hold bs m-1 in C_{m-1}; R waits on user m+1 if it is active, which
+must hold bs m in C_{m+1}.  Waits only link neighbours, so the only cycle
+is an adjacent pair waiting on each other: m at R while m+1 is at L.
+
+Each rule is a left-to-right automaton over the users: step(m, state,
+active) returns the states it may move to after deciding user m, empty
+when that decision breaks the rule.  The downlink state is (length of the
+active run ending at the previous user, nearest pending right deadline);
+the uplink state is the previous user's choice (inactive, L or R).  Set
+feasibility runs the automaton on one activity pattern.  Maximization is
+one DP: a forward pass collects the reachable states, a backward pass
+counts the most users still to come from each, and an include-first
+forward pass takes every user that keeps that count reachable.  It
+returns the largest set with the lexicographically greatest indicator
+vector, the same set an include-first branch and bound over ascending
+users finds, in O(k) for a fixed budget.
 """
 
 from __future__ import annotations
 
-BACKEND = "pure"
+_INACTIVE, _LEFT, _RIGHT = 0, 1, 2
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+def _dl_automaton(k, cells):
+    """(start, step) of the downlink rule; a deadline of k + 1 means none."""
+    left = [0] * (k + 1)  # m - a: left side open iff the active run is shorter
+    right = [0] * (k + 1)  # b + 1: first user that must be inactive, 0 if closed
+    for m in range(1, k + 1):
+        cell = cells[m - 1]
+        if m >= 2 and cell >> (m - 2) & 1:
+            a = m - 1
+            while a > 1 and cell >> (a - 2) & 1:
+                a -= 1
+            left[m] = m - a
+        if cell >> (m - 1) & 1:
+            b = m
+            while b < k and cell >> b & 1:
+                b += 1
+            right[m] = b + 1
+    cap = max(left)
+    free = (0, k + 1)
+
+    def step(m, state, active):
+        if not active:
+            return (free,)
+        run, deadline = state
+        if deadline == m:
+            return ()
+        if run >= left[m]:  # left side closed: some user up to right[m] must be inactive
+            if not right[m]:
+                return ()
+            deadline = min(deadline, right[m])
+        return ((min(run + 1, cap), deadline),)
+
+    return free, step
 
 
-def _dl_message_feasible(k, cells, h0, h1, p, active_mask, m):
-    """Zero-forcing feasibility of message m against the active set.
+def _ul_automaton(k, cells):
+    """(start, step) of the uplink rule; the state is user m-1's choice."""
+    own = [False] * (k + 2)  # bs m in C_m
+    prev = [False] * (k + 2)  # bs m-1 in C_m
+    for m in range(1, k + 1):
+        own[m] = bool(cells[m - 1] >> (m - 1) & 1)
+        prev[m] = m >= 2 and bool(cells[m - 1] >> (m - 2) & 1)
 
-    Builds the interference rows (channels from C_m to every other active
-    user that hears any of C_m), eliminates, then checks that the desired
-    row is outside their span.
-    """
-    cmask = cells[m - 1]
-    if not cmask:
-        return False
-    cols = _bits(cmask)
-    ncols = len(cols)
+    def step(m, state, active):
+        if not active:
+            return (_INACTIVE,)
+        if state == _RIGHT and not prev[m]:
+            return ()
+        out = ()
+        if prev[m] and (state == _INACTIVE or (state == _LEFT and own[m - 1])):
+            out = (_LEFT,)
+        if own[m]:
+            out += (_RIGHT,)
+        return out
 
-    rows = []
-    rest = active_mask & ~(1 << (m - 1))
-    while rest:
-        low = rest & -rest
-        r = low.bit_length()
-        rest ^= low
-        hear = 1 << (r - 1)
-        if r >= 2:
-            hear |= 1 << (r - 2)
-        if hear & cmask:
-            row = []
-            for j in cols:
-                if j == r:
-                    row.append(h1[r - 1])
-                elif j == r - 1:
-                    row.append(h0[r - 1])
-                else:
-                    row.append(0)
-            rows.append(row)
-
-    # Eliminate interference rows to row-echelon form.
-    pivots = []  # (row, col) pairs
-    rank = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                f = f * inv % p
-                ri = rows[i]
-                for jj in range(c, ncols):
-                    ri[jj] = (ri[jj] - f * prow[jj]) % p
-        pivots.append((rank, c))
-        rank += 1
-        if rank == len(rows):
-            break
-
-    # Reduce the desired row against the pivots; a nonzero residue means
-    # some nullspace direction keeps the desired gain alive.
-    d = []
-    for j in cols:
-        if j == m:
-            d.append(h1[m - 1])
-        elif j == m - 1:
-            d.append(h0[m - 1])
-        else:
-            d.append(0)
-    for r_i, c in pivots:
-        f = d[c]
-        if f:
-            prow = rows[r_i]
-            f = f * pow(prow[c], p - 2, p) % p
-            for jj in range(c, ncols):
-                d[jj] = (d[jj] - f * prow[jj]) % p
-    return any(d)
+    return _INACTIVE, step
 
 
-def dl_set_feasible(k, cells, h0, h1, p, active_mask):
-    """All-active zero-forcing feasibility under one channel realization."""
-    rest = active_mask
-    while rest:
-        low = rest & -rest
-        m = low.bit_length()
-        rest ^= low
-        if not _dl_message_feasible(k, cells, h0, h1, p, active_mask, m):
+def _accepts(k, automaton, active_mask):
+    start, step = automaton
+    states = {start}
+    for m in range(1, k + 1):
+        active = active_mask >> (m - 1) & 1
+        states = {t for s in states for t in step(m, s, active)}
+        if not states:
             return False
     return True
 
 
-def dl_max_active(k, cells, h0s, h1s, p, candidates):
-    """Largest zero-forcing-feasible active set, majority over seeds.
+def _lex_max(k, automaton):
+    start, step = automaton
+    layers = [{start}]
+    for m in range(1, k + 1):
+        layers.append({t for s in layers[-1] for a in (1, 0) for t in step(m, s, a)})
+    # togo[m][s]: most active users among m+1..k from state s before user m+1.
+    togo = [None] * (k + 1)
+    togo[k] = dict.fromkeys(layers[k], 0)
+    for m in range(k, 0, -1):
+        after = togo[m]
+        togo[m - 1] = {
+            s: max(a + after[t] for a in (1, 0) for t in step(m, s, a))
+            for s in layers[m - 1]
+        }
+    states, want, mask = {start}, togo[0][start], 0
+    for m in range(1, k + 1):
+        after = togo[m]
+        taken = {t for s in states for t in step(m, s, 1) if after[t] == want - 1}
+        if taken:
+            mask |= 1 << (m - 1)
+            states, want = taken, want - 1
+        else:
+            states = {t for s in states for t in step(m, s, 0) if after[t] == want}
+    return mask
 
-    Returns (best_mask, disagreements) where disagreements counts queried
-    sets on which the seeds split.
-    """
-    nseeds = len(h0s)
-    majority = nseeds // 2 + 1
-    disagreements = 0
 
-    def check(mask):
-        nonlocal disagreements
-        votes = 0
-        for h0, h1 in zip(h0s, h1s):
-            if dl_set_feasible(k, cells, h0, h1, p, mask):
-                votes += 1
-        if 0 < votes < nseeds:
-            disagreements += 1
-        return votes >= majority
-
-    best_mask = 0
-    best_size = 0
-    n = len(candidates)
-
-    def rec(idx, mask, size):
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_size = size
-            best_mask = mask
-        if idx == n or size + (n - idx) <= best_size:
-            return
-        bit = 1 << (candidates[idx] - 1)
-        with_bit = mask | bit
-        if check(with_bit):
-            rec(idx + 1, with_bit, size + 1)
-        rec(idx + 1, mask, size)
-
-    rec(0, 0, 0)
-    return best_mask, disagreements
+def dl_set_feasible(k, cells, active_mask):
+    """Whether every active message has a zero-forcing precoder."""
+    return _accepts(k, _dl_automaton(k, cells), active_mask)
 
 
 def ul_set_feasible(k, cells, active_mask):
-    """Decode-and-pass feasibility: monotone closure over decodable messages.
-
-    Message m decodes at bs b when b is one of m's own connected, associated
-    base stations and every other active user heard at b is already decoded
-    with b in its association set (so the decoded message reached b).
-    """
-    undecoded = active_mask
-    progress = True
-    while undecoded and progress:
-        progress = False
-        scan = undecoded
-        while scan:
-            low = scan & -scan
-            m = low.bit_length()
-            scan ^= low
-            conn = 1 << (m - 1)
-            if m >= 2:
-                conn |= 1 << (m - 2)
-            decoders = cells[m - 1] & conn
-            ok = False
-            while decoders:
-                dlow = decoders & -decoders
-                b = dlow.bit_length()
-                decoders ^= dlow
-                good = True
-                for mp in (b, b + 1):
-                    if mp == m or mp > k:
-                        continue
-                    mp_bit = 1 << (mp - 1)
-                    if not (active_mask & mp_bit):
-                        continue
-                    if (undecoded & mp_bit) or not (cells[mp - 1] >> (b - 1)) & 1:
-                        good = False
-                        break
-                if good:
-                    ok = True
-                    break
-            if ok:
-                undecoded ^= low
-                progress = True
-    return undecoded == 0
+    """Whether the active messages admit a decode-and-pass order."""
+    return _accepts(k, _ul_automaton(k, cells), active_mask)
 
 
-def ul_max_active(k, cells, candidates):
-    """Largest decode-and-pass-feasible active set (lex-least maximizer)."""
-    best_mask = 0
-    best_size = 0
-    n = len(candidates)
+def dl_max_active(k, cells):
+    """Mask of the largest zero-forcing-feasible set, include-first on ties."""
+    return _lex_max(k, _dl_automaton(k, cells))
 
-    def rec(idx, mask, size):
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_size = size
-            best_mask = mask
-        if idx == n or size + (n - idx) <= best_size:
-            return
-        bit = 1 << (candidates[idx] - 1)
-        with_bit = mask | bit
-        if ul_set_feasible(k, cells, with_bit):
-            rec(idx + 1, with_bit, size + 1)
-        rec(idx + 1, mask, size)
 
-    rec(0, 0, 0)
-    return best_mask
+def ul_max_active(k, cells):
+    """Mask of the largest decode-and-pass-feasible set, include-first on ties."""
+    return _lex_max(k, _ul_automaton(k, cells))

@@ -2,8 +2,9 @@
 
 Subcommands: scheme, eval, search, bound, render, report.  All structured
 output is JSON with sorted keys (or CSV rows for search --format csv), so
-runs are byte-reproducible.  Genericity warnings go to stderr and are
-counted in the JSON where they can arise.
+runs are byte-reproducible.  eval and search decide feasibility by rules
+that do not depend on channel values, so their "warnings" and
+"disagreements" fields are always 0; they stay for output stability.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
 budget/range violations in an association), 3 refused size or candidate
@@ -18,7 +19,6 @@ import csv
 import io
 import json
 import sys
-import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,7 +31,6 @@ from .bounds import (
 from .downlink_zf import max_downlink_dof
 from .errors import (
     CellAssocError,
-    GenericityWarning,
     InternalCheckError,
     SizeLimitError,
     ValidationError,
@@ -114,19 +113,11 @@ def _cmd_scheme(args) -> int:
 def _cmd_eval(args) -> int:
     assoc = _load_assoc(args.assoc)
     seeds = _seeds(args)
-    dl_limit = args.cap if args.cap is not None else 16
-    ul_limit = args.cap if args.cap is not None else 20
-
-    caught: list[warnings.WarningMessage] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GenericityWarning)
-        dl = ul = None
-        if args.session in ("down", "avg"):
-            dl = max_downlink_dof(assoc, exact_limit=dl_limit, seeds=seeds)
-        if args.session in ("up", "avg"):
-            ul = max_uplink_dof(assoc, exact_limit=ul_limit)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    dl = ul = None
+    if args.session in ("down", "avg"):
+        dl = max_downlink_dof(assoc, seeds=seeds)
+    if args.session in ("up", "avg"):
+        ul = max_uplink_dof(assoc)
 
     payload = {
         "k": assoc.k,
@@ -139,7 +130,7 @@ def _cmd_eval(args) -> int:
             if dl and ul
             else None
         ),
-        "warnings": len(caught),
+        "warnings": 0,
     }
     _emit_json(payload, args.out)
     return 0
@@ -171,20 +162,15 @@ def _cmd_search(args) -> int:
         raise ValidationError("search needs k and nc (flags or --config)")
 
     want_csv = args.format == "csv"
-    caught: list[warnings.WarningMessage] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GenericityWarning)
-        result = exhaustive_search(
-            merged["k"],
-            merged["nc"],
-            merged["window"],
-            merged["objective"],
-            seeds=tuple(merged["seeds"]),
-            cap=merged["cap"],
-            collect_rows=want_csv,
-        )
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    result = exhaustive_search(
+        merged["k"],
+        merged["nc"],
+        merged["window"],
+        merged["objective"],
+        seeds=tuple(merged["seeds"]),
+        cap=merged["cap"],
+        collect_rows=want_csv,
+    )
 
     if want_csv:
         buf = io.StringIO()
@@ -289,11 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("assoc", help="path to an association JSON file")
     p.add_argument("--session", choices=("up", "down", "avg"), default="avg")
     p.add_argument("--seed", type=int, action="append", help="channel seed (repeatable)")
-    p.add_argument(
-        "--cap",
-        type=int,
-        help="exact-search user limit for both sessions (default 16 down / 20 up)",
-    )
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)

@@ -3,18 +3,23 @@
 A set of active users is feasible when every active message admits a
 precoder over its own association set that is heard at full gain by its
 user and contributes zero interference at every other active user.  The
-messages decouple, so feasibility is a per-message rank condition, checked
-exactly over a prime field.  Witness precoders are nullspace vectors and
-re-verify by direct evaluation, independent of the solver path.
+messages decouple, so feasibility is a per-message rank condition.
 
-Rank decisions on a random realization can in principle be degenerate, so
-search entry points evaluate several seeds and take a majority, warning
-via GenericityWarning when the seeds split.  In this topology the split
-is actually unreachable for honestly drawn channels: each user hears only
-base stations i-1 and i, so the support graph of any interference
-subsystem is a path forest, every square minor expands to a single
-monomial of nonzero draws, and every rank decision is value-independent.
-The vote stays in place as a cheap guard on that reasoning.
+Each user i hears only base stations i-1 and i, so the support graph of
+every interference subsystem is a path forest, every square minor expands
+to a single monomial of nonzero coefficients, and every rank decision is
+independent of the channel values.  Message m is served iff one side of it
+is left open (see _kernels._pure): m-1 is in C_m and some user in [a, m-1]
+is inactive, where [a, m-1] is the run of consecutive base stations of C_m
+that ends at m-1; or m is in C_m and, for the run [m, b] that starts at m,
+b = k or some user in [m+1, b+1] is inactive.  max_downlink_dof maximizes
+that rule exactly with a DP along the line.
+
+GF(p) arithmetic only emits the certificate: zf_feasible eliminates over
+one exact channel draw to build nullspace precoders, and verify_witness
+re-checks them by direct evaluation, independent of the solver path.
+Plan certification (zf_feasible_majority) still draws several seeds and
+takes a majority, warning via GenericityWarning if they ever split.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._encode import cells_masks, channel_arrays, set_to_mask
+from ._encode import cells_masks, mask_to_set
 from .errors import EmptyCellError, GenericityWarning, InternalCheckError, ValidationError
 from .model import (
     DEFAULT_PRIME,
@@ -34,8 +39,6 @@ from .model import (
     draw_channels,
     int_from_json,
 )
-
-DEFAULT_EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,12 @@ def unserved_messages(assoc, silent, active, ch, messages) -> int:
 
 
 def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
-    """Re-check a witness by direct evaluation of all gains and interference."""
+    """Re-check a witness by direct evaluation of all gains and interference.
+
+    Base station j reaches users j and j+1 only, so a precoder leaks onto no
+    other user; its leak is evaluated at the active users among those, which
+    keeps the check O(|active|) instead of O(|active|^2).
+    """
     active = frozenset(active)
     if ch.prime != witness.prime:
         return False
@@ -240,28 +248,22 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
         gain = sum(_gain(ch, m, j) * v for j, v in vec.items()) % p
         if gain == 0:
             return False
-        for r in active:
-            if r == m:
-                continue
+        for r in ({j + d for j in vec for d in (0, 1)} - {m}) & active:
             leak = sum(_gain(ch, r, j) * v for j, v in vec.items()) % p
             if leak != 0:
                 return False
     return True
 
 
-def _warn_disagreements(count: int, seeds, context: str, stacklevel: int = 3) -> None:
-    if count:
-        warnings.warn(
-            f"channel seeds {tuple(seeds)} disagreed on {count} feasibility "
-            f"decision(s) during {context}; majority vote was used",
-            GenericityWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def seed_majority(votes: int, seeds, context: str) -> bool:
     """True when votes is a strict majority of seeds; warns when the seeds split."""
-    _warn_disagreements(int(0 < votes < len(seeds)), seeds, context, stacklevel=4)
+    if 0 < votes < len(seeds):
+        warnings.warn(
+            f"channel seeds {tuple(seeds)} disagreed on 1 feasibility "
+            f"decision(s) during {context}; majority vote was used",
+            GenericityWarning,
+            stacklevel=3,
+        )
     return votes >= len(seeds) // 2 + 1
 
 
@@ -280,73 +282,26 @@ def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PR
     return feasible, witness
 
 
-def _kernel_inputs(assoc, seeds, prime):
-    cells = cells_masks(assoc)
-    h0s, h1s = [], []
-    for s in seeds:
-        h0, h1 = channel_arrays(draw_channels(assoc.k, s, prime))
-        h0s.append(h0)
-        h1s.append(h1)
-    return cells, h0s, h1s
-
-
 def max_downlink_dof(
     assoc: CellAssociation,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
     *,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     prime: int = DEFAULT_PRIME,
 ) -> DlEvaluation:
     """Maximum simultaneously feasible active-user count for the downlink.
 
-    Exact branch and bound up to exact_limit users, returning the
-    lexicographically smallest maximizer; larger instances fall back to a
-    greedy ascending pass and are flagged exact=False.
+    Exact at every k: the line DP returns the largest active set, ties
+    going to the lexicographically smallest one.  The witness comes from
+    the first seed's channels and is re-verified on them.
     """
     if not seeds:
         raise ValidationError("at least one channel seed is required")
-    cells, h0s, h1s = _kernel_inputs(assoc, seeds, prime)
-    candidates = [i for i in range(1, assoc.k + 1) if cells[i - 1]]
-
-    if assoc.k <= exact_limit:
-        best_mask, disagreements = _kernels.dl_max_active(
-            assoc.k, cells, h0s, h1s, prime, candidates
-        )
-        exact = True
-    else:
-        best_mask = 0
-        disagreements = 0
-        nseeds = len(seeds)
-        for u in candidates:
-            trial = best_mask | (1 << (u - 1))
-            votes = sum(
-                1
-                for h0, h1 in zip(h0s, h1s)
-                if _kernels.dl_set_feasible(assoc.k, cells, h0, h1, prime, trial)
-            )
-            if 0 < votes < nseeds:
-                disagreements += 1
-            if votes >= nseeds // 2 + 1:
-                best_mask = trial
-        exact = False
-
-    _warn_disagreements(disagreements, seeds, "downlink maximization")
-    active = frozenset(
-        i for i in range(1, assoc.k + 1) if (best_mask >> (i - 1)) & 1
-    )
-
-    witness = None
-    for s in seeds:
-        witness = zf_feasible(assoc, active, draw_channels(assoc.k, s, prime))
-        if witness is not None:
-            break
-    if active and witness is None:
-        raise InternalCheckError(
-            "majority vote accepted an active set but no seed yields a witness"
-        )
+    active = mask_to_set(_kernels.dl_max_active(assoc.k, cells_masks(assoc)))
+    ch = draw_channels(assoc.k, seeds[0], prime)
+    witness = zf_feasible(assoc, active, ch)
     if witness is None:
-        witness = ZfWitness(seed=seeds[0], prime=prime, precoders={})
-    if not verify_witness(witness, assoc, active, draw_channels(assoc.k, witness.seed, prime)):
+        raise InternalCheckError("the downlink rule accepted a set with no zero-forcing witness")
+    if not verify_witness(witness, assoc, active, ch):
         raise InternalCheckError("downlink witness failed independent re-verification")
 
     return DlEvaluation(
@@ -354,6 +309,6 @@ def max_downlink_dof(
         active_users=active,
         witness=witness,
         seeds=tuple(seeds),
-        exact=exact,
-        disagreements=disagreements,
+        exact=True,
+        disagreements=0,
     )

@@ -14,17 +14,18 @@ of freedom are never floats; they are ints or `fractions.Fraction`.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
-# Mersenne prime 2**31 - 1: coefficient products stay below 2**62, so the
-# compiled kernels can reduce with plain 64-bit arithmetic.
+# Mersenne prime 2**31 - 1.
 DEFAULT_PRIME = 2147483647
 
-# Seeds used for majority voting on rank decisions.
+# Channel seeds: evaluations build their witness from the first, and plan
+# certification takes a majority over all of them.
 DEFAULT_SEEDS = (1, 2, 3)
 
 
@@ -170,6 +171,9 @@ class CellAssociation:
         missing = {"k", "nc", "cells"} - set(data)
         if missing:
             raise ValidationError(f"association JSON missing keys: {sorted(missing)}")
+        unknown = set(data) - {"k", "nc", "cells"}
+        if unknown:
+            raise ValidationError(f"unknown association keys: {sorted(unknown)}")
         k, nc, cells = data["k"], data["nc"], data["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
             raise ValidationError("cells must be a list of lists")
@@ -237,10 +241,20 @@ def frac_to_str(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_str(text: str) -> Fraction:
-    """Parse 'p/q' or 'p'; rejects floats and anything inexact."""
+    """Parse 'p/q' or 'p' in decimal digits with an optional sign.
+
+    Decimal and exponent literals ('0.5', '1e3') raise ValidationError
+    before any number is built, so no input can ask for a huge integer
+    through an exponent.
+    """
     if not isinstance(text, str):
         raise ValidationError(f"rational must be a string, got {text!r}")
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValidationError(f"bad rational literal {text!r}: expected p or p/q")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

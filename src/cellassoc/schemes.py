@@ -100,16 +100,24 @@ class SchemePlan:
         if not isinstance(data, dict) or required - set(data):
             raise ValidationError(f"plan JSON must have keys {sorted(required)}")
         assoc = CellAssociation.from_json(data["assoc"])
-        index_sets = {
-            key: frozenset(ints_from_json(data[key], key))
-            for key in ("dl_active_users", "dl_silent_bs", "ul_active_users")
-        }
-        return cls(
-            assoc=assoc,
-            **index_sets,
-            claimed_dl_dof=frac_from_str(data["claimed_dl_dof"]),
-            claimed_ul_dof=frac_from_str(data["claimed_ul_dof"]),
-        )
+        index_sets = {}
+        for key in ("dl_active_users", "dl_silent_bs", "ul_active_users"):
+            values = frozenset(ints_from_json(data[key], key))
+            outside = sorted(v for v in values if not 1 <= v <= assoc.k)
+            if outside:
+                raise ValidationError(f"{key} {outside} out of range [1..{assoc.k}]")
+            index_sets[key] = values
+        claims = {}
+        for key, users in (
+            ("claimed_dl_dof", "dl_active_users"),
+            ("claimed_ul_dof", "ul_active_users"),
+        ):
+            claims[key] = frac_from_str(data[key])
+            if claims[key] != len(index_sets[users]):
+                raise ValidationError(
+                    f"{key} {data[key]} differs from the {len(index_sets[users])} {users}"
+                )
+        return cls(assoc=assoc, **index_sets, **claims)
 
 
 def pair_association(k: int) -> CellAssociation:
@@ -151,7 +159,7 @@ def _partial_dl(assoc, silent, nc, offset, *, seeds, prime):
         return frozenset(), frozenset()
     stripped = strip_silent(assoc, silent)
     sub = _sub_assoc(stripped.cells, nc, offset, k)
-    ev = max_downlink_dof(sub, exact_limit=sub.k, seeds=seeds, prime=prime)
+    ev = max_downlink_dof(sub, seeds=seeds, prime=prime)
     active = frozenset(offset + u for u in ev.active_users)
     used = set()
     for u in ev.active_users:
@@ -248,7 +256,7 @@ def _avg_plan_ncone(k, seeds, prime) -> SchemePlan:
     ul_active = {i for i in dl_active if i <= blocks * 3}
     if t:
         sub = _sub_assoc(assoc.cells, 1, off, k)
-        ev = max_uplink_dof(sub, exact_limit=sub.k)
+        ev = max_uplink_dof(sub)
         ul_active |= {off + u for u in ev.active_users}
 
     plan = SchemePlan(

@@ -6,8 +6,14 @@ default to nc.  Candidates are visited in lexicographic order (by user,
 then by association set as a sorted tuple), and the searches report the
 first maximizer, which is therefore the lexicographically smallest one.
 
+Both session sums of a candidate come from the exact line DP of
+_kernels (the two value-free feasibility rules maximized along the line),
+so no channel values are drawn per candidate; the winner alone gets a
+zero-forcing witness and a decoding order from max_downlink_dof and
+max_uplink_dof, which must reproduce the search value.
+
 A soundness sweep runs the same enumeration but compares every
-candidate's oracle values against the matching converse certificates,
+candidate's session sums against the matching converse certificates,
 returning any violations instead of a winner.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
@@ -24,7 +30,7 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 from . import _kernels
-from ._encode import channel_arrays, set_to_mask
+from ._encode import set_to_mask
 from .bounds import (
     BoundCertificate,
     _block_flags,
@@ -41,7 +47,6 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     association,
-    draw_channels,
     frac_to_str,
 )
 from .uplink_decode import UlEvaluation, max_uplink_dof
@@ -151,6 +156,30 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
+    if objective == "avg":
+        return Fraction(dl + ul, 2 * k)
+    return Fraction(ul if objective == "ul" else dl)
+
+
+def _session_sums(k: int, options):
+    """(combo, dl, ul) for every windowed association, in enumeration order.
+
+    The uplink sum depends only on the connected part of each set, so it
+    is memoized on that.
+    """
+    conn = [_conn_mask(i) for i in range(1, k + 1)]
+    mask_options = [[set_to_mask(opt) for opt in opts] for opts in options]
+    ul_memo: dict[tuple, int] = {}
+    for combo, masks in zip(itertools.product(*options), itertools.product(*mask_options)):
+        dl = _popcount(_kernels.dl_max_active(k, masks))
+        pruned = tuple(m & c for m, c in zip(masks, conn))
+        ul = ul_memo.get(pruned)
+        if ul is None:
+            ul = ul_memo[pruned] = _popcount(_kernels.ul_max_active(k, pruned))
+        yield combo, dl, ul
+
+
 def exhaustive_search(
     k: int,
     nc: int,
@@ -166,7 +195,8 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul).  Refuses
-    to start when the candidate count exceeds cap.
+    to start when the candidate count exceeds cap.  The seeds and prime
+    only draw the channels of the winner's zero-forcing witness.
     """
     objective = _normalize_objective(objective)
     w, options = _user_options(k, nc, window)
@@ -179,64 +209,26 @@ def exhaustive_search(
     if not seeds:
         raise ValidationError("at least one channel seed is required")
 
-    h0s, h1s = [], []
-    for seed in seeds:
-        h0, h1 = channel_arrays(draw_channels(k, seed, prime=prime))
-        h0s.append(h0)
-        h1s.append(h1)
-    conn = [_conn_mask(i) for i in range(1, k + 1)]
-
-    mask_options = [
-        [set_to_mask(opt) for opt in opts] for opts in options
-    ]
-
     best_value: Optional[Fraction] = None
     best_index = -1
     best_combo = None
-    disagreements = 0
-    ul_memo: dict[tuple, int] = {}
     rows: list[tuple] = []
 
-    for index, masks in enumerate(itertools.product(*mask_options)):
-        dl_cands = [i for i in range(1, k + 1) if masks[i - 1]]
-        cells = list(masks)
-        dl_mask, dis = _kernels.dl_max_active(k, cells, h0s, h1s, prime, dl_cands)
-        disagreements += dis
-        dl = _popcount(dl_mask)
-
-        pruned = tuple(masks[i - 1] & conn[i - 1] for i in range(1, k + 1))
-        ul = ul_memo.get(pruned)
-        if ul is None:
-            ul_cands = [i for i in range(1, k + 1) if pruned[i - 1]]
-            ul_mask = _kernels.ul_max_active(k, list(pruned), ul_cands)
-            ul = _popcount(ul_mask)
-            ul_memo[pruned] = ul
-
-        if objective == "avg":
-            value = Fraction(dl + ul, 2 * k)
-        elif objective == "ul":
-            value = Fraction(ul)
-        else:
-            value = Fraction(dl)
+    for index, (combo, dl, ul) in enumerate(_session_sums(k, options)):
+        value = _objective_value(objective, k, dl, ul)
         if best_value is None or value > best_value:
             best_value = value
             best_index = index
+            best_combo = combo
         if collect_rows:
             rows.append((index, dl, ul))
 
     assert best_value is not None
-    combos = itertools.product(*options)
-    best_combo = next(itertools.islice(combos, best_index, None))
     best_assoc = association(k, nc, best_combo)
 
-    dl_ev = max_downlink_dof(best_assoc, exact_limit=k, seeds=seeds, prime=prime)
-    ul_ev = max_uplink_dof(best_assoc, exact_limit=k)
-    if objective == "avg":
-        recheck = Fraction(dl_ev.sum_dof + ul_ev.sum_dof, 2 * k)
-    elif objective == "ul":
-        recheck = Fraction(ul_ev.sum_dof)
-    else:
-        recheck = Fraction(dl_ev.sum_dof)
+    dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
+    ul_ev = max_uplink_dof(best_assoc)
+    recheck = _objective_value(objective, k, dl_ev.sum_dof, ul_ev.sum_dof)
     if recheck != best_value:
         raise InternalCheckError(
             f"winner re-evaluation {recheck} disagrees with search value {best_value}"
@@ -255,7 +247,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        disagreements=disagreements,
+        disagreements=dl_ev.disagreements,
         rows=tuple(rows) if collect_rows else None,
     )
 
@@ -302,7 +294,8 @@ def soundness_sweep(
     sums with the reconstruction bound and session-average sums with the
     counting bound when nc >= 2 (those certificates are not defined for
     nc = 1).  Returns all violations; an empty list certifies soundness
-    over the swept family.
+    over the swept family.  No channel value enters a session sum, so
+    seeds and prime are unused; they stay so that existing callers work.
     """
     w, options = _user_options(k, nc, window)
     total = prod(len(o) for o in options)
@@ -311,37 +304,15 @@ def soundness_sweep(
             f"{total} candidates exceed the cap of {cap}; "
             "raise cap explicitly to proceed"
         )
-    if not seeds:
-        raise ValidationError("at least one channel seed is required")
-
-    h0s, h1s = [], []
-    for seed in seeds:
-        h0, h1 = channel_arrays(draw_channels(k, seed, prime=prime))
-        h0s.append(h0)
-        h1s.append(h1)
-    conn = [_conn_mask(i) for i in range(1, k + 1)]
 
     length, full, tail = _block_layout(k, nc)
     counting_value = Fraction(4 * nc - 3, 2) * full + tail if nc >= 2 else None
 
     chain_memo: dict[tuple, int] = {}
-    ul_memo: dict[tuple, int] = {}
     violations: list[dict] = []
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
 
-    for combo in itertools.product(*options):
-        masks = [set_to_mask(opt) for opt in combo]
-        dl_cands = [i for i in range(1, k + 1) if masks[i - 1]]
-        dl_mask, _dis = _kernels.dl_max_active(k, masks, h0s, h1s, prime, dl_cands)
-        dl = _popcount(dl_mask)
-
-        pruned = tuple(masks[i - 1] & conn[i - 1] for i in range(1, k + 1))
-        ul = ul_memo.get(pruned)
-        if ul is None:
-            ul_cands = [i for i in range(1, k + 1) if pruned[i - 1]]
-            ul = _popcount(_kernels.ul_max_active(k, list(pruned), ul_cands))
-            ul_memo[pruned] = ul
-
+    for combo, dl, ul in _session_sums(k, options):
         assoc = association(k, nc, combo)
 
         flags = chain_flags(assoc)
@@ -490,8 +461,8 @@ def periodic_eval(
     disagreements = 0
     for kk in ks:
         assoc = pattern.instantiate(kk, nc)
-        dl_ev = max_downlink_dof(assoc, exact_limit=kk, seeds=seeds, prime=prime)
-        ul_ev = max_uplink_dof(assoc, exact_limit=kk)
+        dl_ev = max_downlink_dof(assoc, seeds=seeds, prime=prime)
+        ul_ev = max_uplink_dof(assoc)
         dl_sums.append(dl_ev.sum_dof)
         ul_sums.append(ul_ev.sum_dof)
         disagreements += dl_ev.disagreements

@@ -7,6 +7,14 @@ its message to b (b must lie in that user's association set).  Decoding is
 monotone, so feasibility is a fixpoint computation; the canonical order
 returned here schedules the smallest eligible (message, bs) pair first.
 
+User m can only decode at bs m-1, waiting on user m-1, or at bs m, waiting
+on user m+1, so the only possible cycle is an adjacent pair waiting on
+each other.  Active user m decodes iff it can take bs m-1 or bs m from
+C_m, with the neighbour it waits on (if active) associated with that bs,
+and no adjacent pair waits on each other (see _kernels._pure).
+max_uplink_dof maximizes that rule exactly with a DP along the line, then
+builds and re-verifies the canonical decoding order of the set it finds.
+
 Associations to base stations a user cannot hear never help this session;
 prune() removes them without changing any feasibility decision.
 """
@@ -18,11 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._encode import cells_masks
+from ._encode import cells_masks, mask_to_set
 from .errors import InternalCheckError, ValidationError
 from .model import CellAssociation, connected_bs, heard_mts, int_from_json
-
-DEFAULT_EXACT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -146,44 +152,16 @@ def verify_order(order: DecodingOrder, assoc, active) -> bool:
     return decoded == active
 
 
-def max_uplink_dof(
-    assoc: CellAssociation,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> UlEvaluation:
+def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     """Maximum simultaneously decodable active-user count for the uplink.
 
-    Exact branch and bound up to exact_limit users (lexicographically
-    smallest maximizer); larger instances use a greedy ascending pass and
-    are flagged exact=False.
+    Exact at every k: the line DP returns the largest active set, ties
+    going to the lexicographically smallest one.
     """
-    cells = cells_masks(assoc)
-    candidates = []
-    for i in range(1, assoc.k + 1):
-        conn = 1 << (i - 1)
-        if i >= 2:
-            conn |= 1 << (i - 2)
-        if cells[i - 1] & conn:
-            candidates.append(i)
-
-    if assoc.k <= exact_limit:
-        best_mask = _kernels.ul_max_active(assoc.k, cells, candidates)
-        exact = True
-    else:
-        best_mask = 0
-        for u in candidates:
-            trial = best_mask | (1 << (u - 1))
-            if _kernels.ul_set_feasible(assoc.k, cells, trial):
-                best_mask = trial
-        exact = False
-
-    active = frozenset(
-        i for i in range(1, assoc.k + 1) if (best_mask >> (i - 1)) & 1
-    )
+    active = mask_to_set(_kernels.ul_max_active(assoc.k, cells_masks(assoc)))
     order = uplink_feasible(assoc, active)
-    if active and order is None:
-        raise InternalCheckError("kernel accepted an uplink set with no decoding order")
     if order is None:
-        order = DecodingOrder(steps=())
+        raise InternalCheckError("the uplink rule accepted a set with no decoding order")
     if not verify_order(order, assoc, active):
         raise InternalCheckError("uplink order failed independent re-verification")
 
@@ -191,5 +169,5 @@ def max_uplink_dof(
         sum_dof=len(active),
         active_users=active,
         order=order,
-        exact=exact,
+        exact=True,
     )

@@ -233,7 +233,7 @@ def test_criterion_8_randomized_invariants(announce):
                     cells.append(rng.sample(pool, size))
                 assoc = association(k, nc, cells)
 
-                dl = max_downlink_dof(assoc, exact_limit=k)
+                dl = max_downlink_dof(assoc)
                 if dl.witness is not None:
                     ch = draw_channels(k, dl.witness.seed, prime=dl.witness.prime)
                     assert verify_witness(dl.witness, assoc, dl.active_users, ch)
@@ -242,14 +242,14 @@ def test_criterion_8_randomized_invariants(announce):
                 assert ok
                 counts["dl_closure"] += 1
 
-                ul = max_uplink_dof(assoc, exact_limit=k)
+                ul = max_uplink_dof(assoc)
                 if ul.order is not None:
                     assert verify_order(ul.order, assoc, ul.active_users)
                 sub = frozenset(u for u in ul.active_users if rng.random() < 0.5)
                 assert uplink_feasible(assoc, sub) is not None
                 counts["ul_closure"] += 1
 
-                assert max_uplink_dof(prune(assoc), exact_limit=k).sum_dof == ul.sum_dof
+                assert max_uplink_dof(prune(assoc)).sum_dof == ul.sum_dof
                 counts["ul_prune"] += 1
 
                 grown = [list(c) for c in assoc.cells_as_lists()]
@@ -269,7 +269,7 @@ def test_criterion_8_randomized_invariants(announce):
                 if changed:
                     bigger = association(k, nc, grown)
                     assert (
-                        max_downlink_dof(bigger, exact_limit=k).sum_dof >= dl.sum_dof
+                        max_downlink_dof(bigger).sum_dof >= dl.sum_dof
                     )
                     counts["dl_monotone"] += 1
         info["detail"] = (
@@ -351,7 +351,7 @@ def test_criterion_9_brute_force_equivalence(announce):
                 masks = list(cells_masks(assoc))
                 for bits in range(1 << k):
                     active = [i for i in range(1, k + 1) if bits >> (i - 1) & 1]
-                    dl_rank = _pure.dl_set_feasible(k, masks, h0, h1, prime, bits)
+                    dl_rank = _pure.dl_set_feasible(k, masks, bits)
                     dl_brute = _brute_dl(k, assoc.cells, h0, h1, active, prime)
                     ul_fix = _pure.ul_set_feasible(k, masks, bits)
                     ul_brute = _brute_ul(k, assoc.cells, active)

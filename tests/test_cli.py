@@ -74,14 +74,22 @@ def test_eval_single_sessions(tmp_path, capsys):
     assert code == 0 and data["dl"] is None and data["ul"]["sum_dof"] == 4
 
 
-def test_eval_cap_switches_to_greedy(tmp_path, capsys):
+def test_eval_cap_is_rejected(tmp_path, capsys):
+    # Evaluation is exact at every size, so there is no limit to set.
     path = write_assoc(tmp_path, pair_association(6))
-    code, out, _ = run(capsys, "eval", path, "--cap", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", path, "--cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+def test_eval_exact_beyond_former_limits(tmp_path, capsys):
+    path = write_assoc(tmp_path, pair_association(30))
+    code, out, _ = run(capsys, "eval", path)
     assert code == 0
     data = json.loads(out)
-    assert data["dl"]["exact"] is False
-    assert data["ul"]["exact"] is False
-    assert data["dl"]["sum_dof"] <= 4
+    assert data["dl"]["exact"] is True and data["dl"]["sum_dof"] == 20
+    assert data["ul"]["exact"] is True and data["ul"]["sum_dof"] == 30
 
 
 def test_eval_bad_inputs(tmp_path, capsys):

@@ -137,15 +137,13 @@ def test_strip_silent():
     assert s.cells_as_lists() == [[1], [1, 2], [2], [4]]
 
 
-def test_greedy_fallback_beyond_exact_limit():
+def test_exact_beyond_former_limit():
+    # The branch and bound used to stop being exact above 16 users.
     a = pair_association(18)
-    exact = max_downlink_dof(a, exact_limit=18)
-    greedy = max_downlink_dof(a, exact_limit=4)
-    assert exact.exact and not greedy.exact
-    assert greedy.sum_dof <= exact.sum_dof
-    assert exact.sum_dof == 12
-    # The greedy pass still returns a certified feasible set.
-    assert greedy.witness is not None
+    ev = max_downlink_dof(a)
+    assert ev.exact
+    assert ev.sum_dof == 12
+    assert verify_witness(ev.witness, a, ev.active_users, draw_channels(18, ev.witness.seed))
 
 
 def test_majority_vote_warns_on_seed_split(monkeypatch):

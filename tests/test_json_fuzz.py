@@ -108,3 +108,37 @@ def test_render_rejects_non_integer_plan_entries(tmp_path, capsys):
     assert main(["render", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _render_exit(tmp_path, capsys, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code = main(["render", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_render_rejects_exponent_claims(tmp_path, capsys):
+    plan = avg_optimal(5, 2).to_json()
+    plan["claimed_dl_dof"] = "1e300000"
+    code, err = _render_exit(tmp_path, capsys, plan)
+    assert code == 2 and "bad rational literal" in err
+
+
+def test_render_rejects_plans_outside_their_network(tmp_path, capsys):
+    plan = {
+        "assoc": {"k": 2, "nc": 1, "cells": [[1], [2]]},
+        "dl_active_users": [-4, 99],
+        "dl_silent_bs": [7],
+        "ul_active_users": [],
+        "claimed_dl_dof": "5",
+        "claimed_ul_dof": "0",
+    }
+    code, err = _render_exit(tmp_path, capsys, plan)
+    assert code == 2 and "out of range" in err
+    plan.update(dl_active_users=[1], dl_silent_bs=[2])
+    code, err = _render_exit(tmp_path, capsys, plan)
+    assert code == 2 and "claimed_dl_dof" in err
+    plan["claimed_dl_dof"] = "1"
+    assert _render_exit(tmp_path, capsys, plan)[0] == 0

@@ -1,95 +1,47 @@
-"""Backend selection and pure/compiled parity.
+"""The kernels: one pure-Python line DP, exact at every size.
 
-The compiled backend must be bit-identical to the pure one: same best
-masks, same disagreement counts, same feasibility verdicts, because both
-walk the same include-first branch and bound in the same node order.
+tests/test_properties.py checks the rules and the DP against the GF(p)
+and decoding-order oracles and against an include-first branch and bound.
 """
 
-import importlib
-import random
-
-import pytest
-
 import cellassoc._kernels as kernels
-from cellassoc import draw_channels
-from cellassoc._encode import channel_arrays
-from cellassoc._kernels import _pure
-
-compiled = kernels._speedups
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled backend not built"
-)
-
-
-def _random_instance(rng, k, nseeds=3):
-    cells = []
-    for i in range(1, k + 1):
-        pool = [j for j in range(max(1, i - 2), min(k, i + 2) + 1)]
-        size = rng.randint(0, min(3, len(pool)))
-        mask = 0
-        for j in rng.sample(pool, size):
-            mask |= 1 << (j - 1)
-        cells.append(mask)
-    h0s, h1s = [], []
-    for s in range(1, nseeds + 1):
-        h0, h1 = channel_arrays(draw_channels(k, rng.randint(1, 10**6)))
-        h0s.append(h0)
-        h1s.append(h1)
-    return cells, h0s, h1s
-
-
-@needs_compiled
-def test_backends_agree_on_random_instances():
-    rng = random.Random(99)
-    prime = 2147483647
-    for trial in range(60):
-        k = rng.randint(1, 10)
-        cells, h0s, h1s = _random_instance(rng, k)
-        candidates = [i for i in range(1, k + 1) if cells[i - 1]]
-
-        pm, pd = _pure.dl_max_active(k, cells, h0s, h1s, prime, candidates)
-        cm, cd = compiled.dl_max_active(k, cells, h0s, h1s, prime, candidates)
-        assert (pm, pd) == (cm, cd)
-
-        um = _pure.ul_max_active(k, cells, candidates)
-        uc = compiled.ul_max_active(k, cells, candidates)
-        assert um == uc
-
-        for mask in range(min(1 << k, 64)):
-            assert _pure.dl_set_feasible(
-                k, cells, h0s[0], h1s[0], prime, mask
-            ) == compiled.dl_set_feasible(k, cells, h0s[0], h1s[0], prime, mask)
-            assert _pure.ul_set_feasible(k, cells, mask) == compiled.ul_set_feasible(
-                k, cells, mask
-            )
+from cellassoc import max_downlink_dof, max_uplink_dof, pair_association
+from cellassoc._encode import cells_masks
 
 
 def test_backend_name_reports_selection():
-    assert kernels.backend_name() in ("pure", "compiled")
+    assert kernels.backend_name() == "pure"
 
 
 def test_large_k_routes_to_pure():
-    # Beyond 62 users the masks outgrow a machine word; the dispatcher must
-    # fall back to the pure backend rather than truncate.
+    # Masks are Python integers, so the rules take any k.
     k = 70
     cells = [(1 << (i - 1)) | (1 << (i - 2) if i >= 2 else 0) for i in range(1, k + 1)]
     assert kernels.ul_set_feasible(k, cells, (1 << k) - 1)
+    assert not kernels.dl_set_feasible(k, cells, (1 << k) - 1)
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("CELLASSOC_KERNELS", "pure")
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.backend_name() == "pure"
-        monkeypatch.setenv("CELLASSOC_KERNELS", "bogus")
-        with pytest.raises(ImportError):
-            importlib.reload(kernels)
-    finally:
-        monkeypatch.delenv("CELLASSOC_KERNELS", raising=False)
-        importlib.reload(kernels)
+def test_pair_association_maxima_on_a_long_line():
+    # Two of every three users in the downlink, everyone in the uplink.
+    k = 20000
+    assoc = pair_association(k)
+    cells = cells_masks(assoc)
+    dl = kernels.dl_max_active(k, cells)
+    assert dl == sum(1 << (i - 1) for i in range(1, k + 1) if i % 3 != 2)
+    assert kernels.ul_max_active(k, cells) == (1 << k) - 1
+    dl_ev, ul_ev = max_downlink_dof(assoc), max_uplink_dof(assoc)
+    assert dl_ev.exact and ul_ev.exact
+    assert (dl_ev.sum_dof, ul_ev.sum_dof) == (13333, 20000)
 
 
-@needs_compiled
-def test_compiled_rejects_oversized_k():
-    with pytest.raises(ValueError):
-        compiled.ul_set_feasible(63, [0] * 63, 0)
+def test_rules_on_tiny_cases():
+    # User 2 hears bs 1, which is message 1's only base station.
+    assert not kernels.dl_set_feasible(2, [0b01, 0b11], 0b11)
+    assert kernels.dl_set_feasible(2, [0b01, 0b11], 0b01)
+    # Both users can only reach bs 1: whoever decodes first blocks the other.
+    assert not kernels.ul_set_feasible(2, [0b01, 0b01], 0b11)
+    assert kernels.ul_max_active(2, [0b01, 0b01]) == 0b01
+    # An empty association never serves, and the empty set is feasible.
+    assert kernels.dl_max_active(3, [0, 0, 0]) == 0
+    assert kernels.dl_set_feasible(3, [0, 0, 0], 0)
+    assert not kernels.dl_set_feasible(1, [0], 1)

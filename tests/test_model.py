@@ -96,6 +96,12 @@ def test_association_roundtrip_and_normalization():
     assert CellAssociation.from_json(data) == a
 
 
+def test_association_from_json_rejects_unknown_keys():
+    data = {"k": 2, "nc": 1, "cells": [[1], [2]], "celss": [[1], [2]]}
+    with pytest.raises(ValidationError, match="unknown association keys"):
+        CellAssociation.from_json(data)
+
+
 def test_association_from_json_rejects_garbage():
     with pytest.raises(ValidationError):
         CellAssociation.from_json({"k": 3, "nc": 2})
@@ -126,6 +132,13 @@ def test_fraction_helpers():
         frac_from_str("five sixths")
     with pytest.raises(ValidationError):
         frac_from_str("1/0")
+    assert frac_from_str(" -3/4 ") == Fraction(-3, 4)
+
+
+def test_frac_from_str_rejects_decimal_and_exponent_literals():
+    for text in ("0.5", "1e3", "1e300000", "1E-2", ".5", "1_000", "inf", "nan", "1/2.0"):
+        with pytest.raises(ValidationError):
+            frac_from_str(text)
 
 
 def test_average_per_user():

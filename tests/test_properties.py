@@ -1,10 +1,11 @@
 """Property tests: the local oracles against full-scan reference oracles.
 
 The references below are the scan-everything forms of the uplink scheduler
-and of the zero-forcing row construction, and the cumulative per-block
-certification of the nc = 2 average-optimal plan.  The package's versions
-look only at the users a decision can affect; on random windowed
-associations they must return exactly what the references return.
+and of the zero-forcing row construction, the cumulative per-block
+certification of the nc = 2 average-optimal plan, and the include-first
+branch and bound that maximized both sessions before the line DP.  The
+package's versions look only at the users a decision can affect; on random
+windowed associations they must return exactly what the references return.
 """
 
 import warnings
@@ -13,6 +14,8 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cellassoc import _kernels
+from cellassoc._encode import cells_masks, mask_to_set, set_to_mask
 from cellassoc.downlink_zf import (
     ZfWitness,
     strip_silent,
@@ -165,6 +168,31 @@ def ref_avg_plan_pair(k, seeds, prime):
     return _certify_plan(plan, seeds, prime)
 
 
+def ref_max_active(candidates, feasible):
+    """Include-first branch and bound over ascending candidates.
+
+    The incumbent moves only on strict improvement, so with downward-closed
+    feasibility this returns the largest set whose indicator vector over
+    the candidates is lexicographically greatest.
+    """
+    best = frozenset()
+    n = len(candidates)
+
+    def rec(idx, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        if idx == n or len(chosen) + (n - idx) <= len(best):
+            return
+        with_next = chosen | {candidates[idx]}
+        if feasible(with_next):
+            rec(idx + 1, with_next)
+        rec(idx + 1, chosen)
+
+    rec(0, frozenset())
+    return best
+
+
 # --- strategies ---------------------------------------------------------------
 
 
@@ -180,6 +208,20 @@ def windowed(draw, max_k=14):
         picked = {j for j in (i - 1, i) if draw(st.booleans())}
         picked |= set(draw(st.lists(st.integers(i - w, i + w), max_size=2)))
         cells.append(draw(st.permutations(sorted(picked)))[:nc])
+    active = frozenset(i for i in range(1, k + 1) if draw(st.booleans()))
+    return association(k, nc, cells), active
+
+
+@st.composite
+def wide(draw, max_k=12):
+    """Any association within a window up to the whole line, and an active set."""
+    k = draw(st.integers(1, max_k))
+    nc = draw(st.integers(1, 4))
+    w = draw(st.integers(1, k))
+    cells = [
+        draw(st.lists(st.integers(max(1, i - w), min(k, i + w)), max_size=nc, unique=True))
+        for i in range(1, k + 1)
+    ]
     active = frozenset(i for i in range(1, k + 1) if draw(st.booleans()))
     return association(k, nc, cells), active
 
@@ -267,3 +309,32 @@ def test_local_block_decision_matches_cumulative(prior, seeds, prime):
 def test_pair_plan_matches_cumulative_certification(k, seeds, prime):
     seeds = tuple(seeds)
     assert _avg_plan_pair(k, seeds, prime) == ref_avg_plan_pair(k, seeds, prime)
+
+
+@SETTINGS
+@given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
+def test_rules_match_oracles(case, seed, prime):
+    assoc, active = case
+    k, cells, mask = assoc.k, cells_masks(assoc), set_to_mask(active)
+    ch = draw_channels(k, seed, prime)
+    # zf_feasible refuses an active user with an empty set; it is never served.
+    served = all(assoc.cells[m - 1] for m in active) and (
+        zf_feasible(assoc, active, ch) is not None
+    )
+    assert _kernels.dl_set_feasible(k, cells, mask) == served
+    decodable = uplink_feasible(assoc, active) is not None
+    assert _kernels.ul_set_feasible(k, cells, mask) == decodable
+
+
+@SETTINGS
+@given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
+def test_line_dp_matches_branch_and_bound(case, seed, prime):
+    assoc, _active = case
+    k, cells = assoc.k, cells_masks(assoc)
+    ch = draw_channels(k, seed, prime)
+    dl_candidates = [m for m in range(1, k + 1) if cells[m - 1]]
+    dl = ref_max_active(dl_candidates, lambda s: zf_feasible(assoc, s, ch) is not None)
+    assert mask_to_set(_kernels.dl_max_active(k, cells)) == dl
+    ul_candidates = [m for m in range(1, k + 1) if assoc.cells[m - 1] & connected_bs(m, k)]
+    ul = ref_max_active(ul_candidates, lambda s: uplink_feasible(assoc, s) is not None)
+    assert mask_to_set(_kernels.ul_max_active(k, cells)) == ul

@@ -56,7 +56,7 @@ def test_downlink_matches_oracle_maximum():
     # at sizes where the exact search is still comfortable.
     for (k, nc) in [(5, 2), (10, 2), (7, 3)]:
         plan = downlink_optimal(k, nc)
-        assert max_downlink_dof(plan.assoc, exact_limit=k).sum_dof == plan.claimed_dl_dof
+        assert max_downlink_dof(plan.assoc).sum_dof == plan.claimed_dl_dof
 
 
 def test_avg_claims():

@@ -120,10 +120,11 @@ def test_downward_closure_on_max_set():
             assert uplink_feasible(a, ev.active_users - {drop}) is not None
 
 
-def test_greedy_fallback_beyond_exact_limit():
+def test_exact_beyond_former_limit():
+    # The branch and bound used to stop being exact above 20 users.
     a = pair_association(25)
     ev = max_uplink_dof(a)
-    assert not ev.exact
+    assert ev.exact
     assert ev.sum_dof == 25
     assert verify_order(ev.order, a, ev.active_users)
 
