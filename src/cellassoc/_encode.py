@@ -1,4 +1,9 @@
-"""Bitmask encoding shared by the oracle front-ends and the kernels."""
+"""Bitmask and channel-array encodings of an instance.
+
+The oracles and kernels read association sets directly, so nothing in the
+package calls these helpers; perfbench/tracing.py traces them by name and
+the brute-force acceptance check reads channel_arrays.
+"""
 
 from __future__ import annotations
 
@@ -10,15 +15,6 @@ def set_to_mask(indices) -> int:
     for i in indices:
         mask |= 1 << (i - 1)
     return mask
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return frozenset(out)
 
 
 def cells_masks(assoc: CellAssociation) -> list[int]:

@@ -1,7 +1,8 @@
-"""The two feasibility rules and the line DP, over bitmask-encoded instances.
+"""The two feasibility rules and the line DP over association sets.
 
-Encoding: user/bs index i is bit (i-1) of a mask, and cells[i-1] is the
-association set of user i as a bs mask, out-of-range indices dropped.
+cells[i-1] is the association set of user i: any container of base-station
+indices that supports `in`; indices outside 1..k are ignored.  Active sets
+are containers of user indices, and maximizers return a frozenset.
 
 User i hears base stations i-1 and i only, so each rule looks at a few
 neighbours of a user and never at channel values.  Both hold for every
@@ -47,14 +48,14 @@ def _dl_automaton(k, cells):
     right = [0] * (k + 1)  # b + 1: first user that must be inactive, 0 if closed
     for m in range(1, k + 1):
         cell = cells[m - 1]
-        if m >= 2 and cell >> (m - 2) & 1:
+        if m >= 2 and m - 1 in cell:
             a = m - 1
-            while a > 1 and cell >> (a - 2) & 1:
+            while a > 1 and a - 1 in cell:
                 a -= 1
             left[m] = m - a
-        if cell >> (m - 1) & 1:
+        if m in cell:
             b = m
-            while b < k and cell >> b & 1:
+            while b < k and b + 1 in cell:
                 b += 1
             right[m] = b + 1
     cap = max(left)
@@ -80,8 +81,8 @@ def _ul_automaton(k, cells):
     own = [False] * (k + 2)  # bs m in C_m
     prev = [False] * (k + 2)  # bs m-1 in C_m
     for m in range(1, k + 1):
-        own[m] = bool(cells[m - 1] >> (m - 1) & 1)
-        prev[m] = m >= 2 and bool(cells[m - 1] >> (m - 2) & 1)
+        own[m] = m in cells[m - 1]
+        prev[m] = m >= 2 and m - 1 in cells[m - 1]
 
     def step(m, state, active):
         if not active:
@@ -98,12 +99,11 @@ def _ul_automaton(k, cells):
     return _INACTIVE, step
 
 
-def _accepts(k, automaton, active_mask):
+def _accepts(k, automaton, active):
     start, step = automaton
     states = {start}
     for m in range(1, k + 1):
-        active = active_mask >> (m - 1) & 1
-        states = {t for s in states for t in step(m, s, active)}
+        states = {t for s in states for t in step(m, s, m in active)}
         if not states:
             return False
     return True
@@ -123,33 +123,33 @@ def _lex_max(k, automaton):
             s: max(a + after[t] for a in (1, 0) for t in step(m, s, a))
             for s in layers[m - 1]
         }
-    states, want, mask = {start}, togo[0][start], 0
+    states, want, chosen = {start}, togo[0][start], []
     for m in range(1, k + 1):
         after = togo[m]
         taken = {t for s in states for t in step(m, s, 1) if after[t] == want - 1}
         if taken:
-            mask |= 1 << (m - 1)
+            chosen.append(m)
             states, want = taken, want - 1
         else:
             states = {t for s in states for t in step(m, s, 0) if after[t] == want}
-    return mask
+    return frozenset(chosen)
 
 
-def dl_set_feasible(k, cells, active_mask):
+def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return _accepts(k, _dl_automaton(k, cells), active_mask)
+    return _accepts(k, _dl_automaton(k, cells), active)
 
 
-def ul_set_feasible(k, cells, active_mask):
+def ul_set_feasible(k, cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return _accepts(k, _ul_automaton(k, cells), active_mask)
+    return _accepts(k, _ul_automaton(k, cells), active)
 
 
 def dl_max_active(k, cells):
-    """Mask of the largest zero-forcing-feasible set, include-first on ties."""
+    """Largest zero-forcing-feasible active set, include-first on ties."""
     return _lex_max(k, _dl_automaton(k, cells))
 
 
 def ul_max_active(k, cells):
-    """Mask of the largest decode-and-pass-feasible set, include-first on ties."""
+    """Largest decode-and-pass-feasible active set, include-first on ties."""
     return _lex_max(k, _ul_automaton(k, cells))

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._encode import cells_masks, mask_to_set
 from .errors import EmptyCellError, GenericityWarning, InternalCheckError, ValidationError
 from .model import (
     DEFAULT_PRIME,
@@ -296,7 +295,7 @@ def max_downlink_dof(
     """
     if not seeds:
         raise ValidationError("at least one channel seed is required")
-    active = mask_to_set(_kernels.dl_max_active(assoc.k, cells_masks(assoc)))
+    active = _kernels.dl_max_active(assoc.k, assoc.cells)
     ch = draw_channels(assoc.k, seeds[0], prime)
     witness = zf_feasible(assoc, active, ch)
     if witness is None:

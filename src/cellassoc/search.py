@@ -30,7 +30,6 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 from . import _kernels
-from ._encode import set_to_mask
 from .bounds import (
     BoundCertificate,
     _block_flags,
@@ -145,17 +144,6 @@ class SearchResult:
         }
 
 
-def _conn_mask(i: int) -> int:
-    mask = 1 << (i - 1)
-    if i >= 2:
-        mask |= 1 << (i - 2)
-    return mask
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
     if objective == "avg":
         return Fraction(dl + ul, 2 * k)
@@ -168,15 +156,16 @@ def _session_sums(k: int, options):
     The uplink sum depends only on the connected part of each set, so it
     is memoized on that.
     """
-    conn = [_conn_mask(i) for i in range(1, k + 1)]
-    mask_options = [[set_to_mask(opt) for opt in opts] for opts in options]
+    connected = [
+        [tuple(j for j in opt if i - 1 <= j <= i) for opt in opts]
+        for i, opts in enumerate(options, start=1)
+    ]
     ul_memo: dict[tuple, int] = {}
-    for combo, masks in zip(itertools.product(*options), itertools.product(*mask_options)):
-        dl = _popcount(_kernels.dl_max_active(k, masks))
-        pruned = tuple(m & c for m, c in zip(masks, conn))
+    for combo, pruned in zip(itertools.product(*options), itertools.product(*connected)):
+        dl = len(_kernels.dl_max_active(k, combo))
         ul = ul_memo.get(pruned)
         if ul is None:
-            ul = ul_memo[pruned] = _popcount(_kernels.ul_max_active(k, pruned))
+            ul = ul_memo[pruned] = len(_kernels.ul_max_active(k, pruned))
         yield combo, dl, ul
 
 

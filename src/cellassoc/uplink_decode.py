@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._encode import cells_masks, mask_to_set
 from .errors import InternalCheckError, ValidationError
 from .model import CellAssociation, connected_bs, heard_mts, int_from_json
 
@@ -158,7 +157,7 @@ def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     Exact at every k: the line DP returns the largest active set, ties
     going to the lexicographically smallest one.
     """
-    active = mask_to_set(_kernels.ul_max_active(assoc.k, cells_masks(assoc)))
+    active = _kernels.ul_max_active(assoc.k, assoc.cells)
     order = uplink_feasible(assoc, active)
     if order is None:
         raise InternalCheckError("the uplink rule accepted a set with no decoding order")

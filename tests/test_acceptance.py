@@ -32,7 +32,7 @@ from cellassoc import (
     verify_witness,
     zf_feasible_majority,
 )
-from cellassoc._encode import cells_masks, channel_arrays
+from cellassoc._encode import channel_arrays
 from cellassoc._kernels import _pure
 from cellassoc.search import (
     PeriodicPattern,
@@ -348,12 +348,11 @@ def test_criterion_9_brute_force_equivalence(announce):
             ch = draw_channels(k, 1, prime=prime)
             h0, h1 = channel_arrays(ch)
             for assoc in enumerate_associations(k, 2, 1):
-                masks = list(cells_masks(assoc))
                 for bits in range(1 << k):
                     active = [i for i in range(1, k + 1) if bits >> (i - 1) & 1]
-                    dl_rank = _pure.dl_set_feasible(k, masks, bits)
+                    dl_rank = _pure.dl_set_feasible(k, assoc.cells, active)
                     dl_brute = _brute_dl(k, assoc.cells, h0, h1, active, prime)
-                    ul_fix = _pure.ul_set_feasible(k, masks, bits)
+                    ul_fix = _pure.ul_set_feasible(k, assoc.cells, active)
                     ul_brute = _brute_ul(k, assoc.cells, active)
                     checked += 1
                     if dl_rank != dl_brute or ul_fix != ul_brute:

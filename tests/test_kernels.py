@@ -6,7 +6,6 @@ and decoding-order oracles and against an include-first branch and bound.
 
 import cellassoc._kernels as kernels
 from cellassoc import max_downlink_dof, max_uplink_dof, pair_association
-from cellassoc._encode import cells_masks
 
 
 def test_backend_name_reports_selection():
@@ -14,21 +13,21 @@ def test_backend_name_reports_selection():
 
 
 def test_large_k_routes_to_pure():
-    # Masks are Python integers, so the rules take any k.
+    # The rules read association sets, so they take any k.
     k = 70
-    cells = [(1 << (i - 1)) | (1 << (i - 2) if i >= 2 else 0) for i in range(1, k + 1)]
-    assert kernels.ul_set_feasible(k, cells, (1 << k) - 1)
-    assert not kernels.dl_set_feasible(k, cells, (1 << k) - 1)
+    cells = [{i - 1, i} - {0} for i in range(1, k + 1)]
+    everyone = set(range(1, k + 1))
+    assert kernels.ul_set_feasible(k, cells, everyone)
+    assert not kernels.dl_set_feasible(k, cells, everyone)
 
 
 def test_pair_association_maxima_on_a_long_line():
     # Two of every three users in the downlink, everyone in the uplink.
     k = 20000
     assoc = pair_association(k)
-    cells = cells_masks(assoc)
-    dl = kernels.dl_max_active(k, cells)
-    assert dl == sum(1 << (i - 1) for i in range(1, k + 1) if i % 3 != 2)
-    assert kernels.ul_max_active(k, cells) == (1 << k) - 1
+    dl = kernels.dl_max_active(k, assoc.cells)
+    assert dl == {i for i in range(1, k + 1) if i % 3 != 2}
+    assert kernels.ul_max_active(k, assoc.cells) == set(range(1, k + 1))
     dl_ev, ul_ev = max_downlink_dof(assoc), max_uplink_dof(assoc)
     assert dl_ev.exact and ul_ev.exact
     assert (dl_ev.sum_dof, ul_ev.sum_dof) == (13333, 20000)
@@ -36,12 +35,12 @@ def test_pair_association_maxima_on_a_long_line():
 
 def test_rules_on_tiny_cases():
     # User 2 hears bs 1, which is message 1's only base station.
-    assert not kernels.dl_set_feasible(2, [0b01, 0b11], 0b11)
-    assert kernels.dl_set_feasible(2, [0b01, 0b11], 0b01)
+    assert not kernels.dl_set_feasible(2, [{1}, {1, 2}], {1, 2})
+    assert kernels.dl_set_feasible(2, [{1}, {1, 2}], {1})
     # Both users can only reach bs 1: whoever decodes first blocks the other.
-    assert not kernels.ul_set_feasible(2, [0b01, 0b01], 0b11)
-    assert kernels.ul_max_active(2, [0b01, 0b01]) == 0b01
-    # An empty association never serves, and the empty set is feasible.
-    assert kernels.dl_max_active(3, [0, 0, 0]) == 0
-    assert kernels.dl_set_feasible(3, [0, 0, 0], 0)
-    assert not kernels.dl_set_feasible(1, [0], 1)
+    assert not kernels.ul_set_feasible(2, [{1}, {1}], {1, 2})
+    assert kernels.ul_max_active(2, [{1}, {1}]) == {1}
+    # An empty or off-line association never serves; the empty set is feasible.
+    assert kernels.dl_max_active(3, [set(), {0}, {4}]) == set()
+    assert kernels.dl_set_feasible(3, [set(), set(), set()], set())
+    assert not kernels.dl_set_feasible(1, [set()], {1})

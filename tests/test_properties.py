@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cellassoc import _kernels
-from cellassoc._encode import cells_masks, mask_to_set, set_to_mask
 from cellassoc.downlink_zf import (
     ZfWitness,
     strip_silent,
@@ -315,26 +314,26 @@ def test_pair_plan_matches_cumulative_certification(k, seeds, prime):
 @given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
 def test_rules_match_oracles(case, seed, prime):
     assoc, active = case
-    k, cells, mask = assoc.k, cells_masks(assoc), set_to_mask(active)
+    k, cells = assoc.k, assoc.cells
     ch = draw_channels(k, seed, prime)
     # zf_feasible refuses an active user with an empty set; it is never served.
     served = all(assoc.cells[m - 1] for m in active) and (
         zf_feasible(assoc, active, ch) is not None
     )
-    assert _kernels.dl_set_feasible(k, cells, mask) == served
+    assert _kernels.dl_set_feasible(k, cells, active) == served
     decodable = uplink_feasible(assoc, active) is not None
-    assert _kernels.ul_set_feasible(k, cells, mask) == decodable
+    assert _kernels.ul_set_feasible(k, cells, active) == decodable
 
 
 @SETTINGS
 @given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
 def test_line_dp_matches_branch_and_bound(case, seed, prime):
     assoc, _active = case
-    k, cells = assoc.k, cells_masks(assoc)
+    k, cells = assoc.k, assoc.cells
     ch = draw_channels(k, seed, prime)
-    dl_candidates = [m for m in range(1, k + 1) if cells[m - 1]]
+    dl_candidates = [m for m in range(1, k + 1) if cells[m - 1] & set(range(1, k + 1))]
     dl = ref_max_active(dl_candidates, lambda s: zf_feasible(assoc, s, ch) is not None)
-    assert mask_to_set(_kernels.dl_max_active(k, cells)) == dl
+    assert _kernels.dl_max_active(k, cells) == dl
     ul_candidates = [m for m in range(1, k + 1) if assoc.cells[m - 1] & connected_bs(m, k)]
     ul = ref_max_active(ul_candidates, lambda s: uplink_feasible(assoc, s) is not None)
-    assert mask_to_set(_kernels.ul_max_active(k, cells)) == ul
+    assert _kernels.ul_max_active(k, cells) == ul
