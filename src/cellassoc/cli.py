@@ -43,7 +43,7 @@ from .model import (
     validate_association,
 )
 from .render import render_ascii, render_svg
-from .schemes import SchemePlan, avg_optimal, downlink_optimal
+from .schemes import MAX_SCHEME_K, SchemePlan, avg_optimal, downlink_optimal
 from .search import (
     DEFAULT_CAP,
     compare_with_theorem,
@@ -258,7 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scheme", help="construct a certified reference plan")
-    p.add_argument("--k", type=int, required=True, help="number of user/bs pairs")
+    p.add_argument(
+        "--k", type=int, required=True,
+        help=f"number of user/bs pairs (at most {MAX_SCHEME_K})",
+    )
     p.add_argument("--nc", type=int, help="association budget per user")
     p.add_argument(
         "--type",
@@ -266,7 +269,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("avg", "downlink", "pair", "ncone"),
         help="scheme family",
     )
-    p.add_argument("--seed", type=int, action="append", help="channel seed (repeatable)")
+    p.add_argument(
+        "--seed", type=int, action="append",
+        help="channel seed of the witness (repeatable; only the first is used)",
+    )
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=_cmd_scheme)

@@ -18,8 +18,11 @@ that rule exactly with a DP along the line.
 GF(p) arithmetic only emits the certificate: zf_feasible eliminates over
 one exact channel draw to build nullspace precoders, and verify_witness
 re-checks them by direct evaluation, independent of the solver path.
-Plan certification (zf_feasible_majority) still draws several seeds and
-takes a majority, warning via GenericityWarning if they ever split.
+certify_downlink does both on the first seed's draw; evaluations and
+scheme plans are certified that way, so only the first seed is ever used.
+zf_feasible_majority, which draws several seeds and takes a majority
+(warning via GenericityWarning if they split), is kept as the multi-seed
+reference that tests compare the value-free rule against.
 """
 
 from __future__ import annotations
@@ -205,29 +208,6 @@ def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
     return ZfWitness(seed=ch.seed, prime=ch.prime, precoders=precoders)
 
 
-def unserved_messages(assoc, silent, active, ch, messages) -> int:
-    """How many of messages lack a precoder once the silent base stations are off.
-
-    Counts the messages m in active for which zf_feasible(strip_silent(
-    assoc, silent), active, ch) would find no precoder.  A message's
-    precoder depends only on its own association set and on which users
-    hearing that set are active, so a caller that changes the plan near a
-    few users needs to recount only the messages around them.  An active
-    message with an empty association set raises EmptyCellError, as in
-    zf_feasible.
-    """
-    count = 0
-    for m in messages:
-        if m not in active:
-            continue
-        cell = assoc.cells[m - 1] - silent
-        if not cell:
-            raise EmptyCellError(f"active user {m} has an empty association set")
-        if _message_witness(cell, active, ch, m) is None:
-            count += 1
-    return count
-
-
 def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     """Re-check a witness by direct evaluation of all gains and interference.
 
@@ -254,16 +234,19 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     return True
 
 
-def seed_majority(votes: int, seeds, context: str) -> bool:
-    """True when votes is a strict majority of seeds; warns when the seeds split."""
-    if 0 < votes < len(seeds):
-        warnings.warn(
-            f"channel seeds {tuple(seeds)} disagreed on 1 feasibility "
-            f"decision(s) during {context}; majority vote was used",
-            GenericityWarning,
-            stacklevel=3,
-        )
-    return votes >= len(seeds) // 2 + 1
+def certify_downlink(assoc, active, seed: int, prime: int = DEFAULT_PRIME) -> ZfWitness:
+    """Zero-forcing witness for the active set on one seed's channels, re-verified.
+
+    Raises InternalCheckError when the set has no witness on that draw or
+    the witness fails verify_witness.
+    """
+    ch = draw_channels(assoc.k, seed, prime)
+    witness = zf_feasible(assoc, active, ch)
+    if witness is None:
+        raise InternalCheckError("the downlink active set has no zero-forcing witness")
+    if not verify_witness(witness, assoc, active, ch):
+        raise InternalCheckError("downlink witness failed independent re-verification")
+    return witness
 
 
 def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PRIME):
@@ -276,7 +259,14 @@ def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PR
     realizations = [draw_channels(assoc.k, s, prime) for s in seeds]
     witnesses = [zf_feasible(assoc, active, ch) for ch in realizations]
     votes = sum(1 for w in witnesses if w is not None)
-    feasible = seed_majority(votes, seeds, "plan certification")
+    if 0 < votes < len(seeds):
+        warnings.warn(
+            f"channel seeds {tuple(seeds)} disagreed on 1 feasibility "
+            "decision(s) during plan certification; majority vote was used",
+            GenericityWarning,
+            stacklevel=2,
+        )
+    feasible = votes >= len(seeds) // 2 + 1
     witness = next((w for w in witnesses if w is not None), None) if feasible else None
     return feasible, witness
 
@@ -296,13 +286,7 @@ def max_downlink_dof(
     if not seeds:
         raise ValidationError("at least one channel seed is required")
     active = _kernels.dl_max_active(assoc.k, assoc.cells)
-    ch = draw_channels(assoc.k, seeds[0], prime)
-    witness = zf_feasible(assoc, active, ch)
-    if witness is None:
-        raise InternalCheckError("the downlink rule accepted a set with no zero-forcing witness")
-    if not verify_witness(witness, assoc, active, ch):
-        raise InternalCheckError("downlink witness failed independent re-verification")
-
+    witness = certify_downlink(assoc, active, seeds[0], prime)
     return DlEvaluation(
         sum_dof=len(active),
         active_users=active,

@@ -24,8 +24,8 @@ from .errors import ValidationError
 # Mersenne prime 2**31 - 1.
 DEFAULT_PRIME = 2147483647
 
-# Channel seeds: evaluations build their witness from the first, and plan
-# certification takes a majority over all of them.
+# Channel seeds: evaluations and scheme plans build and re-verify their
+# witness on the first one only; zf_feasible_majority votes over all of them.
 DEFAULT_SEEDS = (1, 2, 3)
 
 

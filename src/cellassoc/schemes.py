@@ -1,69 +1,63 @@
 """Reference association schemes and their activation plans.
 
-Three constructions, all emitting a SchemePlan whose claims are certified
-by the oracles before the plan is returned:
+Every construction splits the users into blocks of `length` consecutive
+users.  In each full block one local user, `idle`, is downlink-inactive,
+every other user is downlink-active, and the block's last base station is
+silent, so no downlink path crosses a block boundary:
 
 * downlink_optimal: blocks of 2*nc + 1 users; the first nc users in a
-  block share descending suffix sets, the middle user is unserved, the
-  last nc users share ascending prefix sets, and the last base station of
-  every block stays silent so blocks decouple.  Serves 2*nc of every
-  2*nc + 1 users in the downlink.
+  block share descending suffix sets, the middle user (idle) has an empty
+  set, and the last nc users share ascending prefix sets.  Serves 2*nc of
+  every 2*nc + 1 users in the downlink.
 
 * pair_association: user i associates with base stations i-1 and i (user
   1 only with 1).  The uplink decodes right to left at full sum DoF.
 
-* avg_optimal: the best-average family.  nc = 1 uses isolated served
-  pairs in blocks of three.  nc = 2 keeps the pair association and picks,
-  per block of three, an inactive user plus a silent base station for the
-  downlink by trying a short candidate list against the zero-forcing
-  oracle.  nc > 2 uses blocks of 2*nc - 1 with pair membership plus
-  cluster extensions, the middle user inactive and the last base station
-  silent in the downlink.
+* avg_optimal: the best-average family.  nc = 1 uses blocks of three, an
+  isolated served pair around an idle middle user with an empty set.
+  nc >= 2 uses blocks of 2*nc - 1 with pair membership plus cluster
+  extensions and the middle user idle; at nc = 2 that is the pair
+  association in blocks of three.  At nc >= 2 every user is
+  uplink-active.
 
-Partial trailing blocks never get closed-form claims; their activation is
-chosen by running the oracles on the truncated sub-network, which is
+A partial trailing block never gets a closed-form claim: its downlink set
+is the exact maximum (the line DP) on the truncated sub-network, which is
 legitimate because the preceding block's silent base station severs every
-cross-boundary path.
+cross-boundary path, and its base stations that no active user holds are
+silenced too.
 
-Block trials are certified locally.  Downlink messages decouple: message
-m has a precoder iff its own association set, minus the silent base
-stations, can null the active users that hear it, and in the pair
-association those are only users m-1, m and m+1 and base stations m-1
-and m.  A trial of the block at offset off activates users among
-off+1..off+3 and silences one of those base stations, so it can change
-only messages off..off+3.  Each seed's channels are drawn once per plan,
-a per-seed count of the accepted plan's messages without a precoder is
-kept, and a trial recounts those four messages; the majority over seeds
-is then the same decision that zf_feasible_majority takes on the whole
-cumulative plan, at constant cost per block.  Every finished plan is
-still certified as a whole by _certify_plan.
+Every plan is certified as a whole before it is returned: the downlink set
+must get a zero-forcing witness on the first seed's channel draw that
+survives re-verification, and the uplink set a decoding order that
+survives re-verification.  Feasibility does not depend on the channel
+values in this topology (see downlink_zf), so one draw decides and
+`scheme` uses only the first --seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .downlink_zf import (
-    max_downlink_dof,
-    seed_majority,
-    strip_silent,
-    unserved_messages,
-    zf_feasible_majority,
-)
-from .errors import InternalCheckError, ValidationError
+from . import _kernels
+from .downlink_zf import certify_downlink, strip_silent
+from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .model import (
     DEFAULT_PRIME,
     DEFAULT_SEEDS,
     CellAssociation,
     association,
-    draw_channels,
     frac_from_str,
     frac_to_str,
     ints_from_json,
 )
-from .uplink_decode import max_uplink_dof, uplink_feasible
+from .uplink_decode import certify_uplink
+
+# Largest k a scheme is built for.  Time and memory grow linearly in k: one
+# avg nc = 3 plan at k = 10^5 takes about 8 s and 160 MB on a 2-vCPU VM, so
+# larger requests are refused before anything is built.
+MAX_SCHEME_K = 10**6
 
 
 @dataclass(frozen=True)
@@ -126,46 +120,71 @@ def pair_association(k: int) -> CellAssociation:
     return association(k, 2, cells)
 
 
+def _check_args(k: int, nc: int, seeds: Sequence[int]) -> None:
+    if k < 1 or nc < 1:
+        raise ValidationError("k and nc must be positive")
+    if k > MAX_SCHEME_K:
+        raise SizeLimitError(f"k = {k} exceeds the scheme size limit of {MAX_SCHEME_K}")
+    if not seeds:
+        raise ValidationError("at least one channel seed is required")
+
+
 def _certify_plan(plan: SchemePlan, seeds, prime) -> SchemePlan:
-    """Run both oracles against the plan's claims before handing it out."""
+    """Certify both claims with re-verified artifacts before handing the plan out."""
+    if plan.claimed_dl_dof != len(plan.dl_active_users):
+        raise InternalCheckError("scheme downlink claim differs from its active set")
+    if plan.claimed_ul_dof != len(plan.ul_active_users):
+        raise InternalCheckError("scheme uplink claim differs from its active set")
     stripped = strip_silent(plan.assoc, plan.dl_silent_bs)
-    feasible, _witness = zf_feasible_majority(
-        stripped, plan.dl_active_users, seeds=seeds, prime=prime
-    )
-    if not feasible or plan.claimed_dl_dof != len(plan.dl_active_users):
-        raise InternalCheckError("scheme downlink claim failed oracle certification")
-    order = uplink_feasible(plan.assoc, plan.ul_active_users)
-    if order is None or plan.claimed_ul_dof != len(plan.ul_active_users):
-        raise InternalCheckError("scheme uplink claim failed oracle certification")
+    certify_downlink(stripped, plan.dl_active_users, seeds[0], prime)
+    certify_uplink(plan.assoc, plan.ul_active_users)
     return plan
 
 
-def _sub_assoc(assoc_cells, nc, offset, k):
-    """Truncated trailing block, shifted to indices 1..t."""
-    t = k - offset
-    cells = []
-    for u in range(1, t + 1):
-        cell = assoc_cells[offset + u - 1]
-        shifted = [j - offset for j in cell if offset + 1 <= j <= k]
-        cells.append(shifted)
-    return association(t, nc, cells)
+def _plan(assoc, length, idle, ul_active, seeds, prime) -> SchemePlan:
+    """The certified block plan of assoc with the given uplink set.
 
-
-def _partial_dl(assoc, silent, nc, offset, *, seeds, prime):
-    """Oracle-chosen downlink activation for a partial trailing block."""
+    In every full block of length users, all users but local user idle are
+    downlink-active and the block's last base station is silent.  The
+    trailing partial block takes the downlink maximum of its truncated
+    sub-network and silences its base stations that no active user holds.
+    """
     k = assoc.k
-    t = k - offset
-    if t == 0:
-        return frozenset(), frozenset()
-    stripped = strip_silent(assoc, silent)
-    sub = _sub_assoc(stripped.cells, nc, offset, k)
-    ev = max_downlink_dof(sub, seeds=seeds, prime=prime)
-    active = frozenset(offset + u for u in ev.active_users)
-    used = set()
-    for u in ev.active_users:
-        used |= set(sub.cells[u - 1])
-    extra_silent = frozenset(offset + j for j in range(1, t + 1) if j not in used)
-    return active, extra_silent
+    off = k - k % length
+    dl_active = {i for i in range(1, off + 1) if (i - 1) % length != idle - 1}
+    silent = set(range(length, off + 1, length))
+
+    tail = [frozenset(j - off for j in cell if j > off) for cell in assoc.cells[off:]]
+    tail_active = _kernels.dl_max_active(k - off, tail)
+    used = frozenset().union(*(tail[u - 1] for u in tail_active))
+    dl_active |= {off + u for u in tail_active}
+    silent |= {off + j for j in range(1, k - off + 1) if j not in used}
+
+    plan = SchemePlan(
+        assoc=assoc,
+        dl_active_users=frozenset(dl_active),
+        dl_silent_bs=frozenset(silent),
+        ul_active_users=frozenset(ul_active),
+        claimed_dl_dof=Fraction(len(dl_active)),
+        claimed_ul_dof=Fraction(len(ul_active)),
+    )
+    return _certify_plan(plan, seeds, prime)
+
+
+def _downlink_cells(k: int, nc: int) -> list[list[int]]:
+    """Blocks of 2*nc + 1: descending suffixes, an empty middle, ascending prefixes."""
+    length = 2 * nc + 1
+    cells: list[list[int]] = []
+    for i in range(1, k + 1):
+        off = ((i - 1) // length) * length
+        u = i - off
+        if u <= nc:
+            cells.append(list(range(i, min(off + nc, k) + 1)))
+        elif u == nc + 1:
+            cells.append([])
+        else:
+            cells.append(list(range(off + nc + 1, i)))
+    return cells
 
 
 def downlink_optimal(
@@ -176,51 +195,10 @@ def downlink_optimal(
     prime: int = DEFAULT_PRIME,
 ) -> SchemePlan:
     """Downlink-rate-first plan: 2*nc served users per block of 2*nc + 1."""
-    if k < 1 or nc < 1:
-        raise ValidationError("k and nc must be positive")
-    length = 2 * nc + 1
-    blocks, t = divmod(k, length)
-
-    cells: list[list[int]] = []
-    dl_active = set()
-    silent = set()
-    for b in range(blocks):
-        off = b * length
-        for u in range(1, nc + 1):
-            cells.append(list(range(off + u, off + nc + 1)))
-        cells.append([])
-        for u in range(nc + 2, length + 1):
-            cells.append(list(range(off + nc + 1, off + u)))
-        dl_active |= {off + u for u in range(1, length + 1) if u != nc + 1}
-        silent.add(off + length)
-
-    off = blocks * length
-    for u in range(1, t + 1):
-        if u <= nc:
-            hi = off + min(nc, t)
-            cells.append(list(range(off + u, hi + 1)))
-        elif u == nc + 1:
-            cells.append([])
-        else:
-            cells.append(list(range(off + nc + 1, off + u)))
-
-    assoc = association(k, nc, cells)
-    part_active, part_silent = _partial_dl(
-        assoc, silent, nc, off, seeds=seeds, prime=prime
-    )
-    dl_active |= part_active
-    silent |= part_silent
-
-    ul = max_uplink_dof(assoc)
-    plan = SchemePlan(
-        assoc=assoc,
-        dl_active_users=frozenset(dl_active),
-        dl_silent_bs=frozenset(silent),
-        ul_active_users=ul.active_users,
-        claimed_dl_dof=Fraction(len(dl_active)),
-        claimed_ul_dof=Fraction(ul.sum_dof),
-    )
-    return _certify_plan(plan, seeds, prime)
+    _check_args(k, nc, seeds)
+    assoc = association(k, nc, _downlink_cells(k, nc))
+    ul_active = _kernels.ul_max_active(k, assoc.cells)
+    return _plan(assoc, 2 * nc + 1, nc + 1, ul_active, seeds, prime)
 
 
 def _avg_cells_ncone(k: int) -> list[list[int]]:
@@ -234,110 +212,6 @@ def _avg_cells_ncone(k: int) -> list[list[int]]:
         else:
             cells.append([])
     return cells
-
-
-def _avg_plan_ncone(k, seeds, prime) -> SchemePlan:
-    assoc = association(k, 1, _avg_cells_ncone(k))
-    blocks, t = divmod(k, 3)
-    dl_active = set()
-    silent = set()
-    for b in range(blocks):
-        off = b * 3
-        dl_active |= {off + 1, off + 3}
-        silent.add(off + 3)
-
-    off = blocks * 3
-    part_active, part_silent = _partial_dl(assoc, silent, 1, off, seeds=seeds, prime=prime)
-    dl_active |= part_active
-    silent |= part_silent
-
-    # Served pairs are isolated, so the same activation decodes in the
-    # uplink; the trailing block is still delegated to the uplink oracle.
-    ul_active = {i for i in dl_active if i <= blocks * 3}
-    if t:
-        sub = _sub_assoc(assoc.cells, 1, off, k)
-        ev = max_uplink_dof(sub)
-        ul_active |= {off + u for u in ev.active_users}
-
-    plan = SchemePlan(
-        assoc=assoc,
-        dl_active_users=frozenset(dl_active),
-        dl_silent_bs=frozenset(silent),
-        ul_active_users=frozenset(ul_active),
-        claimed_dl_dof=Fraction(len(dl_active)),
-        claimed_ul_dof=Fraction(len(ul_active)),
-    )
-    return _certify_plan(plan, seeds, prime)
-
-
-# Per-block downlink candidates for the pair association, as (inactive
-# local user, silent local bs).  The middle-user/last-bs choice works for
-# every block, the others are kept as fallbacks.
-_PAIR_BLOCK_CANDIDATES = ((2, 3), (1, 2), (3, 1))
-
-
-def _try_block(assoc, channels, dl_active, silent, failing, off, du, sb):
-    """Try one block candidate against the accepted plan, in place.
-
-    failing[i] counts the accepted plan's messages without a precoder on
-    channels[i].  The candidate activates the block's users other than
-    off + du and silences base station off + sb, which can change only
-    messages off..off+3, so only those are recounted.  On a majority of
-    seeds with no failing message the candidate stays in dl_active and
-    silent and the new counts are returned; otherwise both sets are
-    restored and None is returned.
-    """
-    touched = range(off, off + 4)
-    before = [unserved_messages(assoc, silent, dl_active, ch, touched) for ch in channels]
-    added = {off + u for u in (1, 2, 3) if u != du}
-    dl_active |= added
-    silent.add(off + sb)
-    after = [
-        f - b + unserved_messages(assoc, silent, dl_active, ch, touched)
-        for f, b, ch in zip(failing, before, channels)
-    ]
-    votes = sum(1 for f in after if f == 0)
-    seeds = [ch.seed for ch in channels]
-    if seed_majority(votes, seeds, "plan certification"):
-        return after
-    dl_active -= added
-    silent.discard(off + sb)
-    return None
-
-
-def _avg_plan_pair(k, seeds, prime) -> SchemePlan:
-    assoc = pair_association(k)
-    blocks, t = divmod(k, 3)
-    channels = [draw_channels(k, s, prime) for s in seeds]
-    dl_active: set[int] = set()
-    silent: set[int] = set()
-    failing = [0] * len(seeds)
-    for b in range(blocks):
-        off = b * 3
-        for du, sb in _PAIR_BLOCK_CANDIDATES:
-            counts = _try_block(assoc, channels, dl_active, silent, failing, off, du, sb)
-            if counts is not None:
-                failing = counts
-                break
-        else:
-            raise InternalCheckError(
-                f"no downlink candidate certified for block {b + 1}"
-            )
-
-    off = blocks * 3
-    part_active, part_silent = _partial_dl(assoc, silent, 2, off, seeds=seeds, prime=prime)
-    dl_active |= part_active
-    silent |= part_silent
-
-    plan = SchemePlan(
-        assoc=assoc,
-        dl_active_users=frozenset(dl_active),
-        dl_silent_bs=frozenset(silent),
-        ul_active_users=frozenset(range(1, k + 1)),
-        claimed_dl_dof=Fraction(len(dl_active)),
-        claimed_ul_dof=Fraction(k),
-    )
-    return _certify_plan(plan, seeds, prime)
 
 
 def _avg_cells_wide(k: int, nc: int) -> list[list[int]]:
@@ -357,33 +231,6 @@ def _avg_cells_wide(k: int, nc: int) -> list[list[int]]:
     return cells
 
 
-def _avg_plan_wide(k, nc, seeds, prime) -> SchemePlan:
-    assoc = association(k, nc, _avg_cells_wide(k, nc))
-    length = 2 * nc - 1
-    blocks, _t = divmod(k, length)
-    dl_active = set()
-    silent = set()
-    for b in range(blocks):
-        off = b * length
-        dl_active |= {off + u for u in range(1, length + 1) if u != nc}
-        silent.add(off + length)
-
-    off = blocks * length
-    part_active, part_silent = _partial_dl(assoc, silent, nc, off, seeds=seeds, prime=prime)
-    dl_active |= part_active
-    silent |= part_silent
-
-    plan = SchemePlan(
-        assoc=assoc,
-        dl_active_users=frozenset(dl_active),
-        dl_silent_bs=frozenset(silent),
-        ul_active_users=frozenset(range(1, k + 1)),
-        claimed_dl_dof=Fraction(len(dl_active)),
-        claimed_ul_dof=Fraction(k),
-    )
-    return _certify_plan(plan, seeds, prime)
-
-
 def avg_optimal(
     k: int,
     nc: int,
@@ -392,10 +239,11 @@ def avg_optimal(
     prime: int = DEFAULT_PRIME,
 ) -> SchemePlan:
     """Best-average plan for the given budget."""
-    if k < 1 or nc < 1:
-        raise ValidationError("k and nc must be positive")
+    _check_args(k, nc, seeds)
     if nc == 1:
-        return _avg_plan_ncone(k, seeds, prime)
-    if nc == 2:
-        return _avg_plan_pair(k, seeds, prime)
-    return _avg_plan_wide(k, nc, seeds, prime)
+        # Served pairs are isolated, so every user with a nonempty set decodes.
+        assoc = association(k, 1, _avg_cells_ncone(k))
+        ul_active = [i for i, cell in enumerate(assoc.cells, start=1) if cell]
+        return _plan(assoc, 3, 2, ul_active, seeds, prime)
+    assoc = association(k, nc, _avg_cells_wide(k, nc))
+    return _plan(assoc, 2 * nc - 1, nc, range(1, k + 1), seeds, prime)

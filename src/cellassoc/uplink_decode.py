@@ -151,6 +151,20 @@ def verify_order(order: DecodingOrder, assoc, active) -> bool:
     return decoded == active
 
 
+def certify_uplink(assoc, active) -> DecodingOrder:
+    """Canonical decoding order for the active set, re-verified.
+
+    Raises InternalCheckError when the set has no decoding order or the
+    order fails verify_order.
+    """
+    order = uplink_feasible(assoc, active)
+    if order is None:
+        raise InternalCheckError("the uplink active set has no decoding order")
+    if not verify_order(order, assoc, active):
+        raise InternalCheckError("uplink order failed independent re-verification")
+    return order
+
+
 def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     """Maximum simultaneously decodable active-user count for the uplink.
 
@@ -158,15 +172,9 @@ def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     going to the lexicographically smallest one.
     """
     active = _kernels.ul_max_active(assoc.k, assoc.cells)
-    order = uplink_feasible(assoc, active)
-    if order is None:
-        raise InternalCheckError("the uplink rule accepted a set with no decoding order")
-    if not verify_order(order, assoc, active):
-        raise InternalCheckError("uplink order failed independent re-verification")
-
     return UlEvaluation(
         sum_dof=len(active),
         active_users=active,
-        order=order,
+        order=certify_uplink(assoc, active),
         exact=True,
     )

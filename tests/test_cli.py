@@ -5,8 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cellassoc import pair_association
+from cellassoc import pair_association, schemes
 from cellassoc.cli import main
+from cellassoc.schemes import MAX_SCHEME_K
 
 
 def run(capsys, *argv):
@@ -132,6 +133,21 @@ def test_search_cap_exit_code(capsys):
         capsys, "search", "--k", "6", "--nc", "2", "--window", "1", "--cap", "100"
     )
     assert code == 3 and "cap" in err
+
+
+def test_scheme_size_limit_exit_code(capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("an association was built")
+
+    # The refusal must come before any construction work.
+    monkeypatch.setattr(schemes, "association", never)
+    for kind in ("avg", "downlink"):
+        code, out, err = run(
+            capsys, "scheme", "--type", kind, "--nc", "3", "--k", str(MAX_SCHEME_K + 1)
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_search_config_file(tmp_path, capsys):

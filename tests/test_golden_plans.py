@@ -3,9 +3,10 @@
 golden_plans.json maps "type/nc/k" to the sha256 of the exact bytes that
 `cellassoc scheme --type TYPE --nc NC --k K` writes with the default
 channel seeds.  The hashes were recorded at commit 4c98672, where every
-block was certified against the whole cumulative plan, so this test pins
-the locally certified construction to those plans.  To record them again
-(only when a plan is meant to change):
+nc = 2 block was chosen from a candidate list by a seed majority vote on
+the whole cumulative plan, so this test pins the single block builder,
+which certifies a plan once on the first seed's channels, to those plans.
+To record them again (only when a plan is meant to change):
 
     PYTHONPATH=src python tests/test_golden_plans.py > tests/golden_plans.json
 """

@@ -2,38 +2,31 @@
 
 The references below are the scan-everything forms of the uplink scheduler
 and of the zero-forcing row construction, the cumulative per-block
-certification of the nc = 2 average-optimal plan, and the include-first
-branch and bound that maximized both sessions before the line DP.  The
-package's versions look only at the users a decision can affect; on random
-windowed associations they must return exactly what the references return.
+certification of the nc = 2 average-optimal plan by a seed majority, and
+the include-first branch and bound that maximized both sessions before the
+line DP.  The package's versions look only at the users a decision can
+affect; on random windowed associations they must return exactly what the
+references return.  Every scheme plan must also pass the multi-seed
+reference and both value-free rules.
 """
 
-import warnings
 from fractions import Fraction
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellassoc import _kernels
 from cellassoc.downlink_zf import (
     ZfWitness,
+    max_downlink_dof,
     strip_silent,
-    unserved_messages,
     zf_feasible,
     zf_feasible_majority,
 )
-from cellassoc.errors import EmptyCellError, GenericityWarning, InternalCheckError
+from cellassoc.errors import InternalCheckError
 from cellassoc.model import DEFAULT_PRIME, association, connected_bs, draw_channels, heard_mts
-from cellassoc.schemes import (
-    _PAIR_BLOCK_CANDIDATES,
-    SchemePlan,
-    _avg_plan_pair,
-    _certify_plan,
-    _partial_dl,
-    _try_block,
-    pair_association,
-)
-from cellassoc.uplink_decode import DecodingOrder, uplink_feasible
+from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
+from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -128,9 +121,23 @@ def ref_zf_feasible(assoc, active, ch):
     return ZfWitness(seed=ch.seed, prime=ch.prime, precoders=precoders)
 
 
-def ref_failing(assoc, silent, active, ch):
-    stripped = strip_silent(assoc, silent)
-    return sum(1 for m in active if ref_message_witness(stripped, active, ch, m) is None)
+# Per-block downlink candidates of the nc = 2 plan, as (inactive local user,
+# silent local bs), tried in this order.
+REF_PAIR_CANDIDATES = ((2, 3), (1, 2), (3, 1))
+
+
+def ref_partial_dl(assoc, offset):
+    """Downlink maximum of the truncated trailing block, and its unused base stations."""
+    k = assoc.k
+    t = k - offset
+    if t == 0:
+        return set(), set()
+    cells = [[j - offset for j in cell if j > offset] for cell in assoc.cells[offset:]]
+    sub = association(t, assoc.nc, cells)
+    ev = max_downlink_dof(sub)
+    used = set().union(*(sub.cells[u - 1] for u in ev.active_users))
+    active = {offset + u for u in ev.active_users}
+    return active, {offset + j for j in range(1, t + 1) if j not in used}
 
 
 def ref_avg_plan_pair(k, seeds, prime):
@@ -140,7 +147,7 @@ def ref_avg_plan_pair(k, seeds, prime):
     dl_active, silent = set(), set()
     for b in range(blocks):
         off = b * 3
-        for du, sb in _PAIR_BLOCK_CANDIDATES:
+        for du, sb in REF_PAIR_CANDIDATES:
             trial_active = dl_active | {off + u for u in (1, 2, 3) if u != du}
             trial_silent = silent | {off + sb}
             feasible, _w = zf_feasible_majority(
@@ -151,12 +158,10 @@ def ref_avg_plan_pair(k, seeds, prime):
                 break
         else:
             raise InternalCheckError(f"no downlink candidate certified for block {b + 1}")
-    part_active, part_silent = _partial_dl(
-        assoc, silent, 2, blocks * 3, seeds=seeds, prime=prime
-    )
+    part_active, part_silent = ref_partial_dl(assoc, blocks * 3)
     dl_active |= part_active
     silent |= part_silent
-    plan = SchemePlan(
+    return SchemePlan(
         assoc=assoc,
         dl_active_users=frozenset(dl_active),
         dl_silent_bs=frozenset(silent),
@@ -164,7 +169,6 @@ def ref_avg_plan_pair(k, seeds, prime):
         claimed_dl_dof=Fraction(len(dl_active)),
         claimed_ul_dof=Fraction(k),
     )
-    return _certify_plan(plan, seeds, prime)
 
 
 def ref_max_active(candidates, feasible):
@@ -250,64 +254,33 @@ def test_zf_feasible_matches_full_scan_rows(case, seed, prime):
     assert zf_feasible(assoc, active, ch) == ref_zf_feasible(assoc, active, ch)
 
 
-@st.composite
-def pair_prior(draw):
-    """A pair association, a block, and any plan state on the users before it."""
-    k = draw(st.integers(3, 30))
-    off = 3 * draw(st.integers(0, k // 3 - 1))
-    active = draw(st.sets(st.integers(1, off))) if off else set()
-    silent = draw(st.sets(st.integers(1, off))) if off else set()
-    return k, off, set(active), set(silent)
-
-
-@SETTINGS
-@given(pair_prior(), seeds_st, primes)
-def test_local_block_decision_matches_cumulative(prior, seeds, prime):
-    k, off, active, silent = prior
-    assoc = pair_association(k)
-    assume(all(assoc.cells[m - 1] - silent for m in active))
-    channels = [draw_channels(k, s, prime) for s in seeds]
-    failing = [ref_failing(assoc, silent, active, ch) for ch in channels]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GenericityWarning)
-        for du, sb in _PAIR_BLOCK_CANDIDATES:
-            trial_active = active | {off + u for u in (1, 2, 3) if u != du}
-            trial_silent = silent | {off + sb}
-            try:
-                want, _w = zf_feasible_majority(
-                    strip_silent(assoc, trial_silent), trial_active,
-                    seeds=seeds, prime=prime,
-                )
-            except EmptyCellError:
-                want = EmptyCellError
-            got_active, got_silent = set(active), set(silent)
-            try:
-                counts = _try_block(
-                    assoc, channels, got_active, got_silent, failing, off, du, sb
-                )
-            except EmptyCellError:
-                assert want is EmptyCellError
-                continue
-            assert want is not EmptyCellError
-            assert (counts is not None) == want
-            if counts is None:
-                assert (got_active, got_silent) == (active, silent)
-            else:
-                assert (got_active, got_silent) == (trial_active, trial_silent)
-                assert counts == [
-                    ref_failing(assoc, trial_silent, trial_active, ch) for ch in channels
-                ]
-                assert counts == [
-                    unserved_messages(assoc, trial_silent, trial_active, ch, range(1, k + 1))
-                    for ch in channels
-                ]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 30), seeds_st, primes)
 def test_pair_plan_matches_cumulative_certification(k, seeds, prime):
     seeds = tuple(seeds)
-    assert _avg_plan_pair(k, seeds, prime) == ref_avg_plan_pair(k, seeds, prime)
+    assert avg_optimal(k, 2, seeds=seeds, prime=prime) == ref_avg_plan_pair(k, seeds, prime)
+
+
+@SETTINGS
+@given(
+    st.sampled_from((avg_optimal, downlink_optimal)),
+    st.integers(1, 4),
+    st.integers(1, 60),
+    seeds_st,
+    primes,
+)
+def test_every_plan_passes_both_references(builder, nc, k, seeds, prime):
+    plan = builder(k, nc, seeds=tuple(seeds), prime=prime)
+    assoc = plan.assoc
+    stripped = strip_silent(assoc, plan.dl_silent_bs)
+    feasible, witness = zf_feasible_majority(
+        stripped, plan.dl_active_users, seeds=tuple(seeds), prime=prime
+    )
+    assert feasible and witness is not None
+    assert _kernels.dl_set_feasible(k, stripped.cells, plan.dl_active_users)
+    assert _kernels.ul_set_feasible(k, assoc.cells, plan.ul_active_users)
+    order = ref_uplink_feasible(assoc, plan.ul_active_users)
+    assert order is not None and verify_order(order, assoc, plan.ul_active_users)
 
 
 @SETTINGS

@@ -1,11 +1,16 @@
 """Reference schemes: construction shapes, claims, certification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cellassoc import (
+    DEFAULT_PRIME,
+    DEFAULT_SEEDS,
+    InternalCheckError,
     SchemePlan,
+    SizeLimitError,
     ValidationError,
     average_per_user,
     avg_optimal,
@@ -17,6 +22,8 @@ from cellassoc import (
     uplink_feasible,
     zf_feasible_majority,
 )
+from cellassoc import schemes
+from cellassoc.schemes import MAX_SCHEME_K, _certify_plan
 
 
 def test_pair_association_shape():
@@ -150,3 +157,42 @@ def test_tiny_networks():
             plan_d = downlink_optimal(k, nc)
             assert plan_a.claimed_ul_dof >= 1
             assert plan_d.claimed_dl_dof >= 1
+
+
+def _tampered(plan, **changes):
+    """The plan with the given sets replaced and its claims kept consistent."""
+    plan = replace(plan, **changes)
+    return replace(
+        plan,
+        claimed_dl_dof=Fraction(len(plan.dl_active_users)),
+        claimed_ul_dof=Fraction(len(plan.ul_active_users)),
+    )
+
+
+def test_certification_refuses_tampered_plans():
+    seeds, prime = DEFAULT_SEEDS, DEFAULT_PRIME
+    # avg nc = 2, blocks of three: user 2 is idle and bs 3 silent in block one.
+    avg = avg_optimal(12, 2)
+    assert _certify_plan(avg, seeds, prime) == avg
+    idle_served = _tampered(avg, dl_active_users=avg.dl_active_users | {2})
+    # Un-silencing bs 3 alone cannot hurt (each precoder only gains a
+    # column), so bs 2 is silenced in its place: message 3 is left with
+    # bs 3, which active user 4 now hears.
+    moved_silence = _tampered(avg, dl_silent_bs=avg.dl_silent_bs - {3} | {2})
+    # downlink nc = 3, blocks of seven: user 4 has an empty set.
+    dl = downlink_optimal(7, 3)
+    assert not dl.assoc.cells[3]
+    empty_uplink = _tampered(dl, ul_active_users=dl.ul_active_users | {4})
+    for plan in (idle_served, moved_silence, empty_uplink):
+        with pytest.raises(InternalCheckError):
+            _certify_plan(plan, seeds, prime)
+
+
+def test_refuses_oversized_networks_before_building(monkeypatch):
+    def never(*_args):
+        raise AssertionError("an association was built")
+
+    monkeypatch.setattr(schemes, "association", never)
+    for builder in (avg_optimal, downlink_optimal):
+        with pytest.raises(SizeLimitError):
+            builder(MAX_SCHEME_K + 1, 3)
