@@ -2,13 +2,23 @@
 
 One pure-Python implementation (`_pure`): a value-free local rule per
 session and one left-to-right DP that maximizes either of them exactly at
-every k, in O(k) for a fixed budget.  `_pure` states the rules and the DP.
+every k, in O(k) for a fixed budget, plus its forward max-count pass
+memoized over a family of associations (`FamilyLayers` over
+`dl_family` / `ul_family`).  `_pure` states the rules and the DP.
 """
 
 from __future__ import annotations
 
 from . import _pure
-from ._pure import dl_max_active, dl_set_feasible, ul_max_active, ul_set_feasible
+from ._pure import (
+    FamilyLayers,
+    dl_family,
+    dl_max_active,
+    dl_set_feasible,
+    ul_family,
+    ul_max_active,
+    ul_set_feasible,
+)
 
 
 def backend_name() -> str:

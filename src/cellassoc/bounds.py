@@ -129,13 +129,14 @@ class BoundCertificate:
         )
 
 
+def _pair_flags(k: int, cells) -> tuple[int, ...]:
+    """chain_flags over the association sets cells[0..k-1] of any container."""
+    return tuple(i for i in range(1, k) if not (i in cells[i - 1] and i in cells[i]))
+
+
 def chain_flags(assoc: CellAssociation) -> tuple[int, ...]:
     """Indices i in [1..k-1] where users i, i+1 are not both tied to bs i."""
-    flags = []
-    for i in range(1, assoc.k):
-        if not (i in assoc.cells[i - 1] and i in assoc.cells[i]):
-            flags.append(i)
-    return tuple(flags)
+    return _pair_flags(assoc.k, assoc.cells)
 
 
 def _chain_dp(k: int, flags) -> int:
@@ -184,24 +185,41 @@ def _block_layout(k: int, nc: int) -> tuple[int, int, int]:
     return length, full, k - full * length
 
 
-def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
-    length, full, _tail = _block_layout(assoc.k, assoc.nc)
-    flags = []
+def _good_blocks(k: int, nc: int, cells, strict: bool) -> tuple[bool, ...]:
+    """Goodness of each full block, read from the association sets cells."""
+    length, full, _tail = _block_layout(k, nc)
+    goods = []
     for b in range(full):
-        start = b * length + 1
-        mid = start + assoc.nc - 1  # middle bs of the block
-        good = mid in assoc.cells[mid - 1] and mid in assoc.cells[mid]
+        mid = b * length + nc  # middle bs of the block
+        good = mid in cells[mid - 1] and mid in cells[mid]
         if good and strict:
             # The reconstruction argument needs the middle bs to carry no
             # message besides its two local ones.
-            for i in range(1, assoc.k + 1):
-                if i in (mid, mid + 1):
-                    continue
-                if mid in assoc.cells[i - 1]:
-                    good = False
-                    break
-        flags.append(BlockFlag(block=b + 1, start=start, good=good))
-    return tuple(flags)
+            good = not any(
+                mid in cells[i - 1] for i in range(1, k + 1) if i not in (mid, mid + 1)
+            )
+        goods.append(good)
+    return tuple(goods)
+
+
+def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
+    length = 2 * assoc.nc - 1
+    goods = _good_blocks(assoc.k, assoc.nc, assoc.cells, strict)
+    return tuple(
+        BlockFlag(block=b + 1, start=b * length + 1, good=good)
+        for b, good in enumerate(goods)
+    )
+
+
+def _reconstruction_value(nc: int, goods, tail: int) -> int:
+    """Seed count: 2*nc - 2 per good block, 2*nc - 1 per other, 1 per tail user."""
+    return sum((2 * nc - 2) if good else (2 * nc - 1) for good in goods) + tail
+
+
+def _counting_value(k: int, nc: int) -> Fraction:
+    """(4*nc - 3)/2 per full block plus 1 per tail user."""
+    _length, full, tail = _block_layout(k, nc)
+    return Fraction(4 * nc - 3, 2) * full + tail
 
 
 def counting_bound(assoc: CellAssociation) -> BoundCertificate:
@@ -212,9 +230,8 @@ def counting_bound(assoc: CellAssociation) -> BoundCertificate:
     """
     if assoc.nc < 2:
         raise ValidationError("counting bound requires nc >= 2; see ncone_bound")
-    _length, full, tail = _block_layout(assoc.k, assoc.nc)
     flags = _block_flags(assoc, strict=False)
-    value = Fraction(4 * assoc.nc - 3, 2) * full + tail
+    value = _counting_value(assoc.k, assoc.nc)
     return BoundCertificate(
         kind=KIND_COUNTING,
         flagged=flags,
@@ -235,9 +252,7 @@ def reconstruction_bound(assoc: CellAssociation) -> BoundCertificate:
         raise ValidationError("reconstruction bound requires nc >= 2; see ncone_bound")
     _length, _full, tail = _block_layout(assoc.k, assoc.nc)
     flags = _block_flags(assoc, strict=True)
-    value = Fraction(
-        sum((2 * assoc.nc - 2) if f.good else (2 * assoc.nc - 1) for f in flags) + tail
-    )
+    value = Fraction(_reconstruction_value(assoc.nc, (f.good for f in flags), tail))
     return BoundCertificate(
         kind=KIND_RECONSTRUCTION,
         flagged=flags,
@@ -277,12 +292,9 @@ def recompute_value(cert: BoundCertificate) -> Fraction:
     if len(cert.flagged) != full:
         raise ValidationError("certificate flags do not match the block layout")
     if cert.kind == KIND_COUNTING:
-        return Fraction(4 * cert.nc - 3, 2) * full + tail
+        return _counting_value(cert.k, cert.nc)
     if cert.kind == KIND_RECONSTRUCTION:
-        return Fraction(
-            sum((2 * cert.nc - 2) if f.good else (2 * cert.nc - 1) for f in cert.flagged)
-            + tail
-        )
+        return Fraction(_reconstruction_value(cert.nc, (f.good for f in cert.flagged), tail))
     raise ValidationError(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -293,6 +305,8 @@ def verify_certificate(cert: BoundCertificate, assoc: CellAssociation) -> bool:
     if cert.kind == KIND_CHAIN:
         expected: tuple = chain_flags(assoc)
     elif cert.kind == KIND_RECONSTRUCTION:
+        if cert.nc < 2:  # reconstruction_bound issues none
+            return False
         expected = _block_flags(assoc, strict=True)
     elif cert.kind == KIND_COUNTING:
         if cert.nc == 1:

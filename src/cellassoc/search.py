@@ -6,15 +6,27 @@ default to nc.  Candidates are visited in lexicographic order (by user,
 then by association set as a sorted tuple), and the searches report the
 first maximizer, which is therefore the lexicographically smallest one.
 
-Both session sums of a candidate come from the exact line DP of
-_kernels (the two value-free feasibility rules maximized along the line),
-so no channel values are drawn per candidate; the winner alone gets a
-zero-forcing witness and a decoding order from max_downlink_dof and
-max_uplink_dof, which must reproduce the search value.
+A candidate's two session sums are the sizes of the largest active sets
+the two value-free feasibility rules of _kernels allow, and only those
+sizes are needed, so the family is walked with one forward max-count
+layer per user and session (_kernels.FamilyLayers).  Consecutive
+candidates differ only in their last users, so when user j's option
+advances only the layers after users j..k are recomputed, and each of
+those steps is memoized per user on (layer, option): a prefix of options
+is walked once for the whole family.  No channel value is drawn per
+candidate; the winner alone gets a zero-forcing witness and a decoding
+order from max_downlink_dof and max_uplink_dof, which must reproduce the
+search value.
 
 A soundness sweep runs the same enumeration but compares every
 candidate's session sums against the matching converse certificates,
-returning any violations instead of a winner.
+read straight from the candidate's association sets, returning any
+violations instead of a winner.
+
+Both entry points count the family with math.comb before listing any
+option and refuse one with more than cap candidates, which they can
+tell after at most log2(cap) + 1 users since every user has at least two
+options.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
 checks that both session values grow affinely, which is the cheap
@@ -26,16 +38,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from . import _kernels
 from .bounds import (
     BoundCertificate,
-    _block_flags,
     _block_layout,
     _chain_dp,
-    chain_flags,
+    _counting_value,
+    _good_blocks,
+    _pair_flags,
+    _reconstruction_value,
     counting_bound,
     ncone_bound,
 )
@@ -73,34 +87,66 @@ def _normalize_objective(objective: str) -> str:
     return _OBJECTIVES[key]
 
 
-def _user_options(k: int, nc: int, window: Optional[int]):
-    """Per-user association choices, each list in lexicographic order."""
+def _window(k: int, nc: int, window: Optional[int]) -> int:
     if k < 1 or nc < 1:
         raise ValidationError("k and nc must be positive")
     w = nc if window is None else window
     if w < 0:
         raise ValidationError("window must be nonnegative")
+    return w
+
+
+def _family_size(k: int, nc: int, w: int, cap: Optional[int] = None) -> Optional[int]:
+    """Number of windowed associations, or None once it passes cap."""
+    total = 1
+    for i in range(1, k + 1):
+        n = min(k, i + w) - max(1, i - w) + 1
+        count = 0
+        for r in range(min(nc, n) + 1):
+            count += comb(n, r)
+            if cap is not None and total * count > cap:
+                return None
+        total *= count
+    return total
+
+
+def _user_options(k: int, nc: int, w: int):
+    """Per-user association choices, each list in lexicographic order."""
     options = []
     for i in range(1, k + 1):
-        pool = [j for j in range(i - w, i + w + 1) if 1 <= j <= k]
+        pool = range(max(1, i - w), min(k, i + w) + 1)
         opts = []
         for r in range(0, min(nc, len(pool)) + 1):
             opts.extend(itertools.combinations(pool, r))
         options.append(sorted(opts))
-    return w, options
+    return options
+
+
+def _family(k: int, nc: int, window: Optional[int], cap: int):
+    """(window, per-user options, candidate count) of a windowed family.
+
+    Refuses a family of more than cap candidates before listing any option.
+    """
+    w = _window(k, nc, window)
+    total = _family_size(k, nc, w, cap)
+    if total is None:
+        raise BudgetExceededError(
+            f"more than {cap} candidates exceed the cap; "
+            "raise cap explicitly to proceed"
+        )
+    return w, _user_options(k, nc, w), total
 
 
 def count_associations(k: int, nc: int, window: Optional[int] = None) -> int:
     """Number of windowed associations, without enumerating them."""
-    _w, options = _user_options(k, nc, window)
-    return prod(len(o) for o in options)
+    return _family_size(k, nc, _window(k, nc, window))
 
 
 def enumerate_associations(
     k: int, nc: int, window: Optional[int] = None
 ) -> Iterator[CellAssociation]:
     """All windowed associations in lexicographic order."""
-    _w, options = _user_options(k, nc, window)
+    options = _user_options(k, nc, _window(k, nc, window))
     for combo in itertools.product(*options):
         yield association(k, nc, combo)
 
@@ -150,23 +196,42 @@ def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
     return Fraction(ul if objective == "ul" else dl)
 
 
-def _session_sums(k: int, options):
-    """(combo, dl, ul) for every windowed association, in enumeration order.
+# (dl, ul) weights of an integer key that orders candidates like the objective.
+_KEY_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
 
-    The uplink sum depends only on the connected part of each set, so it
-    is memoized on that.
+
+def _family_sums(k: int, options):
+    """(combo, dl, ul) for every candidate of a family, in enumeration order.
+
+    An odometer walks the options of users 1..k-1.  When user j + 1's
+    option advances, the layers after users j + 1..k-1 are read from the
+    per-user transfer rows of each session, and the sums of all of user
+    k's options from one row of sums per session.
     """
-    connected = [
-        [tuple(j for j in opt if i - 1 <= j <= i) for opt in opts]
-        for i, opts in enumerate(options, start=1)
-    ]
-    ul_memo: dict[tuple, int] = {}
-    for combo, pruned in zip(itertools.product(*options), itertools.product(*connected)):
-        dl = len(_kernels.dl_max_active(k, combo))
-        ul = ul_memo.get(pruned)
-        if ul is None:
-            ul = ul_memo[pruned] = len(_kernels.ul_max_active(k, pruned))
-        yield combo, dl, ul
+    dl = _kernels.FamilyLayers(_kernels.dl_family(k, options))
+    ul = _kernels.FamilyLayers(_kernels.ul_family(options))
+    head, last = options[:-1], options[-1]
+    pick = [0] * len(head)
+    dl_ids, ul_ids, prefix = [0] * k, [0] * k, [()] * k
+    j = 0
+    while True:
+        for m in range(j, k - 1):
+            o = pick[m]
+            dl_ids[m + 1] = dl.row(m, dl_ids[m])[o]
+            ul_ids[m + 1] = ul.row(m, ul_ids[m])[o]
+            prefix[m + 1] = prefix[m] + (head[m][o],)
+        base = prefix[k - 1]
+        dl_sums = dl.sums(k - 1, dl_ids[k - 1])
+        ul_sums = ul.sums(k - 1, ul_ids[k - 1])
+        for opt, dl_sum, ul_sum in zip(last, dl_sums, ul_sums):
+            yield base + (opt,), dl_sum, ul_sum
+        j = k - 2
+        while j >= 0 and pick[j] == len(head[j]) - 1:
+            pick[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        pick[j] += 1
 
 
 def exhaustive_search(
@@ -188,31 +253,25 @@ def exhaustive_search(
     only draw the channels of the winner's zero-forcing witness.
     """
     objective = _normalize_objective(objective)
-    w, options = _user_options(k, nc, window)
-    total = prod(len(o) for o in options)
-    if total > cap:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the cap of {cap}; "
-            "raise cap explicitly to proceed"
-        )
+    w, options, total = _family(k, nc, window, cap)
     if not seeds:
         raise ValidationError("at least one channel seed is required")
 
-    best_value: Optional[Fraction] = None
-    best_index = -1
-    best_combo = None
+    dl_weight, ul_weight = _KEY_WEIGHTS[objective]
+    best_key = -1
+    best = None
     rows: list[tuple] = []
 
-    for index, (combo, dl, ul) in enumerate(_session_sums(k, options)):
-        value = _objective_value(objective, k, dl, ul)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_index = index
-            best_combo = combo
+    for index, (combo, dl, ul) in enumerate(_family_sums(k, options)):
+        key = dl_weight * dl + ul_weight * ul
+        if key > best_key:
+            best_key = key
+            best = index, combo, dl, ul
         if collect_rows:
             rows.append((index, dl, ul))
 
-    assert best_value is not None
+    best_index, best_combo, best_dl, best_ul = best
+    best_value = _objective_value(objective, k, best_dl, best_ul)
     best_assoc = association(k, nc, best_combo)
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
@@ -268,6 +327,22 @@ class SweepReport:
         }
 
 
+def _combo_bounds(k: int, nc: int, combo, chain_memo: dict) -> tuple:
+    """(chain, reconstruction) bound values of one candidate's sets.
+
+    The reconstruction value is None for nc = 1; chain values are
+    memoized on the flags in chain_memo.
+    """
+    flags = _pair_flags(k, combo)
+    chain_value = chain_memo.get(flags)
+    if chain_value is None:
+        chain_value = chain_memo[flags] = _chain_dp(k, flags)
+    if nc < 2:
+        return chain_value, None
+    _length, _full, tail = _block_layout(k, nc)
+    return chain_value, _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
+
+
 def soundness_sweep(
     k: int,
     nc: int,
@@ -286,69 +361,38 @@ def soundness_sweep(
     over the swept family.  No channel value enters a session sum, so
     seeds and prime are unused; they stay so that existing callers work.
     """
-    w, options = _user_options(k, nc, window)
-    total = prod(len(o) for o in options)
-    if total > cap:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the cap of {cap}; "
-            "raise cap explicitly to proceed"
-        )
-
-    length, full, tail = _block_layout(k, nc)
-    counting_value = Fraction(4 * nc - 3, 2) * full + tail if nc >= 2 else None
+    w, options, total = _family(k, nc, window, cap)
+    counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
 
     chain_memo: dict[tuple, int] = {}
     violations: list[dict] = []
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
 
-    for combo, dl, ul in _session_sums(k, options):
-        assoc = association(k, nc, combo)
+    def violation(kind, combo, achieved, bound):
+        cells = association(k, nc, combo).cells_as_lists()
+        violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
-        flags = chain_flags(assoc)
-        chain_value = chain_memo.get(flags)
-        if chain_value is None:
-            chain_value = _chain_dp(k, flags)
-            chain_memo[flags] = chain_value
+    for combo, dl, ul in _family_sums(k, options):
+        chain_value, recon_value = _combo_bounds(k, nc, combo, chain_memo)
         if ul > chain_value:
-            violations.append(
-                {
-                    "kind": "lemma2_chain",
-                    "assoc": assoc.cells_as_lists(),
-                    "achieved": ul,
-                    "bound": chain_value,
-                }
-            )
+            violation("lemma2_chain", combo, ul, chain_value)
         elif ul == chain_value:
             tight["chain"] += 1
 
         if nc >= 2:
-            blocks = _block_flags(assoc, strict=True)
-            recon_value = sum(
-                (2 * nc - 2) if f.good else (2 * nc - 1) for f in blocks
-            ) + tail
             if dl > recon_value:
-                violations.append(
-                    {
-                        "kind": "dl_reconstruction",
-                        "assoc": assoc.cells_as_lists(),
-                        "achieved": dl,
-                        "bound": recon_value,
-                    }
-                )
+                violation("dl_reconstruction", combo, dl, recon_value)
             elif dl == recon_value:
                 tight["reconstruction"] += 1
 
-            avg_sum = Fraction(dl + ul, 2)
-            if avg_sum > counting_value:
-                violations.append(
-                    {
-                        "kind": "avg_counting",
-                        "assoc": assoc.cells_as_lists(),
-                        "achieved": frac_to_str(avg_sum),
-                        "bound": frac_to_str(counting_value),
-                    }
+            if dl + ul > counting_twice:
+                violation(
+                    "avg_counting",
+                    combo,
+                    frac_to_str(Fraction(dl + ul, 2)),
+                    frac_to_str(Fraction(counting_twice, 2)),
                 )
-            elif avg_sum == counting_value:
+            elif dl + ul == counting_twice:
                 tight["counting"] += 1
 
     return SweepReport(

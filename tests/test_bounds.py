@@ -145,6 +145,16 @@ def test_recompute_and_verify():
     assert not verify_certificate(lemma2_chain_bound(a), other)
 
 
+def test_single_budget_reconstruction_certificate_is_refused():
+    # No reconstruction certificate exists for nc = 1; a forged one whose
+    # block middle is the last base station used to raise IndexError.
+    forged = BoundCertificate.from_json(
+        {"kind": "dl_reconstruction", "flagged": [{"block": 1, "start": 1, "good": True}],
+         "value": "0", "k": 1, "nc": 1}
+    )
+    assert not verify_certificate(forged, association(1, 1, [[1]]))
+
+
 def test_chain_edge_cases():
     assert lemma2_chain_bound(association(1, 1, [[1]])).value == 1
     assert lemma2_chain_bound(association(1, 1, [[]])).value == 1

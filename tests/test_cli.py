@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cellassoc import pair_association, schemes
+from cellassoc import pair_association, schemes, search
 from cellassoc.cli import main
 from cellassoc.schemes import MAX_SCHEME_K
 
@@ -133,6 +133,31 @@ def test_search_cap_exit_code(capsys):
         capsys, "search", "--k", "6", "--nc", "2", "--window", "1", "--cap", "100"
     )
     assert code == 3 and "cap" in err
+
+
+def test_search_refuses_huge_family_before_listing_options(capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("options were listed")
+
+    # About 10^4800 candidates: the refusal must neither list an option nor
+    # print the count, whose decimal form Python refuses to build.
+    monkeypatch.setattr(search, "_user_options", never)
+    code, out, err = run(capsys, "search", "--k", "2383", "--nc", "3", "--window", "3")
+    assert code == 3 and out == ""
+    assert err == "error: more than 100000 candidates exceed the cap; " \
+        "raise cap explicitly to proceed\n"
+
+
+def test_search_huge_window_is_clipped(capsys):
+    # Any window of at least k - 1 offers every base station to every user.
+    code, out, _ = run(capsys, "search", "--k", "2", "--nc", "1", "--window", "100000000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["candidates"] == 9 and data["window"] == 100000000
+    code, same, _ = run(capsys, "search", "--k", "2", "--nc", "1", "--window", "1")
+    assert {**json.loads(same), "scope": None, "window": None} == {
+        **data, "scope": None, "window": None
+    }
 
 
 def test_scheme_size_limit_exit_code(capsys, monkeypatch):

@@ -2,20 +2,33 @@
 
 The references below are the scan-everything forms of the uplink scheduler
 and of the zero-forcing row construction, the cumulative per-block
-certification of the nc = 2 average-optimal plan by a seed majority, and
-the include-first branch and bound that maximized both sessions before the
-line DP.  The package's versions look only at the users a decision can
-affect; on random windowed associations they must return exactly what the
-references return.  Every scheme plan must also pass the multi-seed
+certification of the nc = 2 average-optimal plan by a seed majority, the
+include-first branch and bound that maximized both sessions before the
+line DP, and the per-candidate maximization and certificate checks that
+searches and sweeps ran before the family DP.  The package's versions look
+only at the users a decision can affect, or share work between candidates;
+on random windowed associations and families they must return exactly what
+the references return.  Every scheme plan must also pass the multi-seed
 reference and both value-free rules.
 """
 
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellassoc import _kernels
+from cellassoc import _kernels, search
+from cellassoc.bounds import (
+    _block_flags,
+    _good_blocks,
+    _pair_flags,
+    chain_flags,
+    counting_bound,
+    lemma2_chain_bound,
+    reconstruction_bound,
+)
 from cellassoc.downlink_zf import (
     ZfWitness,
     max_downlink_dof,
@@ -24,7 +37,14 @@ from cellassoc.downlink_zf import (
     zf_feasible_majority,
 )
 from cellassoc.errors import InternalCheckError
-from cellassoc.model import DEFAULT_PRIME, association, connected_bs, draw_channels, heard_mts
+from cellassoc.model import (
+    DEFAULT_PRIME,
+    association,
+    connected_bs,
+    draw_channels,
+    frac_to_str,
+    heard_mts,
+)
 from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
 from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
 
@@ -196,6 +216,50 @@ def ref_max_active(candidates, feasible):
     return best
 
 
+def ref_session_sums(k, options):
+    """(combo, dl, ul) for every candidate, each maximized from scratch.
+
+    The uplink sum depends only on the connected part of each set, so it
+    is memoized on that.
+    """
+    connected = [
+        [tuple(j for j in opt if i - 1 <= j <= i) for opt in opts]
+        for i, opts in enumerate(options, start=1)
+    ]
+    ul_memo = {}
+    for combo, pruned in zip(itertools.product(*options), itertools.product(*connected)):
+        dl = len(_kernels.dl_max_active(k, combo))
+        ul = ul_memo.get(pruned)
+        if ul is None:
+            ul = ul_memo[pruned] = len(_kernels.ul_max_active(k, pruned))
+        yield combo, dl, ul
+
+
+def ref_sweep(k, nc, sums):
+    """Tight counts and violations from the certificates of each built association."""
+    tight = {"chain": 0, "reconstruction": 0, "counting": 0}
+    violations = []
+    for combo, dl, ul in sums:
+        assoc = association(k, nc, combo)
+        checks = [("lemma2_chain", "chain", ul, lemma2_chain_bound(assoc).value)]
+        if nc >= 2:
+            checks += [
+                ("dl_reconstruction", "reconstruction", dl, reconstruction_bound(assoc).value),
+                ("avg_counting", "counting", Fraction(dl + ul, 2), counting_bound(assoc).value),
+            ]
+        for kind, name, achieved, bound in checks:
+            if achieved > bound:
+                if kind == "avg_counting":
+                    achieved, bound = frac_to_str(achieved), frac_to_str(bound)
+                violations.append(
+                    {"kind": kind, "assoc": assoc.cells_as_lists(),
+                     "achieved": achieved, "bound": int(bound) if kind != "avg_counting" else bound}
+                )
+            elif achieved == bound:
+                tight[name] += 1
+    return tight, violations
+
+
 # --- strategies ---------------------------------------------------------------
 
 
@@ -227,6 +291,39 @@ def wide(draw, max_k=12):
     ]
     active = frozenset(i for i in range(1, k + 1) if draw(st.booleans()))
     return association(k, nc, cells), active
+
+
+# Windowed families (k <= 7, nc <= 3, window <= 3) of at most FAMILY_CAP
+# candidates, so the per-candidate references stay fast.
+FAMILY_CAP = 1000
+SMALL_FAMILIES = tuple(
+    (k, nc, w)
+    for k in range(1, 8)
+    for nc in range(1, 4)
+    for w in range(4)
+    if search.count_associations(k, nc, w) <= FAMILY_CAP
+)
+
+
+@st.composite
+def families(draw):
+    """(k, options): a small windowed family, or a random part of a larger one.
+
+    A part keeps a nonempty subset of each user's options in random order,
+    so the product of the option counts stays within FAMILY_CAP.
+    """
+    k, nc, w = draw(st.sampled_from(SMALL_FAMILIES))
+    if draw(st.booleans()):
+        return k, search._user_options(k, nc, w)
+    k = draw(st.integers(1, 7))
+    options = search._user_options(k, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    picked, size = [], 1
+    for opts in options:
+        most = max(1, min(len(opts), FAMILY_CAP // size))
+        idx = draw(st.lists(st.integers(0, len(opts) - 1), min_size=1, max_size=most, unique=True))
+        picked.append([opts[i] for i in idx])
+        size *= len(idx)
+    return k, picked
 
 
 primes = st.sampled_from((7, 13, DEFAULT_PRIME))
@@ -285,6 +382,9 @@ def test_every_plan_passes_both_references(builder, nc, k, seeds, prime):
 
 @SETTINGS
 @given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
+# Message 3's left run {1, 2} is closed only by an active run of length 2,
+# so a downlink run cap below the longest left side would serve it.
+@example((association(3, 3, [[1, 2, 3], [2, 3], [1, 2]]), frozenset({1, 2, 3})), 1, 13)
 def test_rules_match_oracles(case, seed, prime):
     assoc, active = case
     k, cells = assoc.k, assoc.cells
@@ -311,3 +411,44 @@ def test_line_dp_matches_branch_and_bound(case, seed, prime):
     ul_candidates = [m for m in range(1, k + 1) if assoc.cells[m - 1] & connected_bs(m, k)]
     ul = ref_max_active(ul_candidates, lambda s: uplink_feasible(assoc, s) is not None)
     assert _kernels.ul_max_active(k, cells) == ul
+
+
+@settings(max_examples=80, deadline=None)
+@given(families())
+def test_family_sums_match_per_candidate_maxima(family):
+    k, options = family
+    assert list(search._family_sums(k, options)) == list(ref_session_sums(k, options))
+
+
+@SETTINGS
+@given(st.one_of(windowed(max_k=12), wide()))
+def test_sweep_bounds_match_certificates(case):
+    assoc, _active = case
+    k, nc = assoc.k, assoc.nc
+    combo = tuple(tuple(sorted(cell)) for cell in assoc.cells)
+    assert _pair_flags(k, combo) == chain_flags(assoc)
+    chain, recon = search._combo_bounds(k, nc, combo, {})
+    assert chain == lemma2_chain_bound(assoc).value
+    if nc == 1:  # blocks are defined for nc >= 2 only
+        assert recon is None
+        return
+    for strict in (False, True):
+        assert _good_blocks(k, nc, combo, strict) == tuple(
+            f.good for f in _block_flags(assoc, strict)
+        )
+    assert recon == reconstruction_bound(assoc).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES), st.integers(0, 2), st.integers(0, 2))
+def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
+    # Raised sums make the certificates fail, so violations are compared too.
+    k, nc, w = family
+    options = search._user_options(k, nc, w)
+    sums = [(c, dl + dl_extra, ul + ul_extra) for c, dl, ul in ref_session_sums(k, options)]
+    tight, violations = ref_sweep(k, nc, sums)
+    with mock.patch.object(search, "_family_sums", lambda _k, _options: iter(sums)):
+        report = search.soundness_sweep(k, nc, w)
+    assert report.total == len(sums)
+    assert report.tight == tight
+    assert list(report.violations) == violations

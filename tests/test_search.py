@@ -10,6 +10,7 @@ from cellassoc import (
     association,
     pair_association,
 )
+from cellassoc import search
 from cellassoc.search import (
     PeriodicPattern,
     compare_with_theorem,
@@ -31,6 +32,28 @@ def test_candidate_counts():
     assert count_associations(6, 2, 1) == 38416
     # Default window equals nc.
     assert count_associations(3, 1) == count_associations(3, 1, 1)
+
+
+def test_counts_of_huge_windows_and_lines():
+    # Windows wider than the line are clipped to it.
+    assert count_associations(2, 1, 100_000_000) == 9
+    assert count_associations(3, 2, 10**9) == count_associations(3, 2, 2) == 7**3
+    # Users 1-3 and k-2..k see 4, 5, 6 base stations, the others 7.
+    assert count_associations(60000, 3, 3) == (15 * 26 * 42) ** 2 * 64 ** 59994
+    assert [a.cells_as_lists() for a in enumerate_associations(2, 1, 10**8)] == [
+        a.cells_as_lists() for a in enumerate_associations(2, 1, 1)
+    ]
+
+
+def test_refusal_lists_no_option(monkeypatch):
+    def never(*_args):
+        raise AssertionError("options were listed")
+
+    monkeypatch.setattr(search, "_user_options", never)
+    with pytest.raises(BudgetExceededError, match="more than 100000 candidates"):
+        exhaustive_search(60000, 3, 3)
+    with pytest.raises(BudgetExceededError):
+        soundness_sweep(2383, 3, 3)
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -91,6 +114,12 @@ def test_collect_rows():
 def test_cap_refuses_large_runs():
     with pytest.raises(BudgetExceededError):
         exhaustive_search(6, 2, 1, cap=1000)
+    with pytest.raises(BudgetExceededError, match="more than 1000 candidates"):
+        soundness_sweep(6, 2, 1, cap=1000)
+    # The cap is checked against the exact count: 784 candidates pass 784.
+    assert soundness_sweep(4, 2, 1, cap=784).total == 784
+    with pytest.raises(BudgetExceededError):
+        soundness_sweep(4, 2, 1, cap=783)
     # Raising the cap explicitly unlocks the same run.
     r = exhaustive_search(4, 2, 1, cap=1000)
     assert r.candidates == 784
