@@ -131,7 +131,7 @@ def _family(k: int, nc: int, window: Optional[int], cap: int):
     total = _family_size(k, nc, w, cap)
     if total is None:
         raise BudgetExceededError(
-            f"more than {cap} candidates exceed the cap; "
+            f"the family has more than {cap} candidates (the cap); "
             "raise cap explicitly to proceed"
         )
     return w, _user_options(k, nc, w), total

@@ -144,7 +144,7 @@ def test_search_refuses_huge_family_before_listing_options(capsys, monkeypatch):
     monkeypatch.setattr(search, "_user_options", never)
     code, out, err = run(capsys, "search", "--k", "2383", "--nc", "3", "--window", "3")
     assert code == 3 and out == ""
-    assert err == "error: more than 100000 candidates exceed the cap; " \
+    assert err == "error: the family has more than 100000 candidates (the cap); " \
         "raise cap explicitly to proceed\n"
 
 
