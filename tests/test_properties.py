@@ -251,9 +251,11 @@ def ref_sweep(k, nc, sums):
             if achieved > bound:
                 if kind == "avg_counting":
                     achieved, bound = frac_to_str(achieved), frac_to_str(bound)
+                else:
+                    bound = int(bound)
                 violations.append(
                     {"kind": kind, "assoc": assoc.cells_as_lists(),
-                     "achieved": achieved, "bound": int(bound) if kind != "avg_counting" else bound}
+                     "achieved": achieved, "bound": bound}
                 )
             elif achieved == bound:
                 tight[name] += 1
