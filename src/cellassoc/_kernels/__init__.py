@@ -1,10 +1,11 @@
 """Exact feasibility and maximization kernels on the line.
 
-One pure-Python implementation (`_pure`): a value-free local rule per
-session and one left-to-right DP that maximizes either of them exactly at
-every k, in O(k) for a fixed budget, plus its forward max-count pass
-memoized over a family of associations (`FamilyLayers` over
-`dl_family` / `ul_family`).  `_pure` states the rules and the DP.
+One pure-Python implementation (`_pure`) of three value-free local rules
+(downlink zero-forcing, uplink decode-and-pass, the chain bound) and one
+left-to-right DP that maximizes any of them exactly at every k, in O(k)
+for a fixed budget, plus its forward max-count pass memoized over a
+family of associations (`FamilyLayers`).  `_pure` states the rules and
+the DP.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from . import _pure
 from ._pure import (
     FamilyLayers,
+    chain_family,
+    chain_max,
     dl_family,
     dl_max_active,
     dl_set_feasible,

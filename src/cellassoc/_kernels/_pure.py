@@ -1,4 +1,4 @@
-"""The two feasibility rules and the line DP over association sets.
+"""The two feasibility rules, the chain bound's rule and the line DP.
 
 cells[i-1] is the association set of user i: any container of base-station
 indices that supports `in`; indices outside 1..k are ignored.  Active sets
@@ -23,6 +23,11 @@ then hold bs m-1 in C_{m-1}; R waits on user m+1 if it is active, which
 must hold bs m in C_{m+1}.  Waits only link neighbours, so the only cycle
 is an adjacent pair waiting on each other: m at R while m+1 is at L.
 
+Chain (the uplink converse bounds.lemma2_chain_bound).  Pair (m-1, m)
+is flagged unless both users hold bs m-1, and both users of a flagged
+pair may be active only with credit: an inactive user z < m-1 and no
+flag between z and m-1.  The bound is the most users this rule allows.
+
 Each rule is a left-to-right automaton over the users.  User m's step
 is a tuple of parameters read from C_m alone, and next(step, state,
 active) returns the states the automaton may move to after deciding that
@@ -32,20 +37,26 @@ state is (length of the active run ending at the previous user, nearest
 pending right deadline), with the run length capped at the longest left
 side of any step; the uplink state is the previous user's choice
 (inactive, L or R), with L split by whether that user also holds its own
-base station, which is all the next user asks of it.  Set feasibility
-runs the automaton on one activity pattern.  Maximization is one DP: a
-forward pass collects the reachable states, a backward pass counts the
-most users still to come from each, and an include-first forward pass
-takes every user that keeps that count reachable.  It returns the
-largest set with the lexicographically greatest indicator vector, the
-same set an include-first branch and bound over ascending users finds,
-in O(k) for a fixed budget.
+base station, which is all the next user asks of it.  The chain state
+after user m is (active, holds bs m, credit through m-1): a flag is
+known only at the second user of its pair, so the credit settles one
+user late.  It starts at a phantom user 0 that is active, holds bs 0
+(so pair (0, 1) is never flagged) and has no credit.
+
+Set feasibility runs the automaton on one activity pattern.
+Maximization is one DP: a forward pass collects the reachable states, a
+backward pass counts the most users still to come from each, and an
+include-first forward pass takes every user that keeps that count
+reachable.  It returns the largest set with the lexicographically
+greatest indicator vector, the same set an include-first branch and
+bound over ascending users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
 the forward pass alone suffices if it keeps, per state, the most active
 users on a path reaching it (`max_count`): the size is the largest count
-after the last user.  `FamilyLayers` memoizes that pass per user over a
-family, so associations that share a prefix of options share its layers.
+after the last user; `chain_max` is that pass for the chain rule.
+`FamilyLayers` memoizes it per user over a family, so associations that
+share a prefix of options share its layers.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from itertools import chain
 
 _INACTIVE, _LEFT_OPEN, _LEFT_SHUT, _RIGHT = 0, 1, 2, 3
 _UL_IDLE = (_INACTIVE,)
+_CHAIN_START = (1, True, False)
 
 
 def _dl_step(m, k, cell):
@@ -118,6 +130,20 @@ def _ul_next(step, state, active):
     return either if prev and state != _LEFT_SHUT else right
 
 
+def _chain_step(m, cell):
+    """(holds bs m-1, holds bs m) of user m; user 1 counts as holding bs 0."""
+    return m == 1 or m - 1 in cell, m in cell
+
+
+def _chain_next(step, state, active):
+    left, own = step
+    d_prev, prev_own, credit = state
+    flagged = not (prev_own and left)  # users m-1 and m not both on bs m-1
+    if flagged and d_prev and active and not credit:
+        return ()
+    return ((active, own, not d_prev or (credit and not flagged)),)
+
+
 def dl_family(k, options):
     """(start, next, steps) of the downlink rule over a family.
 
@@ -133,6 +159,12 @@ def ul_family(options):
     """(start, next, steps) of the uplink rule over a family; see dl_family."""
     steps = [[_ul_step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
     return _INACTIVE, _ul_next, steps
+
+
+def chain_family(options):
+    """(start, next, steps) of the chain rule over a family; see dl_family."""
+    steps = [[_chain_step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+    return _CHAIN_START, _chain_next, steps
 
 
 def _dl_automaton(k, cells):
@@ -245,6 +277,14 @@ class FamilyLayers:
                 max(layers[nxt].values()) for nxt in self.row(m, lid)
             )
         return sums
+
+
+def chain_max(cells):
+    """Largest count the chain rule allows on the association sets cells."""
+    layer = {_CHAIN_START: 0}
+    for m, cell in enumerate(cells, 1):
+        layer = max_count(_chain_next, _chain_step(m, cell), layer)
+    return max(layer.values())
 
 
 def dl_set_feasible(k, cells, active):

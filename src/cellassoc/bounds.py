@@ -7,9 +7,10 @@ recomputed from the flagged data alone:
   both associated with base station i.  A flagged pair can only have both
   messages decoded when message i is decoded at bs i-1, which forces an
   inactive user strictly to the left reachable through unflagged positions.
-  The chain DP below tracks exactly that credit, so the bound stays sound
-  for the decode-and-pass model; a plain d_i + d_{i+1} <= 1 constraint at
+  The chain DP tracks exactly that credit, so the bound stays sound for
+  the decode-and-pass model; a plain d_i + d_{i+1} <= 1 constraint at
   every flag overshoots it (an explicit counterexample lives in the tests).
+  That DP is the third line rule of _kernels, next to the two sessions'.
 
 * block reconstruction bound (downlink): split users into blocks of
   2*nc - 1.  When the middle bs of a block carries exactly its two local
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels
 from .errors import ValidationError
 from .model import (
     CellAssociation,
@@ -129,40 +131,21 @@ class BoundCertificate:
         )
 
 
-def _pair_flags(k: int, cells) -> tuple[int, ...]:
-    """chain_flags over the association sets cells[0..k-1] of any container."""
-    return tuple(i for i in range(1, k) if not (i in cells[i - 1] and i in cells[i]))
-
-
 def chain_flags(assoc: CellAssociation) -> tuple[int, ...]:
     """Indices i in [1..k-1] where users i, i+1 are not both tied to bs i."""
-    return _pair_flags(assoc.k, assoc.cells)
+    cells = assoc.cells
+    return tuple(i for i in range(1, assoc.k) if not (i in cells[i - 1] and i in cells[i]))
 
 
 def _chain_dp(k: int, flags) -> int:
     """Max sum of d in {0,1}^k under the flagged-pair rules with credits.
 
-    A flagged pair (i, i+1) may have both users active only if some earlier
-    position z holds d_z = 0 with no flag strictly between z and i.  The DP
-    state after position i is (d_i, credit through i, credit through i-1);
-    credit through j means such a z <= j exists for a pair starting at j+1.
+    This is the chain rule of _kernels on the association with exactly
+    these flags: every user holds its own bs, and user m holds bs m-1
+    exactly when m-1 is unflagged.
     """
     flagset = set(flags)
-    # state: (d, c, c_prev) -> best sum
-    states = {(0, 0, 0): 0}
-    for i in range(1, k + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (d_prev, c_prev, _c_pp), total in states.items():
-            for d in (0, 1):
-                if (i - 1) in flagset and d_prev and d and not _c_pp:
-                    continue
-                c = 1 if d == 0 else (1 if (c_prev and i not in flagset) else 0)
-                key = (d, c, c_prev)
-                val = total + d
-                if nxt.get(key, -1) < val:
-                    nxt[key] = val
-        states = nxt
-    return max(states.values())
+    return _kernels.chain_max([(m,) if m - 1 in flagset else (m - 1, m) for m in range(1, k + 1)])
 
 
 def lemma2_chain_bound(assoc: CellAssociation) -> BoundCertificate:

@@ -94,8 +94,6 @@ class DlEvaluation:
     active_users: frozenset[int]
     witness: Optional[ZfWitness]
     seeds: tuple[int, ...]
-    exact: bool
-    disagreements: int
 
     def to_json(self) -> dict:
         return {
@@ -103,8 +101,8 @@ class DlEvaluation:
             "active_users": sorted(self.active_users),
             "witness": None if self.witness is None else self.witness.to_json(),
             "seeds": list(self.seeds),
-            "exact": self.exact,
-            "disagreements": self.disagreements,
+            "exact": True,
+            "disagreements": 0,
         }
 
 
@@ -292,6 +290,4 @@ def max_downlink_dof(
         active_users=active,
         witness=witness,
         seeds=tuple(seeds),
-        exact=True,
-        disagreements=0,
     )

@@ -227,7 +227,7 @@ def _avg_cells_wide(k: int, nc: int) -> list[list[int]]:
             lo, hi = i - 1, i
         else:
             lo, hi = off + nc, i
-        cells.append([j for j in range(lo, hi + 1) if 1 <= j <= k])
+        cells.append(list(range(max(lo, 1), min(hi, k) + 1)))
     return cells
 
 

@@ -20,8 +20,9 @@ search value.
 
 A soundness sweep runs the same enumeration but compares every
 candidate's session sums against the matching converse certificates,
-read straight from the candidate's association sets, returning any
-violations instead of a winner.
+returning any violations instead of a winner.  The chain bound is a
+third rule of _kernels walked beside the two sessions; block goodness is
+read straight from the candidate's association sets.
 
 Both entry points count the family with math.comb before listing any
 option and refuse one with more than cap candidates, which they can
@@ -41,14 +42,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from . import _kernels
+from ._kernels import FamilyLayers, chain_family, dl_family, ul_family
 from .bounds import (
     BoundCertificate,
     _block_layout,
-    _chain_dp,
     _counting_value,
     _good_blocks,
-    _pair_flags,
     _reconstruction_value,
     counting_bound,
     ncone_bound,
@@ -166,7 +165,6 @@ class SearchResult:
     dl: DlEvaluation
     ul: UlEvaluation
     bound: BoundCertificate
-    disagreements: int
     rows: Optional[tuple] = None
 
     def to_json(self) -> dict:
@@ -186,7 +184,7 @@ class SearchResult:
             "dl": self.dl.to_json(),
             "ul": self.ul.to_json(),
             "bound": self.bound.to_json(),
-            "disagreements": self.disagreements,
+            "disagreements": 0,
         }
 
 
@@ -200,31 +198,28 @@ def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
 _KEY_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
 
 
-def _family_sums(k: int, options):
-    """(combo, dl, ul) for every candidate of a family, in enumeration order.
+def _family_sums(k: int, options, families):
+    """(combo, *sums) for every candidate of a family, in enumeration order.
 
-    An odometer walks the options of users 1..k-1.  When user j + 1's
-    option advances, the layers after users j + 1..k-1 are read from the
-    per-user transfer rows of each session, and the sums of all of user
-    k's options from one row of sums per session.
+    families holds one (start, next, steps) automaton per sum, built over
+    options.  An odometer walks the options of users 1..k-1.  When user
+    j + 1's option advances, the layers after users j + 1..k-1 are read
+    from the per-user transfer rows of each automaton, and the sums of all
+    of user k's options from one row of sums per automaton.
     """
-    dl = _kernels.FamilyLayers(_kernels.dl_family(k, options))
-    ul = _kernels.FamilyLayers(_kernels.ul_family(options))
+    walks = [(FamilyLayers(family), [0] * k) for family in families]
     head, last = options[:-1], options[-1]
-    pick = [0] * len(head)
-    dl_ids, ul_ids, prefix = [0] * k, [0] * k, [()] * k
+    tails = [(opt,) for opt in last]
+    pick, prefix = [0] * len(head), [()] * k
     j = 0
     while True:
         for m in range(j, k - 1):
             o = pick[m]
-            dl_ids[m + 1] = dl.row(m, dl_ids[m])[o]
-            ul_ids[m + 1] = ul.row(m, ul_ids[m])[o]
+            for walk, ids in walks:
+                ids[m + 1] = walk.row(m, ids[m])[o]
             prefix[m + 1] = prefix[m] + (head[m][o],)
-        base = prefix[k - 1]
-        dl_sums = dl.sums(k - 1, dl_ids[k - 1])
-        ul_sums = ul.sums(k - 1, ul_ids[k - 1])
-        for opt, dl_sum, ul_sum in zip(last, dl_sums, ul_sums):
-            yield base + (opt,), dl_sum, ul_sum
+        sum_rows = [walk.sums(k - 1, ids[k - 1]) for walk, ids in walks]
+        yield from zip(map(prefix[k - 1].__add__, tails), *sum_rows)
         j = k - 2
         while j >= 0 and pick[j] == len(head[j]) - 1:
             pick[j] = 0
@@ -262,7 +257,8 @@ def exhaustive_search(
     best = None
     rows: list[tuple] = []
 
-    for index, (combo, dl, ul) in enumerate(_family_sums(k, options)):
+    families = (dl_family(k, options), ul_family(options))
+    for index, (combo, dl, ul) in enumerate(_family_sums(k, options, families)):
         key = dl_weight * dl + ul_weight * ul
         if key > best_key:
             best_key = key
@@ -295,7 +291,6 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        disagreements=dl_ev.disagreements,
         rows=tuple(rows) if collect_rows else None,
     )
 
@@ -327,22 +322,6 @@ class SweepReport:
         }
 
 
-def _combo_bounds(k: int, nc: int, combo, chain_memo: dict) -> tuple:
-    """(chain, reconstruction) bound values of one candidate's sets.
-
-    The reconstruction value is None for nc = 1; chain values are
-    memoized on the flags in chain_memo.
-    """
-    flags = _pair_flags(k, combo)
-    chain_value = chain_memo.get(flags)
-    if chain_value is None:
-        chain_value = chain_memo[flags] = _chain_dp(k, flags)
-    if nc < 2:
-        return chain_value, None
-    _length, _full, tail = _block_layout(k, nc)
-    return chain_value, _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
-
-
 def soundness_sweep(
     k: int,
     nc: int,
@@ -363,8 +342,8 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-
-    chain_memo: dict[tuple, int] = {}
+    tail = _block_layout(k, nc)[2]
+    families = (dl_family(k, options), ul_family(options), chain_family(options))
     violations: list[dict] = []
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
 
@@ -372,14 +351,14 @@ def soundness_sweep(
         cells = association(k, nc, combo).cells_as_lists()
         violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
-    for combo, dl, ul in _family_sums(k, options):
-        chain_value, recon_value = _combo_bounds(k, nc, combo, chain_memo)
+    for combo, dl, ul, chain_value in _family_sums(k, options, families):
         if ul > chain_value:
             violation("lemma2_chain", combo, ul, chain_value)
         elif ul == chain_value:
             tight["chain"] += 1
 
         if nc >= 2:
+            recon_value = _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
             if dl > recon_value:
                 violation("dl_reconstruction", combo, dl, recon_value)
             elif dl == recon_value:
@@ -453,7 +432,6 @@ class PeriodicReport:
     dl_per_user: Optional[Fraction]
     ul_per_user: Optional[Fraction]
     avg_per_user: Optional[Fraction]
-    disagreements: int
 
     def to_json(self) -> dict:
         opt = lambda v: None if v is None else frac_to_str(v)
@@ -468,7 +446,7 @@ class PeriodicReport:
             "dl_per_user": opt(self.dl_per_user),
             "ul_per_user": opt(self.ul_per_user),
             "avg_per_user": opt(self.avg_per_user),
-            "disagreements": self.disagreements,
+            "disagreements": 0,
         }
 
 
@@ -491,14 +469,12 @@ def periodic_eval(
     p = pattern.period
     ks = tuple(p * (copies + d) for d in range(3))
     dl_sums, ul_sums = [], []
-    disagreements = 0
     for kk in ks:
         assoc = pattern.instantiate(kk, nc)
         dl_ev = max_downlink_dof(assoc, seeds=seeds, prime=prime)
         ul_ev = max_uplink_dof(assoc)
         dl_sums.append(dl_ev.sum_dof)
         ul_sums.append(ul_ev.sum_dof)
-        disagreements += dl_ev.disagreements
 
     dl_d = (dl_sums[1] - dl_sums[0], dl_sums[2] - dl_sums[1])
     ul_d = (ul_sums[1] - ul_sums[0], ul_sums[2] - ul_sums[1])
@@ -520,7 +496,6 @@ def periodic_eval(
         dl_per_user=dl_pu,
         ul_per_user=ul_pu,
         avg_per_user=avg_pu,
-        disagreements=disagreements,
     )
 
 

@@ -60,14 +60,13 @@ class UlEvaluation:
     sum_dof: int
     active_users: frozenset[int]
     order: Optional[DecodingOrder]
-    exact: bool
 
     def to_json(self) -> dict:
         return {
             "sum_dof": self.sum_dof,
             "active_users": sorted(self.active_users),
             "order": None if self.order is None else self.order.to_json(),
-            "exact": self.exact,
+            "exact": True,
         }
 
 
@@ -176,5 +175,4 @@ def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
         sum_dof=len(active),
         active_users=active,
         order=certify_uplink(assoc, active),
-        exact=True,
     )

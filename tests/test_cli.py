@@ -31,6 +31,14 @@ def test_scheme_avg(capsys):
     assert data["assoc"]["k"] == 12
 
 
+def test_scheme_avg_huge_budget(capsys):
+    # The cells are clipped to the line before listing, so nc costs nothing.
+    code, out, _ = run(capsys, "scheme", "--type", "avg", "--nc", "1000000000000", "--k", "5")
+    assert code == 0
+    full = [1, 2, 3, 4, 5]
+    assert json.loads(out)["assoc"]["cells"] == [full, full, full[1:], full[2:], full[3:]]
+
+
 def test_scheme_downlink(capsys):
     code, out, _ = run(capsys, "scheme", "--k", "7", "--nc", "3", "--type", "downlink")
     assert code == 0

@@ -29,7 +29,7 @@ def test_pair_association_maxima_on_a_long_line():
     assert dl == {i for i in range(1, k + 1) if i % 3 != 2}
     assert kernels.ul_max_active(k, assoc.cells) == set(range(1, k + 1))
     dl_ev, ul_ev = max_downlink_dof(assoc), max_uplink_dof(assoc)
-    assert dl_ev.exact and ul_ev.exact
+    assert dl_ev.to_json()["exact"] is True and ul_ev.to_json()["exact"] is True
     assert (dl_ev.sum_dof, ul_ev.sum_dof) == (13333, 20000)
 
 

@@ -4,7 +4,8 @@ The references below are the scan-everything forms of the uplink scheduler
 and of the zero-forcing row construction, the cumulative per-block
 certification of the nc = 2 average-optimal plan by a seed majority, the
 include-first branch and bound that maximized both sessions before the
-line DP, and the per-candidate maximization and certificate checks that
+line DP, the hand-written chain DP that the chain rule of _kernels
+replaced, and the per-candidate maximization and certificate checks that
 searches and sweeps ran before the family DP.  The package's versions look
 only at the users a decision can affect, or share work between candidates;
 on random windowed associations and families they must return exactly what
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from cellassoc import _kernels, search
 from cellassoc.bounds import (
     _block_flags,
+    _block_layout,
+    _chain_dp,
     _good_blocks,
-    _pair_flags,
+    _reconstruction_value,
     chain_flags,
     counting_bound,
     lemma2_chain_bound,
@@ -235,6 +238,32 @@ def ref_session_sums(k, options):
         yield combo, dl, ul
 
 
+def ref_chain_dp(k: int, flags) -> int:
+    """Max sum of d in {0,1}^k under the flagged-pair rules with credits.
+
+    A flagged pair (i, i+1) may have both users active only if some earlier
+    position z holds d_z = 0 with no flag strictly between z and i.  The DP
+    state after position i is (d_i, credit through i, credit through i-1);
+    credit through j means such a z <= j exists for a pair starting at j+1.
+    """
+    flagset = set(flags)
+    # state: (d, c, c_prev) -> best sum
+    states = {(0, 0, 0): 0}
+    for i in range(1, k + 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (d_prev, c_prev, _c_pp), total in states.items():
+            for d in (0, 1):
+                if (i - 1) in flagset and d_prev and d and not _c_pp:
+                    continue
+                c = 1 if d == 0 else (1 if (c_prev and i not in flagset) else 0)
+                key = (d, c, c_prev)
+                val = total + d
+                if nxt.get(key, -1) < val:
+                    nxt[key] = val
+        states = nxt
+    return max(states.values())
+
+
 def ref_sweep(k, nc, sums):
     """Tight counts and violations from the certificates of each built association."""
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
@@ -415,11 +444,35 @@ def test_line_dp_matches_branch_and_bound(case, seed, prime):
     assert _kernels.ul_max_active(k, cells) == ul
 
 
+def test_chain_dp_matches_reference_on_every_flag_set():
+    for k in range(1, 11):
+        for bits in itertools.product((False, True), repeat=k - 1):
+            flags = tuple(i for i, flagged in enumerate(bits, 1) if flagged)
+            assert _chain_dp(k, flags) == ref_chain_dp(k, flags), (k, flags)
+
+
+@SETTINGS
+@given(st.one_of(windowed(), wide()))
+def test_chain_rule_matches_reference_dp(case):
+    assoc, _active = case
+    assert _kernels.chain_max(assoc.cells) == ref_chain_dp(assoc.k, chain_flags(assoc))
+
+
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_family_sums_match_per_candidate_maxima(family):
     k, options = family
-    assert list(search._family_sums(k, options)) == list(ref_session_sums(k, options))
+    automata = (
+        _kernels.dl_family(k, options),
+        _kernels.ul_family(options),
+        _kernels.chain_family(options),
+    )
+    # Every family has nc <= 3, and chain_flags does not read nc.
+    expected = [
+        (combo, dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
+        for combo, dl, ul in ref_session_sums(k, options)
+    ]
+    assert list(search._family_sums(k, options, automata)) == expected
 
 
 @SETTINGS
@@ -427,17 +480,15 @@ def test_family_sums_match_per_candidate_maxima(family):
 def test_sweep_bounds_match_certificates(case):
     assoc, _active = case
     k, nc = assoc.k, assoc.nc
-    combo = tuple(tuple(sorted(cell)) for cell in assoc.cells)
-    assert _pair_flags(k, combo) == chain_flags(assoc)
-    chain, recon = search._combo_bounds(k, nc, combo, {})
-    assert chain == lemma2_chain_bound(assoc).value
     if nc == 1:  # blocks are defined for nc >= 2 only
-        assert recon is None
         return
+    combo = tuple(tuple(sorted(cell)) for cell in assoc.cells)
     for strict in (False, True):
         assert _good_blocks(k, nc, combo, strict) == tuple(
             f.good for f in _block_flags(assoc, strict)
         )
+    tail = _block_layout(k, nc)[2]
+    recon = _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
     assert recon == reconstruction_bound(assoc).value
 
 
@@ -447,9 +498,12 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     # Raised sums make the certificates fail, so violations are compared too.
     k, nc, w = family
     options = search._user_options(k, nc, w)
-    sums = [(c, dl + dl_extra, ul + ul_extra) for c, dl, ul in ref_session_sums(k, options)]
-    tight, violations = ref_sweep(k, nc, sums)
-    with mock.patch.object(search, "_family_sums", lambda _k, _options: iter(sums)):
+    sums = [
+        (c, dl + dl_extra, ul + ul_extra, ref_chain_dp(k, chain_flags(association(k, nc, c))))
+        for c, dl, ul in ref_session_sums(k, options)
+    ]
+    tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
+    with mock.patch.object(search, "_family_sums", lambda _k, _options, _automata: iter(sums)):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight

@@ -71,7 +71,7 @@ def test_search_small_average():
     assert r.best_assoc.cells_as_lists() == [[], [1], [3]]
     assert r.best_index == 5
     assert r.candidates == 36
-    assert r.disagreements == 0
+    assert r.to_json()["disagreements"] == 0
     assert r.dl.sum_dof == 2 and r.ul.sum_dof == 2
 
 
@@ -90,7 +90,7 @@ def test_search_pair_budget_attains_counting_bound():
     assert r.candidates == 38416
     assert r.bound.kind == "avg_counting"
     assert Fraction(r.bound.value, r.k) == r.value
-    assert r.disagreements == 0
+    assert r.to_json()["disagreements"] == 0
 
 
 def test_search_winner_is_lex_min():
@@ -190,7 +190,7 @@ def test_periodic_pair_probe():
     assert r.dl_per_user == Fraction(2, 3)
     assert r.ul_per_user == 1
     assert r.avg_per_user == Fraction(5, 6)
-    assert r.disagreements == 0
+    assert r.to_json()["disagreements"] == 0
 
 
 def test_periodic_single_budget_probe():
