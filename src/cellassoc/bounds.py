@@ -70,8 +70,12 @@ class BoundCertificate:
     value: Fraction
     k: int
     nc: int
-    per_user: Fraction
     assumptions: tuple[str, ...] = ()
+
+    @property
+    def per_user(self) -> Fraction:
+        """The bound per user, value / k."""
+        return self.value / self.k
 
     def to_json(self) -> dict:
         flagged: list
@@ -116,7 +120,8 @@ class BoundCertificate:
         k, nc = int_from_json(data["k"], "k"), int_from_json(data["nc"], "nc")
         if k < 1:
             raise ValidationError(f"certificate k must be positive, got {k}")
-        per_user = frac_from_str(data["per_user"]) if "per_user" in data else value / k
+        if "per_user" in data and frac_from_str(data["per_user"]) != value / k:
+            raise ValidationError("certificate per_user must equal value / k")
         assumptions = data.get("assumptions", [])
         if not isinstance(assumptions, list) or not all(isinstance(a, str) for a in assumptions):
             raise ValidationError("assumptions must be a list of strings")
@@ -126,7 +131,6 @@ class BoundCertificate:
             value=value,
             k=k,
             nc=nc,
-            per_user=per_user,
             assumptions=tuple(assumptions),
         )
 
@@ -158,7 +162,6 @@ def lemma2_chain_bound(assoc: CellAssociation) -> BoundCertificate:
         value=value,
         k=assoc.k,
         nc=assoc.nc,
-        per_user=value / assoc.k,
     )
 
 
@@ -221,7 +224,6 @@ def counting_bound(assoc: CellAssociation) -> BoundCertificate:
         value=value,
         k=assoc.k,
         nc=assoc.nc,
-        per_user=value / assoc.k,
         assumptions=(
             "per-block good/bad split is an accounting device; "
             "soundness is claimed for the aggregate average only",
@@ -242,7 +244,6 @@ def reconstruction_bound(assoc: CellAssociation) -> BoundCertificate:
         value=value,
         k=assoc.k,
         nc=assoc.nc,
-        per_user=value / assoc.k,
     )
 
 
@@ -260,7 +261,6 @@ def ncone_bound(k: int) -> BoundCertificate:
         value=value,
         k=k,
         nc=1,
-        per_user=Fraction(2, 3),
         assumptions=("asymptotic constant; not a finite-k bound",),
     )
 

@@ -15,11 +15,13 @@ that ends at m-1; or m is in C_m and, for the run [m, b] that starts at m,
 b = k or some user in [m+1, b+1] is inactive.  max_downlink_dof maximizes
 that rule exactly with a DP along the line.
 
-GF(p) arithmetic only emits the certificate: zf_feasible eliminates over
-one exact channel draw to build nullspace precoders, and verify_witness
-re-checks them by direct evaluation, independent of the solver path.
-certify_downlink does both on the first seed's draw; evaluations and
-scheme plans are certified that way, so only the first seed is ever used.
+GF(p) arithmetic only emits the certificate: zf_feasible builds each
+message's nullspace precoder on one exact channel draw by back-substitution
+along the runs of C_m (see _message_witness), in O(|C_m|), and
+verify_witness re-checks them by direct evaluation, independent of how
+they were built.  certify_downlink does both on the first seed's draw;
+evaluations and scheme plans are certified that way, so only the first
+seed is ever used.
 zf_feasible_majority, which draws several seeds and takes a majority
 (warning via GenericityWarning if they split), is kept as the multi-seed
 reference that tests compare the value-free rule against.
@@ -135,56 +137,37 @@ def _gain(ch: ChannelRealization, i: int, j: int) -> int:
 def _message_witness(cell, active, ch, m):
     """Nullspace precoder for message m over base stations cell, or None.
 
-    The interference rows are the other active users that hear a column.
-    Base station j is heard by users j and j+1 only, so the rows are built
-    from {j, j+1 : j in cell} & active - {m}, in ascending user order: the
-    same rows in the same order as a scan over every active user, hence
-    the same elimination and the same witness, at O(|cell|) per message.
+    The rows are the other active users; user r hears columns r-1 and r
+    only.  Columns c and c+1 are linked when user c+1 is a row with both
+    gains nonzero, and the linked runs of cell decouple.  A run [a, c] is
+    pinned to zero when user a hears a alone (g(a, a) != 0) or user c+1
+    hears c alone (g(c+1, c) != 0); an unpinned run has one free column,
+    its last.  Of the unpinned runs that user m hears through a nonzero
+    gain, the first one carries the precoder: 1 at c, then back-substitution
+    along the links, 0 elsewhere.  That is the vector an RREF over the same
+    rows returns (free columns ascending, the first with nonzero desired
+    gain), at O(|cell|) per message.
     """
     p = ch.prime
     cols = sorted(j for j in cell if 1 <= j <= ch.k)
-    if not cols:
-        return None
-    ncols = len(cols)
 
-    heard = sorted({r for j in cols for r in (j, j + 1) if r != m and r in active})
-    rows = [[_gain(ch, r, j) for j in cols] for r in heard]
+    def row(r, j):
+        return ch.coeffs.get((r, j), 0) % p if r != m and r in active else 0
 
-    # Reduced row echelon form, tracking pivot columns.
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
+    runs, start = [], 0
+    for i, c in enumerate(cols):
+        if i + 1 == len(cols) or cols[i + 1] != c + 1 or not (row(c + 1, c) and row(c + 1, c + 1)):
+            runs.append((cols[start], c))
+            start = i + 1
+    for a, c in runs:
+        if row(a, a) or row(c + 1, c):
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        pivots.append((rank, c))
-        rank += 1
-        if rank == len(rows):
-            break
-
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    desired = [_gain(ch, m, j) for j in cols]
-
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r_i, c in pivots:
-            vec[c] = (-rows[r_i][f]) % p
-        if sum(d * v for d, v in zip(desired, vec)) % p != 0:
-            return {j: vec[idx] for idx, j in enumerate(cols)}
+        if (a < m <= c + 1 and _gain(ch, m, m - 1) % p) or (a <= m <= c and _gain(ch, m, m) % p):
+            vec = dict.fromkeys(cols, 0)
+            vec[c] = 1
+            for r in range(c, a, -1):
+                vec[r - 1] = -row(r, r) * vec[r] * pow(row(r, r - 1), p - 2, p) % p
+            return vec
     return None
 
 

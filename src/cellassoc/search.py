@@ -328,7 +328,6 @@ def soundness_sweep(
     window: Optional[int] = None,
     *,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
     cap: int = DEFAULT_CAP,
 ) -> SweepReport:
     """Check every windowed association against its converse certificates.
@@ -338,7 +337,7 @@ def soundness_sweep(
     counting bound when nc >= 2 (those certificates are not defined for
     nc = 1).  Returns all violations; an empty list certifies soundness
     over the swept family.  No channel value enters a session sum, so
-    seeds and prime are unused; they stay so that existing callers work.
+    seeds is accepted and unused; perfbench/workloads.py passes it.
     """
     w, options, total = _family(k, nc, window, cap)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc

@@ -117,6 +117,8 @@ def test_certificate_json_roundtrip():
     ):
         again = BoundCertificate.from_json(cert.to_json())
         assert again == cert
+        with pytest.raises(ValidationError):
+            BoundCertificate.from_json(dict(cert.to_json(), per_user="99"))
     with pytest.raises(ValidationError):
         BoundCertificate.from_json({"kind": "mystery", "value": "1"})
 
@@ -136,7 +138,6 @@ def test_recompute_and_verify():
             value=cert.value + 1,
             k=cert.k,
             nc=cert.nc,
-            per_user=cert.per_user,
             assumptions=cert.assumptions,
         )
         assert not verify_certificate(forged, a)

@@ -1,7 +1,8 @@
 """Property tests: the local oracles against full-scan reference oracles.
 
-The references below are the scan-everything forms of the uplink scheduler
-and of the zero-forcing row construction, the cumulative per-block
+The references below are the scan-everything form of the uplink scheduler,
+the dense row reduction that built zero-forcing witnesses before the
+back-substitution along the line, the cumulative per-block
 certification of the nc = 2 average-optimal plan by a seed majority, the
 include-first branch and bound that maximized both sessions before the
 line DP, the hand-written chain DP that the chain rule of _kernels
@@ -34,6 +35,7 @@ from cellassoc.bounds import (
 )
 from cellassoc.downlink_zf import (
     ZfWitness,
+    _message_witness,
     max_downlink_dof,
     strip_silent,
     zf_feasible,
@@ -42,6 +44,7 @@ from cellassoc.downlink_zf import (
 from cellassoc.errors import InternalCheckError
 from cellassoc.model import (
     DEFAULT_PRIME,
+    ChannelRealization,
     association,
     connected_bs,
     draw_channels,
@@ -90,7 +93,7 @@ def ref_uplink_feasible(assoc, active):
 
 
 def ref_message_witness(assoc, active, ch, m):
-    """Rows from a scan over every active user."""
+    """Dense RREF over rows from a scan over every active user."""
     p = ch.prime
     cols = sorted(j for j in assoc.cells[m - 1] if 1 <= j <= assoc.k)
     if not cols:
@@ -373,13 +376,56 @@ def test_uplink_feasible_matches_full_scan(case):
     assert uplink_feasible(assoc, active) == ref_uplink_feasible(assoc, active)
 
 
+def with_zeros(ch, zeroed):
+    """The realization with the coefficients at the given positions set to 0."""
+    pairs = sorted(ch.coeffs)
+    zero = {pairs[i] for i in zeroed if i < len(pairs)}
+    coeffs = {pair: 0 if pair in zero else v for pair, v in ch.coeffs.items()}
+    return ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, coeffs=coeffs)
+
+
+def subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, n) for n in range(len(items) + 1)
+    )
+
+
 @SETTINGS
-@given(windowed(), st.integers(0, 2**31 - 2), primes)
-def test_zf_feasible_matches_full_scan_rows(case, seed, prime):
+@given(
+    st.one_of(windowed(), wide()),
+    st.integers(0, 2**31 - 2),
+    primes,
+    # Positions of zeroed coefficients; half the draws stay honest.
+    st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 26))),
+)
+def test_zf_feasible_matches_full_scan_rows(case, seed, prime, zeroed):
     assoc, active = case
     active = frozenset(m for m in active if assoc.cells[m - 1])
-    ch = draw_channels(assoc.k, seed, prime)
+    ch = with_zeros(draw_channels(assoc.k, seed, prime), zeroed)
     assert zf_feasible(assoc, active, ch) == ref_zf_feasible(assoc, active, ch)
+
+
+def test_message_witness_matches_rref_on_every_small_case():
+    # Every message, cell, active set and zero pattern of one GF(13) draw at
+    # k <= 4.  Honest draws have no zero gain, so only the zero patterns
+    # exercise the zero tests of the link, pin and reach rules.
+    cases = 0
+    for k in range(1, 5):
+        base = draw_channels(k, 1, 13)
+        draws = [with_zeros(base, z) for z in subsets(range(2 * k - 1))]
+        for m in range(1, k + 1):
+            others = [r for r in range(1, k + 1) if r != m]
+            for cell in subsets(range(1, k + 1)):
+                assoc = association(k, k, [cell if i == m else () for i in range(1, k + 1)])
+                for rest in subsets(others):
+                    active = frozenset((m, *rest))
+                    for ch in draws:
+                        got = _message_witness(assoc.cells[m - 1], active, ch, m)
+                        assert got == ref_message_witness(assoc, active, ch, m), (
+                            k, m, cell, active, ch.coeffs,
+                        )
+                        cases += 1
+    assert cases == 68740
 
 
 @settings(max_examples=40, deadline=None)
