@@ -106,11 +106,14 @@ class BoundCertificate:
                 for f in data["flagged"]
             ):
                 raise ValidationError("flagged must be a list of block, start, good objects")
+            bad = [f["good"] for f in data["flagged"] if not isinstance(f["good"], bool)]
+            if bad:
+                raise ValidationError(f"flag good must be true or false, got {bad[0]!r}")
             flagged = tuple(
                 BlockFlag(
                     block=int_from_json(f["block"], "block"),
                     start=int_from_json(f["start"], "start"),
-                    good=bool(f["good"]),
+                    good=f["good"],
                 )
                 for f in data["flagged"]
             )

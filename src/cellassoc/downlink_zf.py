@@ -40,6 +40,7 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     ChannelRealization,
+    check_active,
     draw_channels,
     int_from_json,
 )
@@ -119,10 +120,8 @@ def strip_silent(assoc: CellAssociation, silent_bs) -> CellAssociation:
 
 
 def _check_active(assoc: CellAssociation, active) -> frozenset[int]:
-    active = frozenset(active)
+    active = check_active(assoc.k, active)
     for m in active:
-        if not isinstance(m, int) or not 1 <= m <= assoc.k:
-            raise ValidationError(f"active user {m!r} out of range [1..{assoc.k}]")
         if not assoc.cells[m - 1]:
             raise EmptyCellError(f"active user {m} has an empty association set")
     return active

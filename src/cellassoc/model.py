@@ -41,6 +41,15 @@ def _check_index(name: str, value: int, k: int) -> None:
         raise ValidationError(f"{name}={value} out of range [1..{k}]")
 
 
+def check_active(k: int, active: Iterable[int]) -> frozenset[int]:
+    """The active user set as a frozenset, each user checked to lie in [1..k]."""
+    active = frozenset(active)
+    for m in active:
+        if not isinstance(m, int) or not 1 <= m <= k:
+            raise ValidationError(f"active user {m!r} out of range [1..{k}]")
+    return active
+
+
 def connected(i: int, j: int, k: int) -> bool:
     """True iff user i hears base station j in a k-cell network."""
     _check_k(k)

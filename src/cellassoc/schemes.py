@@ -1,24 +1,24 @@
 """Reference association schemes and their activation plans.
 
-Every construction splits the users into blocks of `length` consecutive
-users.  In each full block one local user, `idle`, is downlink-inactive,
-every other user is downlink-active, and the block's last base station is
-silent, so no downlink path crosses a block boundary:
+Every scheme is one block plan with a downlink budget b.  Its users split
+into blocks of 2*b + 1 consecutive users: the first b users of a block
+share descending suffix sets, the middle user b + 1 has an empty set, and
+the last b users share ascending prefix sets.  In each full block every
+user but the middle one is downlink-active and the block's last base
+station is silent, so no downlink path crosses a block boundary:
 
-* downlink_optimal: blocks of 2*nc + 1 users; the first nc users in a
-  block share descending suffix sets, the middle user (idle) has an empty
-  set, and the last nc users share ascending prefix sets.  Serves 2*nc of
-  every 2*nc + 1 users in the downlink.
+* downlink_optimal: budget nc.  Serves 2*nc of every 2*nc + 1 users in
+  the downlink.
+
+* avg_optimal: at nc = 1 the downlink plan itself.  At nc >= 2 the plan
+  of budget nc - 1 with every user's set widened by its pair cell
+  {i-1, i}: blocks of 2*nc - 1, the middle user nc downlink-idle, and
+  every user uplink-active.  Its downlink set is that of
+  downlink_optimal(k, nc - 1), so its sum is that downlink sum plus k;
+  at nc = 2 the association is the pair association.
 
 * pair_association: user i associates with base stations i-1 and i (user
   1 only with 1).  The uplink decodes right to left at full sum DoF.
-
-* avg_optimal: the best-average family.  nc = 1 uses blocks of three, an
-  isolated served pair around an idle middle user with an empty set.
-  nc >= 2 uses blocks of 2*nc - 1 with pair membership plus cluster
-  extensions and the middle user idle; at nc = 2 that is the pair
-  association in blocks of three.  At nc >= 2 every user is
-  uplink-active.
 
 A partial trailing block never gets a closed-form claim: its downlink set
 is the exact maximum (the line DP) on the truncated sub-network, which is
@@ -141,17 +141,19 @@ def _certify_plan(plan: SchemePlan, seeds, prime) -> SchemePlan:
     return plan
 
 
-def _plan(assoc, length, idle, ul_active, seeds, prime) -> SchemePlan:
-    """The certified block plan of assoc with the given uplink set.
+def _plan(assoc, budget, ul_active, seeds, prime) -> SchemePlan:
+    """The certified block plan of the given downlink budget on assoc.
 
-    In every full block of length users, all users but local user idle are
-    downlink-active and the block's last base station is silent.  The
-    trailing partial block takes the downlink maximum of its truncated
-    sub-network and silences its base stations that no active user holds.
+    In every full block of 2*budget + 1 users, all users but the middle
+    one, local user budget + 1, are downlink-active and the block's last
+    base station is silent.  The trailing partial block takes the downlink maximum of
+    its truncated sub-network and silences its base stations that no
+    active user holds.
     """
+    length = 2 * budget + 1
     k = assoc.k
     off = k - k % length
-    dl_active = {i for i in range(1, off + 1) if (i - 1) % length != idle - 1}
+    dl_active = {i for i in range(1, off + 1) if (i - 1) % length != budget}
     silent = set(range(length, off + 1, length))
 
     tail = [frozenset(j - off for j in cell if j > off) for cell in assoc.cells[off:]]
@@ -198,37 +200,7 @@ def downlink_optimal(
     _check_args(k, nc, seeds)
     assoc = association(k, nc, _downlink_cells(k, nc))
     ul_active = _kernels.ul_max_active(k, assoc.cells)
-    return _plan(assoc, 2 * nc + 1, nc + 1, ul_active, seeds, prime)
-
-
-def _avg_cells_ncone(k: int) -> list[list[int]]:
-    cells: list[list[int]] = []
-    for i in range(1, k + 1):
-        r = i % 3
-        if r == 1:
-            cells.append([i])
-        elif r == 0:
-            cells.append([i - 1])
-        else:
-            cells.append([])
-    return cells
-
-
-def _avg_cells_wide(k: int, nc: int) -> list[list[int]]:
-    """Blocks of 2*nc - 1: pair membership plus cluster extensions."""
-    length = 2 * nc - 1
-    cells: list[list[int]] = []
-    for i in range(1, k + 1):
-        off = ((i - 1) // length) * length
-        u = i - off
-        if u <= nc - 1:
-            lo, hi = i - 1, off + nc - 1
-        elif u == nc:
-            lo, hi = i - 1, i
-        else:
-            lo, hi = off + nc, i
-        cells.append(list(range(max(lo, 1), min(hi, k) + 1)))
-    return cells
+    return _plan(assoc, nc, ul_active, seeds, prime)
 
 
 def avg_optimal(
@@ -238,12 +210,19 @@ def avg_optimal(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     prime: int = DEFAULT_PRIME,
 ) -> SchemePlan:
-    """Best-average plan for the given budget."""
+    """Best-average plan for the given budget.
+
+    At nc = 1 this is downlink_optimal(k, 1).  At nc >= 2 it is the block
+    plan of budget nc - 1 on the downlink cells of that budget, each
+    widened by the user's pair cell {i-1, i}, with every user
+    uplink-active.
+    """
     _check_args(k, nc, seeds)
     if nc == 1:
-        # Served pairs are isolated, so every user with a nonempty set decodes.
-        assoc = association(k, 1, _avg_cells_ncone(k))
-        ul_active = [i for i, cell in enumerate(assoc.cells, start=1) if cell]
-        return _plan(assoc, 3, 2, ul_active, seeds, prime)
-    assoc = association(k, nc, _avg_cells_wide(k, nc))
-    return _plan(assoc, 2 * nc - 1, nc, range(1, k + 1), seeds, prime)
+        return downlink_optimal(k, 1, seeds=seeds, prime=prime)
+    cells = [
+        {*cell, *(j for j in (i - 1, i) if j >= 1)}
+        for i, cell in enumerate(_downlink_cells(k, nc - 1), start=1)
+    ]
+    assoc = association(k, nc, cells)
+    return _plan(assoc, nc - 1, range(1, k + 1), seeds, prime)

@@ -124,9 +124,13 @@ def _user_options(k: int, nc: int, w: int):
 def _family(k: int, nc: int, window: Optional[int], cap: int):
     """(window, per-user options, candidate count) of a windowed family.
 
-    Refuses a family of more than cap candidates before listing any option.
+    Refuses a cap below 1 as invalid input, since every family has a
+    candidate, and a family of more than cap candidates before listing
+    any option.
     """
     w = _window(k, nc, window)
+    if cap < 1:
+        raise ValidationError(f"cap must be at least 1, got {cap}")
     total = _family_size(k, nc, w, cap)
     if total is None:
         raise BudgetExceededError(

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from .errors import InternalCheckError, ValidationError
-from .model import CellAssociation, connected_bs, heard_mts, int_from_json
+from .model import CellAssociation, check_active, connected_bs, heard_mts, int_from_json
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,6 @@ def prune(assoc: CellAssociation) -> CellAssociation:
     return CellAssociation(k=assoc.k, nc=assoc.nc, cells=cells)
 
 
-def _check_active(assoc: CellAssociation, active) -> frozenset[int]:
-    active = frozenset(active)
-    for m in active:
-        if not isinstance(m, int) or not 1 <= m <= assoc.k:
-            raise ValidationError(f"active user {m!r} out of range [1..{assoc.k}]")
-    return active
-
-
 def _step_allowed(assoc, active, decoded, m, b):
     if b not in assoc.cells[m - 1] or b not in connected_bs(m, assoc.k):
         return False
@@ -110,7 +102,7 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
     popped: the same order as rescanning all messages at every step, in
     O(|active| log |active|).
     """
-    active = _check_active(assoc, active)
+    active = check_active(assoc.k, active)
     decoded: set[int] = set()
 
     def first_bs(m):

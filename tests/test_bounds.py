@@ -123,6 +123,17 @@ def test_certificate_json_roundtrip():
         BoundCertificate.from_json({"kind": "mystery", "value": "1"})
 
 
+def test_certificate_good_flag_must_be_boolean():
+    data = reconstruction_bound(pair_association(6)).to_json()
+    assert [f["good"] for f in data["flagged"]] == [True, True]
+    for value in ("false", "no", 2, 0, [], None):
+        flagged = [dict(f, good=value) for f in data["flagged"]]
+        with pytest.raises(ValidationError, match="good must be true or false"):
+            BoundCertificate.from_json(dict(data, flagged=flagged))
+    flagged = [dict(f, good=False) for f in data["flagged"]]
+    assert not any(f.good for f in BoundCertificate.from_json(dict(data, flagged=flagged)).flagged)
+
+
 def test_recompute_and_verify():
     a = pair_association(9)
     for cert in (

@@ -143,6 +143,19 @@ def test_search_cap_exit_code(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_search_cap_below_one_exits_2(tmp_path, capsys):
+    base = ("search", "--k", "5", "--nc", "2", "--window", "1")
+    for cap in ("0", "-1"):
+        code, out, err = run(capsys, *base, "--cap", cap)
+        assert code == 2 and out == ""
+        assert err == f"error: cap must be at least 1, got {cap}\n"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k": 5, "nc": 2, "window": 1, "cap": -3}))
+    code, out, err = run(capsys, "search", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: cap must be at least 1, got -3\n"
+
+
 def test_search_refuses_huge_family_before_listing_options(capsys, monkeypatch):
     def never(*_args):
         raise AssertionError("options were listed")

@@ -7,6 +7,7 @@ import pytest
 from cellassoc import (
     DEFAULT_PRIME,
     CellAssociation,
+    EmptyCellError,
     Topology,
     ValidationError,
     association,
@@ -17,8 +18,11 @@ from cellassoc import (
     frac_from_str,
     frac_to_str,
     heard_mts,
+    uplink_feasible,
     validate_association,
+    zf_feasible,
 )
+from cellassoc.model import check_active
 
 
 def test_connectivity_rule():
@@ -146,3 +150,24 @@ def test_average_per_user():
     assert average_per_user(0, 0, 3) == 0
     with pytest.raises(ValidationError):
         average_per_user(1, 1, 0)
+
+
+def test_active_set_check_is_shared_by_both_sessions():
+    assert check_active(3, [1, 3, 3]) == frozenset({1, 3})
+    a = association(3, 1, [[1], [], [3]])
+    ch = draw_channels(3, 1)
+    for bad in (0, 4, "2"):
+        message = f"active user {bad!r} out of range [1..3]"
+        for check in (
+            lambda: check_active(3, {bad}),
+            lambda: zf_feasible(a, {bad}, ch),
+            lambda: uplink_feasible(a, {bad}),
+        ):
+            with pytest.raises(ValidationError) as info:
+                check()
+            assert str(info.value) == message
+            assert type(info.value) is ValidationError
+    # Only the downlink refuses an active user with an empty set.
+    with pytest.raises(EmptyCellError, match="active user 2 has an empty association set"):
+        zf_feasible(a, {2}, ch)
+    assert uplink_feasible(a, {2}) is None

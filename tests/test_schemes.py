@@ -106,6 +106,19 @@ def test_avg_wide_block_shape():
     assert sorted(plan.dl_active_users) == [1, 2, 4, 5, 6, 7, 9, 10]
 
 
+def test_avg_is_built_from_the_downlink_plan():
+    # tau(nc) = (1 + tau_dl(nc - 1)) / 2 holds at every finite k, edges
+    # included: the average sum is the nc - 1 downlink sum plus k.
+    for nc in range(2, 6):
+        for k in range(1, 61):
+            avg = avg_optimal(k, nc)
+            dl = downlink_optimal(k, nc - 1)
+            assert avg.dl_active_users == dl.dl_active_users
+            assert avg.ul_active_users == frozenset(range(1, k + 1))
+    for k in range(1, 61):
+        assert avg_optimal(k, 1) == downlink_optimal(k, 1)
+
+
 def test_avg_partial_blocks():
     plan = avg_optimal(13, 2)
     assert plan.claimed_dl_dof == 9

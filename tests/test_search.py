@@ -125,6 +125,18 @@ def test_cap_refuses_large_runs():
     assert r.candidates == 784
 
 
+def test_cap_below_one_is_invalid_input():
+    # Every family has at least one candidate, so no such cap can be met.
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match=f"cap must be at least 1, got {cap}"):
+            exhaustive_search(5, 2, 1, cap=cap)
+        with pytest.raises(ValidationError, match="cap must be at least 1"):
+            soundness_sweep(5, 2, 1, cap=cap)
+    # A cap of 1 is valid input that this family of two candidates exceeds.
+    with pytest.raises(BudgetExceededError, match="more than 1 candidates"):
+        exhaustive_search(1, 1, 0, cap=1)
+
+
 def test_objective_aliases():
     for name in ("avg", "average", "AVG"):
         assert exhaustive_search(2, 1, 1, objective=name).objective == "avg"
