@@ -10,12 +10,18 @@ Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
 budget/range violations in an association), 3 refused size or candidate
 budgets, 4 internal consistency failure (a witness or claim that should
 certify did not).
+
+main builds the argparse parser on its first call and reuses it for every
+later call in the process: a parse keeps no state in the parser (each call
+gets a fresh Namespace, and "append" copies its default), so a process that
+serves many small calls pays the build once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -250,6 +256,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellassoc",

@@ -45,7 +45,7 @@ def check_active(k: int, active: Iterable[int]) -> frozenset[int]:
     """The active user set as a frozenset, each user checked to lie in [1..k]."""
     active = frozenset(active)
     for m in active:
-        if not isinstance(m, int) or not 1 <= m <= k:
+        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= k:
             raise ValidationError(f"active user {m!r} out of range [1..{k}]")
     return active
 

@@ -95,19 +95,31 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
 
     At every step the smallest eligible (message, bs) pair is scheduled, so
     the order is deterministic and independent of internal data layout.
-    Whether m is eligible depends only on which of m-1 and m+1 are decoded,
-    and decoding never makes a step disallowed.  So the scheduler keeps
-    every eligible undecoded message in a min-heap, re-checks only m-1 and
-    m+1 after decoding m, and picks the smallest allowed bs when m is
-    popped: the same order as rescanning all messages at every step, in
-    O(|active| log |active|).
+    Each active user's options are listed once: the base stations b it
+    holds and hears, in order, where every other active user heard at b
+    also holds b, each with those other users.  m may take b once they are
+    all decoded, so whether m is eligible depends only on which of m-1 and
+    m+1 are decoded, and decoding never makes a step disallowed.  The
+    scheduler keeps every eligible undecoded message in a min-heap,
+    re-checks only m-1 and m+1 after decoding m, and picks the first
+    option whose users are decoded when m is popped: the same order as
+    rescanning all messages at every step, in O(|active| log |active|).
     """
     active = check_active(assoc.k, active)
+    k, cells = assoc.k, assoc.cells
+    options = {}
+    for m in active:
+        usable = []
+        for b in sorted(cells[m - 1] & connected_bs(m, k)):
+            others = [mp for mp in heard_mts(b, k) if mp != m and mp in active]
+            if all(b in cells[mp - 1] for mp in others):
+                usable.append((b, others))
+        options[m] = usable
     decoded: set[int] = set()
 
     def first_bs(m):
-        for b in sorted(assoc.cells[m - 1] & connected_bs(m, assoc.k)):
-            if _step_allowed(assoc, active, decoded, m, b):
+        for b, others in options[m]:
+            if decoded.issuperset(others):
                 return b
         return None
 
@@ -129,7 +141,7 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
 
 def verify_order(order: DecodingOrder, assoc, active) -> bool:
     """Independent re-check of a decoding order against the model rules."""
-    active = frozenset(active)
+    active = check_active(assoc.k, active)
     decoded: set[int] = set()
     for m, b in order.steps:
         if m not in active or m in decoded:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cellassoc import pair_association, schemes, search
+from cellassoc import cli, pair_association, schemes, search
 from cellassoc.cli import main
 from cellassoc.schemes import MAX_SCHEME_K
 
@@ -14,6 +14,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exits(capsys, *argv):
+    """Run a call that ends in SystemExit (usage errors, --help)."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the cached parser, so the first call of the test builds it."""
+    cli._build_parser.cache_clear()
 
 
 def write_assoc(tmp_path, assoc, name="assoc.json"):
@@ -315,3 +329,38 @@ def test_byte_determinism(capsys):
     s1 = run(capsys, "search", "--k", "4", "--nc", "2", "--window", "1")
     s2 = run(capsys, "search", "--k", "4", "--nc", "2", "--window", "1")
     assert s1 == s2
+
+
+# main reuses one parser per process; no call may leave state in it.
+
+
+def test_cached_parser_keeps_no_repeated_flag(fresh_parser, capsys):
+    plain = ("search", "--k", "3", "--nc", "1")
+    first = run(capsys, *plain)
+    seeded = run(capsys, *plain, "--seed", "7", "--seed", "8")
+    assert json.loads(seeded[1])["dl"]["seeds"] == [7, 8]
+    assert json.loads(first[1])["dl"]["seeds"] != [7, 8]
+    assert run(capsys, *plain) == first
+
+
+def test_usage_error_leaves_the_cached_parser_clean(fresh_parser, capsys):
+    plain = ("search", "--k", "3", "--nc", "1")
+    first = run(capsys, *plain)
+    # --seed is parsed before --format fails.
+    code, out, err = exits(capsys, "search", "--seed", "7", "--k", "3", "--format", "xml")
+    assert code == 2 and out == "" and "invalid choice: 'xml'" in err
+    assert run(capsys, *plain) == first
+
+
+def test_help_text_is_the_same_from_the_cached_parser(fresh_parser, capsys):
+    for argv in (("--help",), ("eval", "--help")):
+        first = exits(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: cellassoc")
+        assert exits(capsys, *argv) == first
+
+
+def test_parser_is_built_once_per_process(fresh_parser, capsys):
+    for argv in (("report",), ("report", "--nc", "1"), ("search", "--k", "2", "--nc", "1")):
+        assert run(capsys, *argv)[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -22,6 +22,7 @@ from cellassoc import (
     validate_association,
     zf_feasible,
 )
+from cellassoc.downlink_zf import certify_downlink
 from cellassoc.model import check_active
 
 
@@ -156,11 +157,13 @@ def test_active_set_check_is_shared_by_both_sessions():
     assert check_active(3, [1, 3, 3]) == frozenset({1, 3})
     a = association(3, 1, [[1], [], [3]])
     ch = draw_channels(3, 1)
-    for bad in (0, 4, "2"):
+    # True is not user 1, although isinstance(True, int) holds.
+    for bad in (0, 4, "2", True):
         message = f"active user {bad!r} out of range [1..3]"
         for check in (
             lambda: check_active(3, {bad}),
             lambda: zf_feasible(a, {bad}, ch),
+            lambda: certify_downlink(a, {bad}, 1),
             lambda: uplink_feasible(a, {bad}),
         ):
             with pytest.raises(ValidationError) as info:

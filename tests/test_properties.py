@@ -368,9 +368,12 @@ seeds_st = st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=3, unique=Tr
 
 
 @settings(max_examples=400, deadline=None)
-@given(windowed())
+@given(st.one_of(windowed(), wide()))
 # Decoding user 2 at bs 1 is what lets user 3 decode at bs 2.
 @example((association(3, 2, [[1], [1, 2], [2]]), frozenset({2, 3})))
+# Active user 3 hears bs 2 but does not hold it, so user 2 cannot decode
+# there; users 1 and 2 then wait on each other at bs 1.
+@example((association(3, 2, [[1], [1, 2], [3]]), frozenset({1, 2, 3})))
 def test_uplink_feasible_matches_full_scan(case):
     assoc, active = case
     assert uplink_feasible(assoc, active) == ref_uplink_feasible(assoc, active)

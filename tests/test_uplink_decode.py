@@ -74,6 +74,16 @@ def test_order_verification_rejects_tampering():
     assert not verify_order(DecodingOrder(steps=order.steps[1:]), a, {1, 2, 3})
 
 
+def test_order_verification_validates_the_active_set():
+    # An out-of-range user must not reach the association's cells tuple
+    # (user k + 1 once raised IndexError there).
+    a = association(3, 2, [[1], [1, 2], [1, 3]])
+    for bad in (0, 4, True):
+        order = DecodingOrder(steps=((bad, 3),))
+        with pytest.raises(ValidationError, match=f"active user {bad!r} out of range"):
+            verify_order(order, a, {bad})
+
+
 def test_unconnected_members_are_inert():
     # Far-away association members cannot decode; only {i-1, i} can.
     a = association(4, 2, [[1, 3], [4], [2], [3]])
