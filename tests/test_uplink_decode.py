@@ -75,8 +75,7 @@ def test_order_verification_rejects_tampering():
 
 
 def test_order_verification_validates_the_active_set():
-    # An out-of-range user must not reach the association's cells tuple
-    # (user k + 1 once raised IndexError there).
+    # A bad user is refused before the step rule indexes the cells tuple.
     a = association(3, 2, [[1], [1, 2], [1, 3]])
     for bad in (0, 4, True):
         order = DecodingOrder(steps=((bad, 3),))
