@@ -28,20 +28,24 @@ is flagged unless both users hold bs m-1, and both users of a flagged
 pair may be active only with credit: an inactive user z < m-1 and no
 flag between z and m-1.  The bound is the most users this rule allows.
 
-Each rule is a left-to-right automaton over the users.  User m's step
-is a tuple of parameters read from C_m alone, and next(step, state,
+Each rule is a left-to-right automaton over the users, built over a
+family of associations that offers each user a list of options; a single
+association is the family with one option per user.  User m's step is a
+tuple of parameters read from C_m as seen from m, and next(step, state,
 active) returns the states the automaton may move to after deciding that
-user, empty when the decision breaks the rule.  A family of associations
-therefore shares one step per option it offers a user.  The downlink
-state is (length of the active run ending at the previous user, nearest
-pending right deadline), with the run length capped at the longest left
-side of any step; the uplink state is the previous user's choice
-(inactive, L or R), with L split by whether that user also holds its own
-base station, which is all the next user asks of it.  The chain state
-after user m is (active, holds bs m, credit through m-1): a flag is
-known only at the second user of its pair, so the credit settles one
-user late.  It starts at a phantom user 0 that is active, holds bs 0
-(so pair (0, 1) is never flagged) and has no credit.
+user, empty when the decision breaks the rule.  No step or state holds k
+or a user index, so the automata are stationary: users whose options
+look the same from where they stand have equal steps.  The downlink
+state is (length of the active run ending at the previous user, how far
+ahead of the next user the nearest pending right deadline lies, inf when
+none), with the run length capped at the longest left side of any step;
+the uplink state is the previous user's choice (inactive, L or R), with
+L split by whether that user also holds its own base station, which is
+all the next user asks of it.  The chain state after user m is (active,
+holds bs m, credit through m-1): a flag is known only at the second user
+of its pair, so the credit settles one user late.  It starts at a
+phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
+flagged) and has no credit.
 
 Set feasibility runs the automaton on one activity pattern.
 Maximization is one DP: a forward pass collects the reachable states, a
@@ -55,27 +59,30 @@ When only the size of that set is needed, as in a search over a family,
 the forward pass alone suffices if it keeps, per state, the most active
 users on a path reaching it (`max_count`): the size is the largest count
 after the last user; `chain_max` is that pass for the chain rule.
-`FamilyLayers` memoizes it per user over a family, so associations that
-share a prefix of options share its layers.
+`FamilyLayers` memoizes it over a family, so associations that share a
+prefix of options share its layers.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from math import inf
 
 _INACTIVE, _LEFT_OPEN, _LEFT_SHUT, _RIGHT = 0, 1, 2, 3
+_DL_START = (0, inf)  # no active run and no pending deadline
+_DL_IDLE = (_DL_START,)
 _UL_IDLE = (_INACTIVE,)
 _CHAIN_START = (1, True, False)
 
 
 def _dl_step(m, k, cell):
-    """(m, m - a, b + 1) of user m, from its runs [a, m-1] and [m, b] in C_m.
+    """(m - a, b + 1 - m) of user m, from its runs [a, m-1] and [m, b] in C_m.
 
     The left side is open iff the active run ending at m-1 is shorter
-    than m - a (0 when m-1 is not in C_m); b + 1 is the first user that
-    must be inactive when only the right side is open (0 when m is not in
-    C_m, k + 1 when the run reaches the end of the line).
+    than m - a (0 when m-1 is not in C_m); b + 1 - m is how far ahead the
+    first user lies that must be inactive when only the right side is
+    open (0 when m is not in C_m, inf when the run reaches the end of the
+    line, which leaves the right side open).
     """
     left = right = 0
     if m >= 2 and m - 1 in cell:
@@ -87,30 +94,23 @@ def _dl_step(m, k, cell):
         b = m
         while b < k and b + 1 in cell:
             b += 1
-        right = b + 1
-    return m, left, right
+        right = b + 1 - m if b < k else inf
+    return left, right
 
 
-def _dl_next(cap, idle, step, state, active):
+def _dl_next(cap, step, state, active):
     if not active:
-        return idle
-    m, left, right = step
-    run, deadline = state
-    if deadline == m:
+        return _DL_IDLE
+    left, right = step
+    run, due = state  # due: how far ahead the nearest pending deadline lies
+    if not due:
         return ()
-    if run >= left:  # left side closed: some user up to right must be inactive
+    if run >= left:  # left side closed: a user within right must be inactive
         if not right:
             return ()
-        if right < deadline:
-            deadline = right
-    return ((run + 1 if run < cap else cap, deadline),)
-
-
-def _dl_rule(k, steps):
-    """(start, next) of the downlink rule, its run capped for these steps."""
-    free = (0, k + 1)  # a deadline of k + 1 means none
-    cap = max((left for _m, left, _right in steps), default=0)
-    return free, partial(_dl_next, cap, (free,))
+        if right < due:
+            due = right
+    return ((run + 1 if run < cap else cap, due - 1),)
 
 
 def _ul_step(m, cell):
@@ -152,7 +152,8 @@ def dl_family(k, options):
     the longest left side of any option, so one cap serves the family.
     """
     steps = [[_dl_step(m, k, cell) for cell in opts] for m, opts in enumerate(options, 1)]
-    return (*_dl_rule(k, chain.from_iterable(steps)), steps)
+    cap = max((left for opts in steps for left, _right in opts), default=0)
+    return _DL_START, partial(_dl_next, cap), steps
 
 
 def ul_family(options):
@@ -167,19 +168,15 @@ def chain_family(options):
     return _CHAIN_START, _chain_next, steps
 
 
-def _dl_automaton(k, cells):
-    steps = [_dl_step(m, k, cell) for m, cell in enumerate(cells, 1)]
-    return (*_dl_rule(k, steps), steps)
+def _one_each(cells):
+    """The family that offers user m the association set cells[m-1] alone."""
+    return [(cell,) for cell in cells]
 
 
-def _ul_automaton(cells):
-    return _INACTIVE, _ul_next, [_ul_step(m, cell) for m, cell in enumerate(cells, 1)]
-
-
-def _accepts(automaton, active):
-    start, nxt, steps = automaton
+def _accepts(family, active):
+    start, nxt, steps = family
     states = {start}
-    for m, step in enumerate(steps, 1):
+    for m, (step,) in enumerate(steps, 1):
         a = m in active
         states = {t for s in states for t in nxt(step, s, a)}
         if not states:
@@ -187,8 +184,9 @@ def _accepts(automaton, active):
     return True
 
 
-def _lex_max(automaton):
-    start, nxt, steps = automaton
+def _lex_max(family):
+    start, nxt, steps = family
+    steps = [step for (step,) in steps]
     k = len(steps)
     layers = [{start}]
     for step in steps:
@@ -233,49 +231,48 @@ class FamilyLayers:
     """Forward max-count layers of one rule over a family, user by user.
 
     A layer is a frozen map from state to the most active users so far,
-    interned per depth as an integer id.  row(m, lid) gives, for each
-    option of user m + 1, the id of the layer it leads to from layer lid
-    at depth m, and sums(m, lid) the largest count in each of those
+    interned as an integer id; the start layer is id 0.  row(m, lid)
+    gives, for each option of user m + 1, the id of the layer it leads to
+    from layer lid, and sums(m, lid) the largest count in each of those
     layers, which after the last user is the size of the largest
-    feasible active set.  Both are computed once per (depth, layer):
-    they are the family's transfer-matrix layers, so a prefix of options
-    is walked once however many associations extend it.
+    feasible active set.  Steps and states hold no position, so one table
+    of layers serves every depth, and both are computed once per (option
+    list, layer): they are the family's transfer-matrix rows, so a prefix
+    of options is walked once however many associations extend it, and
+    users that offer the same steps share rows.
     """
 
     def __init__(self, family):
-        start, self._next, self._steps = family
-        depth = len(self._steps) + 1
-        self._layers = [[{start: 0}]] + [[] for _ in range(1, depth)]
-        self._ids = [{((start, 0),): 0}] + [{} for _ in range(1, depth)]
-        self._rows = [[None]] + [[] for _ in range(1, depth)]
-        self._sums = [[None]] + [[] for _ in range(1, depth)]
+        start, self._next, steps = family
+        self._layers = [{start: 0}]
+        self._ids = {((start, 0),): 0}
+        memo = {}
+        # Per user: (its steps, rows by layer id, sums by layer id).
+        self._users = [memo.setdefault(key, (key, {}, {})) for key in map(tuple, steps)]
 
-    def _intern(self, m, layer):
+    def _intern(self, layer):
         key = tuple(sorted(layer.items()))
-        lid = self._ids[m].get(key)
+        lid = self._ids.get(key)
         if lid is None:
-            lid = self._ids[m][key] = len(self._layers[m])
-            self._layers[m].append(layer)
-            self._rows[m].append(None)
-            self._sums[m].append(None)
+            lid = self._ids[key] = len(self._layers)
+            self._layers.append(layer)
         return lid
 
     def row(self, m, lid):
-        row = self._rows[m][lid]
+        steps, rows, _sums = self._users[m]
+        row = rows.get(lid)
         if row is None:
-            layer, nxt = self._layers[m][lid], self._next
-            row = self._rows[m][lid] = tuple(
-                self._intern(m + 1, max_count(nxt, step, layer)) for step in self._steps[m]
+            layer, nxt = self._layers[lid], self._next
+            row = rows[lid] = tuple(
+                self._intern(max_count(nxt, step, layer)) for step in steps
             )
         return row
 
     def sums(self, m, lid):
-        sums = self._sums[m][lid]
+        memo = self._users[m][2]
+        sums = memo.get(lid)
         if sums is None:
-            layers = self._layers[m + 1]
-            sums = self._sums[m][lid] = tuple(
-                max(layers[nxt].values()) for nxt in self.row(m, lid)
-            )
+            sums = memo[lid] = tuple(max(self._layers[n].values()) for n in self.row(m, lid))
         return sums
 
 
@@ -289,19 +286,19 @@ def chain_max(cells):
 
 def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return _accepts(_dl_automaton(k, cells), active)
+    return _accepts(dl_family(k, _one_each(cells)), active)
 
 
 def ul_set_feasible(k, cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return _accepts(_ul_automaton(cells), active)
+    return _accepts(ul_family(_one_each(cells)), active)
 
 
 def dl_max_active(k, cells):
     """Largest zero-forcing-feasible active set, include-first on ties."""
-    return _lex_max(_dl_automaton(k, cells))
+    return _lex_max(dl_family(k, _one_each(cells)))
 
 
 def ul_max_active(k, cells):
     """Largest decode-and-pass-feasible active set, include-first on ties."""
-    return _lex_max(_ul_automaton(cells))
+    return _lex_max(ul_family(_one_each(cells)))

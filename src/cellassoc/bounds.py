@@ -31,8 +31,10 @@ Bounds never claim tightness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import _kernels
 from .errors import ValidationError
@@ -175,7 +177,12 @@ def _block_layout(k: int, nc: int) -> tuple[int, int, int]:
 
 
 def _good_blocks(k: int, nc: int, cells, strict: bool) -> tuple[bool, ...]:
-    """Goodness of each full block, read from the association sets cells."""
+    """Goodness of each full block, read from the association sets cells.
+
+    The strict test scans all k users per good block, which suits a
+    sweep's short candidates since it stops at the first other holder;
+    _block_flags counts holders once, for one association at any k.
+    """
     length, full, _tail = _block_layout(k, nc)
     goods = []
     for b in range(full):
@@ -193,7 +200,11 @@ def _good_blocks(k: int, nc: int, cells, strict: bool) -> tuple[bool, ...]:
 
 def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
     length = 2 * assoc.nc - 1
-    goods = _good_blocks(assoc.k, assoc.nc, assoc.cells, strict)
+    goods = _good_blocks(assoc.k, assoc.nc, assoc.cells, False)
+    if strict:
+        # A good block is strict iff its two local users alone hold its middle bs.
+        holders = Counter(chain.from_iterable(assoc.cells))
+        goods = [good and holders[b * length + assoc.nc] == 2 for b, good in enumerate(goods)]
     return tuple(
         BlockFlag(block=b + 1, start=b * length + 1, good=good)
         for b, good in enumerate(goods)

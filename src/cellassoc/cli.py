@@ -6,10 +6,10 @@ runs are byte-reproducible.  eval and search decide feasibility by rules
 that do not depend on channel values, so their "warnings" and
 "disagreements" fields are always 0; they stay for output stability.
 
-Exit codes: 0 success, 2 invalid input (bad flags, malformed files,
-budget/range violations in an association), 3 refused size or candidate
-budgets, 4 internal consistency failure (a witness or claim that should
-certify did not).
+Exit codes: 0 success, 2 invalid input (bad flags, unreadable or malformed
+files, an unwritable --out, budget/range violations in an association),
+3 refused size or candidate budgets, 4 internal consistency failure (a
+witness or claim that should certify did not).
 
 main builds the argparse parser on its first call and reuses it for every
 later call in the process: a parse keeps no state in the parser (each call
@@ -65,14 +65,17 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers too long to convert
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

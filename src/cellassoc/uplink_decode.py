@@ -3,17 +3,17 @@
 An active set is feasible when the messages can be decoded one at a time:
 message m decodes at one of its own connected, associated base stations b
 provided every other active user heard at b was already decoded and passed
-its message to b (b must lie in that user's association set).  Decoding is
-monotone, so feasibility is a fixpoint computation; the canonical order
-returned here schedules the smallest eligible (message, bs) pair first.
+its message to b (b must lie in that user's association set).
 
-User m can only decode at bs m-1, waiting on user m-1, or at bs m, waiting
-on user m+1, so the only possible cycle is an adjacent pair waiting on
-each other.  Active user m decodes iff it can take bs m-1 or bs m from
-C_m, with the neighbour it waits on (if active) associated with that bs,
-and no adjacent pair waits on each other (see _kernels._pure).
-max_uplink_dof maximizes that rule exactly with a DP along the line, then
-builds and re-verifies the canonical decoding order of the set it finds.
+User m hears bs m-1 (L), shared only with user m-1, and bs m (R), shared
+only with user m+1, so a user can only wait on a neighbour and the only
+possible cycle is an adjacent pair waiting on each other.  Each maximal
+run of consecutive active users is therefore decided on its own: users
+decode at L in ascending order while they can, and the rest of the run
+decodes at R from its right end down (see _kernels._pure for the same
+rule as a line automaton).  max_uplink_dof maximizes that rule exactly
+with a DP along the line, then builds and re-verifies the canonical
+decoding order of the set it finds.
 
 Associations to base stations a user cannot hear never help this session;
 prune() removes them without changing any feasibility decision.
@@ -21,7 +21,6 @@ prune() removes them without changing any feasibility decision.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,49 +92,40 @@ def _step_allowed(assoc, active, decoded, m, b):
 def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
     """Canonical decoding order for the active set, or None if infeasible.
 
-    At every step the smallest eligible (message, bs) pair is scheduled, so
-    the order is deterministic and independent of internal data layout.
-    Each active user's options are listed once: the base stations b it
-    holds and hears, in order, where every other active user heard at b
-    also holds b, each with those other users.  m may take b once they are
-    all decoded, so whether m is eligible depends only on which of m-1 and
-    m+1 are decoded, and decoding never makes a step disallowed.  The
-    scheduler keeps every eligible undecoded message in a min-heap,
-    re-checks only m-1 and m+1 after decoding m, and picks the first
-    option whose users are decoded when m is popped: the same order as
-    rescanning all messages at every step, in O(|active| log |active|).
+    User m takes L (bs m-1) when m >= 2, m-1 is in C_m and user m-1 is
+    inactive or holds bs m-1; it takes R (bs m) when m is in C_m and user
+    m+1 is inactive or holds bs m.  In each maximal run [s, e] of active
+    users, ascending, let p be the first user that cannot take L: users
+    s..p-1 decode at L in ascending order, each after the one before it,
+    then e down to p decode at R, each after the one after it.  The set is
+    infeasible iff some user of p..e cannot take R, since p must then wait
+    on p+1 at R, which cannot wait back at L, and so on to e.
+
+    This is the order that schedules the smallest eligible (message, bs)
+    pair first: every user of a run is below every user of the next, and
+    within a run the L frontier is always the smallest eligible user.
     """
     active = check_active(assoc.k, active)
-    k, cells = assoc.k, assoc.cells
-    options = {}
-    for m in active:
-        usable = []
-        for b in sorted(cells[m - 1] & connected_bs(m, k)):
-            others = [mp for mp in heard_mts(b, k) if mp != m and mp in active]
-            if all(b in cells[mp - 1] for mp in others):
-                usable.append((b, others))
-        options[m] = usable
-    decoded: set[int] = set()
+    cells = assoc.cells
 
-    def first_bs(m):
-        for b, others in options[m]:
-            if decoded.issuperset(others):
-                return b
-        return None
+    def ready(n, b):  # user n is inactive or can pass its message to bs b
+        return n not in active or b in cells[n - 1]
 
-    queued = {m for m in active if first_bs(m) is not None}
-    heap = sorted(queued)
     steps = []
-    while heap:
-        m = heapq.heappop(heap)
-        steps.append((m, first_bs(m)))
-        decoded.add(m)
-        for n in (m - 1, m + 1):
-            if n in active and n not in queued and first_bs(n) is not None:
-                queued.add(n)
-                heapq.heappush(heap, n)
-    if len(decoded) < len(active):
-        return None
+    for s in sorted(active):
+        if s - 1 in active:
+            continue
+        e = s
+        while e + 1 in active:
+            e += 1
+        p = s
+        while 2 <= p <= e and p - 1 in cells[p - 1] and ready(p - 1, p - 1):
+            steps.append((p, p - 1))
+            p += 1
+        for m in range(e, p - 1, -1):
+            if m not in cells[m - 1] or not ready(m + 1, m):
+                return None
+            steps.append((m, m))
     return DecodingOrder(steps=tuple(steps))
 
 

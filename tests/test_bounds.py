@@ -82,6 +82,14 @@ def test_reconstruction_needs_exclusive_middle_bs():
     assert max_downlink_dof(a).sum_dof == 5
 
 
+def test_reconstruction_flags_every_block_of_a_long_pair_association():
+    # Counting holders once keeps the strict middle-bs check linear in k.
+    k = 10**5
+    cert = reconstruction_bound(pair_association(k))
+    assert len(cert.flagged) == k // 3
+    assert all(f.good for f in cert.flagged)
+
+
 def test_counting_pinned_values():
     assert counting_bound(pair_association(12)).per_user == Fraction(5, 6)
     a25 = association(25, 3, [[i] for i in range(1, 26)])

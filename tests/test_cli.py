@@ -128,6 +128,23 @@ def test_eval_bad_inputs(tmp_path, capsys):
     assert code == 2 and "invalid association" in err
 
 
+MALFORMED_FILES = {
+    # json.load raises ValueError past 4300 digits, not JSONDecodeError.
+    "long_integer": b'{"k": 2, "nc": 1, "cells": [[1], [' + b"1" * 4301 + b"]]}",
+    "bad_utf8": b'{"k": 2, "nc": 1, "cells": [[1], [\xff]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "bound", "render", "search --config"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_files_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
 def test_search_json(capsys):
     code, out, _ = run(capsys, "search", "--k", "3", "--nc", "1", "--window", "1")
     assert code == 0
@@ -320,6 +337,14 @@ def test_out_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "report", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())[0]["tau"] == "2/3"
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "report", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_byte_determinism(capsys):

@@ -4,8 +4,10 @@ tests/test_properties.py checks the rules and the DP against the GF(p)
 and decoding-order oracles and against an include-first branch and bound.
 """
 
+from math import inf
+
 import cellassoc._kernels as kernels
-from cellassoc import max_downlink_dof, max_uplink_dof, pair_association
+from cellassoc import max_downlink_dof, max_uplink_dof, pair_association, search
 
 
 def test_backend_name_reports_selection():
@@ -44,3 +46,30 @@ def test_rules_on_tiny_cases():
     assert kernels.dl_max_active(3, [set(), {0}, {4}]) == set()
     assert kernels.dl_set_feasible(3, [set(), set(), set()], set())
     assert not kernels.dl_set_feasible(1, [set()], {1})
+
+
+def test_rules_are_stationary_on_a_windowed_family():
+    # Users w+1..k-w-1 see the same options relative to themselves, so no
+    # step may depend on where the user stands or on k.
+    k = 10
+    for nc in (1, 2, 3):
+        for w in (1, 2):
+            options = search._user_options(k, nc, w)
+            families = (
+                kernels.dl_family(k, options),
+                kernels.ul_family(options),
+                kernels.chain_family(options),
+            )
+            for _start, _next, steps in families:
+                interior = steps[w : k - w - 1]
+                assert len(interior) >= 3
+                assert all(user == interior[0] for user in interior), (nc, w)
+            # A downlink state is (run, distance to the pending deadline):
+            # both stay within the window, whatever k and the depth.
+            start, nxt, steps = families[0]
+            states = {start}
+            for user in steps:
+                states = {
+                    t for s in states for step in user for a in (1, 0) for t in nxt(step, s, a)
+                }
+                assert all(run <= w and (due == inf or due <= w) for run, due in states), (nc, w)

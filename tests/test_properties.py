@@ -374,9 +374,30 @@ seeds_st = st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=3, unique=Tr
 # Active user 3 hears bs 2 but does not hold it, so user 2 cannot decode
 # there; users 1 and 2 then wait on each other at bs 1.
 @example((association(3, 2, [[1], [1, 2], [3]]), frozenset({1, 2, 3})))
+# User 1 can never take L, so the whole run [1, 2] decodes at R, 2 first.
+@example((association(2, 2, [[1], [1, 2]]), frozenset({1, 2})))
+# Users 2 and 3 take L; user 4 does not hold bs 3, so 5 then 4 take R.
+@example((association(5, 2, [[1], [1, 2], [2, 3], [4], [4, 5]]), frozenset({2, 3, 4, 5})))
+# User 2 takes L and user 4 takes R, but user 4 does not hold bs 3 for user 3.
+@example((association(4, 2, [[1], [1, 2], [3], [4]]), frozenset({2, 3, 4})))
+# Runs [1, 2] and [4, 5] are both ready at once; the lower run goes first.
+@example((association(5, 2, [[1], [1, 2], [3], [3, 4], [4, 5]]), frozenset({1, 2, 4, 5})))
+# User k = 3 takes R with nobody to wait on, then user 2 takes R after it.
+@example((association(3, 2, [[1], [2], [2, 3]]), frozenset({2, 3})))
 def test_uplink_feasible_matches_full_scan(case):
     assoc, active = case
     assert uplink_feasible(assoc, active) == ref_uplink_feasible(assoc, active)
+
+
+def test_uplink_feasible_matches_full_scan_on_every_small_case():
+    for k in range(1, 4):
+        for nc in (1, 2):
+            cells = [c for r in range(nc + 1) for c in itertools.combinations(range(1, k + 1), r)]
+            for combo in itertools.product(cells, repeat=k):
+                assoc = association(k, nc, combo)
+                for active in subsets(range(1, k + 1)):
+                    expected = ref_uplink_feasible(assoc, active)
+                    assert uplink_feasible(assoc, active) == expected, (combo, active)
 
 
 def with_zeros(ch, zeroed):
@@ -526,6 +547,8 @@ def test_family_sums_match_per_candidate_maxima(family):
 
 @SETTINGS
 @given(st.one_of(windowed(max_k=12), wide()))
+# User 5 holds the middle bs 2 of block 1 from three stations away.
+@example((association(5, 2, [[1], [2], [2, 3], [4], [2, 5]]), frozenset()))
 def test_sweep_bounds_match_certificates(case):
     assoc, _active = case
     k, nc = assoc.k, assoc.nc

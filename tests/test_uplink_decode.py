@@ -1,4 +1,4 @@
-"""Decode-and-pass oracle: orders, fixpoint, pruning."""
+"""Decode-and-pass oracle: orders, re-verification, pruning."""
 
 import random
 
