@@ -4,8 +4,9 @@ One pure-Python implementation (`_pure`) of three value-free local rules
 (downlink zero-forcing, uplink decode-and-pass, the chain bound) and one
 left-to-right DP that maximizes any of them exactly at every k, in O(k)
 for a fixed budget, plus its forward max-count pass memoized over a
-family of associations (`FamilyLayers`).  `_pure` states the rules and
-the DP.
+family of associations (`FamilyLayers`: interned layers with their largest
+counts, and per-user transfer rows between them).  `_pure` states the
+rules and the DP.
 """
 
 from __future__ import annotations

@@ -231,24 +231,25 @@ class FamilyLayers:
     """Forward max-count layers of one rule over a family, user by user.
 
     A layer is a frozen map from state to the most active users so far,
-    interned as an integer id; the start layer is id 0.  row(m, lid)
-    gives, for each option of user m + 1, the id of the layer it leads to
-    from layer lid, and sums(m, lid) the largest count in each of those
-    layers, which after the last user is the size of the largest
-    feasible active set.  Steps and states hold no position, so one table
-    of layers serves every depth, and both are computed once per (option
-    list, layer): they are the family's transfer-matrix rows, so a prefix
-    of options is walked once however many associations extend it, and
-    users that offer the same steps share rows.
+    interned as an integer id; the start layer is id 0, and best[lid] is
+    the largest count in layer lid, which after the last user is the size
+    of the largest feasible active set.  row(m, lid) gives, for each
+    option of user m + 1, the id of the layer it leads to from layer lid.
+    Steps and states hold no position, so one table of layers serves every
+    depth, and rows are computed once per (option list, layer): they are
+    the family's transfer-matrix rows, so a prefix of options is walked
+    once however many associations extend it, and users that offer the
+    same steps share rows.
     """
 
     def __init__(self, family):
         start, self._next, steps = family
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
+        self.best = [0]
         memo = {}
-        # Per user: (its steps, rows by layer id, sums by layer id).
-        self._users = [memo.setdefault(key, (key, {}, {})) for key in map(tuple, steps)]
+        # Per user: (its steps, rows by layer id).
+        self._users = [memo.setdefault(key, (key, {})) for key in map(tuple, steps)]
 
     def _intern(self, layer):
         key = tuple(sorted(layer.items()))
@@ -256,10 +257,11 @@ class FamilyLayers:
         if lid is None:
             lid = self._ids[key] = len(self._layers)
             self._layers.append(layer)
+            self.best.append(max(layer.values()))
         return lid
 
     def row(self, m, lid):
-        steps, rows, _sums = self._users[m]
+        steps, rows = self._users[m]
         row = rows.get(lid)
         if row is None:
             layer, nxt = self._layers[lid], self._next
@@ -267,13 +269,6 @@ class FamilyLayers:
                 self._intern(max_count(nxt, step, layer)) for step in steps
             )
         return row
-
-    def sums(self, m, lid):
-        memo = self._users[m][2]
-        sums = memo.get(lid)
-        if sums is None:
-            sums = memo[lid] = tuple(max(self._layers[n].values()) for n in self.row(m, lid))
-        return sums
 
 
 def chain_max(cells):

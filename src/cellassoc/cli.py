@@ -270,7 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scheme", help="construct a certified reference plan")
     p.add_argument(
         "--k", type=int, required=True,
-        help=f"number of user/bs pairs (at most {MAX_SCHEME_K})",
+        help=(
+            f"number of user/bs pairs (at most {MAX_SCHEME_K}, "
+            f"and k*min(nc, k) at most {4 * MAX_SCHEME_K})"
+        ),
     )
     p.add_argument("--nc", type=int, help="association budget per user")
     p.add_argument(

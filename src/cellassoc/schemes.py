@@ -56,7 +56,9 @@ from .uplink_decode import certify_uplink
 
 # Largest k a scheme is built for.  Time and memory grow linearly in k: one
 # avg nc = 3 plan at k = 10^5 takes about 8 s and 160 MB on a 2-vCPU VM, so
-# larger requests are refused before anything is built.
+# larger requests are refused before anything is built.  A plan holds up to
+# k * min(nc, k) association entries, which are bounded by 4 * MAX_SCHEME_K,
+# so every k up to the limit is accepted with nc <= 4.
 MAX_SCHEME_K = 10**6
 
 
@@ -125,6 +127,11 @@ def _check_args(k: int, nc: int, seeds: Sequence[int]) -> None:
         raise ValidationError("k and nc must be positive")
     if k > MAX_SCHEME_K:
         raise SizeLimitError(f"k = {k} exceeds the scheme size limit of {MAX_SCHEME_K}")
+    if k * min(nc, k) > 4 * MAX_SCHEME_K:
+        raise SizeLimitError(
+            f"k = {k} and nc = {nc} allow {k * min(nc, k)} association entries, "
+            f"above the scheme size limit of {4 * MAX_SCHEME_K}"
+        )
     if not seeds:
         raise ValidationError("at least one channel seed is required")
 

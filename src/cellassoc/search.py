@@ -8,21 +8,21 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed, so the family is walked with one forward max-count
-layer per user and session (_kernels.FamilyLayers).  Consecutive
-candidates differ only in their last users, so when user j's option
-advances only the layers after users j..k are recomputed, and each of
-those steps is memoized per user on (layer, option): a prefix of options
-is walked once for the whole family.  No channel value is drawn per
-candidate; the winner alone gets a zero-forcing witness and a decoding
-order from max_downlink_dof and max_uplink_dof, which must reproduce the
-search value.
+sizes are needed, so the family is walked column by column with one
+forward max-count layer per user and session (_kernels.FamilyLayers):
+the layer ids of every prefix of options, in enumeration order, are
+expanded through the next user's memoized transfer rows.  After the last
+user each candidate is one layer id per session, read as that layer's
+largest count, about 32 bytes per candidate in all.  The search takes
+the first maximizer and decodes its association from its index.  No
+channel value is drawn per candidate; the winner alone gets a
+zero-forcing witness and a decoding order from max_downlink_dof and
+max_uplink_dof, which must reproduce the search value.
 
-A soundness sweep runs the same enumeration but compares every
-candidate's session sums against the matching converse certificates,
-returning any violations instead of a winner.  The chain bound is a
-third rule of _kernels walked beside the two sessions; block goodness is
-read straight from the candidate's association sets.
+A soundness sweep runs the same walk with the chain bound as a third
+rule and compares every candidate's sums against the matching converse
+certificates, returning any violations instead of a winner; block
+goodness is read straight from the candidate's association sets.
 
 Both entry points count the family with math.comb before listing any
 option and refuse one with more than cap candidates, which they can
@@ -37,6 +37,7 @@ signature of a per-user rate that has stabilized.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -198,39 +199,23 @@ def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
     return Fraction(ul if objective == "ul" else dl)
 
 
-# (dl, ul) weights of an integer key that orders candidates like the objective.
-_KEY_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
-
-
 def _family_sums(k: int, options, families):
-    """(combo, *sums) for every candidate of a family, in enumeration order.
+    """One list of sums per automaton, over the candidates in enumeration order.
 
     families holds one (start, next, steps) automaton per sum, built over
-    options.  An odometer walks the options of users 1..k-1.  When user
-    j + 1's option advances, the layers after users j + 1..k-1 are read
-    from the per-user transfer rows of each automaton, and the sums of all
-    of user k's options from one row of sums per automaton.
+    options.  The walk goes user by user: ids lists the layer reached by
+    every choice of options for the users so far, in enumeration order, and
+    each user's transfer rows expand every id into one id per option.  After
+    the last user each id is read as its layer's largest count.
     """
-    walks = [(FamilyLayers(family), [0] * k) for family in families]
-    head, last = options[:-1], options[-1]
-    tails = [(opt,) for opt in last]
-    pick, prefix = [0] * len(head), [()] * k
-    j = 0
-    while True:
-        for m in range(j, k - 1):
-            o = pick[m]
-            for walk, ids in walks:
-                ids[m + 1] = walk.row(m, ids[m])[o]
-            prefix[m + 1] = prefix[m] + (head[m][o],)
-        sum_rows = [walk.sums(k - 1, ids[k - 1]) for walk, ids in walks]
-        yield from zip(map(prefix[k - 1].__add__, tails), *sum_rows)
-        j = k - 2
-        while j >= 0 and pick[j] == len(head[j]) - 1:
-            pick[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        pick[j] += 1
+    sums = []
+    for family in families:
+        walk = FamilyLayers(family)
+        ids = [0]
+        for m in range(k):
+            ids = [t for lid in ids for t in walk.row(m, lid)]
+        sums.append(list(map(walk.best.__getitem__, ids)))
+    return sums
 
 
 def exhaustive_search(
@@ -256,21 +241,14 @@ def exhaustive_search(
     if not seeds:
         raise ValidationError("at least one channel seed is required")
 
-    dl_weight, ul_weight = _KEY_WEIGHTS[objective]
-    best_key = -1
-    best = None
-    rows: list[tuple] = []
-
-    families = (dl_family(k, options), ul_family(options))
-    for index, (combo, dl, ul) in enumerate(_family_sums(k, options, families)):
-        key = dl_weight * dl + ul_weight * ul
-        if key > best_key:
-            best_key = key
-            best = index, combo, dl, ul
-        if collect_rows:
-            rows.append((index, dl, ul))
-
-    best_index, best_combo, best_dl, best_ul = best
+    dls, uls = _family_sums(k, options, (dl_family(k, options), ul_family(options)))
+    if objective == "avg":
+        keys = list(map(operator.add, dls, uls))
+    else:
+        keys = uls if objective == "ul" else dls
+    best_index = keys.index(max(keys))  # the first maximizer
+    best_dl, best_ul = dls[best_index], uls[best_index]
+    best_combo = next(itertools.islice(itertools.product(*options), best_index, None))
     best_value = _objective_value(objective, k, best_dl, best_ul)
     best_assoc = association(k, nc, best_combo)
 
@@ -295,7 +273,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=tuple(rows) if collect_rows else None,
+        rows=tuple(zip(range(total), dls, uls)) if collect_rows else None,
     )
 
 
@@ -354,7 +332,8 @@ def soundness_sweep(
         cells = association(k, nc, combo).cells_as_lists()
         violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
-    for combo, dl, ul, chain_value in _family_sums(k, options, families):
+    sums = _family_sums(k, options, families)
+    for combo, dl, ul, chain_value in zip(itertools.product(*options), *sums):
         if ul > chain_value:
             violation("lemma2_chain", combo, ul, chain_value)
         elif ul == chain_value:
@@ -401,8 +380,9 @@ class PeriodicPattern:
             raise ValidationError("need exactly one offset set per residue")
         normalized = []
         for entry in self.offsets:
-            values = sorted(set(int(o) for o in entry))
-            normalized.append(tuple(values))
+            if any(not isinstance(o, int) or isinstance(o, bool) for o in entry):
+                raise ValidationError(f"offsets must be integers, got {entry!r}")
+            normalized.append(tuple(sorted(set(entry))))
         object.__setattr__(self, "offsets", tuple(normalized))
 
     def instantiate(self, k: int, nc: int) -> CellAssociation:
@@ -467,6 +447,8 @@ def periodic_eval(
     per-user slopes are exact rationals and the edge effects have
     stabilized; non-affine growth leaves the per-user fields empty.
     """
+    if nc < 1:
+        raise ValidationError("nc must be positive")
     if copies < 1:
         raise ValidationError("copies must be at least 1")
     p = pattern.period

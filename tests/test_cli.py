@@ -227,6 +227,22 @@ def test_scheme_size_limit_exit_code(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_scheme_entry_limit_exit_code(capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("an association was built")
+
+    monkeypatch.setattr(schemes, "association", never)
+    for kind in ("avg", "downlink"):
+        code, out, err = run(
+            capsys, "scheme", "--type", kind, "--nc", str(MAX_SCHEME_K), "--k", str(MAX_SCHEME_K)
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "association entries" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "scheme", "--type", "avg", "--nc", str(10**12), "--k", "5")
+    assert code == 0 and json.loads(out)["claimed_ul_dof"] == "5"
+
+
 def test_search_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"k": 3, "nc": 1, "window": 1}))

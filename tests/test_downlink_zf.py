@@ -3,6 +3,7 @@
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,9 @@ from cellassoc import (
     zf_feasible,
     zf_feasible_majority,
 )
-from cellassoc.model import ChannelRealization
+from cellassoc import downlink_zf
+from cellassoc.model import DEFAULT_SEEDS, ChannelRealization
+from cellassoc.schemes import downlink_optimal
 
 
 def test_single_cell_network():
@@ -88,6 +91,26 @@ def test_witness_survives_independent_reverification():
         ZfWitness(seed=w.seed, prime=w.prime, precoders=leaky),
         a, ev.active_users, ch,
     )
+
+
+def test_witness_verification_is_linear_in_the_association():
+    # Every message of the k = nc = 200 downlink plan spans up to 200 base
+    # stations, so a check that sums over the precoder per receiver makes
+    # millions of gain lookups where two per receiver suffice.
+    plan = downlink_optimal(200, 200)
+    assoc = strip_silent(plan.assoc, plan.dl_silent_bs)
+    active = plan.dl_active_users
+    ch = draw_channels(200, DEFAULT_SEEDS[0])
+    w = zf_feasible(assoc, active, ch)
+    entries = sum(len(cell) for cell in plan.assoc.cells)
+    with mock.patch.object(downlink_zf, "_gain", wraps=downlink_zf._gain) as gain:
+        assert verify_witness(w, assoc, active, ch)
+    assert 0 < gain.call_count <= 4 * entries
+    # A coefficient in the middle of a long precoder is still checked.
+    bad = {m: dict(v) for m, v in w.precoders.items()}
+    bad[1][100] = (bad[1][100] + 1) % ch.prime
+    tampered = ZfWitness(seed=w.seed, prime=w.prime, precoders=bad)
+    assert not verify_witness(tampered, assoc, active, ch)
 
 
 def test_witness_json_roundtrip():

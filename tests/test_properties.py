@@ -539,10 +539,24 @@ def test_family_sums_match_per_candidate_maxima(family):
     )
     # Every family has nc <= 3, and chain_flags does not read nc.
     expected = [
-        (combo, dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
+        (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
         for combo, dl, ul in ref_session_sums(k, options)
     ]
-    assert list(search._family_sums(k, options, automata)) == expected
+    assert search._family_sums(k, options, automata) == [list(s) for s in zip(*expected)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES))
+def test_search_winner_is_the_first_maximizer_at_its_index(family):
+    k, nc, w = family
+    sums = [(dl, ul) for _combo, dl, ul in ref_session_sums(k, search._user_options(k, nc, w))]
+    listed = list(search.enumerate_associations(k, nc, w))
+    for objective, (dl_weight, ul_weight) in {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}.items():
+        result = search.exhaustive_search(k, nc, w, objective)
+        assert result.candidates == search.count_associations(k, nc, w) == len(sums)
+        keys = [dl_weight * dl + ul_weight * ul for dl, ul in sums]
+        assert result.best_index == keys.index(max(keys))
+        assert result.best_assoc == listed[result.best_index]
 
 
 @SETTINGS
@@ -575,7 +589,8 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
         for c, dl, ul in ref_session_sums(k, options)
     ]
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
-    with mock.patch.object(search, "_family_sums", lambda _k, _options, _automata: iter(sums)):
+    lists = [list(s) for s in zip(*sums)][1:]
+    with mock.patch.object(search, "_family_sums", lambda _k, _options, _automata: lists):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight

@@ -23,7 +23,7 @@ from cellassoc import (
     zf_feasible_majority,
 )
 from cellassoc import schemes
-from cellassoc.schemes import MAX_SCHEME_K, _certify_plan
+from cellassoc.schemes import MAX_SCHEME_K, _certify_plan, _check_args
 
 
 def test_pair_association_shape():
@@ -209,3 +209,17 @@ def test_refuses_oversized_networks_before_building(monkeypatch):
     for builder in (avg_optimal, downlink_optimal):
         with pytest.raises(SizeLimitError):
             builder(MAX_SCHEME_K + 1, 3)
+
+
+def test_refuses_plans_with_too_many_entries_before_building(monkeypatch):
+    # A plan holds up to k * min(nc, k) association entries.
+    def never(*_args):
+        raise AssertionError("an association was built")
+
+    monkeypatch.setattr(schemes, "association", never)
+    for builder in (avg_optimal, downlink_optimal):
+        for k, nc in ((MAX_SCHEME_K, MAX_SCHEME_K), (4 * MAX_SCHEME_K // 5 + 1, 5), (2001, 2000)):
+            with pytest.raises(SizeLimitError, match="association entries"):
+                builder(k, nc)
+    for k, nc in ((MAX_SCHEME_K, 4), (2000, 2000), (4 * MAX_SCHEME_K // 5, 5), (5, 10**12)):
+        _check_args(k, nc, DEFAULT_SEEDS)

@@ -185,6 +185,19 @@ def test_periodic_pattern_normalization():
         PeriodicPattern(period=2, offsets=((0,),))
 
 
+def test_periodic_pattern_rejects_non_integer_offsets():
+    for bad in (0.9, -1.2, True, "x", None):
+        with pytest.raises(ValidationError, match="offsets must be integers"):
+            PeriodicPattern(period=1, offsets=((0, bad),))
+
+
+def test_periodic_eval_rejects_nonpositive_budget():
+    pair = PeriodicPattern(period=1, offsets=((-1, 0),))
+    for nc in (0, -1):
+        with pytest.raises(ValidationError, match="nc must be positive"):
+            periodic_eval(pair, nc)
+
+
 def test_periodic_pattern_instantiation_clips():
     p = PeriodicPattern(period=1, offsets=((-1, 0),))
     assert p.instantiate(3, 2) == pair_association(3)
