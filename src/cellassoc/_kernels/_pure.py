@@ -47,20 +47,24 @@ of its pair, so the credit settles one user late.  It starts at a
 phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
 flagged) and has no credit.
 
-Set feasibility runs the automaton on one activity pattern.
-Maximization is one DP: a forward pass collects the reachable states, a
-backward pass counts the most users still to come from each, and an
-include-first forward pass takes every user that keeps that count
-reachable.  It returns the largest set with the lexicographically
-greatest indicator vector, the same set an include-first branch and
-bound over ascending users finds, in O(k) for a fixed budget.
+Every walk over the line goes through one forward step, `max_count`: it
+maps each state before a user to the most active users on a path reaching
+it, and returns the same map after the user.  Set feasibility runs it with
+each user's activity fixed by the set, and the set is feasible iff the
+last map is nonempty.  `chain_max` runs it with both activities and reads
+the largest count after the last user.  Maximization adds to that forward
+pass, whose keys are the reachable states, a backward pass that counts
+the most users still to come from each state, and an include-first
+forward pick that takes every user that keeps that count reachable.  It
+returns the largest set with the lexicographically greatest indicator
+vector, the same set an include-first branch and bound over ascending
+users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
-the forward pass alone suffices if it keeps, per state, the most active
-users on a path reaching it (`max_count`): the size is the largest count
-after the last user; `chain_max` is that pass for the chain rule.
-`FamilyLayers` memoizes it over a family, so associations that share a
-prefix of options share its layers.
+the forward step alone suffices.  `FamilyLayers` memoizes it over a
+family, so associations that share a prefix of options share its layers,
+and `family_sums` walks the family by columns through those layers and
+returns every association's size in enumeration order.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ _UL_IDLE = (_INACTIVE,)
 _CHAIN_START = (1, True, False)
 
 
-def _dl_step(m, k, cell):
+def _dl_step(k, m, cell):
     """(m - a, b + 1 - m) of user m, from its runs [a, m-1] and [m, b] in C_m.
 
     The left side is open iff the active run ending at m-1 is shorter
@@ -144,6 +148,11 @@ def _chain_next(step, state, active):
     return ((active, own, not d_prev or (credit and not flagged)),)
 
 
+def _steps(step, options):
+    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
+    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+
+
 def dl_family(k, options):
     """(start, next, steps) of the downlink rule over a family.
 
@@ -151,21 +160,19 @@ def dl_family(k, options):
     steps[m-1][o] is user m's step under options[m-1][o].  The run cap is
     the longest left side of any option, so one cap serves the family.
     """
-    steps = [[_dl_step(m, k, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+    steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
     return _DL_START, partial(_dl_next, cap), steps
 
 
 def ul_family(options):
     """(start, next, steps) of the uplink rule over a family; see dl_family."""
-    steps = [[_ul_step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
-    return _INACTIVE, _ul_next, steps
+    return _INACTIVE, _ul_next, _steps(_ul_step, options)
 
 
 def chain_family(options):
     """(start, next, steps) of the chain rule over a family; see dl_family."""
-    steps = [[_chain_step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
-    return _CHAIN_START, _chain_next, steps
+    return _CHAIN_START, _chain_next, _steps(_chain_step, options)
 
 
 def _one_each(cells):
@@ -173,36 +180,48 @@ def _one_each(cells):
     return [(cell,) for cell in cells]
 
 
-def _accepts(family, active):
+def max_count(nxt, step, layer, acts=(1, 0)):
+    """The forward step: one user of the max-count pass.
+
+    layer maps each state before the user to the most active users on a
+    path reaching it; the result is the same map after the user, who
+    takes each activity in acts.
+    """
+    out = {}
+    for s, n in layer.items():
+        for a in acts:
+            for t in nxt(step, s, a):
+                if out.get(t, -1) < n + a:
+                    out[t] = n + a
+    return out
+
+
+def _forward(family, active=None):
+    """Max-count layers before each user and after the last.
+
+    family offers one option per user.  Each user may be active or not,
+    unless active is given: then user m is active exactly when m is in it.
+    """
     start, nxt, steps = family
-    states = {start}
+    layers = [{start: 0}]
     for m, (step,) in enumerate(steps, 1):
-        a = m in active
-        states = {t for s in states for t in nxt(step, s, a)}
-        if not states:
-            return False
-    return True
+        acts = (1, 0) if active is None else (m in active,)
+        layers.append(max_count(nxt, step, layers[-1], acts))
+    return layers
 
 
 def _lex_max(family):
     start, nxt, steps = family
     steps = [step for (step,) in steps]
-    k = len(steps)
-    layers = [{start}]
-    for step in steps:
-        layers.append({t for s in layers[-1] for a in (1, 0) for t in nxt(step, s, a)})
+    layers = _forward(family)  # their keys are the reachable states
     # togo[m][s]: most active users among m+1..k from state s before user m+1.
-    togo = [None] * (k + 1)
-    togo[k] = dict.fromkeys(layers[k], 0)
-    for m in range(k, 0, -1):
-        after, step = togo[m], steps[m - 1]
-        togo[m - 1] = {
-            s: max(a + after[t] for a in (1, 0) for t in nxt(step, s, a))
-            for s in layers[m - 1]
-        }
+    togo = [dict.fromkeys(layers.pop(), 0)]
+    for step, layer in zip(reversed(steps), reversed(layers)):
+        after = togo[-1]
+        togo.append({s: max(a + after[t] for a in (1, 0) for t in nxt(step, s, a)) for s in layer})
+    togo.reverse()
     states, want, chosen = {start}, togo[0][start], []
-    for m, step in enumerate(steps, 1):
-        after = togo[m]
+    for m, (step, after) in enumerate(zip(steps, togo[1:]), 1):
         taken = {t for s in states for t in nxt(step, s, 1) if after[t] == want - 1}
         if taken:
             chosen.append(m)
@@ -210,21 +229,6 @@ def _lex_max(family):
         else:
             states = {t for s in states for t in nxt(step, s, 0) if after[t] == want}
     return frozenset(chosen)
-
-
-def max_count(nxt, step, layer):
-    """One user of the forward max-count pass.
-
-    layer maps each state before the user to the most active users on a
-    path reaching it; the result is the same map after the user.
-    """
-    out = {}
-    for s, n in layer.items():
-        for a in (1, 0):
-            for t in nxt(step, s, a):
-                if out.get(t, -1) < n + a:
-                    out[t] = n + a
-    return out
 
 
 class FamilyLayers:
@@ -271,22 +275,39 @@ class FamilyLayers:
         return row
 
 
+def family_sums(families):
+    """One list of sums per automaton, over a family in enumeration order.
+
+    families holds one (start, next, steps) automaton per sum, all built
+    over the same options.  The walk goes by columns: ids lists the layer
+    reached by every choice of options for the users so far, in
+    enumeration order, and each user's transfer rows expand every id into
+    one id per option.  After the last user each id is read as its
+    layer's largest count.
+    """
+    sums = []
+    for family in families:
+        walk = FamilyLayers(family)
+        ids = [0]
+        for m in range(len(family[2])):
+            ids = [t for lid in ids for t in walk.row(m, lid)]
+        sums.append(list(map(walk.best.__getitem__, ids)))
+    return sums
+
+
 def chain_max(cells):
     """Largest count the chain rule allows on the association sets cells."""
-    layer = {_CHAIN_START: 0}
-    for m, cell in enumerate(cells, 1):
-        layer = max_count(_chain_next, _chain_step(m, cell), layer)
-    return max(layer.values())
+    return max(_forward(chain_family(_one_each(cells)))[-1].values())
 
 
 def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return _accepts(dl_family(k, _one_each(cells)), active)
+    return bool(_forward(dl_family(k, _one_each(cells)), active)[-1])
 
 
 def ul_set_feasible(k, cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return _accepts(ul_family(_one_each(cells)), active)
+    return bool(_forward(ul_family(_one_each(cells)), active)[-1])
 
 
 def dl_max_active(k, cells):

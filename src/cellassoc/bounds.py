@@ -18,7 +18,10 @@ recomputed from the flagged data alone:
   received signals, so those suffice as seeds; otherwise all 2*nc - 1 are
   charged.  Any active message is a function of all transmit signals, and
   a linear map cannot be injective onto more symbols than it has inputs,
-  so the seed count bounds the downlink sum.
+  so the seed count bounds the downlink sum.  Goodness is one per-user
+  rule (_spoiled: the blocks a user's set keeps from being good), so one
+  association ORs its users' spoiled blocks, and a sweep ORs them along
+  its family (_reconstruction_values).
 
 * counting bound (average): per full block, one session is charged
   2*nc - 1 and the other 2*nc - 2 depending on the middle-bs association
@@ -31,10 +34,8 @@ Bounds never claim tightness.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import _kernels
 from .errors import ValidationError
@@ -176,44 +177,59 @@ def _block_layout(k: int, nc: int) -> tuple[int, int, int]:
     return length, full, k - full * length
 
 
-def _good_blocks(k: int, nc: int, cells, strict: bool) -> tuple[bool, ...]:
-    """Goodness of each full block, read from the association sets cells.
+def _spoiled(k: int, nc: int, i: int, cell, strict: bool) -> set[int]:
+    """The full blocks (0-based) that user i, holding the set cell, keeps from being good.
 
-    The strict test scans all k users per good block, which suits a
-    sweep's short candidates since it stops at the first other holder;
-    _block_flags counts holders once, for one association at any k.
+    A block is good when both local users mid and mid + 1 of its middle
+    bs mid hold it, and, for the strict test of the reconstruction
+    argument, no other user holds it.
     """
     length, full, _tail = _block_layout(k, nc)
-    goods = []
-    for b in range(full):
-        mid = b * length + nc  # middle bs of the block
-        good = mid in cells[mid - 1] and mid in cells[mid]
-        if good and strict:
-            # The reconstruction argument needs the middle bs to carry no
-            # message besides its two local ones.
-            good = not any(
-                mid in cells[i - 1] for i in range(1, k + 1) if i not in (mid, mid + 1)
-            )
-        goods.append(good)
-    return tuple(goods)
+    # r = 0: user i is local to block b as mid, r = 1: as mid + 1.
+    b, r = divmod(i - nc, length)
+    spoiled = {b} if r < 2 and 0 <= b < full and i - r not in cell else set()
+    if strict:
+        for j in cell:
+            b, r = divmod(j - nc, length)
+            if not r and 0 <= b < full and i - j not in (0, 1):
+                spoiled.add(b)
+    return spoiled
 
 
 def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
-    length = 2 * assoc.nc - 1
-    goods = _good_blocks(assoc.k, assoc.nc, assoc.cells, False)
-    if strict:
-        # A good block is strict iff its two local users alone hold its middle bs.
-        holders = Counter(chain.from_iterable(assoc.cells))
-        goods = [good and holders[b * length + assoc.nc] == 2 for b, good in enumerate(goods)]
+    length, full, _tail = _block_layout(assoc.k, assoc.nc)
+    spoiled = set().union(
+        *(_spoiled(assoc.k, assoc.nc, i, cell, strict) for i, cell in enumerate(assoc.cells, 1))
+    )
     return tuple(
-        BlockFlag(block=b + 1, start=b * length + 1, good=good)
-        for b, good in enumerate(goods)
+        BlockFlag(block=b + 1, start=b * length + 1, good=b not in spoiled)
+        for b in range(full)
     )
 
 
 def _reconstruction_value(nc: int, goods, tail: int) -> int:
     """Seed count: 2*nc - 2 per good block, 2*nc - 1 per other, 1 per tail user."""
     return sum((2 * nc - 2) if good else (2 * nc - 1) for good in goods) + tail
+
+
+def _reconstruction_values(k: int, nc: int, options) -> list[int]:
+    """The reconstruction bound of every association of a family, in enumeration order.
+
+    options[i-1] lists the association sets user i may take.  A block is
+    good unless some user's set spoils it, so each option's spoiled
+    blocks, as a bitmask, are ORed along the family by columns, in the
+    same product order as the enumeration.
+    """
+    _length, full, tail = _block_layout(k, nc)
+    masks = [0]
+    for i, opts in enumerate(options, 1):
+        spoils = [sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
+        masks = [m | s for m in masks for s in spoils]
+    values = {
+        m: _reconstruction_value(nc, (not m >> b & 1 for b in range(full)), tail)
+        for m in set(masks)
+    }
+    return list(map(values.__getitem__, masks))
 
 
 def _counting_value(k: int, nc: int) -> Fraction:

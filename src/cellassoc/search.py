@@ -8,21 +8,22 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed, so the family is walked column by column with one
-forward max-count layer per user and session (_kernels.FamilyLayers):
-the layer ids of every prefix of options, in enumeration order, are
-expanded through the next user's memoized transfer rows.  After the last
-user each candidate is one layer id per session, read as that layer's
-largest count, about 32 bytes per candidate in all.  The search takes
-the first maximizer and decodes its association from its index.  No
-channel value is drawn per candidate; the winner alone gets a
-zero-forcing witness and a decoding order from max_downlink_dof and
-max_uplink_dof, which must reproduce the search value.
+sizes are needed, so _kernels.family_sums walks the family column by
+column with one forward max-count layer per user and session: the layer
+ids of every prefix of options, in enumeration order, are expanded
+through the next user's memoized transfer rows.  After the last user each
+candidate is one layer id per session, read as that layer's largest
+count, about 32 bytes per candidate in all.  The search takes the first
+maximizer and decodes its association from its index.  No channel value
+is drawn per candidate; the winner alone gets a zero-forcing witness and
+a decoding order from max_downlink_dof and max_uplink_dof, which must
+reproduce the search value.
 
 A soundness sweep runs the same walk with the chain bound as a third
 rule and compares every candidate's sums against the matching converse
-certificates, returning any violations instead of a winner; block
-goodness is read straight from the candidate's association sets.
+certificates, returning any violations instead of a winner.  Block
+goodness for the reconstruction bound is ORed along the same column walk
+(bounds._reconstruction_values), so no bound is computed per candidate.
 
 Both entry points count the family with math.comb before listing any
 option and refuse one with more than cap candidates, which they can
@@ -43,13 +44,11 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from ._kernels import FamilyLayers, chain_family, dl_family, ul_family
+from ._kernels import chain_family, dl_family, family_sums, ul_family
 from .bounds import (
     BoundCertificate,
-    _block_layout,
     _counting_value,
-    _good_blocks,
-    _reconstruction_value,
+    _reconstruction_values,
     counting_bound,
     ncone_bound,
 )
@@ -87,10 +86,18 @@ def _normalize_objective(objective: str) -> str:
     return _OBJECTIVES[key]
 
 
+def _check_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer")
+
+
 def _window(k: int, nc: int, window: Optional[int]) -> int:
+    _check_int("k", k)
+    _check_int("nc", nc)
     if k < 1 or nc < 1:
         raise ValidationError("k and nc must be positive")
     w = nc if window is None else window
+    _check_int("window", w)
     if w < 0:
         raise ValidationError("window must be nonnegative")
     return w
@@ -130,6 +137,7 @@ def _family(k: int, nc: int, window: Optional[int], cap: int):
     any option.
     """
     w = _window(k, nc, window)
+    _check_int("cap", cap)
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
     total = _family_size(k, nc, w, cap)
@@ -199,25 +207,6 @@ def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
     return Fraction(ul if objective == "ul" else dl)
 
 
-def _family_sums(k: int, options, families):
-    """One list of sums per automaton, over the candidates in enumeration order.
-
-    families holds one (start, next, steps) automaton per sum, built over
-    options.  The walk goes user by user: ids lists the layer reached by
-    every choice of options for the users so far, in enumeration order, and
-    each user's transfer rows expand every id into one id per option.  After
-    the last user each id is read as its layer's largest count.
-    """
-    sums = []
-    for family in families:
-        walk = FamilyLayers(family)
-        ids = [0]
-        for m in range(k):
-            ids = [t for lid in ids for t in walk.row(m, lid)]
-        sums.append(list(map(walk.best.__getitem__, ids)))
-    return sums
-
-
 def exhaustive_search(
     k: int,
     nc: int,
@@ -241,15 +230,14 @@ def exhaustive_search(
     if not seeds:
         raise ValidationError("at least one channel seed is required")
 
-    dls, uls = _family_sums(k, options, (dl_family(k, options), ul_family(options)))
+    dls, uls = family_sums((dl_family(k, options), ul_family(options)))
     if objective == "avg":
         keys = list(map(operator.add, dls, uls))
     else:
         keys = uls if objective == "ul" else dls
     best_index = keys.index(max(keys))  # the first maximizer
-    best_dl, best_ul = dls[best_index], uls[best_index]
     best_combo = next(itertools.islice(itertools.product(*options), best_index, None))
-    best_value = _objective_value(objective, k, best_dl, best_ul)
+    best_value = _objective_value(objective, k, dls[best_index], uls[best_index])
     best_assoc = association(k, nc, best_combo)
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
@@ -323,8 +311,6 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-    tail = _block_layout(k, nc)[2]
-    families = (dl_family(k, options), ul_family(options), chain_family(options))
     violations: list[dict] = []
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
 
@@ -332,15 +318,16 @@ def soundness_sweep(
         cells = association(k, nc, combo).cells_as_lists()
         violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
-    sums = _family_sums(k, options, families)
-    for combo, dl, ul, chain_value in zip(itertools.product(*options), *sums):
+    sums = family_sums((dl_family(k, options), ul_family(options), chain_family(options)))
+    # Blocks are defined for nc >= 2 only.
+    recons = _reconstruction_values(k, nc, options) if nc >= 2 else itertools.repeat(None)
+    for combo, dl, ul, chain_value, recon_value in zip(itertools.product(*options), *sums, recons):
         if ul > chain_value:
             violation("lemma2_chain", combo, ul, chain_value)
         elif ul == chain_value:
             tight["chain"] += 1
 
         if nc >= 2:
-            recon_value = _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
             if dl > recon_value:
                 violation("dl_reconstruction", combo, dl, recon_value)
             elif dl == recon_value:
@@ -374,12 +361,16 @@ class PeriodicPattern:
     offsets: tuple
 
     def __post_init__(self):
-        if not isinstance(self.period, int) or self.period < 1:
+        if not isinstance(self.period, int) or isinstance(self.period, bool) or self.period < 1:
             raise ValidationError("period must be a positive integer")
+        if not isinstance(self.offsets, (list, tuple)):
+            raise ValidationError(f"offsets must be a list of offset sets, got {self.offsets!r}")
         if len(self.offsets) != self.period:
             raise ValidationError("need exactly one offset set per residue")
         normalized = []
         for entry in self.offsets:
+            if not isinstance(entry, (list, tuple, set, frozenset)):
+                raise ValidationError(f"each offset set must be a collection, got {entry!r}")
             if any(not isinstance(o, int) or isinstance(o, bool) for o in entry):
                 raise ValidationError(f"offsets must be integers, got {entry!r}")
             normalized.append(tuple(sorted(set(entry))))
@@ -447,6 +438,8 @@ def periodic_eval(
     per-user slopes are exact rationals and the edge effects have
     stabilized; non-affine growth leaves the per-user fields empty.
     """
+    _check_int("nc", nc)
+    _check_int("copies", copies)
     if nc < 1:
         raise ValidationError("nc must be positive")
     if copies < 1:
@@ -456,10 +449,8 @@ def periodic_eval(
     dl_sums, ul_sums = [], []
     for kk in ks:
         assoc = pattern.instantiate(kk, nc)
-        dl_ev = max_downlink_dof(assoc, seeds=seeds, prime=prime)
-        ul_ev = max_uplink_dof(assoc)
-        dl_sums.append(dl_ev.sum_dof)
-        ul_sums.append(ul_ev.sum_dof)
+        dl_sums.append(max_downlink_dof(assoc, seeds=seeds, prime=prime).sum_dof)
+        ul_sums.append(max_uplink_dof(assoc).sum_dof)
 
     dl_d = (dl_sums[1] - dl_sums[0], dl_sums[2] - dl_sums[1])
     ul_d = (ul_sums[1] - ul_sums[0], ul_sums[2] - ul_sums[1])
@@ -566,10 +557,8 @@ def load_search_config(data: object) -> dict:
     out: dict = {}
     for key in ("k", "nc", "window", "cap"):
         if key in data and data[key] is not None:
-            value = data[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"config key {key} must be an integer")
-            out[key] = value
+            _check_int(f"config key {key}", data[key])
+            out[key] = data[key]
     if "objective" in data and data["objective"] is not None:
         out["objective"] = _normalize_objective(data["objective"])
     if "seeds" in data and data["seeds"] is not None:

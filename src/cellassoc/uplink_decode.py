@@ -22,7 +22,7 @@ prune() removes them without changing any feasibility decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernels
 from .errors import InternalCheckError, ValidationError

@@ -1,0 +1,117 @@
+"""No dead code in the package, read from its syntax trees.
+
+Every import of a module in src/cellassoc must be read by that module,
+and every private module-level name (a function, class or assignment
+whose name starts with one underscore) must be read somewhere in
+src/cellassoc besides its definition.  A package's __init__.py re-exports
+its public imports, so only its private imports must be read there, and a
+name listed in a module's __all__ counts as read.  Tests and the benchmark
+do not count as readers: code that only they reach belongs with them.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cellassoc"
+
+
+def modules():
+    """(path relative to src/cellassoc, syntax tree) of every module."""
+    return [
+        (path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.rglob("*.py"))
+    ]
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def read_names(tree):
+    """Names a module reads: loaded names, attribute names and its __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def imported(tree):
+    """(line, bound name) of every import, __future__ features aside."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, a.asname or a.name) for a in node.names]
+    return out
+
+
+def defined(tree):
+    """(line, name) of every module-level function, class and assigned name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        out.append((node.lineno, sub.id))
+    return out
+
+
+def test_every_import_is_read():
+    unused = []
+    for path, tree in modules():
+        reads = read_names(tree)
+        init = path.endswith("__init__.py")
+        for line, name in imported(tree):
+            if name not in reads and (is_private(name) or not init):
+                unused.append(f"{path}:{line} {name}")
+    assert not unused, unused
+
+
+def test_every_private_module_name_is_read():
+    parsed = modules()
+    reads = set()
+    for _path, tree in parsed:
+        reads |= read_names(tree)
+        # A name imported from another module is read by the importer.
+        reads.update(
+            a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+        )
+    unread = [
+        f"{path}:{line} {name}"
+        for path, tree in parsed
+        for line, name in defined(tree)
+        if is_private(name) and name not in reads
+    ]
+    assert not unread, unread
+
+
+def test_the_checks_see_dead_code():
+    tree = ast.parse(
+        "from typing import Sequence\n"
+        "import os.path\n"
+        "_LIMIT = 3\n"
+        "def _helper():\n"
+        "    return os.sep\n"
+    )
+    assert [name for _line, name in imported(tree) if name not in read_names(tree)] == [
+        "Sequence"
+    ]
+    assert [name for _line, name in defined(tree) if name not in read_names(tree)] == [
+        "_LIMIT",
+        "_helper",
+    ]

@@ -6,12 +6,13 @@ back-substitution along the line, the cumulative per-block
 certification of the nc = 2 average-optimal plan by a seed majority, the
 include-first branch and bound that maximized both sessions before the
 line DP, the hand-written chain DP that the chain rule of _kernels
-replaced, and the per-candidate maximization and certificate checks that
-searches and sweeps ran before the family DP.  The package's versions look
-only at the users a decision can affect, or share work between candidates;
-on random windowed associations and families they must return exactly what
-the references return.  Every scheme plan must also pass the multi-seed
-reference and both value-free rules.
+replaced, the per-block scan of block goodness that the per-user rule of
+the reconstruction bound replaced, and the per-candidate maximization and
+certificate checks that searches and sweeps ran before the family DP.  The
+package's versions look only at the users a decision can affect, or share
+work between candidates; on random windowed associations and families they
+must return exactly what the references return.  Every scheme plan must
+also pass the multi-seed reference and both value-free rules.
 """
 
 import itertools
@@ -24,10 +25,8 @@ from hypothesis import strategies as st
 from cellassoc import _kernels, search
 from cellassoc.bounds import (
     _block_flags,
-    _block_layout,
     _chain_dp,
-    _good_blocks,
-    _reconstruction_value,
+    _reconstruction_values,
     chain_flags,
     counting_bound,
     lemma2_chain_bound,
@@ -265,6 +264,23 @@ def ref_chain_dp(k: int, flags) -> int:
                     nxt[key] = val
         states = nxt
     return max(states.values())
+
+
+def ref_good_blocks(k, nc, cells, strict):
+    """Goodness of each full block, scanning every user for each good block."""
+    length = 2 * nc - 1
+    goods = []
+    for b in range(k // length):
+        mid = b * length + nc  # middle bs of the block
+        good = mid in cells[mid - 1] and mid in cells[mid]
+        if good and strict:
+            # The reconstruction argument needs the middle bs to carry no
+            # message besides its two local ones.
+            good = not any(
+                mid in cells[i - 1] for i in range(1, k + 1) if i not in (mid, mid + 1)
+            )
+        goods.append(good)
+    return tuple(goods)
 
 
 def ref_sweep(k, nc, sums):
@@ -542,7 +558,7 @@ def test_family_sums_match_per_candidate_maxima(family):
         (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
         for combo, dl, ul in ref_session_sums(k, options)
     ]
-    assert search._family_sums(k, options, automata) == [list(s) for s in zip(*expected)]
+    assert _kernels.family_sums(automata) == [list(s) for s in zip(*expected)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -568,14 +584,33 @@ def test_sweep_bounds_match_certificates(case):
     k, nc = assoc.k, assoc.nc
     if nc == 1:  # blocks are defined for nc >= 2 only
         return
-    combo = tuple(tuple(sorted(cell)) for cell in assoc.cells)
     for strict in (False, True):
-        assert _good_blocks(k, nc, combo, strict) == tuple(
+        assert ref_good_blocks(k, nc, assoc.cells, strict) == tuple(
             f.good for f in _block_flags(assoc, strict)
         )
-    tail = _block_layout(k, nc)[2]
-    recon = _reconstruction_value(nc, _good_blocks(k, nc, combo, True), tail)
-    assert recon == reconstruction_bound(assoc).value
+    # The sweep's values, on the family that offers each user its own set.
+    one_each = [(tuple(sorted(cell)),) for cell in assoc.cells]
+    assert _reconstruction_values(k, nc, one_each) == [reconstruction_bound(assoc).value]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES), families(), st.integers(2, 4))
+def test_reconstruction_values_match_certificates(small, part, nc):
+    # Whole small families, and parts of families under a budget that
+    # covers every option; blocks are defined for nc >= 2 only.
+    k, small_nc, w = small
+    part_k, part_options = part
+    part_nc = max([nc] + [len(cell) for opts in part_options for cell in opts])
+    cases = (
+        (k, max(small_nc, 2), search._user_options(k, small_nc, w)),
+        (part_k, part_nc, part_options),
+    )
+    for k, budget, options in cases:
+        expected = [
+            reconstruction_bound(association(k, budget, combo)).value
+            for combo in itertools.product(*options)
+        ]
+        assert _reconstruction_values(k, budget, options) == expected, (k, budget)
 
 
 @settings(max_examples=30, deadline=None)
@@ -590,7 +625,7 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     ]
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
     lists = [list(s) for s in zip(*sums)][1:]
-    with mock.patch.object(search, "_family_sums", lambda _k, _options, _automata: lists):
+    with mock.patch.object(search, "family_sums", lambda _families: lists):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight

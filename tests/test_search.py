@@ -137,6 +137,20 @@ def test_cap_below_one_is_invalid_input():
         exhaustive_search(1, 1, 0, cap=1)
 
 
+def test_entry_points_reject_non_integer_sizes():
+    calls = (exhaustive_search, soundness_sweep, count_associations)
+    for args in ((3, 1, 1.5), (3, 2, 1.0), (3, 1, "1"), (3, 1, True), (2.0, 1, 1), (3, "1", 1)):
+        for call in calls:
+            with pytest.raises(ValidationError, match="must be an integer"):
+                call(*args)
+    for cap in ("10", 2.5e9, 10.0, True):
+        for call in (exhaustive_search, soundness_sweep):
+            with pytest.raises(ValidationError, match="cap must be an integer"):
+                call(3, 1, 1, cap=cap)
+    with pytest.raises(ValidationError, match="window must be an integer"):
+        list(enumerate_associations(3, 1, 1.5))
+
+
 def test_objective_aliases():
     for name in ("avg", "average", "AVG"):
         assert exhaustive_search(2, 1, 1, objective=name).objective == "avg"
@@ -189,6 +203,24 @@ def test_periodic_pattern_rejects_non_integer_offsets():
     for bad in (0.9, -1.2, True, "x", None):
         with pytest.raises(ValidationError, match="offsets must be integers"):
             PeriodicPattern(period=1, offsets=((0, bad),))
+
+
+def test_periodic_pattern_rejects_malformed_offsets_and_period():
+    for offsets in (5, (5,), (None,), ({0: 1},), "0"):
+        with pytest.raises(ValidationError):
+            PeriodicPattern(period=1, offsets=offsets)
+    with pytest.raises(ValidationError, match="period must be a positive integer"):
+        PeriodicPattern(period=True, offsets=((0,),))
+
+
+def test_periodic_eval_rejects_non_integer_arguments():
+    pair = PeriodicPattern(period=1, offsets=((-1, 0),))
+    for copies in (True, 2.5, "2"):
+        with pytest.raises(ValidationError, match="copies must be an integer"):
+            periodic_eval(pair, 2, copies=copies)
+    for nc in ("2", 2.0, True):
+        with pytest.raises(ValidationError, match="nc must be an integer"):
+            periodic_eval(pair, nc)
 
 
 def test_periodic_eval_rejects_nonpositive_budget():
