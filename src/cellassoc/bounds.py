@@ -41,6 +41,8 @@ from . import _kernels
 from .errors import ValidationError
 from .model import (
     CellAssociation,
+    bool_from_json,
+    check_int,
     frac_from_str,
     frac_to_str,
     int_from_json,
@@ -109,23 +111,19 @@ class BoundCertificate:
                 for f in data["flagged"]
             ):
                 raise ValidationError("flagged must be a list of block, start, good objects")
-            bad = [f["good"] for f in data["flagged"] if not isinstance(f["good"], bool)]
-            if bad:
-                raise ValidationError(f"flag good must be true or false, got {bad[0]!r}")
             flagged = tuple(
                 BlockFlag(
                     block=int_from_json(f["block"], "block"),
                     start=int_from_json(f["start"], "start"),
-                    good=f["good"],
+                    good=bool_from_json(f["good"], "flag good"),
                 )
                 for f in data["flagged"]
             )
         else:
             raise ValidationError(f"unknown certificate kind {kind!r}")
         value = frac_from_str(data["value"])
-        k, nc = int_from_json(data["k"], "k"), int_from_json(data["nc"], "nc")
-        if k < 1:
-            raise ValidationError(f"certificate k must be positive, got {k}")
+        k = check_int("certificate k", int_from_json(data["k"], "k"), 1)
+        nc = int_from_json(data["nc"], "nc")
         if "per_user" in data and frac_from_str(data["per_user"]) != value / k:
             raise ValidationError("certificate per_user must equal value / k")
         assumptions = data.get("assumptions", [])
@@ -282,9 +280,10 @@ def ncone_bound(k: int) -> BoundCertificate:
 
     The 2/3 per-user constant holds in the large-k limit; at small k the
     tail slack can make a higher average achievable, so this certificate is
-    informative rather than a finite-k soundness claim.
+    informative rather than a finite-k soundness claim.  Raises
+    ValidationError unless k is a positive integer (model.check_int).
     """
-    value = Fraction(2 * k, 3)
+    value = Fraction(2 * check_int("k", k, 1), 3)
     return BoundCertificate(
         kind=KIND_COUNTING,
         flagged=(),

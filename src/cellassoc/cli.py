@@ -52,6 +52,7 @@ from .render import render_ascii, render_svg
 from .schemes import MAX_SCHEME_K, SchemePlan, avg_optimal, downlink_optimal
 from .search import (
     DEFAULT_CAP,
+    MAX_CANDIDATES,
     compare_with_theorem,
     exhaustive_search,
     load_search_config,
@@ -304,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, help="association window half-width")
     p.add_argument("--objective", help="avg, ul/up, or dl/down")
     p.add_argument("--seed", type=int, action="append")
-    p.add_argument("--cap", type=int, help=f"candidate cap (default {DEFAULT_CAP})")
+    cap_help = f"candidate cap (default {DEFAULT_CAP}); no family above {MAX_CANDIDATES} runs"
+    p.add_argument("--cap", type=int, help=cap_help)
     p.add_argument("--config", help="JSON run configuration (flags override it)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

@@ -41,6 +41,7 @@ from .model import (
     CellAssociation,
     ChannelRealization,
     check_active,
+    check_seeds,
     draw_channels,
     int_from_json,
 )
@@ -235,6 +236,7 @@ def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PR
     seed that agrees with the majority.
     """
     active = _check_active(assoc, active)
+    seeds = check_seeds(seeds)
     realizations = [draw_channels(assoc.k, s, prime) for s in seeds]
     witnesses = [zf_feasible(assoc, active, ch) for ch in realizations]
     votes = sum(1 for w in witnesses if w is not None)
@@ -260,15 +262,10 @@ def max_downlink_dof(
 
     Exact at every k: the line DP returns the largest active set, ties
     going to the lexicographically smallest one.  The witness comes from
-    the first seed's channels and is re-verified on them.
+    the first seed's channels and is re-verified on them.  The seeds are
+    checked by model.check_seeds, the seed and prime by draw_channels.
     """
-    if not seeds:
-        raise ValidationError("at least one channel seed is required")
+    seeds = check_seeds(seeds)
     active = _kernels.dl_max_active(assoc.k, assoc.cells)
     witness = certify_downlink(assoc, active, seeds[0], prime)
-    return DlEvaluation(
-        sum_dof=len(active),
-        active_users=active,
-        witness=witness,
-        seeds=tuple(seeds),
-    )
+    return DlEvaluation(sum_dof=len(active), active_users=active, witness=witness, seeds=seeds)

@@ -3,7 +3,10 @@
 Users (mobile terminals) and base stations are both indexed 1..k.  User i
 hears base stations i-1 and i, clipped to the index range, so the network
 has exactly 2k-1 connected pairs.  Every other module goes through the
-helpers here; the indexing convention lives in exactly one place.
+helpers here; the indexing convention lives in exactly one place, and so
+does the input contract: check_int (an int, never a bool, within its
+range), check_ints (the same for a whole collection) and check_seeds (a
+nonempty list of integers), which every public entry point calls.
 
 Channel coefficients are uniform nonzero elements of a large prime field.
 Rank decisions over that field are exact, and a fresh seed gives an
@@ -13,11 +16,13 @@ of freedom are never floats; they are ints or `fractions.Fraction`.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Optional
 
 from .errors import ValidationError
 
@@ -28,47 +33,100 @@ DEFAULT_PRIME = 2147483647
 # witness on the first one only; zf_feasible_majority votes over all of them.
 DEFAULT_SEEDS = (1, 2, 3)
 
+# Miller-Rabin bases of _is_prime: the first twelve primes make the test
+# exact for every modulus below 2**64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
 
+def check_int(
+    name: str, value: object, low: Optional[int] = None, high: Optional[int] = None
+) -> int:
+    """The integer argument `name`, checked and returned.
 
-def _check_index(name: str, value: int, k: int) -> None:
+    An integer is an int and never a bool (isinstance(True, int) holds in
+    Python); low and high, when given, are inclusive bounds.  Anything else
+    raises ValidationError naming the argument and the broken condition.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= value <= k:
-        raise ValidationError(f"{name}={value} out of range [1..{k}]")
+    if low is not None and high is not None:
+        if not low <= value <= high:
+            raise ValidationError(f"{name} {value!r} out of range [{low}..{high}]")
+    elif low is not None and value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
+    elif high is not None and value > high:
+        raise ValidationError(f"{name} must be at most {high}, got {value!r}")
+    return value
+
+
+def check_ints(
+    name: str, values: Iterable[object], low: Optional[int] = None, high: Optional[int] = None
+) -> tuple[int, ...]:
+    """Every element of values checked by check_int, as a tuple, in one call.
+
+    The common case (all plain ints within the bounds) costs a few C-level
+    passes and no Python call per element; only a failing collection is
+    walked element by element to name its first bad entry.
+    """
+    values = tuple(values)
+    if not {*map(type, values)} <= {int} or values and (
+        (low is not None and min(values) < low) or (high is not None and max(values) > high)
+    ):
+        for value in values:
+            check_int(name, value, low, high)
+    return values
+
+
+def check_seeds(seeds: object) -> tuple[int, ...]:
+    """Channel seeds: a nonempty list or tuple of integers (a str is not one)."""
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ValidationError(f"seeds must be a nonempty list of integers, got {seeds!r}")
+    return check_ints("seed", seeds)
+
+
+@functools.lru_cache(maxsize=16)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2..37, exact for n < 2**64.
+
+    n - 1 = d * 2**s with d odd; n is prime iff no base divides it (or it is
+    a base) and every base a has a**d = 1 or a**(d * 2**r) = -1 for some r < s.
+    The test takes about 0.1 ms on a 31-bit modulus and every channel draw
+    asks it, so the few moduli in use are cached.
+    """
+    if n in _PRIME_BASES:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(
+        n % a and (pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)))
+        for a in _PRIME_BASES
+    )
 
 
 def check_active(k: int, active: Iterable[int]) -> frozenset[int]:
     """The active user set as a frozenset, each user checked to lie in [1..k]."""
-    active = frozenset(active)
-    for m in active:
-        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= k:
-            raise ValidationError(f"active user {m!r} out of range [1..{k}]")
-    return active
+    return frozenset(check_ints("active user", active, 1, k))
 
 
 def connected(i: int, j: int, k: int) -> bool:
     """True iff user i hears base station j in a k-cell network."""
-    _check_k(k)
-    _check_index("user index", i, k)
-    _check_index("bs index", j, k)
+    check_int("k", k, 1)
+    check_int("user index", i, 1, k)
+    check_int("bs index", j, 1, k)
     return j == i or j == i - 1
 
 
 def connected_bs(i: int, k: int) -> frozenset[int]:
     """Base stations heard by user i: {i-1, i} clipped to [1..k]."""
-    _check_k(k)
-    _check_index("user index", i, k)
+    check_int("k", k, 1)
+    check_int("user index", i, 1, k)
     return frozenset(j for j in (i - 1, i) if 1 <= j <= k)
 
 
 def heard_mts(j: int, k: int) -> frozenset[int]:
     """Users that hear base station j: {j, j+1} clipped to [1..k]."""
-    _check_k(k)
-    _check_index("bs index", j, k)
+    check_int("k", k, 1)
+    check_int("bs index", j, 1, k)
     return frozenset(i for i in (j, j + 1) if 1 <= i <= k)
 
 
@@ -79,7 +137,7 @@ class Topology:
     k: int
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
+        check_int("k", self.k, 1)
 
     def connected(self, i: int, j: int) -> bool:
         return connected(i, j, self.k)
@@ -109,8 +167,8 @@ class ChannelRealization:
 
     def gain(self, i: int, j: int) -> int:
         """Channel coefficient from base station j to user i (0 if unconnected)."""
-        _check_index("user index", i, self.k)
-        _check_index("bs index", j, self.k)
+        check_int("user index", i, 1, self.k)
+        check_int("bs index", j, 1, self.k)
         return self.coeffs.get((i, j), 0)
 
 
@@ -119,11 +177,14 @@ def draw_channels(k: int, seed: int, prime: int = DEFAULT_PRIME) -> ChannelReali
 
     Deterministic in (k, seed, prime): pairs are visited in a fixed order
     (users ascending, their base stations ascending), so the same arguments
-    always reproduce the same realization.
+    always reproduce the same realization.  The modulus must be an odd
+    prime below 2**64, the range in which the primality test is exact;
+    a composite one raises ValidationError, since Z/prime is then no field.
     """
-    _check_k(k)
-    if prime < 3:
-        raise ValidationError(f"prime must be >= 3, got {prime}")
+    check_int("k", k, 1)
+    check_int("seed", seed)
+    if not _is_prime(check_int("prime", prime, 3, 2**64 - 1)):
+        raise ValidationError(f"prime must be a prime, got {prime}")
     rng = random.Random(seed)
     coeffs = {}
     for i in range(1, k + 1):
@@ -155,16 +216,15 @@ class CellAssociation:
     cells: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
-        if not isinstance(self.nc, int) or isinstance(self.nc, bool) or self.nc < 1:
-            raise ValidationError(f"nc must be a positive integer, got {self.nc!r}")
+        check_int("k", self.k, 1)
+        check_int("nc", self.nc, 1)
         if len(self.cells) != self.k:
             raise ValidationError(
                 f"expected {self.k} association sets, got {len(self.cells)}"
             )
 
     def cell(self, i: int) -> frozenset[int]:
-        _check_index("user index", i, self.k)
+        check_int("user index", i, 1, self.k)
         return self.cells[i - 1]
 
     def cells_as_lists(self) -> list[list[int]]:
@@ -186,24 +246,20 @@ class CellAssociation:
         k, nc, cells = data["k"], data["nc"], data["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
             raise ValidationError("cells must be a list of lists")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError(f"k must be an integer, got {k!r}")
-        if not isinstance(cells, list) or len(cells) != k:
+        if len(cells) != check_int("k", k):
             raise ValidationError(f"cells must be a list of length k={k}")
         return association(k, nc, cells)
 
 
 def association(k: int, nc: int, cells: Iterable[Iterable[int]]) -> CellAssociation:
-    """Normalizing constructor: any iterable of iterables of ints."""
-    normalized = []
-    for raw in cells:
-        members = []
-        for j in raw:
-            if not isinstance(j, int) or isinstance(j, bool):
-                raise ValidationError(f"bs index must be an integer, got {j!r}")
-            members.append(j)
-        normalized.append(frozenset(members))
-    return CellAssociation(k=k, nc=nc, cells=tuple(normalized))
+    """Normalizing constructor: any iterable of iterables of ints.
+
+    The bs indices are checked by one check_ints call before any set is
+    built, so 1.0 or True never merges into the bs index 1.
+    """
+    cells = list(map(tuple, cells))
+    check_ints("bs index", chain.from_iterable(cells))
+    return CellAssociation(k=k, nc=nc, cells=tuple(map(frozenset, cells)))
 
 
 def validate_association(assoc: CellAssociation) -> list[Violation]:
@@ -228,14 +284,19 @@ def int_from_json(value: object, what: str) -> int:
     precoders are keyed by message and bs).  Anything else, bools and
     floats included, raises ValidationError.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return check_int(what, value)
+
+
+def bool_from_json(value: object, what: str) -> bool:
+    """Read a JSON true or false; 0, 1 and every other value raise ValidationError."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def ints_from_json(values: object, what: str) -> list[int]:
@@ -272,5 +333,5 @@ def frac_from_str(text: str) -> Fraction:
 
 def average_per_user(dl_sum: int, ul_sum: int, k: int) -> Fraction:
     """Exact per-user average of the two session sums."""
-    _check_k(k)
+    check_int("k", k, 1)
     return Fraction(dl_sum + ul_sum, 2 * k)

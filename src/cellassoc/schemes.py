@@ -48,6 +48,9 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     association,
+    check_int,
+    check_ints,
+    check_seeds,
     frac_from_str,
     frac_to_str,
     ints_from_json,
@@ -98,11 +101,8 @@ class SchemePlan:
         assoc = CellAssociation.from_json(data["assoc"])
         index_sets = {}
         for key in ("dl_active_users", "dl_silent_bs", "ul_active_users"):
-            values = frozenset(ints_from_json(data[key], key))
-            outside = sorted(v for v in values if not 1 <= v <= assoc.k)
-            if outside:
-                raise ValidationError(f"{key} {outside} out of range [1..{assoc.k}]")
-            index_sets[key] = values
+            values = ints_from_json(data[key], key)
+            index_sets[key] = frozenset(check_ints(key, values, 1, assoc.k))
         claims = {}
         for key, users in (
             ("claimed_dl_dof", "dl_active_users"),
@@ -117,14 +117,19 @@ class SchemePlan:
 
 
 def pair_association(k: int) -> CellAssociation:
-    """User i tied to base stations i-1 and i (clipped at the left edge)."""
+    """User i tied to base stations i-1 and i (clipped at the left edge).
+
+    Raises ValidationError unless k is a positive integer (model.check_int).
+    """
+    check_int("k", k, 1)
     cells = [[j for j in (i - 1, i) if j >= 1] for i in range(1, k + 1)]
     return association(k, 2, cells)
 
 
-def _check_args(k: int, nc: int, seeds: Sequence[int]) -> None:
-    if k < 1 or nc < 1:
-        raise ValidationError("k and nc must be positive")
+def _check_args(k: int, nc: int, seeds: Sequence[int]) -> tuple[int, ...]:
+    """The checked seeds, after k and nc pass model.check_int and the size limits."""
+    check_int("k", k, 1)
+    check_int("nc", nc, 1)
     if k > MAX_SCHEME_K:
         raise SizeLimitError(f"k = {k} exceeds the scheme size limit of {MAX_SCHEME_K}")
     if k * min(nc, k) > 4 * MAX_SCHEME_K:
@@ -132,8 +137,7 @@ def _check_args(k: int, nc: int, seeds: Sequence[int]) -> None:
             f"k = {k} and nc = {nc} allow {k * min(nc, k)} association entries, "
             f"above the scheme size limit of {4 * MAX_SCHEME_K}"
         )
-    if not seeds:
-        raise ValidationError("at least one channel seed is required")
+    return check_seeds(seeds)
 
 
 def _certify_plan(plan: SchemePlan, seeds, prime) -> SchemePlan:
@@ -204,7 +208,7 @@ def downlink_optimal(
     prime: int = DEFAULT_PRIME,
 ) -> SchemePlan:
     """Downlink-rate-first plan: 2*nc served users per block of 2*nc + 1."""
-    _check_args(k, nc, seeds)
+    seeds = _check_args(k, nc, seeds)
     assoc = association(k, nc, _downlink_cells(k, nc))
     ul_active = _kernels.ul_max_active(k, assoc.cells)
     return _plan(assoc, nc, ul_active, seeds, prime)
@@ -224,7 +228,7 @@ def avg_optimal(
     widened by the user's pair cell {i-1, i}, with every user
     uplink-active.
     """
-    _check_args(k, nc, seeds)
+    seeds = _check_args(k, nc, seeds)
     if nc == 1:
         return downlink_optimal(k, 1, seeds=seeds, prime=prime)
     cells = [

@@ -26,9 +26,10 @@ goodness for the reconstruction bound is ORed along the same column walk
 (bounds._reconstruction_values), so no bound is computed per candidate.
 
 Both entry points count the family with math.comb before listing any
-option and refuse one with more than cap candidates, which they can
-tell after at most log2(cap) + 1 users since every user has at least two
-options.
+option and refuse one with more than cap candidates, or more than
+MAX_CANDIDATES whatever the cap, which they can tell after at most
+log2(min(cap, MAX_CANDIDATES)) + 1 users since every user has at least
+two options.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
 checks that both session values grow affinely, which is the cheap
@@ -59,11 +60,18 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     association,
+    check_int,
+    check_ints,
+    check_seeds,
     frac_to_str,
 )
 from .uplink_decode import UlEvaluation, max_uplink_dof
 
 DEFAULT_CAP = 100_000
+
+# Largest family a search or sweep lists, whatever its cap: about 0.3 GB
+# at 32 bytes per candidate.
+MAX_CANDIDATES = 10**7
 
 _OBJECTIVES = {
     "avg": "avg",
@@ -86,21 +94,11 @@ def _normalize_objective(objective: str) -> str:
     return _OBJECTIVES[key]
 
 
-def _check_int(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer")
-
-
 def _window(k: int, nc: int, window: Optional[int]) -> int:
-    _check_int("k", k)
-    _check_int("nc", nc)
-    if k < 1 or nc < 1:
-        raise ValidationError("k and nc must be positive")
-    w = nc if window is None else window
-    _check_int("window", w)
-    if w < 0:
-        raise ValidationError("window must be nonnegative")
-    return w
+    """The window half-width, after k, nc and window pass model.check_int."""
+    check_int("k", k, 1)
+    check_int("nc", nc, 1)
+    return check_int("window", nc if window is None else window, 0)
 
 
 def _family_size(k: int, nc: int, w: int, cap: Optional[int] = None) -> Optional[int]:
@@ -133,18 +131,17 @@ def _family(k: int, nc: int, window: Optional[int], cap: int):
     """(window, per-user options, candidate count) of a windowed family.
 
     Refuses a cap below 1 as invalid input, since every family has a
-    candidate, and a family of more than cap candidates before listing
-    any option.
+    candidate, and, before listing any option, a family of more than cap
+    candidates or of more than MAX_CANDIDATES, whatever the cap.
     """
     w = _window(k, nc, window)
-    _check_int("cap", cap)
-    if cap < 1:
-        raise ValidationError(f"cap must be at least 1, got {cap}")
-    total = _family_size(k, nc, w, cap)
+    check_int("cap", cap, 1)
+    total = _family_size(k, nc, w, min(cap, MAX_CANDIDATES))
     if total is None:
         raise BudgetExceededError(
-            f"the family has more than {cap} candidates (the cap); "
-            "raise cap explicitly to proceed"
+            f"the family has more than {cap} candidates (the cap); raise cap explicitly to proceed"
+            if cap <= MAX_CANDIDATES
+            else f"the family has more than {MAX_CANDIDATES} candidates, the most any search lists"
         )
     return w, _user_options(k, nc, w), total
 
@@ -222,13 +219,13 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul).  Refuses
-    to start when the candidate count exceeds cap.  The seeds and prime
-    only draw the channels of the winner's zero-forcing witness.
+    to start when the candidate count exceeds cap or MAX_CANDIDATES.  The
+    seeds (model.check_seeds) and prime only draw the channels of the
+    winner's zero-forcing witness.
     """
     objective = _normalize_objective(objective)
     w, options, total = _family(k, nc, window, cap)
-    if not seeds:
-        raise ValidationError("at least one channel seed is required")
+    seeds = check_seeds(seeds)
 
     dls, uls = family_sums((dl_family(k, options), ul_family(options)))
     if objective == "avg":
@@ -307,9 +304,11 @@ def soundness_sweep(
     counting bound when nc >= 2 (those certificates are not defined for
     nc = 1).  Returns all violations; an empty list certifies soundness
     over the swept family.  No channel value enters a session sum, so
-    seeds is accepted and unused; perfbench/workloads.py passes it.
+    seeds is checked (model.check_seeds) and unused; perfbench/workloads.py
+    passes it.
     """
     w, options, total = _family(k, nc, window, cap)
+    check_seeds(seeds)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
     violations: list[dict] = []
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
@@ -361,8 +360,7 @@ class PeriodicPattern:
     offsets: tuple
 
     def __post_init__(self):
-        if not isinstance(self.period, int) or isinstance(self.period, bool) or self.period < 1:
-            raise ValidationError("period must be a positive integer")
+        check_int("period", self.period, 1)
         if not isinstance(self.offsets, (list, tuple)):
             raise ValidationError(f"offsets must be a list of offset sets, got {self.offsets!r}")
         if len(self.offsets) != self.period:
@@ -371,9 +369,7 @@ class PeriodicPattern:
         for entry in self.offsets:
             if not isinstance(entry, (list, tuple, set, frozenset)):
                 raise ValidationError(f"each offset set must be a collection, got {entry!r}")
-            if any(not isinstance(o, int) or isinstance(o, bool) for o in entry):
-                raise ValidationError(f"offsets must be integers, got {entry!r}")
-            normalized.append(tuple(sorted(set(entry))))
+            normalized.append(tuple(sorted(set(check_ints("offset", entry)))))
         object.__setattr__(self, "offsets", tuple(normalized))
 
     def instantiate(self, k: int, nc: int) -> CellAssociation:
@@ -436,14 +432,12 @@ def periodic_eval(
 
     When both session sums grow affinely in the repetition count, the
     per-user slopes are exact rationals and the edge effects have
-    stabilized; non-affine growth leaves the per-user fields empty.
+    stabilized; non-affine growth leaves the per-user fields empty.  nc
+    and copies are positive integers and the seeds pass model.check_seeds.
     """
-    _check_int("nc", nc)
-    _check_int("copies", copies)
-    if nc < 1:
-        raise ValidationError("nc must be positive")
-    if copies < 1:
-        raise ValidationError("copies must be at least 1")
+    check_int("nc", nc, 1)
+    check_int("copies", copies, 1)
+    seeds = check_seeds(seeds)
     p = pattern.period
     ks = tuple(p * (copies + d) for d in range(3))
     dl_sums, ul_sums = [], []
@@ -476,18 +470,15 @@ def periodic_eval(
 
 
 def tau(nc: int) -> Fraction:
-    """Optimal session-average per-user value under budget nc."""
-    if nc < 1:
-        raise ValidationError("nc must be positive")
-    if nc == 1:
+    """Optimal session-average per-user value under a positive integer budget nc."""
+    if check_int("nc", nc, 1) == 1:
         return Fraction(2, 3)
     return Fraction(4 * nc - 3, 4 * nc - 2)
 
 
 def tau_downlink(nc: int) -> Fraction:
-    """Optimal downlink per-user value under budget nc."""
-    if nc < 1:
-        raise ValidationError("nc must be positive")
+    """Optimal downlink per-user value under a positive integer budget nc."""
+    check_int("nc", nc, 1)
     return Fraction(2 * nc, 2 * nc + 1)
 
 
@@ -547,7 +538,9 @@ def load_search_config(data: object) -> dict:
     """Validate a search run-configuration mapping.
 
     Accepted keys: k, nc, window, objective, seeds, cap.  Unknown keys
-    are rejected so typos fail loudly instead of being ignored.
+    are rejected so typos fail loudly instead of being ignored.  k, nc,
+    window and cap must be integers (model.check_int; their ranges are
+    checked by exhaustive_search) and seeds must pass model.check_seeds.
     """
     if not isinstance(data, dict):
         raise ValidationError("search config must be a JSON object")
@@ -557,17 +550,9 @@ def load_search_config(data: object) -> dict:
     out: dict = {}
     for key in ("k", "nc", "window", "cap"):
         if key in data and data[key] is not None:
-            _check_int(f"config key {key}", data[key])
-            out[key] = data[key]
+            out[key] = check_int(f"config key {key}", data[key])
     if "objective" in data and data["objective"] is not None:
         out["objective"] = _normalize_objective(data["objective"])
     if "seeds" in data and data["seeds"] is not None:
-        seeds = data["seeds"]
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
-        ):
-            raise ValidationError("config key seeds must be a nonempty integer list")
-        out["seeds"] = tuple(seeds)
+        out["seeds"] = check_seeds(data["seeds"])
     return out

@@ -200,6 +200,19 @@ def test_search_refuses_huge_family_before_listing_options(capsys, monkeypatch):
         "raise cap explicitly to proceed\n"
 
 
+def test_search_refuses_families_above_the_ceiling_whatever_the_cap(capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("the family was listed")
+
+    # 4,519,603,984 candidates, about 145 GB of lists at 32 bytes each.
+    monkeypatch.setattr(search, "family_sums", never)
+    argv = ("search", "--k", "12", "--nc", "2", "--window", "1", "--cap", "10000000000")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: the family has more than 10000000 candidates, " \
+        "the most any search lists\n"
+
+
 def test_search_huge_window_is_clipped(capsys):
     # Any window of at least k - 1 offers every base station to every user.
     code, out, _ = run(capsys, "search", "--k", "2", "--nc", "1", "--window", "100000000")

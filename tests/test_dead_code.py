@@ -7,12 +7,17 @@ src/cellassoc besides its definition.  A package's __init__.py re-exports
 its public imports, so only its private imports must be read there, and a
 name listed in a module's __all__ counts as read.  Tests and the benchmark
 do not count as readers: code that only they reach belongs with them.
+
+The integer rule "an int that is not a bool" is written once, in
+model.check_int (and the JSON reader model.bool_from_json needs the bool
+type itself), so no other isinstance(..., bool) call may appear.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cellassoc"
+BOOL_HELPERS = frozenset({"check_int", "bool_from_json"})
 
 
 def modules():
@@ -68,6 +73,26 @@ def defined(tree):
     return out
 
 
+def bool_tests(tree, allowed=frozenset()):
+    """Lines of isinstance(..., bool) calls outside the functions named in allowed."""
+    inside = {
+        sub
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in allowed
+        for sub in ast.walk(node)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(t, ast.Name) and t.id == "bool" for t in ast.walk(node.args[1]))
+        and node not in inside
+    ]
+
+
 def test_every_import_is_read():
     unused = []
     for path, tree in modules():
@@ -115,3 +140,23 @@ def test_the_checks_see_dead_code():
         "_LIMIT",
         "_helper",
     ]
+
+
+def test_bool_tests_live_in_the_model_helpers():
+    found = [
+        f"{path}:{line}"
+        for path, tree in modules()
+        for line in bool_tests(tree, BOOL_HELPERS if path == "model.py" else frozenset())
+    ]
+    assert not found, found
+
+
+def test_the_check_sees_bool_tests():
+    tree = ast.parse(
+        "def check_int(v):\n"
+        "    return isinstance(v, bool)\n"
+        "def f(v):\n"
+        "    return isinstance(v, (int, bool)) or isinstance(v, int)\n"
+    )
+    assert bool_tests(tree) == [2, 4]
+    assert bool_tests(tree, {"check_int"}) == [4]

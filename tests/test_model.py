@@ -159,7 +159,10 @@ def test_active_set_check_is_shared_by_both_sessions():
     ch = draw_channels(3, 1)
     # True is not user 1, although isinstance(True, int) holds.
     for bad in (0, 4, "2", True):
-        message = f"active user {bad!r} out of range [1..3]"
+        if isinstance(bad, int) and not isinstance(bad, bool):
+            message = f"active user {bad!r} out of range [1..3]"
+        else:
+            message = f"active user must be an integer, got {bad!r}"
         for check in (
             lambda: check_active(3, {bad}),
             lambda: zf_feasible(a, {bad}, ch),

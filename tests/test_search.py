@@ -125,6 +125,26 @@ def test_cap_refuses_large_runs():
     assert r.candidates == 784
 
 
+def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
+    def never(*_args):
+        raise AssertionError("the family was listed")
+
+    monkeypatch.setattr(search, "family_sums", never)
+    assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
+    ceiling = f"more than {search.MAX_CANDIDATES} candidates, the most any search lists"
+    for cap in (search.MAX_CANDIDATES + 1, 10**10, 10**100):
+        for call in (exhaustive_search, soundness_sweep):
+            with pytest.raises(BudgetExceededError, match=ceiling):
+                call(12, 2, 1, cap=cap)
+    # At or below the ceiling the cap itself refuses, as before.
+    with pytest.raises(BudgetExceededError, match=r"more than 10000000 candidates \(the cap\)"):
+        exhaustive_search(12, 2, 1, cap=search.MAX_CANDIDATES)
+    monkeypatch.undo()
+    # A cap above the ceiling still runs a family below it.
+    assert exhaustive_search(4, 2, 1, cap=10**10).candidates == 784
+    assert soundness_sweep(4, 2, 1, cap=10**10).total == 784
+
+
 def test_cap_below_one_is_invalid_input():
     # Every family has at least one candidate, so no such cap can be met.
     for cap in (0, -1):
@@ -201,7 +221,7 @@ def test_periodic_pattern_normalization():
 
 def test_periodic_pattern_rejects_non_integer_offsets():
     for bad in (0.9, -1.2, True, "x", None):
-        with pytest.raises(ValidationError, match="offsets must be integers"):
+        with pytest.raises(ValidationError, match="offset must be an integer"):
             PeriodicPattern(period=1, offsets=((0, bad),))
 
 
@@ -209,7 +229,7 @@ def test_periodic_pattern_rejects_malformed_offsets_and_period():
     for offsets in (5, (5,), (None,), ({0: 1},), "0"):
         with pytest.raises(ValidationError):
             PeriodicPattern(period=1, offsets=offsets)
-    with pytest.raises(ValidationError, match="period must be a positive integer"):
+    with pytest.raises(ValidationError, match="period must be an integer"):
         PeriodicPattern(period=True, offsets=((0,),))
 
 
@@ -226,7 +246,7 @@ def test_periodic_eval_rejects_non_integer_arguments():
 def test_periodic_eval_rejects_nonpositive_budget():
     pair = PeriodicPattern(period=1, offsets=((-1, 0),))
     for nc in (0, -1):
-        with pytest.raises(ValidationError, match="nc must be positive"):
+        with pytest.raises(ValidationError, match="nc must be at least 1"):
             periodic_eval(pair, nc)
 
 

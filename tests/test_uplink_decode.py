@@ -79,7 +79,8 @@ def test_order_verification_validates_the_active_set():
     a = association(3, 2, [[1], [1, 2], [1, 3]])
     for bad in (0, 4, True):
         order = DecodingOrder(steps=((bad, 3),))
-        with pytest.raises(ValidationError, match=f"active user {bad!r} out of range"):
+        broken = "must be an integer, got True" if bad is True else f"{bad!r} out of range"
+        with pytest.raises(ValidationError, match=f"active user {broken}"):
             verify_order(order, a, {bad})
 
 
