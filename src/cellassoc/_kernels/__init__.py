@@ -6,8 +6,9 @@ left-to-right automata, and one forward max-count step that every pass
 over them goes through: set feasibility, the chain bound's maximum, the
 DP that maximizes a session exactly at every k in O(k) for a fixed
 budget, and `family_sums`, which walks a family of associations by
-columns over memoized layers and returns every association's maximum in
-enumeration order.  `_pure` states the rules and the passes.
+columns (`column_walk`) over memoized layers and returns every
+association's maximum in enumeration order.  `_pure` states the rules
+and the passes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from ._pure import (
     chain_family,
     chain_max,
+    column_walk,
     dl_family,
     dl_max_active,
     dl_set_feasible,

@@ -61,15 +61,19 @@ vector, the same set an include-first branch and bound over ascending
 users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
-the forward step alone suffices.  `FamilyLayers` memoizes it over a
-family, so associations that share a prefix of options share its layers,
+the forward step alone suffices.  `FamilyLayers` memoizes it per (layer,
+step), so associations that share a prefix of options share its layers,
 and `family_sums` walks the family by columns through those layers and
-returns every association's size in enumeration order.
+returns every association's size in enumeration order.  The column walk
+(`column_walk`) calls the step once per distinct layer and option of a
+user and expands the column in C iterators, so no Python code runs per
+association.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from math import inf
 
 _INACTIVE, _LEFT_OPEN, _LEFT_SHUT, _RIGHT = 0, 1, 2, 3
@@ -237,23 +241,20 @@ class FamilyLayers:
     A layer is a frozen map from state to the most active users so far,
     interned as an integer id; the start layer is id 0, and best[lid] is
     the largest count in layer lid, which after the last user is the size
-    of the largest feasible active set.  row(m, lid) gives, for each
-    option of user m + 1, the id of the layer it leads to from layer lid.
-    Steps and states hold no position, so one table of layers serves every
-    depth, and rows are computed once per (option list, layer): they are
-    the family's transfer-matrix rows, so a prefix of options is walked
-    once however many associations extend it, and users that offer the
-    same steps share rows.
+    of the largest feasible active set.  move(lid, step) is the id of the
+    layer that a user with that step leads to from layer lid.  Steps and
+    states hold no position, so one table of layers serves every depth,
+    and moves are memoized per (layer, step): users whose options look the
+    same from where they stand share them, however many associations pass
+    through the layer.
     """
 
     def __init__(self, family):
-        start, self._next, steps = family
+        start, self._next, self.steps = family
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
+        self._moves = {}
         self.best = [0]
-        memo = {}
-        # Per user: (its steps, rows by layer id).
-        self._users = [memo.setdefault(key, (key, {})) for key in map(tuple, steps)]
 
     def _intern(self, layer):
         key = tuple(sorted(layer.items()))
@@ -264,34 +265,43 @@ class FamilyLayers:
             self.best.append(max(layer.values()))
         return lid
 
-    def row(self, m, lid):
-        steps, rows = self._users[m]
-        row = rows.get(lid)
-        if row is None:
-            layer, nxt = self._layers[lid], self._next
-            row = rows[lid] = tuple(
-                self._intern(max_count(nxt, step, layer)) for step in steps
-            )
-        return row
+    def move(self, lid, step):
+        if (lid, step) not in self._moves:
+            layer = max_count(self._next, step, self._layers[lid])
+            self._moves[lid, step] = self._intern(layer)
+        return self._moves[lid, step]
+
+
+def column_walk(values, columns, move):
+    """values expanded by one entry of each column in turn, in product order.
+
+    values lists the value of every choice for the columns so far, in
+    enumeration order (the last column varying fastest), and each column
+    expands every value v into move(v, entry) for each of its entries.
+    move is called once per distinct value and entry, and the expansion
+    itself runs in C iterators.
+    """
+    for column in columns:
+        rows = {v: [move(v, entry) for entry in column] for v in set(values)}
+        values = list(chain.from_iterable(map(rows.__getitem__, values)))
+    return values
 
 
 def family_sums(families):
     """One list of sums per automaton, over a family in enumeration order.
 
     families holds one (start, next, steps) automaton per sum, all built
-    over the same options.  The walk goes by columns: ids lists the layer
-    reached by every choice of options for the users so far, in
-    enumeration order, and each user's transfer rows expand every id into
-    one id per option.  After the last user each id is read as its
-    layer's largest count.
+    over the same options.  Each is walked by columns (column_walk) over
+    its FamilyLayers, and the last user's moves are read at once as their
+    layers' largest counts, so no list of layer ids as long as the family
+    is built.
     """
     sums = []
     for family in families:
         walk = FamilyLayers(family)
-        ids = [0]
-        for m in range(len(family[2])):
-            ids = [t for lid in ids for t in walk.row(m, lid)]
-        sums.append(list(map(walk.best.__getitem__, ids)))
+        *steps, last = walk.steps
+        ids = column_walk([0], steps, walk.move)
+        sums.append(column_walk(ids, [last], lambda lid, step: walk.best[walk.move(lid, step)]))
     return sums
 
 

@@ -34,6 +34,7 @@ Bounds never claim tightness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,19 +216,20 @@ def _reconstruction_values(k: int, nc: int, options) -> list[int]:
 
     options[i-1] lists the association sets user i may take.  A block is
     good unless some user's set spoils it, so each option's spoiled
-    blocks, as a bitmask, are ORed along the family by columns, in the
-    same product order as the enumeration.
+    blocks, as a bitmask, are ORed along the family by columns
+    (_kernels.column_walk), in the same product order as the enumeration,
+    and the last user's masks are read at once as their seed counts.
     """
     _length, full, tail = _block_layout(k, nc)
-    masks = [0]
-    for i, opts in enumerate(options, 1):
-        spoils = [sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
-        masks = [m | s for m in masks for s in spoils]
-    values = {
-        m: _reconstruction_value(nc, (not m >> b & 1 for b in range(full)), tail)
-        for m in set(masks)
-    }
-    return list(map(values.__getitem__, masks))
+    *spoils, last = [[sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
+                     for i, opts in enumerate(options, 1)]
+    masks = _kernels.column_walk([0], spoils, operator.or_)
+
+    def value(mask, spoil):
+        mask |= spoil
+        return _reconstruction_value(nc, (not mask >> b & 1 for b in range(full)), tail)
+
+    return _kernels.column_walk(masks, [last], value)
 
 
 def _counting_value(k: int, nc: int) -> Fraction:

@@ -20,12 +20,12 @@ serves many small calls pays the build once.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
+import operator
 import sys
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
 
 from .bounds import (
@@ -70,19 +70,48 @@ def _load_json(path: str) -> object:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the pieces of text in chunks to the file out, or to stdout."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValidationError(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(obj: object, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _emit((json.dumps(obj, indent=2, sort_keys=True) + "\n",), out)
+
+
+# Rows of search --format csv joined into one piece of text (a few hundred
+# kB), so the text of a whole family is never held at once.
+_CSV_CHUNK_ROWS = 8192
+
+
+def _csv_chunks(result) -> Iterator[str]:
+    """The CSV text of a search's rows, in pieces of at most _CSV_CHUNK_ROWS rows.
+
+    The bytes are those csv.writer writes for integers (comma-separated,
+    "\\r\\n" after each row).  Everything after a row's index depends
+    only on its (dl, ul) pair, so it is formatted once per distinct pair
+    and each row is its index joined to it, in C iterators.
+    """
+    yield "assoc_id,dl_dof,ul_dof,avg_num,avg_den,bound_num,bound_den\r\n"
+    bound = result.bound.per_user
+    dls, uls = result.rows.dls, result.rows.uls
+    suffixes = {}
+    for dl, ul in set(zip(dls, uls)):
+        avg = average_per_user(dl, ul, result.k)
+        suffixes[dl, ul] = (
+            f",{dl},{ul},{avg.numerator},{avg.denominator},"
+            f"{bound.numerator},{bound.denominator}\r\n"
+        )
+    lines = map(operator.add, map(str, range(len(dls))), map(suffixes.__getitem__, zip(dls, uls)))
+    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK_ROWS)):
+        yield chunk
 
 
 def _seeds(args) -> tuple:
@@ -183,20 +212,7 @@ def _cmd_search(args) -> int:
     )
 
     if want_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["assoc_id", "dl_dof", "ul_dof", "avg_num", "avg_den",
-             "bound_num", "bound_den"]
-        )
-        bound_pu = result.bound.per_user
-        for index, dl, ul in result.rows:
-            avg = Fraction(dl + ul, 2 * result.k)
-            writer.writerow(
-                [index, dl, ul, avg.numerator, avg.denominator,
-                 bound_pu.numerator, bound_pu.denominator]
-            )
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_chunks(result), args.out)
     else:
         _emit_json(result.to_json(), args.out)
     return 0
@@ -234,7 +250,7 @@ def _cmd_render(args) -> int:
     else:
         assoc = CellAssociation.from_json(data)
     text = render_svg(assoc, plan) if args.format == "svg" else render_ascii(assoc, plan)
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return 0
 
 
@@ -254,7 +270,7 @@ def _cmd_report(args) -> int:
                 f"{c.nc:<3} {frac_to_str(c.tau):<11} "
                 f"{frac_to_str(c.tau_downlink):<10} {rel}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
     else:
         _emit_json([c.to_json() for c in comparisons], args.out)
     return 0

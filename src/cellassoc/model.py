@@ -157,13 +157,22 @@ class ChannelRealization:
     """One exact draw of all nonzero channel coefficients.
 
     coeffs maps (user i, bs j) -> coefficient for every connected pair;
-    unconnected pairs are identically zero and are not stored.
+    unconnected pairs are identically zero and are not stored.  k is a
+    positive integer, seed an integer, and the modulus an odd prime below
+    2**64, the range in which the primality test is exact; a composite one
+    raises ValidationError, since Z/prime is then no field.
     """
 
     k: int
     prime: int
     seed: int
     coeffs: Mapping[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        check_int("k", self.k, 1)
+        check_int("seed", self.seed)
+        if not _is_prime(check_int("prime", self.prime, 3, 2**64 - 1)):
+            raise ValidationError(f"prime must be a prime, got {self.prime}")
 
     def gain(self, i: int, j: int) -> int:
         """Channel coefficient from base station j to user i (0 if unconnected)."""
@@ -177,20 +186,24 @@ def draw_channels(k: int, seed: int, prime: int = DEFAULT_PRIME) -> ChannelReali
 
     Deterministic in (k, seed, prime): pairs are visited in a fixed order
     (users ascending, their base stations ascending), so the same arguments
-    always reproduce the same realization.  The modulus must be an odd
-    prime below 2**64, the range in which the primality test is exact;
-    a composite one raises ValidationError, since Z/prime is then no field.
+    always reproduce the same realization.  Each coefficient is what
+    random.Random(seed).randrange(1, prime) draws next: getrandbits of the
+    bit length of prime - 1, redrawn until it is below prime - 1, plus 1.
+    The arguments are checked as ChannelRealization checks them, before
+    anything is drawn.
     """
-    check_int("k", k, 1)
-    check_int("seed", seed)
-    if not _is_prime(check_int("prime", prime, 3, 2**64 - 1)):
-        raise ValidationError(f"prime must be a prime, got {prime}")
-    rng = random.Random(seed)
-    coeffs = {}
-    for i in range(1, k + 1):
-        for j in sorted(connected_bs(i, k)):
-            coeffs[(i, j)] = rng.randrange(1, prime)
-    return ChannelRealization(k=k, prime=prime, seed=seed, coeffs=coeffs)
+    coeffs: dict[tuple[int, int], int] = {}
+    realization = ChannelRealization(k=k, prime=prime, seed=seed, coeffs=coeffs)
+    getrandbits = random.Random(seed).getrandbits
+    width = prime - 1
+    bits = width.bit_length()
+    pairs = chain(((1, 1),), chain.from_iterable(((i, i - 1), (i, i)) for i in range(2, k + 1)))
+    for pair in pairs:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        coeffs[pair] = r + 1
+    return realization
 
 
 @dataclass(frozen=True)
@@ -206,9 +219,10 @@ class CellAssociation:
     """Per-user base-station sets under a per-user budget nc.
 
     cells[i-1] is the association set of user i.  Empty sets are legal and
-    mean the user is unserved.  Construction checks shape only; budget and
-    range violations are reported by validate_association so that malformed
-    inputs can be inspected rather than rejected outright.
+    mean the user is unserved.  Construction checks the shape and that
+    every member is an integer (check_ints); budget and range violations
+    are reported by validate_association so that malformed inputs can be
+    inspected rather than rejected outright.
     """
 
     k: int
@@ -222,6 +236,7 @@ class CellAssociation:
             raise ValidationError(
                 f"expected {self.k} association sets, got {len(self.cells)}"
             )
+        check_ints("bs index", chain.from_iterable(self.cells))
 
     def cell(self, i: int) -> frozenset[int]:
         check_int("user index", i, 1, self.k)
@@ -255,7 +270,8 @@ def association(k: int, nc: int, cells: Iterable[Iterable[int]]) -> CellAssociat
     """Normalizing constructor: any iterable of iterables of ints.
 
     The bs indices are checked by one check_ints call before any set is
-    built, so 1.0 or True never merges into the bs index 1.
+    built, so 1.0 or True never merges into the bs index 1 (a set that
+    already holds 1 would drop it unseen by CellAssociation's own check).
     """
     cells = list(map(tuple, cells))
     check_ints("bs index", chain.from_iterable(cells))

@@ -58,8 +58,9 @@ from .model import (
 from .uplink_decode import certify_uplink
 
 # Largest k a scheme is built for.  Time and memory grow linearly in k: one
-# avg nc = 3 plan at k = 10^5 takes about 8 s and 160 MB on a 2-vCPU VM, so
-# larger requests are refused before anything is built.  A plan holds up to
+# avg nc = 3 plan at k = 10^5 takes about 4 s and 180 MB of RSS for the whole
+# process on a 2-vCPU VM, so larger requests are refused before anything is
+# built.  A plan holds up to
 # k * min(nc, k) association entries, which are bounded by 4 * MAX_SCHEME_K,
 # so every k up to the limit is accepted with nc <= 4.
 MAX_SCHEME_K = 10**6

@@ -11,19 +11,25 @@ the two value-free feasibility rules of _kernels allow, and only those
 sizes are needed, so _kernels.family_sums walks the family column by
 column with one forward max-count layer per user and session: the layer
 ids of every prefix of options, in enumeration order, are expanded
-through the next user's memoized transfer rows.  After the last user each
-candidate is one layer id per session, read as that layer's largest
-count, about 32 bytes per candidate in all.  The search takes the first
-maximizer and decodes its association from its index.  No channel value
-is drawn per candidate; the winner alone gets a zero-forcing witness and
-a decoding order from max_downlink_dof and max_uplink_dof, which must
-reproduce the search value.
+through the moves of the next user, memoized per (layer, step) and
+computed once per distinct layer of the column.  The last user's layers
+are read at once as their largest counts, so a search holds one list of
+sums per session and one of objective keys, about 24 bytes per candidate
+in all, and collected rows are read from the two lists of sums.  The
+search takes the first maximizer and decodes its association from its
+index (_decode, the mixed-radix digits of the index).  No channel value
+is drawn per candidate; the winner alone becomes an association and gets
+a zero-forcing witness and a decoding order from max_downlink_dof and
+max_uplink_dof, which must reproduce the search value.
 
 A soundness sweep runs the same walk with the chain bound as a third
 rule and compares every candidate's sums against the matching converse
 certificates, returning any violations instead of a winner.  Block
 goodness for the reconstruction bound is ORed along the same column walk
 (bounds._reconstruction_values), so no bound is computed per candidate.
+The tight counts and the violation flags are compared list against list
+in C; only the flagged candidates are decoded and reported, so a sound
+family builds no association.
 
 Both entry points count the family with math.comb before listing any
 option and refuse one with more than cap candidates, or more than
@@ -40,10 +46,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
+from typing import Optional
 
 from ._kernels import chain_family, dl_family, family_sums, ul_family
 from .bounds import (
@@ -69,8 +76,8 @@ from .uplink_decode import UlEvaluation, max_uplink_dof
 
 DEFAULT_CAP = 100_000
 
-# Largest family a search or sweep lists, whatever its cap: about 0.3 GB
-# at 32 bytes per candidate.
+# Largest family a search or sweep lists, whatever its cap: about 0.25 GB
+# for a search (JSON or CSV) at 24 bytes per candidate, 0.4 GB for a sweep.
 MAX_CANDIDATES = 10**7
 
 _OBJECTIVES = {
@@ -146,6 +153,20 @@ def _family(k: int, nc: int, window: Optional[int], cap: int):
     return w, _user_options(k, nc, w), total
 
 
+def _decode(options, index: int) -> tuple:
+    """The index-th choice of one option per user, in enumeration order.
+
+    Candidates are listed in the product order of the options, the last
+    user's varying fastest, so index is a mixed-radix number whose last
+    digit picks the last user's option.
+    """
+    combo = []
+    for opts in reversed(options):
+        index, digit = divmod(index, len(opts))
+        combo.append(opts[digit])
+    return tuple(reversed(combo))
+
+
 def count_associations(k: int, nc: int, window: Optional[int] = None) -> int:
     """Number of windowed associations, without enumerating them."""
     return _family_size(k, nc, _window(k, nc, window))
@@ -158,6 +179,21 @@ def enumerate_associations(
     options = _user_options(k, nc, _window(k, nc, window))
     for combo in itertools.product(*options):
         yield association(k, nc, combo)
+
+
+class _Rows(Sequence):
+    """The (index, dl, ul) rows of a search, read from its two lists of sums."""
+
+    def __init__(self, dls, uls):
+        self.dls, self.uls = dls, uls
+
+    def __len__(self):
+        return len(self.dls)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(zip(range(len(self))[index], self.dls[index], self.uls[index]))
+        return range(len(self))[index], self.dls[index], self.uls[index]
 
 
 @dataclass(frozen=True)
@@ -175,7 +211,8 @@ class SearchResult:
     dl: DlEvaluation
     ul: UlEvaluation
     bound: BoundCertificate
-    rows: Optional[tuple] = None
+    # A function of (k, nc, window), so it takes no part in comparisons.
+    rows: Optional[Sequence] = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -218,7 +255,8 @@ def exhaustive_search(
     """Evaluate every windowed association and return the best one.
 
     Both sessions are evaluated for every candidate regardless of the
-    objective, so collected rows always carry (index, dl, ul).  Refuses
+    objective, so collected rows always carry (index, dl, ul); they are a
+    read-only sequence over the two lists of sums.  Refuses
     to start when the candidate count exceeds cap or MAX_CANDIDATES.  The
     seeds (model.check_seeds) and prime only draw the channels of the
     winner's zero-forcing witness.
@@ -233,9 +271,8 @@ def exhaustive_search(
     else:
         keys = uls if objective == "ul" else dls
     best_index = keys.index(max(keys))  # the first maximizer
-    best_combo = next(itertools.islice(itertools.product(*options), best_index, None))
     best_value = _objective_value(objective, k, dls[best_index], uls[best_index])
-    best_assoc = association(k, nc, best_combo)
+    best_assoc = association(k, nc, _decode(options, best_index))
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
     ul_ev = max_uplink_dof(best_assoc)
@@ -258,7 +295,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=tuple(zip(range(total), dls, uls)) if collect_rows else None,
+        rows=_Rows(dls, uls) if collect_rows else None,
     )
 
 
@@ -309,38 +346,39 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     check_seeds(seeds)
-    counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-    violations: list[dict] = []
-    tight = {"chain": 0, "reconstruction": 0, "counting": 0}
+    automata = dl_family(k, options), ul_family(options), chain_family(options)
+    dls, uls, chains = family_sums(automata)
+    tight = {"chain": sum(map(operator.eq, uls, chains)), "reconstruction": 0, "counting": 0}
+    flags = [lambda: map(operator.gt, uls, chains)]
+    if nc >= 2:  # blocks are defined for nc >= 2 only
+        counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
+        recons = _reconstruction_values(k, nc, options)
+        avgs = list(map(operator.add, dls, uls))
+        tight["reconstruction"] = sum(map(operator.eq, dls, recons))
+        tight["counting"] = avgs.count(counting_twice)
+        flags += [lambda: map(operator.gt, dls, recons), lambda: map(counting_twice.__lt__, avgs)]
+    # A certificate's flags are listed only when some candidate breaks it (any()
+    # is the cheaper pass), and only flagged candidates are visited, in order.
+    suspects = {
+        i for flag in flags if any(flag()) for i in itertools.compress(itertools.count(), flag())
+    }
 
-    def violation(kind, combo, achieved, bound):
-        cells = association(k, nc, combo).cells_as_lists()
+    violations: list[dict] = []
+
+    def violation(kind, index, achieved, bound):
+        cells = association(k, nc, _decode(options, index)).cells_as_lists()
         violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
-    sums = family_sums((dl_family(k, options), ul_family(options), chain_family(options)))
-    # Blocks are defined for nc >= 2 only.
-    recons = _reconstruction_values(k, nc, options) if nc >= 2 else itertools.repeat(None)
-    for combo, dl, ul, chain_value, recon_value in zip(itertools.product(*options), *sums, recons):
-        if ul > chain_value:
-            violation("lemma2_chain", combo, ul, chain_value)
-        elif ul == chain_value:
-            tight["chain"] += 1
-
+    for index in sorted(suspects):
+        dl, ul = dls[index], uls[index]
+        if ul > chains[index]:
+            violation("lemma2_chain", index, ul, chains[index])
         if nc >= 2:
-            if dl > recon_value:
-                violation("dl_reconstruction", combo, dl, recon_value)
-            elif dl == recon_value:
-                tight["reconstruction"] += 1
-
+            if dl > recons[index]:
+                violation("dl_reconstruction", index, dl, recons[index])
             if dl + ul > counting_twice:
-                violation(
-                    "avg_counting",
-                    combo,
-                    frac_to_str(Fraction(dl + ul, 2)),
-                    frac_to_str(Fraction(counting_twice, 2)),
-                )
-            elif dl + ul == counting_twice:
-                tight["counting"] += 1
+                halves = frac_to_str(Fraction(dl + ul, 2)), frac_to_str(Fraction(counting_twice, 2))
+                violation("avg_counting", index, *halves)
 
     return SweepReport(
         k=k, nc=nc, window=w, total=total,

@@ -11,6 +11,8 @@ import pytest
 
 from cellassoc import (
     DEFAULT_PRIME,
+    CellAssociation,
+    ChannelRealization,
     PeriodicPattern,
     ValidationError,
     ZfWitness,
@@ -156,6 +158,32 @@ def test_modulus_must_be_prime():
     witness = ZfWitness.from_json(dict(data, prime=9))
     with pytest.raises(ValidationError):
         draw_channels(4, witness.seed, witness.prime)
+
+
+def test_realizations_built_directly_keep_the_field_contract():
+    # Z/4 gains 1 and 3 once gave pair_association(9) a downlink "witness"
+    # that verify_witness accepted; the constructor now refuses the modulus.
+    gains = {pair: 1 + 2 * (n % 2) for n, pair in enumerate(draw_channels(9, 1).coeffs)}
+    with pytest.raises(ValidationError, match="prime must be a prime, got 4"):
+        ChannelRealization(k=9, prime=4, seed=1, coeffs=gains)
+    for bad, match in (
+        ({"k": 0}, "k must be at least 1"),
+        ({"k": True}, "k must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"prime": 2**64 + 13}, "prime 18446744073709551629 out of range"),
+        ({"prime": 9}, "prime must be a prime, got 9"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            ChannelRealization(**{"k": 9, "prime": 13, "seed": 1, "coeffs": gains, **bad})
+    assert ChannelRealization(k=9, prime=13, seed=1, coeffs=gains).prime == 13
+
+
+def test_associations_built_directly_have_integer_members():
+    # Such a set once passed validate_association and evaluated to 1 and 1.
+    for bad in (1.5, True):
+        with pytest.raises(ValidationError, match="bs index must be an integer"):
+            CellAssociation(k=2, nc=1, cells=(frozenset({bad}), frozenset({2})))
+    assert CellAssociation(k=2, nc=1, cells=(frozenset({1}), frozenset())).cells[0] == {1}
 
 
 def test_primality_test_is_exact():

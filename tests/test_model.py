@@ -1,5 +1,6 @@
 """Indexing, channel draws, association containers, rational helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,22 @@ def test_channel_draw_order_is_frozen():
         (3, 2): 1722851097,
         (3, 3): 1640193507,
     }
+
+
+def test_channel_draws_equal_randrange_draws():
+    # One getrandbits loop replaces randrange(1, prime) per coefficient; the
+    # small moduli make it redraw often.
+    for seed in (1, -5, 2**40):
+        for prime in (3, 5, 7, 13, 2**31 - 1, 2**61 - 1):
+            for k in range(1, 41):
+                rng = random.Random(seed)
+                expected = [
+                    ((i, j), rng.randrange(1, prime))
+                    for i in range(1, k + 1)
+                    for j in (i - 1, i)
+                    if j >= 1
+                ]
+                assert list(draw_channels(k, seed, prime).coeffs.items()) == expected
 
 
 def test_gain_zero_off_topology():

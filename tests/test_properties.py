@@ -16,6 +16,7 @@ also pass the multi-seed reference and both value-free rules.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -559,6 +560,39 @@ def test_family_sums_match_per_candidate_maxima(family):
         for combo, dl, ul in ref_session_sums(k, options)
     ]
     assert _kernels.family_sums(automata) == [list(s) for s in zip(*expected)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), st.data())
+def test_decode_matches_product_order(family, data):
+    _k, options = family
+    total = math.prod(map(len, options))
+    index = data.draw(st.integers(0, total - 1))
+    listed = itertools.product(*options)
+    assert search._decode(options, index) == next(itertools.islice(listed, index, None))
+
+
+def test_only_the_winner_and_the_violations_become_associations():
+    built = []
+    real = search.association
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    with mock.patch.object(search, "association", counted):
+        for k, nc, w in SMALL_FAMILIES:
+            result = search.exhaustive_search(k, nc, w)
+            assert len(built) == 1 and real(*built.pop()) == result.best_assoc
+            assert search.soundness_sweep(k, nc, w).sound
+            assert built == []
+
+
+def test_zeroed_prime_13_realizations_build():
+    base = draw_channels(4, 1, 13)
+    for zeroed in subsets(range(7)):
+        ch = with_zeros(base, zeroed)
+        assert ch.prime == 13 and sum(v == 0 for v in ch.coeffs.values()) == len(zeroed)
 
 
 @settings(max_examples=80, deadline=None)
