@@ -61,18 +61,34 @@ vector, the same set an include-first branch and bound over ascending
 users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
-the forward step alone suffices.  `FamilyLayers` memoizes it per (layer,
-step), so associations that share a prefix of options share its layers,
-and `family_sums` walks the family by columns through those layers and
-returns every association's size in enumeration order.  The column walk
-(`column_walk`) calls the step once per distinct layer and option of a
-user and expands the column in C iterators, so no Python code runs per
-association.
+the forward step alone suffices.  `FamilyLayers` interns its layers and
+memoizes the step per (layer, step), and a user's whole row of moves per
+(layer, column of its options' steps).  One table per rule lives for the
+whole process (`layers`), keyed by the rule's start and next function;
+the downlink rule has one next function per run cap, so each cap has its
+own table.  Associations that share a prefix of options share its
+layers, and a walk repeated in one process computes no move again.
+
+Two walks read these tables.  `family_sums` walks the family by columns
+(`column_walk`) and returns every association's size in enumeration
+order; only output that lists every candidate needs it.  `tuple_walk`
+walks a product of rules, and of other per-option values such as
+bitmasks, over distinct tuples: after each user it keeps the set of
+tuples of component values that some prefix of options reaches, and the
+row of tuples each leads to, so its work grows with the distinct tuples
+and not with the candidates.  Two passes read its rows: `tuple_counts`
+sums the number of associations that end in each last tuple, and
+`ordered_find` lists, in enumeration order, the associations whose last
+tuple lies in a given set, by backward reachability.  These are the
+counting and the reachability passes of Mohri's semiring framework
+("Semiring frameworks and algorithms for shortest-distance problems",
+2002) over the family, and a search's max-plus pass is the largest key
+over the last tuples; no candidate is listed.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from math import inf
 
@@ -153,8 +169,17 @@ def _chain_next(step, state, active):
 
 
 def _steps(step, options):
-    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
-    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+    """steps[m-1][o]: user m's step under its option options[m-1][o].
+
+    Each user's steps are a tuple, so a table can memoize a whole column.
+    """
+    return [tuple(step(m, cell) for cell in opts) for m, opts in enumerate(options, 1)]
+
+
+@cache
+def _dl_rule(cap):
+    """The downlink next function under one run cap, one object per cap."""
+    return partial(_dl_next, cap)
 
 
 def dl_family(k, options):
@@ -166,7 +191,7 @@ def dl_family(k, options):
     """
     steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
-    return _DL_START, partial(_dl_next, cap), steps
+    return _DL_START, _dl_rule(cap), steps
 
 
 def ul_family(options):
@@ -236,24 +261,27 @@ def _lex_max(family):
 
 
 class FamilyLayers:
-    """Forward max-count layers of one rule over a family, user by user.
+    """Forward max-count layers of one rule, user by user.
 
     A layer is a frozen map from state to the most active users so far,
     interned as an integer id; the start layer is id 0, and best[lid] is
     the largest count in layer lid, which after the last user is the size
-    of the largest feasible active set.  move(lid, step) is the id of the
-    layer that a user with that step leads to from layer lid.  Steps and
-    states hold no position, so one table of layers serves every depth,
-    and moves are memoized per (layer, step): users whose options look the
-    same from where they stand share them, however many associations pass
-    through the layer.
+    of the largest feasible active set.  row(lid, column) lists the ids of
+    the layers that a user leads to from layer lid, one per step of the
+    tuple column (its options' steps).  Steps and states hold no position
+    or family, so one table serves every depth and every family of its
+    rule: `layers` keeps one per rule for the whole process.  Rows are
+    memoized per (layer, column) and their moves per (layer, step), so
+    users whose options look the same from where they stand share them,
+    in every walk that reaches the layer.
     """
 
-    def __init__(self, family):
-        start, self._next, self.steps = family
+    def __init__(self, start, nxt):
+        self._next = nxt
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
         self._moves = {}
+        self._rows = {}
         self.best = [0]
 
     def _intern(self, layer):
@@ -265,24 +293,44 @@ class FamilyLayers:
             self.best.append(max(layer.values()))
         return lid
 
-    def move(self, lid, step):
-        if (lid, step) not in self._moves:
+    def _move(self, lid, step):
+        lid_after = self._moves.get((lid, step))
+        if lid_after is None:
             layer = max_count(self._next, step, self._layers[lid])
-            self._moves[lid, step] = self._intern(layer)
-        return self._moves[lid, step]
+            lid_after = self._moves[lid, step] = self._intern(layer)
+        return lid_after
+
+    def row(self, lid, column):
+        ids = self._rows.get((lid, column))
+        if ids is None:
+            ids = self._rows[lid, column] = [self._move(lid, step) for step in column]
+        return ids
 
 
-def column_walk(values, columns, move):
+# One FamilyLayers per rule, keyed by (start, next function), for the process.
+_TABLES = {}
+
+
+def layers(family):
+    """(the FamilyLayers of a family's rule, the family's steps)."""
+    start, nxt, steps = family
+    table = _TABLES.get((start, nxt))
+    if table is None:
+        table = _TABLES[start, nxt] = FamilyLayers(start, nxt)
+    return table, steps
+
+
+def column_walk(values, columns, row):
     """values expanded by one entry of each column in turn, in product order.
 
     values lists the value of every choice for the columns so far, in
     enumeration order (the last column varying fastest), and each column
-    expands every value v into move(v, entry) for each of its entries.
-    move is called once per distinct value and entry, and the expansion
+    expands every value v into row(v, column), one value per entry.  row
+    is called once per distinct value of a column, and the expansion
     itself runs in C iterators.
     """
     for column in columns:
-        rows = {v: [move(v, entry) for entry in column] for v in set(values)}
+        rows = {v: row(v, column) for v in set(values)}
         values = list(chain.from_iterable(map(rows.__getitem__, values)))
     return values
 
@@ -292,17 +340,85 @@ def family_sums(families):
 
     families holds one (start, next, steps) automaton per sum, all built
     over the same options.  Each is walked by columns (column_walk) over
-    its FamilyLayers, and the last user's moves are read at once as their
-    layers' largest counts, so no list of layer ids as long as the family
-    is built.
+    its rule's FamilyLayers, and the last user's rows are read at once as
+    their layers' largest counts, so no list of layer ids as long as the
+    family is built.
     """
     sums = []
     for family in families:
-        walk = FamilyLayers(family)
-        *steps, last = walk.steps
-        ids = column_walk([0], steps, walk.move)
-        sums.append(column_walk(ids, [last], lambda lid, step: walk.best[walk.move(lid, step)]))
+        table, (*steps, last) = layers(family)
+        ids = column_walk([0], steps, table.row)
+        best = table.best.__getitem__
+        sums.append(column_walk(ids, [last], lambda lid, column: list(map(best, table.row(lid, column)))))
     return sums
+
+
+def tuple_walk(parts):
+    """The distinct value tuples of a product walk over a family, user by user.
+
+    parts holds one (row, columns) per component, all over the same
+    options: row(v, columns[m-1]) lists the component's values after user
+    m from value v, one per option of the user, and every component starts
+    at 0 (a rule's FamilyLayers gives (table.row, steps)).  A choice of
+    options for users 1..d leads to the tuple of its components' values.
+
+    Returns (rows, last): rows[d] maps each tuple that some choice for
+    users 1..d reaches to its tuples after user d+1, one per option in
+    order, and last is the set of tuples after the last user.  The work
+    grows with the distinct tuples, not with the candidates.
+    """
+    rows_of, columns = zip(*parts)
+    here, rows = {(0,) * len(parts)}, []
+    for column in zip(*columns):
+        # Each component's row, once per distinct value of it.
+        per_part = [
+            {v: row(v, entries) for v in {t[c] for t in here}}
+            for c, (row, entries) in enumerate(zip(rows_of, column))
+        ]
+        row_of = {t: list(zip(*map(dict.__getitem__, per_part, t))) for t in here}
+        here = set(chain.from_iterable(row_of.values()))
+        rows.append(row_of)
+    return rows, here
+
+
+def tuple_counts(rows):
+    """The number of associations that end in each last tuple of a tuple_walk."""
+    counts = dict.fromkeys(rows[0], 1)
+    for row_of in rows:
+        after = {}
+        for t, n in counts.items():
+            for u in row_of[t]:
+                after[u] = after.get(u, 0) + n
+        counts = after
+    return counts
+
+
+def ordered_find(rows, final):
+    """(index, last tuple) of every association whose last tuple is in final.
+
+    rows are a tuple_walk's rows, and the associations come in enumeration
+    order: index is the mixed-radix number whose digit for user m is the
+    position of its option, the last user's varying fastest.  Backward
+    reachability keeps, at each depth, the tuples from which some tuple of
+    final is reached, and the descent takes options in order through those
+    alone, so it visits only prefixes of associations it returns.
+    """
+    live = [set(final)]
+    for row_of in reversed(rows):
+        ahead = live[-1]
+        live.append({t for t, row in row_of.items() if not ahead.isdisjoint(row)})
+    live.reverse()
+
+    def descend(depth, t, index):
+        if depth == len(rows):
+            yield index, t
+            return
+        row, ahead = rows[depth][t], live[depth + 1]
+        for o, u in enumerate(row):
+            if u in ahead:
+                yield from descend(depth + 1, u, index * len(row) + o)
+
+    return (found for t in live[0] for found in descend(0, t, 0))
 
 
 def chain_max(cells):

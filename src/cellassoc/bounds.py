@@ -21,7 +21,7 @@ recomputed from the flagged data alone:
   so the seed count bounds the downlink sum.  Goodness is one per-user
   rule (_spoiled: the blocks a user's set keeps from being good), so one
   association ORs its users' spoiled blocks, and a sweep ORs them along
-  its family (_reconstruction_values).
+  its family (_spoil_masks, _masked_value).
 
 * counting bound (average): per full block, one session is charged
   2*nc - 1 and the other 2*nc - 2 depending on the middle-bs association
@@ -34,7 +34,6 @@ Bounds never claim tightness.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,25 +210,24 @@ def _reconstruction_value(nc: int, goods, tail: int) -> int:
     return sum((2 * nc - 2) if good else (2 * nc - 1) for good in goods) + tail
 
 
-def _reconstruction_values(k: int, nc: int, options) -> list[int]:
-    """The reconstruction bound of every association of a family, in enumeration order.
+def _spoil_masks(k: int, nc: int, options) -> list[list[int]]:
+    """Per user, the full blocks each of its options spoils, as bitmasks.
 
-    options[i-1] lists the association sets user i may take.  A block is
-    good unless some user's set spoils it, so each option's spoiled
-    blocks, as a bitmask, are ORed along the family by columns
-    (_kernels.column_walk), in the same product order as the enumeration,
-    and the last user's masks are read at once as their seed counts.
+    options[i-1] lists the association sets user i may take, and bit b of
+    a mask is set when the set keeps block b from being good under the
+    strict test of the reconstruction bound (_spoiled).  A block is good
+    unless some user's set spoils it, so an association's spoiled blocks
+    are its users' masks ORed, which a sweep does along its family, and
+    _masked_value reads the bound from them.
     """
+    return [[sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
+            for i, opts in enumerate(options, 1)]
+
+
+def _masked_value(k: int, nc: int, mask: int) -> int:
+    """The reconstruction bound of an association whose spoiled blocks are the bits of mask."""
     _length, full, tail = _block_layout(k, nc)
-    *spoils, last = [[sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
-                     for i, opts in enumerate(options, 1)]
-    masks = _kernels.column_walk([0], spoils, operator.or_)
-
-    def value(mask, spoil):
-        mask |= spoil
-        return _reconstruction_value(nc, (not mask >> b & 1 for b in range(full)), tail)
-
-    return _kernels.column_walk(masks, [last], value)
+    return _reconstruction_value(nc, (not mask >> b & 1 for b in range(full)), tail)
 
 
 def _counting_value(k: int, nc: int) -> Fraction:

@@ -58,6 +58,7 @@ class ZfWitness:
     seed: int
     prime: int
     precoders: dict[int, dict[int, int]]
+    __hash__ = None  # it holds a dict
 
     def to_json(self) -> dict:
         return {
@@ -98,6 +99,7 @@ class DlEvaluation:
     active_users: frozenset[int]
     witness: Optional[ZfWitness]
     seeds: tuple[int, ...]
+    __hash__ = None  # its witness holds a dict
 
     def to_json(self) -> dict:
         return {

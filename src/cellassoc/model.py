@@ -167,6 +167,7 @@ class ChannelRealization:
     prime: int
     seed: int
     coeffs: Mapping[tuple[int, int], int]
+    __hash__ = None  # it holds a dict
 
     def __post_init__(self) -> None:
         check_int("k", self.k, 1)

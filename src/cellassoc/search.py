@@ -8,28 +8,29 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed, so _kernels.family_sums walks the family column by
-column with one forward max-count layer per user and session: the layer
-ids of every prefix of options, in enumeration order, are expanded
-through the moves of the next user, memoized per (layer, step) and
-computed once per distinct layer of the column.  The last user's layers
-are read at once as their largest counts, so a search holds one list of
-sums per session and one of objective keys, about 24 bytes per candidate
-in all, and collected rows are read from the two lists of sums.  The
-search takes the first maximizer and decodes its association from its
-index (_decode, the mixed-radix digits of the index).  No channel value
-is drawn per candidate; the winner alone becomes an association and gets
-a zero-forcing witness and a decoding order from max_downlink_dof and
-max_uplink_dof, which must reproduce the search value.
+sizes are needed.  Each rule has one table of forward max-count layers
+for the whole process (_kernels.layers), and _kernels.tuple_walk walks
+the family user by user over the distinct (dl layer, ul layer) pairs
+that some prefix of options reaches.  A search reads the objective key
+of every distinct last pair, and the winner is the first index that
+ends in a pair of the best key (_kernels.ordered_find); it is decoded
+from the mixed-radix digits of that index (_decode), so a JSON search
+lists no candidate.  No channel
+value is drawn per candidate; the winner alone becomes an association
+and gets a zero-forcing witness and a decoding order from
+max_downlink_dof and max_uplink_dof, which must reproduce the search
+value.  Collected rows (search --format csv) list every candidate's sums
+in enumeration order (_kernels.family_sums), about 24 bytes per
+candidate.
 
-A soundness sweep runs the same walk with the chain bound as a third
-rule and compares every candidate's sums against the matching converse
-certificates, returning any violations instead of a winner.  Block
-goodness for the reconstruction bound is ORed along the same column walk
-(bounds._reconstruction_values), so no bound is computed per candidate.
-The tight counts and the violation flags are compared list against list
-in C; only the flagged candidates are decoded and reported, so a sound
-family builds no association.
+A soundness sweep runs the same walk over (dl, ul, chain) layers, and
+for nc >= 2 the OR of the options' spoiled blocks of the reconstruction
+bound (bounds._spoil_masks), so every certificate is decided once per
+distinct last tuple: the tight counts are sums of the numbers of
+candidates that end in each tuple (_kernels.tuple_counts), and the
+violators are the indices that end in a tuple breaking a certificate,
+found in order and decoded as associations.  A sound family builds no
+association.
 
 Both entry points count the family with math.comb before listing any
 option and refuse one with more than cap candidates, or more than
@@ -45,18 +46,27 @@ signature of a per-user rate that has stabilized.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
-from ._kernels import chain_family, dl_family, family_sums, ul_family
+from ._kernels import (
+    chain_family,
+    dl_family,
+    family_sums,
+    layers,
+    ordered_find,
+    tuple_counts,
+    tuple_walk,
+    ul_family,
+)
 from .bounds import (
     BoundCertificate,
     _counting_value,
-    _reconstruction_values,
+    _masked_value,
+    _spoil_masks,
     counting_bound,
     ncone_bound,
 )
@@ -76,8 +86,8 @@ from .uplink_decode import UlEvaluation, max_uplink_dof
 
 DEFAULT_CAP = 100_000
 
-# Largest family a search or sweep lists, whatever its cap: about 0.25 GB
-# for a search (JSON or CSV) at 24 bytes per candidate, 0.4 GB for a sweep.
+# Largest family a search or sweep takes, whatever its cap: about 0.25 GB
+# of rows for a CSV search at 24 bytes per candidate.
 MAX_CANDIDATES = 10**7
 
 _OBJECTIVES = {
@@ -213,6 +223,7 @@ class SearchResult:
     bound: BoundCertificate
     # A function of (k, nc, window), so it takes no part in comparisons.
     rows: Optional[Sequence] = field(default=None, compare=False)
+    __hash__ = None  # its downlink witness holds a dict
 
     def to_json(self) -> dict:
         return {
@@ -235,10 +246,29 @@ class SearchResult:
         }
 
 
+def _walk(families, *extra):
+    """(tables, rows, last): the rules' shared tables and tuple_walk over them.
+
+    The walk's components are the families' layers, in order, then the
+    extra (row, columns) parts.
+    """
+    tables, steps = zip(*map(layers, families))
+    rows, last = tuple_walk([*zip((t.row for t in tables), steps), *extra])
+    return tables, rows, last
+
+
+def _final_sums(tables, t):
+    """The sum each rule's table reads from its layer in a last tuple of _walk."""
+    return [table.best[lid] for table, lid in zip(tables, t)]
+
+
+# The objective key of a candidate is dl * weight + ul * weight.
+_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
+
+
 def _objective_value(objective: str, k: int, dl: int, ul: int) -> Fraction:
-    if objective == "avg":
-        return Fraction(dl + ul, 2 * k)
-    return Fraction(ul if objective == "ul" else dl)
+    dl_weight, ul_weight = _WEIGHTS[objective]
+    return Fraction(dl_weight * dl + ul_weight * ul, 2 * k if objective == "avg" else 1)
 
 
 def exhaustive_search(
@@ -256,22 +286,27 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul); they are a
-    read-only sequence over the two lists of sums.  Refuses
-    to start when the candidate count exceeds cap or MAX_CANDIDATES.  The
-    seeds (model.check_seeds) and prime only draw the channels of the
-    winner's zero-forcing witness.
+    read-only sequence over the two lists of sums, listed only when
+    collect_rows is set, and the winner is found by the same walk either
+    way.  Refuses to start when the candidate count exceeds cap or
+    MAX_CANDIDATES.  The seeds (model.check_seeds) and prime only draw the
+    channels of the winner's zero-forcing witness.
     """
     objective = _normalize_objective(objective)
     w, options, total = _family(k, nc, window, cap)
     seeds = check_seeds(seeds)
 
-    dls, uls = family_sums((dl_family(k, options), ul_family(options)))
-    if objective == "avg":
-        keys = list(map(operator.add, dls, uls))
-    else:
-        keys = uls if objective == "ul" else dls
-    best_index = keys.index(max(keys))  # the first maximizer
-    best_value = _objective_value(objective, k, dls[best_index], uls[best_index])
+    families = dl_family(k, options), ul_family(options)
+    tables, rows, last = _walk(families)
+    dl_weight, ul_weight = _WEIGHTS[objective]
+    keys = {}
+    for t in last:
+        dl, ul = _final_sums(tables, t)
+        keys[t] = dl_weight * dl + ul_weight * ul
+    best_key = max(keys.values())
+    # The first maximizer is the first index that ends in a pair of the best key.
+    best_index, best = next(ordered_find(rows, [t for t, key in keys.items() if key == best_key]))
+    best_value = _objective_value(objective, k, *_final_sums(tables, best))
     best_assoc = association(k, nc, _decode(options, best_index))
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
@@ -295,7 +330,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=_Rows(dls, uls) if collect_rows else None,
+        rows=_Rows(*family_sums(families)) if collect_rows else None,
     )
 
 
@@ -309,6 +344,7 @@ class SweepReport:
     total: int
     violations: tuple
     tight: dict
+    __hash__ = None  # it holds a dict
 
     @property
     def sound(self) -> bool:
@@ -324,6 +360,11 @@ class SweepReport:
             "violations": list(self.violations),
             "tight": dict(self.tight),
         }
+
+
+def _or_each(mask, spoils):
+    """mask ORed with each option's spoiled blocks in turn."""
+    return [mask | spoil for spoil in spoils]
 
 
 def soundness_sweep(
@@ -346,39 +387,39 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     check_seeds(seeds)
-    automata = dl_family(k, options), ul_family(options), chain_family(options)
-    dls, uls, chains = family_sums(automata)
-    tight = {"chain": sum(map(operator.eq, uls, chains)), "reconstruction": 0, "counting": 0}
-    flags = [lambda: map(operator.gt, uls, chains)]
-    if nc >= 2:  # blocks are defined for nc >= 2 only
-        counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-        recons = _reconstruction_values(k, nc, options)
-        avgs = list(map(operator.add, dls, uls))
-        tight["reconstruction"] = sum(map(operator.eq, dls, recons))
-        tight["counting"] = avgs.count(counting_twice)
-        flags += [lambda: map(operator.gt, dls, recons), lambda: map(counting_twice.__lt__, avgs)]
-    # A certificate's flags are listed only when some candidate breaks it (any()
-    # is the cheaper pass), and only flagged candidates are visited, in order.
-    suspects = {
-        i for flag in flags if any(flag()) for i in itertools.compress(itertools.count(), flag())
-    }
+    families = dl_family(k, options), ul_family(options), chain_family(options)
+    # Blocks are defined for nc >= 2 only.
+    masks = [(_or_each, _spoil_masks(k, nc, options))] if nc >= 2 else []
+    tables, rows, _last = _walk(families, *masks)
+    counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
+    recons: dict = {}  # reconstruction bound per mask of spoiled blocks
 
-    violations: list[dict] = []
-
-    def violation(kind, index, achieved, bound):
-        cells = association(k, nc, _decode(options, index)).cells_as_lists()
-        violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
-
-    for index in sorted(suspects):
-        dl, ul = dls[index], uls[index]
-        if ul > chains[index]:
-            violation("lemma2_chain", index, ul, chains[index])
+    tight = {"chain": 0, "reconstruction": 0, "counting": 0}
+    broken: dict = {}
+    for t, n in tuple_counts(rows).items():
+        dl, ul, chain = _final_sums(tables, t)
+        checks = [("lemma2_chain", "chain", ul, chain)]
         if nc >= 2:
-            if dl > recons[index]:
-                violation("dl_reconstruction", index, dl, recons[index])
-            if dl + ul > counting_twice:
-                halves = frac_to_str(Fraction(dl + ul, 2)), frac_to_str(Fraction(counting_twice, 2))
-                violation("avg_counting", index, *halves)
+            mask = t[3]
+            if mask not in recons:
+                recons[mask] = _masked_value(k, nc, mask)
+            checks += [
+                ("dl_reconstruction", "reconstruction", dl, recons[mask]),
+                ("avg_counting", "counting", dl + ul, counting_twice),
+            ]
+        for kind, name, achieved, bound in checks:
+            if achieved > bound:
+                broken.setdefault(t, []).append((kind, achieved, bound))
+            elif achieved == bound:
+                tight[name] += n
+
+    violations = []
+    for index, t in ordered_find(rows, broken):
+        cells = association(k, nc, _decode(options, index)).cells_as_lists()
+        for kind, achieved, bound in broken[t]:
+            if kind == "avg_counting":  # dl + ul against twice the bound
+                achieved, bound = (frac_to_str(Fraction(v, 2)) for v in (achieved, bound))
+            violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
     return SweepReport(
         k=k, nc=nc, window=w, total=total,

@@ -191,11 +191,12 @@ def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path):
     assert out.read_bytes() == expected.getvalue().encode()
 
 
-def test_csv_search_needs_no_more_memory_than_json(tmp_path):
-    # A CSV search keeps the two lists of sums and writes its text in
-    # bounded pieces, so it peaks where the JSON search does, not at one
-    # tuple and one line per candidate (about 6x the JSON peak on this
-    # family of 147,456 candidates when every row was kept).
+def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
+    # A CSV search keeps the two lists of sums (about 24 bytes per
+    # candidate) and writes its text in bounded pieces, not one tuple and
+    # one line per candidate (about 170 bytes per candidate on this family
+    # of 147,456 candidates when every row was kept).  A JSON search walks
+    # distinct layer pairs and lists no candidate at all.
     argv = ["search", "--k", "9", "--nc", "1", "--window", "1", "--cap", "200000"]
     main(["search", "--k", "3", "--nc", "1", "--window", "1", "--out", str(tmp_path / "warm")])
     peaks = {}
@@ -206,7 +207,7 @@ def test_csv_search_needs_no_more_memory_than_json(tmp_path):
             peaks[fmt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["csv"] <= 1.5 * peaks["json"], peaks
+    assert peaks["csv"] <= 32 * 147_456 and peaks["json"] <= 10**6, peaks
 
 
 def test_search_cap_exit_code(capsys):
@@ -246,13 +247,16 @@ def test_search_refuses_families_above_the_ceiling_whatever_the_cap(capsys, monk
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # 4,519,603,984 candidates, about 145 GB of lists at 32 bytes each.
+    # 4,519,603,984 candidates, about 108 GB of CSV rows at 24 bytes each.
+    # Neither the tuple walk (JSON) nor the listing walk (CSV) may start.
+    monkeypatch.setattr(search, "tuple_walk", never)
     monkeypatch.setattr(search, "family_sums", never)
     argv = ("search", "--k", "12", "--nc", "2", "--window", "1", "--cap", "10000000000")
-    code, out, err = run(capsys, *argv)
-    assert code == 3 and out == ""
-    assert err == "error: the family has more than 10000000 candidates, " \
-        "the most any search lists\n"
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == "error: the family has more than 10000000 candidates, " \
+            "the most any search lists\n"
 
 
 def test_search_huge_window_is_clipped(capsys):

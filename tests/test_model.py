@@ -1,6 +1,7 @@
 """Indexing, channel draws, association containers, rational helpers."""
 
 import random
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,18 @@ from cellassoc import (
     validate_association,
     zf_feasible,
 )
+from cellassoc.bounds import counting_bound, lemma2_chain_bound
 from cellassoc.downlink_zf import certify_downlink
-from cellassoc.model import check_active
+from cellassoc.model import Violation, check_active
+from cellassoc.schemes import avg_optimal
+from cellassoc.search import (
+    PeriodicPattern,
+    compare_with_theorem,
+    exhaustive_search,
+    periodic_eval,
+    soundness_sweep,
+)
+from cellassoc.uplink_decode import max_uplink_dof
 
 
 def test_connectivity_rule():
@@ -194,3 +205,23 @@ def test_active_set_check_is_shared_by_both_sessions():
     with pytest.raises(EmptyCellError, match="active user 2 has an empty association set"):
         zf_feasible(a, {2}, ch)
     assert uplink_feasible(a, {2}) is None
+
+
+def test_frozen_records_that_hold_dicts_are_unhashable():
+    result = exhaustive_search(3, 1, 1)
+    holding_dicts = (draw_channels(3, 1), result.dl.witness, result.dl, result,
+                     soundness_sweep(3, 1, 1))
+    for record in holding_dicts:
+        assert not isinstance(record, Hashable), type(record).__name__
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    assoc = association(4, 2, [[1], [1, 2], [2, 3], [4]])
+    pattern = PeriodicPattern(period=2, offsets=((0,), (-1, 0)))
+    dict_free = (
+        Topology(3), assoc, Violation(1, "empty"), max_uplink_dof(assoc),
+        max_uplink_dof(assoc).order, lemma2_chain_bound(assoc), result.bound,
+        counting_bound(assoc).flagged[0], avg_optimal(6, 2), pattern,
+        periodic_eval(pattern, 2), compare_with_theorem(2),
+    )
+    for record in dict_free:
+        assert isinstance(record, Hashable) and hash(record) == hash(record), record

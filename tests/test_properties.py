@@ -15,8 +15,12 @@ must return exactly what the references return.  Every scheme plan must
 also pass the multi-seed reference and both value-free rules.
 """
 
+import collections
+import functools
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -24,10 +28,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellassoc import _kernels, search
+from cellassoc._kernels import _pure
 from cellassoc.bounds import (
     _block_flags,
     _chain_dp,
-    _reconstruction_values,
+    _masked_value,
+    _spoil_masks,
     chain_flags,
     counting_bound,
     lemma2_chain_bound,
@@ -52,7 +58,7 @@ from cellassoc.model import (
     heard_mts,
 )
 from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
-from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
+from cellassoc.uplink_decode import DecodingOrder, max_uplink_dof, uplink_feasible, verify_order
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -282,6 +288,15 @@ def ref_good_blocks(k, nc, cells, strict):
             )
         goods.append(good)
     return tuple(goods)
+
+
+def swept_reconstruction_values(k, nc, options):
+    """The reconstruction bound of every association of a family, in enumeration order,
+    as a sweep reads it: each option's spoiled blocks ORed along the product."""
+    return [
+        _masked_value(k, nc, functools.reduce(operator.or_, masks, 0))
+        for masks in itertools.product(*_spoil_masks(k, nc, options))
+    ]
 
 
 def ref_sweep(k, nc, sums):
@@ -624,7 +639,7 @@ def test_sweep_bounds_match_certificates(case):
         )
     # The sweep's values, on the family that offers each user its own set.
     one_each = [(tuple(sorted(cell)),) for cell in assoc.cells]
-    assert _reconstruction_values(k, nc, one_each) == [reconstruction_bound(assoc).value]
+    assert swept_reconstruction_values(k, nc, one_each) == [reconstruction_bound(assoc).value]
 
 
 @settings(max_examples=80, deadline=None)
@@ -644,7 +659,7 @@ def test_reconstruction_values_match_certificates(small, part, nc):
             reconstruction_bound(association(k, budget, combo)).value
             for combo in itertools.product(*options)
         ]
-        assert _reconstruction_values(k, budget, options) == expected, (k, budget)
+        assert swept_reconstruction_values(k, budget, options) == expected, (k, budget)
 
 
 @settings(max_examples=30, deadline=None)
@@ -658,9 +673,142 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
         for c, dl, ul in ref_session_sums(k, options)
     ]
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
-    lists = [list(s) for s in zip(*sums)][1:]
-    with mock.patch.object(search, "family_sums", lambda _families: lists):
+    real = search._final_sums
+
+    def raised(tables, t):
+        return [s + extra for s, extra in zip(real(tables, t), (dl_extra, ul_extra, 0))]
+
+    with mock.patch.object(search, "_final_sums", raised):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight
     assert list(report.violations) == violations
+
+
+# --- the distinct-tuple walk and the shared tables ------------------------------
+
+OBJECTIVE_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
+
+
+def rule_walk(k, options):
+    """The three rules' tables, tuple_walk over them, and family_sums' lists."""
+    automata = (
+        _kernels.dl_family(k, options),
+        _kernels.ul_family(options),
+        _kernels.chain_family(options),
+    )
+    tables, steps = zip(*map(_kernels.layers, automata))
+    rows, last = _kernels.tuple_walk(list(zip((t.row for t in tables), steps)))
+    counts = _kernels.tuple_counts(rows)
+    assert set(counts) == last
+    sums = {t: tuple(table.best[lid] for table, lid in zip(tables, t)) for t in last}
+    return counts, rows, sums, _kernels.family_sums(automata)
+
+
+def first_maximizers(rows, sums):
+    """ordered_find's first maximizer of each objective's key."""
+    found = {}
+    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
+        keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul, _chain) in sums.items()}
+        best = max(keys.values())
+        found[objective] = next(_kernels.ordered_find(rows, [t for t in keys if keys[t] == best]))[0]
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), st.data())
+def test_tuple_walk_matches_the_listing(family, data):
+    k, options = family
+    counts, rows, sums, (dls, uls, chains) = rule_walk(k, options)
+    # Each candidate's last tuple, read off the rows digit by digit.
+    finals = []
+    for digits in itertools.product(*(range(len(opts)) for opts in options)):
+        t = (0, 0, 0)
+        for depth, o in enumerate(digits):
+            t = rows[depth][t][o]
+        finals.append(t)
+    assert [sums[t] for t in finals] == list(zip(dls, uls, chains))
+    assert counts == collections.Counter(finals)
+    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
+        keys = [dl_weight * dl + ul_weight * ul for dl, ul in zip(dls, uls)]
+        assert first_maximizers(rows, sums)[objective] == keys.index(max(keys))
+    chosen = data.draw(st.sets(st.sampled_from(sorted(counts))))
+    assert list(_kernels.ordered_find(rows, chosen)) == [
+        (i, t) for i, t in enumerate(finals) if t in chosen
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES))
+def test_search_winner_is_the_first_maximizer_of_the_listed_sums(family):
+    k, nc, w = family
+    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
+        result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
+        keys = [dl_weight * dl + ul_weight * ul for _index, dl, ul in result.rows]
+        assert result.best_index == keys.index(max(keys))
+
+
+def run_job(job):
+    """A search, a sweep, or the value-level results of the walks over a family."""
+    kind, *args = job
+    if kind == "search":
+        (k, nc, w), objective = args
+        return search.exhaustive_search(k, nc, w, objective)
+    if kind == "sweep":
+        return search.soundness_sweep(*args[0])
+    (k, options), = args
+    counts, rows, sums, lists = rule_walk(k, options)
+    counted = collections.Counter()
+    for t, n in counts.items():
+        counted[sums[t]] += n
+    return lists, counted, first_maximizers(rows, sums)
+
+
+jobs = st.one_of(
+    st.tuples(st.just("search"), st.sampled_from(SMALL_FAMILIES), st.sampled_from(("avg", "ul", "dl"))),
+    st.tuples(st.just("sweep"), st.sampled_from(SMALL_FAMILIES)),
+    st.tuples(st.just("walk"), families()),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(jobs, min_size=2, max_size=8), st.randoms(use_true_random=False))
+# The downlink run caps are 0 and 1: moves made under one cap are wrong under the other.
+@example([("sweep", (1, 1, 0)), ("sweep", (2, 2, 1))], random.Random(0))
+def test_shared_tables_make_no_result_depend_on_call_order(batch, rnd):
+    reference = []
+    for job in batch:
+        with mock.patch.object(_pure, "_TABLES", {}):
+            reference.append(run_job(job))
+    order = list(range(len(batch)))
+    rnd.shuffle(order)
+    # One set of tables for the shuffled batch, run forwards and backwards.
+    with mock.patch.object(_pure, "_TABLES", {}):
+        for i in order + order[::-1]:
+            assert run_job(batch[i]) == reference[i], batch[i]
+
+
+def test_a_repeated_search_or_sweep_computes_no_new_move():
+    calls = []
+    real = _pure.max_count
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(_pure, "_TABLES", {}), mock.patch.object(_pure, "max_count", counted):
+        for family in ((6, 2, 1), (4, 3, 3)):
+            first = search.exhaustive_search(*family)
+            walked = len(calls)
+            calls.clear()
+            # The winner's own line DPs step through max_count as well.
+            max_downlink_dof(first.best_assoc)
+            max_uplink_dof(first.best_assoc)
+            winner = len(calls)
+            calls.clear()
+            assert walked > winner
+            assert search.exhaustive_search(*family) == first and len(calls) == winner
+            calls.clear()
+            report = search.soundness_sweep(*family)
+            calls.clear()
+            assert search.soundness_sweep(*family) == report and calls == []

@@ -129,6 +129,9 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     def never(*_args):
         raise AssertionError("the family was listed")
 
+    # Neither walk may start: the tuple walk (JSON search and sweeps) nor
+    # the listing one (CSV rows).
+    monkeypatch.setattr(search, "tuple_walk", never)
     monkeypatch.setattr(search, "family_sums", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
     ceiling = f"more than {search.MAX_CANDIDATES} candidates, the most any search lists"
@@ -139,10 +142,31 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     # At or below the ceiling the cap itself refuses, as before.
     with pytest.raises(BudgetExceededError, match=r"more than 10000000 candidates \(the cap\)"):
         exhaustive_search(12, 2, 1, cap=search.MAX_CANDIDATES)
+    with pytest.raises(BudgetExceededError, match=ceiling):
+        exhaustive_search(12, 2, 1, cap=10**10, collect_rows=True)
     monkeypatch.undo()
     # A cap above the ceiling still runs a family below it.
     assert exhaustive_search(4, 2, 1, cap=10**10).candidates == 784
     assert soundness_sweep(4, 2, 1, cap=10**10).total == 784
+
+
+def test_only_csv_rows_list_the_family(monkeypatch):
+    listed = []
+    real = search.family_sums
+
+    def listing(families):
+        listed.append(len(families))
+        return real(families)
+
+    monkeypatch.setattr(search, "family_sums", listing)
+    for family in ((6, 2, 1), (4, 3, 3)):
+        for objective in ("avg", "ul", "dl"):
+            json_result = exhaustive_search(*family, objective)
+            assert listed == []
+            csv_result = exhaustive_search(*family, objective, collect_rows=True)
+            assert listed.pop() == 2 and csv_result == json_result
+        assert soundness_sweep(*family).sound
+        assert listed == []
 
 
 def test_cap_below_one_is_invalid_input():
