@@ -392,6 +392,9 @@ def families(draw):
     return k, picked
 
 
+# The objective key of a candidate is dl * weight + ul * weight.
+OBJECTIVE_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
+
 primes = st.sampled_from((7, 13, DEFAULT_PRIME))
 seeds_st = st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=3, unique=True)
 
@@ -616,9 +619,11 @@ def test_search_winner_is_the_first_maximizer_at_its_index(family):
     k, nc, w = family
     sums = [(dl, ul) for _combo, dl, ul in ref_session_sums(k, search._user_options(k, nc, w))]
     listed = list(search.enumerate_associations(k, nc, w))
-    for objective, (dl_weight, ul_weight) in {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}.items():
-        result = search.exhaustive_search(k, nc, w, objective)
+    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
+        result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
         assert result.candidates == search.count_associations(k, nc, w) == len(sums)
+        # The listed rows (family_sums) are the reference sums too.
+        assert [(dl, ul) for _index, dl, ul in result.rows] == sums
         keys = [dl_weight * dl + ul_weight * ul for dl, ul in sums]
         assert result.best_index == keys.index(max(keys))
         assert result.best_assoc == listed[result.best_index]
@@ -687,8 +692,6 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
 
 # --- the distinct-tuple walk and the shared tables ------------------------------
 
-OBJECTIVE_WEIGHTS = {"avg": (1, 1), "ul": (0, 1), "dl": (1, 0)}
-
 
 def rule_walk(k, options):
     """The three rules' tables, tuple_walk over them, and family_sums' lists."""
@@ -736,16 +739,6 @@ def test_tuple_walk_matches_the_listing(family, data):
     assert list(_kernels.ordered_find(rows, chosen)) == [
         (i, t) for i, t in enumerate(finals) if t in chosen
     ]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SMALL_FAMILIES))
-def test_search_winner_is_the_first_maximizer_of_the_listed_sums(family):
-    k, nc, w = family
-    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
-        result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
-        keys = [dl_weight * dl + ul_weight * ul for _index, dl, ul in result.rows]
-        assert result.best_index == keys.index(max(keys))
 
 
 def run_job(job):
