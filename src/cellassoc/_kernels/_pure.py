@@ -61,13 +61,11 @@ vector, the same set an include-first branch and bound over ascending
 users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
-the forward step alone suffices.  `FamilyLayers` interns its layers and
-memoizes the step per (layer, step), and a user's whole row of moves per
-(layer, column of its options' steps).  One table per rule lives for the
-whole process (`layers`), keyed by the rule's start and next function;
-the downlink rule has one next function per run cap, so each cap has its
-own table.  Associations that share a prefix of options share its
-layers, and a walk repeated in one process computes no move again.
+the forward step alone suffices.  `FamilyLayers` interns the layers of
+one rule and memoizes the step per (layer, step); a walk builds one table
+per rule and call, so associations that share a prefix of options share
+its layers, and users whose options look the same from where they stand
+share its moves.
 
 Two walks read these tables.  `family_sums` walks the family by columns
 (`column_walk`) and returns every association's size in enumeration
@@ -88,7 +86,7 @@ over the last tuples; no candidate is listed.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from math import inf
 
@@ -169,17 +167,8 @@ def _chain_next(step, state, active):
 
 
 def _steps(step, options):
-    """steps[m-1][o]: user m's step under its option options[m-1][o].
-
-    Each user's steps are a tuple, so a table can memoize a whole column.
-    """
-    return [tuple(step(m, cell) for cell in opts) for m, opts in enumerate(options, 1)]
-
-
-@cache
-def _dl_rule(cap):
-    """The downlink next function under one run cap, one object per cap."""
-    return partial(_dl_next, cap)
+    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
+    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
 
 
 def dl_family(k, options):
@@ -191,7 +180,7 @@ def dl_family(k, options):
     """
     steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
-    return _DL_START, _dl_rule(cap), steps
+    return _DL_START, partial(_dl_next, cap), steps
 
 
 def ul_family(options):
@@ -261,27 +250,24 @@ def _lex_max(family):
 
 
 class FamilyLayers:
-    """Forward max-count layers of one rule, user by user.
+    """Forward max-count layers of one rule over a family, user by user.
 
     A layer is a frozen map from state to the most active users so far,
     interned as an integer id; the start layer is id 0, and best[lid] is
     the largest count in layer lid, which after the last user is the size
     of the largest feasible active set.  row(lid, column) lists the ids of
-    the layers that a user leads to from layer lid, one per step of the
-    tuple column (its options' steps).  Steps and states hold no position
-    or family, so one table serves every depth and every family of its
-    rule: `layers` keeps one per rule for the whole process.  Rows are
-    memoized per (layer, column) and their moves per (layer, step), so
-    users whose options look the same from where they stand share them,
-    in every walk that reaches the layer.
+    the layers that a user leads to from layer lid, one per step of column
+    (its options' steps).  Steps and states hold no position, so one table
+    of layers serves every depth, and moves are memoized per (layer,
+    step): users whose options look the same from where they stand share
+    them, however many associations pass through the layer.
     """
 
-    def __init__(self, start, nxt):
-        self._next = nxt
+    def __init__(self, family):
+        start, self._next, self.steps = family
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
         self._moves = {}
-        self._rows = {}
         self.best = [0]
 
     def _intern(self, layer):
@@ -301,23 +287,7 @@ class FamilyLayers:
         return lid_after
 
     def row(self, lid, column):
-        ids = self._rows.get((lid, column))
-        if ids is None:
-            ids = self._rows[lid, column] = [self._move(lid, step) for step in column]
-        return ids
-
-
-# One FamilyLayers per rule, keyed by (start, next function), for the process.
-_TABLES = {}
-
-
-def layers(family):
-    """(the FamilyLayers of a family's rule, the family's steps)."""
-    start, nxt, steps = family
-    table = _TABLES.get((start, nxt))
-    if table is None:
-        table = _TABLES[start, nxt] = FamilyLayers(start, nxt)
-    return table, steps
+        return [self._move(lid, step) for step in column]
 
 
 def column_walk(values, columns, row):
@@ -340,16 +310,17 @@ def family_sums(families):
 
     families holds one (start, next, steps) automaton per sum, all built
     over the same options.  Each is walked by columns (column_walk) over
-    its rule's FamilyLayers, and the last user's rows are read at once as
-    their layers' largest counts, so no list of layer ids as long as the
-    family is built.
+    its FamilyLayers, and the last user's rows are read at once as their
+    layers' largest counts, so no list of layer ids as long as the family
+    is built.
     """
     sums = []
     for family in families:
-        table, (*steps, last) = layers(family)
-        ids = column_walk([0], steps, table.row)
-        best = table.best.__getitem__
-        sums.append(column_walk(ids, [last], lambda lid, column: list(map(best, table.row(lid, column)))))
+        walk = FamilyLayers(family)
+        *steps, last = walk.steps
+        ids = column_walk([0], steps, walk.row)
+        best = walk.best.__getitem__
+        sums.append(column_walk(ids, [last], lambda lid, column: list(map(best, walk.row(lid, column)))))
     return sums
 
 
@@ -359,8 +330,8 @@ def tuple_walk(parts):
     parts holds one (row, columns) per component, all over the same
     options: row(v, columns[m-1]) lists the component's values after user
     m from value v, one per option of the user, and every component starts
-    at 0 (a rule's FamilyLayers gives (table.row, steps)).  A choice of
-    options for users 1..d leads to the tuple of its components' values.
+    at 0 (a rule's FamilyLayers gives (table.row, table.steps)).  A choice
+    of options for users 1..d leads to the tuple of its components' values.
 
     Returns (rows, last): rows[d] maps each tuple that some choice for
     users 1..d reaches to its tuples after user d+1, one per option in

@@ -8,10 +8,10 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed.  Each rule has one table of forward max-count layers
-for the whole process (_kernels.layers), and _kernels.tuple_walk walks
-the family user by user over the distinct (dl layer, ul layer) pairs
-that some prefix of options reaches.  A search reads the objective key
+sizes are needed.  Each rule gets one table of forward max-count layers
+per call (_kernels.FamilyLayers), and _kernels.tuple_walk walks the
+family user by user over the distinct (dl layer, ul layer) pairs that
+some prefix of options reaches.  A search reads the objective key
 of every distinct last pair, and the winner is the first index that
 ends in a pair of the best key (_kernels.ordered_find); it is decoded
 from the mixed-radix digits of that index (_decode), so a JSON search
@@ -53,10 +53,10 @@ from collections.abc import Iterator, Sequence
 from typing import Optional
 
 from ._kernels import (
+    FamilyLayers,
     chain_family,
     dl_family,
     family_sums,
-    layers,
     ordered_find,
     tuple_counts,
     tuple_walk,
@@ -247,13 +247,13 @@ class SearchResult:
 
 
 def _walk(families, *extra):
-    """(tables, rows, last): the rules' shared tables and tuple_walk over them.
+    """(tables, rows, last): one table per rule and tuple_walk over them.
 
     The walk's components are the families' layers, in order, then the
     extra (row, columns) parts.
     """
-    tables, steps = zip(*map(layers, families))
-    rows, last = tuple_walk([*zip((t.row for t in tables), steps), *extra])
+    tables = [FamilyLayers(family) for family in families]
+    rows, last = tuple_walk([*((t.row, t.steps) for t in tables), *extra])
     return tables, rows, last
 
 

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 from unittest import mock
 
@@ -28,7 +27,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellassoc import _kernels, search
-from cellassoc._kernels import _pure
 from cellassoc.bounds import (
     _block_flags,
     _chain_dp,
@@ -58,7 +56,7 @@ from cellassoc.model import (
     heard_mts,
 )
 from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
-from cellassoc.uplink_decode import DecodingOrder, max_uplink_dof, uplink_feasible, verify_order
+from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -690,7 +688,7 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     assert list(report.violations) == violations
 
 
-# --- the distinct-tuple walk and the shared tables ------------------------------
+# --- the distinct-tuple walk --------------------------------------------------
 
 
 def rule_walk(k, options):
@@ -700,8 +698,8 @@ def rule_walk(k, options):
         _kernels.ul_family(options),
         _kernels.chain_family(options),
     )
-    tables, steps = zip(*map(_kernels.layers, automata))
-    rows, last = _kernels.tuple_walk(list(zip((t.row for t in tables), steps)))
+    tables = [_kernels.FamilyLayers(automaton) for automaton in automata]
+    rows, last = _kernels.tuple_walk([(t.row, t.steps) for t in tables])
     counts = _kernels.tuple_counts(rows)
     assert set(counts) == last
     sums = {t: tuple(table.best[lid] for table, lid in zip(tables, t)) for t in last}
@@ -739,69 +737,3 @@ def test_tuple_walk_matches_the_listing(family, data):
     assert list(_kernels.ordered_find(rows, chosen)) == [
         (i, t) for i, t in enumerate(finals) if t in chosen
     ]
-
-
-def run_job(job):
-    """A search, a sweep, or the value-level results of the walks over a family."""
-    kind, *args = job
-    if kind == "search":
-        (k, nc, w), objective = args
-        return search.exhaustive_search(k, nc, w, objective)
-    if kind == "sweep":
-        return search.soundness_sweep(*args[0])
-    (k, options), = args
-    counts, rows, sums, lists = rule_walk(k, options)
-    counted = collections.Counter()
-    for t, n in counts.items():
-        counted[sums[t]] += n
-    return lists, counted, first_maximizers(rows, sums)
-
-
-jobs = st.one_of(
-    st.tuples(st.just("search"), st.sampled_from(SMALL_FAMILIES), st.sampled_from(("avg", "ul", "dl"))),
-    st.tuples(st.just("sweep"), st.sampled_from(SMALL_FAMILIES)),
-    st.tuples(st.just("walk"), families()),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(jobs, min_size=2, max_size=8), st.randoms(use_true_random=False))
-# The downlink run caps are 0 and 1: moves made under one cap are wrong under the other.
-@example([("sweep", (1, 1, 0)), ("sweep", (2, 2, 1))], random.Random(0))
-def test_shared_tables_make_no_result_depend_on_call_order(batch, rnd):
-    reference = []
-    for job in batch:
-        with mock.patch.object(_pure, "_TABLES", {}):
-            reference.append(run_job(job))
-    order = list(range(len(batch)))
-    rnd.shuffle(order)
-    # One set of tables for the shuffled batch, run forwards and backwards.
-    with mock.patch.object(_pure, "_TABLES", {}):
-        for i in order + order[::-1]:
-            assert run_job(batch[i]) == reference[i], batch[i]
-
-
-def test_a_repeated_search_or_sweep_computes_no_new_move():
-    calls = []
-    real = _pure.max_count
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    with mock.patch.object(_pure, "_TABLES", {}), mock.patch.object(_pure, "max_count", counted):
-        for family in ((6, 2, 1), (4, 3, 3)):
-            first = search.exhaustive_search(*family)
-            walked = len(calls)
-            calls.clear()
-            # The winner's own line DPs step through max_count as well.
-            max_downlink_dof(first.best_assoc)
-            max_uplink_dof(first.best_assoc)
-            winner = len(calls)
-            calls.clear()
-            assert walked > winner
-            assert search.exhaustive_search(*family) == first and len(calls) == winner
-            calls.clear()
-            report = search.soundness_sweep(*family)
-            calls.clear()
-            assert search.soundness_sweep(*family) == report and calls == []
