@@ -62,10 +62,11 @@ users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
 the forward step alone suffices.  `FamilyLayers` interns the layers of
-one rule and memoizes the step per (layer, step); a walk builds one table
-per rule and call, so associations that share a prefix of options share
-its layers, and users whose options look the same from where they stand
-share its moves.
+one rule over a family and memoizes the step per (layer, step) and a
+user's row of moves per (layer, column of its options' steps); each
+search or sweep builds one table per rule, so associations that share a
+prefix of options share its layers, and users whose options look the
+same from where they stand share its moves and rows.
 
 Two walks read these tables.  `family_sums` walks the family by columns
 (`column_walk`) and returns every association's size in enumeration
@@ -167,8 +168,11 @@ def _chain_next(step, state, active):
 
 
 def _steps(step, options):
-    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
-    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+    """steps[m-1][o]: user m's step under its option options[m-1][o].
+
+    Each user's steps are a tuple, so a table can memoize a whole column.
+    """
+    return [tuple(step(m, cell) for cell in opts) for m, opts in enumerate(options, 1)]
 
 
 def dl_family(k, options):
@@ -259,8 +263,9 @@ class FamilyLayers:
     the layers that a user leads to from layer lid, one per step of column
     (its options' steps).  Steps and states hold no position, so one table
     of layers serves every depth, and moves are memoized per (layer,
-    step): users whose options look the same from where they stand share
-    them, however many associations pass through the layer.
+    step) and rows per (layer, column): users whose options look the same
+    from where they stand share them, however many associations pass
+    through the layer.
     """
 
     def __init__(self, family):
@@ -268,6 +273,7 @@ class FamilyLayers:
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
         self._moves = {}
+        self._rows = {}
         self.best = [0]
 
     def _intern(self, layer):
@@ -287,7 +293,10 @@ class FamilyLayers:
         return lid_after
 
     def row(self, lid, column):
-        return [self._move(lid, step) for step in column]
+        ids = self._rows.get((lid, column))
+        if ids is None:
+            ids = self._rows[lid, column] = [self._move(lid, step) for step in column]
+        return ids
 
 
 def column_walk(values, columns, row):
@@ -305,18 +314,17 @@ def column_walk(values, columns, row):
     return values
 
 
-def family_sums(families):
-    """One list of sums per automaton, over a family in enumeration order.
+def family_sums(tables):
+    """One list of sums per table, over a family in enumeration order.
 
-    families holds one (start, next, steps) automaton per sum, all built
-    over the same options.  Each is walked by columns (column_walk) over
-    its FamilyLayers, and the last user's rows are read at once as their
-    layers' largest counts, so no list of layer ids as long as the family
-    is built.
+    tables holds one FamilyLayers per sum, all over the same options, such
+    as those a tuple_walk of the family has just filled.  Each is walked by
+    columns (column_walk), and the last user's rows are read at once as
+    their layers' largest counts, so no list of layer ids as long as the
+    family is built.
     """
     sums = []
-    for family in families:
-        walk = FamilyLayers(family)
+    for walk in tables:
         *steps, last = walk.steps
         ids = column_walk([0], steps, walk.row)
         best = walk.best.__getitem__

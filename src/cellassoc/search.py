@@ -20,8 +20,8 @@ value is drawn per candidate; the winner alone becomes an association
 and gets a zero-forcing witness and a decoding order from
 max_downlink_dof and max_uplink_dof, which must reproduce the search
 value.  Collected rows (search --format csv) list every candidate's sums
-in enumeration order (_kernels.family_sums), about 24 bytes per
-candidate.
+in enumeration order (_kernels.family_sums, over the tables the pair
+walk has filled), about 24 bytes per candidate.
 
 A soundness sweep runs the same walk over (dl, ul, chain) layers, and
 for nc >= 2 the OR of the options' spoiled blocks of the reconstruction
@@ -330,7 +330,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=_Rows(*family_sums(families)) if collect_rows else None,
+        rows=_Rows(*family_sums(tables)) if collect_rows else None,
     )
 
 

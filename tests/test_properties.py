@@ -575,7 +575,8 @@ def test_family_sums_match_per_candidate_maxima(family):
         (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
         for combo, dl, ul in ref_session_sums(k, options)
     ]
-    assert _kernels.family_sums(automata) == [list(s) for s in zip(*expected)]
+    tables = [_kernels.FamilyLayers(automaton) for automaton in automata]
+    assert _kernels.family_sums(tables) == [list(s) for s in zip(*expected)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -703,7 +704,7 @@ def rule_walk(k, options):
     counts = _kernels.tuple_counts(rows)
     assert set(counts) == last
     sums = {t: tuple(table.best[lid] for table, lid in zip(tables, t)) for t in last}
-    return counts, rows, sums, _kernels.family_sums(automata)
+    return counts, rows, sums, _kernels.family_sums(tables)
 
 
 def first_maximizers(rows, sums):
