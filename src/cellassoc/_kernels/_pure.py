@@ -62,11 +62,10 @@ users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
 the forward step alone suffices.  `FamilyLayers` interns the layers of
-one rule over a family and memoizes the step per (layer, step) and a
-user's row of moves per (layer, column of its options' steps); each
+one rule over a family and memoizes the step per (layer, step); each
 search or sweep builds one table per rule, so associations that share a
 prefix of options share its layers, and users whose options look the
-same from where they stand share its moves and rows.
+same from where they stand share its moves.
 
 Two walks read these tables.  `family_sums` walks the family by columns
 (`column_walk`) and returns every association's size in enumeration
@@ -168,11 +167,8 @@ def _chain_next(step, state, active):
 
 
 def _steps(step, options):
-    """steps[m-1][o]: user m's step under its option options[m-1][o].
-
-    Each user's steps are a tuple, so a table can memoize a whole column.
-    """
-    return [tuple(step(m, cell) for cell in opts) for m, opts in enumerate(options, 1)]
+    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
+    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
 
 
 def dl_family(k, options):
@@ -263,9 +259,8 @@ class FamilyLayers:
     the layers that a user leads to from layer lid, one per step of column
     (its options' steps).  Steps and states hold no position, so one table
     of layers serves every depth, and moves are memoized per (layer,
-    step) and rows per (layer, column): users whose options look the same
-    from where they stand share them, however many associations pass
-    through the layer.
+    step): users whose options look the same from where they stand share
+    them, however many associations pass through the layer.
     """
 
     def __init__(self, family):
@@ -273,7 +268,6 @@ class FamilyLayers:
         self._layers = [{start: 0}]
         self._ids = {((start, 0),): 0}
         self._moves = {}
-        self._rows = {}
         self.best = [0]
 
     def _intern(self, layer):
@@ -293,10 +287,7 @@ class FamilyLayers:
         return lid_after
 
     def row(self, lid, column):
-        ids = self._rows.get((lid, column))
-        if ids is None:
-            ids = self._rows[lid, column] = [self._move(lid, step) for step in column]
-        return ids
+        return [self._move(lid, step) for step in column]
 
 
 def column_walk(values, columns, row):
