@@ -62,10 +62,11 @@ users finds, in O(k) for a fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
 the forward step alone suffices.  `FamilyLayers` interns the layers of
-one rule over a family and memoizes the step per (layer, step); each
+one rule over a family, each as its shape (the layer less its largest
+count) and that count, and memoizes the step per (shape, step); each
 search or sweep builds one table per rule, so associations that share a
 prefix of options share its layers, and users whose options look the
-same from where they stand share its moves.
+same from where they stand share its moves at every depth.
 
 Two walks read these tables.  `family_sums` walks the family by columns
 (`column_walk`) and returns every association's size in enumeration
@@ -257,34 +258,48 @@ class FamilyLayers:
     the largest count in layer lid, which after the last user is the size
     of the largest feasible active set.  row(lid, column) lists the ids of
     the layers that a user leads to from layer lid, one per step of column
-    (its options' steps).  Steps and states hold no position, so one table
-    of layers serves every depth, and moves are memoized per (layer,
-    step): users whose options look the same from where they stand share
-    them, however many associations pass through the layer.
+    (its options' steps).
+
+    The forward step commutes with adding one number to every count, so
+    a layer is kept as its shape (the layer less its largest count,
+    interned on its own) and that count, and the step runs once per
+    (shape, step).  Steps and states hold no position, so a move serves
+    every depth and every layer of its shape: users whose options look the
+    same from where they stand share it, whatever counts their prefixes
+    reached.
     """
 
     def __init__(self, family):
         start, self._next, self.steps = family
-        self._layers = [{start: 0}]
-        self._ids = {((start, 0),): 0}
-        self._moves = {}
+        self._shapes = [{start: 0}]
+        self._shape_ids = {((start, 0),): 0}
+        self._layers = [(0, 0)]  # (shape, largest count) of each layer
+        self._ids = {(0, 0): 0}
+        self._moves = {}  # (shape, step) -> (shape after, gain in count)
         self.best = [0]
 
-    def _intern(self, layer):
+    def _shape(self, layer):
         key = tuple(sorted(layer.items()))
+        sid = self._shape_ids.get(key)
+        if sid is None:
+            sid = self._shape_ids[key] = len(self._shapes)
+            self._shapes.append(layer)
+        return sid
+
+    def _move(self, lid, step):
+        sid, count = self._layers[lid]
+        moved = self._moves.get((sid, step))
+        if moved is None:
+            layer = max_count(self._next, step, self._shapes[sid])
+            gain = max(layer.values())
+            moved = self._moves[sid, step] = self._shape({s: n - gain for s, n in layer.items()}), gain
+        key = moved[0], count + moved[1]
         lid = self._ids.get(key)
         if lid is None:
             lid = self._ids[key] = len(self._layers)
-            self._layers.append(layer)
-            self.best.append(max(layer.values()))
+            self._layers.append(key)
+            self.best.append(key[1])
         return lid
-
-    def _move(self, lid, step):
-        lid_after = self._moves.get((lid, step))
-        if lid_after is None:
-            layer = max_count(self._next, step, self._layers[lid])
-            lid_after = self._moves[lid, step] = self._intern(layer)
-        return lid_after
 
     def row(self, lid, column):
         return [self._move(lid, step) for step in column]
