@@ -5,13 +5,14 @@ One pure-Python implementation (`_pure`) of three value-free local rules
 left-to-right automata, and one forward max-count step that every pass
 over them goes through: set feasibility, the chain bound's maximum, the
 DP that maximizes a session exactly at every k in O(k) for a fixed
-budget, and the family walks over memoized layers (`FamilyLayers`, one
-table per rule and walk).  `tuple_walk` walks the distinct tuples of
-layers (and of other per-option values) that a family reaches,
-`tuple_counts` counts the associations that end in each, and
-`ordered_find` lists, in enumeration order, the associations that end
-in chosen tuples; `family_sums` lists every association's maximum in
-enumeration order.  `_pure` states the rules and the passes.
+budget, and the family walk over memoized layers (`FamilyLayers`, one
+table per rule and walk).  `tuple_walk` is the one family walk: it walks
+the distinct tuples of layers (and of other per-option values) that a
+family reaches, and three readers answer from its rows: `tuple_counts`
+counts the associations that end in each last tuple, `ordered_find`
+lists, in enumeration order, the associations that end in chosen tuples,
+and `tuple_ends` lists every association's last tuple in enumeration
+order.  `_pure` states the rules and the passes.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from ._pure import (
     dl_family,
     dl_max_active,
     dl_set_feasible,
-    family_sums,
     ordered_find,
     tuple_counts,
+    tuple_ends,
     tuple_walk,
     ul_family,
     ul_max_active,

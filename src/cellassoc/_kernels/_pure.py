@@ -68,21 +68,20 @@ search or sweep builds one table per rule, so associations that share a
 prefix of options share its layers, and users whose options look the
 same from where they stand share its moves at every depth.
 
-Two walks read these tables.  `family_sums` walks the family by columns
-(`column_walk`) and returns every association's size in enumeration
-order; only output that lists every candidate needs it.  `tuple_walk`
-walks a product of rules, and of other per-option values such as
-bitmasks, over distinct tuples: after each user it keeps the set of
-tuples of component values that some prefix of options reaches, and the
-row of tuples each leads to, so its work grows with the distinct tuples
-and not with the candidates.  Two passes read its rows: `tuple_counts`
-sums the number of associations that end in each last tuple, and
-`ordered_find` lists, in enumeration order, the associations whose last
-tuple lies in a given set, by backward reachability.  These are the
-counting and the reachability passes of Mohri's semiring framework
+One walk reads these tables.  `tuple_walk` walks a product of rules,
+and of other per-option values such as bitmasks, over distinct tuples:
+after each user it keeps the set of tuples of component values that some
+prefix of options reaches, and the row of tuples each leads to, so its
+work grows with the distinct tuples and not with the candidates.  Three
+passes read its rows: `tuple_counts` sums the number of associations that
+end in each last tuple, `ordered_find` lists, in enumeration order, the
+associations whose last tuple lies in a given set, by backward
+reachability, and `tuple_ends` lists every association's last tuple in
+enumeration order, for output that lists the family.  The first two are
+the counting and the reachability passes of Mohri's semiring framework
 ("Semiring frameworks and algorithms for shortest-distance problems",
 2002) over the family, and a search's max-plus pass is the largest key
-over the last tuples; no candidate is listed.
+over the last tuples; they list no candidate.
 """
 
 from __future__ import annotations
@@ -305,39 +304,6 @@ class FamilyLayers:
         return [self._move(lid, step) for step in column]
 
 
-def column_walk(values, columns, row):
-    """values expanded by one entry of each column in turn, in product order.
-
-    values lists the value of every choice for the columns so far, in
-    enumeration order (the last column varying fastest), and each column
-    expands every value v into row(v, column), one value per entry.  row
-    is called once per distinct value of a column, and the expansion
-    itself runs in C iterators.
-    """
-    for column in columns:
-        rows = {v: row(v, column) for v in set(values)}
-        values = list(chain.from_iterable(map(rows.__getitem__, values)))
-    return values
-
-
-def family_sums(tables):
-    """One list of sums per table, over a family in enumeration order.
-
-    tables holds one FamilyLayers per sum, all over the same options, such
-    as those a tuple_walk of the family has just filled.  Each is walked by
-    columns (column_walk), and the last user's rows are read at once as
-    their layers' largest counts, so no list of layer ids as long as the
-    family is built.
-    """
-    sums = []
-    for walk in tables:
-        *steps, last = walk.steps
-        ids = column_walk([0], steps, walk.row)
-        best = walk.best.__getitem__
-        sums.append(column_walk(ids, [last], lambda lid, column: list(map(best, walk.row(lid, column)))))
-    return sums
-
-
 def tuple_walk(parts):
     """The distinct value tuples of a product walk over a family, user by user.
 
@@ -404,6 +370,18 @@ def ordered_find(rows, final):
                 yield from descend(depth + 1, u, index * len(row) + o)
 
     return (found for t in live[0] for found in descend(0, t, 0))
+
+
+def tuple_ends(rows):
+    """The last tuple of every association of a tuple_walk, in enumeration order.
+
+    Each depth expands every tuple into its row, in C iterators, so the
+    list holds one reference per candidate to a shared tuple.
+    """
+    ends = list(rows[0])  # the start tuple alone
+    for row_of in rows:
+        ends = list(chain.from_iterable(map(row_of.__getitem__, ends)))
+    return ends
 
 
 def chain_max(cells):

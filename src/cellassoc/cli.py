@@ -96,20 +96,20 @@ def _csv_chunks(result) -> Iterator[str]:
 
     The bytes are those csv.writer writes for integers (comma-separated,
     "\\r\\n" after each row).  Everything after a row's index depends
-    only on its (dl, ul) pair, so it is formatted once per distinct pair
-    and each row is its index joined to it, in C iterators.
+    only on its last pair in the search's walk, so it is formatted once per
+    distinct last pair and each row is its index joined to it, in C iterators.
     """
     yield "assoc_id,dl_dof,ul_dof,avg_num,avg_den,bound_num,bound_den\r\n"
     bound = result.bound.per_user
-    dls, uls = result.rows.dls, result.rows.uls
     suffixes = {}
-    for dl, ul in set(zip(dls, uls)):
+    for t, (dl, ul) in result.rows.sums.items():
         avg = average_per_user(dl, ul, result.k)
-        suffixes[dl, ul] = (
+        suffixes[t] = (
             f",{dl},{ul},{avg.numerator},{avg.denominator},"
             f"{bound.numerator},{bound.denominator}\r\n"
         )
-    lines = map(operator.add, map(str, range(len(dls))), map(suffixes.__getitem__, zip(dls, uls)))
+    ends = result.rows.ends
+    lines = map(operator.add, map(str, range(len(ends))), map(suffixes.__getitem__, ends))
     while chunk := "".join(itertools.islice(lines, _CSV_CHUNK_ROWS)):
         yield chunk
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Optional
 
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 
 # Mersenne prime 2**31 - 1.
 DEFAULT_PRIME = 2147483647
@@ -325,7 +325,10 @@ def ints_from_json(values: object, what: str) -> list[int]:
 
 def frac_to_str(value: Fraction | int) -> str:
     """Serialize an exact rational as 'p/q' (or 'p' when integral)."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:  # a part past sys.get_int_max_str_digits()
+        raise SizeLimitError("a value has more digits than Python writes as a decimal string") from exc
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -128,7 +128,13 @@ def pair_association(k: int) -> CellAssociation:
 
 
 def _check_args(k: int, nc: int, seeds: Sequence[int]) -> tuple[int, ...]:
-    """The checked seeds, after k and nc pass model.check_int and the size limits."""
+    """The checked seeds, after k and nc pass _check_size."""
+    _check_size(k, nc)
+    return check_seeds(seeds)
+
+
+def _check_size(k: int, nc: int) -> None:
+    """Refuse k and nc unless they pass model.check_int and the size limits."""
     check_int("k", k, 1)
     check_int("nc", nc, 1)
     if k > MAX_SCHEME_K:
@@ -138,7 +144,6 @@ def _check_args(k: int, nc: int, seeds: Sequence[int]) -> tuple[int, ...]:
             f"k = {k} and nc = {nc} allow {k * min(nc, k)} association entries, "
             f"above the scheme size limit of {4 * MAX_SCHEME_K}"
         )
-    return check_seeds(seeds)
 
 
 def _certify_plan(plan: SchemePlan, seeds, prime) -> SchemePlan:

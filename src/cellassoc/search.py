@@ -19,9 +19,9 @@ lists no candidate.  No channel
 value is drawn per candidate; the winner alone becomes an association
 and gets a zero-forcing witness and a decoding order from
 max_downlink_dof and max_uplink_dof, which must reproduce the search
-value.  Collected rows (search --format csv) list every candidate's sums
-in enumeration order (_kernels.family_sums, over the tables the pair
-walk has filled), about 24 bytes per candidate.
+value.  Collected rows (search --format csv) read the same walk: every
+candidate's last pair in enumeration order (_kernels.tuple_ends), one
+reference of 8 bytes per candidate, and the sums of each distinct pair.
 
 A soundness sweep runs the same walk over (dl, ul, chain) layers, and
 for nc >= 2 the OR of the options' spoiled blocks of the reconstruction
@@ -56,9 +56,9 @@ from ._kernels import (
     FamilyLayers,
     chain_family,
     dl_family,
-    family_sums,
     ordered_find,
     tuple_counts,
+    tuple_ends,
     tuple_walk,
     ul_family,
 )
@@ -82,12 +82,13 @@ from .model import (
     check_seeds,
     frac_to_str,
 )
+from .schemes import _check_size
 from .uplink_decode import UlEvaluation, max_uplink_dof
 
 DEFAULT_CAP = 100_000
 
-# Largest family a search or sweep takes, whatever its cap: about 0.25 GB
-# of rows for a CSV search at 24 bytes per candidate.
+# Largest family a search or sweep takes, whatever its cap: about 0.16 GB
+# of rows for a CSV search at 16 bytes per candidate (_kernels.tuple_ends).
 MAX_CANDIDATES = 10**7
 
 _OBJECTIVES = {
@@ -192,18 +193,18 @@ def enumerate_associations(
 
 
 class _Rows(Sequence):
-    """The (index, dl, ul) rows of a search, read from its two lists of sums."""
+    """The (index, dl, ul) rows of a search, from each candidate's last pair and its sums."""
 
-    def __init__(self, dls, uls):
-        self.dls, self.uls = dls, uls
+    def __init__(self, ends, sums):
+        self.ends, self.sums = ends, sums
 
     def __len__(self):
-        return len(self.dls)
+        return len(self.ends)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(zip(range(len(self))[index], self.dls[index], self.uls[index]))
-        return range(len(self))[index], self.dls[index], self.uls[index]
+            return tuple((i, *self.sums[t]) for i, t in zip(range(len(self))[index], self.ends[index]))
+        return (range(len(self))[index], *self.sums[self.ends[index]])
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def _walk(families, *extra):
 
 def _final_sums(tables, t):
     """The sum each rule's table reads from its layer in a last tuple of _walk."""
-    return [table.best[lid] for table, lid in zip(tables, t)]
+    return tuple(table.best[lid] for table, lid in zip(tables, t))
 
 
 # The objective key of a candidate is dl * weight + ul * weight.
@@ -286,7 +287,7 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul); they are a
-    read-only sequence over the two lists of sums, listed only when
+    read-only sequence over the walk's last pairs, listed only when
     collect_rows is set, and the winner is found by the same walk either
     way.  Refuses to start when the candidate count exceeds cap or
     MAX_CANDIDATES.  The seeds (model.check_seeds) and prime only draw the
@@ -298,15 +299,13 @@ def exhaustive_search(
 
     families = dl_family(k, options), ul_family(options)
     tables, rows, last = _walk(families)
+    sums = {t: _final_sums(tables, t) for t in last}
     dl_weight, ul_weight = _WEIGHTS[objective]
-    keys = {}
-    for t in last:
-        dl, ul = _final_sums(tables, t)
-        keys[t] = dl_weight * dl + ul_weight * ul
+    keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul) in sums.items()}
     best_key = max(keys.values())
     # The first maximizer is the first index that ends in a pair of the best key.
     best_index, best = next(ordered_find(rows, [t for t, key in keys.items() if key == best_key]))
-    best_value = _objective_value(objective, k, *_final_sums(tables, best))
+    best_value = _objective_value(objective, k, *sums[best])
     best_assoc = association(k, nc, _decode(options, best_index))
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
@@ -330,7 +329,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=_Rows(*family_sums(tables)) if collect_rows else None,
+        rows=_Rows(tuple_ends(rows), sums) if collect_rows else None,
     )
 
 
@@ -452,6 +451,7 @@ class PeriodicPattern:
         object.__setattr__(self, "offsets", tuple(normalized))
 
     def instantiate(self, k: int, nc: int) -> CellAssociation:
+        _check_size(k, nc)
         cells = []
         for i in range(1, k + 1):
             offs = self.offsets[(i - 1) % self.period]
@@ -512,13 +512,15 @@ def periodic_eval(
     When both session sums grow affinely in the repetition count, the
     per-user slopes are exact rationals and the edge effects have
     stabilized; non-affine growth leaves the per-user fields empty.  nc
-    and copies are positive integers and the seeds pass model.check_seeds.
+    and copies are positive integers, the seeds pass model.check_seeds,
+    and no size may pass the scheme size limits (schemes._check_size).
     """
     check_int("nc", nc, 1)
     check_int("copies", copies, 1)
     seeds = check_seeds(seeds)
     p = pattern.period
     ks = tuple(p * (copies + d) for d in range(3))
+    _check_size(ks[-1], nc)
     dl_sums, ul_sums = [], []
     for kk in ks:
         assoc = pattern.instantiate(kk, nc)

@@ -192,11 +192,12 @@ def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path):
 
 
 def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
-    # A CSV search keeps the two lists of sums (about 24 bytes per
-    # candidate) and writes its text in bounded pieces, not one tuple and
-    # one line per candidate (about 170 bytes per candidate on this family
-    # of 147,456 candidates when every row was kept).  A JSON search walks
-    # distinct layer pairs and lists no candidate at all.
+    # A CSV search keeps one list of last layer pairs (8 bytes per
+    # candidate, about 16 while it is built from the list one user short)
+    # and writes its text in bounded pieces, not one tuple and one line per
+    # candidate (about 170 bytes per candidate on this family of 147,456
+    # candidates when every row was kept).  A JSON search walks distinct
+    # layer pairs and lists no candidate at all.
     argv = ["search", "--k", "9", "--nc", "1", "--window", "1", "--cap", "200000"]
     main(["search", "--k", "3", "--nc", "1", "--window", "1", "--out", str(tmp_path / "warm")])
     peaks = {}
@@ -207,7 +208,7 @@ def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
             peaks[fmt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["csv"] <= 32 * 147_456 and peaks["json"] <= 10**6, peaks
+    assert peaks["csv"] <= 20 * 147_456 and peaks["json"] <= 10**6, peaks
 
 
 def test_search_cap_exit_code(capsys):
@@ -247,10 +248,11 @@ def test_search_refuses_families_above_the_ceiling_whatever_the_cap(capsys, monk
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # 4,519,603,984 candidates, about 108 GB of CSV rows at 24 bytes each.
-    # Neither the tuple walk (JSON) nor the listing walk (CSV) may start.
+    # 4,519,603,984 candidates, about 72 GB of CSV rows at 16 bytes each.
+    # Neither the tuple walk (JSON and CSV) nor the listing of its last
+    # tuples (CSV) may start.
     monkeypatch.setattr(search, "tuple_walk", never)
-    monkeypatch.setattr(search, "family_sums", never)
+    monkeypatch.setattr(search, "tuple_ends", never)
     argv = ("search", "--k", "12", "--nc", "2", "--window", "1", "--cap", "10000000000")
     for fmt in ("json", "csv"):
         code, out, err = run(capsys, *argv, "--format", fmt)
@@ -405,6 +407,19 @@ def test_report(capsys):
     assert any("9/10" in l for l in lines)
     code, _, err = run(capsys, "report", "--nc", "one")
     assert code == 2
+
+
+def test_report_refuses_targets_too_long_to_write(tmp_path, capsys):
+    # 4,300 digits is the longest integer Python reads from a string, and
+    # tau's numerator has one more digit than nc, more than it writes.
+    nc = "9" * 4300
+    target = tmp_path / "report.json"
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "report", "--nc", nc, "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == "error: a value has more digits than Python writes as a decimal string\n"
+        code, out, _ = run(capsys, "report", "--nc", nc, "--format", fmt, "--out", str(target))
+        assert code == 3 and out == "" and not target.exists()
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -25,6 +25,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from cellassoc import _kernels, search
 from cellassoc.bounds import (
@@ -563,20 +564,10 @@ def test_chain_rule_matches_reference_dp(case):
 
 @settings(max_examples=80, deadline=None)
 @given(families())
-def test_family_sums_match_per_candidate_maxima(family):
+def test_tuple_ends_match_per_candidate_maxima(family):
     k, options = family
-    automata = (
-        _kernels.dl_family(k, options),
-        _kernels.ul_family(options),
-        _kernels.chain_family(options),
-    )
-    # Every family has nc <= 3, and chain_flags does not read nc.
-    expected = [
-        (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
-        for combo, dl, ul in ref_session_sums(k, options)
-    ]
-    tables = [_kernels.FamilyLayers(automaton) for automaton in automata]
-    assert _kernels.family_sums(tables) == [list(s) for s in zip(*expected)]
+    _counts, rows, sums, expected = rule_walk(k, options)
+    assert [sums[t] for t in _kernels.tuple_ends(rows)] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -621,11 +612,27 @@ def test_search_winner_is_the_first_maximizer_at_its_index(family):
     for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
         result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
         assert result.candidates == search.count_associations(k, nc, w) == len(sums)
-        # The listed rows (family_sums) are the reference sums too.
+        # The listed rows (tuple_ends) are the reference sums too.
         assert [(dl, ul) for _index, dl, ul in result.rows] == sums
         keys = [dl_weight * dl + ul_weight * ul for dl, ul in sums]
         assert result.best_index == keys.index(max(keys))
         assert result.best_assoc == listed[result.best_index]
+
+
+def test_search_rows_index_like_the_reference_list():
+    for k, nc, w in SMALL_FAMILIES:
+        options = search._user_options(k, nc, w)
+        _combos, dls, uls = zip(*ref_session_sums(k, options))
+        n = len(dls)
+        expected = list(zip(range(n), dls, uls))
+        rows = search.exhaustive_search(k, nc, w, collect_rows=True).rows
+        assert len(rows) == n and list(rows) == expected
+        assert rows[-1] == expected[-1] and rows[-n] == expected[0]
+        assert rows[2:7] == tuple(expected[2:7])
+        assert rows[::-3] == tuple(expected[::-3])
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[index]
 
 
 @SETTINGS
@@ -693,7 +700,12 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
 
 
 def rule_walk(k, options):
-    """The three rules' tables, tuple_walk over them, and family_sums' lists."""
+    """tuple_walk over the three rules' tables, and every candidate's reference sums.
+
+    Returns the walk's counts, rows and (dl, ul, chain) sums per last
+    tuple, and the (dl, ul, chain) of each candidate in enumeration order,
+    each maximized from scratch.
+    """
     automata = (
         _kernels.dl_family(k, options),
         _kernels.ul_family(options),
@@ -704,7 +716,12 @@ def rule_walk(k, options):
     counts = _kernels.tuple_counts(rows)
     assert set(counts) == last
     sums = {t: tuple(table.best[lid] for table, lid in zip(tables, t)) for t in last}
-    return counts, rows, sums, _kernels.family_sums(tables)
+    # Every family has nc <= 3, and chain_flags does not read nc.
+    expected = [
+        (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
+        for combo, dl, ul in ref_session_sums(k, options)
+    ]
+    return counts, rows, sums, expected
 
 
 def first_maximizers(rows, sums):
@@ -721,7 +738,7 @@ def first_maximizers(rows, sums):
 @given(families(), st.data())
 def test_tuple_walk_matches_the_listing(family, data):
     k, options = family
-    counts, rows, sums, (dls, uls, chains) = rule_walk(k, options)
+    counts, rows, sums, expected = rule_walk(k, options)
     # Each candidate's last tuple, read off the rows digit by digit.
     finals = []
     for digits in itertools.product(*(range(len(opts)) for opts in options)):
@@ -729,10 +746,11 @@ def test_tuple_walk_matches_the_listing(family, data):
         for depth, o in enumerate(digits):
             t = rows[depth][t][o]
         finals.append(t)
-    assert [sums[t] for t in finals] == list(zip(dls, uls, chains))
+    assert _kernels.tuple_ends(rows) == finals
+    assert [sums[t] for t in finals] == expected
     assert counts == collections.Counter(finals)
     for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
-        keys = [dl_weight * dl + ul_weight * ul for dl, ul in zip(dls, uls)]
+        keys = [dl_weight * dl + ul_weight * ul for dl, ul, _chain in expected]
         assert first_maximizers(rows, sums)[objective] == keys.index(max(keys))
     chosen = data.draw(st.sets(st.sampled_from(sorted(counts))))
     assert list(_kernels.ordered_find(rows, chosen)) == [

@@ -6,11 +6,13 @@ import pytest
 
 from cellassoc import (
     BudgetExceededError,
+    SizeLimitError,
     ValidationError,
     association,
     pair_association,
 )
 from cellassoc import search
+from cellassoc.schemes import MAX_SCHEME_K
 from cellassoc.search import (
     PeriodicPattern,
     compare_with_theorem,
@@ -129,10 +131,10 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # Neither walk may start: the tuple walk (JSON search and sweeps) nor
-    # the listing one (CSV rows).
+    # Neither the tuple walk (JSON search, sweeps and CSV rows) nor the
+    # listing of its last tuples (CSV rows) may start.
     monkeypatch.setattr(search, "tuple_walk", never)
-    monkeypatch.setattr(search, "family_sums", never)
+    monkeypatch.setattr(search, "tuple_ends", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
     ceiling = f"more than {search.MAX_CANDIDATES} candidates, the most any search lists"
     for cap in (search.MAX_CANDIDATES + 1, 10**10, 10**100):
@@ -152,19 +154,20 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
 
 def test_only_csv_rows_list_the_family(monkeypatch):
     listed = []
-    real = search.family_sums
+    real = search.tuple_ends
 
-    def listing(families):
-        listed.append(len(families))
-        return real(families)
+    def listing(rows):
+        ends = real(rows)
+        listed.append(len(ends))
+        return ends
 
-    monkeypatch.setattr(search, "family_sums", listing)
+    monkeypatch.setattr(search, "tuple_ends", listing)
     for family in ((6, 2, 1), (4, 3, 3)):
         for objective in ("avg", "ul", "dl"):
             json_result = exhaustive_search(*family, objective)
             assert listed == []
             csv_result = exhaustive_search(*family, objective, collect_rows=True)
-            assert listed.pop() == 2 and csv_result == json_result
+            assert listed.pop() == csv_result.candidates and csv_result == json_result
         assert soundness_sweep(*family).sound
         assert listed == []
 
@@ -279,6 +282,23 @@ def test_periodic_pattern_instantiation_clips():
     assert p.instantiate(3, 2) == pair_association(3)
     with pytest.raises(ValidationError):
         p.instantiate(3, 1)
+
+
+def test_periodic_sizes_above_the_scheme_limit_are_refused_before_building(monkeypatch):
+    def never(*_args):
+        raise AssertionError("an association was built")
+
+    pair = PeriodicPattern(period=1, offsets=((-1, 0),))
+    monkeypatch.setattr(search, "association", never)
+    with pytest.raises(SizeLimitError, match="scheme size limit"):
+        pair.instantiate(MAX_SCHEME_K + 1, 2)
+    monkeypatch.setattr(PeriodicPattern, "instantiate", never)
+    # The first two sizes are within the limit and the third is not.
+    with pytest.raises(SizeLimitError, match=f"k = {MAX_SCHEME_K + 1} exceeds"):
+        periodic_eval(pair, 2, copies=MAX_SCHEME_K - 1)
+    for copies in (10**12, 10**100):
+        with pytest.raises(SizeLimitError):
+            periodic_eval(pair, 2, copies=copies)
 
 
 def test_periodic_pair_probe():
