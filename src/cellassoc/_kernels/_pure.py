@@ -47,18 +47,22 @@ of its pair, so the credit settles one user late.  It starts at a
 phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
 flagged) and has no credit.
 
-Every walk over the line goes through one forward step, `max_count`: it
-maps each state before a user to the most active users on a path reaching
-it, and returns the same map after the user.  Set feasibility runs it with
-each user's activity fixed by the set, and the set is feasible iff the
-last map is nonempty.  `chain_max` runs it with both activities and reads
-the largest count after the last user.  Maximization adds to that forward
-pass, whose keys are the reachable states, a backward pass that counts
-the most users still to come from each state, and an include-first
-forward pick that takes every user that keeps that count reachable.  It
-returns the largest set with the lexicographically greatest indicator
-vector, the same set an include-first branch and bound over ascending
-users finds, in O(k) for a fixed budget.
+Feasibility and counting walks go through one forward step, `max_count`:
+it maps each state before a user to the most active users on a path
+reaching it, and returns the same map after the user.  Set feasibility
+runs it with each user's activity fixed by the set, and the set is
+feasible iff the last map is nonempty.  `chain_max` runs it with both
+activities and reads the largest count after the last user.
+Maximization makes one forward pass that records each user's moves
+(state, activity, next state) from the states reachable before it; users
+with equal steps and equal reachable states share one record, so the
+rule's next runs once per distinct pair.  A backward pass over those
+records counts the most users still to come from each state, and an
+include-first forward pick takes every user that keeps that count
+reachable; neither calls next again.  It returns the largest set with
+the lexicographically greatest indicator vector, the same set an
+include-first branch and bound over ascending users finds, in O(k) for a
+fixed budget.
 
 When only the size of that set is needed, as in a search over a family,
 the forward step alone suffices.  `FamilyLayers` interns the layers of
@@ -230,22 +234,36 @@ def _forward(family, active=None):
 
 def _lex_max(family):
     start, nxt, steps = family
-    steps = [step for (step,) in steps]
-    layers = _forward(family)  # their keys are the reachable states
+    # moves[m-1] = (on, off, after): user m's (state, next state) moves from
+    # the states reachable before it when active and when inactive, and the
+    # states reachable after it.  The only pass that calls nxt.
+    here, moves, seen = frozenset((start,)), [], {}
+    for (step,) in steps:
+        user = seen.get((step, here))
+        if user is None:
+            on = [(s, t) for s in here for t in nxt(step, s, 1)]
+            off = [(s, t) for s in here for t in nxt(step, s, 0)]
+            user = seen[step, here] = on, off, frozenset(t for _s, t in chain(on, off))
+        moves.append(user)
+        here = user[2]
     # togo[m][s]: most active users among m+1..k from state s before user m+1.
-    togo = [dict.fromkeys(layers.pop(), 0)]
-    for step, layer in zip(reversed(steps), reversed(layers)):
-        after = togo[-1]
-        togo.append({s: max(a + after[t] for a in (1, 0) for t in nxt(step, s, a)) for s in layer})
+    togo = [dict.fromkeys(here, 0)]
+    for on, off, _here in reversed(moves):
+        after, best = togo[-1], {}
+        for gain, pairs in ((1, on), (0, off)):
+            for s, t in pairs:
+                if best.get(s, -1) < gain + after[t]:
+                    best[s] = gain + after[t]
+        togo.append(best)
     togo.reverse()
     states, want, chosen = {start}, togo[0][start], []
-    for m, (step, after) in enumerate(zip(steps, togo[1:]), 1):
-        taken = {t for s in states for t in nxt(step, s, 1) if after[t] == want - 1}
+    for m, ((on, off, _here), after) in enumerate(zip(moves, togo[1:]), 1):
+        taken = {t for s, t in on if s in states and after[t] == want - 1}
         if taken:
             chosen.append(m)
             states, want = taken, want - 1
         else:
-            states = {t for s in states for t in nxt(step, s, 0) if after[t] == want}
+            states = {t for s, t in off if s in states and after[t] == want}
     return frozenset(chosen)
 
 

@@ -2,7 +2,9 @@
 
 Subcommands: scheme, eval, search, bound, render, report.  All structured
 output is JSON with sorted keys (or CSV rows for search --format csv), so
-runs are byte-reproducible.  eval and search decide feasibility by rules
+runs are byte-reproducible; _json_text writes the bytes of
+json.dumps(obj, indent=2, sort_keys=True) without the standard library's
+pure-Python indenting encoder.  eval and search decide feasibility by rules
 that do not depend on channel values, so their "warnings" and
 "disagreements" fields are always 0; they stay for output stability.
 
@@ -82,8 +84,61 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj: object, newline: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), without its encoder.
+
+    With an indent, the standard library encodes in pure Python, one
+    generator step per value.  Here a list, a tuple, or a dict whose keys
+    are all str or all int is written by joining its members' texts, and a
+    container of ints or of strs is joined in C.  newline is a line break
+    followed by the indent of obj's own line.  Anything else (floats,
+    other keys, subclasses and unsupported types) goes through json.dumps
+    itself, re-indented, so the bytes and the errors are its own.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(_json_texts(obj, inner)) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        key_kinds = {*map(type, keys)}
+        if key_kinds == {str} or key_kinds == {int}:
+            inner = newline + "  "
+            names = map(_quote, keys if str in key_kinds else map(int.__repr__, keys))
+            items = zip(names, _json_texts(list(map(obj.__getitem__, keys)), inner))
+            return "{" + inner + ("," + inner).join(map(": ".join, items)) + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
+    """The texts of the values, each on a line that begins with newline."""
+    kinds = {*map(type, values)}
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {str}:
+        return map(_quote, values)
+    return [_json_text(value, newline) for value in values]
+
+
 def _emit_json(obj: object, out: Optional[str]) -> None:
-    _emit((json.dumps(obj, indent=2, sort_keys=True) + "\n",), out)
+    _emit((_json_text(obj) + "\n",), out)
 
 
 # Rows of search --format csv joined into one piece of text (a few hundred

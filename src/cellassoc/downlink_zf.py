@@ -17,9 +17,13 @@ that rule exactly with a DP along the line.
 
 GF(p) arithmetic only emits the certificate: zf_feasible builds each
 message's nullspace precoder on one exact channel draw by back-substitution
-along the runs of C_m (see _message_witness), in O(|C_m|), and
-verify_witness re-checks them by direct evaluation, independent of how
-they were built.  certify_downlink does both on the first seed's draw;
+along the runs of C_m (see _message_witness), in O(|C_m|).  It reads the
+gains from flat rows built once per call (_gain_rows: g(i, i-1) and
+g(i, i) mod p of each active user, 0 for the others) and inverts with
+pow(x, -1, p).  verify_witness re-checks the precoders by direct
+evaluation, independent of how they were built: it reads the
+realization's coefficients and the association itself and shares no
+table with zf_feasible.  certify_downlink does both on the first seed's draw;
 evaluations and scheme plans are certified that way, so only the first
 seed is ever used.
 zf_feasible_majority, which draws several seeds and takes a majority
@@ -130,45 +134,51 @@ def _check_active(assoc: CellAssociation, active) -> frozenset[int]:
     return active
 
 
-def _gain(ch: ChannelRealization, i: int, j: int) -> int:
-    if j == i or j == i - 1:
-        return ch.coeffs.get((i, j), 0)
-    return 0
+def _gain_rows(ch: ChannelRealization, active) -> tuple[list[int], list[int]]:
+    """(left, diag): g(i, i-1) and g(i, i) mod p of each active user i, else 0.
 
-
-def _message_witness(cell, active, ch, m):
-    """Nullspace precoder for message m over base stations cell, or None.
-
-    The rows are the other active users; user r hears columns r-1 and r
-    only.  Columns c and c+1 are linked when user c+1 is a row with both
-    gains nonzero, and the linked runs of cell decouple.  A run [a, c] is
-    pinned to zero when user a hears a alone (g(a, a) != 0) or user c+1
-    hears c alone (g(c+1, c) != 0); an unpinned run has one free column,
-    its last.  Of the unpinned runs that user m hears through a nonzero
-    gain, the first one carries the precoder: 1 at c, then back-substitution
-    along the links, 0 elsewhere.  That is the vector an RREF over the same
-    rows returns (free columns ascending, the first with nonzero desired
-    gain), at O(|cell|) per message.
+    Both lists run over users 0..k+1, so a user just past either end of the
+    line reads as inactive.
     """
-    p = ch.prime
-    cols = sorted(j for j in cell if 1 <= j <= ch.k)
+    p, get = ch.prime, ch.coeffs.get
+    left, diag = [0] * (ch.k + 2), [0] * (ch.k + 2)
+    for i in active:
+        left[i] = get((i, i - 1), 0) % p
+        diag[i] = get((i, i), 0) % p
+    return left, diag
 
-    def row(r, j):
-        return ch.coeffs.get((r, j), 0) % p if r != m and r in active else 0
 
-    runs, start = [], 0
+def _message_witness(cell, m, left, diag, p):
+    """Nullspace precoder for active message m over base stations cell, or None.
+
+    left and diag are _gain_rows of the active set.  The rows are the other
+    active users; user r hears columns r-1 and r only.  Columns c and c+1
+    are linked when user c+1 is a row with both gains nonzero, and the
+    linked runs of cell decouple.  A run [a, c] is pinned to zero when user
+    a hears a alone (g(a, a) != 0) or user c+1 hears c alone
+    (g(c+1, c) != 0); an unpinned run has one free column, its last.  Of
+    the unpinned runs that user m hears through a nonzero gain, the first
+    one carries the precoder: 1 at c, then back-substitution along the
+    links, 0 elsewhere.  That is the vector an RREF over the same rows
+    returns (free columns ascending, the first with nonzero desired gain),
+    at O(|cell|) per message.
+    """
+    k = len(left) - 2
+    cols = sorted(j for j in cell if 1 <= j <= k)
+    runs, start, last = [], 0, len(cols) - 1
     for i, c in enumerate(cols):
-        if i + 1 == len(cols) or cols[i + 1] != c + 1 or not (row(c + 1, c) and row(c + 1, c + 1)):
+        r = c + 1
+        if i == last or cols[i + 1] != r or r == m or not (left[r] and diag[r]):
             runs.append((cols[start], c))
             start = i + 1
     for a, c in runs:
-        if row(a, a) or row(c + 1, c):
+        if (a != m and diag[a]) or (c + 1 != m and left[c + 1]):
             continue
-        if (a < m <= c + 1 and _gain(ch, m, m - 1) % p) or (a <= m <= c and _gain(ch, m, m) % p):
+        if (a < m <= c + 1 and left[m]) or (a <= m <= c and diag[m]):
             vec = dict.fromkeys(cols, 0)
             vec[c] = 1
-            for r in range(c, a, -1):
-                vec[r - 1] = -row(r, r) * vec[r] * pow(row(r, r - 1), p - 2, p) % p
+            for r in range(c, a, -1):  # user r links r-1 and r, so g(r, r-1) != 0
+                vec[r - 1] = -diag[r] * vec[r] * pow(left[r], -1, p) % p
             return vec
     return None
 
@@ -182,9 +192,10 @@ def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
     active = _check_active(assoc, active)
     if ch.k != assoc.k:
         raise ValidationError(f"realization has k={ch.k}, association has k={assoc.k}")
+    left, diag = _gain_rows(ch, active)
     precoders = {}
     for m in sorted(active):
-        vec = _message_witness(assoc.cells[m - 1], active, ch, m)
+        vec = _message_witness(assoc.cells[m - 1], m, left, diag, ch.prime)
         if vec is None:
             return None
         precoders[m] = vec
@@ -198,19 +209,20 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     precoder v as g(r, r-1)*v[r-1] + g(r, r)*v[r], and a precoder on base
     stations J leaks onto users J and J+1 alone.  Each message is checked
     at those receivers in O(1) each: O(|C_m|) per message, linear in the
-    witness size overall.
+    witness size overall.  The gains are read from the realization itself,
+    not from the rows zf_feasible builds.
     """
     active = frozenset(active)
     if ch.prime != witness.prime:
         return False
     if set(witness.precoders) != set(active):
         return False
-    p = ch.prime
+    p, gain = ch.prime, ch.coeffs.get
     for m, vec in witness.precoders.items():
-        if not set(vec) <= set(assoc.cells[m - 1]):
+        if not vec.keys() <= frozenset(assoc.cells[m - 1]):
             return False
-        for r in ({j + d for j in vec for d in (0, 1)} & active) | {m}:
-            heard = (_gain(ch, r, r - 1) * vec.get(r - 1, 0) + _gain(ch, r, r) * vec.get(r, 0)) % p
+        for r in (active & {*vec, *(j + 1 for j in vec)}) | {m}:
+            heard = (gain((r, r - 1), 0) * vec.get(r - 1, 0) + gain((r, r), 0) * vec.get(r, 0)) % p
             if (heard == 0) == (r == m):  # user m must hear it, the others must not
                 return False
     return True

@@ -58,11 +58,11 @@ from .model import (
 from .uplink_decode import certify_uplink
 
 # Largest k a scheme is built for.  Time and memory grow linearly in k: one
-# avg nc = 3 plan at k = 10^5 takes about 4 s and 180 MB of RSS for the whole
-# process on a 2-vCPU VM, so larger requests are refused before anything is
-# built.  A plan holds up to
-# k * min(nc, k) association entries, which are bounded by 4 * MAX_SCHEME_K,
-# so every k up to the limit is accepted with nc <= 4.
+# avg nc = 3 plan at k = 10^5 takes about 2.6 s and 185 MB of RSS for the
+# whole process on a 2-vCPU VM, so larger requests are refused before anything
+# is built.  A plan holds up to k * min(nc, k) association entries, which are
+# bounded by 4 * MAX_SCHEME_K, so every k up to the limit is accepted with
+# nc <= 4.
 MAX_SCHEME_K = 10**6
 
 
@@ -133,15 +133,23 @@ def _check_args(k: int, nc: int, seeds: Sequence[int]) -> tuple[int, ...]:
     return check_seeds(seeds)
 
 
+def _named(name: str, value: int) -> str:
+    """'name = value', or the name alone when value has too many digits to print."""
+    try:
+        return f"{name} = {value}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return name
+
+
 def _check_size(k: int, nc: int) -> None:
     """Refuse k and nc unless they pass model.check_int and the size limits."""
     check_int("k", k, 1)
     check_int("nc", nc, 1)
     if k > MAX_SCHEME_K:
-        raise SizeLimitError(f"k = {k} exceeds the scheme size limit of {MAX_SCHEME_K}")
+        raise SizeLimitError(f"{_named('k', k)} exceeds the scheme size limit of {MAX_SCHEME_K}")
     if k * min(nc, k) > 4 * MAX_SCHEME_K:
         raise SizeLimitError(
-            f"k = {k} and nc = {nc} allow {k * min(nc, k)} association entries, "
+            f"k = {k} and {_named('nc', nc)} allow {k * min(nc, k)} association entries, "
             f"above the scheme size limit of {4 * MAX_SCHEME_K}"
         )
 

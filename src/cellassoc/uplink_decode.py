@@ -26,7 +26,14 @@ from typing import Optional
 
 from . import _kernels
 from .errors import InternalCheckError, ValidationError
-from .model import CellAssociation, check_active, connected_bs, heard_mts, int_from_json
+from .model import (
+    CellAssociation,
+    check_active,
+    check_int,
+    check_ints,
+    connected_bs,
+    int_from_json,
+)
 
 
 @dataclass(frozen=True)
@@ -78,17 +85,6 @@ def prune(assoc: CellAssociation) -> CellAssociation:
     return CellAssociation(k=assoc.k, nc=assoc.nc, cells=cells)
 
 
-def _step_allowed(assoc, active, decoded, m, b):
-    if b not in assoc.cells[m - 1] or b not in connected_bs(m, assoc.k):
-        return False
-    for mp in heard_mts(b, assoc.k):
-        if mp == m or mp not in active:
-            continue
-        if mp not in decoded or b not in assoc.cells[mp - 1]:
-            return False
-    return True
-
-
 def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
     """Canonical decoding order for the active set, or None if infeasible.
 
@@ -130,15 +126,26 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
 
 
 def verify_order(order: DecodingOrder, assoc, active) -> bool:
-    """Independent re-check of a decoding order against the model rules."""
-    active = check_active(assoc.k, active)
+    """Independent re-check of a decoding order against the model rules.
+
+    k, the active set and every step index are checked once; then each step
+    (m, b) is read off the line itself.  User m hears bs m-1 and m only,
+    and bs b is heard by users b and b+1 alone, so the one other user heard
+    at b is m+1 when b = m and m-1 when b = m-1; when active, it must be
+    decoded already and hold b.
+    """
+    k = check_int("k", assoc.k, 1)
+    active = check_active(k, active)
+    check_ints("decoding step index", [i for step in order.steps for i in step])
+    cells = assoc.cells
     decoded: set[int] = set()
     for m, b in order.steps:
-        if m not in active or m in decoded:
+        if m not in active or m in decoded or not m - 1 <= b <= m or b < 1:
             return False
-        if not 1 <= b <= assoc.k:
+        if b not in cells[m - 1]:
             return False
-        if not _step_allowed(assoc, active, decoded, m, b):
+        other = 2 * b + 1 - m  # the other user that hears bs b
+        if other in active and (other not in decoded or b not in cells[other - 1]):
             return False
         decoded.add(m)
     return decoded == active

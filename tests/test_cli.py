@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellassoc import cli, pair_association, schemes, search
 from cellassoc.cli import main
@@ -479,3 +481,56 @@ def test_parser_is_built_once_per_process(fresh_parser, capsys):
         assert run(capsys, *argv)[0] == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+# --- the indented JSON writer -------------------------------------------------
+
+json_strs = st.text(
+    st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600') | st.characters(),
+    max_size=6,
+)
+json_ints = st.integers(-(2**70), 2**70)  # past 2**64 on both sides
+json_trees = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strs | st.floats(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_strs, inner, max_size=4)
+        | st.dictionaries(json_ints, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+def dumps_or_error(write, obj):
+    try:
+        return write(obj)
+    except TypeError:
+        return TypeError
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_json_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == reference_dumps(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.recursive(
+        json_ints | json_strs | st.sampled_from([object(), {1, 2}, b"x", 1j]),
+        lambda inner: (
+            st.lists(inner, max_size=3)
+            | st.dictionaries(json_strs | json_ints | st.tuples(json_ints), inner, max_size=3)
+        ),
+        max_leaves=10,
+    )
+)
+def test_json_writer_fails_where_json_dumps_fails(tree):
+    # Unsupported values, keys that are neither str nor int, and dicts that
+    # mix str and int keys (which sort_keys cannot order) raise TypeError.
+    assert dumps_or_error(cli._json_text, tree) == dumps_or_error(reference_dumps, tree)

@@ -40,6 +40,7 @@ from cellassoc.bounds import (
 )
 from cellassoc.downlink_zf import (
     ZfWitness,
+    _gain_rows,
     _message_witness,
     max_downlink_dof,
     strip_silent,
@@ -478,7 +479,7 @@ def test_message_witness_matches_rref_on_every_small_case():
                 for rest in subsets(others):
                     active = frozenset((m, *rest))
                     for ch in draws:
-                        got = _message_witness(assoc.cells[m - 1], active, ch, m)
+                        got = _message_witness(assoc.cells[m - 1], m, *_gain_rows(ch, active), ch.prime)
                         assert got == ref_message_witness(assoc, active, ch, m), (
                             k, m, cell, active, ch.coeffs,
                         )

@@ -223,3 +223,29 @@ def test_refuses_plans_with_too_many_entries_before_building(monkeypatch):
                 builder(k, nc)
     for k, nc in ((MAX_SCHEME_K, 4), (2000, 2000), (4 * MAX_SCHEME_K // 5, 5), (5, 10**12)):
         _check_args(k, nc, DEFAULT_SEEDS)
+
+
+def test_sizes_too_long_to_print_are_refused_without_printing_them():
+    # 10**5000 has more digits than Python converts to a str by default, so
+    # a message that printed it would raise ValueError instead.
+    huge = 10**5000
+    for builder in (avg_optimal, downlink_optimal):
+        with pytest.raises(SizeLimitError) as info:
+            builder(huge, 2)
+        assert str(info.value) == f"k exceeds the scheme size limit of {MAX_SCHEME_K}"
+        with pytest.raises(SizeLimitError) as info:
+            builder(MAX_SCHEME_K, huge)
+        assert str(info.value) == (
+            f"k = {MAX_SCHEME_K} and nc allow {MAX_SCHEME_K**2} association entries, "
+            f"above the scheme size limit of {4 * MAX_SCHEME_K}"
+        )
+    # Sizes that print keep their messages.
+    with pytest.raises(SizeLimitError) as info:
+        _check_args(MAX_SCHEME_K + 1, 2, DEFAULT_SEEDS)
+    assert str(info.value) == f"k = {MAX_SCHEME_K + 1} exceeds the scheme size limit of {MAX_SCHEME_K}"
+    with pytest.raises(SizeLimitError) as info:
+        _check_args(2001, 2000, DEFAULT_SEEDS)
+    assert str(info.value) == (
+        "k = 2001 and nc = 2000 allow 4002000 association entries, "
+        f"above the scheme size limit of {4 * MAX_SCHEME_K}"
+    )

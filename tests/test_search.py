@@ -301,6 +301,18 @@ def test_periodic_sizes_above_the_scheme_limit_are_refused_before_building(monke
             periodic_eval(pair, 2, copies=copies)
 
 
+def test_periodic_sizes_too_long_to_print_are_refused_without_printing_them():
+    pair = PeriodicPattern(period=1, offsets=((-1, 0),))
+    huge = 10**5000  # more digits than Python converts to a str by default
+    want = f"k exceeds the scheme size limit of {MAX_SCHEME_K}"
+    with pytest.raises(SizeLimitError) as info:
+        pair.instantiate(huge, 2)
+    assert str(info.value) == want
+    with pytest.raises(SizeLimitError) as info:
+        periodic_eval(pair, 2, copies=huge)
+    assert str(info.value) == want
+
+
 def test_periodic_pair_probe():
     pair = PeriodicPattern(period=3, offsets=((-1, 0),) * 3)
     r = periodic_eval(pair, 2)

@@ -74,6 +74,22 @@ def test_order_verification_rejects_tampering():
     assert not verify_order(DecodingOrder(steps=order.steps[1:]), a, {1, 2, 3})
 
 
+def test_order_verification_rejects_unheard_base_stations():
+    # User m hears bs m-1 and m only; a bs it holds but cannot hear,
+    # m + 1 here, must not decode it, even with no other user waiting.
+    a = association(3, 3, [[1, 2], [2, 3], [3]])
+    for m, b in ((1, 2), (2, 3)):
+        assert not verify_order(DecodingOrder(steps=((m, b),)), a, {m})
+    assert verify_order(DecodingOrder(steps=((1, 1),)), a, {1})
+
+
+def test_order_verification_refuses_non_integer_steps():
+    a = pair_association(3)
+    for step in ((1.0, 1), (1, 1.0), (True, 1)):
+        with pytest.raises(ValidationError, match="decoding step index"):
+            verify_order(DecodingOrder(steps=(step,)), a, {1})
+
+
 def test_order_verification_validates_the_active_set():
     # A bad user is refused before the step rule indexes the cells tuple.
     a = association(3, 2, [[1], [1, 2], [1, 3]])
