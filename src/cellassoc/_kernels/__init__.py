@@ -2,10 +2,11 @@
 
 One pure-Python implementation (`_pure`) of three value-free local rules
 (downlink zero-forcing, uplink decode-and-pass, the chain bound) as
-left-to-right automata, and one forward max-count step that every pass
-over them goes through: set feasibility, the chain bound's maximum, the
-DP that maximizes a session exactly at every k in O(k) for a fixed
-budget, and the family walk over memoized layers (`FamilyLayers`, one
+left-to-right automata, and one pass per question over them: a DP that
+maximizes a session, or the chain bound, exactly at every k in O(k) for a
+fixed budget; a count-free reachability pass that decides whether one
+active set is feasible, the reference the tests check the DP against; and
+memoized forward max-count layers over a family (`FamilyLayers`, one
 table per rule and walk).  `tuple_walk` is the one family walk: it walks
 the distinct tuples of layers (and of other per-option values) that a
 family reaches, and three readers answer from its rows: `tuple_counts`

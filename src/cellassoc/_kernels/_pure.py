@@ -47,30 +47,25 @@ of its pair, so the credit settles one user late.  It starts at a
 phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
 flagged) and has no credit.
 
-Feasibility and counting walks go through one forward step, `max_count`:
-it maps each state before a user to the most active users on a path
-reaching it, and returns the same map after the user.  Set feasibility
-runs it with each user's activity fixed by the set, and the set is
-feasible iff the last map is nonempty.  `chain_max` runs it with both
-activities and reads the largest count after the last user.
-Maximization makes one forward pass that records each user's moves
-(state, activity, next state) from the states reachable before it; users
-with equal steps and equal reachable states share one record, so the
-rule's next runs once per distinct pair.  A backward pass over those
-records counts the most users still to come from each state, and an
-include-first forward pick takes every user that keeps that count
-reachable; neither calls next again.  It returns the largest set with
-the lexicographically greatest indicator vector, the same set an
-include-first branch and bound over ascending users finds, in O(k) for a
-fixed budget.
-
-When only the size of that set is needed, as in a search over a family,
-the forward step alone suffices.  `FamilyLayers` interns the layers of
-one rule over a family, each as its shape (the layer less its largest
-count) and that count, and memoizes the step per (shape, step); each
-search or sweep builds one table per rule, so associations that share a
-prefix of options share its layers, and users whose options look the
-same from where they stand share its moves at every depth.
+Each question about the rules has one pass.  For one association,
+`_lex_max` answers both sessions and the chain bound: a forward pass
+records each user's moves (state, activity, next state) from the states
+reachable before it; users with equal steps and equal reachable states
+share one record, so the rule's next runs once per distinct pair.  A
+backward pass over those records counts the most users still to come
+from each state, and an include-first forward pick takes every user that
+keeps that count reachable; neither calls next again.  It returns the
+largest set with the lexicographically greatest indicator vector, the
+same set an include-first branch and bound over ascending users finds,
+in O(k) for a fixed budget, and the chain bound is its size.  Set
+feasibility is `_reaches`: a count-free pass over state sets with each
+user's activity fixed, kept apart from the maximizer as the reference the
+tests compare it against.  For a family, `FamilyLayers` keeps the forward
+max-count layers of one rule, each as its shape (the layer less its
+largest count) and that count, and memoizes one user's step per (shape,
+step); each search or sweep builds one table per rule, so associations
+that share a prefix of options share its layers, and users whose options
+look the same from where they stand share its moves at every depth.
 
 One walk reads these tables.  `tuple_walk` walks a product of rules,
 and of other per-option values such as bitmasks, over distinct tuples:
@@ -202,36 +197,6 @@ def _one_each(cells):
     return [(cell,) for cell in cells]
 
 
-def max_count(nxt, step, layer, acts=(1, 0)):
-    """The forward step: one user of the max-count pass.
-
-    layer maps each state before the user to the most active users on a
-    path reaching it; the result is the same map after the user, who
-    takes each activity in acts.
-    """
-    out = {}
-    for s, n in layer.items():
-        for a in acts:
-            for t in nxt(step, s, a):
-                if out.get(t, -1) < n + a:
-                    out[t] = n + a
-    return out
-
-
-def _forward(family, active=None):
-    """Max-count layers before each user and after the last.
-
-    family offers one option per user.  Each user may be active or not,
-    unless active is given: then user m is active exactly when m is in it.
-    """
-    start, nxt, steps = family
-    layers = [{start: 0}]
-    for m, (step,) in enumerate(steps, 1):
-        acts = (1, 0) if active is None else (m in active,)
-        layers.append(max_count(nxt, step, layers[-1], acts))
-    return layers
-
-
 def _lex_max(family):
     start, nxt, steps = family
     # moves[m-1] = (on, off, after): user m's (state, next state) moves from
@@ -270,20 +235,25 @@ def _lex_max(family):
 class FamilyLayers:
     """Forward max-count layers of one rule over a family, user by user.
 
-    A layer is a frozen map from state to the most active users so far,
-    interned as an integer id; the start layer is id 0, and best[lid] is
-    the largest count in layer lid, which after the last user is the size
-    of the largest feasible active set.  row(lid, column) lists the ids of
-    the layers that a user leads to from layer lid, one per step of column
-    (its options' steps).
+    A layer is a frozen map from state to the most active users on a path
+    reaching it, interned as an integer id; the start layer is id 0, and
+    best[lid] is the largest count in layer lid, which after the last user
+    is the size of the largest feasible active set.  row(lid, column)
+    lists the ids of the layers that a user leads to from layer lid, one
+    per step of column (its options' steps).
 
-    The forward step commutes with adding one number to every count, so
-    a layer is kept as its shape (the layer less its largest count,
-    interned on its own) and that count, and the step runs once per
-    (shape, step).  Steps and states hold no position, so a move serves
-    every depth and every layer of its shape: users whose options look the
-    same from where they stand share it, whatever counts their prefixes
-    reached.
+    A layer keeps only the states reached at no fewer active users than
+    the largest count before the user, and drops the others.  No maximum
+    changes: from a state of that largest count an inactive user leads
+    each rule to a state that allows everything a dropped state allows,
+    at a larger count.
+
+    The step commutes with adding one number to every count, so a layer
+    is kept as its shape (the layer less its largest count, interned on
+    its own) and that count, and the step runs once per (shape, step).
+    Steps and states hold no position, so a move serves every depth and
+    every layer of its shape: users whose options look the same from
+    where they stand share it, whatever counts their prefixes reached.
     """
 
     def __init__(self, family):
@@ -307,7 +277,14 @@ class FamilyLayers:
         sid, count = self._layers[lid]
         moved = self._moves.get((sid, step))
         if moved is None:
-            layer = max_count(self._next, step, self._shapes[sid])
+            # Shape counts are at most 0, so the -1 default drops every state
+            # reached below the largest count before the user.
+            layer, nxt = {}, self._next
+            for s, n in self._shapes[sid].items():
+                for a in (1, 0):
+                    for t in nxt(step, s, a):
+                        if layer.get(t, -1) < n + a:
+                            layer[t] = n + a
             gain = max(layer.values())
             moved = self._moves[sid, step] = self._shape({s: n - gain for s, n in layer.items()}), gain
         key = moved[0], count + moved[1]
@@ -402,19 +379,33 @@ def tuple_ends(rows):
     return ends
 
 
+def _reaches(family, active):
+    """Whether the rule lets exactly the users in active be active.
+
+    family offers one option per user; the pass keeps the set of states
+    that the fixed activities reach, and no counts.
+    """
+    start, nxt, steps = family
+    here = {start}
+    for m, (step,) in enumerate(steps, 1):
+        a = m in active
+        here = {t for s in here for t in nxt(step, s, a)}
+    return bool(here)
+
+
 def chain_max(cells):
     """Largest count the chain rule allows on the association sets cells."""
-    return max(_forward(chain_family(_one_each(cells)))[-1].values())
+    return len(_lex_max(chain_family(_one_each(cells))))
 
 
 def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return bool(_forward(dl_family(k, _one_each(cells)), active)[-1])
+    return _reaches(dl_family(k, _one_each(cells)), active)
 
 
 def ul_set_feasible(k, cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return bool(_forward(ul_family(_one_each(cells)), active)[-1])
+    return _reaches(ul_family(_one_each(cells)), active)
 
 
 def dl_max_active(k, cells):

@@ -39,7 +39,6 @@ from .bounds import (
 from .downlink_zf import max_downlink_dof
 from .errors import (
     CellAssocError,
-    InternalCheckError,
     SizeLimitError,
     ValidationError,
 )
@@ -231,40 +230,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    merged = {
-        "k": None,
-        "nc": None,
-        "window": None,
-        "objective": "avg",
-        "seeds": DEFAULT_SEEDS,
-        "cap": DEFAULT_CAP,
+    # Only the keys that --config and the flags give (flags win) reach
+    # exhaustive_search, which supplies its own defaults for the rest.
+    given = load_search_config(_load_json(args.config)) if args.config else {}
+    flags = {
+        "k": args.k,
+        "nc": args.nc,
+        "window": args.window,
+        "objective": args.objective,
+        "cap": args.cap,
+        "seeds": tuple(args.seed) if args.seed else None,
     }
-    if args.config:
-        merged.update(load_search_config(_load_json(args.config)))
-    for key, value in (
-        ("k", args.k),
-        ("nc", args.nc),
-        ("window", args.window),
-        ("objective", args.objective),
-        ("cap", args.cap),
-    ):
-        if value is not None:
-            merged[key] = value
-    if args.seed:
-        merged["seeds"] = tuple(args.seed)
-    if merged["k"] is None or merged["nc"] is None:
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    if "k" not in given or "nc" not in given:
         raise ValidationError("search needs k and nc (flags or --config)")
 
     want_csv = args.format == "csv"
-    result = exhaustive_search(
-        merged["k"],
-        merged["nc"],
-        merged["window"],
-        merged["objective"],
-        seeds=tuple(merged["seeds"]),
-        cap=merged["cap"],
-        collect_rows=want_csv,
-    )
+    result = exhaustive_search(given.pop("k"), given.pop("nc"), **given, collect_rows=want_csv)
 
     if want_csv:
         _emit(_csv_chunks(result), args.out)
@@ -415,18 +397,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except CellAssocError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CellAssocError as exc:  # pragma: no cover - defensive catch-all
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ValidationError):
+            return 2
+        return 3 if isinstance(exc, SizeLimitError) else 4
 
 
 if __name__ == "__main__":

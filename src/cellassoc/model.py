@@ -38,6 +38,19 @@ DEFAULT_SEEDS = (1, 2, 3)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def shown(value: object, before: str, after: str = "") -> str:
+    """before + repr(value) + after, or "" when value will not print.
+
+    Python writes no int of more than sys.get_int_max_str_digits() digits
+    as a str: a message that tried would raise ValueError in place of the
+    error it carries, so such a value and the words around it are left out.
+    """
+    try:
+        return f"{before}{value!r}{after}"
+    except ValueError:
+        return ""
+
+
 def check_int(
     name: str, value: object, low: Optional[int] = None, high: Optional[int] = None
 ) -> int:
@@ -48,14 +61,16 @@ def check_int(
     raises ValidationError naming the argument and the broken condition.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{shown(value, ', got ')}")
     if low is not None and high is not None:
         if not low <= value <= high:
-            raise ValidationError(f"{name} {value!r} out of range [{low}..{high}]")
+            raise ValidationError(
+                f"{name}{shown(value, ' ')} out of range{shown(high, f' [{low}..', ']')}"
+            )
     elif low is not None and value < low:
-        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
+        raise ValidationError(f"{name} must be at least {low}{shown(value, ', got ')}")
     elif high is not None and value > high:
-        raise ValidationError(f"{name} must be at most {high}, got {value!r}")
+        raise ValidationError(f"{name} must be at most{shown(high, ' ')}{shown(value, ', got ')}")
     return value
 
 

@@ -54,6 +54,7 @@ from .model import (
     frac_from_str,
     frac_to_str,
     ints_from_json,
+    shown,
 )
 from .uplink_decode import certify_uplink
 
@@ -133,23 +134,15 @@ def _check_args(k: int, nc: int, seeds: Sequence[int]) -> tuple[int, ...]:
     return check_seeds(seeds)
 
 
-def _named(name: str, value: int) -> str:
-    """'name = value', or the name alone when value has too many digits to print."""
-    try:
-        return f"{name} = {value}"
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return name
-
-
 def _check_size(k: int, nc: int) -> None:
     """Refuse k and nc unless they pass model.check_int and the size limits."""
     check_int("k", k, 1)
     check_int("nc", nc, 1)
     if k > MAX_SCHEME_K:
-        raise SizeLimitError(f"{_named('k', k)} exceeds the scheme size limit of {MAX_SCHEME_K}")
+        raise SizeLimitError(f"k{shown(k, ' = ')} exceeds the scheme size limit of {MAX_SCHEME_K}")
     if k * min(nc, k) > 4 * MAX_SCHEME_K:
         raise SizeLimitError(
-            f"k = {k} and {_named('nc', nc)} allow {k * min(nc, k)} association entries, "
+            f"k = {k} and nc{shown(nc, ' = ')} allow {k * min(nc, k)} association entries, "
             f"above the scheme size limit of {4 * MAX_SCHEME_K}"
         )
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellassoc import cli, pair_association, schemes, search
+from cellassoc import InternalCheckError, cli, pair_association, schemes, search
 from cellassoc.cli import main
 from cellassoc.schemes import MAX_SCHEME_K
 
@@ -304,6 +304,16 @@ def test_scheme_entry_limit_exit_code(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, "scheme", "--type", "avg", "--nc", str(10**12), "--k", "5")
     assert code == 0 and json.loads(out)["claimed_ul_dof"] == "5"
+
+
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    def refuse(*_args):
+        raise InternalCheckError("decoding order failed re-verification")
+
+    monkeypatch.setattr(schemes, "certify_uplink", refuse)
+    code, out, err = run(capsys, "scheme", "--type", "avg", "--nc", "2", "--k", "5")
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: decoding order failed re-verification"]
 
 
 def test_search_config_file(tmp_path, capsys):

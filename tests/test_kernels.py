@@ -1,20 +1,32 @@
-"""The kernels: one pure-Python line DP, exact at every size.
+"""The kernels: one pass per question over the three line rules, exact at every size.
 
-tests/test_properties.py checks the rules and the DP against the GF(p)
-and decoding-order oracles and against an include-first branch and bound.
+The maximizer answers both sessions and the chain bound, and set
+feasibility is a separate reachability pass.  tests/test_properties.py
+checks the rules and the passes against the GF(p) and decoding-order
+oracles and against an include-first branch and bound on short lines;
+the tests here run them on long ones.
 """
 
 from math import inf
 
 import cellassoc._kernels as kernels
-from cellassoc import max_downlink_dof, max_uplink_dof, pair_association, search
+from cellassoc import (
+    avg_optimal,
+    downlink_optimal,
+    max_downlink_dof,
+    max_uplink_dof,
+    pair_association,
+    search,
+)
+from cellassoc.bounds import chain_flags
+from test_properties import ref_chain_dp
 
 
 def test_backend_name_reports_selection():
     assert kernels.backend_name() == "pure"
 
 
-def test_large_k_routes_to_pure():
+def test_set_checks_take_any_k():
     # The rules read association sets, so they take any k.
     k = 70
     cells = [{i - 1, i} - {0} for i in range(1, k + 1)]
@@ -33,6 +45,27 @@ def test_pair_association_maxima_on_a_long_line():
     dl_ev, ul_ev = max_downlink_dof(assoc), max_uplink_dof(assoc)
     assert dl_ev.to_json()["exact"] is True and ul_ev.to_json()["exact"] is True
     assert (dl_ev.sum_dof, ul_ev.sum_dof) == (13333, 20000)
+
+
+def test_chain_bound_and_set_checks_on_long_lines():
+    # The property tests stop at k <= 14.  Each maximizer's set passes its
+    # set check, and no set with one more user does.
+    for assoc, chain in (
+        (pair_association(20000), 20000),
+        (avg_optimal(20000, 3).assoc, 20000),
+        (downlink_optimal(20001, 2).assoc, 13334),
+    ):
+        k, cells = assoc.k, assoc.cells
+        assert kernels.chain_max(cells) == ref_chain_dp(k, chain_flags(assoc)) == chain
+        for maximize, feasible in (
+            (kernels.dl_max_active, kernels.dl_set_feasible),
+            (kernels.ul_max_active, kernels.ul_set_feasible),
+        ):
+            active = maximize(k, cells)
+            assert feasible(k, cells, active)
+            idle = sorted(set(range(1, k + 1)) - active)
+            for extra in idle[:1] + idle[-1:]:
+                assert not feasible(k, cells, active | {extra})
 
 
 def test_rules_on_tiny_cases():

@@ -23,6 +23,7 @@ from cellassoc import (
     zf_feasible_majority,
 )
 from cellassoc import schemes
+from cellassoc.model import check_active, check_int, connected
 from cellassoc.schemes import MAX_SCHEME_K, _certify_plan, _check_args
 
 
@@ -249,3 +250,14 @@ def test_sizes_too_long_to_print_are_refused_without_printing_them():
         "k = 2001 and nc = 2000 allow 4002000 association entries, "
         f"above the scheme size limit of {4 * MAX_SCHEME_K}"
     )
+    # Range checks leave out the values they cannot print, too.
+    for call, message in (
+        (lambda: avg_optimal(-huge, 2), "k must be at least 1"),
+        (lambda: pair_association(-huge), "k must be at least 1"),
+        (lambda: check_active(3, [huge]), "active user out of range [1..3]"),
+        (lambda: connected(0, 1, huge), "user index 0 out of range"),
+        (lambda: check_int("k", [huge]), "k must be an integer"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
