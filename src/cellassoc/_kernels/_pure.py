@@ -41,7 +41,10 @@ ahead of the next user the nearest pending right deadline lies, inf when
 none), with the run length capped at the longest left side of any step;
 the uplink state is the previous user's choice (inactive, L or R), with
 L split by whether that user also holds its own base station, which is
-all the next user asks of it.  The chain state after user m is (active,
+all the next user asks of it.  A user that may take L takes it: L with
+its own base station held allows every later move that R allows, so R is
+the state only of a user that cannot take L, and the uplink next returns
+at most one state.  The chain state after user m is (active,
 holds bs m, credit through m-1): a flag is known only at the second user
 of its pair, so the credit settles one user late.  It starts at a
 phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
@@ -135,20 +138,20 @@ def _dl_next(cap, step, state, active):
 
 
 def _ul_step(m, cell):
-    """(bs m-1 in C_m, states after R, states after L or R) of user m."""
+    """(bs m-1 in C_m, states after R, states after L) of user m."""
     right = (_RIGHT,) if m in cell else ()
-    either = ((_LEFT_OPEN,) if right else (_LEFT_SHUT,)) + right
-    return m >= 2 and m - 1 in cell, right, either
+    left = (_LEFT_OPEN,) if right else (_LEFT_SHUT,)
+    return m >= 2 and m - 1 in cell, right, left
 
 
 def _ul_next(step, state, active):
     if not active:
         return _UL_IDLE
-    prev, right, either = step
+    prev, right, left = step
     if state == _RIGHT:  # user m-1 waits on m at bs m-1, so m cannot take it
         return right if prev else ()
     # L waits on user m-1 unless it is inactive; it must then hold bs m-1.
-    return either if prev and state != _LEFT_SHUT else right
+    return left if prev and state != _LEFT_SHUT else right
 
 
 def _chain_step(m, cell):

@@ -47,6 +47,7 @@ from .model import (
     frac_to_str,
     int_from_json,
     ints_from_json,
+    shown,
 )
 
 KIND_CHAIN = "lemma2_chain"
@@ -120,7 +121,7 @@ class BoundCertificate:
                 for f in data["flagged"]
             )
         else:
-            raise ValidationError(f"unknown certificate kind {kind!r}")
+            raise ValidationError(f"unknown certificate kind{shown(kind, ' ')}")
         value = frac_from_str(data["value"])
         k = check_int("certificate k", int_from_json(data["k"], "k"), 1)
         nc = int_from_json(data["nc"], "nc")
@@ -307,7 +308,7 @@ def recompute_value(cert: BoundCertificate) -> Fraction:
         return _counting_value(cert.k, cert.nc)
     if cert.kind == KIND_RECONSTRUCTION:
         return Fraction(_reconstruction_value(cert.nc, (f.good for f in cert.flagged), tail))
-    raise ValidationError(f"unknown certificate kind {cert.kind!r}")
+    raise ValidationError(f"unknown certificate kind{shown(cert.kind, ' ')}")
 
 
 def verify_certificate(cert: BoundCertificate, assoc: CellAssociation) -> bool:

@@ -91,11 +91,12 @@ def _json_text(obj: object, newline: str = "\n") -> str:
 
     With an indent, the standard library encodes in pure Python, one
     generator step per value.  Here a list, a tuple, or a dict whose keys
-    are all str or all int is written by joining its members' texts, and a
-    container of ints or of strs is joined in C.  newline is a line break
-    followed by the indent of obj's own line.  Anything else (floats,
-    other keys, subclasses and unsupported types) goes through json.dumps
-    itself, re-indented, so the bytes and the errors are its own.
+    are all str or all int is written by joining its members' texts, a
+    container of ints or of strs is joined in C, and a list of int lists in
+    one comprehension.  newline is a line break followed by the indent of
+    obj's own line.  Anything else (floats, other keys, subclasses and
+    unsupported types) goes through json.dumps itself, re-indented, so the
+    bytes and the errors are its own.
     """
     kind = type(obj)
     if kind is int:
@@ -133,6 +134,13 @@ def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
         return map(int.__repr__, values)
     if kinds == {str}:
         return map(_quote, values)
+    if kinds == {list} and {*map(type, itertools.chain.from_iterable(values))} <= {int}:
+        inner = newline + "  "
+        sep = "," + inner
+        return [
+            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]" if value else "[]"
+            for value in values
+        ]
     return [_json_text(value, newline) for value in values]
 
 

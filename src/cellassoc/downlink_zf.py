@@ -17,11 +17,14 @@ that rule exactly with a DP along the line.
 
 GF(p) arithmetic only emits the certificate: zf_feasible builds each
 message's nullspace precoder on one exact channel draw by back-substitution
-along the runs of C_m (see _message_witness), in O(|C_m|).  It reads the
+along one of the two runs of C_m that user m hears, the run that ends at
+m-1 and, failing that, the run that starts at m (see _message_witness).
+It walks only those two runs; the rest of C_m gets 0.  It reads the
 gains from flat rows built once per call (_gain_rows: g(i, i-1) and
 g(i, i) mod p of each active user, 0 for the others) and inverts with
 pow(x, -1, p).  verify_witness re-checks the precoders by direct
-evaluation, independent of how they were built: it reads the
+evaluation at user m and at the users j and j+1 that hear each nonzero
+coefficient on bs j, independent of how they were built: it reads the
 realization's coefficients and the association itself and shares no
 table with zf_feasible.  certify_downlink does both on the first seed's draw;
 evaluations and scheme plans are certified that way, so only the first
@@ -138,13 +141,15 @@ def _gain_rows(ch: ChannelRealization, active) -> tuple[list[int], list[int]]:
     """(left, diag): g(i, i-1) and g(i, i) mod p of each active user i, else 0.
 
     Both lists run over users 0..k+1, so a user just past either end of the
-    line reads as inactive.
+    line reads as inactive, and g(1, 0) reads as 0, since bs 0 is off the
+    line; a run walk therefore never leaves columns 1..k.
     """
     p, get = ch.prime, ch.coeffs.get
     left, diag = [0] * (ch.k + 2), [0] * (ch.k + 2)
     for i in active:
         left[i] = get((i, i - 1), 0) % p
         diag[i] = get((i, i), 0) % p
+    left[1] = 0
     return left, diag
 
 
@@ -154,33 +159,42 @@ def _message_witness(cell, m, left, diag, p):
     left and diag are _gain_rows of the active set.  The rows are the other
     active users; user r hears columns r-1 and r only.  Columns c and c+1
     are linked when user c+1 is a row with both gains nonzero, and the
-    linked runs of cell decouple.  A run [a, c] is pinned to zero when user
-    a hears a alone (g(a, a) != 0) or user c+1 hears c alone
-    (g(c+1, c) != 0); an unpinned run has one free column, its last.  Of
-    the unpinned runs that user m hears through a nonzero gain, the first
-    one carries the precoder: 1 at c, then back-substitution along the
-    links, 0 elsewhere.  That is the vector an RREF over the same rows
-    returns (free columns ascending, the first with nonzero desired gain),
-    at O(|cell|) per message.
+    linked runs of cell decouple.  User m hears columns m-1 and m alone and
+    links no pair, so only two runs can carry its precoder: the left run
+    [a, m-1] that ends at m-1, and the right run [m, b] that starts at m.
+    The other runs stay at 0 unread.  A run has one free column, its last,
+    unless it is pinned to zero.  The left run is pinned when user a hears
+    a alone (g(a, a) != 0), and it carries when g(m, m-1) != 0.  The right
+    run is pinned when user b+1 hears b alone (g(b+1, b) != 0), and it
+    carries when g(m, m) != 0.  The first free run that carries, left
+    before right, gets 1 at its last column, then back-substitution along
+    the links, and 0 elsewhere in cell.  That is the vector an RREF over
+    the same rows returns (free columns ascending, the first with nonzero
+    desired gain), read from the two runs alone.
     """
-    k = len(left) - 2
-    cols = sorted(j for j in cell if 1 <= j <= k)
-    runs, start, last = [], 0, len(cols) - 1
-    for i, c in enumerate(cols):
-        r = c + 1
-        if i == last or cols[i + 1] != r or r == m or not (left[r] and diag[r]):
-            runs.append((cols[start], c))
-            start = i + 1
-    for a, c in runs:
-        if (a != m and diag[a]) or (c + 1 != m and left[c + 1]):
-            continue
-        if (a < m <= c + 1 and left[m]) or (a <= m <= c and diag[m]):
-            vec = dict.fromkeys(cols, 0)
-            vec[c] = 1
-            for r in range(c, a, -1):  # user r links r-1 and r, so g(r, r-1) != 0
-                vec[r - 1] = -diag[r] * vec[r] * pow(left[r], -1, p) % p
-            return vec
+    if left[m] and m - 1 in cell:
+        a = m - 1
+        while left[a] and diag[a] and a - 1 in cell:
+            a -= 1
+        if not diag[a]:
+            return _run_precoder(cell, a, m - 1, left, diag, p)
+    if diag[m] and m in cell:
+        b = m
+        while left[b + 1] and diag[b + 1] and b + 1 in cell:
+            b += 1
+        if not left[b + 1]:
+            return _run_precoder(cell, m, b, left, diag, p)
     return None
+
+
+def _run_precoder(cell, a, c, left, diag, p):
+    """1 at column c, back-substituted along the linked run [a, c], 0 elsewhere in cell."""
+    k = len(left) - 2
+    vec = {j: 0 for j in cell if 0 < j <= k}
+    vec[c] = 1
+    for r in range(c, a, -1):  # user r links r-1 and r, so g(r, r-1) != 0
+        vec[r - 1] = -diag[r] * vec[r] * pow(left[r], -1, p) % p
+    return vec
 
 
 def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
@@ -206,25 +220,32 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     """Re-check a witness by direct evaluation of all gains and interference.
 
     User r hears base stations r-1 and r only, so it receives the
-    precoder v as g(r, r-1)*v[r-1] + g(r, r)*v[r], and a precoder on base
-    stations J leaks onto users J and J+1 alone.  Each message is checked
-    at those receivers in O(1) each: O(|C_m|) per message, linear in the
-    witness size overall.  The gains are read from the realization itself,
-    not from the rows zf_feasible builds.
+    precoder v as g(r, r-1)*v[r-1] + g(r, r)*v[r], and a nonzero
+    coefficient on bs j reaches users j and j+1 alone.  Each message is
+    checked at its own user m and at the receivers j and j+1 of its
+    nonzero coefficients, in O(1) each: O(|C_m|) per message, linear in
+    the witness size overall.  The gains are read from the realization
+    itself, not from the rows zf_feasible builds.
     """
     active = frozenset(active)
     if ch.prime != witness.prime:
         return False
-    if set(witness.precoders) != set(active):
+    if witness.precoders.keys() != active:
         return False
-    p, gain = ch.prime, ch.coeffs.get
+    p, gain, cells = ch.prime, ch.coeffs.get, assoc.cells
     for m, vec in witness.precoders.items():
-        if not vec.keys() <= frozenset(assoc.cells[m - 1]):
+        if not vec.keys() <= frozenset(cells[m - 1]):
             return False
-        for r in (active & {*vec, *(j + 1 for j in vec)}) | {m}:
-            heard = (gain((r, r - 1), 0) * vec.get(r - 1, 0) + gain((r, r), 0) * vec.get(r, 0)) % p
-            if (heard == 0) == (r == m):  # user m must hear it, the others must not
-                return False
+        receivers = {m}
+        for j, v in vec.items():
+            if v:
+                receivers.add(j)
+                receivers.add(j + 1)
+        for r in receivers:
+            if r == m or r in active:
+                heard = gain((r, r - 1), 0) * vec.get(r - 1, 0) + gain((r, r), 0) * vec.get(r, 0)
+                if (heard % p == 0) == (r == m):  # user m must hear it, the others must not
+                    return False
     return True
 
 

@@ -95,7 +95,7 @@ def check_ints(
 def check_seeds(seeds: object) -> tuple[int, ...]:
     """Channel seeds: a nonempty list or tuple of integers (a str is not one)."""
     if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise ValidationError(f"seeds must be a nonempty list of integers, got {seeds!r}")
+        raise ValidationError(f"seeds must be a nonempty list of integers{shown(seeds, ', got ')}")
     return check_ints("seed", seeds)
 
 
@@ -327,14 +327,14 @@ def int_from_json(value: object, what: str) -> int:
 def bool_from_json(value: object, what: str) -> bool:
     """Read a JSON true or false; 0, 1 and every other value raise ValidationError."""
     if not isinstance(value, bool):
-        raise ValidationError(f"{what} must be true or false, got {value!r}")
+        raise ValidationError(f"{what} must be true or false{shown(value, ', got ')}")
     return value
 
 
 def ints_from_json(values: object, what: str) -> list[int]:
     """Read a JSON list of integers, each checked by int_from_json."""
     if not isinstance(values, list):
-        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+        raise ValidationError(f"{what} must be a list of integers{shown(values, ', got ')}")
     return [int_from_json(v, what) for v in values]
 
 
@@ -357,7 +357,7 @@ def frac_from_str(text: str) -> Fraction:
     through an exponent.
     """
     if not isinstance(text, str):
-        raise ValidationError(f"rational must be a string, got {text!r}")
+        raise ValidationError(f"rational must be a string{shown(text, ', got ')}")
     if not _RATIONAL.fullmatch(text.strip()):
         raise ValidationError(f"bad rational literal {text!r}: expected p or p/q")
     try:

@@ -171,7 +171,7 @@ def _plan(assoc, budget, ul_active, seeds, prime) -> SchemePlan:
     length = 2 * budget + 1
     k = assoc.k
     off = k - k % length
-    dl_active = {i for i in range(1, off + 1) if (i - 1) % length != budget}
+    dl_active = set(range(1, off + 1)) - set(range(budget + 1, off + 1, length))
     silent = set(range(length, off + 1, length))
 
     tail = [frozenset(j - off for j in cell if j > off) for cell in assoc.cells[off:]]
@@ -238,9 +238,7 @@ def avg_optimal(
     seeds = _check_args(k, nc, seeds)
     if nc == 1:
         return downlink_optimal(k, 1, seeds=seeds, prime=prime)
-    cells = [
-        {*cell, *(j for j in (i - 1, i) if j >= 1)}
-        for i, cell in enumerate(_downlink_cells(k, nc - 1), start=1)
-    ]
+    cells = [{*cell, i - 1, i} for i, cell in enumerate(_downlink_cells(k, nc - 1), start=1)]
+    cells[0].discard(0)  # user 1 hears no bs 0
     assoc = association(k, nc, cells)
     return _plan(assoc, nc - 1, range(1, k + 1), seeds, prime)

@@ -81,6 +81,7 @@ from .model import (
     check_ints,
     check_seeds,
     frac_to_str,
+    shown,
 )
 from .schemes import _check_size
 from .uplink_decode import UlEvaluation, max_uplink_dof
@@ -104,10 +105,13 @@ _OBJECTIVES = {
 
 
 def _normalize_objective(objective: str) -> str:
-    key = str(objective).lower()
+    try:
+        key = str(objective).lower()
+    except ValueError:  # an int with more digits than Python writes
+        key = None
     if key not in _OBJECTIVES:
         raise ValidationError(
-            f"objective must be one of avg/ul/dl (or up/down), got {objective!r}"
+            f"objective must be one of avg/ul/dl (or up/down){shown(objective, ', got ')}"
         )
     return _OBJECTIVES[key]
 
@@ -440,13 +444,17 @@ class PeriodicPattern:
     def __post_init__(self):
         check_int("period", self.period, 1)
         if not isinstance(self.offsets, (list, tuple)):
-            raise ValidationError(f"offsets must be a list of offset sets, got {self.offsets!r}")
+            raise ValidationError(
+                f"offsets must be a list of offset sets{shown(self.offsets, ', got ')}"
+            )
         if len(self.offsets) != self.period:
             raise ValidationError("need exactly one offset set per residue")
         normalized = []
         for entry in self.offsets:
             if not isinstance(entry, (list, tuple, set, frozenset)):
-                raise ValidationError(f"each offset set must be a collection, got {entry!r}")
+                raise ValidationError(
+                    f"each offset set must be a collection{shown(entry, ', got ')}"
+                )
             normalized.append(tuple(sorted(set(check_ints("offset", entry)))))
         object.__setattr__(self, "offsets", tuple(normalized))
 

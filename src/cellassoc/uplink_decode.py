@@ -22,6 +22,7 @@ prune() removes them without changing any feasibility decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from . import _kernels
@@ -103,10 +104,6 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
     """
     active = check_active(assoc.k, active)
     cells = assoc.cells
-
-    def ready(n, b):  # user n is inactive or can pass its message to bs b
-        return n not in active or b in cells[n - 1]
-
     steps = []
     for s in sorted(active):
         if s - 1 in active:
@@ -114,12 +111,14 @@ def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:
         e = s
         while e + 1 in active:
             e += 1
+        # L: bs p-1 is in C_p, and user p-1 is inactive (p = s) or holds it.
         p = s
-        while 2 <= p <= e and p - 1 in cells[p - 1] and ready(p - 1, p - 1):
+        while 2 <= p <= e and p - 1 in cells[p - 1] and (p == s or p - 1 in cells[p - 2]):
             steps.append((p, p - 1))
             p += 1
+        # R: bs m is in C_m, and user m+1 is inactive (m = e) or holds it.
         for m in range(e, p - 1, -1):
-            if m not in cells[m - 1] or not ready(m + 1, m):
+            if m not in cells[m - 1] or (m != e and m not in cells[m]):
                 return None
             steps.append((m, m))
     return DecodingOrder(steps=tuple(steps))
@@ -136,7 +135,7 @@ def verify_order(order: DecodingOrder, assoc, active) -> bool:
     """
     k = check_int("k", assoc.k, 1)
     active = check_active(k, active)
-    check_ints("decoding step index", [i for step in order.steps for i in step])
+    check_ints("decoding step index", chain.from_iterable(order.steps))
     cells = assoc.cells
     decoded: set[int] = set()
     for m, b in order.steps:

@@ -70,3 +70,24 @@ if __name__ == "__main__":
         hashes = {case_key(*case): plan_sha256(*case, workdir) for case in CASES}
     json.dump(hashes, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+# sha256 of `cellassoc scheme --type TYPE --nc NC --k 3001`, recorded at
+# commit f19c03c.  3001 is not a multiple of any block length 2*b + 1 for
+# b = 1..4, so every plan ends in a partial block; nc = 4 lies past the
+# golden cases above.
+LONG_PLANS = {
+    ("avg", 1): "f05712c336468b4d744e18083798e6452ab75fccbf7e71b5aac376f72f022567",
+    ("avg", 2): "e5f2fc3cd5e14af54873a268654bc0b98e14a85e7ac8821e85ff59ea8743dbf0",
+    ("avg", 3): "858dd9d538bfbbd267f5f30dc3beeabd928713fc2c45a5d34a69c95fbee4e1b6",
+    ("avg", 4): "15bbad043d0eb92b08187c1594662dc9bd206ec5ef97d8af9c0ec7134081e9e8",
+    ("downlink", 1): "f05712c336468b4d744e18083798e6452ab75fccbf7e71b5aac376f72f022567",
+    ("downlink", 2): "2e5dcb3f60dc827723879c6951b6520ba14461dec9e16b43735a6a960e848af7",
+    ("downlink", 3): "557179fae42121e43638594ad36fa92fbb6007478141860b09ce62f2fefc323f",
+    ("downlink", 4): "fa38469f842f8afa15e7c66f779f4b551dc5f3a994bfb91920ab8ce55668a5fc",
+}
+
+
+def test_long_plans_match_recorded_hashes(tmp_path):
+    got = {(kind, nc): plan_sha256(kind, nc, 3001, str(tmp_path)) for kind, nc in LONG_PLANS}
+    assert got == LONG_PLANS

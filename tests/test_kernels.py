@@ -7,6 +7,7 @@ oracles and against an include-first branch and bound on short lines;
 the tests here run them on long ones.
 """
 
+import itertools
 from math import inf
 
 import cellassoc._kernels as kernels
@@ -106,3 +107,19 @@ def test_rules_are_stationary_on_a_windowed_family():
                     t for s in states for step in user for a in (1, 0) for t in nxt(step, s, a)
                 }
                 assert all(run <= w and (due == inf or due <= w) for run, due in states), (nc, w)
+
+
+def test_uplink_next_returns_at_most_one_state():
+    # L with the user's own base station held allows every later move that
+    # R allows, so a user that may take L never branches into R as well.
+    states = range(4)  # inactive, L holding its own bs, L without it, R
+    for k in range(1, 5):
+        every_cell = [
+            frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)
+        ]
+        _start, nxt, steps = kernels.ul_family([every_cell] * k)
+        for user in steps:
+            for step in user:
+                for state in states:
+                    for active in (0, 1):
+                        assert len(nxt(step, state, active)) <= 1, (k, step, state, active)

@@ -2,7 +2,8 @@
 
 The references below are the scan-everything form of the uplink scheduler,
 the dense row reduction that built zero-forcing witnesses before the
-back-substitution along the line, the cumulative per-block
+back-substitution along the line, a witness check that sums every precoder
+at every active user, the cumulative per-block
 certification of the nc = 2 average-optimal plan by a seed majority, the
 include-first branch and bound that maximized both sessions before the
 line DP, the hand-written chain DP that the chain rule of _kernels
@@ -44,6 +45,7 @@ from cellassoc.downlink_zf import (
     _message_witness,
     max_downlink_dof,
     strip_silent,
+    verify_witness,
     zf_feasible,
     zf_feasible_majority,
 )
@@ -462,6 +464,102 @@ def test_zf_feasible_matches_full_scan_rows(case, seed, prime, zeroed):
     active = frozenset(m for m in active if assoc.cells[m - 1])
     ch = with_zeros(draw_channels(assoc.k, seed, prime), zeroed)
     assert zf_feasible(assoc, active, ch) == ref_zf_feasible(assoc, active, ch)
+
+
+def ref_verify_witness(witness, assoc, active, ch):
+    """Sum every precoder at every active user, mod p."""
+    p = ch.prime
+    if witness.prime != p or set(witness.precoders) != set(active):
+        return False
+    for m, vec in witness.precoders.items():
+        if not set(vec) <= set(assoc.cells[m - 1]):
+            return False
+        for r in active:
+            heard = sum(ch.coeffs.get((r, j), 0) * v for j, v in vec.items()) % p
+            if (heard != 0) != (r == m):
+                return False
+    return True
+
+
+TAMPERS = (
+    "honest",
+    "zero made nonzero",
+    "nonzero zeroed",
+    "key outside C_m",
+    "missing message",
+    "extra message",
+)
+
+
+def tampered(witness, assoc, active, how, pick, value):
+    """The witness with one change of the kind how, or unchanged when none applies.
+
+    pick chooses where the change goes among the places it can go, and
+    value the coefficient it writes.
+    """
+    p, k = witness.prime, assoc.k
+    precoders = {m: dict(vec) for m, vec in witness.precoders.items()}
+    entries = sorted((m, j) for m, vec in precoders.items() for j in vec)
+    if how in ("zero made nonzero", "nonzero zeroed"):
+        wanted = how == "nonzero zeroed"
+        places = [(m, j) for m, j in entries if (precoders[m][j] != 0) == wanted]
+        if places:
+            m, j = places[pick % len(places)]
+            precoders[m][j] = 0 if wanted else 1 + value % (p - 1)
+    elif how == "key outside C_m":
+        places = [
+            (m, j) for m in sorted(precoders) for j in range(k + 2) if j not in assoc.cells[m - 1]
+        ]
+        if places:
+            m, j = places[pick % len(places)]
+            precoders[m][j] = value % p
+    elif how == "missing message" and precoders:
+        del precoders[sorted(precoders)[pick % len(precoders)]]
+    elif how == "extra message" and len(active) < k:
+        idle = sorted(set(range(1, k + 1)) - active)
+        precoders[idle[pick % len(idle)]] = {}
+    return ZfWitness(seed=witness.seed, prime=p, precoders=precoders)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(windowed(), wide()),
+    st.integers(0, 2**31 - 2),
+    primes,
+    st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 26))),
+    st.sampled_from(TAMPERS),
+    st.integers(0, 2**16),
+    st.integers(0, 2**31),
+)
+# Message 3's zero coefficient on bs 1 made nonzero reaches active user 1
+# at its own bs only: user 2, which hears bs 1 too, is idle.
+@example(
+    (association(3, 2, [[1], [], [1, 3]]), frozenset({1, 3})),
+    1, DEFAULT_PRIME, frozenset(), "zero made nonzero", 0, 5,
+)
+# Message 2's zero coefficient on bs 2 made nonzero reaches active user 3
+# at bs 2 only; user 2 itself still hears its message.
+@example(
+    (association(3, 2, [[], [1, 2], [3]]), frozenset({2, 3})),
+    1, DEFAULT_PRIME, frozenset(), "zero made nonzero", 0, 5,
+)
+def test_verify_witness_matches_dense_reference(case, seed, prime, zeroed, how, pick, value):
+    assoc, active = case
+    active = frozenset(m for m in active if assoc.cells[m - 1])
+    ch = with_zeros(draw_channels(assoc.k, seed, prime), zeroed)
+    honest = zf_feasible(assoc, active, ch)
+    if honest is None:
+        # No witness exists on this draw: tamper with all-ones precoders instead.
+        honest = ZfWitness(
+            seed=seed,
+            prime=prime,
+            precoders={m: dict.fromkeys(assoc.cells[m - 1], 1) for m in active},
+        )
+    elif how == "honest":
+        assert verify_witness(honest, assoc, active, ch)
+    witness = tampered(honest, assoc, active, how, pick, value)
+    expected = ref_verify_witness(witness, assoc, active, ch)
+    assert verify_witness(witness, assoc, active, ch) == expected
 
 
 def test_message_witness_matches_rref_on_every_small_case():

@@ -22,7 +22,8 @@ from cellassoc import (
     uplink_feasible,
     zf_feasible_majority,
 )
-from cellassoc import schemes
+from cellassoc import model, schemes, search
+from cellassoc.bounds import BoundCertificate
 from cellassoc.model import check_active, check_int, connected
 from cellassoc.schemes import MAX_SCHEME_K, _certify_plan, _check_args
 
@@ -257,6 +258,34 @@ def test_sizes_too_long_to_print_are_refused_without_printing_them():
         (lambda: check_active(3, [huge]), "active user out of range [1..3]"),
         (lambda: connected(0, 1, huge), "user index 0 out of range"),
         (lambda: check_int("k", [huge]), "k must be an integer"),
+        (lambda: search._normalize_objective(huge),
+         "objective must be one of avg/ul/dl (or up/down)"),
+        (lambda: model.bool_from_json(huge, "x"), "x must be true or false"),
+        (lambda: model.check_seeds({huge}), "seeds must be a nonempty list of integers"),
+        (lambda: model.ints_from_json(huge, "x"), "x must be a list of integers"),
+        (lambda: search.PeriodicPattern(1, huge), "offsets must be a list of offset sets"),
+        (lambda: search.PeriodicPattern(1, (huge,)), "each offset set must be a collection"),
+        (lambda: model.frac_from_str(huge), "rational must be a string"),
+        (lambda: BoundCertificate.from_json(
+            {"kind": huge, "flagged": [], "value": "1", "k": 1, "nc": 1}
+        ), "unknown certificate kind"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+    # Values that print keep their messages.
+    for call, message in (
+        (lambda: search._normalize_objective(7),
+         "objective must be one of avg/ul/dl (or up/down), got 7"),
+        (lambda: model.bool_from_json(1, "x"), "x must be true or false, got 1"),
+        (lambda: model.check_seeds({7}), "seeds must be a nonempty list of integers, got {7}"),
+        (lambda: model.ints_from_json("1", "x"), "x must be a list of integers, got '1'"),
+        (lambda: search.PeriodicPattern(1, 7), "offsets must be a list of offset sets, got 7"),
+        (lambda: search.PeriodicPattern(1, (7,)), "each offset set must be a collection, got 7"),
+        (lambda: model.frac_from_str(7), "rational must be a string, got 7"),
+        (lambda: BoundCertificate.from_json(
+            {"kind": "x", "flagged": [], "value": "1", "k": 1, "nc": 1}
+        ), "unknown certificate kind 'x'"),
     ):
         with pytest.raises(ValidationError) as info:
             call()
