@@ -7,13 +7,15 @@ maximizes a session, or the chain bound, exactly at every k in O(k) for a
 fixed budget; a count-free reachability pass that decides whether one
 active set is feasible, the reference the tests check the DP against; and
 memoized forward max-count layers over a family (`FamilyLayers`, one
-table per rule and walk).  `tuple_walk` is the one family walk: it walks
-the distinct tuples of layers (and of other per-option values) that a
-family reaches, and three readers answer from its rows: `tuple_counts`
-counts the associations that end in each last tuple, `ordered_find`
-lists, in enumeration order, the associations that end in chosen tuples,
-and `tuple_ends` lists every association's last tuple in enumeration
-order.  `_pure` states the rules and the passes.
+table per rule and walk), each layer kept as the antichain of its states
+under the rule's order `covers`, a simulation stated next to the rule.
+`tuple_walk` is the one family walk: it walks the distinct tuples of
+layers (and of other per-option values) that a family reaches, and three
+readers answer from its rows: `tuple_counts` counts the associations
+that end in each last tuple, `ordered_find` lists, in enumeration order,
+the associations that end in chosen tuples, and `tuple_ends` lists every
+association's last tuple in enumeration order.  `_pure` states the rules
+and the passes.
 """
 
 from __future__ import annotations

@@ -38,17 +38,31 @@ or a user index, so the automata are stationary: users whose options
 look the same from where they stand have equal steps.  The downlink
 state is (length of the active run ending at the previous user, how far
 ahead of the next user the nearest pending right deadline lies, inf when
-none), with the run length capped at the longest left side of any step;
-the uplink state is the previous user's choice (inactive, L or R), with
-L split by whether that user also holds its own base station, which is
-all the next user asks of it.  A user that may take L takes it: L with
-its own base station held allows every later move that R allows, so R is
-the state only of a user that cannot take L, and the uplink next returns
-at most one state.  The chain state after user m is (active,
-holds bs m, credit through m-1): a flag is known only at the second user
-of its pair, so the credit settles one user late.  It starts at a
-phantom user 0 that is active, holds bs 0 (so pair (0, 1) is never
-flagged) and has no credit.
+none), with the run length capped at the longest left side of any step.
+The uplink state is what the previous user leaves the next one: open
+(it is inactive, or took L while holding its own base station, which is
+all the next user asks of it), shut (it took L without its own base
+station) or R.  A user that may take L takes it: L with its own base
+station held allows every later move that R allows, so R is the state
+only of a user that cannot take L, and the uplink next returns at most
+one state.  The chain state after an active user m is (False, holds
+bs m, credit through m-1): a flag is known only at the second user of
+its pair, so the credit settles one user late.  After an inactive user
+it is (True, True, True), whatever the user holds: the next user's move
+reads neither, and the pair after it earns credit whatever its flag.  It
+starts at a phantom user 0 that is active, holds bs 0 (so pair (0, 1) is
+never flagged) and has no credit.
+
+Next to its next, each rule states covers(a, b), a partial order on its
+states: a allows every move b allows, and each successor of a covers the
+matching successor of b, so covers is a simulation and no path from b
+counts more active users than the best path from a.  Downlink: a run no
+longer and a deadline no nearer.  Uplink: open, then shut, then R.
+Chain: componentwise on (after an inactive user, holds bs m, credit), so
+the state after an inactive user covers every state.  In each rule that
+state covers all others, and states with equal futures are one state
+(open is both "inactive" and "L on its own base station"; the chain
+keeps one state after an inactive user), so each order is antisymmetric.
 
 Each question about the rules has one pass.  For one association,
 `_lex_max` answers both sessions and the chain bound: a forward pass
@@ -69,6 +83,14 @@ largest count) and that count, and memoizes one user's step per (shape,
 step); each search or sweep builds one table per rule, so associations
 that share a prefix of options share its layers, and users whose options
 look the same from where they stand share its moves at every depth.
+Each layer is an antichain: a state that another state of the layer
+covers at no lower count is dropped, the antichain technique of De Wulf,
+Doyen, Henzinger and Raskin ("Antichains: a new algorithm for checking
+universality of finite automata", CAV 2006) with the simulation order of
+Abdulla, Chen, Holik, Mayr and Vojnar ("When simulation meets
+antichains", TACAS 2010).  `_lex_max` and `_reaches` keep full state
+sets: the include-first pick reads every state that keeps the count
+reachable, and the reference stays independent of the orders.
 
 One walk reads these tables.  `tuple_walk` walks a product of rules,
 and of other per-option values such as bitmasks, over distinct tuples:
@@ -92,11 +114,12 @@ from functools import partial
 from itertools import chain
 from math import inf
 
-_INACTIVE, _LEFT_OPEN, _LEFT_SHUT, _RIGHT = 0, 1, 2, 3
+_OPEN, _SHUT, _RIGHT = 0, 1, 2  # the uplink states, each covering the next
 _DL_START = (0, inf)  # no active run and no pending deadline
 _DL_IDLE = (_DL_START,)
-_UL_IDLE = (_INACTIVE,)
-_CHAIN_START = (1, True, False)
+_UL_IDLE = (_OPEN,)
+_CHAIN_START = (False, True, False)
+_CHAIN_IDLE = ((True, True, True),)
 
 
 def _dl_step(k, m, cell):
@@ -137,10 +160,15 @@ def _dl_next(cap, step, state, active):
     return ((run + 1 if run < cap else cap, due - 1),)
 
 
+def _dl_covers(a, b):
+    """A shorter run shuts no left side that b leaves open, a later deadline binds less."""
+    return a[0] <= b[0] and a[1] >= b[1]
+
+
 def _ul_step(m, cell):
     """(bs m-1 in C_m, states after R, states after L) of user m."""
     right = (_RIGHT,) if m in cell else ()
-    left = (_LEFT_OPEN,) if right else (_LEFT_SHUT,)
+    left = _UL_IDLE if right else (_SHUT,)  # L on its own bs leaves the next user open
     return m >= 2 and m - 1 in cell, right, left
 
 
@@ -151,7 +179,12 @@ def _ul_next(step, state, active):
     if state == _RIGHT:  # user m-1 waits on m at bs m-1, so m cannot take it
         return right if prev else ()
     # L waits on user m-1 unless it is inactive; it must then hold bs m-1.
-    return left if prev and state != _LEFT_SHUT else right
+    return left if prev and state == _OPEN else right
+
+
+def _ul_covers(a, b):
+    """Open allows every move shut allows, and shut every move R allows."""
+    return a <= b
 
 
 def _chain_step(m, cell):
@@ -160,12 +193,19 @@ def _chain_step(m, cell):
 
 
 def _chain_next(step, state, active):
+    if not active:
+        return _CHAIN_IDLE
     left, own = step
-    d_prev, prev_own, credit = state
+    idle, prev_own, credit = state
     flagged = not (prev_own and left)  # users m-1 and m not both on bs m-1
-    if flagged and d_prev and active and not credit:
+    if flagged and not credit:
         return ()
-    return ((active, own, not d_prev or (credit and not flagged)),)
+    return ((False, own, idle or (credit and not flagged)),)
+
+
+def _chain_covers(a, b):
+    """Componentwise: idle first, so the idle state covers every state."""
+    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
 
 
 def _steps(step, options):
@@ -174,25 +214,27 @@ def _steps(step, options):
 
 
 def dl_family(k, options):
-    """(start, next, steps) of the downlink rule over a family.
+    """(start, next, steps, covers) of the downlink rule over a family.
 
     options[m-1] lists the association sets user m may take, and
     steps[m-1][o] is user m's step under options[m-1][o].  The run cap is
     the longest left side of any option, so one cap serves the family.
+    covers(a, b) is the rule's order on states: a allows every move b
+    allows, and each successor of a covers the matching successor of b.
     """
     steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
-    return _DL_START, partial(_dl_next, cap), steps
+    return _DL_START, partial(_dl_next, cap), steps, _dl_covers
 
 
 def ul_family(options):
-    """(start, next, steps) of the uplink rule over a family; see dl_family."""
-    return _INACTIVE, _ul_next, _steps(_ul_step, options)
+    """(start, next, steps, covers) of the uplink rule over a family; see dl_family."""
+    return _OPEN, _ul_next, _steps(_ul_step, options), _ul_covers
 
 
 def chain_family(options):
-    """(start, next, steps) of the chain rule over a family; see dl_family."""
-    return _CHAIN_START, _chain_next, _steps(_chain_step, options)
+    """(start, next, steps, covers) of the chain rule over a family; see dl_family."""
+    return _CHAIN_START, _chain_next, _steps(_chain_step, options), _chain_covers
 
 
 def _one_each(cells):
@@ -201,7 +243,7 @@ def _one_each(cells):
 
 
 def _lex_max(family):
-    start, nxt, steps = family
+    start, nxt, steps, _covers = family
     # moves[m-1] = (on, off, after): user m's (state, next state) moves from
     # the states reachable before it when active and when inactive, and the
     # states reachable after it.  The only pass that calls nxt.
@@ -246,10 +288,17 @@ class FamilyLayers:
     per step of column (its options' steps).
 
     A layer keeps only the states reached at no fewer active users than
-    the largest count before the user, and drops the others.  No maximum
-    changes: from a state of that largest count an inactive user leads
-    each rule to a state that allows everything a dropped state allows,
-    at a larger count.
+    the largest count before the user, and of those only its antichain
+    under the rule's covers: a state goes when another covers it at a
+    count at least as large.  No maximum changes, since covers is a
+    simulation: every path from a dropped state is matched from the state
+    that covers it, at no fewer active users.  The first rule is a cheap
+    case of the second, since an inactive user leads each rule from a
+    state of that largest count to a state that covers every state.  The
+    orders are antisymmetric, so two states never drop each other.  After
+    the start, a layer is that state alone at its largest count, or that
+    state one below beside an antichain of states at the largest count,
+    so a rule has few shapes.
 
     The step commutes with adding one number to every count, so a layer
     is kept as its shape (the layer less its largest count, interned on
@@ -260,7 +309,7 @@ class FamilyLayers:
     """
 
     def __init__(self, family):
-        start, self._next, self.steps = family
+        start, self._next, self.steps, self._covers = family
         self._shapes = [{start: 0}]
         self._shape_ids = {((start, 0),): 0}
         self._layers = [(0, 0)]  # (shape, largest count) of each layer
@@ -282,12 +331,18 @@ class FamilyLayers:
         if moved is None:
             # Shape counts are at most 0, so the -1 default drops every state
             # reached below the largest count before the user.
-            layer, nxt = {}, self._next
+            layer, nxt, covers = {}, self._next, self._covers
             for s, n in self._shapes[sid].items():
                 for a in (1, 0):
                     for t in nxt(step, s, a):
                         if layer.get(t, -1) < n + a:
                             layer[t] = n + a
+            # The antichain: no state that another covers at no lower count.
+            layer = {
+                t: n
+                for t, n in layer.items()
+                if not any(m >= n and u != t and covers(u, t) for u, m in layer.items())
+            }
             gain = max(layer.values())
             moved = self._moves[sid, step] = self._shape({s: n - gain for s, n in layer.items()}), gain
         key = moved[0], count + moved[1]
@@ -350,7 +405,9 @@ def ordered_find(rows, final):
     position of its option, the last user's varying fastest.  Backward
     reachability keeps, at each depth, the tuples from which some tuple of
     final is reached, and the descent takes options in order through those
-    alone, so it visits only prefixes of associations it returns.
+    alone, so it visits only prefixes of associations it returns.  The
+    descent keeps its own stack, so its depth is not bounded by Python's
+    recursion limit.
     """
     live = [set(final)]
     for row_of in reversed(rows):
@@ -358,16 +415,21 @@ def ordered_find(rows, final):
         live.append({t for t, row in row_of.items() if not ahead.isdisjoint(row)})
     live.reverse()
 
-    def descend(depth, t, index):
-        if depth == len(rows):
-            yield index, t
-            return
-        row, ahead = rows[depth][t], live[depth + 1]
-        for o, u in enumerate(row):
-            if u in ahead:
-                yield from descend(depth + 1, u, index * len(row) + o)
+    def descend():
+        # (depth, tuple, index so far), the next prefix in order on top.
+        stack = [(0, t, 0) for t in live[0]]
+        while stack:
+            depth, t, index = stack.pop()
+            if depth == len(rows):
+                yield index, t
+                continue
+            row, ahead = rows[depth][t], live[depth + 1]
+            index *= len(row)
+            for o in reversed(range(len(row))):
+                if row[o] in ahead:
+                    stack.append((depth + 1, row[o], index + o))
 
-    return (found for t in live[0] for found in descend(0, t, 0))
+    return descend()
 
 
 def tuple_ends(rows):
@@ -388,7 +450,7 @@ def _reaches(family, active):
     family offers one option per user; the pass keeps the set of states
     that the fixed activities reach, and no counts.
     """
-    start, nxt, steps = family
+    start, nxt, steps, _covers = family
     here = {start}
     for m, (step,) in enumerate(steps, 1):
         a = m in active

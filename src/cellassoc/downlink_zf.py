@@ -122,11 +122,7 @@ class DlEvaluation:
 def strip_silent(assoc: CellAssociation, silent_bs) -> CellAssociation:
     """Remove silenced base stations from every association set."""
     silent = frozenset(silent_bs)
-    return CellAssociation(
-        k=assoc.k,
-        nc=assoc.nc,
-        cells=tuple(cell - silent for cell in assoc.cells),
-    )
+    return assoc._subsets(cell - silent for cell in assoc.cells)
 
 
 def _check_active(assoc: CellAssociation, active) -> frozenset[int]:

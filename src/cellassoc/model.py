@@ -16,6 +16,7 @@ of freedom are never floats; they are ints or `fractions.Fraction`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 import re
@@ -235,10 +236,12 @@ class CellAssociation:
     """Per-user base-station sets under a per-user budget nc.
 
     cells[i-1] is the association set of user i.  Empty sets are legal and
-    mean the user is unserved.  Construction checks the shape and that
-    every member is an integer (check_ints); budget and range violations
-    are reported by validate_association so that malformed inputs can be
-    inspected rather than rejected outright.
+    mean the user is unserved.  Construction takes any k iterables of base
+    station indices, checks the shape and that every member is an integer
+    (one check_ints call, before any set is built, so 1.0 or True never
+    merges into bs index 1), and stores them as frozensets; budget and
+    range violations are reported by validate_association so that
+    malformed inputs can be inspected rather than rejected outright.
     """
 
     k: int
@@ -248,11 +251,21 @@ class CellAssociation:
     def __post_init__(self) -> None:
         check_int("k", self.k, 1)
         check_int("nc", self.nc, 1)
-        if len(self.cells) != self.k:
-            raise ValidationError(
-                f"expected {self.k} association sets, got {len(self.cells)}"
-            )
-        check_ints("bs index", chain.from_iterable(self.cells))
+        cells = tuple(map(tuple, self.cells))
+        if len(cells) != self.k:
+            raise ValidationError(f"expected {self.k} association sets, got {len(cells)}")
+        check_ints("bs index", chain.from_iterable(cells))
+        object.__setattr__(self, "cells", tuple(map(frozenset, cells)))
+
+    def _subsets(self, cells: Iterable[frozenset[int]]) -> "CellAssociation":
+        """This association with each set replaced by a subset of it, in order.
+
+        The members were checked when this association was built, so the
+        copy is made without checking them again.
+        """
+        subsets = copy.copy(self)
+        object.__setattr__(subsets, "cells", tuple(cells))
+        return subsets
 
     def cell(self, i: int) -> frozenset[int]:
         check_int("user index", i, 1, self.k)
@@ -285,13 +298,11 @@ class CellAssociation:
 def association(k: int, nc: int, cells: Iterable[Iterable[int]]) -> CellAssociation:
     """Normalizing constructor: any iterable of iterables of ints.
 
-    The bs indices are checked by one check_ints call before any set is
-    built, so 1.0 or True never merges into the bs index 1 (a set that
-    already holds 1 would drop it unseen by CellAssociation's own check).
+    CellAssociation checks the bs indices in one check_ints call before
+    any set is built, so 1.0 or True never merges into the bs index 1 (a
+    set that already holds 1 would drop it unseen).
     """
-    cells = list(map(tuple, cells))
-    check_ints("bs index", chain.from_iterable(cells))
-    return CellAssociation(k=k, nc=nc, cells=tuple(map(frozenset, cells)))
+    return CellAssociation(k=k, nc=nc, cells=cells)
 
 
 def validate_association(assoc: CellAssociation) -> list[Violation]:

@@ -79,11 +79,9 @@ class UlEvaluation:
 
 def prune(assoc: CellAssociation) -> CellAssociation:
     """Drop association entries to base stations the user cannot hear."""
-    cells = tuple(
-        cell & connected_bs(i, assoc.k)
-        for i, cell in enumerate(assoc.cells, start=1)
+    return assoc._subsets(
+        cell & connected_bs(i, assoc.k) for i, cell in enumerate(assoc.cells, start=1)
     )
-    return CellAssociation(k=assoc.k, nc=assoc.nc, cells=cells)
 
 
 def uplink_feasible(assoc, active) -> Optional[DecodingOrder]:

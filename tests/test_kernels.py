@@ -94,13 +94,13 @@ def test_rules_are_stationary_on_a_windowed_family():
                 kernels.ul_family(options),
                 kernels.chain_family(options),
             )
-            for _start, _next, steps in families:
+            for _start, _next, steps, _covers in families:
                 interior = steps[w : k - w - 1]
                 assert len(interior) >= 3
                 assert all(user == interior[0] for user in interior), (nc, w)
             # A downlink state is (run, distance to the pending deadline):
             # both stay within the window, whatever k and the depth.
-            start, nxt, steps = families[0]
+            start, nxt, steps, _covers = families[0]
             states = {start}
             for user in steps:
                 states = {
@@ -112,14 +112,38 @@ def test_rules_are_stationary_on_a_windowed_family():
 def test_uplink_next_returns_at_most_one_state():
     # L with the user's own base station held allows every later move that
     # R allows, so a user that may take L never branches into R as well.
-    states = range(4)  # inactive, L holding its own bs, L without it, R
+    states = range(3)  # inactive or L holding its own bs, L without it, R
     for k in range(1, 5):
         every_cell = [
             frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)
         ]
-        _start, nxt, steps = kernels.ul_family([every_cell] * k)
+        _start, nxt, steps, _covers = kernels.ul_family([every_cell] * k)
         for user in steps:
             for step in user:
                 for state in states:
                     for active in (0, 1):
                         assert len(nxt(step, state, active)) <= 1, (k, step, state, active)
+
+
+def test_ordered_find_descends_past_the_recursion_limit():
+    # 5000 users from the start tuple 0: each user keeps 0 or moves it to 1,
+    # and 1 stays.
+    rows = [{(0,): [(0,), (1,)]}] + [{(0,): [(0,), (1,)], (1,): [(1,), (1,)]}] * 4999
+    assert list(kernels.ordered_find(rows, {(0,)})) == [(0, (0,))]
+    found = kernels.ordered_find(rows, {(0,), (1,)})
+    assert list(itertools.islice(found, 4)) == [(0, (0,)), (1, (1,)), (2, (1,)), (3, (1,))]
+    found = kernels.ordered_find(rows, {(1,)})
+    assert list(itertools.islice(found, 3)) == [(1, (1,)), (2, (1,)), (3, (1,))]
+
+
+def test_layers_keep_their_antichains_small():
+    # A layer that keeps a covered state still gives every right answer, so
+    # only sizes show the loss: the shapes of each rule's table and the
+    # widest depth of the (dl, ul) walk of a search.
+    for (k, nc, w), shapes, widest in (((5, 2, 1), [4, 3, 6], 38), ((16, 3, 2), [9, 3, 6], 1268)):
+        options = search._user_options(k, nc, w)
+        pair = kernels.dl_family(k, options), kernels.ul_family(options)
+        tables, rows, _last = search._walk(pair)
+        (chain,), _rows, _last = search._walk((kernels.chain_family(options),))
+        assert [len(t._shapes) for t in (*tables, chain)] == shapes, (k, nc, w)
+        assert max(map(len, rows)) == widest, (k, nc, w)

@@ -129,6 +129,16 @@ def test_association_roundtrip_and_normalization():
     assert CellAssociation.from_json(data) == a
 
 
+def test_association_checks_members_before_building_sets():
+    # A set that holds bs 1 would swallow True or 1.0 unseen.
+    for bad in (True, 1.0):
+        with pytest.raises(ValidationError, match="bs index must be an integer"):
+            association(2, 2, [[1, bad], [2]])
+    # Any k iterables of ints are stored as frozensets.
+    a = CellAssociation(k=2, nc=2, cells=[[2, 1], iter([2])])
+    assert a.cells == (frozenset({1, 2}), frozenset({2}))
+
+
 def test_association_from_json_rejects_unknown_keys():
     data = {"k": 2, "nc": 1, "cells": [[1], [2]], "celss": [[1], [2]]}
     with pytest.raises(ValidationError, match="unknown association keys"):

@@ -669,6 +669,49 @@ def test_tuple_ends_match_per_candidate_maxima(family):
     assert [sums[t] for t in _kernels.tuple_ends(rows)] == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(families())
+def test_each_rule_order_is_a_simulation(family):
+    # FamilyLayers drops a state from a layer when another covers it at no
+    # lower count, which keeps every maximum only if covers(a, b) means: a
+    # allows every move b allows, and each successor of a covers the
+    # matching successor of b; and two states that cover each other are one.
+    k, options = family
+    for rule in (
+        _kernels.dl_family(k, options),
+        _kernels.ul_family(options),
+        _kernels.chain_family(options),
+    ):
+        start, nxt, steps, covers = rule
+        states, here = {start}, {start}
+        for user in steps:
+            here = {t for s in here for step in user for a in (1, 0) for t in nxt(step, s, a)}
+            states |= here
+        every_step = {step for user in steps for step in user}
+        for a, b in itertools.product(states, repeat=2):
+            if not covers(a, b):
+                continue
+            assert a == b or not covers(b, a), (a, b)
+            for step, active in itertools.product(every_step, (1, 0)):
+                after = nxt(step, a, active)
+                for t in nxt(step, b, active):
+                    assert any(covers(u, t) for u in after), (a, b, step, active, t)
+        assert all(covers(s, s) for s in states)
+        # Each layer is an antichain of states the rule reaches.  After the
+        # start it is the state after an inactive user (which covers every
+        # state) at the largest count, or one below beside the others.
+        table = _kernels.FamilyLayers(rule)
+        _kernels.tuple_walk([(table.row, table.steps)])
+        (idle,) = nxt(steps[0][0], start, 0)
+        for shape in table._shapes:
+            assert set(shape) <= states
+            for (u, m), (t, n) in itertools.permutations(shape.items(), 2):
+                assert not (m >= n and covers(u, t)), (shape, u, t)
+        for shape in table._shapes[1:]:
+            others = {n for s, n in shape.items() if s != idle}
+            assert (shape[idle], others) in ((0, set()), (-1, {0})), shape
+
+
 @settings(max_examples=200, deadline=None)
 @given(families(), st.data())
 def test_decode_matches_product_order(family, data):

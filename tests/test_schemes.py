@@ -184,6 +184,25 @@ def _tampered(plan, **changes):
     )
 
 
+def test_plans_check_each_association_entry_once(monkeypatch):
+    # Building the association checks its entries; stripping the silent
+    # base stations keeps subsets of them and checks nothing again.
+    checked = []
+    real = model.check_ints
+
+    def counted(name, values, *bounds):
+        values = real(name, values, *bounds)
+        if name == "bs index":
+            checked.append(len(values))
+        return values
+
+    monkeypatch.setattr(model, "check_ints", counted)
+    for build, k, nc in ((avg_optimal, 40, 3), (downlink_optimal, 41, 2), (avg_optimal, 9, 1)):
+        checked.clear()
+        plan = build(k, nc)
+        assert checked == [sum(map(len, plan.assoc.cells))], (build, k, nc)
+
+
 def test_certification_refuses_tampered_plans():
     seeds, prime = DEFAULT_SEEDS, DEFAULT_PRIME
     # avg nc = 2, blocks of three: user 2 is idle and bs 3 silent in block one.
