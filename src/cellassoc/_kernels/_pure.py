@@ -303,9 +303,13 @@ class FamilyLayers:
     The step commutes with adding one number to every count, so a layer
     is kept as its shape (the layer less its largest count, interned on
     its own) and that count, and the step runs once per (shape, step).
-    Steps and states hold no position, so a move serves every depth and
-    every layer of its shape: users whose options look the same from
-    where they stand share it, whatever counts their prefixes reached.
+    On a miss it folds each state's inactive successors at the state's
+    count and its active ones at one more into the best count per state,
+    then, when more than one state is left, keeps each state that no other
+    covers at no lower count.  Steps and states hold no position, so a
+    move serves every depth and every layer of its shape: users whose
+    options look the same from where they stand share it, whatever counts
+    their prefixes reached.
     """
 
     def __init__(self, family):
@@ -332,17 +336,24 @@ class FamilyLayers:
             # Shape counts are at most 0, so the -1 default drops every state
             # reached below the largest count before the user.
             layer, nxt, covers = {}, self._next, self._covers
+            get = layer.get
             for s, n in self._shapes[sid].items():
-                for a in (1, 0):
-                    for t in nxt(step, s, a):
-                        if layer.get(t, -1) < n + a:
-                            layer[t] = n + a
-            # The antichain: no state that another covers at no lower count.
-            layer = {
-                t: n
-                for t, n in layer.items()
-                if not any(m >= n and u != t and covers(u, t) for u, m in layer.items())
-            }
+                for t in nxt(step, s, 0):
+                    if get(t, -1) < n:
+                        layer[t] = n
+                for t in nxt(step, s, 1):
+                    if get(t, -1) <= n:
+                        layer[t] = n + 1
+            if len(layer) > 1:
+                # The antichain: no state that another covers at no lower count.
+                kept = {}
+                for t, n in layer.items():
+                    for u, m in layer.items():
+                        if m >= n and u != t and covers(u, t):
+                            break
+                    else:
+                        kept[t] = n
+                layer = kept
             gain = max(layer.values())
             moved = self._moves[sid, step] = self._shape({s: n - gain for s, n in layer.items()}), gain
         key = moved[0], count + moved[1]

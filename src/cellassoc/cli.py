@@ -4,9 +4,11 @@ Subcommands: scheme, eval, search, bound, render, report.  All structured
 output is JSON with sorted keys (or CSV rows for search --format csv), so
 runs are byte-reproducible; _json_text writes the bytes of
 json.dumps(obj, indent=2, sort_keys=True) without the standard library's
-pure-Python indenting encoder.  eval and search decide feasibility by rules
-that do not depend on channel values, so their "warnings" and
-"disagreements" fields are always 0; they stay for output stability.
+pure-Python indenting encoder, joining containers and writing flat records
+in C, and a CSV search formats each piece of its rows with one % in C.
+eval and search decide feasibility by rules that do not depend on
+channel values, so their "warnings" and "disagreements" fields are
+always 0; they stay for output stability.
 
 Exit codes: 0 success, 2 invalid input (bad flags, unreadable or malformed
 files, an unwritable --out, budget/range violations in an association),
@@ -25,7 +27,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import sys
 from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
@@ -91,12 +92,11 @@ def _json_text(obj: object, newline: str = "\n") -> str:
 
     With an indent, the standard library encodes in pure Python, one
     generator step per value.  Here a list, a tuple, or a dict whose keys
-    are all str or all int is written by joining its members' texts, a
-    container of ints or of strs is joined in C, and a list of int lists in
-    one comprehension.  newline is a line break followed by the indent of
-    obj's own line.  Anything else (floats, other keys, subclasses and
-    unsupported types) goes through json.dumps itself, re-indented, so the
-    bytes and the errors are its own.
+    are all str or all int is written by joining its members' texts (see
+    _json_texts for the members written in C).  newline is a line break
+    followed by the indent of obj's own line.  Anything else (floats, other
+    keys, subclasses and unsupported types) goes through json.dumps itself,
+    re-indented, so the bytes and the errors are its own.
     """
     kind = type(obj)
     if kind is int:
@@ -128,7 +128,15 @@ def _json_text(obj: object, newline: str = "\n") -> str:
 
 
 def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
-    """The texts of the values, each on a line that begins with newline."""
+    """The texts of the values, each on a line that begins with newline.
+
+    Ints and strs are written in C, a list of int lists in one
+    comprehension, and flat records (non-empty dicts with str keys and
+    None, bool, int or str values, such as precoders, decoding steps and
+    block flags) each by one call of the C encoder kept for newline.  Other
+    values, and records where the C encoder is missing, go through
+    _json_text one by one.
+    """
     kinds = {*map(type, values)}
     if kinds == {int}:
         return map(int.__repr__, values)
@@ -141,7 +149,32 @@ def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
             "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]" if value else "[]"
             for value in values
         ]
+    if (
+        kinds == {dict}
+        and _make_encoder is not None
+        and all(values)
+        and {*map(type, itertools.chain.from_iterable(values))} == {str}
+        and {*map(type, itertools.chain.from_iterable(map(dict.values, values)))} <= _SCALARS
+    ):
+        encode, inner = _record_encoder(newline), newline + "  "
+        return ["{" + inner + "".join(encode(value, 0))[1:-1] + newline + "}" for value in values]
     return [_json_text(value, newline) for value in values]
+
+
+_make_encoder = json.encoder.c_make_encoder  # None without the _json extension
+_SCALARS = {type(None), bool, int, str}
+
+
+@functools.cache
+def _record_encoder(newline: str):
+    """The C encoder that writes a flat record's items one to a line after newline.
+
+    It writes json.dumps's one-line text of the record, sorted keys and
+    ASCII escapes, with each item separator a line break; the caller
+    swaps its braces for indented ones.  It holds only its separators, and
+    there is one per indent depth that a document reaches.
+    """
+    return _make_encoder(None, None, _quote, None, ": ", "," + newline + "  ", True, False, True)
 
 
 def _emit_json(obj: object, out: Optional[str]) -> None:
@@ -159,21 +192,21 @@ def _csv_chunks(result) -> Iterator[str]:
     The bytes are those csv.writer writes for integers (comma-separated,
     "\\r\\n" after each row).  Everything after a row's index depends
     only on its last pair in the search's walk, so it is formatted once per
-    distinct last pair and each row is its index joined to it, in C iterators.
+    distinct last pair, and a piece is one % of "%d%s" per row over the
+    rows' (index, suffix) pairs, so the indices are formatted in C too.
     """
     yield "assoc_id,dl_dof,ul_dof,avg_num,avg_den,bound_num,bound_den\r\n"
     bound = result.bound.per_user
+    tail = f",{bound.numerator},{bound.denominator}\r\n"
     suffixes = {}
     for t, (dl, ul) in result.rows.sums.items():
         avg = average_per_user(dl, ul, result.k)
-        suffixes[t] = (
-            f",{dl},{ul},{avg.numerator},{avg.denominator},"
-            f"{bound.numerator},{bound.denominator}\r\n"
-        )
+        suffixes[t] = f",{dl},{ul},{avg.numerator},{avg.denominator}{tail}"
     ends = result.rows.ends
-    lines = map(operator.add, map(str, range(len(ends))), map(suffixes.__getitem__, ends))
-    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK_ROWS)):
-        yield chunk
+    for start in range(0, len(ends), _CSV_CHUNK_ROWS):
+        part = ends[start : start + _CSV_CHUNK_ROWS]
+        rows = enumerate(map(suffixes.__getitem__, part), start)
+        yield ("%d%s" * len(part)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _seeds(args) -> tuple:

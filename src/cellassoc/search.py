@@ -262,9 +262,12 @@ def _walk(families, *extra):
     return tables, rows, last
 
 
-def _final_sums(tables, t):
-    """The sum each rule's table reads from its layer in a last tuple of _walk."""
-    return tuple(table.best[lid] for table, lid in zip(tables, t))
+def _final_sums(bests, t):
+    """The sum each rule's table reads from its layer in a last tuple of _walk.
+
+    bests holds each table's best list, in the walk's order.
+    """
+    return tuple(map(list.__getitem__, bests, t))
 
 
 # The objective key of a candidate is dl * weight + ul * weight.
@@ -303,7 +306,8 @@ def exhaustive_search(
 
     families = dl_family(k, options), ul_family(options)
     tables, rows, last = _walk(families)
-    sums = {t: _final_sums(tables, t) for t in last}
+    bests = [table.best for table in tables]
+    sums = {t: _final_sums(bests, t) for t in last}
     dl_weight, ul_weight = _WEIGHTS[objective]
     keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul) in sums.items()}
     best_key = max(keys.values())
@@ -394,13 +398,14 @@ def soundness_sweep(
     # Blocks are defined for nc >= 2 only.
     masks = [(_or_each, _spoil_masks(k, nc, options))] if nc >= 2 else []
     tables, rows, _last = _walk(families, *masks)
+    bests = [table.best for table in tables]
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
     recons: dict = {}  # reconstruction bound per mask of spoiled blocks
 
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
     broken: dict = {}
     for t, n in tuple_counts(rows).items():
-        dl, ul, chain = _final_sums(tables, t)
+        dl, ul, chain = _final_sums(bests, t)
         checks = [("lemma2_chain", "chain", ul, chain)]
         if nc >= 2:
             mask = t[3]

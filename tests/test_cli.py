@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellassoc import InternalCheckError, cli, pair_association, schemes, search
@@ -173,13 +173,16 @@ def test_search_csv(capsys):
     assert lines[6] == "5,2,2,2,3,2,3"
 
 
-def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path):
-    # 38,416 rows span several pieces of text; the bytes must not show it.
+@pytest.mark.parametrize("family", [(6, 2, 1), (5, 3, 1)], ids=["6-2-1", "5-3-1"])
+def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path, family):
+    # (6, 2, 1): 38,416 rows span several pieces of text; (5, 3, 1): its
+    # 8,192 rows fill exactly one.  The bytes must not show the pieces, and
+    # no piece may be empty or hold more than its rows.
     out = tmp_path / "rows.csv"
-    argv = ["search", "--k", "6", "--nc", "2", "--window", "1", "--format", "csv"]
-    assert main(argv + ["--out", str(out)]) == 0
-    result = search.exhaustive_search(6, 2, 1, collect_rows=True)
-    assert len(result.rows) > 4 * cli._CSV_CHUNK_ROWS
+    argv = ["search", "--k", str(family[0]), "--nc", str(family[1]), "--window", str(family[2])]
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    result = search.exhaustive_search(*family, collect_rows=True)
+    assert len(result.rows) > 4 * cli._CSV_CHUNK_ROWS or len(result.rows) == cli._CSV_CHUNK_ROWS
     bound = result.bound.per_user
     expected = io.StringIO()
     writer = csv.writer(expected)
@@ -191,6 +194,9 @@ def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path):
         writer.writerow([index, dl, ul, avg.numerator, avg.denominator,
                          bound.numerator, bound.denominator])
     assert out.read_bytes() == expected.getvalue().encode()
+    chunks = list(cli._csv_chunks(result))[1:]  # after the header
+    assert len(chunks) == -(-len(result.rows) // cli._CSV_CHUNK_ROWS)
+    assert all(0 < chunk.count("\n") <= cli._CSV_CHUNK_ROWS for chunk in chunks)
 
 
 def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
@@ -527,6 +533,25 @@ def reference_dumps(obj):
 @given(json_trees)
 def test_json_writer_matches_json_dumps(tree):
     assert cli._json_text(tree) == reference_dumps(tree)
+
+
+# Flat records (str keys; None, bool, int or str values) in a list or in a
+# dict's values, one or two levels down, as precoders, decoding steps and
+# block flags are written.
+flat_records = st.dictionaries(
+    json_strs, st.none() | st.booleans() | json_ints | json_strs, min_size=1, max_size=4
+)
+record_groups = st.lists(flat_records, max_size=4) | st.dictionaries(
+    json_strs, flat_records, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_groups | st.dictionaries(json_strs, record_groups, max_size=3))
+@example([{"b": 1, "a": None}, {}, {"x": 0.5}])
+@example({"p": {"1": {"3": 0, "2": 1}, "4": {"\u00e9": "\u2028", "b": True}}})
+def test_json_writer_matches_json_dumps_on_flat_records(doc):
+    assert cli._json_text(doc) == reference_dumps(doc)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,12 +8,14 @@ certification of the nc = 2 average-optimal plan by a seed majority, the
 include-first branch and bound that maximized both sessions before the
 line DP, the hand-written chain DP that the chain rule of _kernels
 replaced, the per-block scan of block goodness that the per-user rule of
-the reconstruction bound replaced, and the per-candidate maximization and
-certificate checks that searches and sweeps ran before the family DP.  The
-package's versions look only at the users a decision can affect, or share
-work between candidates; on random windowed associations and families they
-must return exactly what the references return.  Every scheme plan must
-also pass the multi-seed reference and both value-free rules.
+the reconstruction bound replaced, the per-candidate maximization and
+certificate checks that searches and sweeps ran before the family DP, and
+the fold that FamilyLayers ran per table miss before its loops were
+unrolled.  The package's versions look only at the users a decision can
+affect, or share work between candidates; on random windowed associations
+and families they must return exactly what the references return.  Every
+scheme plan must also pass the multi-seed reference and both value-free
+rules.
 """
 
 import collections
@@ -273,6 +275,30 @@ def ref_chain_dp(k: int, flags) -> int:
                     nxt[key] = val
         states = nxt
     return max(states.values())
+
+
+def ref_layer_move(rule, shape, step):
+    """(shape after, gain) of one user's step from a layer shape.
+
+    The fold FamilyLayers._move ran on a table miss before its loops were
+    unrolled: the best count of each successor over both activities, then
+    the antichain under the rule's covers, then the shape less its largest
+    count.
+    """
+    _start, nxt, _steps, covers = rule
+    layer = {}
+    for s, n in shape.items():
+        for a in (1, 0):
+            for t in nxt(step, s, a):
+                if layer.get(t, -1) < n + a:
+                    layer[t] = n + a
+    layer = {
+        t: n
+        for t, n in layer.items()
+        if not any(m >= n and u != t and covers(u, t) for u, m in layer.items())
+    }
+    gain = max(layer.values())
+    return {s: n - gain for s, n in layer.items()}, gain
 
 
 def ref_good_blocks(k, nc, cells, strict):
@@ -712,6 +738,23 @@ def test_each_rule_order_is_a_simulation(family):
             assert (shape[idle], others) in ((0, set()), (-1, {0})), shape
 
 
+@settings(max_examples=80, deadline=None)
+@given(families())
+def test_layer_moves_match_the_reference_fold(family):
+    k, options = family
+    for rule in (
+        _kernels.dl_family(k, options),
+        _kernels.ul_family(options),
+        _kernels.chain_family(options),
+    ):
+        table = _kernels.FamilyLayers(rule)
+        _kernels.tuple_walk([(table.row, table.steps)])
+        assert table._moves
+        for (sid, step), (after, gain) in table._moves.items():
+            expected = ref_layer_move(rule, table._shapes[sid], step)
+            assert (table._shapes[after], gain) == expected, (table._shapes[sid], step)
+
+
 @settings(max_examples=200, deadline=None)
 @given(families(), st.data())
 def test_decode_matches_product_order(family, data):
@@ -828,8 +871,8 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
     real = search._final_sums
 
-    def raised(tables, t):
-        return [s + extra for s, extra in zip(real(tables, t), (dl_extra, ul_extra, 0))]
+    def raised(bests, t):
+        return [s + extra for s, extra in zip(real(bests, t), (dl_extra, ul_extra, 0))]
 
     with mock.patch.object(search, "_final_sums", raised):
         report = search.soundness_sweep(k, nc, w)
