@@ -44,15 +44,12 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     ChannelRealization,
-    Topology,
     association,
     average_per_user,
-    connected,
     connected_bs,
     draw_channels,
     frac_from_str,
     frac_to_str,
-    heard_mts,
     validate_association,
 )
 from .schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
@@ -95,7 +92,6 @@ __all__ = [
     "SchemePlan",
     "SearchResult",
     "SizeLimitError",
-    "Topology",
     "UlEvaluation",
     "ValidationError",
     "ZfWitness",
@@ -104,7 +100,6 @@ __all__ = [
     "avg_optimal",
     "backend_name",
     "compare_with_theorem",
-    "connected",
     "connected_bs",
     "count_associations",
     "counting_bound",
@@ -114,7 +109,6 @@ __all__ = [
     "exhaustive_search",
     "frac_from_str",
     "frac_to_str",
-    "heard_mts",
     "lemma2_chain_bound",
     "max_downlink_dof",
     "max_uplink_dof",

@@ -245,13 +245,13 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     return True
 
 
-def certify_downlink(assoc, active, seed: int, prime: int = DEFAULT_PRIME) -> ZfWitness:
+def certify_downlink(assoc, active, seed: int) -> ZfWitness:
     """Zero-forcing witness for the active set on one seed's channels, re-verified.
 
     Raises InternalCheckError when the set has no witness on that draw or
     the witness fails verify_witness.
     """
-    ch = draw_channels(assoc.k, seed, prime)
+    ch = draw_channels(assoc.k, seed)
     witness = zf_feasible(assoc, active, ch)
     if witness is None:
         raise InternalCheckError("the downlink active set has no zero-forcing witness")
@@ -284,19 +284,16 @@ def zf_feasible_majority(assoc, active, *, seeds=DEFAULT_SEEDS, prime=DEFAULT_PR
 
 
 def max_downlink_dof(
-    assoc: CellAssociation,
-    *,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
+    assoc: CellAssociation, *, seeds: Sequence[int] = DEFAULT_SEEDS
 ) -> DlEvaluation:
     """Maximum simultaneously feasible active-user count for the downlink.
 
     Exact at every k: the line DP returns the largest active set, ties
     going to the lexicographically smallest one.  The witness comes from
     the first seed's channels and is re-verified on them.  The seeds are
-    checked by model.check_seeds, the seed and prime by draw_channels.
+    checked by model.check_seeds, the first one by draw_channels.
     """
     seeds = check_seeds(seeds)
     active = _kernels.dl_max_active(assoc.k, assoc.cells)
-    witness = certify_downlink(assoc, active, seeds[0], prime)
+    witness = certify_downlink(assoc, active, seeds[0])
     return DlEvaluation(sum_dof=len(active), active_users=active, witness=witness, seeds=seeds)

@@ -3,10 +3,11 @@
 Users (mobile terminals) and base stations are both indexed 1..k.  User i
 hears base stations i-1 and i, clipped to the index range, so the network
 has exactly 2k-1 connected pairs.  Every other module goes through the
-helpers here; the indexing convention lives in exactly one place, and so
-does the input contract: check_int (an int, never a bool, within its
-range), check_ints (the same for a whole collection) and check_seeds (a
-nonempty list of integers), which every public entry point calls.
+helpers here; the indexing convention lives in exactly one place,
+connected_bs, and so does the input contract: check_int (an int, never a
+bool, within its range), check_ints (the same for a whole collection) and
+check_seeds (a nonempty list of integers), which every public entry point
+calls.
 
 Channel coefficients are uniform nonzero elements of a large prime field.
 Rank decisions over that field are exact, and a fresh seed gives an
@@ -124,48 +125,11 @@ def check_active(k: int, active: Iterable[int]) -> frozenset[int]:
     return frozenset(check_ints("active user", active, 1, k))
 
 
-def connected(i: int, j: int, k: int) -> bool:
-    """True iff user i hears base station j in a k-cell network."""
-    check_int("k", k, 1)
-    check_int("user index", i, 1, k)
-    check_int("bs index", j, 1, k)
-    return j == i or j == i - 1
-
-
 def connected_bs(i: int, k: int) -> frozenset[int]:
     """Base stations heard by user i: {i-1, i} clipped to [1..k]."""
     check_int("k", k, 1)
     check_int("user index", i, 1, k)
     return frozenset(j for j in (i - 1, i) if 1 <= j <= k)
-
-
-def heard_mts(j: int, k: int) -> frozenset[int]:
-    """Users that hear base station j: {j, j+1} clipped to [1..k]."""
-    check_int("k", k, 1)
-    check_int("bs index", j, 1, k)
-    return frozenset(i for i in (j, j + 1) if 1 <= i <= k)
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Connectivity of a k-cell chain network; pure function of indices."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        check_int("k", self.k, 1)
-
-    def connected(self, i: int, j: int) -> bool:
-        return connected(i, j, self.k)
-
-    def connected_bs(self, i: int) -> frozenset[int]:
-        return connected_bs(i, self.k)
-
-    def heard_mts(self, j: int) -> frozenset[int]:
-        return heard_mts(j, self.k)
-
-    def edge_count(self) -> int:
-        return 2 * self.k - 1
 
 
 @dataclass(frozen=True)
@@ -190,12 +154,6 @@ class ChannelRealization:
         check_int("seed", self.seed)
         if not _is_prime(check_int("prime", self.prime, 3, 2**64 - 1)):
             raise ValidationError(f"prime must be a prime, got {self.prime}")
-
-    def gain(self, i: int, j: int) -> int:
-        """Channel coefficient from base station j to user i (0 if unconnected)."""
-        check_int("user index", i, 1, self.k)
-        check_int("bs index", j, 1, self.k)
-        return self.coeffs.get((i, j), 0)
 
 
 def draw_channels(k: int, seed: int, prime: int = DEFAULT_PRIME) -> ChannelRealization:

@@ -76,11 +76,9 @@ def render_svg(assoc: CellAssociation, plan: Optional[SchemePlan] = None) -> str
         f"{_esc(f'k={k} nc={assoc.nc}')}</text>",
     ]
 
-    def user_y(i: int) -> int:
-        return _TOP + _ROW * (i - 1) + 20
-
-    def bs_y(j: int) -> int:
-        return _TOP + _ROW * (j - 1) + 20
+    def row_y(n: int) -> int:
+        """Height of row n: user n on the left, bs n on the right."""
+        return _TOP + _ROW * (n - 1) + 20
 
     for i in range(1, k + 1):
         for j in sorted(connected_bs(i, k)):
@@ -88,12 +86,12 @@ def render_svg(assoc: CellAssociation, plan: Optional[SchemePlan] = None) -> str
             width = 3 if member else 1
             color = "#1a6faf" if member else "#999999"
             parts.append(
-                f'<line x1="{_MT_X}" y1="{user_y(i)}" x2="{_BS_X}" y2="{bs_y(j)}" '
+                f'<line x1="{_MT_X}" y1="{row_y(i)}" x2="{_BS_X}" y2="{row_y(j)}" '
                 f'stroke="{color}" stroke-width="{width}" />'
             )
         for j in sorted(assoc.cell(i) - connected_bs(i, k)):
             parts.append(
-                f'<line x1="{_MT_X}" y1="{user_y(i)}" x2="{_BS_X}" y2="{bs_y(j)}" '
+                f'<line x1="{_MT_X}" y1="{row_y(i)}" x2="{_BS_X}" y2="{row_y(j)}" '
                 f'stroke="#b08a2e" stroke-width="1" stroke-dasharray="6,4" />'
             )
 
@@ -102,17 +100,17 @@ def render_svg(assoc: CellAssociation, plan: Optional[SchemePlan] = None) -> str
         fill = "#ffffff" if inactive else "#1a6faf"
         stroke = "#cc0000" if inactive else "#10456d"
         parts.append(
-            f'<circle cx="{_MT_X}" cy="{user_y(i)}" r="12" fill="{fill}" '
+            f'<circle cx="{_MT_X}" cy="{row_y(i)}" r="12" fill="{fill}" '
             f'stroke="{stroke}" stroke-width="2" />'
         )
         parts.append(
-            f'<text x="{_MT_X - 40}" y="{user_y(i) + 5}" font-size="12">MT {i}</text>'
+            f'<text x="{_MT_X - 40}" y="{row_y(i) + 5}" font-size="12">MT {i}</text>'
         )
     for j in range(1, k + 1):
         silent = plan is not None and j in plan.dl_silent_bs
         fill = "#ffffff" if silent else "#333333"
         stroke = "#cc0000" if silent else "#111111"
-        y = bs_y(j)
+        y = row_y(j)
         parts.append(
             f'<rect x="{_BS_X - 10}" y="{y - 10}" width="20" height="20" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="2" />'

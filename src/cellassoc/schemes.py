@@ -44,7 +44,6 @@ from . import _kernels
 from .downlink_zf import certify_downlink, strip_silent
 from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .model import (
-    DEFAULT_PRIME,
     DEFAULT_SEEDS,
     CellAssociation,
     association,
@@ -147,19 +146,19 @@ def _check_size(k: int, nc: int) -> None:
         )
 
 
-def _certify_plan(plan: SchemePlan, seeds, prime) -> SchemePlan:
+def _certify_plan(plan: SchemePlan, seeds) -> SchemePlan:
     """Certify both claims with re-verified artifacts before handing the plan out."""
     if plan.claimed_dl_dof != len(plan.dl_active_users):
         raise InternalCheckError("scheme downlink claim differs from its active set")
     if plan.claimed_ul_dof != len(plan.ul_active_users):
         raise InternalCheckError("scheme uplink claim differs from its active set")
     stripped = strip_silent(plan.assoc, plan.dl_silent_bs)
-    certify_downlink(stripped, plan.dl_active_users, seeds[0], prime)
+    certify_downlink(stripped, plan.dl_active_users, seeds[0])
     certify_uplink(plan.assoc, plan.ul_active_users)
     return plan
 
 
-def _plan(assoc, budget, ul_active, seeds, prime) -> SchemePlan:
+def _plan(assoc, budget, ul_active, seeds) -> SchemePlan:
     """The certified block plan of the given downlink budget on assoc.
 
     In every full block of 2*budget + 1 users, all users but the middle
@@ -188,7 +187,7 @@ def _plan(assoc, budget, ul_active, seeds, prime) -> SchemePlan:
         claimed_dl_dof=Fraction(len(dl_active)),
         claimed_ul_dof=Fraction(len(ul_active)),
     )
-    return _certify_plan(plan, seeds, prime)
+    return _certify_plan(plan, seeds)
 
 
 def _downlink_cells(k: int, nc: int) -> list[list[int]]:
@@ -207,27 +206,15 @@ def _downlink_cells(k: int, nc: int) -> list[list[int]]:
     return cells
 
 
-def downlink_optimal(
-    k: int,
-    nc: int,
-    *,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
-) -> SchemePlan:
+def downlink_optimal(k: int, nc: int, *, seeds: Sequence[int] = DEFAULT_SEEDS) -> SchemePlan:
     """Downlink-rate-first plan: 2*nc served users per block of 2*nc + 1."""
     seeds = _check_args(k, nc, seeds)
     assoc = association(k, nc, _downlink_cells(k, nc))
     ul_active = _kernels.ul_max_active(k, assoc.cells)
-    return _plan(assoc, nc, ul_active, seeds, prime)
+    return _plan(assoc, nc, ul_active, seeds)
 
 
-def avg_optimal(
-    k: int,
-    nc: int,
-    *,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
-) -> SchemePlan:
+def avg_optimal(k: int, nc: int, *, seeds: Sequence[int] = DEFAULT_SEEDS) -> SchemePlan:
     """Best-average plan for the given budget.
 
     At nc = 1 this is downlink_optimal(k, 1).  At nc >= 2 it is the block
@@ -237,8 +224,8 @@ def avg_optimal(
     """
     seeds = _check_args(k, nc, seeds)
     if nc == 1:
-        return downlink_optimal(k, 1, seeds=seeds, prime=prime)
+        return downlink_optimal(k, 1, seeds=seeds)
     cells = [{*cell, i - 1, i} for i, cell in enumerate(_downlink_cells(k, nc - 1), start=1)]
     cells[0].discard(0)  # user 1 hears no bs 0
     assoc = association(k, nc, cells)
-    return _plan(assoc, nc - 1, range(1, k + 1), seeds, prime)
+    return _plan(assoc, nc - 1, range(1, k + 1), seeds)

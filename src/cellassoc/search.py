@@ -32,11 +32,12 @@ violators are the indices that end in a tuple breaking a certificate,
 found in order and decoded as associations.  A sound family builds no
 association.
 
-Both entry points count the family with math.comb before listing any
+Both entry points count the family (_family_size) before listing any
 option and refuse one with more than cap candidates, or more than
 MAX_CANDIDATES whatever the cap, which they can tell after at most
 log2(min(cap, MAX_CANDIDATES)) + 1 users since every user has at least
-two options.
+two options.  count_associations uses the same count and refuses a
+family of more than 2**MAX_COUNT_BITS candidates.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
 checks that both session values grow affinely, which is the cheap
@@ -48,7 +49,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
@@ -71,9 +71,8 @@ from .bounds import (
     ncone_bound,
 )
 from .downlink_zf import DlEvaluation, max_downlink_dof
-from .errors import BudgetExceededError, InternalCheckError, ValidationError
+from .errors import BudgetExceededError, InternalCheckError, SizeLimitError, ValidationError
 from .model import (
-    DEFAULT_PRIME,
     DEFAULT_SEEDS,
     CellAssociation,
     association,
@@ -91,6 +90,13 @@ DEFAULT_CAP = 100_000
 # Largest family a search or sweep takes, whatever its cap: about 0.16 GB
 # of rows for a CSV search at 16 bytes per candidate (_kernels.tuple_ends).
 MAX_CANDIDATES = 10**7
+
+# Largest count count_associations works out, in bits (about 19,700
+# decimal digits).  Every user has at least two choices, so a line of more
+# users is refused at once.  The count of 6000 users at (nc, window) =
+# (3, 3) takes about 36,000 bits, and no count or refusal takes more than
+# about 0.3 s on a 2-vCPU VM.
+MAX_COUNT_BITS = 2**16
 
 _OBJECTIVES = {
     "avg": "avg",
@@ -123,18 +129,41 @@ def _window(k: int, nc: int, window: Optional[int]) -> int:
     return check_int("window", nc if window is None else window, 0)
 
 
-def _family_size(k: int, nc: int, w: int, cap: Optional[int] = None) -> Optional[int]:
-    """Number of windowed associations, or None once it passes cap."""
-    total = 1
-    for i in range(1, k + 1):
-        n = min(k, i + w) - max(1, i - w) + 1
-        count = 0
+def _family_size(k: int, nc: int, w: int, limit: int) -> Optional[int]:
+    """Number of windowed associations, or None when it passes limit.
+
+    User i sees n = min(k, i + w) - max(1, i - w) + 1 base stations and
+    has the sum of comb(n, r) over r <= nc choices, at least two, each term
+    worked out from the one before.  The users w+1..k-w all see 2w + 1, so
+    they are counted once and raised to their number with one pow; the
+    others are counted one by one from both ends of the line.  A count
+    that, times the count so far and two for every user still to come,
+    reaches 2**limit.bit_length() ends the count, so a refusal comes after
+    at most log2(limit) + 1 users and no product formed has more than
+    about twice the bits of limit.
+    """
+    bits = limit.bit_length()
+    inner = max(0, k - 2 * w)
+    ends = itertools.chain(range(1, min(w, k) + 1), range(max(w, k - w) + 1, k + 1))
+    groups = itertools.chain(
+        ((min(k, i + w) - max(1, i - w) + 1, 1) for i in ends),
+        [(2 * w + 1, inner)] if inner else [],
+    )
+    later, total = k, 1
+    for n, times in groups:
+        later -= times
+        room = bits - later - times - total.bit_length() + 2
+        count, term = 0, 1
         for r in range(min(nc, n) + 1):
-            count += comb(n, r)
-            if cap is not None and total * count > cap:
+            count += term
+            if count.bit_length() > room:
                 return None
-        total *= count
-    return total
+            term = term * (n - r) // (r + 1)
+        # count**times is at least 2**((count.bit_length() - 1) * times).
+        if (count.bit_length() - 1) * times + total.bit_length() > bits:
+            return None
+        total *= count**times
+    return total if total <= limit else None
 
 
 def _user_options(k: int, nc: int, w: int):
@@ -183,8 +212,17 @@ def _decode(options, index: int) -> tuple:
 
 
 def count_associations(k: int, nc: int, window: Optional[int] = None) -> int:
-    """Number of windowed associations, without enumerating them."""
-    return _family_size(k, nc, _window(k, nc, window))
+    """Number of windowed associations, without enumerating them.
+
+    A family of more than 2**MAX_COUNT_BITS candidates raises SizeLimitError.
+    """
+    total = _family_size(k, nc, _window(k, nc, window), 1 << MAX_COUNT_BITS)
+    if total is None:
+        raise SizeLimitError(
+            f"the family has more than 2**{MAX_COUNT_BITS} candidates, "
+            "the most count_associations counts"
+        )
+    return total
 
 
 def enumerate_associations(
@@ -286,7 +324,6 @@ def exhaustive_search(
     objective: str = "avg",
     *,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
     cap: int = DEFAULT_CAP,
     collect_rows: bool = False,
 ) -> SearchResult:
@@ -297,8 +334,8 @@ def exhaustive_search(
     read-only sequence over the walk's last pairs, listed only when
     collect_rows is set, and the winner is found by the same walk either
     way.  Refuses to start when the candidate count exceeds cap or
-    MAX_CANDIDATES.  The seeds (model.check_seeds) and prime only draw the
-    channels of the winner's zero-forcing witness.
+    MAX_CANDIDATES.  The seeds (model.check_seeds) only draw the channels
+    of the winner's zero-forcing witness.
     """
     objective = _normalize_objective(objective)
     w, options, total = _family(k, nc, window, cap)
@@ -316,7 +353,7 @@ def exhaustive_search(
     best_value = _objective_value(objective, k, *sums[best])
     best_assoc = association(k, nc, _decode(options, best_index))
 
-    dl_ev = max_downlink_dof(best_assoc, seeds=seeds, prime=prime)
+    dl_ev = max_downlink_dof(best_assoc, seeds=seeds)
     ul_ev = max_uplink_dof(best_assoc)
     recheck = _objective_value(objective, k, dl_ev.sum_dof, ul_ev.sum_dof)
     if recheck != best_value:
@@ -518,7 +555,6 @@ def periodic_eval(
     copies: int = 3,
     *,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    prime: int = DEFAULT_PRIME,
 ) -> PeriodicReport:
     """Evaluate a pattern at copies, copies+1, copies+2 repetitions.
 
@@ -537,7 +573,7 @@ def periodic_eval(
     dl_sums, ul_sums = [], []
     for kk in ks:
         assoc = pattern.instantiate(kk, nc)
-        dl_sums.append(max_downlink_dof(assoc, seeds=seeds, prime=prime).sum_dof)
+        dl_sums.append(max_downlink_dof(assoc, seeds=seeds).sum_dof)
         ul_sums.append(max_uplink_dof(assoc).sum_dof)
 
     dl_d = (dl_sums[1] - dl_sums[0], dl_sums[2] - dl_sums[1])

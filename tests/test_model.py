@@ -10,16 +10,13 @@ from cellassoc import (
     DEFAULT_PRIME,
     CellAssociation,
     EmptyCellError,
-    Topology,
     ValidationError,
     association,
     average_per_user,
-    connected,
     connected_bs,
     draw_channels,
     frac_from_str,
     frac_to_str,
-    heard_mts,
     uplink_feasible,
     validate_association,
     zf_feasible,
@@ -41,36 +38,35 @@ from cellassoc.uplink_decode import max_uplink_dof
 def test_connectivity_rule():
     k = 5
     for i in range(1, k + 1):
-        assert connected(i, i, k)
+        assert i in connected_bs(i, k)
         if i >= 2:
-            assert connected(i, i - 1, k)
-    assert not connected(1, 2, 5)
-    assert not connected(3, 5, 5)
-    assert not connected(4, 2, 5)
+            assert i - 1 in connected_bs(i, k)
+    assert 2 not in connected_bs(1, 5)
+    assert 5 not in connected_bs(3, 5)
+    assert 2 not in connected_bs(4, 5)
 
 
 def test_connectivity_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        connected(0, 1, 3)
-    with pytest.raises(ValidationError):
-        connected(1, 4, 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="user index 0 out of range"):
+        connected_bs(0, 3)
+    with pytest.raises(ValidationError, match="user index 7 out of range"):
         connected_bs(7, 6)
-    with pytest.raises(ValidationError):
-        heard_mts(0, 6)
+    with pytest.raises(ValidationError, match="k must be at least 1"):
+        connected_bs(1, 0)
 
 
 def test_neighbor_sets():
     assert connected_bs(1, 4) == frozenset({1})
     assert connected_bs(3, 4) == frozenset({2, 3})
-    assert heard_mts(4, 4) == frozenset({4})
-    assert heard_mts(2, 4) == frozenset({2, 3})
+    # The users that hear bs j are j and j + 1, clipped to the line.
+    assert {i for i in range(1, 5) if 4 in connected_bs(i, 4)} == {4}
+    assert {i for i in range(1, 5) if 2 in connected_bs(i, 4)} == {2, 3}
 
 
 def test_topology_edge_count():
     # One edge per user to its own bs, one more to the previous bs.
     for k in (1, 2, 5, 9):
-        assert Topology(k).edge_count() == 2 * k - 1
+        assert sum(len(connected_bs(i, k)) for i in range(1, k + 1)) == 2 * k - 1
 
 
 def test_channel_draws_are_deterministic_and_nonzero():
@@ -112,13 +108,6 @@ def test_channel_draws_equal_randrange_draws():
                     if j >= 1
                 ]
                 assert list(draw_channels(k, seed, prime).coeffs.items()) == expected
-
-
-def test_gain_zero_off_topology():
-    ch = draw_channels(4, 1)
-    assert ch.gain(1, 2) == 0
-    assert ch.gain(4, 2) == 0
-    assert ch.gain(2, 1) != 0
 
 
 def test_association_roundtrip_and_normalization():
@@ -228,7 +217,7 @@ def test_frozen_records_that_hold_dicts_are_unhashable():
     assoc = association(4, 2, [[1], [1, 2], [2, 3], [4]])
     pattern = PeriodicPattern(period=2, offsets=((0,), (-1, 0)))
     dict_free = (
-        Topology(3), assoc, Violation(1, "empty"), max_uplink_dof(assoc),
+        assoc, Violation(1, "empty"), max_uplink_dof(assoc),
         max_uplink_dof(assoc).order, lemma2_chain_bound(assoc), result.bound,
         counting_bound(assoc).flagged[0], avg_optimal(6, 2), pattern,
         periodic_eval(pattern, 2), compare_with_theorem(2),

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cellassoc import (
-    DEFAULT_PRIME,
     DEFAULT_SEEDS,
     InternalCheckError,
     SchemePlan,
@@ -24,7 +23,7 @@ from cellassoc import (
 )
 from cellassoc import model, schemes, search
 from cellassoc.bounds import BoundCertificate
-from cellassoc.model import check_active, check_int, connected
+from cellassoc.model import check_active, check_int, connected_bs
 from cellassoc.schemes import MAX_SCHEME_K, _certify_plan, _check_args
 
 
@@ -204,10 +203,10 @@ def test_plans_check_each_association_entry_once(monkeypatch):
 
 
 def test_certification_refuses_tampered_plans():
-    seeds, prime = DEFAULT_SEEDS, DEFAULT_PRIME
+    seeds = DEFAULT_SEEDS
     # avg nc = 2, blocks of three: user 2 is idle and bs 3 silent in block one.
     avg = avg_optimal(12, 2)
-    assert _certify_plan(avg, seeds, prime) == avg
+    assert _certify_plan(avg, seeds) == avg
     idle_served = _tampered(avg, dl_active_users=avg.dl_active_users | {2})
     # Un-silencing bs 3 alone cannot hurt (each precoder only gains a
     # column), so bs 2 is silenced in its place: message 3 is left with
@@ -219,7 +218,7 @@ def test_certification_refuses_tampered_plans():
     empty_uplink = _tampered(dl, ul_active_users=dl.ul_active_users | {4})
     for plan in (idle_served, moved_silence, empty_uplink):
         with pytest.raises(InternalCheckError):
-            _certify_plan(plan, seeds, prime)
+            _certify_plan(plan, seeds)
 
 
 def test_refuses_oversized_networks_before_building(monkeypatch):
@@ -275,7 +274,7 @@ def test_sizes_too_long_to_print_are_refused_without_printing_them():
         (lambda: avg_optimal(-huge, 2), "k must be at least 1"),
         (lambda: pair_association(-huge), "k must be at least 1"),
         (lambda: check_active(3, [huge]), "active user out of range [1..3]"),
-        (lambda: connected(0, 1, huge), "user index 0 out of range"),
+        (lambda: connected_bs(0, huge), "user index 0 out of range"),
         (lambda: check_int("k", [huge]), "k must be an integer"),
         (lambda: search._normalize_objective(huge),
          "objective must be one of avg/ul/dl (or up/down)"),

@@ -1,5 +1,7 @@
 """Windowed enumeration, exhaustive search, sweeps, periodic probes."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,46 @@ def test_counts_of_huge_windows_and_lines():
     assert [a.cells_as_lists() for a in enumerate_associations(2, 1, 10**8)] == [
         a.cells_as_lists() for a in enumerate_associations(2, 1, 1)
     ]
+
+
+def per_user_product(k, nc, w):
+    """The family size as the product of each user's choices."""
+    sizes = (min(k, i + w) - max(1, i - w) + 1 for i in range(1, k + 1))
+    return math.prod(sum(math.comb(n, r) for r in range(nc + 1)) for n in sizes)
+
+
+def test_counts_equal_the_per_user_product(monkeypatch):
+    families = list(itertools.product(range(1, 13), range(1, 5), range(6)))
+    for k, nc, w in families:
+        expected = per_user_product(k, nc, w)
+        assert count_associations(k, nc, w) == expected, (k, nc, w)
+        # The count the cap and the ceiling share stops exactly past its limit.
+        assert search._family_size(k, nc, w, expected) == expected
+        assert search._family_size(k, nc, w, expected - 1) is None
+    monkeypatch.setattr(search, "MAX_COUNT_BITS", 20)
+    for k, nc, w in families:
+        expected = per_user_product(k, nc, w)
+        if expected <= 2**20:
+            assert count_associations(k, nc, w) == expected
+        else:
+            with pytest.raises(SizeLimitError, match=r"more than 2\*\*20 candidates"):
+                count_associations(k, nc, w)
+
+
+def test_counts_past_the_size_limit_are_refused():
+    bits = search.MAX_COUNT_BITS
+    # Every user of a line with window 0 has two choices.
+    assert count_associations(bits, 1, 0) == 2**bits
+    for k, nc, w in (
+        (bits + 1, 1, 0),
+        (10**5, 2, 1),
+        (10**12, 2, None),
+        (10**12, 10**12, 10**12),
+        (bits // 2, 10**12, 10**12),
+        (6000, 1, 10**4),
+    ):
+        with pytest.raises(SizeLimitError, match=f"more than 2\\*\\*{bits} candidates"):
+            count_associations(k, nc, w)
 
 
 def test_refusal_lists_no_option(monkeypatch):
