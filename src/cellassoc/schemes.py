@@ -24,7 +24,15 @@ A partial trailing block never gets a closed-form claim: its downlink set
 is the exact maximum (the line DP) on the truncated sub-network, which is
 legitimate because the preceding block's silent base station severs every
 cross-boundary path, and its base stations that no active user holds are
-silenced too.
+silenced too.  The uplink set of downlink_optimal is split at the same
+boundaries: a block's first user holds none of the previous block's base
+stations, so it never decodes at bs m-1 (L) or waits on user m-1, and a
+block's last user does not hold its own base station, so it never
+decodes at bs m (R) or waits on user m+1.  No decode-and-pass wait
+crosses a block boundary, so the line's uplink maximum is the sum of the
+blocks' maxima and its include-first pick is their picks side by side:
+one full block is maximized and placed at every block offset, and the
+trailing partial block is maximized on its own.
 
 Every plan is certified as a whole before it is returned: the downlink set
 must get a zero-forcing witness on the first seed's channel draw that
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import _kernels
@@ -58,11 +67,11 @@ from .model import (
 from .uplink_decode import certify_uplink
 
 # Largest k a scheme is built for.  Time and memory grow linearly in k: one
-# avg nc = 3 plan at k = 10^5 takes about 2.6 s and 185 MB of RSS for the
-# whole process on a 2-vCPU VM, so larger requests are refused before anything
-# is built.  A plan holds up to k * min(nc, k) association entries, which are
-# bounded by 4 * MAX_SCHEME_K, so every k up to the limit is accepted with
-# nc <= 4.
+# avg nc = 3 plan at k = 10^5 takes about 1.4-1.9 s and 175 MiB of RSS for
+# the whole process on a 2-vCPU VM, so larger requests are refused before
+# anything is built.  A plan holds up to k * min(nc, k) association
+# entries, which are bounded by 4 * MAX_SCHEME_K, so every k up to the limit
+# is accepted with nc <= 4.
 MAX_SCHEME_K = 10**6
 
 
@@ -158,36 +167,57 @@ def _certify_plan(plan: SchemePlan, seeds) -> SchemePlan:
     return plan
 
 
-def _plan(assoc, budget, ul_active, seeds) -> SchemePlan:
+def _plan(assoc, budget, uplink, seeds) -> SchemePlan:
     """The certified block plan of the given downlink budget on assoc.
 
     In every full block of 2*budget + 1 users, all users but the middle
     one, local user budget + 1, are downlink-active and the block's last
-    base station is silent.  The trailing partial block takes the downlink maximum of
-    its truncated sub-network and silences its base stations that no
-    active user holds.
+    base station is silent.  The trailing partial block takes the downlink
+    maximum of its truncated sub-network and silences its base stations
+    that no active user holds; no downlink path crosses into it, since the
+    block before it silences its last base station.  The uplink-active
+    users are uplink(assoc, length, off, tail), where the first off users
+    fill the full blocks of the given length and tail lists the trailing
+    users' sets shifted to start at user 1 (built once for both sessions).
+    On the downlink cells no decode-and-pass wait crosses a block boundary
+    either (a block's first user holds no base station of the block
+    before, and its last user not its own), so the uplink may be
+    maximized one block at a time (_tiled_uplink).
     """
     length = 2 * budget + 1
     k = assoc.k
     off = k - k % length
-    dl_active = set(range(1, off + 1)) - set(range(budget + 1, off + 1, length))
-    silent = set(range(length, off + 1, length))
-
     tail = [frozenset(j - off for j in cell if j > off) for cell in assoc.cells[off:]]
+    ul_active = uplink(assoc, length, off, tail)
     tail_active = _kernels.dl_max_active(k - off, tail)
     used = frozenset().union(*(tail[u - 1] for u in tail_active))
-    dl_active |= {off + u for u in tail_active}
-    silent |= {off + j for j in range(1, k - off + 1) if j not in used}
+    served = chain(range(1, off + 1), (off + u for u in tail_active))
+    dl_active = frozenset(served).difference(range(budget + 1, off + 1, length))
+    unused = (off + j for j in range(1, k - off + 1) if j not in used)
+    silent = frozenset(chain(range(length, off + 1, length), unused))
 
     plan = SchemePlan(
         assoc=assoc,
-        dl_active_users=frozenset(dl_active),
-        dl_silent_bs=frozenset(silent),
-        ul_active_users=frozenset(ul_active),
+        dl_active_users=dl_active,
+        dl_silent_bs=silent,
+        ul_active_users=ul_active,
         claimed_dl_dof=Fraction(len(dl_active)),
         claimed_ul_dof=Fraction(len(ul_active)),
     )
     return _certify_plan(plan, seeds)
+
+
+def _tiled_uplink(assoc, length, off, tail) -> frozenset[int]:
+    """The line's include-first uplink maximum on the downlink cells.
+
+    No decode-and-pass wait crosses a block boundary (see _plan), so the
+    first full block's maximum is placed at every block offset below off
+    and the tail's maximum at off.
+    """
+    block = _kernels.ul_max_active(length, assoc.cells[:length])
+    last = _kernels.ul_max_active(len(tail), tail)
+    blocks = (b + u for b in range(0, off, length) for u in block)
+    return frozenset(chain(blocks, (off + u for u in last)))
 
 
 def _downlink_cells(k: int, nc: int) -> list[list[int]]:
@@ -207,11 +237,18 @@ def _downlink_cells(k: int, nc: int) -> list[list[int]]:
 
 
 def downlink_optimal(k: int, nc: int, *, seeds: Sequence[int] = DEFAULT_SEEDS) -> SchemePlan:
-    """Downlink-rate-first plan: 2*nc served users per block of 2*nc + 1."""
+    """Downlink-rate-first plan: 2*nc served users per block of 2*nc + 1.
+
+    Its uplink set is the line's include-first uplink maximum, found one
+    block at a time: a block's first user holds no base station of the
+    block before, and its last user does not hold its own, so no
+    decode-and-pass wait crosses a block boundary and the maximum of one
+    full block, placed at every block offset, plus that of the trailing
+    partial block is the maximum of the line.
+    """
     seeds = _check_args(k, nc, seeds)
     assoc = association(k, nc, _downlink_cells(k, nc))
-    ul_active = _kernels.ul_max_active(k, assoc.cells)
-    return _plan(assoc, nc, ul_active, seeds)
+    return _plan(assoc, nc, _tiled_uplink, seeds)
 
 
 def avg_optimal(k: int, nc: int, *, seeds: Sequence[int] = DEFAULT_SEEDS) -> SchemePlan:
@@ -228,4 +265,4 @@ def avg_optimal(k: int, nc: int, *, seeds: Sequence[int] = DEFAULT_SEEDS) -> Sch
     cells = [{*cell, i - 1, i} for i, cell in enumerate(_downlink_cells(k, nc - 1), start=1)]
     cells[0].discard(0)  # user 1 hears no bs 0
     assoc = association(k, nc, cells)
-    return _plan(assoc, nc - 1, range(1, k + 1), seeds)
+    return _plan(assoc, nc - 1, lambda *_: frozenset(range(1, k + 1)), seeds)

@@ -37,7 +37,8 @@ option and refuse one with more than cap candidates, or more than
 MAX_CANDIDATES whatever the cap, which they can tell after at most
 log2(min(cap, MAX_CANDIDATES)) + 1 users since every user has at least
 two options.  count_associations uses the same count and refuses a
-family of more than 2**MAX_COUNT_BITS candidates.
+family of more than 2**MAX_COUNT_BITS candidates, and
+enumerate_associations refuses the same families when it is called.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
 checks that both session values grow affinely, which is the cheap
@@ -228,10 +229,15 @@ def count_associations(k: int, nc: int, window: Optional[int] = None) -> int:
 def enumerate_associations(
     k: int, nc: int, window: Optional[int] = None
 ) -> Iterator[CellAssociation]:
-    """All windowed associations in lexicographic order."""
+    """All windowed associations in lexicographic order.
+
+    A family that count_associations refuses (more than 2**MAX_COUNT_BITS
+    candidates) raises SizeLimitError at the call, before any option is
+    listed.
+    """
+    count_associations(k, nc, window)
     options = _user_options(k, nc, _window(k, nc, window))
-    for combo in itertools.product(*options):
-        yield association(k, nc, combo)
+    return (association(k, nc, combo) for combo in itertools.product(*options))
 
 
 class _Rows(Sequence):

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,7 @@ from cellassoc import (
     uplink_feasible,
     zf_feasible_majority,
 )
-from cellassoc import model, schemes, search
+from cellassoc import _kernels, model, schemes, search
 from cellassoc.bounds import BoundCertificate
 from cellassoc.model import check_active, check_int, connected_bs
 from cellassoc.schemes import MAX_SCHEME_K, _certify_plan, _check_args
@@ -65,6 +66,32 @@ def test_downlink_matches_oracle_maximum():
     for (k, nc) in [(5, 2), (10, 2), (7, 3)]:
         plan = downlink_optimal(k, nc)
         assert max_downlink_dof(plan.assoc).sum_dof == plan.claimed_dl_dof
+
+
+def test_block_plans_match_the_whole_line_uplink_maximum():
+    # No decode-and-pass wait crosses a block boundary, so one full block's
+    # uplink maximum placed at every block offset, plus the tail's, is the
+    # line's include-first maximum, at every tail length.
+    def check(cases):
+        for k, nc in cases:
+            plan = downlink_optimal(k, nc)
+            assert plan.ul_active_users == _kernels.ul_max_active(k, plan.assoc.cells), (k, nc)
+
+    check((k, nc) for k in range(1, 61) for nc in range(1, 6))
+    # Long lines skip the certification, which the short ones run.
+    with mock.patch.object(schemes, "_certify_plan", lambda plan, _seeds: plan):
+        check((10**4 + r, nc) for nc in range(1, 6) for r in range(2 * nc + 1))
+    # Building the plan maximizes no more than one block at a time.
+    lengths = []
+    real = _kernels.ul_max_active
+
+    def counted(k, cells):
+        lengths.append(len(cells))
+        return real(k, cells)
+
+    with mock.patch.object(_kernels, "ul_max_active", counted):
+        downlink_optimal(10**4, 3)
+    assert lengths and max(lengths) <= 7, lengths
 
 
 def test_avg_claims():

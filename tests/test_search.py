@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,33 @@ def test_refusal_lists_no_option(monkeypatch):
         exhaustive_search(60000, 3, 3)
     with pytest.raises(BudgetExceededError):
         soundness_sweep(2383, 3, 3)
+
+
+def test_enumeration_refuses_what_the_count_refuses_when_called(monkeypatch):
+    def never(*_args):
+        raise AssertionError("options were listed")
+
+    monkeypatch.setattr(search, "_user_options", never)
+    for k in (10**5, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"more than 2\*\*\d+ candidates"):
+            enumerate_associations(k, 2, 1)  # refused before the first next()
+        assert time.perf_counter() - start < 1, k
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "MAX_COUNT_BITS", 12)
+    for k, nc, w in itertools.product(range(1, 9), range(1, 4), range(3)):
+        if per_user_product(k, nc, w) > 2**12:
+            with pytest.raises(SizeLimitError):
+                enumerate_associations(k, nc, w)
+            continue
+        # Accepted families list every choice of one window set per user.
+        pools = [range(max(1, i - w), min(k, i + w) + 1) for i in range(1, k + 1)]
+        choices = [
+            sorted(c for r in range(nc + 1) for c in itertools.combinations(pool, r))
+            for pool in pools
+        ]
+        expected = [[list(c) for c in combo] for combo in itertools.product(*choices)]
+        assert [a.cells_as_lists() for a in enumerate_associations(k, nc, w)] == expected
 
 
 def test_enumeration_is_lexicographic_and_complete():
