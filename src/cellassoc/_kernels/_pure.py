@@ -31,66 +31,69 @@ flag between z and m-1.  The bound is the most users this rule allows.
 Each rule is a left-to-right automaton over the users, built over a
 family of associations that offers each user a list of options; a single
 association is the family with one option per user.  User m's step is a
-tuple of parameters read from C_m as seen from m, and next(step, state,
-active) returns the states the automaton may move to after deciding that
-user, empty when the decision breaks the rule.  No step or state holds k
-or a user index, so the automata are stationary: users whose options
-look the same from where they stand have equal steps.  The downlink
-state is (length of the active run ending at the previous user, how far
-ahead of the next user the nearest pending right deadline lies, inf when
-none), with the run length capped at the longest left side of any step.
-The uplink state is what the previous user leaves the next one: open
-(it is inactive, or took L while holding its own base station, which is
-all the next user asks of it), shut (it took L without its own base
-station) or R.  A user that may take L takes it: L with its own base
-station held allows every later move that R allows, so R is the state
-only of a user that cannot take L, and the uplink next returns at most
-one state.  The chain state after an active user m is (False, holds
-bs m, credit through m-1): a flag is known only at the second user of
-its pair, so the credit settles one user late.  After an inactive user
-it is (True, True, True), whatever the user holds: the next user's move
-reads neither, and the pair after it earns credit whatever its flag.  It
-starts at a phantom user 0 that is active, holds bs 0 (so pair (0, 1) is
-never flagged) and has no credit.
+tuple of parameters read from C_m as seen from m.  next(step, state) is
+the state the automaton moves to when that user is active, None when the
+rule forbids it, and an inactive user always leads to the rule's one
+idle state.  No step or state holds k or a user index, so the automata
+are stationary: users whose options look the same from where they stand
+have equal steps.  The downlink state is (length of the active run
+ending at the previous user, how far ahead of the next user the nearest
+pending right deadline lies, inf when none), with the run length capped
+at the longest left side of any step; idle is (0, inf), which is also
+the start.  The uplink state is what the previous user leaves the next
+one: open (it is inactive, or took L while holding its own base station,
+which is all the next user asks of it), shut (it took L without its own
+base station) or R; idle is open.  A user that may take L takes it: L
+with its own base station held allows every later move that R allows, so
+R is the state only of a user that cannot take L.  The chain state after
+an active user m is (False, holds bs m, credit through m-1): a flag is
+known only at the second user of its pair, so the credit settles one
+user late.  Idle is (True, True, True), whatever the inactive user
+holds: the next user's move reads neither, and the pair after it earns
+credit whatever its flag.  It starts at a phantom user 0 that is active,
+holds bs 0 (so pair (0, 1) is never flagged) and has no credit.
 
 Next to its next, each rule states covers(a, b), a partial order on its
 states: a allows every move b allows, and each successor of a covers the
 matching successor of b, so covers is a simulation and no path from b
 counts more active users than the best path from a.  Downlink: a run no
 longer and a deadline no nearer.  Uplink: open, then shut, then R.
-Chain: componentwise on (after an inactive user, holds bs m, credit), so
-the state after an inactive user covers every state.  In each rule that
-state covers all others, and states with equal futures are one state
-(open is both "inactive" and "L on its own base station"; the chain
-keeps one state after an inactive user), so each order is antisymmetric.
+Chain: componentwise on (after an inactive user, holds bs m, credit).
+In each rule idle covers every state, so the inactive move, which leads
+every state to idle, keeps covers a simulation; and states with equal
+futures are one state (open is both "inactive" and "L on its own base
+station"; the chain has one idle state), so each order is antisymmetric.
 
 Each question about the rules has one pass.  For one association,
 `_lex_max` answers both sessions and the chain bound: a forward pass
-records each user's moves (state, activity, next state) from the states
-reachable before it; users with equal steps and equal reachable states
-share one record, so the rule's next runs once per distinct pair.  A
-backward pass over those records counts the most users still to come
-from each state, and an include-first forward pick takes every user that
-keeps that count reachable; neither calls next again.  It returns the
-largest set with the lexicographically greatest indicator vector, the
-same set an include-first branch and bound over ascending users finds,
-in O(k) for a fixed budget, and the chain bound is its size.  Set
-feasibility is `_reaches`: a count-free pass over state sets with each
-user's activity fixed, kept apart from the maximizer as the reference the
-tests compare it against.  For a family, `FamilyLayers` keeps the forward
-max-count layers of one rule, each as its shape (the layer less its
-largest count) and that count, and memoizes one user's step per (shape,
-step); each search or sweep builds one table per rule, so associations
-that share a prefix of options share its layers, and users whose options
-look the same from where they stand share its moves at every depth.
-Each layer is an antichain: a state that another state of the layer
-covers at no lower count is dropped, the antichain technique of De Wulf,
-Doyen, Henzinger and Raskin ("Antichains: a new algorithm for checking
+records, for each user, the states reachable before it, the state each
+of them leads to when the user is active, and the states reachable
+after it; users with equal steps and equal reachable states share one
+record, so the rule's next runs once per distinct pair.  A backward pass
+over those records counts the most users still to come from each state,
+the larger of the count from idle and one more than the count from its
+active successor, and an include-first forward pick follows the one
+state its choices reach and takes every user that keeps that count
+reachable; neither calls next again.  It returns the largest set with
+the lexicographically greatest indicator vector, the same set an
+include-first branch and bound over ascending users finds, in O(k) for a
+fixed budget, and the chain bound is its size.  Set feasibility is
+`_reaches`: a count-free pass that follows the one state each user's
+fixed activity leads to, kept apart from the maximizer as the reference
+the tests compare it against.  For a family, `FamilyLayers` keeps the
+forward max-count layers of one rule, each as its shape (its states at
+its largest count) and that count, and memoizes one user's step per
+(shape, step); each search or sweep builds one table per rule, so
+associations that share a prefix of options share its layers, and users
+whose options look the same from where they stand share its moves at
+every depth.  Each shape is an antichain: a state that another state of
+the layer covers is dropped, the antichain technique of De Wulf, Doyen,
+Henzinger and Raskin ("Antichains: a new algorithm for checking
 universality of finite automata", CAV 2006) with the simulation order of
 Abdulla, Chen, Holik, Mayr and Vojnar ("When simulation meets
-antichains", TACAS 2010).  `_lex_max` and `_reaches` keep full state
-sets: the include-first pick reads every state that keeps the count
-reachable, and the reference stays independent of the orders.
+antichains", TACAS 2010); idle, which covers every state, drops each
+state reached below the largest count one user later.  `_lex_max` and
+`_reaches` read no order, so the reference stays independent of them.
 
 One walk reads these tables.  `tuple_walk` walks a product of rules,
 and of other per-option values such as bitmasks, over distinct tuples:
@@ -115,11 +118,10 @@ from itertools import chain
 from math import inf
 
 _OPEN, _SHUT, _RIGHT = 0, 1, 2  # the uplink states, each covering the next
-_DL_START = (0, inf)  # no active run and no pending deadline
-_DL_IDLE = (_DL_START,)
-_UL_IDLE = (_OPEN,)
+_DL_START = _DL_IDLE = (0, inf)  # no active run and no pending deadline
+_UL_IDLE = _OPEN
 _CHAIN_START = (False, True, False)
-_CHAIN_IDLE = ((True, True, True),)
+_CHAIN_IDLE = (True, True, True)
 
 
 def _dl_step(k, m, cell):
@@ -145,19 +147,17 @@ def _dl_step(k, m, cell):
     return left, right
 
 
-def _dl_next(cap, step, state, active):
-    if not active:
-        return _DL_IDLE
+def _dl_next(cap, step, state):
     left, right = step
     run, due = state  # due: how far ahead the nearest pending deadline lies
     if not due:
-        return ()
+        return None
     if run >= left:  # left side closed: a user within right must be inactive
         if not right:
-            return ()
+            return None
         if right < due:
             due = right
-    return ((run + 1 if run < cap else cap, due - 1),)
+    return run + 1 if run < cap else cap, due - 1
 
 
 def _dl_covers(a, b):
@@ -166,18 +166,16 @@ def _dl_covers(a, b):
 
 
 def _ul_step(m, cell):
-    """(bs m-1 in C_m, states after R, states after L) of user m."""
-    right = (_RIGHT,) if m in cell else ()
-    left = _UL_IDLE if right else (_SHUT,)  # L on its own bs leaves the next user open
+    """(bs m-1 in C_m, state after R or None, state after L) of user m."""
+    right = _RIGHT if m in cell else None
+    left = _UL_IDLE if m in cell else _SHUT  # L on its own bs leaves the next user open
     return m >= 2 and m - 1 in cell, right, left
 
 
-def _ul_next(step, state, active):
-    if not active:
-        return _UL_IDLE
+def _ul_next(step, state):
     prev, right, left = step
     if state == _RIGHT:  # user m-1 waits on m at bs m-1, so m cannot take it
-        return right if prev else ()
+        return right if prev else None
     # L waits on user m-1 unless it is inactive; it must then hold bs m-1.
     return left if prev and state == _OPEN else right
 
@@ -192,15 +190,13 @@ def _chain_step(m, cell):
     return m == 1 or m - 1 in cell, m in cell
 
 
-def _chain_next(step, state, active):
-    if not active:
-        return _CHAIN_IDLE
+def _chain_next(step, state):
     left, own = step
     idle, prev_own, credit = state
     flagged = not (prev_own and left)  # users m-1 and m not both on bs m-1
     if flagged and not credit:
-        return ()
-    return ((False, own, idle or (credit and not flagged)),)
+        return None
+    return False, own, idle or (credit and not flagged)
 
 
 def _chain_covers(a, b):
@@ -214,27 +210,29 @@ def _steps(step, options):
 
 
 def dl_family(k, options):
-    """(start, next, steps, covers) of the downlink rule over a family.
+    """(start, idle, next, steps, covers) of the downlink rule over a family.
 
     options[m-1] lists the association sets user m may take, and
-    steps[m-1][o] is user m's step under options[m-1][o].  The run cap is
-    the longest left side of any option, so one cap serves the family.
+    steps[m-1][o] is user m's step under options[m-1][o].  next(step,
+    state) is the state after an active user, None when the rule forbids
+    it, and idle the state after an inactive user.  The run cap is the
+    longest left side of any option, so one cap serves the family.
     covers(a, b) is the rule's order on states: a allows every move b
     allows, and each successor of a covers the matching successor of b.
     """
     steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
-    return _DL_START, partial(_dl_next, cap), steps, _dl_covers
+    return _DL_START, _DL_IDLE, partial(_dl_next, cap), steps, _dl_covers
 
 
 def ul_family(options):
-    """(start, next, steps, covers) of the uplink rule over a family; see dl_family."""
-    return _OPEN, _ul_next, _steps(_ul_step, options), _ul_covers
+    """(start, idle, next, steps, covers) of the uplink rule over a family; see dl_family."""
+    return _OPEN, _UL_IDLE, _ul_next, _steps(_ul_step, options), _ul_covers
 
 
 def chain_family(options):
-    """(start, next, steps, covers) of the chain rule over a family; see dl_family."""
-    return _CHAIN_START, _chain_next, _steps(_chain_step, options), _chain_covers
+    """(start, idle, next, steps, covers) of the chain rule over a family; see dl_family."""
+    return _CHAIN_START, _CHAIN_IDLE, _chain_next, _steps(_chain_step, options), _chain_covers
 
 
 def _one_each(cells):
@@ -243,119 +241,97 @@ def _one_each(cells):
 
 
 def _lex_max(family):
-    start, nxt, steps, _covers = family
-    # moves[m-1] = (on, off, after): user m's (state, next state) moves from
-    # the states reachable before it when active and when inactive, and the
-    # states reachable after it.  The only pass that calls nxt.
+    start, idle, nxt, steps, _covers = family
+    # moves[m-1] = (before, on, after): the states reachable before user m,
+    # the state each of them leads to when m is active (none when the rule
+    # forbids it) and the states reachable after m.  The only pass that
+    # calls nxt.
     here, moves, seen = frozenset((start,)), [], {}
     for (step,) in steps:
         user = seen.get((step, here))
         if user is None:
-            on = [(s, t) for s in here for t in nxt(step, s, 1)]
-            off = [(s, t) for s in here for t in nxt(step, s, 0)]
-            user = seen[step, here] = on, off, frozenset(t for _s, t in chain(on, off))
+            on = {s: t for s in here if (t := nxt(step, s)) is not None}
+            user = seen[step, here] = here, on, frozenset((idle, *on.values()))
         moves.append(user)
         here = user[2]
     # togo[m][s]: most active users among m+1..k from state s before user m+1.
     togo = [dict.fromkeys(here, 0)]
-    for on, off, _here in reversed(moves):
-        after, best = togo[-1], {}
-        for gain, pairs in ((1, on), (0, off)):
-            for s, t in pairs:
-                if best.get(s, -1) < gain + after[t]:
-                    best[s] = gain + after[t]
-        togo.append(best)
+    for before, on, _after in reversed(moves):
+        after = togo[-1]
+        rest = after[idle]
+        togo.append({s: max(rest, 1 + after[on[s]]) if s in on else rest for s in before})
     togo.reverse()
-    states, want, chosen = {start}, togo[0][start], []
-    for m, ((on, off, _here), after) in enumerate(zip(moves, togo[1:]), 1):
-        taken = {t for s, t in on if s in states and after[t] == want - 1}
-        if taken:
+    state, want, chosen = start, togo[0][start], []
+    for m, ((_before, on, _after), after) in enumerate(zip(moves, togo[1:]), 1):
+        t = on.get(state)
+        if t is not None and after[t] == want - 1:
             chosen.append(m)
-            states, want = taken, want - 1
+            state, want = t, want - 1
         else:
-            states = {t for s, t in off if s in states and after[t] == want}
+            state = idle
     return frozenset(chosen)
 
 
 class FamilyLayers:
     """Forward max-count layers of one rule over a family, user by user.
 
-    A layer is a frozen map from state to the most active users on a path
-    reaching it, interned as an integer id; the start layer is id 0, and
-    best[lid] is the largest count in layer lid, which after the last user
-    is the size of the largest feasible active set.  row(lid, column)
-    lists the ids of the layers that a user leads to from layer lid, one
-    per step of column (its options' steps).
+    A layer is the set of states that prefixes of options reach with the
+    most active users, and that largest count, interned as an integer id;
+    the start layer is id 0, and best[lid] is the largest count of layer
+    lid, which after the last user is the size of the largest feasible
+    active set.  row(lid, column) lists the ids of the layers that a user
+    leads to from layer lid, one per step of column (its options' steps).
 
-    A layer keeps only the states reached at no fewer active users than
-    the largest count before the user, and of those only its antichain
-    under the rule's covers: a state goes when another covers it at a
-    count at least as large.  No maximum changes, since covers is a
-    simulation: every path from a dropped state is matched from the state
-    that covers it, at no fewer active users.  The first rule is a cheap
-    case of the second, since an inactive user leads each rule from a
-    state of that largest count to a state that covers every state.  The
-    orders are antisymmetric, so two states never drop each other.  After
-    the start, a layer is that state alone at its largest count, or that
-    state one below beside an antichain of states at the largest count,
-    so a rule has few shapes.
+    A layer keeps only its antichain under the rule's covers: a state goes
+    when another state of the layer covers it.  No maximum changes, since
+    covers is a simulation: every path from a dropped state is matched
+    from the state that covers it, at no fewer active users.  States
+    reached at lower counts are dropped for the same reason: one user
+    after a layer of largest count M, the inactive move leads each of its
+    states to idle at M, and idle covers every state, so a state reached
+    at M or less never counts again.  The orders are antisymmetric, so
+    two states never drop each other.
 
-    The step commutes with adding one number to every count, so a layer
-    is kept as its shape (the layer less its largest count, interned on
-    its own) and that count, and the step runs once per (shape, step).
-    On a miss it folds each state's inactive successors at the state's
-    count and its active ones at one more into the best count per state,
-    then, when more than one state is left, keeps each state that no other
-    covers at no lower count.  Steps and states hold no position, so a
-    move serves every depth and every layer of its shape: users whose
-    options look the same from where they stand share it, whatever counts
-    their prefixes reached.
+    A layer is kept as its shape (its states, interned on their own) and
+    its largest count; a step reads no count, so it runs once per (shape,
+    step) and adds its gain to the count.  On a miss the shape after is
+    the antichain of the active successors of the shape's states, at one
+    more user than before; when the rule allows none, it is idle alone at
+    the same count.  Steps and states hold no position, so a move serves
+    every depth and every layer of its shape: users whose options look the
+    same from where they stand share it, whatever counts their prefixes
+    reached.
     """
 
     def __init__(self, family):
-        start, self._next, self.steps, self._covers = family
-        self._shapes = [{start: 0}]
-        self._shape_ids = {((start, 0),): 0}
+        start, self._idle, self._next, self.steps, self._covers = family
+        self._shapes = [frozenset((start,))]
+        self._shape_ids = {self._shapes[0]: 0}
         self._layers = [(0, 0)]  # (shape, largest count) of each layer
         self._ids = {(0, 0): 0}
         self._moves = {}  # (shape, step) -> (shape after, gain in count)
         self.best = [0]
 
-    def _shape(self, layer):
-        key = tuple(sorted(layer.items()))
-        sid = self._shape_ids.get(key)
+    def _shape(self, states):
+        sid = self._shape_ids.get(states)
         if sid is None:
-            sid = self._shape_ids[key] = len(self._shapes)
-            self._shapes.append(layer)
+            sid = self._shape_ids[states] = len(self._shapes)
+            self._shapes.append(states)
         return sid
 
     def _move(self, lid, step):
         sid, count = self._layers[lid]
         moved = self._moves.get((sid, step))
         if moved is None:
-            # Shape counts are at most 0, so the -1 default drops every state
-            # reached below the largest count before the user.
-            layer, nxt, covers = {}, self._next, self._covers
-            get = layer.get
-            for s, n in self._shapes[sid].items():
-                for t in nxt(step, s, 0):
-                    if get(t, -1) < n:
-                        layer[t] = n
-                for t in nxt(step, s, 1):
-                    if get(t, -1) <= n:
-                        layer[t] = n + 1
-            if len(layer) > 1:
-                # The antichain: no state that another covers at no lower count.
-                kept = {}
-                for t, n in layer.items():
-                    for u, m in layer.items():
-                        if m >= n and u != t and covers(u, t):
-                            break
-                    else:
-                        kept[t] = n
-                layer = kept
-            gain = max(layer.values())
-            moved = self._moves[sid, step] = self._shape({s: n - gain for s, n in layer.items()}), gain
+            top = {self._next(step, s) for s in self._shapes[sid]} - {None}
+            if top:
+                # The antichain: no state that another covers.
+                covers = self._covers
+                top = frozenset(t for t in top if not any(u != t and covers(u, t) for u in top))
+                moved = self._shape(top), 1
+            else:
+                moved = self._shape(frozenset((self._idle,))), 0
+            self._moves[sid, step] = moved
         key = moved[0], count + moved[1]
         lid = self._ids.get(key)
         if lid is None:
@@ -458,15 +434,17 @@ def tuple_ends(rows):
 def _reaches(family, active):
     """Whether the rule lets exactly the users in active be active.
 
-    family offers one option per user; the pass keeps the set of states
-    that the fixed activities reach, and no counts.
+    family offers one option per user; the pass follows the one state that
+    the fixed activities reach, and no counts.
     """
-    start, nxt, steps, _covers = family
-    here = {start}
+    start, idle, nxt, steps, _covers = family
+    state = start
     for m, (step,) in enumerate(steps, 1):
-        a = m in active
-        here = {t for s in here for t in nxt(step, s, a)}
-    return bool(here)
+        if m not in active:
+            state = idle
+        elif (state := nxt(step, state)) is None:
+            return False
+    return True
 
 
 def chain_max(cells):
@@ -479,7 +457,7 @@ def dl_set_feasible(k, cells, active):
     return _reaches(dl_family(k, _one_each(cells)), active)
 
 
-def ul_set_feasible(k, cells, active):
+def ul_set_feasible(cells, active):
     """Whether the active messages admit a decode-and-pass order."""
     return _reaches(ul_family(_one_each(cells)), active)
 
@@ -489,6 +467,6 @@ def dl_max_active(k, cells):
     return _lex_max(dl_family(k, _one_each(cells)))
 
 
-def ul_max_active(k, cells):
+def ul_max_active(cells):
     """Largest decode-and-pass-feasible active set, include-first on ties."""
     return _lex_max(ul_family(_one_each(cells)))

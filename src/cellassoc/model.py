@@ -272,9 +272,9 @@ def validate_association(assoc: CellAssociation) -> list[Violation]:
             violations.append(Violation(i=i, reason=f"size {len(cell)} > {assoc.nc}"))
         out = sorted(j for j in cell if not 1 <= j <= assoc.k)
         if out:
-            violations.append(
-                Violation(i=i, reason=f"bs indices {out} out of range [1..{assoc.k}]")
-            )
+            where = f" out of range [1..{assoc.k}]"
+            reason = shown(out, "bs indices ", where) or f"{len(out)} bs indices{where}"
+            violations.append(Violation(i=i, reason=reason))
     return violations
 
 

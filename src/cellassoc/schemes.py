@@ -214,8 +214,8 @@ def _tiled_uplink(assoc, length, off, tail) -> frozenset[int]:
     first full block's maximum is placed at every block offset below off
     and the tail's maximum at off.
     """
-    block = _kernels.ul_max_active(length, assoc.cells[:length])
-    last = _kernels.ul_max_active(len(tail), tail)
+    block = _kernels.ul_max_active(assoc.cells[:length])
+    last = _kernels.ul_max_active(tail)
     blocks = (b + u for b in range(0, off, length) for u in block)
     return frozenset(chain(blocks, (off + u for u in last)))
 

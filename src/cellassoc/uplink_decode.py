@@ -168,7 +168,7 @@ def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     Exact at every k: the line DP returns the largest active set, ties
     going to the lexicographically smallest one.
     """
-    active = _kernels.ul_max_active(assoc.k, assoc.cells)
+    active = _kernels.ul_max_active(assoc.cells)
     return UlEvaluation(
         sum_dof=len(active),
         active_users=active,

@@ -352,7 +352,7 @@ def test_criterion_9_brute_force_equivalence(announce):
                     active = [i for i in range(1, k + 1) if bits >> (i - 1) & 1]
                     dl_rank = _pure.dl_set_feasible(k, assoc.cells, active)
                     dl_brute = _brute_dl(k, assoc.cells, h0, h1, active, prime)
-                    ul_fix = _pure.ul_set_feasible(k, assoc.cells, active)
+                    ul_fix = _pure.ul_set_feasible(assoc.cells, active)
                     ul_brute = _brute_ul(k, assoc.cells, active)
                     checked += 1
                     if dl_rank != dl_brute or ul_fix != ul_brute:

@@ -9,7 +9,8 @@ few listed in KEPT_PUBLIC with their reasons.  A package's __init__.py
 re-exports its public imports, so only its private imports must be read
 there, and a name listed in a module's __all__ counts as read.  Tests and
 the benchmark do not count as readers: code that only they reach belongs
-with them.
+with them.  Every parameter of a function or lambda must be read by it,
+unless its name starts with an underscore or it is a method's self or cls.
 
 The integer rule "an int that is not a bool" is written once, in
 model.check_int (and the JSON reader model.bool_from_json needs the bool
@@ -121,6 +122,39 @@ def unread(parsed, names):
     ]
 
 
+def unread_parameters(tree):
+    """(line, function, parameter) of each parameter that its function never reads.
+
+    Functions and lambdas count alike (a lambda's function is "lambda"),
+    and a read in a nested function counts.  Exempt are a name that starts
+    with an underscore, which marks a parameter a caller's interface needs,
+    and the first parameter of a method (self or cls), which the binding
+    passes.
+    """
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if id(node) in methods:
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {
+            sub.id
+            for statement in body
+            for sub in ast.walk(statement)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        out += [
+            (param.lineno, getattr(node, "name", "lambda"), param.arg)
+            for param in params
+            if param is not None and not param.arg.startswith("_") and param.arg not in reads
+        ]
+    return out
+
+
 def bool_tests(tree, allowed=frozenset()):
     """Lines of isinstance(..., bool) calls outside the functions named in allowed."""
     inside = {
@@ -162,6 +196,15 @@ def test_every_public_def_is_exported_or_read():
     assert found == set(KEPT_PUBLIC), found ^ set(KEPT_PUBLIC)
 
 
+def test_every_parameter_is_read():
+    found = [
+        f"{path}:{line} {function}({param})"
+        for path, tree in modules()
+        for line, function, param in unread_parameters(tree)
+    ]
+    assert not found, found
+
+
 def test_the_checks_see_dead_code():
     tree = ast.parse(
         "from typing import Sequence\n"
@@ -183,6 +226,22 @@ def test_the_checks_see_dead_code():
         ("c.py", ast.parse("def imported():\n    return 2\nclass Unused:\n    pass\n")),
     ]
     assert unread(package, public_defs) == [("b.py", 2, "unread"), ("c.py", 3, "Unused")]
+    tree = ast.parse(
+        "class C:\n"
+        "    @classmethod\n"
+        "    def make(cls, data, spare):\n"
+        "        return [x for x in data]\n"
+        "def f(a, *args, _unused, key=1, **extra):\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g, lambda y, _z: key\n"
+    )
+    assert sorted(unread_parameters(tree)) == [
+        (3, "make", "spare"),
+        (5, "f", "args"),
+        (5, "f", "extra"),
+        (8, "lambda", "y"),
+    ]
 
 
 def test_bool_tests_live_in_the_model_helpers():

@@ -8,6 +8,7 @@ the tests here run them on long ones.
 """
 
 import itertools
+from functools import partial
 from math import inf
 
 import cellassoc._kernels as kernels
@@ -19,6 +20,7 @@ from cellassoc import (
     pair_association,
     search,
 )
+from cellassoc._kernels import _pure
 from cellassoc.bounds import chain_flags
 from test_properties import ref_chain_dp
 
@@ -32,7 +34,7 @@ def test_set_checks_take_any_k():
     k = 70
     cells = [{i - 1, i} - {0} for i in range(1, k + 1)]
     everyone = set(range(1, k + 1))
-    assert kernels.ul_set_feasible(k, cells, everyone)
+    assert kernels.ul_set_feasible(cells, everyone)
     assert not kernels.dl_set_feasible(k, cells, everyone)
 
 
@@ -42,7 +44,7 @@ def test_pair_association_maxima_on_a_long_line():
     assoc = pair_association(k)
     dl = kernels.dl_max_active(k, assoc.cells)
     assert dl == {i for i in range(1, k + 1) if i % 3 != 2}
-    assert kernels.ul_max_active(k, assoc.cells) == set(range(1, k + 1))
+    assert kernels.ul_max_active(assoc.cells) == set(range(1, k + 1))
     dl_ev, ul_ev = max_downlink_dof(assoc), max_uplink_dof(assoc)
     assert dl_ev.to_json()["exact"] is True and ul_ev.to_json()["exact"] is True
     assert (dl_ev.sum_dof, ul_ev.sum_dof) == (13333, 20000)
@@ -59,14 +61,14 @@ def test_chain_bound_and_set_checks_on_long_lines():
         k, cells = assoc.k, assoc.cells
         assert kernels.chain_max(cells) == ref_chain_dp(k, chain_flags(assoc)) == chain
         for maximize, feasible in (
-            (kernels.dl_max_active, kernels.dl_set_feasible),
+            (partial(kernels.dl_max_active, k), partial(kernels.dl_set_feasible, k)),
             (kernels.ul_max_active, kernels.ul_set_feasible),
         ):
-            active = maximize(k, cells)
-            assert feasible(k, cells, active)
+            active = maximize(cells)
+            assert feasible(cells, active)
             idle = sorted(set(range(1, k + 1)) - active)
             for extra in idle[:1] + idle[-1:]:
-                assert not feasible(k, cells, active | {extra})
+                assert not feasible(cells, active | {extra})
 
 
 def test_rules_on_tiny_cases():
@@ -74,8 +76,8 @@ def test_rules_on_tiny_cases():
     assert not kernels.dl_set_feasible(2, [{1}, {1, 2}], {1, 2})
     assert kernels.dl_set_feasible(2, [{1}, {1, 2}], {1})
     # Both users can only reach bs 1: whoever decodes first blocks the other.
-    assert not kernels.ul_set_feasible(2, [{1}, {1}], {1, 2})
-    assert kernels.ul_max_active(2, [{1}, {1}]) == {1}
+    assert not kernels.ul_set_feasible([{1}, {1}], {1, 2})
+    assert kernels.ul_max_active([{1}, {1}]) == {1}
     # An empty or off-line association never serves; the empty set is feasible.
     assert kernels.dl_max_active(3, [set(), {0}, {4}]) == set()
     assert kernels.dl_set_feasible(3, [set(), set(), set()], set())
@@ -94,35 +96,46 @@ def test_rules_are_stationary_on_a_windowed_family():
                 kernels.ul_family(options),
                 kernels.chain_family(options),
             )
-            for _start, _next, steps, _covers in families:
+            for _start, _idle, _next, steps, _covers in families:
                 interior = steps[w : k - w - 1]
                 assert len(interior) >= 3
                 assert all(user == interior[0] for user in interior), (nc, w)
             # A downlink state is (run, distance to the pending deadline):
             # both stay within the window, whatever k and the depth.
-            start, nxt, steps, _covers = families[0]
+            start, idle, nxt, steps, _covers = families[0]
             states = {start}
             for user in steps:
-                states = {
-                    t for s in states for step in user for a in (1, 0) for t in nxt(step, s, a)
-                }
+                states = {nxt(step, s) for s in states for step in user} - {None} | {idle}
                 assert all(run <= w and (due == inf or due <= w) for run, due in states), (nc, w)
 
 
-def test_uplink_next_returns_at_most_one_state():
-    # L with the user's own base station held allows every later move that
-    # R allows, so a user that may take L never branches into R as well.
-    states = range(3)  # inactive or L holding its own bs, L without it, R
+def test_each_rule_moves_to_at_most_one_state_that_idle_covers():
+    # next(step, state) is the one state after an active user, or None when
+    # the rule forbids the move, and the state after an inactive user covers
+    # it.  The uplink takes L first: when L is allowed (the user holds bs m-1
+    # and user m-1 leaves it open), next is the L state, which covers R.
     for k in range(1, 5):
         every_cell = [
             frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)
         ]
-        _start, nxt, steps, _covers = kernels.ul_family([every_cell] * k)
-        for user in steps:
-            for step in user:
-                for state in states:
-                    for active in (0, 1):
-                        assert len(nxt(step, state, active)) <= 1, (k, step, state, active)
+        options = [every_cell] * k
+        rules = (
+            kernels.dl_family(k, options),
+            kernels.ul_family(options),
+            kernels.chain_family(options),
+        )
+        for name, (start, idle, nxt, steps, covers) in zip(("dl", "ul", "chain"), rules):
+            here = {start}
+            for user in steps:
+                after = {idle}
+                for step, state in itertools.product(user, here):
+                    t = nxt(step, state)
+                    assert t is None or covers(idle, t), (name, k, step, state, t)
+                    if name == "ul" and step[0] and state == _pure._OPEN:
+                        _prev, right, left = step
+                        assert t == left and (right is None or covers(left, right)), (k, step)
+                    after.add(t)
+                here = after - {None}
 
 
 def test_ordered_find_descends_past_the_recursion_limit():
@@ -140,7 +153,7 @@ def test_layers_keep_their_antichains_small():
     # A layer that keeps a covered state still gives every right answer, so
     # only sizes show the loss: the shapes of each rule's table and the
     # widest depth of the (dl, ul) walk of a search.
-    for (k, nc, w), shapes, widest in (((5, 2, 1), [4, 3, 6], 38), ((16, 3, 2), [9, 3, 6], 1268)):
+    for (k, nc, w), shapes, widest in (((5, 2, 1), [4, 3, 5], 38), ((16, 3, 2), [9, 3, 5], 1268)):
         options = search._user_options(k, nc, w)
         pair = kernels.dl_family(k, options), kernels.ul_family(options)
         tables, rows, _last = search._walk(pair)

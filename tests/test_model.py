@@ -155,6 +155,15 @@ def test_validate_association_reports_instead_of_raising():
     assert validate_association(association(2, 1, [[], []])) == []
 
 
+def test_validate_association_reports_indices_too_long_to_print():
+    # 10**5000 has more digits than Python converts to a str by default, so
+    # the reason counts the out-of-range indices instead of listing them.
+    problems = validate_association(association(3, 2, [[1], [2], [10**5000, 0]]))
+    assert [(v.i, v.reason) for v in problems] == [(3, "2 bs indices out of range [1..3]")]
+    problems = validate_association(association(3, 2, [[1], [2], [7, 0]]))
+    assert [(v.i, v.reason) for v in problems] == [(3, "bs indices [0, 7] out of range [1..3]")]
+
+
 def test_fraction_helpers():
     assert frac_to_str(Fraction(10, 12)) == "5/6"
     assert frac_to_str(4) == "4"

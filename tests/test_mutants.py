@@ -6,10 +6,17 @@ test here puts each mutant in place in turn, calls each of its killers
 as a plain function (no subprocess, no fixtures) and fails when a killer
 passes, that is when a mutant survives, or when a mutant's target or a
 killer no longer exists.  A killer must therefore take no argument but
-those its hypothesis strategies fill.
+those its hypothesis strategies fill.  A mutant of a function may be the
+function's own source with one piece of it replaced (_edited), so that
+it stays the real code but for that piece.
+
+EQUIVALENT lists the mutants, recorded by earlier changes or planned,
+that no test can kill, each with the reason: the code can no longer
+express them, or they leave every table the same.
 """
 
 import importlib
+import inspect
 from unittest import mock
 
 from cellassoc import _kernels, schemes
@@ -20,8 +27,8 @@ def _tiling(tail_shift=0, blocks_dropped=0, block_on_tail=False):
     """schemes._tiled_uplink with one of its three parts wrong."""
 
     def tiled(assoc, length, off, tail):
-        block = _kernels.ul_max_active(length, tail if block_on_tail else assoc.cells[:length])
-        last = _kernels.ul_max_active(len(tail), tail)
+        block = _kernels.ul_max_active(tail if block_on_tail else assoc.cells[:length])
+        last = _kernels.ul_max_active(tail)
         starts = range(0, off - blocks_dropped * length, length)
         shifted = [off + tail_shift + u for u in last]
         return frozenset([b + u for b in starts for u in block] + shifted)
@@ -29,10 +36,20 @@ def _tiling(tail_shift=0, blocks_dropped=0, block_on_tail=False):
     return tiled
 
 
+def _edited(function, old, new):
+    """function rebuilt from its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, (function.__qualname__, old)
+    namespace = {}
+    exec(source.replace(old, new), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
 _UL_RANK_R_ABOVE_SHUT = {_pure._OPEN: 0, _pure._RIGHT: 1, _pure._SHUT: 2}
 
 TILING = ["test_schemes::test_block_plans_match_the_whole_line_uplink_maximum"]
 ORDERS = ["test_properties::test_each_rule_order_is_a_simulation"]
+ORACLES = ["test_properties::test_rules_match_oracles"]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -57,7 +74,47 @@ MUTANTS = [
         lambda a, b: a[0] >= b[0] and a[1] >= b[1],
         ORDERS,
     ),
+    (
+        "set check lets a forbidden active user go idle",
+        (_pure, "_reaches"),
+        _edited(_pure._reaches, "return False", "state = idle"),
+        ORACLES,
+    ),
+    (
+        "set check treats every user as active",
+        (_pure, "_reaches"),
+        _edited(_pure._reaches, "if m not in active:", "if False:"),
+        ORACLES,
+    ),
+    (
+        "line DP pick tries idle first",
+        (_pure, "_lex_max"),
+        _edited(_pure._lex_max, "if t is not None and after[t] == want - 1:", "if after[idle] < want:"),
+        ["test_properties::test_line_dp_matches_branch_and_bound"],
+    ),
+    (
+        # bounds reads the binding of _kernels, so a patch of _pure.chain_max survives.
+        "chain bound maximizes the uplink rule",
+        (_kernels, "chain_max"),
+        lambda cells: len(_pure.ul_max_active(cells)),
+        ["test_bounds::test_chain_bound_on_fully_flagged_chains"],
+    ),
 ]
+
+# Mutants recorded by earlier changes, or asked for, that cannot be killed:
+# the code can no longer express them, or they compute the same tables.
+EQUIVALENT = {
+    "set check keeps only the first next state": (
+        "next returns one state or None, so there is no later state to drop"
+    ),
+    "layer fold without its pruning (default -inf)": (
+        "a shape is the layer's states at its largest count, with no per-state counts to prune"
+    ),
+    "layer miss that skips the antichain": (
+        "every shape holds one state: the start shape does, and a miss maps a shape through "
+        "one step's next, which returns at most one state, so the antichain drops nothing"
+    ),
+}
 
 
 def _killer(name):

@@ -246,7 +246,7 @@ def ref_session_sums(k, options):
         dl = len(_kernels.dl_max_active(k, combo))
         ul = ul_memo.get(pruned)
         if ul is None:
-            ul = ul_memo[pruned] = len(_kernels.ul_max_active(k, pruned))
+            ul = ul_memo[pruned] = len(_kernels.ul_max_active(pruned))
         yield combo, dl, ul
 
 
@@ -279,10 +279,12 @@ def ref_chain_dp(k: int, flags) -> int:
 def ref_layer_move(rule, shape, step):
     """(shape after, gain) of one user's step from a layer shape.
 
-    The fold FamilyLayers._move ran on a table miss before its loops were
-    unrolled: the best count of each successor over both activities, then
-    the antichain under the rule's covers, then the shape less its largest
-    count.
+    The fold FamilyLayers._move ran on a table miss while a shape mapped
+    each state to its count less the largest: the best count of each
+    successor over both activities, then the antichain under the rule's
+    covers, then the shape less its largest count.  rule is an automaton
+    whose next(step, state, active) returns a tuple of states (see
+    ref_automaton).
     """
     _start, nxt, _steps, covers = rule
     layer = {}
@@ -298,6 +300,23 @@ def ref_layer_move(rule, shape, step):
     }
     gain = max(layer.values())
     return {s: n - gain for s, n in layer.items()}, gain
+
+
+def ref_automaton(rule):
+    """(start, next, steps, covers) of a rule, its next(step, state, active) a tuple of states.
+
+    The interface ref_layer_move was written for: an active user leads to
+    the rule's one next state or to none, an inactive one to idle.
+    """
+    start, idle, nxt, steps, covers = rule
+
+    def next_states(step, state, active):
+        if not active:
+            return (idle,)
+        t = nxt(step, state)
+        return () if t is None else (t,)
+
+    return start, next_states, steps, covers
 
 
 def ref_good_blocks(k, nc, cells, strict):
@@ -634,7 +653,7 @@ def test_every_plan_passes_both_references(builder, nc, k, seeds, prime):
     )
     assert feasible and witness is not None
     assert _kernels.dl_set_feasible(k, stripped.cells, plan.dl_active_users)
-    assert _kernels.ul_set_feasible(k, assoc.cells, plan.ul_active_users)
+    assert _kernels.ul_set_feasible(assoc.cells, plan.ul_active_users)
     order = ref_uplink_feasible(assoc, plan.ul_active_users)
     assert order is not None and verify_order(order, assoc, plan.ul_active_users)
 
@@ -654,7 +673,7 @@ def test_rules_match_oracles(case, seed, prime):
     )
     assert _kernels.dl_set_feasible(k, cells, active) == served
     decodable = uplink_feasible(assoc, active) is not None
-    assert _kernels.ul_set_feasible(k, cells, active) == decodable
+    assert _kernels.ul_set_feasible(cells, active) == decodable
 
 
 @SETTINGS
@@ -669,7 +688,7 @@ def test_line_dp_matches_branch_and_bound(case, seed, prime):
     assert _kernels.dl_max_active(k, cells) == dl
     ul_candidates = [m for m in range(1, k + 1) if assoc.cells[m - 1] & connected_bs(m, k)]
     ul = ref_max_active(ul_candidates, lambda s: uplink_feasible(assoc, s) is not None)
-    assert _kernels.ul_max_active(k, cells) == ul
+    assert _kernels.ul_max_active(cells) == ul
 
 
 def test_chain_dp_matches_reference_on_every_flag_set():
@@ -697,61 +716,65 @@ def test_tuple_ends_match_per_candidate_maxima(family):
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_each_rule_order_is_a_simulation(family):
-    # FamilyLayers drops a state from a layer when another covers it at no
-    # lower count, which keeps every maximum only if covers(a, b) means: a
-    # allows every move b allows, and each successor of a covers the
-    # matching successor of b; and two states that cover each other are one.
+    # FamilyLayers drops a state from a layer when another covers it, which
+    # keeps every maximum only if covers(a, b) means: a allows every move b
+    # allows, and each successor of a covers the matching successor of b;
+    # and two states that cover each other are one.  An inactive user leads
+    # every state to idle, which must cover every state.
     k, options = family
     for rule in (
         _kernels.dl_family(k, options),
         _kernels.ul_family(options),
         _kernels.chain_family(options),
     ):
-        start, nxt, steps, covers = rule
-        states, here = {start}, {start}
+        start, idle, nxt, steps, covers = rule
+        states, here = {start, idle}, {start}
         for user in steps:
-            here = {t for s in here for step in user for a in (1, 0) for t in nxt(step, s, a)}
+            here = {nxt(step, s) for s in here for step in user} - {None} | {idle}
             states |= here
         every_step = {step for user in steps for step in user}
         for a, b in itertools.product(states, repeat=2):
             if not covers(a, b):
                 continue
             assert a == b or not covers(b, a), (a, b)
-            for step, active in itertools.product(every_step, (1, 0)):
-                after = nxt(step, a, active)
-                for t in nxt(step, b, active):
-                    assert any(covers(u, t) for u in after), (a, b, step, active, t)
-        assert all(covers(s, s) for s in states)
-        # Each layer is an antichain of states the rule reaches.  After the
-        # start it is the state after an inactive user (which covers every
-        # state) at the largest count, or one below beside the others.
+            for step in every_step:
+                # The active successors, then the inactive ones.
+                for u, t in ((nxt(step, a), nxt(step, b)), (idle, idle)):
+                    assert t is None or (u is not None and covers(u, t)), (a, b, step, t)
+        assert all(covers(s, s) and covers(idle, s) for s in states)
+        # Each shape is an antichain of states the rule reaches.
         table = _kernels.FamilyLayers(rule)
         _kernels.tuple_walk([(table.row, table.steps)])
-        (idle,) = nxt(steps[0][0], start, 0)
         for shape in table._shapes:
-            assert set(shape) <= states
-            for (u, m), (t, n) in itertools.permutations(shape.items(), 2):
-                assert not (m >= n and covers(u, t)), (shape, u, t)
-        for shape in table._shapes[1:]:
-            others = {n for s, n in shape.items() if s != idle}
-            assert (shape[idle], others) in ((0, set()), (-1, {0})), shape
+            assert isinstance(shape, frozenset) and shape and shape <= states
+            for u, t in itertools.permutations(shape, 2):
+                assert not covers(u, t), (shape, u, t)
 
 
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_layer_moves_match_the_reference_fold(family):
+    # A shape is the layer's states at its largest count.  Fed the whole
+    # layer (idle one below, as an inactive user before it left it), the
+    # reference keeps the same states at its largest count, the same gain,
+    # and nothing below it but idle.
     k, options = family
     for rule in (
         _kernels.dl_family(k, options),
         _kernels.ul_family(options),
         _kernels.chain_family(options),
     ):
+        idle = rule[1]
         table = _kernels.FamilyLayers(rule)
         _kernels.tuple_walk([(table.row, table.steps)])
         assert table._moves
         for (sid, step), (after, gain) in table._moves.items():
-            expected = ref_layer_move(rule, table._shapes[sid], step)
-            assert (table._shapes[after], gain) == expected, (table._shapes[sid], step)
+            shape = table._shapes[sid]
+            layer = {idle: -1, **dict.fromkeys(shape, 0)}
+            expected, expected_gain = ref_layer_move(ref_automaton(rule), layer, step)
+            top = frozenset(s for s, n in expected.items() if n == 0)
+            assert (table._shapes[after], gain) == (top, expected_gain), (shape, step)
+            assert all(n == 0 or (s, n) == (idle, -1) for s, n in expected.items()), expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -75,7 +75,7 @@ def test_block_plans_match_the_whole_line_uplink_maximum():
     def check(cases):
         for k, nc in cases:
             plan = downlink_optimal(k, nc)
-            assert plan.ul_active_users == _kernels.ul_max_active(k, plan.assoc.cells), (k, nc)
+            assert plan.ul_active_users == _kernels.ul_max_active(plan.assoc.cells), (k, nc)
 
     check((k, nc) for k in range(1, 61) for nc in range(1, 6))
     # Long lines skip the certification, which the short ones run.
@@ -85,9 +85,9 @@ def test_block_plans_match_the_whole_line_uplink_maximum():
     lengths = []
     real = _kernels.ul_max_active
 
-    def counted(k, cells):
+    def counted(cells):
         lengths.append(len(cells))
-        return real(k, cells)
+        return real(cells)
 
     with mock.patch.object(_kernels, "ul_max_active", counted):
         downlink_optimal(10**4, 3)
