@@ -3,15 +3,16 @@
 One pure-Python implementation (`_pure`) of three value-free local rules
 (downlink zero-forcing, uplink decode-and-pass, the chain bound) as
 left-to-right automata: an active user leads each rule to one next state
-or to none, and an inactive user to its one idle state.  One pass per
-question runs over them: a DP that maximizes a session, or the chain
-bound, exactly at every k in O(k) for a fixed budget; a count-free
-reachability pass that decides whether one active set is feasible, the
-reference the tests check the DP against; and memoized forward
-max-count layers over a family (`FamilyLayers`, one table per rule and
-walk), each layer kept as the antichain of its states at its largest
-count under the rule's order `covers`, a simulation stated next to the
-rule.
+or to none, and an inactive user to its one idle state, which covers
+every state under the rule's order `covers`, a simulation stated next to
+the rule.  So taking every user the rule allows is exact, and one pass
+per question runs over them: a greedy pass that maximizes a session, or
+the chain bound, exactly at every k in O(k) for a fixed budget; a
+count-free reachability pass that decides whether one active set is
+feasible, the reference the tests check the greedy pass against; and
+memoized forward layers over a family (`FamilyLayers`, one table per
+rule and walk), each layer one state and its count, moved by the same
+greedy step.
 `tuple_walk` is the one family walk: it walks the distinct tuples of
 layers (and of other per-option values) that a family reaches, and three
 readers answer from its rows: `tuple_counts` counts the associations

@@ -1,4 +1,4 @@
-"""The two feasibility rules, the chain bound's rule and the line DP.
+"""The two feasibility rules, the chain bound's rule and their passes.
 
 cells[i-1] is the association set of user i: any container of base-station
 indices that supports `in`; indices outside 1..k are ignored.  Active sets
@@ -28,30 +28,31 @@ is flagged unless both users hold bs m-1, and both users of a flagged
 pair may be active only with credit: an inactive user z < m-1 and no
 flag between z and m-1.  The bound is the most users this rule allows.
 
-Each rule is a left-to-right automaton over the users, built over a
-family of associations that offers each user a list of options; a single
-association is the family with one option per user.  User m's step is a
-tuple of parameters read from C_m as seen from m.  next(step, state) is
-the state the automaton moves to when that user is active, None when the
-rule forbids it, and an inactive user always leads to the rule's one
-idle state.  No step or state holds k or a user index, so the automata
-are stationary: users whose options look the same from where they stand
-have equal steps.  The downlink state is (length of the active run
-ending at the previous user, how far ahead of the next user the nearest
-pending right deadline lies, inf when none), with the run length capped
-at the longest left side of any step; idle is (0, inf), which is also
-the start.  The uplink state is what the previous user leaves the next
-one: open (it is inactive, or took L while holding its own base station,
-which is all the next user asks of it), shut (it took L without its own
-base station) or R; idle is open.  A user that may take L takes it: L
-with its own base station held allows every later move that R allows, so
-R is the state only of a user that cannot take L.  The chain state after
-an active user m is (False, holds bs m, credit through m-1): a flag is
-known only at the second user of its pair, so the credit settles one
-user late.  Idle is (True, True, True), whatever the inactive user
-holds: the next user's move reads neither, and the pair after it earns
-credit whatever its flag.  It starts at a phantom user 0 that is active,
-holds bs 0 (so pair (0, 1) is never flagged) and has no credit.
+Each rule is a left-to-right automaton over the users, run on one
+association or built over a family of associations that offers each user
+a list of options.  User m's step is a tuple of parameters read from C_m
+as seen from m.  next(step, state) is the state the automaton moves to
+when that user is active, None when the rule forbids it, and an inactive
+user always leads to the rule's one idle state.  No step or state holds
+k or a user index, so the automata are stationary: users whose options
+look the same from where they stand have equal steps.  The downlink state
+is (length of the active run ending at the previous user, how far ahead
+of the next user the nearest pending right deadline lies, inf when
+none), with the run length capped over a family at the longest left side
+of any step, and uncapped on one association; idle is (0, inf), which is
+also the start.  The uplink state is what the previous user leaves the
+next one: open (it is inactive, or took L while holding its own base
+station, which is all the next user asks of it), shut (it took L without
+its own base station) or R; idle is open.  A user that may take L takes
+it: L with its own base station held allows every later move that R
+allows, so R is the state only of a user that cannot take L.  The chain
+state after an active user m is (False, holds bs m, credit through m-1):
+a flag is known only at the second user of its pair, so the credit
+settles one user late.  Idle is (True, True, True), whatever the
+inactive user holds: the next user's move reads neither, and the pair
+after it earns credit whatever its flag.  It starts at a phantom user 0
+that is active, holds bs 0 (so pair (0, 1) is never flagged) and has no
+credit.
 
 Next to its next, each rule states covers(a, b), a partial order on its
 states: a allows every move b allows, and each successor of a covers the
@@ -63,37 +64,32 @@ In each rule idle covers every state, so the inactive move, which leads
 every state to idle, keeps covers a simulation; and states with equal
 futures are one state (open is both "inactive" and "L on its own base
 station"; the chain has one idle state), so each order is antisymmetric.
+No pass reads covers: it is the witness of the argument below, and the
+tests check that each order is a simulation.
 
 Each question about the rules has one pass.  For one association,
-`_lex_max` answers both sessions and the chain bound: a forward pass
-records, for each user, the states reachable before it, the state each
-of them leads to when the user is active, and the states reachable
-after it; users with equal steps and equal reachable states share one
-record, so the rule's next runs once per distinct pair.  A backward pass
-over those records counts the most users still to come from each state,
-the larger of the count from idle and one more than the count from its
-active successor, and an include-first forward pick follows the one
-state its choices reach and takes every user that keeps that count
-reachable; neither calls next again.  It returns the largest set with
-the lexicographically greatest indicator vector, the same set an
-include-first branch and bound over ascending users finds, in O(k) for a
-fixed budget, and the chain bound is its size.  Set feasibility is
+`_greedy` answers both sessions and the chain bound: it reads each
+user's step when it reaches that user, takes the user when next returns
+a state and otherwise moves to idle.  Taking every user the rule allows
+is exact, by the simulation argument of Abdulla, Chen, Holik, Mayr and
+Vojnar ("When simulation meets antichains", TACAS 2010).  Let best_m(s)
+be the most users among m+1..k that can be active from state s after
+user m.  An inactive user m+1 leads every state to idle, so best_m(t) >=
+best_{m+1}(idle) for every t; idle covers the state an active user m+1
+leads to, so best_m(idle) <= 1 + best_{m+1}(idle).  So when t =
+next(step_m, s) exists, 1 + best_m(t) >= best_m(idle): taking an allowed
+user never loses the maximum.  The pass therefore returns the largest
+set with the lexicographically greatest indicator vector, the same set
+an include-first branch and bound over ascending users finds, in O(k)
+for a fixed budget, and the chain bound is its size.  Set feasibility is
 `_reaches`: a count-free pass that follows the one state each user's
 fixed activity leads to, kept apart from the maximizer as the reference
-the tests compare it against.  For a family, `FamilyLayers` keeps the
-forward max-count layers of one rule, each as its shape (its states at
-its largest count) and that count, and memoizes one user's step per
-(shape, step); each search or sweep builds one table per rule, so
+the tests compare it against.  For a family, `FamilyLayers` runs the
+same greedy step from each layer, one state and its count, and memoizes
+it per (state, step); each search or sweep builds one table per rule, so
 associations that share a prefix of options share its layers, and users
 whose options look the same from where they stand share its moves at
-every depth.  Each shape is an antichain: a state that another state of
-the layer covers is dropped, the antichain technique of De Wulf, Doyen,
-Henzinger and Raskin ("Antichains: a new algorithm for checking
-universality of finite automata", CAV 2006) with the simulation order of
-Abdulla, Chen, Holik, Mayr and Vojnar ("When simulation meets
-antichains", TACAS 2010); idle, which covers every state, drops each
-state reached below the largest count one user later.  `_lex_max` and
-`_reaches` read no order, so the reference stays independent of them.
+every depth.
 
 One walk reads these tables.  `tuple_walk` walks a product of rules,
 and of other per-option values such as bitmasks, over distinct tuples:
@@ -219,6 +215,7 @@ def dl_family(k, options):
     longest left side of any option, so one cap serves the family.
     covers(a, b) is the rule's order on states: a allows every move b
     allows, and each successor of a covers the matching successor of b.
+    No pass reads it; it witnesses why the greedy step is exact.
     """
     steps = _steps(partial(_dl_step, k), options)
     cap = max((left for opts in steps for left, _right in opts), default=0)
@@ -235,103 +232,73 @@ def chain_family(options):
     return _CHAIN_START, _CHAIN_IDLE, _chain_next, _steps(_chain_step, options), _chain_covers
 
 
-def _one_each(cells):
-    """The family that offers user m the association set cells[m-1] alone."""
-    return [(cell,) for cell in cells]
+def _dl_line(k):
+    """(start, idle, next, step) of the downlink rule on a line of k users.
+
+    step(m, cell) is user m's step.  The run is not capped: a cap only
+    bounds the states a table interns, and any cap at or above the
+    longest left side takes the same decisions.
+    """
+    return _DL_START, _DL_IDLE, partial(_dl_next, inf), partial(_dl_step, k)
 
 
-def _lex_max(family):
-    start, idle, nxt, steps, _covers = family
-    # moves[m-1] = (before, on, after): the states reachable before user m,
-    # the state each of them leads to when m is active (none when the rule
-    # forbids it) and the states reachable after m.  The only pass that
-    # calls nxt.
-    here, moves, seen = frozenset((start,)), [], {}
-    for (step,) in steps:
-        user = seen.get((step, here))
-        if user is None:
-            on = {s: t for s in here if (t := nxt(step, s)) is not None}
-            user = seen[step, here] = here, on, frozenset((idle, *on.values()))
-        moves.append(user)
-        here = user[2]
-    # togo[m][s]: most active users among m+1..k from state s before user m+1.
-    togo = [dict.fromkeys(here, 0)]
-    for before, on, _after in reversed(moves):
-        after = togo[-1]
-        rest = after[idle]
-        togo.append({s: max(rest, 1 + after[on[s]]) if s in on else rest for s in before})
-    togo.reverse()
-    state, want, chosen = start, togo[0][start], []
-    for m, ((_before, on, _after), after) in enumerate(zip(moves, togo[1:]), 1):
-        t = on.get(state)
-        if t is not None and after[t] == want - 1:
-            chosen.append(m)
-            state, want = t, want - 1
-        else:
+_UL_LINE = _OPEN, _UL_IDLE, _ul_next, _ul_step
+_CHAIN_LINE = _CHAIN_START, _CHAIN_IDLE, _chain_next, _chain_step
+
+
+def _greedy(rule, cells):
+    """Every user the rule allows, left to right: the largest active set.
+
+    rule is a line rule (see _dl_line) and cells[m-1] user m's association
+    set; each user's step is read when the pass reaches that user.
+    """
+    start, idle, nxt, step = rule
+    state, chosen = start, []
+    for m, cell in enumerate(cells, 1):
+        t = nxt(step(m, cell), state)
+        if t is None:
             state = idle
+        else:
+            state = t
+            chosen.append(m)
     return frozenset(chosen)
 
 
 class FamilyLayers:
-    """Forward max-count layers of one rule over a family, user by user.
+    """Forward layers of one rule's greedy pass over a family, user by user.
 
-    A layer is the set of states that prefixes of options reach with the
-    most active users, and that largest count, interned as an integer id;
-    the start layer is id 0, and best[lid] is the largest count of layer
-    lid, which after the last user is the size of the largest feasible
-    active set.  row(lid, column) lists the ids of the layers that a user
-    leads to from layer lid, one per step of column (its options' steps).
+    A layer is the state the greedy pass reaches after a prefix of
+    options and the number of users it took, interned as an integer id;
+    the start layer is id 0, and best[lid] is the count of layer lid,
+    which after the last user is the size of the largest feasible active
+    set.  row(lid, column) lists the ids of the layers that a user leads
+    to from layer lid, one per step of column (its options' steps).
 
-    A layer keeps only its antichain under the rule's covers: a state goes
-    when another state of the layer covers it.  No maximum changes, since
-    covers is a simulation: every path from a dropped state is matched
-    from the state that covers it, at no fewer active users.  States
-    reached at lower counts are dropped for the same reason: one user
-    after a layer of largest count M, the inactive move leads each of its
-    states to idle at M, and idle covers every state, so a state reached
-    at M or less never counts again.  The orders are antisymmetric, so
-    two states never drop each other.
-
-    A layer is kept as its shape (its states, interned on their own) and
-    its largest count; a step reads no count, so it runs once per (shape,
-    step) and adds its gain to the count.  On a miss the shape after is
-    the antichain of the active successors of the shape's states, at one
-    more user than before; when the rule allows none, it is idle alone at
-    the same count.  Steps and states hold no position, so a move serves
-    every depth and every layer of its shape: users whose options look the
-    same from where they stand share it, whatever counts their prefixes
-    reached.
+    A user's move is the greedy step: the active successor at one more
+    user when the rule allows it, idle at the same count when it does
+    not.  No other state of the prefixes' max-count layer can count again:
+    one user after a layer of count M, the inactive move leads to idle at
+    M, and idle covers every state, so a state reached at M or less never
+    counts more.  A step reads no count, so a move runs once per (state,
+    step) and adds its gain to the count; steps and states hold no
+    position, so a move serves every depth and every layer of its state,
+    and users whose options look the same from where they stand share it,
+    whatever counts their prefixes reached.
     """
 
     def __init__(self, family):
-        start, self._idle, self._next, self.steps, self._covers = family
-        self._shapes = [frozenset((start,))]
-        self._shape_ids = {self._shapes[0]: 0}
-        self._layers = [(0, 0)]  # (shape, largest count) of each layer
-        self._ids = {(0, 0): 0}
-        self._moves = {}  # (shape, step) -> (shape after, gain in count)
+        start, self._idle, self._next, self.steps, _covers = family
+        self._layers = [(start, 0)]  # (state, count) of each layer
+        self._ids = {self._layers[0]: 0}
+        self._moves = {}  # (state, step) -> (state after, gain in count)
         self.best = [0]
 
-    def _shape(self, states):
-        sid = self._shape_ids.get(states)
-        if sid is None:
-            sid = self._shape_ids[states] = len(self._shapes)
-            self._shapes.append(states)
-        return sid
-
     def _move(self, lid, step):
-        sid, count = self._layers[lid]
-        moved = self._moves.get((sid, step))
+        state, count = self._layers[lid]
+        moved = self._moves.get((state, step))
         if moved is None:
-            top = {self._next(step, s) for s in self._shapes[sid]} - {None}
-            if top:
-                # The antichain: no state that another covers.
-                covers = self._covers
-                top = frozenset(t for t in top if not any(u != t and covers(u, t) for u in top))
-                moved = self._shape(top), 1
-            else:
-                moved = self._shape(frozenset((self._idle,))), 0
-            self._moves[sid, step] = moved
+            t = self._next(step, state)
+            moved = self._moves[state, step] = (self._idle, 0) if t is None else (t, 1)
         key = moved[0], count + moved[1]
         lid = self._ids.get(key)
         if lid is None:
@@ -431,42 +398,42 @@ def tuple_ends(rows):
     return ends
 
 
-def _reaches(family, active):
-    """Whether the rule lets exactly the users in active be active.
+def _reaches(rule, cells, active):
+    """Whether the line rule lets exactly the users in active be active.
 
-    family offers one option per user; the pass follows the one state that
-    the fixed activities reach, and no counts.
+    The pass follows the one state that the fixed activities reach, and
+    no counts.
     """
-    start, idle, nxt, steps, _covers = family
+    start, idle, nxt, step = rule
     state = start
-    for m, (step,) in enumerate(steps, 1):
+    for m, cell in enumerate(cells, 1):
         if m not in active:
             state = idle
-        elif (state := nxt(step, state)) is None:
+        elif (state := nxt(step(m, cell), state)) is None:
             return False
     return True
 
 
 def chain_max(cells):
     """Largest count the chain rule allows on the association sets cells."""
-    return len(_lex_max(chain_family(_one_each(cells))))
+    return len(_greedy(_CHAIN_LINE, cells))
 
 
 def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return _reaches(dl_family(k, _one_each(cells)), active)
+    return _reaches(_dl_line(k), cells, active)
 
 
 def ul_set_feasible(cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return _reaches(ul_family(_one_each(cells)), active)
+    return _reaches(_UL_LINE, cells, active)
 
 
 def dl_max_active(k, cells):
     """Largest zero-forcing-feasible active set, include-first on ties."""
-    return _lex_max(dl_family(k, _one_each(cells)))
+    return _greedy(_dl_line(k), cells)
 
 
 def ul_max_active(cells):
     """Largest decode-and-pass-feasible active set, include-first on ties."""
-    return _lex_max(ul_family(_one_each(cells)))
+    return _greedy(_UL_LINE, cells)

@@ -13,7 +13,8 @@ is left open (see _kernels._pure): m-1 is in C_m and some user in [a, m-1]
 is inactive, where [a, m-1] is the run of consecutive base stations of C_m
 that ends at m-1; or m is in C_m and, for the run [m, b] that starts at m,
 b = k or some user in [m+1, b+1] is inactive.  max_downlink_dof maximizes
-that rule exactly with a DP along the line.
+that rule exactly with one greedy pass along the line, which serves
+every message the rule allows.
 
 GF(p) arithmetic only emits the certificate: zf_feasible builds each
 message's nullspace precoder on one exact channel draw by back-substitution
@@ -288,10 +289,10 @@ def max_downlink_dof(
 ) -> DlEvaluation:
     """Maximum simultaneously feasible active-user count for the downlink.
 
-    Exact at every k: the line DP returns the largest active set, ties
-    going to the lexicographically smallest one.  The witness comes from
-    the first seed's channels and is re-verified on them.  The seeds are
-    checked by model.check_seeds, the first one by draw_channels.
+    Exact at every k: the greedy line pass returns the largest active set,
+    ties going to the lexicographically smallest one.  The witness comes
+    from the first seed's channels and is re-verified on them.  The seeds
+    are checked by model.check_seeds, the first one by draw_channels.
     """
     seeds = check_seeds(seeds)
     active = _kernels.dl_max_active(assoc.k, assoc.cells)

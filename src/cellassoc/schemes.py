@@ -21,10 +21,10 @@ station is silent, so no downlink path crosses a block boundary:
   1 only with 1).  The uplink decodes right to left at full sum DoF.
 
 A partial trailing block never gets a closed-form claim: its downlink set
-is the exact maximum (the line DP) on the truncated sub-network, which is
-legitimate because the preceding block's silent base station severs every
-cross-boundary path, and its base stations that no active user holds are
-silenced too.  The uplink set of downlink_optimal is split at the same
+is the exact maximum (the greedy line pass) on the truncated sub-network,
+which is legitimate because the preceding block's silent base station
+severs every cross-boundary path, and its base stations that no active
+user holds are silenced too.  The uplink set of downlink_optimal is split at the same
 boundaries: a block's first user holds none of the previous block's base
 stations, so it never decodes at bs m-1 (L) or waits on user m-1, and a
 block's last user does not hold its own base station, so it never

@@ -12,8 +12,9 @@ run of consecutive active users is therefore decided on its own: users
 decode at L in ascending order while they can, and the rest of the run
 decodes at R from its right end down (see _kernels._pure for the same
 rule as a line automaton).  max_uplink_dof maximizes that rule exactly
-with a DP along the line, then builds and re-verifies the canonical
-decoding order of the set it finds.
+with one greedy pass along the line, which takes every user the rule
+allows, then builds and re-verifies the canonical decoding order of the
+set it finds.
 
 Associations to base stations a user cannot hear never help this session;
 prune() removes them without changing any feasibility decision.
@@ -165,8 +166,8 @@ def certify_uplink(assoc, active) -> DecodingOrder:
 def max_uplink_dof(assoc: CellAssociation) -> UlEvaluation:
     """Maximum simultaneously decodable active-user count for the uplink.
 
-    Exact at every k: the line DP returns the largest active set, ties
-    going to the lexicographically smallest one.
+    Exact at every k: the greedy line pass returns the largest active set,
+    ties going to the lexicographically smallest one.
     """
     active = _kernels.ul_max_active(assoc.cells)
     return UlEvaluation(

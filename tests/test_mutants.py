@@ -1,14 +1,14 @@
 """Mutants that named tests must kill, run in-process.
 
-Each entry of MUTANTS names a wrong version of one module attribute and
-the tests that must fail while it stands in for the real one.  The one
-test here puts each mutant in place in turn, calls each of its killers
-as a plain function (no subprocess, no fixtures) and fails when a killer
-passes, that is when a mutant survives, or when a mutant's target or a
-killer no longer exists.  A killer must therefore take no argument but
-those its hypothesis strategies fill.  A mutant of a function may be the
-function's own source with one piece of it replaced (_edited), so that
-it stays the real code but for that piece.
+Each entry of MUTANTS names a wrong version of one attribute of a module
+or class and the tests that must fail while it stands in for the real
+one.  The one test here puts each mutant in place in turn, calls each of
+its killers as a plain function (no subprocess, no fixtures) and fails
+when a killer passes, that is when a mutant survives, or when a mutant's
+target or a killer no longer exists.  A killer must therefore take no
+argument but those its hypothesis strategies fill.  A mutant of a
+function or method may be its own source with one piece of it replaced
+(_edited), so that it stays the real code but for that piece.
 
 EQUIVALENT lists the mutants, recorded by earlier changes or planned,
 that no test can kill, each with the reason: the code can no longer
@@ -17,6 +17,7 @@ express them, or they leave every table the same.
 
 import importlib
 import inspect
+import textwrap
 from unittest import mock
 
 from cellassoc import _kernels, schemes
@@ -37,8 +38,8 @@ def _tiling(tail_shift=0, blocks_dropped=0, block_on_tail=False):
 
 
 def _edited(function, old, new):
-    """function rebuilt from its source with the one occurrence of old replaced by new."""
-    source = inspect.getsource(function)
+    """function (or method) rebuilt from its source, its one occurrence of old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, (function.__qualname__, old)
     namespace = {}
     exec(source.replace(old, new), function.__globals__, namespace)
@@ -50,6 +51,8 @@ _UL_RANK_R_ABOVE_SHUT = {_pure._OPEN: 0, _pure._RIGHT: 1, _pure._SHUT: 2}
 TILING = ["test_schemes::test_block_plans_match_the_whole_line_uplink_maximum"]
 ORDERS = ["test_properties::test_each_rule_order_is_a_simulation"]
 ORACLES = ["test_properties::test_rules_match_oracles"]
+LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
+WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -87,10 +90,32 @@ MUTANTS = [
         ORACLES,
     ),
     (
-        "line DP pick tries idle first",
-        (_pure, "_lex_max"),
-        _edited(_pure._lex_max, "if t is not None and after[t] == want - 1:", "if after[idle] < want:"),
-        ["test_properties::test_line_dp_matches_branch_and_bound"],
+        "line pass tries a user only from idle",
+        (_pure, "_greedy"),
+        _edited(
+            _pure._greedy,
+            "t = nxt(step(m, cell), state)",
+            "t = nxt(step(m, cell), state) if state == idle else None",
+        ),
+        LINE,
+    ),
+    (
+        "line pass keeps its state after a forbidden user",
+        (_pure, "_greedy"),
+        _edited(_pure._greedy, "state = idle", "pass"),
+        LINE,
+    ),
+    (
+        "forbidden layer move still gains 1",
+        (_pure.FamilyLayers, "_move"),
+        _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(self._idle, 1)"),
+        WALK,
+    ),
+    (
+        "forbidden layer move keeps its state",
+        (_pure.FamilyLayers, "_move"),
+        _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(state, 0)"),
+        WALK,
     ),
     (
         # bounds reads the binding of _kernels, so a patch of _pure.chain_max survives.
@@ -108,11 +133,13 @@ EQUIVALENT = {
         "next returns one state or None, so there is no later state to drop"
     ),
     "layer fold without its pruning (default -inf)": (
-        "a shape is the layer's states at its largest count, with no per-state counts to prune"
+        "a layer is one state at its count, with no per-state counts to prune"
     ),
     "layer miss that skips the antichain": (
-        "every shape holds one state: the start shape does, and a miss maps a shape through "
-        "one step's next, which returns at most one state, so the antichain drops nothing"
+        "there is no antichain step: a layer is one state, and its move the greedy step"
+    ),
+    "line DP pick tries idle first": (
+        "there is no pick: the greedy pass takes every user the rule allows"
     ),
 }
 

@@ -3,10 +3,11 @@
 The references below are the scan-everything form of the uplink scheduler,
 the dense row reduction that built zero-forcing witnesses before the
 back-substitution along the line, a witness check that sums every precoder
-at every active user, the cumulative per-block
-certification of the nc = 2 average-optimal plan by a seed majority, the
-include-first branch and bound that maximized both sessions before the
-line DP, the hand-written chain DP that the chain rule of _kernels
+at every active user, the cumulative per-block certification of the
+nc = 2 average-optimal plan by a seed majority, the include-first branch
+and bound that maximized both sessions before the line DP, the backward
+line DP that maximized both sessions and the chain bound before the
+greedy pass, the hand-written chain DP that the chain rule of _kernels
 replaced, the per-block scan of block goodness that the per-user rule of
 the reconstruction bound replaced, the per-candidate maximization and
 certificate checks that searches and sweeps ran before the family DP, and
@@ -229,6 +230,43 @@ def ref_max_active(candidates, feasible):
 
     rec(0, frozenset())
     return best
+
+
+def ref_line_dp(family):
+    """Largest active set of a rule over a family of one option per user.
+
+    The line DP that maximized both sessions and the chain bound before the
+    greedy pass: a forward pass records, for each user, the states reachable
+    before it, the state each leads to when the user is active and the
+    states reachable after it; a backward pass counts the most users still
+    to come from each state, and an include-first pick takes every user
+    that keeps that count reachable.
+    """
+    start, idle, nxt, steps, _covers = family
+    # moves[m-1] = (before, on, after): the states reachable before user m,
+    # the state each of them leads to when m is active (none when the rule
+    # forbids it) and the states reachable after m.
+    here, moves = frozenset((start,)), []
+    for (step,) in steps:
+        on = {s: t for s in here if (t := nxt(step, s)) is not None}
+        moves.append((here, on))
+        here = frozenset((idle, *on.values()))
+    # togo[m][s]: most active users among m+1..k from state s before user m+1.
+    togo = [dict.fromkeys(here, 0)]
+    for before, on in reversed(moves):
+        after = togo[-1]
+        rest = after[idle]
+        togo.append({s: max(rest, 1 + after[on[s]]) if s in on else rest for s in before})
+    togo.reverse()
+    state, want, chosen = start, togo[0][start], []
+    for m, ((_before, on), after) in enumerate(zip(moves, togo[1:]), 1):
+        t = on.get(state)
+        if t is not None and after[t] == want - 1:
+            chosen.append(m)
+            state, want = t, want - 1
+        else:
+            state = idle
+    return frozenset(chosen)
 
 
 def ref_session_sums(k, options):
@@ -678,6 +716,11 @@ def test_rules_match_oracles(case, seed, prime):
 
 @SETTINGS
 @given(st.one_of(windowed(max_k=12), wide()), st.integers(0, 2**31 - 2), primes)
+# User 1 decodes at R, so user 2 is allowed from R, not only from idle.
+@example((association(2, 2, [[1], [1, 2]]), frozenset()), 1, 13)
+# Message 1 leaves user 2 due to be inactive; once user 2 is, message 3 is
+# served from idle.
+@example((association(3, 2, [[1], [], [2]]), frozenset()), 1, 13)
 def test_line_dp_matches_branch_and_bound(case, seed, prime):
     assoc, _active = case
     k, cells = assoc.k, assoc.cells
@@ -689,6 +732,18 @@ def test_line_dp_matches_branch_and_bound(case, seed, prime):
     ul_candidates = [m for m in range(1, k + 1) if assoc.cells[m - 1] & connected_bs(m, k)]
     ul = ref_max_active(ul_candidates, lambda s: uplink_feasible(assoc, s) is not None)
     assert _kernels.ul_max_active(cells) == ul
+
+
+@SETTINGS
+@given(st.one_of(windowed(max_k=80), wide(max_k=80)))
+def test_line_maxima_match_the_line_dp_on_long_lines(case):
+    # The branch and bound stops at k = 12; the backward DP reaches any k.
+    assoc, _active = case
+    k, cells = assoc.k, assoc.cells
+    one_each = [(cell,) for cell in cells]
+    assert _kernels.dl_max_active(k, cells) == ref_line_dp(_kernels.dl_family(k, one_each))
+    assert _kernels.ul_max_active(cells) == ref_line_dp(_kernels.ul_family(one_each))
+    assert _kernels.chain_max(cells) == len(ref_line_dp(_kernels.chain_family(one_each)))
 
 
 def test_chain_dp_matches_reference_on_every_flag_set():
@@ -716,8 +771,8 @@ def test_tuple_ends_match_per_candidate_maxima(family):
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_each_rule_order_is_a_simulation(family):
-    # FamilyLayers drops a state from a layer when another covers it, which
-    # keeps every maximum only if covers(a, b) means: a allows every move b
+    # Taking every user the rule allows keeps every maximum because idle
+    # covers every state, where covers(a, b) means: a allows every move b
     # allows, and each successor of a covers the matching successor of b;
     # and two states that cover each other are one.  An inactive user leads
     # every state to idle, which must cover every state.
@@ -742,22 +797,15 @@ def test_each_rule_order_is_a_simulation(family):
                 for u, t in ((nxt(step, a), nxt(step, b)), (idle, idle)):
                     assert t is None or (u is not None and covers(u, t)), (a, b, step, t)
         assert all(covers(s, s) and covers(idle, s) for s in states)
-        # Each shape is an antichain of states the rule reaches.
-        table = _kernels.FamilyLayers(rule)
-        _kernels.tuple_walk([(table.row, table.steps)])
-        for shape in table._shapes:
-            assert isinstance(shape, frozenset) and shape and shape <= states
-            for u, t in itertools.permutations(shape, 2):
-                assert not covers(u, t), (shape, u, t)
 
 
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_layer_moves_match_the_reference_fold(family):
-    # A shape is the layer's states at its largest count.  Fed the whole
-    # layer (idle one below, as an inactive user before it left it), the
-    # reference keeps the same states at its largest count, the same gain,
-    # and nothing below it but idle.
+    # A layer is one state at its count.  Fed the whole layer (idle one
+    # below, as an inactive user before it left it), the reference keeps
+    # the move's state alone at its largest count, the same gain, and
+    # nothing below it but idle.
     k, options = family
     for rule in (
         _kernels.dl_family(k, options),
@@ -768,12 +816,11 @@ def test_layer_moves_match_the_reference_fold(family):
         table = _kernels.FamilyLayers(rule)
         _kernels.tuple_walk([(table.row, table.steps)])
         assert table._moves
-        for (sid, step), (after, gain) in table._moves.items():
-            shape = table._shapes[sid]
-            layer = {idle: -1, **dict.fromkeys(shape, 0)}
+        for (state, step), (after, gain) in table._moves.items():
+            layer = {idle: -1, state: 0}
             expected, expected_gain = ref_layer_move(ref_automaton(rule), layer, step)
             top = frozenset(s for s, n in expected.items() if n == 0)
-            assert (table._shapes[after], gain) == (top, expected_gain), (shape, step)
+            assert (frozenset((after,)), gain) == (top, expected_gain), (state, step)
             assert all(n == 0 or (s, n) == (idle, -1) for s, n in expected.items()), expected
 
 
