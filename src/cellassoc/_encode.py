@@ -25,13 +25,6 @@ def cells_masks(assoc: CellAssociation) -> list[int]:
     return masks
 
 
-def channel_arrays(ch: ChannelRealization) -> tuple[list[int], list[int]]:
+def channel_arrays(ch: ChannelRealization) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a realization into (h0, h1): h0[i-1] = gain from bs i-1, h1[i-1] = own bs."""
-    h0 = [0] * ch.k
-    h1 = [0] * ch.k
-    for (i, j), value in ch.coeffs.items():
-        if j == i:
-            h1[i - 1] = value
-        elif j == i - 1:
-            h0[i - 1] = value
-    return h0, h1
+    return ch.left[1:-1], ch.diag[1:-1]

@@ -130,12 +130,14 @@ def _json_text(obj: object, newline: str = "\n") -> str:
 def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
     """The texts of the values, each on a line that begins with newline.
 
-    Ints and strs are written in C, a list of int lists in one
-    comprehension, and flat records (non-empty dicts with str keys and
-    None, bool, int or str values, such as precoders, decoding steps and
-    block flags) each by one call of the C encoder kept for newline.  Other
-    values, and records where the C encoder is missing, go through
-    _json_text one by one.
+    Ints and strs are written in C, and so is a list of int lists (a
+    plan's cells): one % over all their ints fills a format string made
+    for each list length that occurs, the lists' texts parted by NUL,
+    which no JSON text holds.  Flat records (non-empty dicts with str keys
+    and None, bool, int or str values, such as precoders, decoding steps
+    and block flags) are each written by one call of the C encoder kept for
+    newline.  Other values, and records where the C encoder is missing, go
+    through _json_text one by one.
     """
     kinds = {*map(type, values)}
     if kinds == {int}:
@@ -144,11 +146,13 @@ def _json_texts(values: Sequence, newline: str) -> Iterable[str]:
         return map(_quote, values)
     if kinds == {list} and {*map(type, itertools.chain.from_iterable(values))} <= {int}:
         inner = newline + "  "
-        sep = "," + inner
-        return [
-            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]" if value else "[]"
-            for value in values
-        ]
+        item = "%d," + inner
+        forms = {
+            n: "[" + inner + item * (n - 1) + "%d" + newline + "]" if n else "[]"
+            for n in {*map(len, values)}
+        }
+        text = "\0".join(map(forms.__getitem__, map(len, values)))
+        return (text % tuple(itertools.chain.from_iterable(values))).split("\0")
     if (
         kinds == {dict}
         and _make_encoder is not None

@@ -21,15 +21,15 @@ message's nullspace precoder on one exact channel draw by back-substitution
 along one of the two runs of C_m that user m hears, the run that ends at
 m-1 and, failing that, the run that starts at m (see _message_witness).
 It walks only those two runs; the rest of C_m gets 0.  It reads the
-gains from flat rows built once per call (_gain_rows: g(i, i-1) and
-g(i, i) mod p of each active user, 0 for the others) and inverts with
-pow(x, -1, p).  verify_witness re-checks the precoders by direct
-evaluation at user m and at the users j and j+1 that hear each nonzero
-coefficient on bs j, independent of how they were built: it reads the
-realization's coefficients and the association itself and shares no
-table with zf_feasible.  certify_downlink does both on the first seed's draw;
-evaluations and scheme plans are certified that way, so only the first
-seed is ever used.
+gains from the realization's two rows masked once per call to the active
+set (_gain_rows: g(i, i-1) and g(i, i) mod p of each active user, 0 for
+the others) and inverts with pow(x, -1, p).  verify_witness re-checks
+the precoders by direct evaluation at user m and at the users j and j+1
+that hear each nonzero coefficient on bs j, independent of how they were
+built: it reads the realization's rows (ch.left[r], ch.diag[r]) and the
+association itself and shares no table with zf_feasible.
+certify_downlink does both on the first seed's draw; evaluations and
+scheme plans are certified that way, so only the first seed is ever used.
 zf_feasible_majority, which draws several seeds and takes a majority
 (warning via GenericityWarning if they split), is kept as the multi-seed
 reference that tests compare the value-free rule against.
@@ -135,18 +135,17 @@ def _check_active(assoc: CellAssociation, active) -> frozenset[int]:
 
 
 def _gain_rows(ch: ChannelRealization, active) -> tuple[list[int], list[int]]:
-    """(left, diag): g(i, i-1) and g(i, i) mod p of each active user i, else 0.
+    """(left, diag): the realization's rows mod p, masked to the active users.
 
-    Both lists run over users 0..k+1, so a user just past either end of the
-    line reads as inactive, and g(1, 0) reads as 0, since bs 0 is off the
-    line; a run walk therefore never leaves columns 1..k.
+    Both lists run over users 0..k+1 like the rows, so a user just past
+    either end of the line reads as inactive, and g(1, 0) reads as 0, since
+    bs 0 is off the line; a run walk therefore never leaves columns 1..k.
     """
-    p, get = ch.prime, ch.coeffs.get
+    p, gains_left, gains_diag = ch.prime, ch.left, ch.diag
     left, diag = [0] * (ch.k + 2), [0] * (ch.k + 2)
     for i in active:
-        left[i] = get((i, i - 1), 0) % p
-        diag[i] = get((i, i), 0) % p
-    left[1] = 0
+        left[i] = gains_left[i] % p
+        diag[i] = gains_diag[i] % p
     return left, diag
 
 
@@ -221,17 +220,20 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     coefficient on bs j reaches users j and j+1 alone.  Each message is
     checked at its own user m and at the receivers j and j+1 of its
     nonzero coefficients, in O(1) each: O(|C_m|) per message, linear in
-    the witness size overall.  The gains are read from the realization
-    itself, not from the rows zf_feasible builds.
+    the witness size overall.  The gains are read from the realization's
+    own rows, not from the masked rows zf_feasible builds.  A message or
+    active user outside 1..k, or a realization of another k, fails the
+    check before any row is read, so no index wraps to the other end.
     """
     active = frozenset(active)
-    if ch.prime != witness.prime:
+    k = ch.k
+    if ch.prime != witness.prime or assoc.k != k or witness.precoders.keys() != active:
         return False
-    if witness.precoders.keys() != active:
+    if active and not (0 < min(active) and max(active) <= k):
         return False
-    p, gain, cells = ch.prime, ch.coeffs.get, assoc.cells
+    p, left, diag, cells = ch.prime, ch.left, ch.diag, assoc.cells
     for m, vec in witness.precoders.items():
-        if not vec.keys() <= frozenset(cells[m - 1]):
+        if not vec.keys() <= cells[m - 1]:
             return False
         receivers = {m}
         for j, v in vec.items():
@@ -240,7 +242,7 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
                 receivers.add(j + 1)
         for r in receivers:
             if r == m or r in active:
-                heard = gain((r, r - 1), 0) * vec.get(r - 1, 0) + gain((r, r), 0) * vec.get(r, 0)
+                heard = left[r] * vec.get(r - 1, 0) + diag[r] * vec.get(r, 0)
                 if (heard % p == 0) == (r == m):  # user m must hear it, the others must not
                     return False
     return True

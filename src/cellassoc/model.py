@@ -9,10 +9,12 @@ bool, within its range), check_ints (the same for a whole collection) and
 check_seeds (a nonempty list of integers), which every public entry point
 calls.
 
-Channel coefficients are uniform nonzero elements of a large prime field.
-Rank decisions over that field are exact, and a fresh seed gives an
-independent draw, which is how genericity is checked downstream.  Degrees
-of freedom are never floats; they are ints or `fractions.Fraction`.
+Channel coefficients are uniform nonzero elements of a large prime field,
+held as two flat rows over users 0..k+1 (ChannelRealization: left[i] =
+g(i, i-1), diag[i] = g(i, i), 0 off the line).  Rank decisions over that
+field are exact, and a fresh seed gives an independent draw, which is how
+genericity is checked downstream.  Degrees of freedom are never floats;
+they are ints or `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Mapping, Optional
+from itertools import chain, repeat
+from typing import Iterable, Optional
 
 from .errors import SizeLimitError, ValidationError
 
@@ -132,53 +134,77 @@ def connected_bs(i: int, k: int) -> frozenset[int]:
     return frozenset(j for j in (i - 1, i) if 1 <= j <= k)
 
 
+def _check_draw(k: object, seed: object, prime: object) -> None:
+    """The arguments of a channel draw: k >= 1, an integer seed, a prime modulus.
+
+    The modulus is an odd prime below 2**64, the range in which the
+    primality test is exact; a composite one raises ValidationError, since
+    Z/prime is then no field.
+    """
+    check_int("k", k, 1)
+    check_int("seed", seed)
+    if not _is_prime(check_int("prime", prime, 3, 2**64 - 1)):
+        raise ValidationError(f"prime must be a prime, got {prime}")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One exact draw of all nonzero channel coefficients.
+    """One exact draw of all nonzero channel coefficients, as two flat rows.
 
-    coeffs maps (user i, bs j) -> coefficient for every connected pair;
-    unconnected pairs are identically zero and are not stored.  k is a
-    positive integer, seed an integer, and the modulus an odd prime below
-    2**64, the range in which the primality test is exact; a composite one
-    raises ValidationError, since Z/prime is then no field.
+    left[i] = g(i, i-1) and diag[i] = g(i, i), the gains user i hears from
+    base stations i-1 and i; each row is a tuple of k+2 ints over users
+    0..k+1.  Unconnected pairs are identically zero and are not stored,
+    and the off-line slots are 0: left[0], diag[0], left[k+1] and
+    diag[k+1] (users 0 and k+1 are off the line) and left[1] (bs 0 is).
+    The arguments k, seed and prime are checked as _check_draw checks
+    them, then the rows: a row of the wrong length, a member that is not
+    an int (a bool or a float), or a nonzero off-line slot raises
+    ValidationError.
     """
 
     k: int
     prime: int
     seed: int
-    coeffs: Mapping[tuple[int, int], int]
-    __hash__ = None  # it holds a dict
+    left: tuple[int, ...]
+    diag: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_int("k", self.k, 1)
-        check_int("seed", self.seed)
-        if not _is_prime(check_int("prime", self.prime, 3, 2**64 - 1)):
-            raise ValidationError(f"prime must be a prime, got {self.prime}")
+        _check_draw(self.k, self.seed, self.prime)
+        for name, row in (("left", self.left), ("diag", self.diag)):
+            if not isinstance(row, tuple) or len(row) != self.k + 2:
+                raise ValidationError(f"{name} must be a tuple of k + 2 gains")
+            check_ints(f"{name} gain", row)
+        if self.left[0] or self.left[1] or self.diag[0] or self.left[-1] or self.diag[-1]:
+            raise ValidationError("gains off the line (users 0 and k + 1, bs 0) must be 0")
 
 
 def draw_channels(k: int, seed: int, prime: int = DEFAULT_PRIME) -> ChannelRealization:
     """Draw coefficients for all connected pairs, uniform over [1, prime-1].
 
-    Deterministic in (k, seed, prime): pairs are visited in a fixed order
-    (users ascending, their base stations ascending), so the same arguments
-    always reproduce the same realization.  Each coefficient is what
+    Deterministic in (k, seed, prime): the 2k-1 gains are drawn in a fixed
+    order, g(1, 1), then g(i, i-1) and g(i, i) for i = 2..k, so diag takes
+    draws 0, 2, 4, ... and left draws 1, 3, 5, ....  Each gain is what
     random.Random(seed).randrange(1, prime) draws next: getrandbits of the
     bit length of prime - 1, redrawn until it is below prime - 1, plus 1.
-    The arguments are checked as ChannelRealization checks them, before
-    anything is drawn.
+    The values are drawn 2k-1 at a time, the rejected ones dropped in
+    order, then one at a time until 2k-1 remain: a rejection only skips a
+    value of the same stream, so the gains are the same.  The arguments
+    are checked as ChannelRealization checks them, before anything is
+    drawn.
     """
-    coeffs: dict[tuple[int, int], int] = {}
-    realization = ChannelRealization(k=k, prime=prime, seed=seed, coeffs=coeffs)
+    _check_draw(k, seed, prime)
     getrandbits = random.Random(seed).getrandbits
     width = prime - 1
     bits = width.bit_length()
-    pairs = chain(((1, 1),), chain.from_iterable(((i, i - 1), (i, i)) for i in range(2, k + 1)))
-    for pair in pairs:
+    count = 2 * k - 1
+    gains = [r + 1 for r in map(getrandbits, repeat(bits, count)) if r < width]
+    while len(gains) < count:
         r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        coeffs[pair] = r + 1
-    return realization
+        if r < width:
+            gains.append(r + 1)
+    return ChannelRealization(
+        k=k, prime=prime, seed=seed, left=(0, 0, *gains[1::2], 0), diag=(0, *gains[::2], 0)
+    )
 
 
 @dataclass(frozen=True)

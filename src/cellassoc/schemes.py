@@ -67,9 +67,9 @@ from .model import (
 from .uplink_decode import certify_uplink
 
 # Largest k a scheme is built for.  Time and memory grow linearly in k: one
-# avg nc = 3 plan at k = 10^5 takes about 1.4-1.9 s and 175 MiB of RSS for
-# the whole process on a 2-vCPU VM, so larger requests are refused before
-# anything is built.  A plan holds up to k * min(nc, k) association
+# avg nc = 3 plan at k = 10^5 takes about 1.4-1.9 s and 149 MiB of RSS for
+# the whole process on a 2-vCPU VM (the channel draw is two flat rows of
+# gains), so larger requests are refused before anything is built.  A plan holds up to k * min(nc, k) association
 # entries, which are bounded by 4 * MAX_SCHEME_K, so every k up to the limit
 # is accepted with nc <= 4.
 MAX_SCHEME_K = 10**6

@@ -531,8 +531,19 @@ def reference_dumps(obj):
 
 @settings(max_examples=400, deadline=None)
 @given(json_trees)
+# Lists of int lists (a plan's cells) are written with one % over their ints.
+@example({"cells": [[1, 2], [], [-3]], "k": [[4]]})
 def test_json_writer_matches_json_dumps(tree):
     assert cli._json_text(tree) == reference_dumps(tree)
+
+
+def test_json_writer_refuses_ints_too_long_to_write_as_json_dumps_does():
+    long = 10**4300  # 4,301 digits, one past what Python writes as a str
+    for doc in ([[1, 2], [long]], {"cells": [[long]]}, [long]):
+        with pytest.raises(ValueError, match="4300 digits"):
+            reference_dumps(doc)
+        with pytest.raises(ValueError, match="4300 digits"):
+            cli._json_text(doc)
 
 
 # Flat records (str keys; None, bool, int or str values) in a list or in a

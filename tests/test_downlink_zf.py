@@ -91,14 +91,17 @@ def test_witness_survives_independent_reverification():
     )
 
 
-class CountingCoeffs(dict):
-    """Channel coefficients that count how often they are read."""
+class CountingRow(tuple):
+    """A row of channel gains that records the indices it is read at."""
 
-    reads = 0
+    def __new__(cls, row):
+        counted = super().__new__(cls, row)
+        counted.read = []
+        return counted
 
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
+    def __getitem__(self, index):
+        self.read.append(index)
+        return super().__getitem__(index)
 
 
 def test_witness_verification_is_linear_in_the_association():
@@ -111,15 +114,49 @@ def test_witness_verification_is_linear_in_the_association():
     ch = draw_channels(200, DEFAULT_SEEDS[0])
     w = zf_feasible(assoc, active, ch)
     entries = sum(len(cell) for cell in plan.assoc.cells)
-    coeffs = CountingCoeffs(ch.coeffs)
-    counted = ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, coeffs=coeffs)
+    left, diag = CountingRow(ch.left), CountingRow(ch.diag)
+    counted = ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, left=left, diag=diag)
+    del left.read[:], diag.read[:]
     assert verify_witness(w, assoc, active, counted)
-    assert 0 < coeffs.reads <= 4 * entries
+    assert 0 < len(left.read) + len(diag.read) <= 4 * entries
     # A coefficient in the middle of a long precoder is still checked.
     bad = {m: dict(v) for m, v in w.precoders.items()}
     bad[1][100] = (bad[1][100] + 1) % ch.prime
     tampered = ZfWitness(seed=w.seed, prime=w.prime, precoders=bad)
     assert not verify_witness(tampered, assoc, active, ch)
+
+
+def test_verify_witness_refuses_indices_off_the_line():
+    # A message, active user or coefficient index 0, -1 or k + 1 fails the
+    # check instead of indexing the rows: cells[-1] and left[-1] would wrap
+    # to the other end of the line, and cells[k] would raise IndexError.
+    k = 4
+    assoc = association(k, 2, [[1], [1, 2], [3], [3, 4]])
+    active = frozenset({1, 3})
+    ch = draw_channels(k, 1)
+    counted = ChannelRealization(
+        k=k, prime=ch.prime, seed=1, left=CountingRow(ch.left), diag=CountingRow(ch.diag)
+    )
+    del counted.left.read[:], counted.diag.read[:]
+    honest = zf_feasible(assoc, active, ch)
+    assert verify_witness(honest, assoc, active, counted)
+    for index in (0, -1, k + 1):
+        for vec in ({}, {1: 1}, {4: 1}):
+            bad = ZfWitness(seed=1, prime=ch.prime, precoders={**honest.precoders, index: vec})
+            assert not verify_witness(bad, assoc, active | {index}, counted)
+        coefficient = {m: dict(vec) for m, vec in honest.precoders.items()}
+        coefficient[3][index] = 1
+        bad = ZfWitness(seed=1, prime=ch.prime, precoders=coefficient)
+        assert not verify_witness(bad, assoc, active, counted)
+    # An association may hold stations off the line; no user hears a
+    # coefficient on one, and no row is read off the line for it.
+    wide = association(k, 3, [[1], [1, 2], [3, 0, 5], [3, 4]])
+    spread = {m: dict(vec) for m, vec in honest.precoders.items()}
+    spread[3].update({0: 1, 5: 1})
+    assert verify_witness(ZfWitness(seed=1, prime=ch.prime, precoders=spread), wide, active, counted)
+    assert {*counted.left.read, *counted.diag.read} <= set(range(1, k + 1))
+    # Nor is a realization of another k read.
+    assert not verify_witness(honest, assoc, active, draw_channels(k + 1, 1))
 
 
 def test_witness_json_roundtrip():
@@ -187,10 +224,9 @@ def test_majority_vote_warns_on_seed_split(monkeypatch):
     real = draw_channels(1, 1)
 
     def fake_draw(k, seed, prime=real.prime):
-        coeffs = dict(draw_channels(k, seed, prime=prime).coeffs)
-        if seed == 2:
-            coeffs[(1, 1)] = 0
-        return ChannelRealization(k=k, prime=prime, seed=seed, coeffs=coeffs)
+        ch = draw_channels(k, seed, prime=prime)
+        diag = (0, 0, *ch.diag[2:]) if seed == 2 else ch.diag
+        return ChannelRealization(k=k, prime=prime, seed=seed, left=ch.left, diag=diag)
 
     monkeypatch.setattr(dz, "draw_channels", fake_draw)
     a = association(1, 1, [[1]])

@@ -157,9 +157,10 @@ def test_modulus_must_be_prime():
 def test_realizations_built_directly_keep_the_field_contract():
     # Z/4 gains 1 and 3 once gave pair_association(9) a downlink "witness"
     # that verify_witness accepted; the constructor now refuses the modulus.
-    gains = {pair: 1 + 2 * (n % 2) for n, pair in enumerate(draw_channels(9, 1).coeffs)}
+    # Gains 1 on each user's own bs and 3 on the one before, as rows.
+    gains = {"left": (0, 0, *[3] * 8, 0), "diag": (0, *[1] * 9, 0)}
     with pytest.raises(ValidationError, match="prime must be a prime, got 4"):
-        ChannelRealization(k=9, prime=4, seed=1, coeffs=gains)
+        ChannelRealization(k=9, prime=4, seed=1, **gains)
     for bad, match in (
         ({"k": 0}, "k must be at least 1"),
         ({"k": True}, "k must be an integer"),
@@ -168,8 +169,31 @@ def test_realizations_built_directly_keep_the_field_contract():
         ({"prime": 9}, "prime must be a prime, got 9"),
     ):
         with pytest.raises(ValidationError, match=match):
-            ChannelRealization(**{"k": 9, "prime": 13, "seed": 1, "coeffs": gains, **bad})
-    assert ChannelRealization(k=9, prime=13, seed=1, coeffs=gains).prime == 13
+            ChannelRealization(**{"k": 9, "prime": 13, "seed": 1, **gains, **bad})
+    assert ChannelRealization(k=9, prime=13, seed=1, **gains).prime == 13
+
+
+def test_realization_rows_keep_their_contract():
+    # Rows run over users 0..k+1; a row of the wrong length or kind, a
+    # member that is not an int, or a nonzero gain off the line is refused.
+    left, diag = (0, 0, 3, 3, 0), (0, 1, 1, 1, 0)
+    off_line = "gains off the line .* must be 0"
+    for bad_left, bad_diag, match in (
+        (left[:-1], diag, r"left must be a tuple of k \+ 2 gains"),
+        (left, diag + (0,), r"diag must be a tuple of k \+ 2 gains"),
+        (list(left), diag, r"left must be a tuple of k \+ 2 gains"),
+        ((0, 0, True, 3, 0), diag, "left gain must be an integer, got True"),
+        (left, (0, 1, 1.0, 1, 0), "diag gain must be an integer, got 1.0"),
+        ((5, 0, 3, 3, 0), diag, off_line),  # user 0
+        ((0, 5, 3, 3, 0), diag, off_line),  # g(1, 0): bs 0
+        ((0, 0, 3, 3, 5), diag, off_line),  # user k + 1
+        (left, (5, 1, 1, 1, 0), off_line),
+        (left, (0, 1, 1, 1, 5), off_line),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            ChannelRealization(k=3, prime=13, seed=1, left=bad_left, diag=bad_diag)
+    ch = ChannelRealization(k=3, prime=13, seed=1, left=left, diag=diag)
+    assert (ch.left, ch.diag) == (left, diag)
 
 
 def test_associations_built_directly_have_integer_members():

@@ -73,41 +73,36 @@ def test_channel_draws_are_deterministic_and_nonzero():
     a = draw_channels(6, 3)
     b = draw_channels(6, 3)
     c = draw_channels(6, 4)
-    assert a.coeffs == b.coeffs
-    assert a.coeffs != c.coeffs
-    assert set(a.coeffs) == {
-        (i, j) for i in range(1, 7) for j in connected_bs(i, 6)
-    }
-    assert all(1 <= v < DEFAULT_PRIME for v in a.coeffs.values())
+    assert (a.left, a.diag) == (b.left, b.diag)
+    assert (a.left, a.diag) != (c.left, c.diag)
+    # Rows over users 0..7, nonzero exactly at the connected pairs.
+    assert len(a.left) == len(a.diag) == 8
+    assert {(i, i - 1) for i in range(8) if a.left[i]} | {
+        (i, i) for i in range(8) if a.diag[i]
+    } == {(i, j) for i in range(1, 7) for j in connected_bs(i, 6)}
+    assert all(0 <= v < DEFAULT_PRIME for v in a.left + a.diag)
 
 
 def test_channel_draw_order_is_frozen():
     # Draw order is part of the wire contract: users ascending, then each
-    # user's base stations ascending.
+    # user's base stations ascending, so diag takes draws 0, 2, 4 and left
+    # draws 1, 3.
     ch = draw_channels(3, 1)
-    assert ch.coeffs == {
-        (1, 1): 288545019,
-        (2, 1): 1222356006,
-        (2, 2): 1819850096,
-        (3, 2): 1722851097,
-        (3, 3): 1640193507,
-    }
+    assert ch.diag == (0, 288545019, 1819850096, 1640193507, 0)
+    assert ch.left == (0, 0, 1222356006, 1722851097, 0)
 
 
 def test_channel_draws_equal_randrange_draws():
-    # One getrandbits loop replaces randrange(1, prime) per coefficient; the
-    # small moduli make it redraw often.
+    # One batch of getrandbits replaces randrange(1, prime) per coefficient;
+    # the small moduli make it redraw often.
     for seed in (1, -5, 2**40):
         for prime in (3, 5, 7, 13, 2**31 - 1, 2**61 - 1):
             for k in range(1, 41):
                 rng = random.Random(seed)
-                expected = [
-                    ((i, j), rng.randrange(1, prime))
-                    for i in range(1, k + 1)
-                    for j in (i - 1, i)
-                    if j >= 1
-                ]
-                assert list(draw_channels(k, seed, prime).coeffs.items()) == expected
+                expected = [rng.randrange(1, prime) for _ in range(2 * k - 1)]
+                ch = draw_channels(k, seed, prime)
+                assert ch.diag == (0, *expected[0::2], 0)
+                assert ch.left == (0, 0, *expected[1::2], 0)
 
 
 def test_association_roundtrip_and_normalization():
@@ -217,8 +212,7 @@ def test_active_set_check_is_shared_by_both_sessions():
 
 def test_frozen_records_that_hold_dicts_are_unhashable():
     result = exhaustive_search(3, 1, 1)
-    holding_dicts = (draw_channels(3, 1), result.dl.witness, result.dl, result,
-                     soundness_sweep(3, 1, 1))
+    holding_dicts = (result.dl.witness, result.dl, result, soundness_sweep(3, 1, 1))
     for record in holding_dicts:
         assert not isinstance(record, Hashable), type(record).__name__
         with pytest.raises(TypeError, match="unhashable"):
@@ -226,7 +220,7 @@ def test_frozen_records_that_hold_dicts_are_unhashable():
     assoc = association(4, 2, [[1], [1, 2], [2, 3], [4]])
     pattern = PeriodicPattern(period=2, offsets=((0,), (-1, 0)))
     dict_free = (
-        assoc, Violation(1, "empty"), max_uplink_dof(assoc),
+        assoc, Violation(1, "empty"), draw_channels(3, 1), max_uplink_dof(assoc),
         max_uplink_dof(assoc).order, lemma2_chain_bound(assoc), result.bound,
         counting_bound(assoc).flagged[0], avg_optimal(6, 2), pattern,
         periodic_eval(pattern, 2), compare_with_theorem(2),

@@ -2,11 +2,13 @@
 
 Each entry of MUTANTS names a wrong version of one attribute of a module
 or class and the tests that must fail while it stands in for the real
-one.  The one test here puts each mutant in place in turn, calls each of
-its killers as a plain function (no subprocess, no fixtures) and fails
-when a killer passes, that is when a mutant survives, or when a mutant's
-target or a killer no longer exists.  A killer must therefore take no
-argument but those its hypothesis strategies fill.  A mutant of a
+one.  The one test here puts each mutant in place in turn, under the
+attribute and under every loaded module's name for the same object (a
+test that imported verify_witness by name calls its own binding), calls
+each of its killers as a plain function (no subprocess, no fixtures) and
+fails when a killer passes, that is when a mutant survives, or when a
+mutant's target or a killer no longer exists.  A killer must therefore
+take no argument but those its hypothesis strategies fill.  A mutant of a
 function or method may be its own source with one piece of it replaced
 (_edited), so that it stays the real code but for that piece.
 
@@ -17,10 +19,12 @@ express them, or they leave every table the same.
 
 import importlib
 import inspect
+import sys
 import textwrap
+from contextlib import ExitStack
 from unittest import mock
 
-from cellassoc import _kernels, schemes
+from cellassoc import _kernels, cli, downlink_zf, model, schemes
 from cellassoc._kernels import _pure
 
 
@@ -53,6 +57,8 @@ ORDERS = ["test_properties::test_each_rule_order_is_a_simulation"]
 ORACLES = ["test_properties::test_rules_match_oracles"]
 LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
 WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
+LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
+VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -109,7 +115,7 @@ MUTANTS = [
         "forbidden layer move still gains 1",
         (_pure.FamilyLayers, "_move"),
         _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(self._idle, 1)"),
-        WALK,
+        LAYERS,
     ),
     (
         "forbidden layer move keeps its state",
@@ -118,11 +124,36 @@ MUTANTS = [
         WALK,
     ),
     (
-        # bounds reads the binding of _kernels, so a patch of _pure.chain_max survives.
         "chain bound maximizes the uplink rule",
         (_kernels, "chain_max"),
         lambda cells: len(_pure.ul_max_active(cells)),
         ["test_bounds::test_chain_bound_on_fully_flagged_chains"],
+    ),
+    (
+        "witness check skips receiver j + 1",
+        (downlink_zf, "verify_witness"),
+        _edited(downlink_zf.verify_witness, "receivers.add(j + 1)", "pass"),
+        VERIFY,
+    ),
+    (
+        "witness check reads diag for left",
+        (downlink_zf, "verify_witness"),
+        _edited(downlink_zf.verify_witness, "left[r] * vec.get", "diag[r] * vec.get"),
+        VERIFY,
+    ),
+    (
+        # The realization refuses the swapped rows before the pinned gains are compared.
+        "draw swaps its rows",
+        (model, "draw_channels"),
+        _edited(model.draw_channels, "left=(0, 0, *gains[1::2], 0), diag=(0, *gains[::2], 0)",
+                "diag=(0, 0, *gains[1::2], 0), left=(0, *gains[::2], 0)"),
+        ["test_model::test_channel_draw_order_is_frozen"],
+    ),
+    (
+        "int-list writer uses the outer separator inside each list",
+        (cli, "_json_texts"),
+        _edited(cli._json_texts, 'item = "%d," + inner', 'item = "%d," + newline'),
+        ["test_cli::test_json_writer_matches_json_dumps"],
     ),
 ]
 
@@ -149,12 +180,23 @@ def _killer(name):
     return getattr(importlib.import_module(module), test)
 
 
+def _bindings(owner, attribute):
+    """owner, and every other loaded module that binds owner.attribute by that name."""
+    original = getattr(owner, attribute)
+    modules = [
+        m for m in list(sys.modules.values()) if getattr(m, "__dict__", {}).get(attribute) is original
+    ]
+    return [owner, *(m for m in modules if m is not owner)]
+
+
 def test_every_mutant_is_killed():
     survivors = []
     for name, (module, attribute), replacement, killers in MUTANTS:
         assert hasattr(module, attribute), f"{name}: {module.__name__}.{attribute} is gone"
         tests = [_killer(killer) for killer in killers]
-        with mock.patch.object(module, attribute, replacement):
+        with ExitStack() as stack:
+            for owner in _bindings(module, attribute):
+                stack.enter_context(mock.patch.object(owner, attribute, replacement))
             for killer, test in zip(killers, tests):
                 try:
                     test()

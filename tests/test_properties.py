@@ -114,7 +114,7 @@ def ref_message_witness(assoc, active, ch, m):
         if r == m:
             continue
         if any(j in (r - 1, r) for j in cols):
-            rows.append([ch.coeffs.get((r, j), 0) for j in cols])
+            rows.append([gain(ch, r, j) for j in cols])
 
     pivots = []
     rank = 0
@@ -136,7 +136,7 @@ def ref_message_witness(assoc, active, ch, m):
             break
 
     pivot_cols = [c for _, c in pivots]
-    desired = [ch.coeffs.get((m, j), 0) for j in cols]
+    desired = [gain(ch, m, j) for j in cols]
     for f in (c for c in range(ncols) if c not in pivot_cols):
         vec = [0] * ncols
         vec[f] = 1
@@ -519,12 +519,28 @@ def test_uplink_feasible_matches_full_scan_on_every_small_case():
                     assert uplink_feasible(assoc, active) == expected, (combo, active)
 
 
+def gain(ch, i, j):
+    """g(i, j) of the realization: 0 unless user i hears bs j, i.e. j is i - 1 or i."""
+    if 1 <= i <= ch.k and j in (i - 1, i):
+        return (ch.left if j == i - 1 else ch.diag)[i]
+    return 0
+
+
+def line_pairs(k):
+    """The 2k - 1 connected (user, bs) pairs in draw order."""
+    return [(i, j) for i in range(1, k + 1) for j in (i - 1, i) if j >= 1]
+
+
 def with_zeros(ch, zeroed):
-    """The realization with the coefficients at the given positions set to 0."""
-    pairs = sorted(ch.coeffs)
+    """The realization with the coefficients at the given positions set to 0.
+
+    Positions count the connected pairs in draw order (line_pairs).
+    """
+    pairs = line_pairs(ch.k)
     zero = {pairs[i] for i in zeroed if i < len(pairs)}
-    coeffs = {pair: 0 if pair in zero else v for pair, v in ch.coeffs.items()}
-    return ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, coeffs=coeffs)
+    left = tuple(0 if (i, i - 1) in zero else g for i, g in enumerate(ch.left))
+    diag = tuple(0 if (i, i) in zero else g for i, g in enumerate(ch.diag))
+    return ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, left=left, diag=diag)
 
 
 def subsets(items):
@@ -557,7 +573,7 @@ def ref_verify_witness(witness, assoc, active, ch):
         if not set(vec) <= set(assoc.cells[m - 1]):
             return False
         for r in active:
-            heard = sum(ch.coeffs.get((r, j), 0) * v for j, v in vec.items()) % p
+            heard = sum(gain(ch, r, j) * v for j, v in vec.items()) % p
             if (heard != 0) != (r == m):
                 return False
     return True
@@ -625,6 +641,12 @@ def tampered(witness, assoc, active, how, pick, value):
     (association(3, 2, [[], [1, 2], [3]]), frozenset({2, 3})),
     1, DEFAULT_PRIME, frozenset(), "zero made nonzero", 0, 5,
 )
+# Active user 2 hears message 1 on both its stations, g(2, 1) and g(2, 2)
+# against precoder entries that must cancel.
+@example(
+    (association(3, 2, [[1, 2], [2], []]), frozenset({1, 2})),
+    1, DEFAULT_PRIME, frozenset(), "honest", 0, 0,
+)
 def test_verify_witness_matches_dense_reference(case, seed, prime, zeroed, how, pick, value):
     assoc, active = case
     active = frozenset(m for m in active if assoc.cells[m - 1])
@@ -661,7 +683,7 @@ def test_message_witness_matches_rref_on_every_small_case():
                     for ch in draws:
                         got = _message_witness(assoc.cells[m - 1], m, *_gain_rows(ch, active), ch.prime)
                         assert got == ref_message_witness(assoc, active, ch, m), (
-                            k, m, cell, active, ch.coeffs,
+                            k, m, cell, active, ch.left, ch.diag,
                         )
                         cases += 1
     assert cases == 68740
@@ -701,6 +723,8 @@ def test_every_plan_passes_both_references(builder, nc, k, seeds, prime):
 # Message 3's left run {1, 2} is closed only by an active run of length 2,
 # so a downlink run cap below the longest left side would serve it.
 @example((association(3, 3, [[1, 2, 3], [2, 3], [1, 2]]), frozenset({1, 2, 3})), 1, 13)
+# Message 1 is served because user 2, which holds bs 1 too, is inactive.
+@example((association(2, 1, [[1], [1]]), frozenset({1})), 1, 13)
 def test_rules_match_oracles(case, seed, prime):
     assoc, active = case
     k, cells = assoc.k, assoc.cells
@@ -801,6 +825,8 @@ def test_each_rule_order_is_a_simulation(family):
 
 @settings(max_examples=80, deadline=None)
 @given(families())
+# Its tables hold forbidden moves, which gain nothing.
+@example((3, search._user_options(3, 2, 1)))
 def test_layer_moves_match_the_reference_fold(family):
     # A layer is one state at its count.  Fed the whole layer (idle one
     # below, as an inactive user before it left it), the reference keeps
@@ -854,7 +880,8 @@ def test_zeroed_prime_13_realizations_build():
     base = draw_channels(4, 1, 13)
     for zeroed in subsets(range(7)):
         ch = with_zeros(base, zeroed)
-        assert ch.prime == 13 and sum(v == 0 for v in ch.coeffs.values()) == len(zeroed)
+        zeros = sum(gain(ch, i, j) == 0 for i, j in line_pairs(4))
+        assert ch.prime == 13 and zeros == len(zeroed)
 
 
 @settings(max_examples=80, deadline=None)
