@@ -15,6 +15,12 @@ files, an unwritable --out, budget/range violations in an association),
 3 refused size or candidate budgets, 4 internal consistency failure (a
 witness or claim that should certify did not).
 
+--out rewrites its file in place, not atomically: the file is opened
+without truncation, written from its start and then cut to the bytes
+written (see _emit), so it keeps its inode, a symlink reaches its target,
+and a device or FIFO is written but not cut.  On ext4 this skips the
+writeback that a truncate to zero followed by a rewrite starts at close().
+
 main builds the argparse parser on its first call and reuses it for every
 later call in the process: a parse keeps no state in the parser (each call
 gets a fresh Namespace, and "append" copies its default), so a process that
@@ -27,6 +33,8 @@ import argparse
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
@@ -73,15 +81,29 @@ def _load_json(path: str) -> object:
 
 
 def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
-    """Write the pieces of text in chunks to the file out, or to stdout."""
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {out}: {exc}") from exc
-    else:
+    """Write the pieces of text in chunks to the file out, or to stdout.
+
+    out is rewritten in place: opened without O_TRUNC (so a symlink is
+    followed and the inode, its hard links and its mode stay), written from
+    its start, then cut at the position reached.  The cut runs even when a
+    chunk raises, so no old bytes are left after the new ones; a target
+    that is not a regular file (os.devnull, a FIFO) is written but not
+    cut.  On ext4, truncating a file to zero and writing it again makes
+    close() start writeback, which costs several times the write itself.
+    """
+    if not out:
         sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                fh.writelines(chunks)
+            finally:
+                if regular:
+                    fh.truncate()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -184,12 +184,30 @@ def _message_witness(cell, m, left, diag, p):
 
 
 def _run_precoder(cell, a, c, left, diag, p):
-    """1 at column c, back-substituted along the linked run [a, c], 0 elsewhere in cell."""
+    """1 at column c, back-substituted along the linked run [a, c], 0 elsewhere in cell.
+
+    User r in (a, c] links r-1 and r, so g(r, r-1) != 0, and the step
+    v[r-1] = -g(r, r) v[r] / g(r, r-1) gives v[r-1] = num[r] / den[r], with
+    num[r] and den[r] the products of -g(s, s) and of g(s, s-1) over s in
+    r..c.  One inverse of den[a+1] yields every 1/den[r] going up the run
+    (1/den[r+1] = g(r, r-1) / den[r]; Montgomery's batch inversion), so a
+    run costs one pow, not one per link.  A run of one link, the most
+    common, takes the step directly.
+    """
     k = len(left) - 2
     vec = {j: 0 for j in cell if 0 < j <= k}
     vec[c] = 1
-    for r in range(c, a, -1):  # user r links r-1 and r, so g(r, r-1) != 0
-        vec[r - 1] = -diag[r] * vec[r] * pow(left[r], -1, p) % p
+    if c == a + 1:
+        vec[a] = -diag[c] * pow(left[c], -1, p) % p
+    elif c > a:
+        num = den = 1
+        for r in range(c, a, -1):
+            num = vec[r - 1] = -diag[r] * num % p
+            den = left[r] * den % p
+        inv = pow(den, -1, p)  # 1/den[a+1]
+        for r in range(a + 1, c + 1):
+            vec[r - 1] = vec[r - 1] * inv % p
+            inv = inv * left[r] % p
     return vec
 
 

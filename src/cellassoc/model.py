@@ -304,17 +304,22 @@ def validate_association(assoc: CellAssociation) -> list[Violation]:
     return violations
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def int_from_json(value: object, what: str) -> int:
     """Read an integer from parsed JSON: an int or a decimal string.
 
     Strings are accepted because JSON object keys are strings (witness
-    precoders are keyed by message and bs).  Anything else, bools and
-    floats included, raises ValidationError.
+    precoders are keyed by message and bs).  A string must be ASCII digits
+    with an optional sign, inside the whitespace that frac_from_str also
+    strips: int() alone would also read "1_0" and non-ASCII digits.
+    Anything else, bools and floats included, raises ValidationError.
     """
-    if isinstance(value, str):
+    if isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more digits than Python reads from a string
             pass
     return check_int(what, value)
 

@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: payloads, formats, exit codes, determinism."""
 
+import builtins
 import csv
 import io
 import json
+import os
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -453,6 +455,105 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     code, out, err = run(capsys, "report", "--out", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+# --out rewrites its file in place (cli._emit): no truncation when it opens,
+# a cut at the end of what was written.
+
+
+def test_out_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    _, text, _ = run(capsys, "report")
+    target = tmp_path / "report.json"
+    target.write_bytes(b"x" * (10 * len(text)))
+    assert run(capsys, "report", "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == text.encode()
+
+
+def test_out_keeps_the_file_its_links_and_a_new_files_mode(tmp_path, capsys):
+    _, text, _ = run(capsys, "report")
+    target = tmp_path / "report.json"
+    assert run(capsys, "report", "--out", str(target)) == (0, "", "")
+    mask = os.umask(0)
+    os.umask(mask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~mask
+    target.write_bytes(b"old " * 1000)
+    inode = target.stat().st_ino
+    symlink, hardlink = tmp_path / "via-symlink.json", tmp_path / "via-hardlink.json"
+    symlink.symlink_to(target)
+    os.link(target, hardlink)
+    assert run(capsys, "report", "--out", str(symlink)) == (0, "", "")
+    assert symlink.is_symlink() and os.readlink(symlink) == str(target)
+    assert target.stat().st_ino == hardlink.stat().st_ino == inode
+    assert target.read_bytes() == hardlink.read_bytes() == text.encode()
+
+
+def test_out_to_a_device_is_written_without_a_cut(capsys):
+    assert run(capsys, "report", "--out", os.devnull) == (0, "", "")
+
+
+def test_a_failing_write_leaves_no_old_bytes_and_no_open_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old text, longer than the first chunk\n" * 20)
+    opened, real_os_open = [], os.open
+
+    def recording_open(*args):
+        opened.append(real_os_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recording_open)
+
+    def chunks():
+        yield "first chunk\n"
+        raise InternalCheckError("fails after the first chunk")
+
+    with pytest.raises(InternalCheckError):
+        cli._emit(chunks(), str(target))
+    monkeypatch.undo()
+    assert target.read_text() == "first chunk\n"
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])  # closed
+
+
+def test_no_out_file_is_opened_for_truncation(tmp_path, capsys, monkeypatch):
+    # A truncate to zero followed by a rewrite makes ext4 start writeback
+    # at close(), several times the cost of the write itself.  Every
+    # command writes over an existing --out file, and no open of that path
+    # by name may truncate it: os.open with O_TRUNC, or open() in "w" mode.
+    assoc = write_assoc(tmp_path, pair_association(6))
+    commands = [
+        ["scheme", "--k", "9", "--nc", "2", "--type", "avg"],
+        ["eval", assoc],
+        ["bound", assoc],
+        ["search", "--k", "3", "--nc", "1", "--window", "1"],
+        ["search", "--k", "3", "--nc", "1", "--window", "1", "--format", "csv"],
+        ["report", "--format", "text"],
+    ]
+    calls = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *rest, **kw):
+        calls.append((os.fspath(path), "os.open", flags & os.O_TRUNC != 0))
+        return real_os_open(path, flags, *rest, **kw)
+
+    def builtin_open(file, mode="r", *rest, **kw):
+        if not isinstance(file, int):
+            calls.append((os.fspath(file), "open", "w" in mode))
+        return real_open(file, mode, *rest, **kw)
+
+    for n, argv in enumerate(commands):
+        _, text, _ = run(capsys, *argv)
+        target = tmp_path / f"out{n}"
+        target.write_bytes(b"stale " * len(text))
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", builtin_open)
+        try:
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        finally:
+            monkeypatch.undo()
+        assert target.read_bytes() == text.encode(), argv
+        assert any(path == str(target) for path, _, _ in calls), argv
+    assert [call for call in calls if call[2]] == []
 
 
 def test_byte_determinism(capsys):

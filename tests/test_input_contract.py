@@ -11,10 +11,13 @@ import pytest
 
 from cellassoc import (
     DEFAULT_PRIME,
+    BoundCertificate,
     CellAssociation,
     ChannelRealization,
     PeriodicPattern,
     ValidationError,
+    DecodingOrder,
+    SchemePlan,
     ZfWitness,
     association,
     avg_optimal,
@@ -32,7 +35,7 @@ from cellassoc import (
     tau_downlink,
     zf_feasible_majority,
 )
-from cellassoc.model import _is_prime
+from cellassoc.model import _is_prime, int_from_json
 from cellassoc.search import load_search_config
 
 PAIR = PeriodicPattern(period=1, offsets=((-1, 0),))
@@ -212,3 +215,35 @@ def test_primality_test_is_exact():
     # Strong pseudoprimes to the bases 2..7 and 2..23, and large primes.
     assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
     assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+
+
+# Strings that int() reads as integers but that are no ASCII decimal literal:
+# underscores, Unicode digits (Arabic-Indic three, fullwidth one), and
+# prefixes, points, exponents and signs that int() or float() would take.
+NOT_DECIMAL = ("1_0", "\u0663", "\uff11", "0x10", "1e3", "1.0", "", " ", "+", "- 3", "\u22123")
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL, ids=ascii)
+def test_json_integer_strings_must_be_ascii_decimal(text):
+    with pytest.raises(ValidationError, match="message must be an integer"):
+        int_from_json(text, "message")
+    witness = max_downlink_dof(pair_association(4)).witness.to_json()
+    plan = avg_optimal(5, 2).to_json()
+    cert = ncone_bound(3).to_json()
+    for reader, data in (
+        (ZfWitness, dict(witness, precoders={text: {"1": 1}})),
+        (ZfWitness, dict(witness, seed=text)),
+        (SchemePlan, dict(plan, dl_silent_bs=[text])),
+        (DecodingOrder, {"steps": [{"m": text, "bs": 1}]}),
+        (BoundCertificate, dict(cert, k=text)),
+    ):
+        with pytest.raises(ValidationError):
+            reader.from_json(data)
+
+
+def test_json_integer_strings_keep_sign_and_outer_whitespace():
+    texts = ("7", " 7 ", "-3", "+4", "007", "\t12\n")
+    assert [int_from_json(text, "x") for text in texts] == [7, 7, -3, 4, 7, 12]
+    assert int_from_json(-5, "x") == -5
+    with pytest.raises(ValidationError, match="x must be an integer"):
+        int_from_json("9" * 5000, "x")  # more digits than int() reads

@@ -142,6 +142,12 @@ MUTANTS = [
         VERIFY,
     ),
     (
+        "batched inverse steps up the run by the wrong gain",
+        (downlink_zf, "_run_precoder"),
+        _edited(downlink_zf._run_precoder, "inv = inv * left[r] % p", "inv = inv * left[r - 1] % p"),
+        ["test_properties::test_run_precoder_matches_one_inverse_per_link"],
+    ),
+    (
         # The realization refuses the swapped rows before the pinned gains are compared.
         "draw swaps its rows",
         (model, "draw_channels"),

@@ -46,6 +46,7 @@ from cellassoc.downlink_zf import (
     ZfWitness,
     _gain_rows,
     _message_witness,
+    _run_precoder,
     max_downlink_dof,
     strip_silent,
     verify_witness,
@@ -145,6 +146,16 @@ def ref_message_witness(assoc, active, ch, m):
         if sum(d * v for d, v in zip(desired, vec)) % p != 0:
             return {j: vec[idx] for idx, j in enumerate(cols)}
     return None
+
+
+def ref_run_precoder(cell, a, c, left, diag, p):
+    """downlink_zf._run_precoder with one modular inverse per link."""
+    k = len(left) - 2
+    vec = {j: 0 for j in cell if 0 < j <= k}
+    vec[c] = 1
+    for r in range(c, a, -1):  # user r links r-1 and r, so g(r, r-1) != 0
+        vec[r - 1] = -diag[r] * vec[r] * pow(left[r], -1, p) % p
+    return vec
 
 
 def ref_zf_feasible(assoc, active, ch):
@@ -687,6 +698,35 @@ def test_message_witness_matches_rref_on_every_small_case():
                         )
                         cases += 1
     assert cases == 68740
+
+
+@st.composite
+def linked_runs(draw):
+    """(a, c, left, diag, cell): gain rows over users 0..k+1 and a run [a, c] in cell.
+
+    The gains are reduced by the test; the cell may hold columns off the
+    run and off the line (0 and k + 1).
+    """
+    k = draw(st.integers(1, 61))
+    a = draw(st.integers(1, k))
+    c = draw(st.integers(a, k))
+    row = st.lists(st.integers(0, 2**64), min_size=k + 2, max_size=k + 2)
+    extra = draw(st.frozensets(st.integers(0, k + 1)))
+    return a, c, draw(row), draw(row), extra | frozenset(range(a, c + 1))
+
+
+@SETTINGS
+@given(primes, linked_runs())
+@example(13, (1, 3, [0, 0, 2, 3, 0], [0, 1, 2, 3, 0], frozenset({1, 2, 3})))
+def test_run_precoder_matches_one_inverse_per_link(prime, run):
+    # Runs of up to 60 links, where the exhaustive k <= 4 check above
+    # reaches 3; every link r in (a, c] has g(r, r-1) != 0.
+    a, c, left, diag, cell = run
+    left, diag = [g % prime for g in left], [g % prime for g in diag]
+    for r in range(a + 1, c + 1):
+        left[r] = left[r] or 1
+    got = _run_precoder(cell, a, c, left, diag, prime)
+    assert got == ref_run_precoder(cell, a, c, left, diag, prime)
 
 
 @settings(max_examples=40, deadline=None)
