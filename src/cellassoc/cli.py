@@ -18,8 +18,10 @@ witness or claim that should certify did not).
 --out rewrites its file in place, not atomically: the file is opened
 without truncation, written from its start and then cut to the bytes
 written (see _emit), so it keeps its inode, a symlink reaches its target,
-and a device or FIFO is written but not cut.  On ext4 this skips the
-writeback that a truncate to zero followed by a rewrite starts at close().
+and a device or FIFO is written but not cut.  A process killed before the
+cut leaves the old file's tail after the new bytes.  On ext4 this skips
+the writeback that a truncate to zero followed by a rewrite starts at
+close().
 
 main builds the argparse parser on its first call and reuses it for every
 later call in the process: a parse keeps no state in the parser (each call
@@ -88,8 +90,11 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
     its start, then cut at the position reached.  The cut runs even when a
     chunk raises, so no old bytes are left after the new ones; a target
     that is not a regular file (os.devnull, a FIFO) is written but not
-    cut.  On ext4, truncating a file to zero and writing it again makes
-    close() start writeback, which costs several times the write itself.
+    cut.  A process killed before the cut (SIGKILL, an OOM kill, a power
+    loss) leaves the new bytes followed by the old file's tail, which for
+    a streamed CSV can read as well-formed rows of an earlier run.  On
+    ext4, truncating a file to zero and writing it again makes close()
+    start writeback, which costs several times the write itself.
     """
     if not out:
         sys.stdout.writelines(chunks)

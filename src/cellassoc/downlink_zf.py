@@ -191,15 +191,12 @@ def _run_precoder(cell, a, c, left, diag, p):
     num[r] and den[r] the products of -g(s, s) and of g(s, s-1) over s in
     r..c.  One inverse of den[a+1] yields every 1/den[r] going up the run
     (1/den[r+1] = g(r, r-1) / den[r]; Montgomery's batch inversion), so a
-    run costs one pow, not one per link.  A run of one link, the most
-    common, takes the step directly.
+    run costs one pow, not one per link.
     """
     k = len(left) - 2
     vec = {j: 0 for j in cell if 0 < j <= k}
     vec[c] = 1
-    if c == a + 1:
-        vec[a] = -diag[c] * pow(left[c], -1, p) % p
-    elif c > a:
+    if c > a:
         num = den = 1
         for r in range(c, a, -1):
             num = vec[r - 1] = -diag[r] * num % p
