@@ -27,6 +27,21 @@ main builds the argparse parser on its first call and reuses it for every
 later call in the process: a parse keeps no state in the parser (each call
 gets a fresh Namespace, and "append" copies its default), so a process that
 serves many small calls pays the build once.
+
+argparse is the only place the grammar is declared, but its interpreter
+costs about 0.1 ms an argv.  So main first reads a plain argv straight
+from the command parser's own actions (_plain_args): a command name, then
+that command's positionals and exact option strings, each option followed
+by one value that does not start with "-", every value passing its
+option's type and choices, every required argument given.  That gives
+the Namespace parse_args would give.  Every other argv (help, "--k=5",
+an abbreviation, "--", a value starting with "-", an unknown option, a
+refused value, a missing or extra argument) goes to parse_args, so its
+messages and exit codes are argparse's own.
+
+Integer flags (--k, --nc, --seed, --window, --cap) and the items of
+report --nc are ASCII decimal, read by model.int_from_text: "1_2" and
+non-ASCII digits are refused with exit 2.
 """
 
 from __future__ import annotations
@@ -58,6 +73,7 @@ from .model import (
     CellAssociation,
     average_per_user,
     frac_to_str,
+    int_from_text,
     validate_association,
 )
 from .render import render_ascii, render_svg
@@ -365,7 +381,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        ncs = [int(tok) for tok in args.nc.split(",") if tok.strip()]
+        ncs = [int_from_text(tok) for tok in args.nc.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"--nc must be a comma list of integers: {exc}") from exc
     if not ncs:
@@ -385,8 +401,20 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    return int_from_text(text)
+
+
+_int.__name__ = "int"  # argparse names a refused value's type: "invalid int value: '1_2'"
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the table _plain_args reads from its command parsers.
+
+    Both are built on the first call and kept together in this one cache,
+    so clearing it drops both.
+    """
     parser = argparse.ArgumentParser(
         prog="cellassoc",
         description="Exact cell-association tools for linear interference networks.",
@@ -395,13 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scheme", help="construct a certified reference plan")
     p.add_argument(
-        "--k", type=int, required=True,
+        "--k", type=_int, required=True,
         help=(
             f"number of user/bs pairs (at most {MAX_SCHEME_K}, "
             f"and k*min(nc, k) at most {4 * MAX_SCHEME_K})"
         ),
     )
-    p.add_argument("--nc", type=int, help="association budget per user")
+    p.add_argument("--nc", type=_int, help="association budget per user")
     p.add_argument(
         "--type",
         required=True,
@@ -409,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scheme family",
     )
     p.add_argument(
-        "--seed", type=int, action="append",
+        "--seed", type=_int, action="append",
         help="channel seed of the witness (repeatable; only the first is used)",
     )
     p.add_argument("--format", choices=("json",), default="json")
@@ -419,19 +447,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an association file")
     p.add_argument("assoc", help="path to an association JSON file")
     p.add_argument("--session", choices=("up", "down", "avg"), default="avg")
-    p.add_argument("--seed", type=int, action="append", help="channel seed (repeatable)")
+    p.add_argument("--seed", type=_int, action="append", help="channel seed (repeatable)")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("search", help="exhaustive windowed search")
-    p.add_argument("--k", type=int)
-    p.add_argument("--nc", type=int)
-    p.add_argument("--window", type=int, help="association window half-width")
+    p.add_argument("--k", type=_int)
+    p.add_argument("--nc", type=_int)
+    p.add_argument("--window", type=_int, help="association window half-width")
     p.add_argument("--objective", help="avg, ul/up, or dl/down")
-    p.add_argument("--seed", type=int, action="append")
+    p.add_argument("--seed", type=_int, action="append")
     cap_help = f"candidate cap (default {DEFAULT_CAP}); no family above {MAX_CANDIDATES} runs"
-    p.add_argument("--cap", type=int, help=cap_help)
+    p.add_argument("--cap", type=_int, help=cap_help)
     p.add_argument("--config", help="JSON run configuration (flags override it)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
@@ -461,12 +489,76 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_report)
 
-    return parser
+    return parser, {name: _plain_command(p) for name, p in sub.choices.items()}
+
+
+_PLAIN_ACTIONS = (argparse._StoreAction, argparse._AppendAction)
+
+
+def _plain_command(parser: argparse.ArgumentParser) -> tuple:
+    """What _plain_args reads of one command's parser, taken from its actions.
+
+    (options, positionals, defaults, required): argparse's own map from
+    each option string to its action; the positional actions in order;
+    the values parse_args starts from (action defaults over set_defaults);
+    and the actions that must be given.
+    """
+    actions = parser._actions
+    defaults = parser._defaults | {
+        a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS
+    }
+    positionals = tuple(a for a in actions if not a.option_strings)
+    return (
+        parser._option_string_actions,
+        positionals,
+        defaults,
+        frozenset(a for a in actions if a.required),
+    )
+
+
+def _plain_args(commands: dict, argv: list) -> Optional[dict]:
+    """vars(parse_args(argv)) for a plain argv, or None for parse_args to read it.
+
+    commands maps each command name to its _plain_command table.  Every
+    token is read as parse_args reads it: an option is a store or append
+    action that takes one value (a store keeps the last value, an append
+    adds to a fresh list), and type then choices check each value.  Any
+    token or value that would need more of argparse declines.
+    """
+    if not argv or {*map(type, argv)} != {str} or argv[0] not in commands:
+        return None
+    options, positionals, defaults, required = commands[argv[0]]
+    values = {"command": argv[0], **defaults}
+    pending, seen = iter(positionals), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            action, value = options.get(token), next(tokens, "-")  # "-": no value left
+            if type(action) not in _PLAIN_ACTIONS or action.nargs is not None or value[:1] == "-":
+                return None
+        else:
+            action, value = next(pending, None), token
+            if action is None:
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if type(action) is argparse._AppendAction:
+            value = [*(values[action.dest] or ()), value]
+        values[action.dest] = value
+        seen.add(action)
+    return values if required <= seen else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = _plain_args(commands, argv)
+    args = parser.parse_args(argv) if values is None else argparse.Namespace(**values)
     try:
         return args.func(args)
     except CellAssocError as exc:

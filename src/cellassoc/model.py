@@ -290,7 +290,18 @@ def association(k: int, nc: int, cells: Iterable[Iterable[int]]) -> CellAssociat
 
 
 def validate_association(assoc: CellAssociation) -> list[Violation]:
-    """Report all budget and range violations; an empty list means valid."""
+    """Report all budget and range violations; an empty list means valid.
+
+    The common case, a valid association, is answered by C-level passes
+    (the largest set against nc, the least and greatest member of the
+    union against 1..k); only a failing one is walked user by user to name
+    its violations.
+    """
+    members = frozenset().union(*assoc.cells)
+    if max(map(len, assoc.cells)) <= assoc.nc and (
+        not members or 1 <= min(members) and max(members) <= assoc.k
+    ):
+        return []
     violations = []
     for i in range(1, assoc.k + 1):
         cell = assoc.cells[i - 1]
@@ -307,19 +318,32 @@ def validate_association(assoc: CellAssociation) -> list[Violation]:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def int_from_text(text: str) -> int:
+    """Read an integer written in ASCII decimal, as int() reads it but stricter.
+
+    The text must be ASCII digits with an optional sign, inside the
+    whitespace that frac_from_str also strips: int() alone would also read
+    "1_0" and non-ASCII digits.  Anything else raises
+    int()'s own ValueError, and so does a string with more digits than
+    Python reads.  Every integer read from text goes through here: JSON
+    strings (int_from_json) and the command line's integer flags.
+    """
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def int_from_json(value: object, what: str) -> int:
     """Read an integer from parsed JSON: an int or a decimal string.
 
     Strings are accepted because JSON object keys are strings (witness
-    precoders are keyed by message and bs).  A string must be ASCII digits
-    with an optional sign, inside the whitespace that frac_from_str also
-    strips: int() alone would also read "1_0" and non-ASCII digits.
+    precoders are keyed by message and bs), and read by int_from_text.
     Anything else, bools and floats included, raises ValidationError.
     """
-    if isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
+    if isinstance(value, str):
         try:
-            return int(value)
-        except ValueError:  # more digits than Python reads from a string
+            return int_from_text(value)
+        except ValueError:
             pass
     return check_int(what, value)
 

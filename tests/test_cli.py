@@ -1,13 +1,17 @@
 """End-to-end CLI coverage: payloads, formats, exit codes, determinism."""
 
+import argparse
 import builtins
+import contextlib
 import csv
 import io
 import json
 import os
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -598,6 +602,107 @@ def test_parser_is_built_once_per_process(fresh_parser, capsys):
         assert run(capsys, *argv)[0] == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+# --- the plain argv reader ---------------------------------------------------
+
+# Values an option or positional may take: the action's choices, or ints
+# for an int flag, or text (paths, comma lists) for the rest; and near
+# misses of each.  No path names an existing file, so a command run on
+# one fails fast, and relative --out paths land in a fresh directory.
+INT_TEXTS = ("1", "2", "3", " 2", "+1", "003") * 3 + ("1_0", "\u0663", "x", "-1")
+PLAIN_TEXTS = ("a.json", "1,2", os.devnull, "/dev/null/a.json", "", "-o")
+NEAR_MISSES = ("--k=5", "--ou", "-h", "--", "-5", "1_0", "")
+
+
+def command_parsers():
+    parser, _ = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def values_for(action):
+    if action.choices:
+        return st.sampled_from([*action.choices] * 3 + ["xml", "-5"])
+    return st.sampled_from(INT_TEXTS if action.type else PLAIN_TEXTS)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command's positionals and options in any order, with a few near misses.
+
+    Each option is left out, given once or given twice, and so is each
+    positional (rarely); a near miss is one of NEAR_MISSES, or an option
+    string with no value.  The command itself is sometimes not one.
+    """
+    parsers = command_parsers()
+    name = draw(st.sampled_from([*parsers] * 4 + ["", "nope", "-h"]))
+    actions = parsers[name]._actions if name in parsers else []
+    pieces = []
+    for action in actions:
+        if not action.option_strings:
+            for _ in range(draw(st.sampled_from([1] * 8 + [0, 2]))):
+                pieces.append([draw(values_for(action))])
+        elif action.nargs != 0:  # not -h
+            for _ in range(draw(st.sampled_from([1, 1, 0, 2] if action.required else [0, 1, 2]))):
+                pieces.append([draw(st.sampled_from(action.option_strings)), draw(values_for(action))])
+    pieces = draw(st.permutations(pieces))
+    misses = [*NEAR_MISSES, *(s for a in actions for s in a.option_strings)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(misses))])
+    return [name, *(token for piece in pieces for token in piece)]
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), run in a fresh working directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as where, contextlib.chdir(where):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def parsed(argv):
+    """vars(parse_args(argv)), or the exit code of a usage error or help."""
+    parser, _ = cli._build_parser()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["scheme", "--type", "avg", "--k", "4", "--nc", "2", "--format", "xml"])
+@example(["scheme", "--k", "4", "--type", "avg", "--k", "5", "--nc", "2"])
+@example(["eval", "--seed", "1", "a.json", "--seed", "2", "--session", "up"])
+@example(["search", "--k", "1_2", "--nc", "1"])
+@example(["scheme", "--k", "4", "--nc", "2"])
+@example(["report", "--out", "-o"])
+@example(["report", "--nc", ""])
+def test_plain_reader_reads_what_parse_args_reads(argv):
+    # The reader either declines or gives exactly parse_args's Namespace.
+    # A declined argv runs through main as it did before the reader: the
+    # same exit code, stdout and stderr as with the reader switched off.
+    _, commands = cli._build_parser()
+    values = cli._plain_args(commands, argv)
+    if values is not None:
+        assert values == parsed(argv)
+    else:
+        with mock.patch.object(cli, "_plain_args", return_value=None):
+            before = outcome(argv)
+        assert outcome(argv) == before
+
+
+def test_main_reads_sys_argv_on_both_paths(monkeypatch, capsys):
+    for argv in (["report", "--nc", "2"], ["report", "--nc=2"]):  # plain, then argparse's
+        monkeypatch.setattr("sys.argv", ["cellassoc", *argv])
+        assert main() == 0
+        assert [row["nc"] for row in json.loads(capsys.readouterr().out)] == [2]
 
 
 # --- the indented JSON writer -------------------------------------------------

@@ -7,6 +7,8 @@ violation raises ValidationError, which the CLI reports with exit 2, and
 never a bare TypeError, a ZeroDivisionError or a silently wrong answer.
 """
 
+import json
+
 import pytest
 
 from cellassoc import (
@@ -35,6 +37,7 @@ from cellassoc import (
     tau_downlink,
     zf_feasible_majority,
 )
+from cellassoc.cli import main
 from cellassoc.model import _is_prime, int_from_json
 from cellassoc.search import load_search_config
 
@@ -247,3 +250,35 @@ def test_json_integer_strings_keep_sign_and_outer_whitespace():
     assert int_from_json(-5, "x") == -5
     with pytest.raises(ValidationError, match="x must be an integer"):
         int_from_json("9" * 5000, "x")  # more digits than int() reads
+
+
+# The command line reads integers by the same rule (model.int_from_text):
+# each integer flag, and each item of report --nc.
+INT_FLAG_ARGVS = (
+    ["scheme", "--type", "avg", "--nc", "2", "--k"],
+    ["scheme", "--type", "avg", "--k", "4", "--nc"],
+    ["scheme", "--type", "avg", "--nc", "2", "--k", "4", "--seed"],
+    ["eval", "assoc.json", "--seed"],
+    ["search", "--k", "3", "--nc", "1", "--window"],
+    ["search", "--k", "3", "--nc", "1", "--cap"],
+)
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL, ids=ascii)
+def test_cli_integers_must_be_ascii_decimal(text, capsys):
+    for argv in INT_FLAG_ARGVS:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, text])
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and f"{argv[-1]}: invalid int value: {text!r}" in err, argv
+    for budgets in (text, f"2,{text}") if text.strip() else ():  # blank items are skipped
+        assert main(["report", "--nc", budgets]) == 2, budgets
+        assert "--nc must be a comma list of integers" in capsys.readouterr().err
+
+
+def test_cli_integers_keep_sign_zeros_and_outer_whitespace(capsys):
+    assert main(["report", "--nc", " 2,+3, 003 ", "--format", "text"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["2", "3", "3"]
+    assert main(["scheme", "--type", "avg", "--nc", "+2", "--k", " 004"]) == 0
+    assert json.loads(capsys.readouterr().out)["assoc"]["k"] == 4

@@ -159,6 +159,18 @@ def test_validate_association_reports_indices_too_long_to_print():
     assert [(v.i, v.reason) for v in problems] == [(3, "bs indices [0, 7] out of range [1..3]")]
 
 
+def test_validate_association_finds_each_lone_violation():
+    # A valid association is answered without walking the users, so each
+    # of the three checks must catch its violation on its own.
+    for cells, violation in (
+        ([[1], [2, 3], [4]], (3, "bs indices [4] out of range [1..3]")),
+        ([[1], [0, 3], [3]], (2, "bs indices [0] out of range [1..3]")),
+        ([[1], [1, 2, 3], [3]], (2, "size 3 > 2")),
+    ):
+        problems = validate_association(association(3, 2, cells))
+        assert [(v.i, v.reason) for v in problems] == [violation]
+
+
 def test_fraction_helpers():
     assert frac_to_str(Fraction(10, 12)) == "5/6"
     assert frac_to_str(4) == "4"

@@ -59,6 +59,7 @@ LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
 WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
+PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -154,6 +155,28 @@ MUTANTS = [
         _edited(model.draw_channels, "left=(0, 0, *gains[1::2], 0), diag=(0, *gains[::2], 0)",
                 "diag=(0, 0, *gains[1::2], 0), left=(0, *gains[::2], 0)"),
         ["test_model::test_channel_draw_order_is_frozen"],
+    ),
+    (
+        "plain argv reader skips the choices check",
+        (cli, "_plain_args"),
+        _edited(cli._plain_args, "action.choices is not None and value not in action.choices", "False"),
+        PLAIN,
+    ),
+    (
+        "plain argv reader keeps the first of two values of a store option",
+        (cli, "_plain_args"),
+        _edited(
+            cli._plain_args,
+            "values[action.dest] = value",
+            "values[action.dest] = values[action.dest] if action in seen else value",
+        ),
+        PLAIN,
+    ),
+    (
+        "validation fast path drops its max <= k check",
+        (model, "validate_association"),
+        _edited(model.validate_association, "and max(members) <= assoc.k", ""),
+        ["test_model::test_validate_association_finds_each_lone_violation"],
     ),
     (
         "int-list writer uses the outer separator inside each list",

@@ -61,6 +61,7 @@ from cellassoc.model import (
     connected_bs,
     draw_channels,
     frac_to_str,
+    validate_association,
 )
 from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
 from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
@@ -419,6 +420,18 @@ def ref_sweep(k, nc, sums):
             elif achieved == bound:
                 tight[name] += 1
     return tight, violations
+
+
+def ref_violations(assoc):
+    """validate_association's report from a walk over every user."""
+    found = []
+    for i, cell in enumerate(assoc.cells, 1):
+        if len(cell) > assoc.nc:
+            found.append((i, f"size {len(cell)} > {assoc.nc}"))
+        out = sorted(j for j in cell if not 1 <= j <= assoc.k)
+        if out:
+            found.append((i, f"bs indices {out} out of range [1..{assoc.k}]"))
+    return found
 
 
 # --- strategies ---------------------------------------------------------------
@@ -1015,6 +1028,22 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     assert report.total == len(sums)
     assert report.tight == tight
     assert list(report.violations) == violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.integers(1, 3),
+            st.lists(st.lists(st.integers(-1, k + 2), max_size=4), min_size=k, max_size=k),
+        )
+    )
+)
+def test_validation_matches_the_walk_over_every_user(case):
+    # The valid case is decided from the whole association at once.
+    assoc = association(*case)
+    assert [(v.i, v.reason) for v in validate_association(assoc)] == ref_violations(assoc)
 
 
 # --- the distinct-tuple walk --------------------------------------------------
