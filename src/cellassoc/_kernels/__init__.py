@@ -2,40 +2,41 @@
 
 One pure-Python implementation (`_pure`) of three value-free local rules
 (downlink zero-forcing, uplink decode-and-pass, the chain bound) as
-left-to-right automata: an active user leads each rule to one next state
-or to none, and an inactive user to its one idle state, which covers
-every state under the rule's order `covers`, a simulation stated next to
-the rule.  So taking every user the rule allows is exact, and one pass
-per question runs over them: a greedy pass that maximizes a session, or
-the chain bound, exactly at every k in O(k) for a fixed budget; a
-count-free reachability pass that decides whether one active set is
-feasible, the reference the tests check the greedy pass against; and
-memoized forward layers over a family (`FamilyLayers`, one table per
-rule and walk), each layer one state and its count, moved by the same
-greedy step.
-`tuple_walk` is the one family walk: it walks the distinct tuples of
-layers (and of other per-option values) that a family reaches, and three
-readers answer from its rows: `tuple_counts` counts the associations
-that end in each last tuple, `ordered_find` lists, in enumeration order,
-the associations that end in chosen tuples, and `tuple_ends` lists every
-association's last tuple in enumeration order.  `_pure` states the rules
-and the passes.
+left-to-right automata, each in one shape, (start, idle, next, step),
+that every pass takes: `dl_rule(k, cap)`, `UL_RULE` and `CHAIN_RULE`.
+An active user leads each rule to one next state or to none, and an
+inactive user to its one idle state, which covers every state under the
+rule's order, a simulation; the three orders are the proof's witness, so
+they live with the tests that check them (tests/test_references.py).
+So taking every user the rule allows is exact, and one pass per question
+runs over them: a greedy pass that maximizes a session, or the chain
+bound, exactly at every k in O(k) for a fixed budget; a count-free
+reachability pass that decides whether one active set is feasible, the
+reference the tests check the greedy pass against; and one walk over a
+family, `family_walk`, which takes the rules, the family's options and
+other per-option parts (such as bitmasks), walks the distinct tuples
+that the family reaches over memoized forward layers, one table per rule
+whose layers are one state and its count, and returns its rows and each
+last tuple's final values.  Three readers answer from the rows:
+`tuple_counts` counts the associations that end in each last tuple,
+`ordered_find` lists, in enumeration order, the associations that end in
+chosen tuples, and `tuple_ends` lists every association's last tuple in
+enumeration order.  `_pure` states the rules and the passes.
 """
 
 from __future__ import annotations
 
 from ._pure import (
-    FamilyLayers,
-    chain_family,
+    CHAIN_RULE,
+    UL_RULE,
     chain_max,
-    dl_family,
     dl_max_active,
+    dl_rule,
     dl_set_feasible,
+    family_walk,
     ordered_find,
     tuple_counts,
     tuple_ends,
-    tuple_walk,
-    ul_family,
     ul_max_active,
     ul_set_feasible,
 )

@@ -30,16 +30,18 @@ flag between z and m-1.  The bound is the most users this rule allows.
 
 Each rule is a left-to-right automaton over the users, run on one
 association or built over a family of associations that offers each user
-a list of options.  User m's step is a tuple of parameters read from C_m
-as seen from m.  next(step, state) is the state the automaton moves to
-when that user is active, None when the rule forbids it, and an inactive
-user always leads to the rule's one idle state.  No step or state holds
-k or a user index, so the automata are stationary: users whose options
-look the same from where they stand have equal steps.  The downlink state
-is (length of the active run ending at the previous user, how far ahead
-of the next user the nearest pending right deadline lies, inf when
-none), with the run length capped over a family at the longest left side
-of any step, and uncapped on one association; idle is (0, inf), which is
+a list of options, and every pass takes it in one shape, (start, idle,
+next, step).  step(m, cell) is user m's step, a tuple of parameters read
+from its set C_m as seen from m.  next(step, state) is the state the
+automaton moves to when that user is active, None when the rule forbids
+it, and an inactive user always leads to the rule's one idle state.  No
+step or state holds k or a user index, so the automata are stationary:
+users whose options look the same from where they stand have equal
+steps.  The downlink state is (length of the active run ending at the
+previous user, how far ahead of the next user the nearest pending right
+deadline lies, inf when none), with the run length capped over a family
+at the longest left side of any step (the caller works the cap out from
+the family), and uncapped on one association; idle is (0, inf), which is
 also the start.  The uplink state is what the previous user leaves the
 next one: open (it is inactive, or took L while holding its own base
 station, which is all the next user asks of it), shut (it took L without
@@ -54,18 +56,18 @@ after it earns credit whatever its flag.  It starts at a phantom user 0
 that is active, holds bs 0 (so pair (0, 1) is never flagged) and has no
 credit.
 
-Next to its next, each rule states covers(a, b), a partial order on its
-states: a allows every move b allows, and each successor of a covers the
-matching successor of b, so covers is a simulation and no path from b
-counts more active users than the best path from a.  Downlink: a run no
-longer and a deadline no nearer.  Uplink: open, then shut, then R.
-Chain: componentwise on (after an inactive user, holds bs m, credit).
-In each rule idle covers every state, so the inactive move, which leads
-every state to idle, keeps covers a simulation; and states with equal
-futures are one state (open is both "inactive" and "L on its own base
-station"; the chain has one idle state), so each order is antisymmetric.
-No pass reads covers: it is the witness of the argument below, and the
-tests check that each order is a simulation.
+Each rule has an order covers(a, b) on its states: a allows every move b
+allows, and each successor of a covers the matching successor of b, so
+covers is a simulation and no path from b counts more active users than
+the best path from a.  Downlink: a run no longer and a deadline no
+nearer.  Uplink: open, then shut, then R.  Chain: componentwise on
+(after an inactive user, holds bs m, credit).  In each rule idle covers
+every state, so the inactive move, which leads every state to idle,
+keeps covers a simulation; and states with equal futures are one state
+(open is both "inactive" and "L on its own base station"; the chain has
+one idle state), so each order is antisymmetric.  No pass reads covers:
+it is the witness of the argument below, so the three orders are stated
+in tests/test_references.py, which checks that each is a simulation.
 
 Each question about the rules has one pass.  For one association,
 `_greedy` answers both sessions and the chain bound: it reads each
@@ -91,20 +93,24 @@ associations that share a prefix of options share its layers, and users
 whose options look the same from where they stand share its moves at
 every depth.
 
-One walk reads these tables.  `tuple_walk` walks a product of rules,
-and of other per-option values such as bitmasks, over distinct tuples:
-after each user it keeps the set of tuples of component values that some
-prefix of options reaches, and the row of tuples each leads to, so its
-work grows with the distinct tuples and not with the candidates.  Three
-passes read its rows: `tuple_counts` sums the number of associations that
-end in each last tuple, `ordered_find` lists, in enumeration order, the
-associations whose last tuple lies in a given set, by backward
-reachability, and `tuple_ends` lists every association's last tuple in
-enumeration order, for output that lists the family.  The first two are
-the counting and the reachability passes of Mohri's semiring framework
-("Semiring frameworks and algorithms for shortest-distance problems",
-2002) over the family, and a search's max-plus pass is the largest key
-over the last tuples; they list no candidate.
+One walk reads these tables.  `family_walk` takes the rules, the
+family's options and any other per-option parts such as bitmasks, and
+returns the rows of `tuple_walk` and each last tuple's final values (the
+largest active set of each rule, then each part's value), so its callers
+take tuples whole and never read a layer.  `tuple_walk` walks the
+product of the parts over distinct tuples: after each user it keeps the
+set of tuples of component values that some prefix of options reaches,
+and the row of tuples each leads to, so its work grows with the distinct
+tuples and not with the candidates.  Three passes read its rows:
+`tuple_counts` sums the number of associations that end in each last
+tuple, `ordered_find` lists, in enumeration order, the associations
+whose last tuple lies in a given set, by backward reachability, and
+`tuple_ends` lists every association's last tuple in enumeration order,
+for output that lists the family.  The first two are the counting and
+the reachability passes of Mohri's semiring framework ("Semiring
+frameworks and algorithms for shortest-distance problems", 2002) over
+the family, and a search's max-plus pass is the largest key over the
+last tuples; they list no candidate.
 """
 
 from __future__ import annotations
@@ -156,11 +162,6 @@ def _dl_next(cap, step, state):
     return run + 1 if run < cap else cap, due - 1
 
 
-def _dl_covers(a, b):
-    """A shorter run shuts no left side that b leaves open, a later deadline binds less."""
-    return a[0] <= b[0] and a[1] >= b[1]
-
-
 def _ul_step(m, cell):
     """(bs m-1 in C_m, state after R or None, state after L) of user m."""
     right = _RIGHT if m in cell else None
@@ -174,11 +175,6 @@ def _ul_next(step, state):
         return right if prev else None
     # L waits on user m-1 unless it is inactive; it must then hold bs m-1.
     return left if prev and state == _OPEN else right
-
-
-def _ul_covers(a, b):
-    """Open allows every move shut allows, and shut every move R allows."""
-    return a <= b
 
 
 def _chain_step(m, cell):
@@ -195,61 +191,28 @@ def _chain_next(step, state):
     return False, own, idle or (credit and not flagged)
 
 
-def _chain_covers(a, b):
-    """Componentwise: idle first, so the idle state covers every state."""
-    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
-
-
-def _steps(step, options):
-    """steps[m-1][o]: user m's step under its option options[m-1][o]."""
-    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
-
-
-def dl_family(k, options):
-    """(start, idle, next, steps, covers) of the downlink rule over a family.
-
-    options[m-1] lists the association sets user m may take, and
-    steps[m-1][o] is user m's step under options[m-1][o].  next(step,
-    state) is the state after an active user, None when the rule forbids
-    it, and idle the state after an inactive user.  The run cap is the
-    longest left side of any option, so one cap serves the family.
-    covers(a, b) is the rule's order on states: a allows every move b
-    allows, and each successor of a covers the matching successor of b.
-    No pass reads it; it witnesses why the greedy step is exact.
-    """
-    steps = _steps(partial(_dl_step, k), options)
-    cap = max((left for opts in steps for left, _right in opts), default=0)
-    return _DL_START, _DL_IDLE, partial(_dl_next, cap), steps, _dl_covers
-
-
-def ul_family(options):
-    """(start, idle, next, steps, covers) of the uplink rule over a family; see dl_family."""
-    return _OPEN, _UL_IDLE, _ul_next, _steps(_ul_step, options), _ul_covers
-
-
-def chain_family(options):
-    """(start, idle, next, steps, covers) of the chain rule over a family; see dl_family."""
-    return _CHAIN_START, _CHAIN_IDLE, _chain_next, _steps(_chain_step, options), _chain_covers
-
-
-def _dl_line(k):
+def dl_rule(k, cap):
     """(start, idle, next, step) of the downlink rule on a line of k users.
 
-    step(m, cell) is user m's step.  The run is not capped: a cap only
-    bounds the states a table interns, and any cap at or above the
-    longest left side takes the same decisions.
+    step(m, cell) is user m's step, and next(step, state) the state after
+    an active user, None when the rule forbids it; idle is the state after
+    an inactive user.  The run is capped at cap, which must be at least
+    the longest left side of any step the rule is fed: a cap only bounds
+    the states a family's table interns, and any cap at or above the
+    longest left side takes the same decisions.  One association takes
+    inf.
     """
-    return _DL_START, _DL_IDLE, partial(_dl_next, inf), partial(_dl_step, k)
+    return _DL_START, _DL_IDLE, partial(_dl_next, cap), partial(_dl_step, k)
 
 
-_UL_LINE = _OPEN, _UL_IDLE, _ul_next, _ul_step
-_CHAIN_LINE = _CHAIN_START, _CHAIN_IDLE, _chain_next, _chain_step
+UL_RULE = _OPEN, _UL_IDLE, _ul_next, _ul_step
+CHAIN_RULE = _CHAIN_START, _CHAIN_IDLE, _chain_next, _chain_step
 
 
 def _greedy(rule, cells):
     """Every user the rule allows, left to right: the largest active set.
 
-    rule is a line rule (see _dl_line) and cells[m-1] user m's association
+    rule is a line rule (see dl_rule) and cells[m-1] user m's association
     set; each user's step is read when the pass reaches that user.
     """
     start, idle, nxt, step = rule
@@ -267,12 +230,15 @@ def _greedy(rule, cells):
 class FamilyLayers:
     """Forward layers of one rule's greedy pass over a family, user by user.
 
-    A layer is the state the greedy pass reaches after a prefix of
-    options and the number of users it took, interned as an integer id;
-    the start layer is id 0, and best[lid] is the count of layer lid,
-    which after the last user is the size of the largest feasible active
-    set.  row(lid, column) lists the ids of the layers that a user leads
-    to from layer lid, one per step of column (its options' steps).
+    rule is a line rule (see dl_rule) and options[m-1] lists the
+    association sets user m may take; steps[m-1][o] is user m's step
+    under options[m-1][o].  A layer is the state the greedy pass reaches
+    after a prefix of options and the number of users it took, interned
+    as an integer id; the start layer is id 0, and best[lid] is the count
+    of layer lid, which after the last user is the size of the largest
+    feasible active set.  row(lid, column) lists the ids of the layers
+    that a user leads to from layer lid, one per step of column (its
+    options' steps).
 
     A user's move is the greedy step: the active successor at one more
     user when the rule allows it, idle at the same count when it does
@@ -286,8 +252,9 @@ class FamilyLayers:
     whatever counts their prefixes reached.
     """
 
-    def __init__(self, family):
-        start, self._idle, self._next, self.steps, _covers = family
+    def __init__(self, rule, options):
+        start, self._idle, self._next, step = rule
+        self.steps = [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
         self._layers = [(start, 0)]  # (state, count) of each layer
         self._ids = {self._layers[0]: 0}
         self._moves = {}  # (state, step) -> (state after, gain in count)
@@ -337,6 +304,24 @@ def tuple_walk(parts):
         here = set(chain.from_iterable(row_of.values()))
         rows.append(row_of)
     return rows, here
+
+
+def family_walk(rules, options, *extra):
+    """(rows, finals): tuple_walk over one FamilyLayers per rule, then the extra parts.
+
+    rules are line rules (see dl_rule) over the family whose user m may
+    take any set of options[m-1], and extra holds more (row, columns)
+    parts over the same options.  rows are tuple_walk's rows, whose
+    tuples the other passes take whole, and finals maps each last tuple
+    to its final values: the largest active set each rule allows, in the
+    order of rules, then each extra part's value.
+    """
+    tables = [FamilyLayers(rule, options) for rule in rules]
+    rows, last = tuple_walk([*((t.row, t.steps) for t in tables), *extra])
+    # Column by column, in C: each table's counts of its layers, then each part's values.
+    columns = list(zip(*last))
+    finals = [*map(map, [t.best.__getitem__ for t in tables], columns), *columns[len(tables) :]]
+    return rows, dict(zip(last, zip(*finals)))
 
 
 def tuple_counts(rows):
@@ -416,24 +401,24 @@ def _reaches(rule, cells, active):
 
 def chain_max(cells):
     """Largest count the chain rule allows on the association sets cells."""
-    return len(_greedy(_CHAIN_LINE, cells))
+    return len(_greedy(CHAIN_RULE, cells))
 
 
 def dl_set_feasible(k, cells, active):
     """Whether every active message has a zero-forcing precoder."""
-    return _reaches(_dl_line(k), cells, active)
+    return _reaches(dl_rule(k, inf), cells, active)
 
 
 def ul_set_feasible(cells, active):
     """Whether the active messages admit a decode-and-pass order."""
-    return _reaches(_UL_LINE, cells, active)
+    return _reaches(UL_RULE, cells, active)
 
 
 def dl_max_active(k, cells):
     """Largest zero-forcing-feasible active set, include-first on ties."""
-    return _greedy(_dl_line(k), cells)
+    return _greedy(dl_rule(k, inf), cells)
 
 
 def ul_max_active(cells):
     """Largest decode-and-pass-feasible active set, include-first on ties."""
-    return _greedy(_UL_LINE, cells)
+    return _greedy(UL_RULE, cells)

@@ -558,6 +558,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     values = _plain_args(commands, argv)
+    if values is None and not all(isinstance(item, str) for item in argv):
+        parser.error("every argument must be a str")
     args = parser.parse_args(argv) if values is None else argparse.Namespace(**values)
     try:
         return args.func(args)

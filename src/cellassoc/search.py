@@ -8,14 +8,15 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed.  Each rule gets one table of forward max-count layers
-per call (_kernels.FamilyLayers), and _kernels.tuple_walk walks the
-family user by user over the distinct (dl layer, ul layer) pairs that
-some prefix of options reaches.  A search reads the objective key
-of every distinct last pair, and the winner is the first index that
-ends in a pair of the best key (_kernels.ordered_find); it is decoded
-from the mixed-radix digits of that index (_decode), so a JSON search
-lists no candidate.  No channel
+sizes are needed.  A search hands the two rules, each in the one rule
+shape of _kernels, and the family's options to _kernels.family_walk,
+which walks the family user by user over the distinct pairs of rule
+states and counts that some prefix of options reaches, and returns the
+walk's rows and each last pair's (dl, ul) sums; the pairs themselves are
+opaque here.  A search reads the objective key of every distinct last
+pair, and the winner is the first index that ends in a pair of the best
+key (_kernels.ordered_find); it is decoded from the mixed-radix digits
+of that index (_decode), so a JSON search lists no candidate.  No channel
 value is drawn per candidate; the winner alone becomes an association
 and gets a zero-forcing witness and a decoding order from
 max_downlink_dof and max_uplink_dof, which must reproduce the search
@@ -23,9 +24,10 @@ value.  Collected rows (search --format csv) read the same walk: every
 candidate's last pair in enumeration order (_kernels.tuple_ends), one
 reference of 8 bytes per candidate, and the sums of each distinct pair.
 
-A soundness sweep runs the same walk over (dl, ul, chain) layers, and
-for nc >= 2 the OR of the options' spoiled blocks of the reconstruction
-bound (bounds._spoil_masks), so every certificate is decided once per
+A soundness sweep runs the same walk over the (dl, ul, chain) rules,
+and for nc >= 2 the OR of the options' spoiled blocks of the
+reconstruction bound (bounds._spoil_masks) as one more part, whose final
+value comes after the three sums, so every certificate is decided once per
 distinct last tuple: the tight counts are sums of the numbers of
 candidates that end in each tuple (_kernels.tuple_counts), and the
 violators are the indices that end in a tuple breaking a certificate,
@@ -50,18 +52,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
 from ._kernels import (
-    FamilyLayers,
-    chain_family,
-    dl_family,
+    CHAIN_RULE,
+    UL_RULE,
+    dl_rule,
+    family_walk,
     ordered_find,
     tuple_counts,
     tuple_ends,
-    tuple_walk,
-    ul_family,
 )
 from .bounds import (
     BoundCertificate,
@@ -295,23 +297,16 @@ class SearchResult:
         }
 
 
-def _walk(families, *extra):
-    """(tables, rows, last): one table per rule and tuple_walk over them.
+def _dl_rule(k: int, nc: int, w: int):
+    """The downlink rule over a windowed family, its run capped at min(nc, w, k - 1).
 
-    The walk's components are the families' layers, in order, then the
-    extra (row, columns) parts.
+    A left side, the run [a, m-1] of C_m, has at most nc members, and
+    a >= m - w and a >= 1, so its length is at most min(nc, w, k - 1);
+    user k's option k-L..k-1 reaches L = min(nc, w, k - 1).  So the cap
+    is the family's longest left side: it keeps every decision and
+    interns no longer run.
     """
-    tables = [FamilyLayers(family) for family in families]
-    rows, last = tuple_walk([*((t.row, t.steps) for t in tables), *extra])
-    return tables, rows, last
-
-
-def _final_sums(bests, t):
-    """The sum each rule's table reads from its layer in a last tuple of _walk.
-
-    bests holds each table's best list, in the walk's order.
-    """
-    return tuple(map(list.__getitem__, bests, t))
+    return dl_rule(k, min(nc, w, k - 1))
 
 
 # The objective key of a candidate is dl * weight + ul * weight.
@@ -347,10 +342,7 @@ def exhaustive_search(
     w, options, total = _family(k, nc, window, cap)
     seeds = check_seeds(seeds)
 
-    families = dl_family(k, options), ul_family(options)
-    tables, rows, last = _walk(families)
-    bests = [table.best for table in tables]
-    sums = {t: _final_sums(bests, t) for t in last}
+    rows, sums = family_walk((_dl_rule(k, nc, w), UL_RULE), options)
     dl_weight, ul_weight = _WEIGHTS[objective]
     keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul) in sums.items()}
     best_key = max(keys.values())
@@ -437,25 +429,20 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     check_seeds(seeds)
-    families = dl_family(k, options), ul_family(options), chain_family(options)
     # Blocks are defined for nc >= 2 only.
     masks = [(_or_each, _spoil_masks(k, nc, options))] if nc >= 2 else []
-    tables, rows, _last = _walk(families, *masks)
-    bests = [table.best for table in tables]
+    rows, finals = family_walk((_dl_rule(k, nc, w), UL_RULE, CHAIN_RULE), options, *masks)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-    recons: dict = {}  # reconstruction bound per mask of spoiled blocks
+    reconstruction = cache(partial(_masked_value, k, nc))  # per mask of spoiled blocks
 
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
     broken: dict = {}
     for t, n in tuple_counts(rows).items():
-        dl, ul, chain = _final_sums(bests, t)
+        dl, ul, chain, *mask = finals[t]  # the mask of spoiled blocks when nc >= 2
         checks = [("lemma2_chain", "chain", ul, chain)]
         if nc >= 2:
-            mask = t[3]
-            if mask not in recons:
-                recons[mask] = _masked_value(k, nc, mask)
             checks += [
-                ("dl_reconstruction", "reconstruction", dl, recons[mask]),
+                ("dl_reconstruction", "reconstruction", dl, reconstruction(*mask)),
                 ("avg_counting", "counting", dl + ul, counting_twice),
             ]
         for kind, name, achieved, bound in checks:

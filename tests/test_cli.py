@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -107,6 +108,18 @@ def test_eval_single_sessions(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", path, "--session", "up")
     data = json.loads(out)
     assert code == 0 and data["dl"] is None and data["ul"]["sum_dof"] == 4
+
+
+def test_non_str_argv_items_are_usage_errors(capsys):
+    # A path or an int in argv is refused with argparse's usage error, not
+    # a TypeError traceback, whichever command and position it takes.
+    for argv in (
+        ("eval", pathlib.Path("x.json")),
+        ("scheme", "--type", "avg", "--nc", 2, "--k", "5"),
+    ):
+        code, out, err = exits(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ") and err.endswith("error: every argument must be a str\n")
 
 
 def test_eval_cap_is_rejected(tmp_path, capsys):
@@ -263,9 +276,9 @@ def test_search_refuses_families_above_the_ceiling_whatever_the_cap(capsys, monk
         raise AssertionError("the family was listed")
 
     # 4,519,603,984 candidates, about 72 GB of CSV rows at 16 bytes each.
-    # Neither the tuple walk (JSON and CSV) nor the listing of its last
+    # Neither the family walk (JSON and CSV) nor the listing of its last
     # tuples (CSV) may start.
-    monkeypatch.setattr(search, "tuple_walk", never)
+    monkeypatch.setattr(search, "family_walk", never)
     monkeypatch.setattr(search, "tuple_ends", never)
     argv = ("search", "--k", "12", "--nc", "2", "--window", "1", "--cap", "10000000000")
     for fmt in ("json", "csv"):

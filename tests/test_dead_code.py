@@ -7,7 +7,11 @@ src/cellassoc besides its definition.  So must every public module-level
 function and class that cellassoc.__all__ does not export, but for the
 few listed in KEPT_PUBLIC with their reasons.  A package's __init__.py
 re-exports its public imports, so only its private imports must be read
-there, and a name listed in a module's __all__ counts as read.  Tests and
+there, and a name listed in a module's __all__ counts as read.  A public
+name that an __init__.py re-exports from a module of its package and
+does not list in its __all__ must be read by some other module than
+those two, but for the few in KEPT_PUBLIC: a re-export that nothing
+reads keeps a name alive that only its own module uses.  Tests and
 the benchmark do not count as readers: code that only they reach belongs
 with them.  Every parameter of a function or lambda must be read by it,
 unless its name starts with an underscore or it is a method's self or cls.
@@ -28,6 +32,8 @@ KEPT_PUBLIC = {
     "_encode.py cells_masks": "perfbench traces and calls it until ROADMAP item 1",
     "_encode.py channel_arrays": "perfbench traces and calls it until ROADMAP item 1",
     "uplink_decode.py prune": "the README documents it as library API",
+    "_kernels/__init__.py dl_set_feasible": "perfbench traces and counts them until ROADMAP item 1",
+    "_kernels/__init__.py ul_set_feasible": "perfbench traces and counts them until ROADMAP item 1",
 }
 
 
@@ -43,18 +49,25 @@ def is_private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
+def all_names(tree):
+    """The names a module lists in its __all__."""
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
 def read_names(tree):
     """Names a module reads: loaded names, attribute names and its __all__."""
-    names = set()
+    names = all_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            names.update(ast.literal_eval(node.value))
     return names
 
 
@@ -99,27 +112,54 @@ def public_defs(tree):
     ]
 
 
+def reads_of(tree):
+    """read_names of a module and every name it imports from another module."""
+    return read_names(tree) | {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+
+
 def unread(parsed, names):
     """(path, line, name) of each (line, name) of names(tree) that no parsed module reads.
 
     A name imported from another module is read by the importer, and the
     names of an __all__ (cellassoc.__all__ among them) count as read.
     """
-    reads = set()
-    for _path, tree in parsed:
-        reads |= read_names(tree)
-        reads.update(
-            a.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for a in node.names
-        )
+    reads = set().union(*(reads_of(tree) for _path, tree in parsed))
     return [
         (path, line, name)
         for path, tree in parsed
         for line, name in names(tree)
         if name not in reads
     ]
+
+
+def unread_reexports(parsed):
+    """(path, line, name) of each re-export of a package __init__.py that no other module reads.
+
+    A re-export is a public name that the __init__.py imports from a
+    module of its package (a relative import) and does not list in its
+    __all__; it is read when a module other than the __init__.py and the
+    module it comes from reads or imports it.
+    """
+    out = []
+    for path, tree in parsed:
+        if not path.endswith("__init__.py"):
+            continue
+        package, exported = path[: -len("__init__.py")], all_names(tree)
+        for node in tree.body:
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            source = package + node.module.replace(".", "/")
+            skipped = {path, f"{source}.py", f"{source}/__init__.py"}
+            reads = set().union(*(reads_of(t) for p, t in parsed if p not in skipped))
+            out += [
+                (path, node.lineno, a.asname or a.name)
+                for a in node.names
+                if not (a.asname or a.name).startswith("_")
+                and (a.asname or a.name) not in exported | reads
+            ]
+    return out
 
 
 def unread_parameters(tree):
@@ -192,7 +232,12 @@ def test_every_private_module_name_is_read():
 
 
 def test_every_public_def_is_exported_or_read():
-    found = {f"{path} {name}" for path, _line, name in unread(modules(), public_defs)}
+    # Public defs, and the re-exports of each package __init__.py.
+    parsed = modules()
+    found = {
+        f"{path} {name}"
+        for path, _line, name in unread(parsed, public_defs) + unread_reexports(parsed)
+    }
     assert found == set(KEPT_PUBLIC), found ^ set(KEPT_PUBLIC)
 
 
@@ -226,6 +271,13 @@ def test_the_checks_see_dead_code():
         ("c.py", ast.parse("def imported():\n    return 2\nclass Unused:\n    pass\n")),
     ]
     assert unread(package, public_defs) == [("b.py", 2, "unread"), ("c.py", 3, "Unused")]
+    package = [
+        ("p/__init__.py", ast.parse("from ._m import used, unused, _private, listed\n"
+                                    "__all__ = ['listed']\n")),
+        ("p/_m.py", ast.parse("def used(): pass\ndef unused(): return used\n")),
+        ("q.py", ast.parse("from .p import used\n")),
+    ]
+    assert unread_reexports(package) == [("p/__init__.py", 1, "unused")]
     tree = ast.parse(
         "class C:\n"
         "    @classmethod\n"

@@ -22,7 +22,8 @@ from cellassoc import (
 )
 from cellassoc._kernels import _pure
 from cellassoc.bounds import chain_flags
-from test_properties import ref_chain_dp
+from test_properties import family_rules, ref_chain_dp
+from test_references import chain_covers, dl_covers, ul_covers
 
 
 def test_backend_name_reports_selection():
@@ -91,20 +92,17 @@ def test_rules_are_stationary_on_a_windowed_family():
     for nc in (1, 2, 3):
         for w in (1, 2):
             options = search._user_options(k, nc, w)
-            families = (
-                kernels.dl_family(k, options),
-                kernels.ul_family(options),
-                kernels.chain_family(options),
-            )
-            for _start, _idle, _next, steps, _covers in families:
-                interior = steps[w : k - w - 1]
+            rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
+            steps = [_pure.FamilyLayers(rule, options).steps for rule in rules]
+            for rule_steps in steps:
+                interior = rule_steps[w : k - w - 1]
                 assert len(interior) >= 3
                 assert all(user == interior[0] for user in interior), (nc, w)
             # A downlink state is (run, distance to the pending deadline):
             # both stay within the window, whatever k and the depth.
-            start, idle, nxt, steps, _covers = families[0]
+            start, idle, nxt, _step = rules[0]
             states = {start}
-            for user in steps:
+            for user in steps[0]:
                 states = {nxt(step, s) for s in states for step in user} - {None} | {idle}
                 assert all(run <= w and (due == inf or due <= w) for run, due in states), (nc, w)
 
@@ -119,12 +117,10 @@ def test_each_rule_moves_to_at_most_one_state_that_idle_covers():
             frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)
         ]
         options = [every_cell] * k
-        rules = (
-            kernels.dl_family(k, options),
-            kernels.ul_family(options),
-            kernels.chain_family(options),
-        )
-        for name, (start, idle, nxt, steps, covers) in zip(("dl", "ul", "chain"), rules):
+        orders = dl_covers, ul_covers, chain_covers
+        for name, rule, covers in zip(("dl", "ul", "chain"), family_rules(k, options), orders):
+            start, idle, nxt, _step = rule
+            steps = _pure.FamilyLayers(rule, options).steps
             here = {start}
             for user in steps:
                 after = {idle}
@@ -155,8 +151,19 @@ def test_layers_keep_their_antichains_small():
     # rule's table and the widest depth of the (dl, ul) walk of a search.
     for (k, nc, w), states, widest in (((5, 2, 1), [4, 3, 5], 38), ((16, 3, 2), [9, 3, 5], 1268)):
         options = search._user_options(k, nc, w)
-        pair = kernels.dl_family(k, options), kernels.ul_family(options)
-        tables, rows, _last = search._walk(pair)
-        (chain,), _rows, _last = search._walk((kernels.chain_family(options),))
-        assert [len({s for s, _n in t._layers}) for t in (*tables, chain)] == states, (k, nc, w)
+        rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
+        tables = [_pure.FamilyLayers(rule, options) for rule in rules]
+        rows, _last = _pure.tuple_walk([(t.row, t.steps) for t in tables[:2]])
+        _pure.tuple_walk([(tables[2].row, tables[2].steps)])
+        assert [len({s for s, _n in t._layers}) for t in tables] == states, (k, nc, w)
         assert max(map(len, rows)) == widest, (k, nc, w)
+
+
+def test_search_caps_the_downlink_run_at_the_longest_left_side():
+    # min(nc, w, k - 1) is the longest left side of any option of the
+    # windowed family: a lower cap would wrongly open left sides, and a
+    # higher one interns longer runs that no decision tells apart.
+    for k, nc, w in itertools.product(range(1, 9), range(1, 5), range(6)):
+        options = search._user_options(k, nc, w)
+        cap = family_rules(k, options)[0][2].args
+        assert search._dl_rule(k, nc, w)[2].args == cap, (k, nc, w)

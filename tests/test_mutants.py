@@ -24,8 +24,9 @@ import textwrap
 from contextlib import ExitStack
 from unittest import mock
 
-from cellassoc import _kernels, cli, downlink_zf, model, schemes
+from cellassoc import _kernels, bounds, cli, downlink_zf, model, schemes, search
 from cellassoc._kernels import _pure
+import test_references
 
 
 def _tiling(tail_shift=0, blocks_dropped=0, block_on_tail=False):
@@ -53,8 +54,9 @@ def _edited(function, old, new):
 _UL_RANK_R_ABOVE_SHUT = {_pure._OPEN: 0, _pure._RIGHT: 1, _pure._SHUT: 2}
 
 TILING = ["test_schemes::test_block_plans_match_the_whole_line_uplink_maximum"]
-ORDERS = ["test_properties::test_each_rule_order_is_a_simulation"]
+ORDERS = ["test_references::test_each_rule_order_is_a_simulation"]
 ORACLES = ["test_properties::test_rules_match_oracles"]
+REFERENCES = ["test_references::test_references_match_the_rules_on_every_active_set"]
 LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
 WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
@@ -71,18 +73,35 @@ MUTANTS = [
         _tiling(block_on_tail=True),
         TILING,
     ),
-    ("downlink covers ignores due", (_pure, "_dl_covers"), lambda a, b: a[0] <= b[0], ORDERS),
+    (
+        "downlink covers ignores due",
+        (test_references, "dl_covers"),
+        lambda a, b: a[0] <= b[0],
+        ORDERS,
+    ),
     (
         "uplink order ranks R above shut",
-        (_pure, "_ul_covers"),
+        (test_references, "ul_covers"),
         lambda a, b: _UL_RANK_R_ABOVE_SHUT[a] <= _UL_RANK_R_ABOVE_SHUT[b],
         ORDERS,
     ),
     (
         "chain order ignores credit",
-        (_pure, "_chain_covers"),
+        (test_references, "chain_covers"),
         lambda a, b: a[0] >= b[0] and a[1] >= b[1],
         ORDERS,
+    ),
+    (
+        "downlink left side stays open under a run as long as it",
+        (_pure, "_dl_next"),
+        _edited(_pure._dl_next, "if run >= left:", "if run > left:"),
+        REFERENCES,
+    ),
+    (
+        "uplink L ignores whether user m-1 left bs m-1 open",
+        (_pure, "UL_RULE"),
+        (*_pure.UL_RULE[:2], _edited(_pure._ul_next, "prev and state == _OPEN", "prev"), _pure._ul_step),
+        REFERENCES,
     ),
     (
         "set check lets a forbidden active user go idle",
@@ -123,6 +142,40 @@ MUTANTS = [
         (_pure.FamilyLayers, "_move"),
         _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(state, 0)"),
         WALK,
+    ),
+    (
+        "search caps the downlink run one below min(nc, w, k - 1)",
+        (search, "_dl_rule"),
+        _edited(search._dl_rule, "min(nc, w, k - 1))", "min(nc, w, k - 1) - 1)"),
+        [
+            "test_kernels::test_search_caps_the_downlink_run_at_the_longest_left_side",
+            "test_properties::test_search_rows_index_like_the_reference_list",
+        ],
+    ),
+    (
+        "family walk reads the mask from the first tuple position",
+        (_pure, "family_walk"),
+        _edited(_pure.family_walk, "[len(tables) :]", "[: len(columns) - len(tables)]"),
+        ["test_search::test_soundness_sweep"],
+    ),
+    (
+        "counting bound gives 2nc - 1 per full block",
+        (bounds, "_counting_value"),
+        _edited(bounds._counting_value, "Fraction(4 * nc - 3, 2)", "Fraction(4 * nc - 2, 2)"),
+        ["test_bounds::test_counting_pinned_values"],
+    ),
+    (
+        "reconstruction bound swaps good and bad blocks",
+        (bounds, "_reconstruction_value"),
+        _edited(bounds._reconstruction_value, "(2 * nc - 2) if good else (2 * nc - 1)",
+                "(2 * nc - 1) if good else (2 * nc - 2)"),
+        ["test_bounds::test_reconstruction_pinned_values"],
+    ),
+    (
+        "chain flags need only one user of the pair on bs i",
+        (bounds, "chain_flags"),
+        _edited(bounds.chain_flags, "cells[i - 1] and i in", "cells[i - 1] or i in"),
+        ["test_bounds::test_chain_flags_definition"],
     ),
     (
         "chain bound maximizes the uplink rule",

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 import pytest
 
 from cellassoc import _kernels, search
+from cellassoc._kernels import _pure
 from cellassoc.bounds import (
     _block_flags,
     _chain_dp,
@@ -65,6 +66,7 @@ from cellassoc.model import (
 )
 from cellassoc.schemes import SchemePlan, avg_optimal, downlink_optimal, pair_association
 from cellassoc.uplink_decode import DecodingOrder, uplink_feasible, verify_order
+from test_references import chain_covers, dl_covers, ul_covers
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -244,8 +246,8 @@ def ref_max_active(candidates, feasible):
     return best
 
 
-def ref_line_dp(family):
-    """Largest active set of a rule over a family of one option per user.
+def ref_line_dp(rule, cells):
+    """Largest active set of a line rule on the association sets cells.
 
     The line DP that maximized both sessions and the chain bound before the
     greedy pass: a forward pass records, for each user, the states reachable
@@ -254,13 +256,13 @@ def ref_line_dp(family):
     to come from each state, and an include-first pick takes every user
     that keeps that count reachable.
     """
-    start, idle, nxt, steps, _covers = family
+    start, idle, nxt, step = rule
     # moves[m-1] = (before, on, after): the states reachable before user m,
     # the state each of them leads to when m is active (none when the rule
     # forbids it) and the states reachable after m.
     here, moves = frozenset((start,)), []
-    for (step,) in steps:
-        on = {s: t for s in here if (t := nxt(step, s)) is not None}
+    for m, cell in enumerate(cells, 1):
+        on = {s: t for s in here if (t := nxt(step(m, cell), s)) is not None}
         moves.append((here, on))
         here = frozenset((idle, *on.values()))
     # togo[m][s]: most active users among m+1..k from state s before user m+1.
@@ -336,7 +338,7 @@ def ref_layer_move(rule, shape, step):
     whose next(step, state, active) returns a tuple of states (see
     ref_automaton).
     """
-    _start, nxt, _steps, covers = rule
+    nxt, covers = rule
     layer = {}
     for s, n in shape.items():
         for a in (1, 0):
@@ -352,13 +354,13 @@ def ref_layer_move(rule, shape, step):
     return {s: n - gain for s, n in layer.items()}, gain
 
 
-def ref_automaton(rule):
-    """(start, next, steps, covers) of a rule, its next(step, state, active) a tuple of states.
+def ref_automaton(rule, covers):
+    """(next, covers) of a rule and its order, its next(step, state, active) a tuple of states.
 
     The interface ref_layer_move was written for: an active user leads to
     the rule's one next state or to none, an inactive one to idle.
     """
-    start, idle, nxt, steps, covers = rule
+    _start, idle, nxt, _step = rule
 
     def next_states(step, state, active):
         if not active:
@@ -366,7 +368,7 @@ def ref_automaton(rule):
         t = nxt(step, state)
         return () if t is None else (t,)
 
-    return start, next_states, steps, covers
+    return next_states, covers
 
 
 def ref_good_blocks(k, nc, cells, strict):
@@ -817,10 +819,10 @@ def test_line_maxima_match_the_line_dp_on_long_lines(case):
     # The branch and bound stops at k = 12; the backward DP reaches any k.
     assoc, _active = case
     k, cells = assoc.k, assoc.cells
-    one_each = [(cell,) for cell in cells]
-    assert _kernels.dl_max_active(k, cells) == ref_line_dp(_kernels.dl_family(k, one_each))
-    assert _kernels.ul_max_active(cells) == ref_line_dp(_kernels.ul_family(one_each))
-    assert _kernels.chain_max(cells) == len(ref_line_dp(_kernels.chain_family(one_each)))
+    dl_rule, ul_rule, chain_rule = family_rules(k, [(cell,) for cell in cells])
+    assert _kernels.dl_max_active(k, cells) == ref_line_dp(dl_rule, cells)
+    assert _kernels.ul_max_active(cells) == ref_line_dp(ul_rule, cells)
+    assert _kernels.chain_max(cells) == len(ref_line_dp(chain_rule, cells))
 
 
 def test_chain_dp_matches_reference_on_every_flag_set():
@@ -847,37 +849,6 @@ def test_tuple_ends_match_per_candidate_maxima(family):
 
 @settings(max_examples=80, deadline=None)
 @given(families())
-def test_each_rule_order_is_a_simulation(family):
-    # Taking every user the rule allows keeps every maximum because idle
-    # covers every state, where covers(a, b) means: a allows every move b
-    # allows, and each successor of a covers the matching successor of b;
-    # and two states that cover each other are one.  An inactive user leads
-    # every state to idle, which must cover every state.
-    k, options = family
-    for rule in (
-        _kernels.dl_family(k, options),
-        _kernels.ul_family(options),
-        _kernels.chain_family(options),
-    ):
-        start, idle, nxt, steps, covers = rule
-        states, here = {start, idle}, {start}
-        for user in steps:
-            here = {nxt(step, s) for s in here for step in user} - {None} | {idle}
-            states |= here
-        every_step = {step for user in steps for step in user}
-        for a, b in itertools.product(states, repeat=2):
-            if not covers(a, b):
-                continue
-            assert a == b or not covers(b, a), (a, b)
-            for step in every_step:
-                # The active successors, then the inactive ones.
-                for u, t in ((nxt(step, a), nxt(step, b)), (idle, idle)):
-                    assert t is None or (u is not None and covers(u, t)), (a, b, step, t)
-        assert all(covers(s, s) and covers(idle, s) for s in states)
-
-
-@settings(max_examples=80, deadline=None)
-@given(families())
 # Its tables hold forbidden moves, which gain nothing.
 @example((3, search._user_options(3, 2, 1)))
 def test_layer_moves_match_the_reference_fold(family):
@@ -886,18 +857,14 @@ def test_layer_moves_match_the_reference_fold(family):
     # the move's state alone at its largest count, the same gain, and
     # nothing below it but idle.
     k, options = family
-    for rule in (
-        _kernels.dl_family(k, options),
-        _kernels.ul_family(options),
-        _kernels.chain_family(options),
-    ):
+    for rule, covers in zip(family_rules(k, options), (dl_covers, ul_covers, chain_covers)):
         idle = rule[1]
-        table = _kernels.FamilyLayers(rule)
-        _kernels.tuple_walk([(table.row, table.steps)])
+        table = _pure.FamilyLayers(rule, options)
+        _pure.tuple_walk([(table.row, table.steps)])
         assert table._moves
         for (state, step), (after, gain) in table._moves.items():
             layer = {idle: -1, state: 0}
-            expected, expected_gain = ref_layer_move(ref_automaton(rule), layer, step)
+            expected, expected_gain = ref_layer_move(ref_automaton(rule, covers), layer, step)
             top = frozenset(s for s, n in expected.items() if n == 0)
             assert (frozenset((after,)), gain) == (top, expected_gain), (state, step)
             assert all(n == 0 or (s, n) == (idle, -1) for s, n in expected.items()), expected
@@ -1018,12 +985,15 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
         for c, dl, ul in ref_session_sums(k, options)
     ]
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
-    real = search._final_sums
+    real = search.family_walk
 
-    def raised(bests, t):
-        return [s + extra for s, extra in zip(real(bests, t), (dl_extra, ul_extra, 0))]
+    def raised(*args):
+        rows, finals = real(*args)
+        return rows, {
+            t: (dl + dl_extra, ul + ul_extra, *rest) for t, (dl, ul, *rest) in finals.items()
+        }
 
-    with mock.patch.object(search, "_final_sums", raised):
+    with mock.patch.object(search, "family_walk", raised):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight
@@ -1049,23 +1019,29 @@ def test_validation_matches_the_walk_over_every_user(case):
 # --- the distinct-tuple walk --------------------------------------------------
 
 
+def family_rules(k, options):
+    """The downlink, uplink and chain rules over a family.
+
+    The downlink run is capped at the longest left side of any option,
+    read off the options themselves.
+    """
+    cap = max(
+        (_pure._dl_step(k, m, cell)[0] for m, opts in enumerate(options, 1) for cell in opts),
+        default=0,
+    )
+    return _pure.dl_rule(k, cap), _pure.UL_RULE, _pure.CHAIN_RULE
+
+
 def rule_walk(k, options):
-    """tuple_walk over the three rules' tables, and every candidate's reference sums.
+    """family_walk over the three rules, and every candidate's reference sums.
 
     Returns the walk's counts, rows and (dl, ul, chain) sums per last
     tuple, and the (dl, ul, chain) of each candidate in enumeration order,
     each maximized from scratch.
     """
-    automata = (
-        _kernels.dl_family(k, options),
-        _kernels.ul_family(options),
-        _kernels.chain_family(options),
-    )
-    tables = [_kernels.FamilyLayers(automaton) for automaton in automata]
-    rows, last = _kernels.tuple_walk([(t.row, t.steps) for t in tables])
+    rows, sums = _kernels.family_walk(family_rules(k, options), options)
     counts = _kernels.tuple_counts(rows)
-    assert set(counts) == last
-    sums = {t: tuple(table.best[lid] for table, lid in zip(tables, t)) for t in last}
+    assert set(counts) == set(sums)
     # Every family has nc <= 3, and chain_flags does not read nc.
     expected = [
         (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))

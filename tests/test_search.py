@@ -201,9 +201,9 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # Neither the tuple walk (JSON search, sweeps and CSV rows) nor the
+    # Neither the family walk (JSON search, sweeps and CSV rows) nor the
     # listing of its last tuples (CSV rows) may start.
-    monkeypatch.setattr(search, "tuple_walk", never)
+    monkeypatch.setattr(search, "family_walk", never)
     monkeypatch.setattr(search, "tuple_ends", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
     ceiling = f"more than {search.MAX_CANDIDATES} candidates, the most any search lists"
