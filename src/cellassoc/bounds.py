@@ -34,13 +34,13 @@ Bounds never claim tightness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
 from .errors import ValidationError
 from .model import (
     CellAssociation,
+    Record,
     bool_from_json,
     check_int,
     frac_from_str,
@@ -55,8 +55,7 @@ KIND_RECONSTRUCTION = "dl_reconstruction"
 KIND_COUNTING = "avg_counting"
 
 
-@dataclass(frozen=True)
-class BlockFlag:
+class BlockFlag(Record):
     """Classification of one full block of 2*nc - 1 users."""
 
     block: int
@@ -67,8 +66,7 @@ class BlockFlag:
         return {"block": self.block, "start": self.start, "good": self.good}
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """Self-contained certificate: kind + flagged data reproduce value."""
 
     kind: str

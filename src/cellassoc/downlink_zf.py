@@ -38,7 +38,6 @@ reference that tests compare the value-free rule against.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -48,6 +47,7 @@ from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
     ChannelRealization,
+    Record,
     check_active,
     check_seeds,
     draw_channels,
@@ -55,8 +55,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ZfWitness:
+class ZfWitness(Record):
     """Explicit precoders certifying one feasible active set.
 
     precoders[m][j] is the coefficient message m places on base station j;
@@ -99,8 +98,7 @@ class ZfWitness:
         )
 
 
-@dataclass(frozen=True)
-class DlEvaluation:
+class DlEvaluation(Record):
     """Result of a downlink maximization."""
 
     sum_dof: int

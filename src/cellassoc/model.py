@@ -15,15 +15,19 @@ g(i, i-1), diag[i] = g(i, i), 0 off the line).  Rank decisions over that
 field are exact, and a fresh seed gives an independent draw, which is how
 genericity is checked downstream.  Degrees of freedom are never floats;
 they are ints or `fractions.Fraction`.
+
+Every result and input type of the package (associations, draws,
+witnesses, evaluations, certificates, plans, reports) is a frozen
+record: a subclass of Record, which lists its fields as annotations and
+shares one set of methods, so defining a record type costs no generated
+code at import.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Optional
@@ -40,6 +44,69 @@ DEFAULT_SEEDS = (1, 2, 3)
 # Miller-Rabin bases of _is_prime: the first twelve primes make the test
 # exact for every modulus below 2**64.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class Record:
+    """Base of the frozen record types: their methods, written once.
+
+    A subclass's fields are its own annotated names, in order, and a
+    class attribute of the same name is that field's default.  A record
+    is built from its fields by position or by name, then the class's
+    __post_init__, if it has one, checks or normalizes them (through
+    object.__setattr__).  A built record refuses every assignment and
+    deletion.  Two records are equal when they are of the same class and
+    their fields are equal, leaving out the names in the class's
+    _uncompared; hash follows ==, and a class that sets __hash__ = None
+    stays unhashable.  repr writes Class(field=value, ...).
+
+    Defining a subclass generates no code: __init_subclass__ only reads
+    its field names, defaults and __post_init__ once.  The keyword dict
+    of a call becomes the instance's __dict__, so a record costs one dict.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._names = frozenset(cls._fields)
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args: object, **values: object) -> None:
+        if args:
+            given = dict(zip(self._fields, args))
+            if len(given) < len(args) or given.keys() & values.keys():
+                raise TypeError(f"{type(self).__name__} takes {self._fields}, each once")
+            values.update(given)
+        if values.keys() != self._names:
+            values = {**self._defaults, **values}
+            if values.keys() != self._names:
+                raise TypeError(f"{type(self).__name__} takes {self._fields}, got {sorted(values)}")
+        object.__setattr__(self, "__dict__", values)
+        if self._post_init is not None:
+            self._post_init()
+
+    def __setattr__(self, name: str, _value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def shown(value: object, before: str, after: str = "") -> str:
@@ -147,8 +214,7 @@ def _check_draw(k: object, seed: object, prime: object) -> None:
         raise ValidationError(f"prime must be a prime, got {prime}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(Record):
     """One exact draw of all nonzero channel coefficients, as two flat rows.
 
     left[i] = g(i, i-1) and diag[i] = g(i, i), the gains user i hears from
@@ -207,16 +273,14 @@ def draw_channels(k: int, seed: int, prime: int = DEFAULT_PRIME) -> ChannelReali
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One association-budget violation, tied to a user index."""
 
     i: int
     reason: str
 
 
-@dataclass(frozen=True)
-class CellAssociation:
+class CellAssociation(Record):
     """Per-user base-station sets under a per-user budget nc.
 
     cells[i-1] is the association set of user i.  Empty sets are legal and
@@ -247,8 +311,8 @@ class CellAssociation:
         The members were checked when this association was built, so the
         copy is made without checking them again.
         """
-        subsets = copy.copy(self)
-        object.__setattr__(subsets, "cells", tuple(cells))
+        subsets = object.__new__(CellAssociation)
+        object.__setattr__(subsets, "__dict__", {**self.__dict__, "cells": tuple(cells)})
         return subsets
 
     def cell(self, i: int) -> frozenset[int]:

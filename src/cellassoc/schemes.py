@@ -44,7 +44,6 @@ values in this topology (see downlink_zf), so one draw decides and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -55,6 +54,7 @@ from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
+    Record,
     association,
     check_int,
     check_ints,
@@ -75,8 +75,7 @@ from .uplink_decode import certify_uplink
 MAX_SCHEME_K = 10**6
 
 
-@dataclass(frozen=True)
-class SchemePlan:
+class SchemePlan(Record):
     """An association plus the activation pattern that realizes its claims."""
 
     assoc: CellAssociation

@@ -50,7 +50,6 @@ signature of a per-user rate that has stabilized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from collections.abc import Iterator, Sequence
@@ -78,6 +77,7 @@ from .errors import BudgetExceededError, InternalCheckError, SizeLimitError, Val
 from .model import (
     DEFAULT_SEEDS,
     CellAssociation,
+    Record,
     association,
     check_int,
     check_ints,
@@ -257,8 +257,7 @@ class _Rows(Sequence):
         return (range(len(self))[index], *self.sums[self.ends[index]])
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Winner of an exhaustive search plus its certified evaluations."""
 
     k: int
@@ -273,7 +272,8 @@ class SearchResult:
     ul: UlEvaluation
     bound: BoundCertificate
     # A function of (k, nc, window), so it takes no part in comparisons.
-    rows: Optional[Sequence] = field(default=None, compare=False)
+    rows: Optional[Sequence] = None
+    _uncompared = ("rows",)
     __hash__ = None  # its downlink witness holds a dict
 
     def to_json(self) -> dict:
@@ -376,8 +376,7 @@ def exhaustive_search(
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Outcome of checking oracle values against certificates."""
 
     k: int
@@ -465,8 +464,7 @@ def soundness_sweep(
     )
 
 
-@dataclass(frozen=True)
-class PeriodicPattern:
+class PeriodicPattern(Record):
     """A repeating association template with offsets relative to each user.
 
     offsets[r] lists the base-station offsets (j - i) granted to users
@@ -510,8 +508,7 @@ class PeriodicPattern:
         return {"period": self.period, "offsets": [list(o) for o in self.offsets]}
 
 
-@dataclass(frozen=True)
-class PeriodicReport:
+class PeriodicReport(Record):
     """Three-point extrapolation of a periodic pattern's session sums."""
 
     pattern: PeriodicPattern
@@ -605,8 +602,7 @@ def tau_downlink(nc: int) -> Fraction:
     return Fraction(2 * nc, 2 * nc + 1)
 
 
-@dataclass(frozen=True)
-class TheoremComparison:
+class TheoremComparison(Record):
     """Closed-form targets next to an observed value."""
 
     nc: int

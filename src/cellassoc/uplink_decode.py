@@ -22,7 +22,6 @@ prune() removes them without changing any feasibility decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -30,6 +29,7 @@ from . import _kernels
 from .errors import InternalCheckError, ValidationError
 from .model import (
     CellAssociation,
+    Record,
     check_active,
     check_int,
     check_ints,
@@ -38,8 +38,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class DecodingOrder:
+class DecodingOrder(Record):
     """Sequence of (message, decoding bs) steps, one per active user."""
 
     steps: tuple[tuple[int, int], ...]
@@ -61,8 +60,7 @@ class DecodingOrder:
         return cls(steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class UlEvaluation:
+class UlEvaluation(Record):
     """Result of an uplink maximization."""
 
     sum_dof: int

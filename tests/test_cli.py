@@ -8,6 +8,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -799,3 +801,17 @@ def test_json_writer_fails_where_json_dumps_fails(tree):
     # Unsupported values, keys that are neither str nor int, and dicts that
     # mix str and int keys (which sort_keys cannot order) raise TypeError.
     assert dumps_or_error(cli._json_text, tree) == dumps_or_error(reference_dumps, tree)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # Records define no generated code, so start-up loads neither module.
+    src = pathlib.Path(cli.__file__).parents[1]
+    probe = "import sys, cellassoc.cli; print(sorted({'dataclasses', 'inspect'} & {*sys.modules}))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -1,5 +1,7 @@
 """Indexing, channel draws, association containers, rational helpers."""
 
+import copy
+import pickle
 import random
 from collections.abc import Hashable
 from fractions import Fraction
@@ -21,18 +23,22 @@ from cellassoc import (
     validate_association,
     zf_feasible,
 )
-from cellassoc.bounds import counting_bound, lemma2_chain_bound
-from cellassoc.downlink_zf import certify_downlink
-from cellassoc.model import Violation, check_active
-from cellassoc.schemes import avg_optimal
+from cellassoc.bounds import BlockFlag, BoundCertificate, counting_bound, lemma2_chain_bound
+from cellassoc.downlink_zf import DlEvaluation, ZfWitness, certify_downlink
+from cellassoc.model import ChannelRealization, Violation, check_active
+from cellassoc.schemes import SchemePlan, avg_optimal
 from cellassoc.search import (
     PeriodicPattern,
+    PeriodicReport,
+    SearchResult,
+    SweepReport,
+    TheoremComparison,
     compare_with_theorem,
     exhaustive_search,
     periodic_eval,
     soundness_sweep,
 )
-from cellassoc.uplink_decode import max_uplink_dof
+from cellassoc.uplink_decode import DecodingOrder, UlEvaluation, max_uplink_dof
 
 
 def test_connectivity_rule():
@@ -239,3 +245,130 @@ def test_frozen_records_that_hold_dicts_are_unhashable():
     )
     for record in dict_free:
         assert isinstance(record, Hashable) and hash(record) == hash(record), record
+
+
+def _records():
+    """One small record of each of the 15 record types, with its pinned repr."""
+    assoc = association(2, 1, [[1], [1, 2]])
+    order = DecodingOrder(steps=((1, 1),))
+    dl = DlEvaluation(sum_dof=1, active_users=frozenset({1}), witness=None, seeds=(1,))
+    ul = UlEvaluation(sum_dof=1, active_users=frozenset({2}), order=order)
+    bound = BoundCertificate(kind="counting", flagged=(), value=Fraction(3, 2), k=2, nc=1)
+    pattern = PeriodicPattern(period=1, offsets=([0, 0],))
+    half = Fraction(1, 2)
+    return [
+        (Violation(i=1, reason="empty"), "Violation(i=1, reason='empty')"),
+        (
+            assoc,
+            "CellAssociation(k=2, nc=1, cells=(frozenset({1}), frozenset({1, 2})))",
+        ),
+        (
+            ChannelRealization(1, 13, 5, (0, 0, 0), (0, 4, 0)),
+            "ChannelRealization(k=1, prime=13, seed=5, left=(0, 0, 0), diag=(0, 4, 0))",
+        ),
+        (
+            ZfWitness(seed=1, prime=13, precoders={1: {1: 1}}),
+            "ZfWitness(seed=1, prime=13, precoders={1: {1: 1}})",
+        ),
+        (
+            dl,
+            "DlEvaluation(sum_dof=1, active_users=frozenset({1}), witness=None, seeds=(1,))",
+        ),
+        (order, "DecodingOrder(steps=((1, 1),))"),
+        (
+            ul,
+            "UlEvaluation(sum_dof=1, active_users=frozenset({2}), "
+            "order=DecodingOrder(steps=((1, 1),)))",
+        ),
+        (BlockFlag(1, 1, True), "BlockFlag(block=1, start=1, good=True)"),
+        (
+            bound,
+            "BoundCertificate(kind='counting', flagged=(), value=Fraction(3, 2), k=2, nc=1, "
+            "assumptions=())",
+        ),
+        (
+            SchemePlan(assoc, frozenset({1}), frozenset(), frozenset({2}), half, half),
+            "SchemePlan(assoc=CellAssociation(k=2, nc=1, cells=(frozenset({1}), "
+            "frozenset({1, 2}))), dl_active_users=frozenset({1}), dl_silent_bs=frozenset(), "
+            "ul_active_users=frozenset({2}), claimed_dl_dof=Fraction(1, 2), "
+            "claimed_ul_dof=Fraction(1, 2))",
+        ),
+        (
+            SearchResult(2, 1, 1, "avg", 4, assoc, 3, half, dl, ul, bound),
+            "SearchResult(k=2, nc=1, window=1, objective='avg', candidates=4, "
+            "best_assoc=CellAssociation(k=2, nc=1, cells=(frozenset({1}), frozenset({1, 2}))), "
+            "best_index=3, value=Fraction(1, 2), dl=DlEvaluation(sum_dof=1, "
+            "active_users=frozenset({1}), witness=None, seeds=(1,)), ul=UlEvaluation(sum_dof=1, "
+            "active_users=frozenset({2}), order=DecodingOrder(steps=((1, 1),))), "
+            "bound=BoundCertificate(kind='counting', flagged=(), value=Fraction(3, 2), k=2, "
+            "nc=1, assumptions=()), rows=None)",
+        ),
+        (
+            SweepReport(k=2, nc=1, window=1, total=3, violations=(), tight={"avg": 1}),
+            "SweepReport(k=2, nc=1, window=1, total=3, violations=(), tight={'avg': 1})",
+        ),
+        (pattern, "PeriodicPattern(period=1, offsets=((0,),))"),
+        (
+            PeriodicReport(pattern, 1, (3,), (2,), (3,), True, False, half, None, None),
+            "PeriodicReport(pattern=PeriodicPattern(period=1, offsets=((0,),)), nc=1, ks=(3,), "
+            "dl_sums=(2,), ul_sums=(3,), dl_affine=True, ul_affine=False, "
+            "dl_per_user=Fraction(1, 2), ul_per_user=None, avg_per_user=None)",
+        ),
+        (
+            TheoremComparison(1, half, half, None, None, None),
+            "TheoremComparison(nc=1, tau=Fraction(1, 2), tau_downlink=Fraction(1, 2), "
+            "relation_holds=None, observed=None, gap=None)",
+        ),
+    ]
+
+
+def test_records_keep_their_contract():
+    records = _records()
+    assert len({type(record) for record, _ in records}) == 15
+    for record, text in records:
+        cls = type(record)
+        names = list(cls.__annotations__)
+        values = [getattr(record, name) for name in names]
+        assert repr(record) == text
+        # Equal fields make equal records, by position or by name.
+        for twin in (cls(*values), cls(**dict(zip(names, values))), copy.copy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and not twin != record, text
+            if isinstance(record, Hashable):
+                assert hash(twin) == hash(record), text
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert [getattr(record, name) for name in names] == values
+        # Missing, unknown, duplicated and surplus fields.
+        for args, kwargs in (
+            ((), dict(zip(names[1:], values[1:]))),
+            (values, {"unknown": 1}),
+            (values, {names[0]: values[0]}),
+            ([*values, None], {}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+    # Records of different classes differ, whatever their fields hold.
+    assert BlockFlag(1, 1, True) != UlEvaluation(1, 1, True)
+    assert Violation(1, ((0,),)) != PeriodicPattern(1, ((0,),))
+    assert Violation(1, "empty") != Violation(1, "full")
+    # Defaults apply, and SearchResult compares without its rows.
+    search = records[10][0]
+    bound = search.bound
+    assert bound.assumptions == () and search.rows is None
+    fields = [getattr(search, name) for name in SearchResult.__annotations__ if name != "rows"]
+    with_rows = SearchResult(*fields, rows=[1])
+    assert with_rows.rows == [1] and with_rows == search
+    marked = BoundCertificate("counting", (), Fraction(3, 2), 2, 1, assumptions=("x",))
+    assert marked != bound and hash(bound) == hash(
+        BoundCertificate("counting", (), Fraction(3, 2), 2, 1)
+    )
+    # __post_init__ still runs.
+    built = CellAssociation(2, 1, [[1], (2, 1)])
+    assert built.cells == (frozenset({1}), frozenset({1, 2}))
+    assert all(type(cell) is frozenset for cell in built.cells)
+    with pytest.raises(ValidationError, match="diag must be a tuple of k \\+ 2 gains"):
+        ChannelRealization(1, 13, 5, (0, 0, 0), (0, 4))

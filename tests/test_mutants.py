@@ -62,6 +62,7 @@ WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
+RECORDS = ["test_model::test_records_keep_their_contract"]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -95,6 +96,12 @@ MUTANTS = [
         "downlink left side stays open under a run as long as it",
         (_pure, "_dl_next"),
         _edited(_pure._dl_next, "if run >= left:", "if run > left:"),
+        REFERENCES,
+    ),
+    (
+        "downlink left run reaches past bs 1",
+        (_pure, "_dl_step"),
+        _edited(_pure._dl_step, "while a > 1 and", "while a >= 1 and"),
         REFERENCES,
     ),
     (
@@ -224,6 +231,24 @@ MUTANTS = [
             "values[action.dest] = values[action.dest] if action in seen else value",
         ),
         PLAIN,
+    ),
+    (
+        "record equality without its class check",
+        (model.Record, "__eq__"),
+        _edited(model.Record.__eq__, "if other.__class__ is not self.__class__:", "if False:"),
+        RECORDS,
+    ),
+    (
+        "record comparison key includes the uncompared fields",
+        (model.Record, "_key"),
+        _edited(model.Record._key, "self._compared", "self._fields"),
+        RECORDS,
+    ),
+    (
+        "record init skips __post_init__",
+        (model.Record, "__init__"),
+        _edited(model.Record.__init__, "if self._post_init is not None:", "if False:"),
+        RECORDS,
     ),
     (
         "validation fast path drops its max <= k check",

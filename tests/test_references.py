@@ -129,6 +129,9 @@ def small_associations(draw):
 # User 2 decodes at bs 1 without holding bs 2, so bs 2 cannot cancel it
 # for user 3.
 @example(association(3, 1, [[], [1], [2]]), 1, 13)
+# Bs 0 is off the line, so user 2's left run is bs 1 alone, and an active
+# user 1 shuts it: users 1 and 2 are never both active.
+@example(association(2, 2, [[1, 2], [0, 1]]), 1, 13)
 def test_references_match_the_rules_on_every_active_set(assoc, seed, prime):
     k, cells = assoc.k, assoc.cells
     hears = line_hears(k)

@@ -1,6 +1,5 @@
 """Reference schemes: construction shapes, claims, certification."""
 
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -202,11 +201,17 @@ def test_tiny_networks():
 
 def _tampered(plan, **changes):
     """The plan with the given sets replaced and its claims kept consistent."""
-    plan = replace(plan, **changes)
-    return replace(
-        plan,
-        claimed_dl_dof=Fraction(len(plan.dl_active_users)),
-        claimed_ul_dof=Fraction(len(plan.ul_active_users)),
+    sets = {
+        "dl_active_users": plan.dl_active_users,
+        "dl_silent_bs": plan.dl_silent_bs,
+        "ul_active_users": plan.ul_active_users,
+        **changes,
+    }
+    return SchemePlan(
+        assoc=plan.assoc,
+        **sets,
+        claimed_dl_dof=Fraction(len(sets["dl_active_users"])),
+        claimed_ul_dof=Fraction(len(sets["ul_active_users"])),
     )
 
 
