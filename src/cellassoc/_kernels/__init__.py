@@ -21,7 +21,10 @@ last tuple's final values.  Three readers answer from the rows:
 `tuple_counts` counts the associations that end in each last tuple,
 `ordered_find` lists, in enumeration order, the associations that end in
 chosen tuples, and `tuple_ends` lists every association's last tuple in
-enumeration order.  `_pure` states the rules and the passes.
+enumeration order.  A search's winner needs none of them: `family_best`
+is a max-plus pass over the tuples of the rules' states, which carry no
+count, and returns the first association of the best weighted sum of
+the rules' maxima.  `_pure` states the rules and the passes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from ._pure import (
     dl_max_active,
     dl_rule,
     dl_set_feasible,
+    family_best,
     family_walk,
     ordered_find,
     tuple_counts,

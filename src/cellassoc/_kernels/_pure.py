@@ -88,7 +88,7 @@ for a fixed budget, and the chain bound is its size.  Set feasibility is
 fixed activity leads to, kept apart from the maximizer as the reference
 the tests compare it against.  For a family, `FamilyLayers` runs the
 same greedy step from each layer, one state and its count, and memoizes
-it per (state, step); each search or sweep builds one table per rule, so
+it per (state, step); each listing or sweep builds one table per rule, so
 associations that share a prefix of options share its layers, and users
 whose options look the same from where they stand share its moves at
 every depth.
@@ -109,8 +109,17 @@ whose last tuple lies in a given set, by backward reachability, and
 for output that lists the family.  The first two are the counting and
 the reachability passes of Mohri's semiring framework ("Semiring
 frameworks and algorithms for shortest-distance problems", 2002) over
-the family, and a search's max-plus pass is the largest key over the
-last tuples; they list no candidate.
+the family; they list no candidate.
+
+A search's winner comes from the max-plus pass of the same framework,
+`family_best`, which builds no layer and reads no count.  Its nodes are
+the tuples of the rules' states, and a move is each rule's greedy step
+with a gain of 0 or 1, so the best weighted sum of the rules' maxima is
+the longest path in the node graph, whose width is the number of
+distinct state tuples, a few dozen at window nc <= 4 whatever k is.  A
+forward pass collects the nodes each depth reaches, a backward pass the
+best gain still to come from each, and a descent that takes each user's
+first option that keeps it the first maximizer in enumeration order.
 """
 
 from __future__ import annotations
@@ -118,6 +127,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain
 from math import inf
+from operator import add
 
 _OPEN, _SHUT, _RIGHT = 0, 1, 2  # the uplink states, each covering the next
 _DL_START = _DL_IDLE = (0, inf)  # no active run and no pending deadline
@@ -322,6 +332,68 @@ def family_walk(rules, options, *extra):
     columns = list(zip(*last))
     finals = [*map(map, [t.best.__getitem__ for t in tables], columns), *columns[len(tables) :]]
     return rows, dict(zip(last, zip(*finals)))
+
+
+def family_best(rules, options, weights):
+    """(index, sums) of the first association with the largest weighted sum of the rules' maxima.
+
+    rules are line rules (see dl_rule) over the family whose user m may
+    take any set of options[m-1], and weights holds one integer per rule.
+    sums are the winner's largest active set sizes, one per rule, and
+    index its place in enumeration order (see ordered_find).  A node is
+    the tuple of the rules' states, and a move each rule's greedy step,
+    with a gain of 1 when the rule takes the user; a move reads no count
+    (see FamilyLayers), so the best weighted sum is the longest path in
+    the node graph.  Options with the same steps make one class, which
+    keeps its first option index, and moves are memoized per (node,
+    column), users with equal columns sharing them.  A forward pass
+    collects the nodes each depth reaches, a backward max-plus pass the
+    best weighted gain still to come from each, and the descent takes,
+    at each user, the first class that keeps the optimum.
+    """
+    starts, idles, nexts, steps = zip(*rules)
+    per_rule = list(zip(nexts, idles, weights))
+    columns, ids, tables = [], {}, []
+    for m, opts in enumerate(options, 1):
+        first = {}
+        for o, cell in enumerate(opts):
+            first.setdefault(tuple([step(m, cell) for step in steps]), o)
+        cid = ids.setdefault(tuple(first), len(ids))
+        if cid == len(tables):  # per rule: its steps in the column, its moves per state, the rule
+            tables.append([(column, {}, *rule) for column, rule in zip(zip(*first), per_rule)])
+        columns.append((cid, list(first.values()), len(opts)))
+    moves, rows, here = {}, [], {starts}
+    for cid, _firsts, _n in columns:
+        row_of = {}
+        for node in here:
+            row = moves.get((node, cid))
+            if row is None:
+                parts = []
+                for (column, memo, nxt, idle, w), state in zip(tables[cid], node):
+                    part = memo.get(state)
+                    if part is None:  # per step: the state after, the weighted gain, whether taken
+                        part = memo[state] = tuple(zip(*[
+                            (idle, 0, False) if (t := nxt(step, state)) is None else (t, w, True)
+                            for step in column
+                        ]))
+                    parts.append(part)
+                afters, gains, taken = zip(*parts)
+                row = moves[node, cid] = list(zip(*afters)), list(map(sum, zip(*gains))), taken
+            row_of[node] = row
+        here = set().union(*[afters for afters, _g, _t in row_of.values()])
+        rows.append(row_of)
+    togo = [dict.fromkeys(here, 0)]  # togo[d][node]: the best weighted gain after user d
+    for row_of in reversed(rows):
+        ahead = togo[-1].__getitem__
+        togo.append({node: max(map(add, g, map(ahead, a))) for node, (a, g, _t) in row_of.items()})
+    togo.reverse()
+    node, index, sums = starts, 0, [0] * len(rules)
+    for (_cid, firsts, n), row_of, best, ahead in zip(columns, rows, togo, togo[1:]):
+        afters, gains, taken = row_of[node]
+        j = list(map(add, gains, map(ahead.__getitem__, afters))).index(best[node])
+        index, node = index * n + firsts[j], afters[j]
+        sums = [s + t[j] for s, t in zip(sums, taken)]
+    return index, tuple(sums)
 
 
 def tuple_counts(rows):

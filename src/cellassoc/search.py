@@ -9,20 +9,21 @@ first maximizer, which is therefore the lexicographically smallest one.
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
 sizes are needed.  A search hands the two rules, each in the one rule
-shape of _kernels, and the family's options to _kernels.family_walk,
-which walks the family user by user over the distinct pairs of rule
-states and counts that some prefix of options reaches, and returns the
-walk's rows and each last pair's (dl, ul) sums; the pairs themselves are
-opaque here.  A search reads the objective key of every distinct last
-pair, and the winner is the first index that ends in a pair of the best
-key (_kernels.ordered_find); it is decoded from the mixed-radix digits
-of that index (_decode), so a JSON search lists no candidate.  No channel
-value is drawn per candidate; the winner alone becomes an association
-and gets a zero-forcing witness and a decoding order from
-max_downlink_dof and max_uplink_dof, which must reproduce the search
-value.  Collected rows (search --format csv) read the same walk: every
-candidate's last pair in enumeration order (_kernels.tuple_ends), one
-reference of 8 bytes per candidate, and the sums of each distinct pair.
+shape of _kernels, the family's options and the objective's weights
+(_WEIGHTS) to _kernels.family_best, a max-plus pass over the pairs of
+rule states, which returns the index of the first candidate of the best
+key, dl * weight + ul * weight, and that candidate's (dl, ul) sums.  The
+winner is decoded from the mixed-radix digits of that index (_decode),
+so a search lists no candidate to find it.  No channel value is drawn
+per candidate; the winner alone becomes an association and gets a
+zero-forcing witness and a decoding order from max_downlink_dof and
+max_uplink_dof, which must reproduce the search value.  Collected rows
+(search --format csv) come from _kernels.family_walk, which walks the
+family user by user over the distinct pairs of rule states and counts
+that some prefix of options reaches: every candidate's last pair in
+enumeration order (_kernels.tuple_ends), one reference of 8 bytes per
+candidate, and the sums of each distinct pair.  The rows' winner is the
+same family_best winner.
 
 A soundness sweep runs the same walk over the (dl, ul, chain) rules,
 and for nc >= 2 the OR of the options' spoiled blocks of the
@@ -59,6 +60,7 @@ from ._kernels import (
     CHAIN_RULE,
     UL_RULE,
     dl_rule,
+    family_best,
     family_walk,
     ordered_find,
     tuple_counts,
@@ -243,10 +245,10 @@ def enumerate_associations(
 
 
 class _Rows(Sequence):
-    """The (index, dl, ul) rows of a search, from each candidate's last pair and its sums."""
+    """The (index, dl, ul) rows of a search, from a family walk's rows and each last pair's sums."""
 
-    def __init__(self, ends, sums):
-        self.ends, self.sums = ends, sums
+    def __init__(self, rows, sums):
+        self.ends, self.sums = tuple_ends(rows), sums
 
     def __len__(self):
         return len(self.ends)
@@ -332,23 +334,20 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul); they are a
-    read-only sequence over the walk's last pairs, listed only when
-    collect_rows is set, and the winner is found by the same walk either
-    way.  Refuses to start when the candidate count exceeds cap or
-    MAX_CANDIDATES.  The seeds (model.check_seeds) only draw the channels
-    of the winner's zero-forcing witness.
+    read-only sequence over the family walk's last pairs, listed only
+    when collect_rows is set, and the winner comes from the max-plus pass
+    (_kernels.family_best) either way.  Refuses to start when the
+    candidate count exceeds cap or MAX_CANDIDATES.  The seeds
+    (model.check_seeds) only draw the channels of the winner's
+    zero-forcing witness.
     """
     objective = _normalize_objective(objective)
     w, options, total = _family(k, nc, window, cap)
     seeds = check_seeds(seeds)
 
-    rows, sums = family_walk((_dl_rule(k, nc, w), UL_RULE), options)
-    dl_weight, ul_weight = _WEIGHTS[objective]
-    keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul) in sums.items()}
-    best_key = max(keys.values())
-    # The first maximizer is the first index that ends in a pair of the best key.
-    best_index, best = next(ordered_find(rows, [t for t, key in keys.items() if key == best_key]))
-    best_value = _objective_value(objective, k, *sums[best])
+    rules = _dl_rule(k, nc, w), UL_RULE
+    best_index, sums = family_best(rules, options, _WEIGHTS[objective])
+    best_value = _objective_value(objective, k, *sums)
     best_assoc = association(k, nc, _decode(options, best_index))
 
     dl_ev = max_downlink_dof(best_assoc, seeds=seeds)
@@ -372,7 +371,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=bound,
-        rows=_Rows(tuple_ends(rows), sums) if collect_rows else None,
+        rows=_Rows(*family_walk(rules, options)) if collect_rows else None,
     )
 
 

@@ -63,6 +63,10 @@ LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
 RECORDS = ["test_model::test_records_keep_their_contract"]
+MAX_PLUS = [
+    "test_properties::test_max_plus_pass_finds_the_first_maximizer_on_any_option_lists",
+    "test_properties::test_search_winner_is_the_first_maximizer_at_its_index",
+]
 
 # (name, (module, attribute), replacement, killers)
 MUTANTS = [
@@ -149,6 +153,33 @@ MUTANTS = [
         (_pure.FamilyLayers, "_move"),
         _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(state, 0)"),
         WALK,
+    ),
+    (
+        "max-plus descent takes the last class that keeps the optimum",
+        (_pure, "family_best"),
+        _edited(
+            _pure.family_best,
+            "j = list(map(add, gains, map(ahead.__getitem__, afters))).index(best[node])",
+            "j = len(gains) - 1 - list(map(add, gains, map(ahead.__getitem__, afters)))"
+            "[::-1].index(best[node])",
+        ),
+        MAX_PLUS,
+    ),
+    (
+        "max-plus rows drop the second rule's gain",
+        (_pure, "family_best"),
+        _edited(_pure.family_best, "list(map(sum, zip(*gains)))", "list(map(sum, zip(*gains[:1])))"),
+        MAX_PLUS,
+    ),
+    (
+        "chain credit survives only a flagged pair",
+        (_pure, "CHAIN_RULE"),
+        (
+            *_pure.CHAIN_RULE[:2],
+            _edited(_pure._chain_next, "credit and not flagged", "credit and flagged"),
+            _pure._chain_step,
+        ),
+        ["test_references::test_chain_bound_matches_its_definition"],
     ),
     (
         "search caps the downlink run one below min(nc, w, k - 1)",

@@ -1082,3 +1082,18 @@ def test_tuple_walk_matches_the_listing(family, data):
     assert list(_kernels.ordered_find(rows, chosen)) == [
         (i, t) for i, t in enumerate(finals) if t in chosen
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+# Options out of sorted order: a class's first option is not its smallest set.
+@example((3, [[(1, 2), (1,), ()], [(2,), (1, 2, 3), (1,)], [(3,), (2, 3), ()]]))
+def test_max_plus_pass_finds_the_first_maximizer_on_any_option_lists(family):
+    k, options = family
+    dl_rule, ul_rule, _chain_rule = family_rules(k, options)
+    sums = [(dl, ul) for _combo, dl, ul in ref_session_sums(k, options)]
+    # B = k + 1 > k: the largest dl + ul first, then the largest ul among those.
+    for weights in (*OBJECTIVE_WEIGHTS.values(), (k + 1, k + 2)):
+        keys = [weights[0] * dl + weights[1] * ul for dl, ul in sums]
+        index = keys.index(max(keys))
+        assert _kernels.family_best((dl_rule, ul_rule), options, weights) == (index, sums[index])

@@ -19,6 +19,10 @@ the base stations user r hears, and reads no channel value:
 On the line they must agree with the kernels' set checks and with the
 seeded oracles zf_feasible and uplink_feasible on every active set.
 
+The chain converse has a reference of its own, read off its definition:
+chain_bound_by_definition tries every activity vector, and no state of
+the chain rule enters it.
+
 The three orders covers(a, b) are the witness of the kernels' simulation
 argument (see cellassoc._kernels._pure): a allows every move b allows,
 and each successor of a covers the matching successor of b.  No pass of
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 
 from cellassoc import search
 from cellassoc._kernels import _pure
+from cellassoc.bounds import lemma2_chain_bound
 from cellassoc.downlink_zf import zf_feasible
 from cellassoc.model import DEFAULT_PRIME, association, draw_channels
 from cellassoc.uplink_decode import uplink_feasible
@@ -110,6 +115,51 @@ def decodable(hears, cells, active):
         pending -= ready
         done |= ready
     return True
+
+
+def chain_bound_by_definition(cells):
+    """The most active users the chain converse allows, over all 2**k activity vectors.
+
+    Pair (m-1, m) is flagged unless users m-1 and m both hold bs m-1, and
+    user 1 counts as holding bs 0, so only pairs from (1, 2) on can be
+    flagged.  Both users of a flagged pair (m-1, m) may be active only if
+    some inactive user z <= m-2 has no flagged pair from (z+1, z+2) to
+    (m-2, m-1).
+    """
+    k = len(cells)
+    flagged = [False, False]  # flagged[m]: pair (m-1, m) is flagged
+    flagged += [not (m - 1 in cells[m - 2] and m - 1 in cells[m - 1]) for m in range(2, k + 1)]
+    # clear[z][m]: no flagged pair from (z+1, z+2) to (m-2, m-1).
+    clear = [[not any(flagged[z + 2 : m]) for m in range(k + 1)] for z in range(k + 1)]
+    best = 0
+    for active in itertools.product((False, True), repeat=k):
+        active = (True, *active)  # active[m] for users 1..k
+        if all(
+            not (flagged[m] and active[m - 1] and active[m])
+            or any(not active[z] and clear[z][m] for z in range(1, m - 1))
+            for m in range(2, k + 1)
+        ):
+            best = max(best, sum(active) - 1)
+    return best
+
+
+@st.composite
+def chain_associations(draw):
+    """An association of k <= 10 users whose sets hold stations near the user, some off the line."""
+    k = draw(st.integers(1, 10))
+    cells = [sorted(draw(st.sets(st.integers(m - 2, m + 1), max_size=3))) for m in range(1, k + 1)]
+    return association(k, 3, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_associations())
+# Every pair is flagged, so both users of a pair are active only right
+# after an inactive user: at most 3 of 5, as in 1, 3, 4 or 2, 3, 5.
+@example(association(5, 3, [[]] * 5))
+def test_chain_bound_matches_its_definition(assoc):
+    expected = chain_bound_by_definition(assoc.cells)
+    assert _pure.chain_max(assoc.cells) == expected
+    assert lemma2_chain_bound(assoc).value == expected
 
 
 @st.composite

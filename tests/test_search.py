@@ -1,5 +1,6 @@
 """Windowed enumeration, exhaustive search, sweeps, periodic probes."""
 
+import functools
 import itertools
 import math
 import time
@@ -15,6 +16,8 @@ from cellassoc import (
     pair_association,
 )
 from cellassoc import search
+from cellassoc._kernels import UL_RULE, family_best
+from cellassoc.bounds import _counting_value
 from cellassoc.schemes import MAX_SCHEME_K
 from cellassoc.search import (
     PeriodicPattern,
@@ -174,6 +177,30 @@ def test_search_winner_is_lex_min():
         assert idx < r.best_index
 
 
+def test_paper_claims_and_closed_forms_hold_far_past_the_enumeration():
+    # The max-plus pass at window nc, on lines far longer than a search
+    # lists.  With B > k, weights (B, B + 1) find the largest dl + ul and,
+    # among the associations that reach it, the largest ul; (B + 1, B) the
+    # largest dl among them.
+    for nc, longest in ((1, 60), (2, 60), (3, 40), (4, 24)):
+        for k in range(1, longest + 1):
+            rules = search._dl_rule(k, nc, nc), UL_RULE
+            best = functools.partial(family_best, rules, search._user_options(k, nc, nc))
+            _, (dl_first, ul_most) = best((k + 1, k + 2))
+            _, (dl_most, ul_first) = best((k + 2, k + 1))
+            total = dl_first + ul_most
+            assert dl_most + ul_first == total, (k, nc)
+            if nc == 1:
+                # Some average-optimal association reaches the largest dl sum.
+                assert dl_most == best((1, 0))[1][0], k
+                assert total == 2 * ((2 * k + 1) // 3), k
+            else:
+                # Some average-optimal association reaches the largest ul sum.
+                assert ul_most == best((0, 1))[1][1], (k, nc)
+                short = nc + 1 <= k % (2 * nc - 1) <= 2 * nc - 2
+                assert total == 2 * _counting_value(k, nc) - short, (k, nc)
+
+
 def test_collect_rows():
     r = exhaustive_search(3, 1, 1, objective="avg", collect_rows=True)
     assert r.rows is not None and len(r.rows) == 36
@@ -201,8 +228,10 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # Neither the family walk (JSON search, sweeps and CSV rows) nor the
-    # listing of its last tuples (CSV rows) may start.
+    # Neither the max-plus pass (JSON and CSV search), the family walk
+    # (sweeps and CSV rows) nor the listing of its last tuples (CSV rows)
+    # may start.
+    monkeypatch.setattr(search, "family_best", never)
     monkeypatch.setattr(search, "family_walk", never)
     monkeypatch.setattr(search, "tuple_ends", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
@@ -223,7 +252,7 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
 
 
 def test_only_csv_rows_list_the_family(monkeypatch):
-    listed = []
+    listed, passes = [], []
     real = search.tuple_ends
 
     def listing(rows):
@@ -231,15 +260,26 @@ def test_only_csv_rows_list_the_family(monkeypatch):
         listed.append(len(ends))
         return ends
 
+    def counted(name):
+        wrapped = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args: passes.append(name) or wrapped(*args))
+
     monkeypatch.setattr(search, "tuple_ends", listing)
+    for name in ("family_best", "family_walk", "ordered_find"):
+        counted(name)
     for family in ((6, 2, 1), (4, 3, 3)):
         for objective in ("avg", "ul", "dl"):
+            # A JSON winner comes from the max-plus pass alone.
             json_result = exhaustive_search(*family, objective)
-            assert listed == []
+            assert listed == [] and passes == ["family_best"]
+            # CSV rows walk the family; their winner comes from the same pass.
             csv_result = exhaustive_search(*family, objective, collect_rows=True)
             assert listed.pop() == csv_result.candidates and csv_result == json_result
+            assert passes == ["family_best", "family_best", "family_walk"]
+            passes.clear()
         assert soundness_sweep(*family).sound
-        assert listed == []
+        assert listed == [] and passes == ["family_walk", "ordered_find"]
+        passes.clear()
 
 
 def test_cap_below_one_is_invalid_input():
