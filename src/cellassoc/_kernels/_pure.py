@@ -101,15 +101,13 @@ take tuples whole and never read a layer.  `tuple_walk` walks the
 product of the parts over distinct tuples: after each user it keeps the
 set of tuples of component values that some prefix of options reaches,
 and the row of tuples each leads to, so its work grows with the distinct
-tuples and not with the candidates.  Three passes read its rows:
+tuples and not with the candidates.  Two passes read its rows:
 `tuple_counts` sums the number of associations that end in each last
-tuple, `ordered_find` lists, in enumeration order, the associations
-whose last tuple lies in a given set, by backward reachability, and
-`tuple_ends` lists every association's last tuple in enumeration order,
-for output that lists the family.  The first two are the counting and
-the reachability passes of Mohri's semiring framework ("Semiring
+tuple, the counting pass of Mohri's semiring framework ("Semiring
 frameworks and algorithms for shortest-distance problems", 2002) over
-the family; they list no candidate.
+the family, which lists no candidate, and `tuple_ends` lists every
+association's last tuple in enumeration order, for output that lists
+the family and for the violators of a sweep that finds any.
 
 A search's winner comes from the max-plus pass of the same framework,
 `family_best`, which builds no layer and reads no count.  Its nodes are
@@ -340,7 +338,7 @@ def family_best(rules, options, weights):
     rules are line rules (see dl_rule) over the family whose user m may
     take any set of options[m-1], and weights holds one integer per rule.
     sums are the winner's largest active set sizes, one per rule, and
-    index its place in enumeration order (see ordered_find).  A node is
+    index its place in enumeration order (see tuple_ends).  A node is
     the tuple of the rules' states, and a move each rule's greedy step,
     with a gain of 1 when the rule takes the user; a move reads no count
     (see FamilyLayers), so the best weighted sum is the longest path in
@@ -408,45 +406,13 @@ def tuple_counts(rows):
     return counts
 
 
-def ordered_find(rows, final):
-    """(index, last tuple) of every association whose last tuple is in final.
-
-    rows are a tuple_walk's rows, and the associations come in enumeration
-    order: index is the mixed-radix number whose digit for user m is the
-    position of its option, the last user's varying fastest.  Backward
-    reachability keeps, at each depth, the tuples from which some tuple of
-    final is reached, and the descent takes options in order through those
-    alone, so it visits only prefixes of associations it returns.  The
-    descent keeps its own stack, so its depth is not bounded by Python's
-    recursion limit.
-    """
-    live = [set(final)]
-    for row_of in reversed(rows):
-        ahead = live[-1]
-        live.append({t for t, row in row_of.items() if not ahead.isdisjoint(row)})
-    live.reverse()
-
-    def descend():
-        # (depth, tuple, index so far), the next prefix in order on top.
-        stack = [(0, t, 0) for t in live[0]]
-        while stack:
-            depth, t, index = stack.pop()
-            if depth == len(rows):
-                yield index, t
-                continue
-            row, ahead = rows[depth][t], live[depth + 1]
-            index *= len(row)
-            for o in reversed(range(len(row))):
-                if row[o] in ahead:
-                    stack.append((depth + 1, row[o], index + o))
-
-    return descend()
-
-
 def tuple_ends(rows):
     """The last tuple of every association of a tuple_walk, in enumeration order.
 
-    Each depth expands every tuple into its row, in C iterators, so the
+    Enumeration order is the product order of the options: an
+    association's index is the mixed-radix number whose digit for user m
+    is the position of its option, the last user's varying fastest.  Each
+    depth expands every tuple into its row, in C iterators, so the
     list holds one reference per candidate to a shared tuple.
     """
     ends = list(rows[0])  # the start tuple alone

@@ -30,10 +30,12 @@ and for nc >= 2 the OR of the options' spoiled blocks of the
 reconstruction bound (bounds._spoil_masks) as one more part, whose final
 value comes after the three sums, so every certificate is decided once per
 distinct last tuple: the tight counts are sums of the numbers of
-candidates that end in each tuple (_kernels.tuple_counts), and the
-violators are the indices that end in a tuple breaking a certificate,
-found in order and decoded as associations.  A sound family builds no
-association.
+candidates that end in each tuple (_kernels.tuple_counts).  Only when
+some tuple breaks a certificate does the sweep list every candidate's
+last tuple (_kernels.tuple_ends, one reference of 8 bytes per
+candidate); the violators are the indices that end in a broken tuple,
+kept in order by a C-level filter and decoded as associations.  A sound
+family lists no candidate and builds no association.
 
 Both entry points count the family (_family_size) before listing any
 option and refuse one with more than cap candidates, or more than
@@ -62,7 +64,6 @@ from ._kernels import (
     dl_rule,
     family_best,
     family_walk,
-    ordered_find,
     tuple_counts,
     tuple_ends,
 )
@@ -450,12 +451,14 @@ def soundness_sweep(
                 tight[name] += n
 
     violations = []
-    for index, t in ordered_find(rows, broken):
-        cells = association(k, nc, _decode(options, index)).cells_as_lists()
-        for kind, achieved, bound in broken[t]:
-            if kind == "avg_counting":  # dl + ul against twice the bound
-                achieved, bound = (frac_to_str(Fraction(v, 2)) for v in (achieved, bound))
-            violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
+    if broken:  # a sound sweep lists no candidate
+        ends = tuple_ends(rows)
+        for index in itertools.compress(range(len(ends)), map(broken.__contains__, ends)):
+            cells = association(k, nc, _decode(options, index)).cells_as_lists()
+            for kind, achieved, bound in broken[ends[index]]:
+                if kind == "avg_counting":  # dl + ul against twice the bound
+                    achieved, bound = (frac_to_str(Fraction(v, 2)) for v in (achieved, bound))
+                violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 
     return SweepReport(
         k=k, nc=nc, window=w, total=total,

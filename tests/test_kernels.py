@@ -134,15 +134,15 @@ def test_each_rule_moves_to_at_most_one_state_that_idle_covers():
                 here = after - {None}
 
 
-def test_ordered_find_descends_past_the_recursion_limit():
-    # 5000 users from the start tuple 0: each user keeps 0 or moves it to 1,
-    # and 1 stays.
-    rows = [{(0,): [(0,), (1,)]}] + [{(0,): [(0,), (1,)], (1,): [(1,), (1,)]}] * 4999
-    assert list(kernels.ordered_find(rows, {(0,)})) == [(0, (0,))]
-    found = kernels.ordered_find(rows, {(0,), (1,)})
-    assert list(itertools.islice(found, 4)) == [(0, (0,)), (1, (1,)), (2, (1,)), (3, (1,))]
-    found = kernels.ordered_find(rows, {(1,)})
-    assert list(itertools.islice(found, 3)) == [(1, (1,)), (2, (1,)), (3, (1,))]
+def test_tuple_ends_lists_past_the_recursion_limit():
+    # 5000 users from the start tuple 0: the first user keeps 0 or moves it
+    # to 1, the next 4998 keep their tuple, and the last keeps 0 or moves it
+    # to 1 while 1 stays.
+    first = {(0,): [(0,), (1,)]}
+    keep = {(0,): [(0,)], (1,): [(1,)]}
+    last = {(0,): [(0,), (1,)], (1,): [(1,), (1,)]}
+    rows = [first] + [keep] * 4998 + [last]
+    assert kernels.tuple_ends(rows) == [(0,), (1,), (1,), (1,)]
 
 
 def test_layers_keep_their_antichains_small():

@@ -24,7 +24,9 @@ import textwrap
 from contextlib import ExitStack
 from unittest import mock
 
-from cellassoc import _kernels, bounds, cli, downlink_zf, model, schemes, search
+import pytest
+
+from cellassoc import _kernels, bounds, cli, downlink_zf, model, schemes, search, uplink_decode
 from cellassoc._kernels import _pure
 import test_references
 
@@ -59,6 +61,7 @@ ORACLES = ["test_properties::test_rules_match_oracles"]
 REFERENCES = ["test_references::test_references_match_the_rules_on_every_active_set"]
 LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
 WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
+SWEEP = ["test_properties::test_sweep_matches_reference_sweep"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
@@ -197,6 +200,22 @@ MUTANTS = [
         ["test_search::test_soundness_sweep"],
     ),
     (
+        "sweep reports each violator at the next index",
+        (search, "soundness_sweep"),
+        _edited(search.soundness_sweep, "range(len(ends))", "range(1, len(ends) + 1)"),
+        SWEEP,
+    ),
+    (
+        "sweep lists its violators last index first",
+        (search, "soundness_sweep"),
+        _edited(
+            search.soundness_sweep,
+            "in itertools.compress(range(len(ends)), map(broken.__contains__, ends)):",
+            "in reversed(list(itertools.compress(range(len(ends)), map(broken.__contains__, ends)))):",
+        ),
+        SWEEP,
+    ),
+    (
         "counting bound gives 2nc - 1 per full block",
         (bounds, "_counting_value"),
         _edited(bounds._counting_value, "Fraction(4 * nc - 3, 2)", "Fraction(4 * nc - 2, 2)"),
@@ -246,6 +265,18 @@ MUTANTS = [
         _edited(model.draw_channels, "left=(0, 0, *gains[1::2], 0), diag=(0, *gains[::2], 0)",
                 "diag=(0, 0, *gains[1::2], 0), left=(0, *gains[::2], 0)"),
         ["test_model::test_channel_draw_order_is_frozen"],
+    ),
+    (
+        "order check lets a step wait on an undecoded neighbour",
+        (uplink_decode, "verify_order"),
+        _edited(uplink_decode.verify_order, "other not in decoded or ", ""),
+        ["test_uplink_decode::test_order_verification_rejects_tampering"],
+    ),
+    (
+        "plan JSON skips its claim check",
+        (schemes.SchemePlan, "from_json"),
+        _edited(schemes.SchemePlan.from_json, "if claims[key] != len(index_sets[users]):", "if False:"),
+        ["test_schemes::test_plan_json_roundtrip"],
     ),
     (
         "plain argv reader skips the choices check",
@@ -338,7 +369,7 @@ def test_every_mutant_is_killed():
             for killer, test in zip(killers, tests):
                 try:
                     test()
-                except Exception:  # any failure of a killer kills the mutant
+                except (Exception, pytest.fail.Exception):  # any failure kills, "DID NOT RAISE" too
                     continue
                 survivors.append(f"{name} survives {killer}")
     assert not survivors, survivors

@@ -976,6 +976,8 @@ def test_reconstruction_values_match_certificates(small, part, nc):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_FAMILIES), st.integers(0, 2), st.integers(0, 2))
+# Six violators of the chain bound, at six distinct indices.
+@example((2, 1, 1), 0, 1)
 def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
     # Raised sums make the certificates fail, so violations are compared too.
     k, nc, w = family
@@ -1050,19 +1052,9 @@ def rule_walk(k, options):
     return counts, rows, sums, expected
 
 
-def first_maximizers(rows, sums):
-    """ordered_find's first maximizer of each objective's key."""
-    found = {}
-    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
-        keys = {t: dl_weight * dl + ul_weight * ul for t, (dl, ul, _chain) in sums.items()}
-        best = max(keys.values())
-        found[objective] = next(_kernels.ordered_find(rows, [t for t in keys if keys[t] == best]))[0]
-    return found
-
-
 @settings(max_examples=80, deadline=None)
-@given(families(), st.data())
-def test_tuple_walk_matches_the_listing(family, data):
+@given(families())
+def test_tuple_walk_matches_the_listing(family):
     k, options = family
     counts, rows, sums, expected = rule_walk(k, options)
     # Each candidate's last tuple, read off the rows digit by digit.
@@ -1075,13 +1067,6 @@ def test_tuple_walk_matches_the_listing(family, data):
     assert _kernels.tuple_ends(rows) == finals
     assert [sums[t] for t in finals] == expected
     assert counts == collections.Counter(finals)
-    for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
-        keys = [dl_weight * dl + ul_weight * ul for dl, ul, _chain in expected]
-        assert first_maximizers(rows, sums)[objective] == keys.index(max(keys))
-    chosen = data.draw(st.sets(st.sampled_from(sorted(counts))))
-    assert list(_kernels.ordered_find(rows, chosen)) == [
-        (i, t) for i, t in enumerate(finals) if t in chosen
-    ]
 
 
 @settings(max_examples=100, deadline=None)

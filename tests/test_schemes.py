@@ -181,6 +181,10 @@ def test_plan_json_roundtrip():
     assert SchemePlan.from_json(data) == plan
     with pytest.raises(ValidationError):
         SchemePlan.from_json({"assoc": plan.assoc.to_json()})
+    # Each claim must equal the size of its active set.
+    for key, claim, users in (("claimed_dl_dof", "6", "5 dl"), ("claimed_ul_dof", "13/2", "7 ul")):
+        with pytest.raises(ValidationError, match=f"{key} {claim} differs from the {users}_active_users"):
+            SchemePlan.from_json({**data, key: claim})
 
 
 def test_rejects_bad_parameters():

@@ -264,9 +264,19 @@ def test_only_csv_rows_list_the_family(monkeypatch):
         wrapped = getattr(search, name)
         monkeypatch.setattr(search, name, lambda *args: passes.append(name) or wrapped(*args))
 
+    def never(*_args):
+        raise AssertionError("a sound sweep built an association")
+
     monkeypatch.setattr(search, "tuple_ends", listing)
-    for name in ("family_best", "family_walk", "ordered_find"):
+    for name in ("family_best", "family_walk", "tuple_counts"):
         counted(name)
+    walk = search.family_walk
+
+    def raised(*args):
+        # One more uplink user than the walk found, as in test_sweep_matches_reference_sweep.
+        rows, finals = walk(*args)
+        return rows, {t: (dl, ul + 1, *rest) for t, (dl, ul, *rest) in finals.items()}
+
     for family in ((6, 2, 1), (4, 3, 3)):
         for objective in ("avg", "ul", "dl"):
             # A JSON winner comes from the max-plus pass alone.
@@ -277,8 +287,19 @@ def test_only_csv_rows_list_the_family(monkeypatch):
             assert listed.pop() == csv_result.candidates and csv_result == json_result
             assert passes == ["family_best", "family_best", "family_walk"]
             passes.clear()
-        assert soundness_sweep(*family).sound
-        assert listed == [] and passes == ["family_walk", "ordered_find"]
+        # A sound sweep counts its tight candidates and lists none.
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "association", never)
+            assert soundness_sweep(*family).sound
+        assert listed == [] and passes == ["family_walk", "tuple_counts"]
+        passes.clear()
+        # Raised sums break certificates, so the sweep lists the family once to find them.
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "family_walk", raised)
+            report = soundness_sweep(*family)
+        assert report.violations and listed == [report.total]
+        assert passes == ["family_walk", "tuple_counts"]
+        listed.clear()
         passes.clear()
 
 
