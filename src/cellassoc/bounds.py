@@ -19,9 +19,10 @@ recomputed from the flagged data alone:
   charged.  Any active message is a function of all transmit signals, and
   a linear map cannot be injective onto more symbols than it has inputs,
   so the seed count bounds the downlink sum.  Goodness is one per-user
-  rule (_spoiled: the blocks a user's set keeps from being good), so one
-  association ORs its users' spoiled blocks, and a sweep ORs them along
-  its family (_spoil_masks, _masked_value).
+  rule, _spoiled: the bitmask of the blocks a user's set keeps from being
+  good, bit b for block b + 1.  One association ORs its users' masks
+  (_block_flags), and a sweep ORs them along its family (_spoil_masks);
+  either way the value is _reconstruction_value of the spoiled count.
 
 * counting bound (average): per full block, one session is charged
   2*nc - 1 and the other 2*nc - 2 depending on the middle-bs association
@@ -29,7 +30,10 @@ recomputed from the flagged data alone:
   charged 1 per session.  The per-block split is an asymptotic accounting
   device; soundness is claimed only for the aggregate average value.
 
-Bounds never claim tightness.
+Each kind (KIND_*) has one issuer in ISSUERS, which the CLI, the
+searches and verify_certificate share; the counting kind is issued by
+counting_bound at nc >= 2 and by ncone_bound at nc = 1.  Bounds never
+claim tightness.
 """
 
 from __future__ import annotations
@@ -174,59 +178,55 @@ def _block_layout(k: int, nc: int) -> tuple[int, int, int]:
     return length, full, k - full * length
 
 
-def _spoiled(k: int, nc: int, i: int, cell, strict: bool) -> set[int]:
-    """The full blocks (0-based) that user i, holding the set cell, keeps from being good.
+def _spoiled(k: int, nc: int, i: int, cell, strict: bool) -> int:
+    """The full blocks that user i, holding the set cell, keeps from being good.
 
-    A block is good when both local users mid and mid + 1 of its middle
-    bs mid hold it, and, for the strict test of the reconstruction
+    The blocks are the bits of the returned mask: bit b stands for block
+    b + 1.  A block is good when both local users mid and mid + 1 of its
+    middle bs mid hold it, and, for the strict test of the reconstruction
     argument, no other user holds it.
     """
     length, full, _tail = _block_layout(k, nc)
-    # r = 0: user i is local to block b as mid, r = 1: as mid + 1.
+    # r = 0: user i is local to block b + 1 as mid, r = 1: as mid + 1.
     b, r = divmod(i - nc, length)
-    spoiled = {b} if r < 2 and 0 <= b < full and i - r not in cell else set()
+    spoiled = 1 << b if r < 2 and 0 <= b < full and i - r not in cell else 0
     if strict:
         for j in cell:
             b, r = divmod(j - nc, length)
             if not r and 0 <= b < full and i - j not in (0, 1):
-                spoiled.add(b)
+                spoiled |= 1 << b
     return spoiled
 
 
 def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
+    """One flag per full block: good unless some user's _spoiled mask has its bit."""
     length, full, _tail = _block_layout(assoc.k, assoc.nc)
-    spoiled = set().union(
-        *(_spoiled(assoc.k, assoc.nc, i, cell, strict) for i, cell in enumerate(assoc.cells, 1))
-    )
+    spoiled = 0
+    for i, cell in enumerate(assoc.cells, 1):
+        spoiled |= _spoiled(assoc.k, assoc.nc, i, cell, strict)
+    bits = f"{spoiled:0{full}b}"[::-1]  # bits[b] is bit b, read in O(k) in all
     return tuple(
-        BlockFlag(block=b + 1, start=b * length + 1, good=b not in spoiled)
-        for b in range(full)
+        BlockFlag(block=b + 1, start=b * length + 1, good=bits[b] == "0") for b in range(full)
     )
 
 
-def _reconstruction_value(nc: int, goods, tail: int) -> int:
-    """Seed count: 2*nc - 2 per good block, 2*nc - 1 per other, 1 per tail user."""
-    return sum((2 * nc - 2) if good else (2 * nc - 1) for good in goods) + tail
+def _reconstruction_value(k: int, nc: int, spoiled: int) -> int:
+    """Seed count when spoiled of the full blocks are not good.
+
+    2*nc - 2 per good block, 2*nc - 1 per spoiled one, 1 per tail user.
+    """
+    _length, full, tail = _block_layout(k, nc)
+    return (2 * nc - 2) * full + spoiled + tail
 
 
 def _spoil_masks(k: int, nc: int, options) -> list[list[int]]:
-    """Per user, the full blocks each of its options spoils, as bitmasks.
+    """Per user, the _spoiled mask of each of its options under the strict test.
 
-    options[i-1] lists the association sets user i may take, and bit b of
-    a mask is set when the set keeps block b from being good under the
-    strict test of the reconstruction bound (_spoiled).  A block is good
-    unless some user's set spoils it, so an association's spoiled blocks
-    are its users' masks ORed, which a sweep does along its family, and
-    _masked_value reads the bound from them.
+    options[i-1] lists the association sets user i may take.  An
+    association's spoiled blocks are its users' masks ORed, which a sweep
+    does along its family.
     """
-    return [[sum(1 << b for b in _spoiled(k, nc, i, cell, True)) for cell in opts]
-            for i, opts in enumerate(options, 1)]
-
-
-def _masked_value(k: int, nc: int, mask: int) -> int:
-    """The reconstruction bound of an association whose spoiled blocks are the bits of mask."""
-    _length, full, tail = _block_layout(k, nc)
-    return _reconstruction_value(nc, (not mask >> b & 1 for b in range(full)), tail)
+    return [[_spoiled(k, nc, i, cell, True) for cell in opts] for i, opts in enumerate(options, 1)]
 
 
 def _counting_value(k: int, nc: int) -> Fraction:
@@ -262,9 +262,8 @@ def reconstruction_bound(assoc: CellAssociation) -> BoundCertificate:
     """Downlink sum-DoF bound by counting reconstruction seed signals."""
     if assoc.nc < 2:
         raise ValidationError("reconstruction bound requires nc >= 2; see ncone_bound")
-    _length, _full, tail = _block_layout(assoc.k, assoc.nc)
     flags = _block_flags(assoc, strict=True)
-    value = Fraction(_reconstruction_value(assoc.nc, (f.good for f in flags), tail))
+    value = Fraction(_reconstruction_value(assoc.k, assoc.nc, sum(not f.good for f in flags)))
     return BoundCertificate(
         kind=KIND_RECONSTRUCTION,
         flagged=flags,
@@ -293,11 +292,21 @@ def ncone_bound(k: int) -> BoundCertificate:
     )
 
 
+# Kind -> the issuer of that kind's certificate for an association.  Each
+# entry looks its constructor up when called, so a wrapper put on the
+# module's name (perfbench/tracing.py) sees the call.
+ISSUERS = {
+    KIND_CHAIN: lambda assoc: lemma2_chain_bound(assoc),
+    KIND_RECONSTRUCTION: lambda assoc: reconstruction_bound(assoc),
+    KIND_COUNTING: lambda assoc: counting_bound(assoc) if assoc.nc >= 2 else ncone_bound(assoc.k),
+}
+
+
 def recompute_value(cert: BoundCertificate) -> Fraction:
     """Rebuild the bound value from the flagged data alone."""
     if cert.kind == KIND_CHAIN:
         return Fraction(_chain_dp(cert.k, cert.flagged))
-    _length, full, tail = _block_layout(cert.k, cert.nc)
+    _length, full, _tail = _block_layout(cert.k, cert.nc)
     if cert.nc == 1 and not cert.flagged:
         return Fraction(2 * cert.k, 3)
     if len(cert.flagged) != full:
@@ -305,25 +314,22 @@ def recompute_value(cert: BoundCertificate) -> Fraction:
     if cert.kind == KIND_COUNTING:
         return _counting_value(cert.k, cert.nc)
     if cert.kind == KIND_RECONSTRUCTION:
-        return Fraction(_reconstruction_value(cert.nc, (f.good for f in cert.flagged), tail))
+        spoiled = sum(not f.good for f in cert.flagged)
+        return Fraction(_reconstruction_value(cert.k, cert.nc, spoiled))
     raise ValidationError(f"unknown certificate kind{shown(cert.kind, ' ')}")
 
 
 def verify_certificate(cert: BoundCertificate, assoc: CellAssociation) -> bool:
-    """Re-derive flags from the association and check value consistency."""
-    if cert.k != assoc.k or cert.nc != assoc.nc:
+    """Re-derive the flags with the kind's issuer and recompute the value from the flags.
+
+    The assumptions are not compared.  A kind that has no certificate for
+    the association (reconstruction at nc = 1) does not verify.
+    """
+    issue = ISSUERS.get(cert.kind)
+    if issue is None or cert.k != assoc.k or cert.nc != assoc.nc:
         return False
-    if cert.kind == KIND_CHAIN:
-        expected: tuple = chain_flags(assoc)
-    elif cert.kind == KIND_RECONSTRUCTION:
-        if cert.nc < 2:  # reconstruction_bound issues none
-            return False
-        expected = _block_flags(assoc, strict=True)
-    elif cert.kind == KIND_COUNTING:
-        if cert.nc == 1:
-            expected = ()
-        else:
-            expected = _block_flags(assoc, strict=False)
-    else:
+    try:
+        expected = issue(assoc).flagged
+    except ValidationError:  # the issuer issues none here
         return False
     return cert.flagged == expected and recompute_value(cert) == cert.value

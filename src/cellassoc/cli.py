@@ -56,12 +56,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
 
-from .bounds import (
-    counting_bound,
-    lemma2_chain_bound,
-    ncone_bound,
-    reconstruction_bound,
-)
+from .bounds import ISSUERS, KIND_CHAIN, KIND_COUNTING, KIND_RECONSTRUCTION
 from .downlink_zf import max_downlink_dof
 from .errors import (
     CellAssocError,
@@ -343,25 +338,22 @@ def _cmd_search(args) -> int:
     return 0
 
 
-_BOUND_KINDS = ("lemma2", "counting", "reconstruction")
+# --kind names -> certificate kinds (bounds.ISSUERS), in the order "all" emits them.
+_BOUND_KINDS = {"lemma2": KIND_CHAIN, "counting": KIND_COUNTING,
+                "reconstruction": KIND_RECONSTRUCTION}
 
 
 def _cmd_bound(args) -> int:
     assoc = _load_assoc(args.assoc)
     wanted = _BOUND_KINDS if args.kind == "all" else (args.kind,)
     certs = {}
-    for kind in wanted:
-        if kind == "lemma2":
-            cert = lemma2_chain_bound(assoc)
-        elif kind == "counting":
-            cert = counting_bound(assoc) if assoc.nc >= 2 else ncone_bound(assoc.k)
-        else:
-            if assoc.nc < 2:
-                if args.kind == "all":
-                    continue
-                raise ValidationError("reconstruction bound requires nc >= 2")
-            cert = reconstruction_bound(assoc)
-        certs[cert.kind] = cert.to_json()
+    for name in wanted:
+        kind = _BOUND_KINDS[name]
+        if kind == KIND_RECONSTRUCTION and assoc.nc < 2:
+            if args.kind == "all":
+                continue
+            raise ValidationError("reconstruction bound requires nc >= 2")
+        certs[kind] = ISSUERS[kind](assoc).to_json()
     _emit_json({"k": assoc.k, "nc": assoc.nc, "certificates": certs}, args.out)
     return 0
 
@@ -469,7 +461,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("assoc", help="path to an association JSON file")
     p.add_argument(
         "--kind",
-        choices=_BOUND_KINDS + ("all",),
+        choices=(*_BOUND_KINDS, "all"),
         default="all",
         help="which certificate family to emit",
     )

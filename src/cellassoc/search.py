@@ -26,16 +26,19 @@ candidate, and the sums of each distinct pair.  The rows' winner is the
 same family_best winner.
 
 A soundness sweep runs the same walk over the (dl, ul, chain) rules,
-and for nc >= 2 the OR of the options' spoiled blocks of the
+and for nc >= 2 the OR of the options' spoiled-block masks of the
 reconstruction bound (bounds._spoil_masks) as one more part, whose final
 value comes after the three sums, so every certificate is decided once per
-distinct last tuple: the tight counts are sums of the numbers of
-candidates that end in each tuple (_kernels.tuple_counts).  Only when
+distinct last tuple, the reconstruction value from the mask's bit count
+(bounds._reconstruction_value): the tight counts are sums of the numbers
+of candidates that end in each tuple (_kernels.tuple_counts).  Only when
 some tuple breaks a certificate does the sweep list every candidate's
 last tuple (_kernels.tuple_ends, one reference of 8 bytes per
 candidate); the violators are the indices that end in a broken tuple,
-kept in order by a C-level filter and decoded as associations.  A sound
-family lists no candidate and builds no association.
+kept in order by a C-level filter, and each one's sets are read off its
+decoded options.  A sweep builds no association, and a sound one lists
+no candidate.  The winner's bound and the sweep's kinds come from
+bounds.ISSUERS and bounds.KIND_*.
 
 Both entry points count the family (_family_size) before listing any
 option and refuse one with more than cap candidates, or more than
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache, partial
 from collections.abc import Iterator, Sequence
 from typing import Optional
 
@@ -68,12 +70,14 @@ from ._kernels import (
     tuple_ends,
 )
 from .bounds import (
+    ISSUERS,
+    KIND_CHAIN,
+    KIND_COUNTING,
+    KIND_RECONSTRUCTION,
     BoundCertificate,
     _counting_value,
-    _masked_value,
+    _reconstruction_value,
     _spoil_masks,
-    counting_bound,
-    ncone_bound,
 )
 from .downlink_zf import DlEvaluation, max_downlink_dof
 from .errors import BudgetExceededError, InternalCheckError, SizeLimitError, ValidationError
@@ -359,7 +363,6 @@ def exhaustive_search(
             f"winner re-evaluation {recheck} disagrees with search value {best_value}"
         )
 
-    bound = counting_bound(best_assoc) if nc >= 2 else ncone_bound(k)
     return SearchResult(
         k=k,
         nc=nc,
@@ -371,7 +374,7 @@ def exhaustive_search(
         value=best_value,
         dl=dl_ev,
         ul=ul_ev,
-        bound=bound,
+        bound=ISSUERS[KIND_COUNTING](best_assoc),
         rows=_Rows(*family_walk(rules, options)) if collect_rows else None,
     )
 
@@ -432,17 +435,17 @@ def soundness_sweep(
     masks = [(_or_each, _spoil_masks(k, nc, options))] if nc >= 2 else []
     rows, finals = family_walk((_dl_rule(k, nc, w), UL_RULE, CHAIN_RULE), options, *masks)
     counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-    reconstruction = cache(partial(_masked_value, k, nc))  # per mask of spoiled blocks
 
     tight = {"chain": 0, "reconstruction": 0, "counting": 0}
     broken: dict = {}
     for t, n in tuple_counts(rows).items():
         dl, ul, chain, *mask = finals[t]  # the mask of spoiled blocks when nc >= 2
-        checks = [("lemma2_chain", "chain", ul, chain)]
+        checks = [(KIND_CHAIN, "chain", ul, chain)]
         if nc >= 2:
             checks += [
-                ("dl_reconstruction", "reconstruction", dl, reconstruction(*mask)),
-                ("avg_counting", "counting", dl + ul, counting_twice),
+                (KIND_RECONSTRUCTION, "reconstruction", dl,
+                 _reconstruction_value(k, nc, mask[0].bit_count())),
+                (KIND_COUNTING, "counting", dl + ul, counting_twice),
             ]
         for kind, name, achieved, bound in checks:
             if achieved > bound:
@@ -454,9 +457,9 @@ def soundness_sweep(
     if broken:  # a sound sweep lists no candidate
         ends = tuple_ends(rows)
         for index in itertools.compress(range(len(ends)), map(broken.__contains__, ends)):
-            cells = association(k, nc, _decode(options, index)).cells_as_lists()
+            cells = [list(cell) for cell in _decode(options, index)]  # sorted tuples in 1..k
             for kind, achieved, bound in broken[ends[index]]:
-                if kind == "avg_counting":  # dl + ul against twice the bound
+                if kind == KIND_COUNTING:  # dl + ul against twice the bound
                     achieved, bound = (frac_to_str(Fraction(v, 2)) for v in (achieved, bound))
                 violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
 

@@ -18,7 +18,9 @@ unless its name starts with an underscore or it is a method's self or cls.
 
 The integer rule "an int that is not a bool" is written once, in
 model.check_int (and the JSON reader model.bool_from_json needs the bool
-type itself), so no other isinstance(..., bool) call may appear.
+type itself), so no other isinstance(..., bool) call may appear.  Likewise
+the certificate kinds are spelled once, as the KIND_* names of bounds.py,
+so no other module of the package holds one of their strings as a literal.
 """
 
 import ast
@@ -26,6 +28,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cellassoc"
 BOOL_HELPERS = frozenset({"check_int", "bool_from_json"})
+KIND_STRINGS = frozenset({"lemma2_chain", "dl_reconstruction", "avg_counting"})
 
 # Public defs that nothing in the package reads, each with why it stays.
 KEPT_PUBLIC = {
@@ -314,3 +317,33 @@ def test_the_check_sees_bool_tests():
     )
     assert bool_tests(tree) == [2, 4]
     assert bool_tests(tree, {"check_int"}) == [4]
+
+
+def kind_literals(tree):
+    """Lines of the string constants that spell a certificate kind."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in KIND_STRINGS
+    ]
+
+
+def test_kind_strings_live_in_bounds():
+    found = [
+        f"{path}:{line}"
+        for path, tree in modules()
+        if path != "bounds.py"
+        for line in kind_literals(tree)
+    ]
+    assert not found, found
+
+
+def test_the_check_sees_kind_strings():
+    tree = ast.parse(
+        'KIND = "lemma2_chain"\n'
+        "def f(kind):\n"
+        '    """avg_counting in a sentence is prose, not a literal."""\n'
+        '    return kind == "avg_counting" or kind == "dl_reconstruction_x"\n'
+    )
+    assert kind_literals(tree) == [1, 4]

@@ -224,9 +224,21 @@ MUTANTS = [
     (
         "reconstruction bound swaps good and bad blocks",
         (bounds, "_reconstruction_value"),
-        _edited(bounds._reconstruction_value, "(2 * nc - 2) if good else (2 * nc - 1)",
-                "(2 * nc - 1) if good else (2 * nc - 2)"),
+        _edited(bounds._reconstruction_value, "(2 * nc - 2) * full + spoiled",
+                "(2 * nc - 1) * full - spoiled"),
         ["test_bounds::test_reconstruction_pinned_values"],
+    ),
+    (
+        "strict spoiled bit lands on the next block",
+        (bounds, "_spoiled"),
+        _edited(bounds._spoiled, "spoiled |= 1 << b", "spoiled |= 1 << b + 1"),
+        ["test_properties::test_sweep_bounds_match_certificates"],
+    ),
+    (
+        "certificate check skips the flag comparison",
+        (bounds, "verify_certificate"),
+        _edited(bounds.verify_certificate, "cert.flagged == expected and ", ""),
+        ["test_bounds::test_recompute_and_verify"],
     ),
     (
         "chain flags need only one user of the pair on bs i",

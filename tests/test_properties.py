@@ -34,14 +34,18 @@ import pytest
 from cellassoc import _kernels, search
 from cellassoc._kernels import _pure
 from cellassoc.bounds import (
+    ISSUERS,
+    KIND_RECONSTRUCTION,
+    BoundCertificate,
     _block_flags,
     _chain_dp,
-    _masked_value,
+    _reconstruction_value,
     _spoil_masks,
     chain_flags,
     counting_bound,
     lemma2_chain_bound,
     reconstruction_bound,
+    verify_certificate,
 )
 from cellassoc.downlink_zf import (
     ZfWitness,
@@ -392,7 +396,7 @@ def swept_reconstruction_values(k, nc, options):
     """The reconstruction bound of every association of a family, in enumeration order,
     as a sweep reads it: each option's spoiled blocks ORed along the product."""
     return [
-        _masked_value(k, nc, functools.reduce(operator.or_, masks, 0))
+        _reconstruction_value(k, nc, functools.reduce(operator.or_, masks, 0).bit_count())
         for masks in itertools.product(*_spoil_masks(k, nc, options))
     ]
 
@@ -952,6 +956,18 @@ def test_sweep_bounds_match_certificates(case):
     # The sweep's values, on the family that offers each user its own set.
     one_each = [(tuple(sorted(cell)),) for cell in assoc.cells]
     assert swept_reconstruction_values(k, nc, one_each) == [reconstruction_bound(assoc).value]
+
+
+@SETTINGS
+@given(windowed())
+def test_issued_certificates_verify_after_a_json_round_trip(case):
+    assoc, _active = case
+    for kind, issue in ISSUERS.items():
+        if kind == KIND_RECONSTRUCTION and assoc.nc < 2:  # no such certificate at nc = 1
+            continue
+        cert = issue(assoc)
+        assert cert.kind == kind
+        assert verify_certificate(BoundCertificate.from_json(cert.to_json()), assoc), kind
 
 
 @settings(max_examples=80, deadline=None)

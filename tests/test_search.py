@@ -265,7 +265,7 @@ def test_only_csv_rows_list_the_family(monkeypatch):
         monkeypatch.setattr(search, name, lambda *args: passes.append(name) or wrapped(*args))
 
     def never(*_args):
-        raise AssertionError("a sound sweep built an association")
+        raise AssertionError("a sweep built an association")
 
     monkeypatch.setattr(search, "tuple_ends", listing)
     for name in ("family_best", "family_walk", "tuple_counts"):
@@ -293,9 +293,11 @@ def test_only_csv_rows_list_the_family(monkeypatch):
             assert soundness_sweep(*family).sound
         assert listed == [] and passes == ["family_walk", "tuple_counts"]
         passes.clear()
-        # Raised sums break certificates, so the sweep lists the family once to find them.
+        # Raised sums break certificates, so the sweep lists the family once to
+        # find them, and reads each violator's sets off its options.
         with monkeypatch.context() as patched:
             patched.setattr(search, "family_walk", raised)
+            patched.setattr(search, "association", never)
             report = soundness_sweep(*family)
         assert report.violations and listed == [report.total]
         assert passes == ["family_walk", "tuple_counts"]
