@@ -17,11 +17,13 @@ family, `family_walk`, which takes the rules, the family's options and
 other per-option parts (such as bitmasks), walks the distinct tuples
 that the family reaches over memoized forward layers, one table per rule
 whose layers are one state and its count, and returns its rows and each
-last tuple's final values.  Two readers answer from the rows:
-`tuple_counts` counts the associations that end in each last tuple, and
-`tuple_ends` lists every association's last tuple in enumeration order,
-the one listing, which CSV rows and a sweep's violators read.  A
-search's winner needs neither: `family_best`
+last tuple's final values.  Three readers answer from the rows:
+`tuple_counts` counts the associations that end in each last tuple,
+`tuple_ends` lists the tuples a depth's prefixes end in, in enumeration
+order (the last depth's for a sweep's violators, a shallow one for CSV
+rows), and `tuple_texts` joins texts given per last tuple backward into
+one text per tuple of a depth, so CSV rows list no candidate.  A
+search's winner needs none of them: `family_best`
 is a max-plus pass over the tuples of the rules' states, which carry no
 count, and returns the first association of the best weighted sum of
 the rules' maxima.  `_pure` states the rules and the passes.
@@ -40,6 +42,7 @@ from ._pure import (
     family_walk,
     tuple_counts,
     tuple_ends,
+    tuple_texts,
     ul_max_active,
     ul_set_feasible,
 )

@@ -101,13 +101,17 @@ take tuples whole and never read a layer.  `tuple_walk` walks the
 product of the parts over distinct tuples: after each user it keeps the
 set of tuples of component values that some prefix of options reaches,
 and the row of tuples each leads to, so its work grows with the distinct
-tuples and not with the candidates.  Two passes read its rows:
+tuples and not with the candidates.  Three passes read its rows:
 `tuple_counts` sums the number of associations that end in each last
 tuple, the counting pass of Mohri's semiring framework ("Semiring
 frameworks and algorithms for shortest-distance problems", 2002) over
-the family, which lists no candidate, and `tuple_ends` lists every
-association's last tuple in enumeration order, for output that lists
-the family and for the violators of a sweep that finds any.
+the family, which lists no candidate; `tuple_ends` lists the tuples that
+the prefixes of one depth end in, in enumeration order, every
+association's last tuple for the violators of a sweep that finds any;
+and `tuple_texts`, the framework's concatenation pass run backward,
+joins a text per last tuple into one text per tuple of a depth, each
+built once, which CSV rows read with the prefixes that tuple_ends lists
+at that depth.
 
 A search's winner comes from the max-plus pass of the same framework,
 `family_best`, which builds no layer and reads no count.  Its nodes are
@@ -413,12 +417,26 @@ def tuple_ends(rows):
     association's index is the mixed-radix number whose digit for user m
     is the position of its option, the last user's varying fastest.  Each
     depth expands every tuple into its row, in C iterators, so the
-    list holds one reference per candidate to a shared tuple.
+    list holds one reference per candidate to a shared tuple.  Given the
+    first d rows, it lists the tuple of every choice for users 1..d.
     """
     ends = list(rows[0])  # the start tuple alone
     for row_of in rows:
         ends = list(chain.from_iterable(map(row_of.__getitem__, ends)))
     return ends
+
+
+def tuple_texts(rows, texts):
+    """Each first tuple of rows mapped to the join of its last tuples' texts, in enumeration order.
+
+    rows are the rows of a tuple_walk from some depth on, and texts maps
+    each last tuple to its text.  The pass runs backward, the
+    concatenation pass of Mohri's framework: a tuple's text is the join
+    of its row's texts, built once per distinct tuple at each depth.
+    """
+    for row_of in reversed(rows):
+        texts = {t: "".join(map(texts.__getitem__, after)) for t, after in row_of.items()}
+    return texts
 
 
 def _reaches(rule, cells, active):

@@ -19,9 +19,10 @@ recomputed from the flagged data alone:
   charged.  Any active message is a function of all transmit signals, and
   a linear map cannot be injective onto more symbols than it has inputs,
   so the seed count bounds the downlink sum.  Goodness is one per-user
-  rule, _spoiled: the bitmask of the blocks a user's set keeps from being
-  good, bit b for block b + 1.  One association ORs its users' masks
-  (_block_flags), and a sweep ORs them along its family (_spoil_masks);
+  rule, _spoil_rule: the indices of the blocks a user's set keeps from
+  being good, index b for block b + 1.  One association marks its users'
+  blocks in one byte per block (_block_flags), and a sweep ORs them as
+  bitmasks, bit b for block b + 1, along its family (_spoil_masks);
   either way the value is _reconstruction_value of the spoiled count.
 
 * counting bound (average): per full block, one session is charged
@@ -38,6 +39,7 @@ claim tightness.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from . import _kernels
@@ -178,35 +180,39 @@ def _block_layout(k: int, nc: int) -> tuple[int, int, int]:
     return length, full, k - full * length
 
 
-def _spoiled(k: int, nc: int, i: int, cell, strict: bool) -> int:
-    """The full blocks that user i, holding the set cell, keeps from being good.
+def _spoil_rule(k: int, nc: int, strict: bool) -> Callable[[int, object], Iterator[int]]:
+    """spoiled(i, cell): the full blocks that user i, holding the set cell, keeps from being good.
 
-    The blocks are the bits of the returned mask: bit b stands for block
-    b + 1.  A block is good when both local users mid and mid + 1 of its
-    middle bs mid hold it, and, for the strict test of the reconstruction
-    argument, no other user holds it.
+    spoiled yields the index b of each such block, block b + 1, possibly
+    more than once.  A block is good when both local users mid and mid + 1
+    of its middle bs mid hold it, and, for the strict test of the
+    reconstruction argument, no other user holds it.
     """
     length, full, _tail = _block_layout(k, nc)
-    # r = 0: user i is local to block b + 1 as mid, r = 1: as mid + 1.
-    b, r = divmod(i - nc, length)
-    spoiled = 1 << b if r < 2 and 0 <= b < full and i - r not in cell else 0
-    if strict:
-        for j in cell:
-            b, r = divmod(j - nc, length)
-            if not r and 0 <= b < full and i - j not in (0, 1):
-                spoiled |= 1 << b
+
+    def spoiled(i: int, cell) -> Iterator[int]:
+        # r = 0: user i is local to block b + 1 as mid, r = 1: as mid + 1.
+        b, r = divmod(i - nc, length)
+        if r < 2 and 0 <= b < full and i - r not in cell:
+            yield b
+        if strict:
+            for j in cell:
+                block, r = divmod(j - nc, length)
+                if not r and 0 <= block < full and i - j not in (0, 1):
+                    yield block
+
     return spoiled
 
 
 def _block_flags(assoc: CellAssociation, strict: bool) -> tuple[BlockFlag, ...]:
-    """One flag per full block: good unless some user's _spoiled mask has its bit."""
+    """One flag per full block: good unless some user's spoiled blocks (_spoil_rule) hold it."""
     length, full, _tail = _block_layout(assoc.k, assoc.nc)
-    spoiled = 0
+    spoiled, marked = _spoil_rule(assoc.k, assoc.nc, strict), bytearray(full)
     for i, cell in enumerate(assoc.cells, 1):
-        spoiled |= _spoiled(assoc.k, assoc.nc, i, cell, strict)
-    bits = f"{spoiled:0{full}b}"[::-1]  # bits[b] is bit b, read in O(k) in all
+        for b in spoiled(i, cell):
+            marked[b] = 1
     return tuple(
-        BlockFlag(block=b + 1, start=b * length + 1, good=bits[b] == "0") for b in range(full)
+        BlockFlag(block=b + 1, start=b * length + 1, good=not marked[b]) for b in range(full)
     )
 
 
@@ -220,13 +226,18 @@ def _reconstruction_value(k: int, nc: int, spoiled: int) -> int:
 
 
 def _spoil_masks(k: int, nc: int, options) -> list[list[int]]:
-    """Per user, the _spoiled mask of each of its options under the strict test.
+    """Per user, the spoiled blocks of each of its options under the strict test, as a bitmask.
 
-    options[i-1] lists the association sets user i may take.  An
-    association's spoiled blocks are its users' masks ORed, which a sweep
-    does along its family.
+    options[i-1] lists the association sets user i may take, and bit b of
+    a mask stands for block b + 1 (see _spoil_rule).  An association's
+    spoiled blocks are its users' masks ORed, which a sweep does along
+    its family.
     """
-    return [[_spoiled(k, nc, i, cell, True) for cell in opts] for i, opts in enumerate(options, 1)]
+    spoiled = _spoil_rule(k, nc, True)
+    return [
+        [sum({1 << b for b in spoiled(i, cell)}) for cell in opts]
+        for i, opts in enumerate(options, 1)
+    ]
 
 
 def _counting_value(k: int, nc: int) -> Fraction:

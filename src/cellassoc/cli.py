@@ -56,6 +56,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
 
+from ._kernels import tuple_ends, tuple_texts
 from .bounds import ISSUERS, KIND_CHAIN, KIND_COUNTING, KIND_RECONSTRUCTION
 from .downlink_zf import max_downlink_dof
 from .errors import (
@@ -226,6 +227,9 @@ def _emit_json(obj: object, out: Optional[str]) -> None:
 # Rows of search --format csv joined into one piece of text (a few hundred
 # kB), so the text of a whole family is never held at once.
 _CSV_CHUNK_ROWS = 8192
+# Most rows in the subtree of one prefix whose text a CSV search builds;
+# no more than _CSV_CHUNK_ROWS, so a piece holds at least one subtree.
+_CSV_BLOCK_ROWS = 512
 
 
 def _csv_chunks(result) -> Iterator[str]:
@@ -233,22 +237,36 @@ def _csv_chunks(result) -> Iterator[str]:
 
     The bytes are those csv.writer writes for integers (comma-separated,
     "\\r\\n" after each row).  Everything after a row's index depends
-    only on its last pair in the search's walk, so it is formatted once per
-    distinct last pair, and a piece is one % of "%d%s" per row over the
-    rows' (index, suffix) pairs, so the indices are formatted in C too.
+    only on its last pair in the search's walk, so each distinct last pair
+    gets one text, with "%d" for the index.  Every prefix of the first d
+    users has a subtree of the same size, the product of the later users'
+    option counts, and d is the shallowest depth whose subtrees hold at
+    most _CSV_BLOCK_ROWS rows.  _kernels.tuple_texts joins the last pairs'
+    texts backward into one text per distinct pair at depth d, and
+    tuple_ends lists only the pairs the depth-d prefixes end in, so no
+    candidate is listed.  A piece joins the texts of whole subtrees and
+    fills in their indices with one % in C.
     """
     yield "assoc_id,dl_dof,ul_dof,avg_num,avg_den,bound_num,bound_den\r\n"
+    rows = result.rows.rows
     bound = result.bound.per_user
     tail = f",{bound.numerator},{bound.denominator}\r\n"
-    suffixes = {}
+    texts = {}
     for t, (dl, ul) in result.rows.sums.items():
         avg = average_per_user(dl, ul, result.k)
-        suffixes[t] = f",{dl},{ul},{avg.numerator},{avg.denominator}{tail}"
-    ends = result.rows.ends
-    for start in range(0, len(ends), _CSV_CHUNK_ROWS):
-        part = ends[start : start + _CSV_CHUNK_ROWS]
-        rows = enumerate(map(suffixes.__getitem__, part), start)
-        yield ("%d%s" * len(part)) % tuple(itertools.chain.from_iterable(rows))
+        texts[t] = f"%d,{dl},{ul},{avg.numerator},{avg.denominator}{tail}"
+    counts = [len(next(iter(row_of.values()))) for row_of in rows]  # options per user
+    depth, size = len(rows), 1
+    while depth and size * counts[depth - 1] <= _CSV_BLOCK_ROWS:
+        depth -= 1
+        size *= counts[depth]
+    texts = tuple_texts(rows[depth:], texts)
+    prefixes = tuple_ends(rows[:depth]) if depth else list(texts)
+    per_piece = _CSV_CHUNK_ROWS // size
+    for start in range(0, len(prefixes), per_piece):
+        part = prefixes[start : start + per_piece]
+        first = start * size
+        yield "".join(map(texts.__getitem__, part)) % tuple(range(first, first + len(part) * size))
 
 
 def _seeds(args) -> tuple:

@@ -20,10 +20,12 @@ zero-forcing witness and a decoding order from max_downlink_dof and
 max_uplink_dof, which must reproduce the search value.  Collected rows
 (search --format csv) come from _kernels.family_walk, which walks the
 family user by user over the distinct pairs of rule states and counts
-that some prefix of options reaches: every candidate's last pair in
-enumeration order (_kernels.tuple_ends), one reference of 8 bytes per
-candidate, and the sums of each distinct pair.  The rows' winner is the
-same family_best winner.
+that some prefix of options reaches: its rows, and the sums of each
+distinct last pair.  _Rows keeps both and lists every candidate's last
+pair in enumeration order (_kernels.tuple_ends, one reference of 8 bytes
+per candidate) only when a row is read; the CLI's CSV writer reads the
+walk's rows and sums whole and lists no candidate.  The rows' winner is
+the same family_best winner, so a CSV search runs both passes.
 
 A soundness sweep runs the same walk over the (dl, ul, chain) rules,
 and for nc >= 2 the OR of the options' spoiled-block masks of the
@@ -55,6 +57,7 @@ signature of a per-user rate that has stabilized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from collections.abc import Iterator, Sequence
@@ -97,8 +100,9 @@ from .uplink_decode import UlEvaluation, max_uplink_dof
 
 DEFAULT_CAP = 100_000
 
-# Largest family a search or sweep takes, whatever its cap: about 0.16 GB
-# of rows for a CSV search at 16 bytes per candidate (_kernels.tuple_ends).
+# Largest family a search or sweep takes, whatever its cap: about 0.2 GB
+# of CSV text, and, once a row of collect_rows is read, 8 bytes per
+# candidate (16 while the list is built, _kernels.tuple_ends).
 MAX_CANDIDATES = 10**7
 
 # Largest count count_associations works out, in bits (about 19,700
@@ -250,13 +254,22 @@ def enumerate_associations(
 
 
 class _Rows(Sequence):
-    """The (index, dl, ul) rows of a search, from a family walk's rows and each last pair's sums."""
+    """The (index, dl, ul) rows of a search, from a family walk's rows and each last pair's sums.
 
-    def __init__(self, rows, sums):
-        self.ends, self.sums = tuple_ends(rows), sums
+    rows and sums are family_walk's, and total is the candidate count.
+    Every candidate's last pair (ends) is listed on the first read of a
+    row, not before, so a writer that reads rows and sums whole lists none.
+    """
+
+    def __init__(self, rows, sums, total):
+        self.rows, self.sums, self._total = rows, sums, total
+
+    @functools.cached_property
+    def ends(self):
+        return tuple_ends(self.rows)
 
     def __len__(self):
-        return len(self.ends)
+        return self._total
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -339,8 +352,9 @@ def exhaustive_search(
 
     Both sessions are evaluated for every candidate regardless of the
     objective, so collected rows always carry (index, dl, ul); they are a
-    read-only sequence over the family walk's last pairs, listed only
-    when collect_rows is set, and the winner comes from the max-plus pass
+    read-only sequence over the family walk's last pairs, walked only
+    when collect_rows is set and listed on the first row read, and the
+    winner comes from the max-plus pass
     (_kernels.family_best) either way.  Refuses to start when the
     candidate count exceeds cap or MAX_CANDIDATES.  The seeds
     (model.check_seeds) only draw the channels of the winner's
@@ -375,7 +389,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=ISSUERS[KIND_COUNTING](best_assoc),
-        rows=_Rows(*family_walk(rules, options)) if collect_rows else None,
+        rows=_Rows(*family_walk(rules, options), total) if collect_rows else None,
     )
 
 

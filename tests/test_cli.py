@@ -220,13 +220,61 @@ def test_search_csv_is_written_as_csv_writer_writes_it(tmp_path, family):
     assert all(0 < chunk.count("\n") <= cli._CSV_CHUNK_ROWS for chunk in chunks)
 
 
+def csv_writer_text(result):
+    """The CSV that csv.writer writes for a search's header and rows."""
+    bound = result.bound.per_user
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(
+        ["assoc_id", "dl_dof", "ul_dof", "avg_num", "avg_den", "bound_num", "bound_den"]
+    )
+    for index, dl, ul in result.rows:
+        avg = Fraction(dl + ul, 2 * result.k)
+        writer.writerow([index, dl, ul, avg.numerator, avg.denominator,
+                         bound.numerator, bound.denominator])
+    return expected.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3)).filter(
+        lambda family: search.count_associations(*family) <= 6000
+    ),
+    st.sampled_from([1, 2, 3, 10, 64, 512]),
+    st.integers(1, 20),
+)
+@example((5, 2, 1), 512, 16)  # 3,136 rows: the texts of depths 4, 3 and 2 are joined
+@example((1, 1, 0), 512, 16)  # k = 1
+@example((2, 1, 1), 512, 16)  # 9 rows, fewer than one subtree holds: d = 0
+@example((4, 2, 1), 3, 1)  # the last user's 4 options pass 3 rows a subtree: d = k
+def test_csv_text_is_csv_writers_text(family, block_rows, blocks_a_piece):
+    # Whatever depth the subtrees start at and however many fill a piece,
+    # the CLI writes csv.writer's text over the rows, under every
+    # objective, and no piece is empty or holds more than its rows.
+    k, nc, window = family
+    chunk_rows = block_rows * blocks_a_piece
+    argv = ["search", "--k", str(k), "--nc", str(nc), "--window", str(window), "--format", "csv"]
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows), \
+            mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+        for objective in ("avg", "ul", "dl"):
+            result = search.exhaustive_search(*family, objective, collect_rows=True)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--objective", objective]) == 0
+            assert out.getvalue() == csv_writer_text(result)
+            pieces = list(cli._csv_chunks(result))[1:]  # after the header
+            assert all(0 < piece.count("\n") <= chunk_rows for piece in pieces)
+            assert sum(piece.count("\n") for piece in pieces) == result.candidates
+
+
 def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
-    # A CSV search keeps one list of last layer pairs (8 bytes per
-    # candidate, about 16 while it is built from the list one user short)
-    # and writes its text in bounded pieces, not one tuple and one line per
-    # candidate (about 170 bytes per candidate on this family of 147,456
-    # candidates when every row was kept).  A JSON search walks distinct
-    # layer pairs and lists no candidate at all.
+    # A CSV search lists no candidate: it keeps one text per distinct
+    # layer pair of the depths it joins, the pairs its depth-d prefixes
+    # end in, and the piece of text it writes (about 4.7 bytes per
+    # candidate on this family of 147,456 candidates, against about 16
+    # when it listed every candidate's last pair, and 170 when every row
+    # was kept).  A JSON search walks distinct layer pairs and lists no
+    # candidate at all.
     argv = ["search", "--k", "9", "--nc", "1", "--window", "1", "--cap", "200000"]
     main(["search", "--k", "3", "--nc", "1", "--window", "1", "--out", str(tmp_path / "warm")])
     peaks = {}
@@ -237,7 +285,7 @@ def test_csv_search_needs_no_more_memory_than_its_lists(tmp_path):
             peaks[fmt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["csv"] <= 20 * 147_456 and peaks["json"] <= 10**6, peaks
+    assert peaks["csv"] <= 8 * 147_456 and peaks["json"] <= 10**6, peaks
 
 
 def test_search_cap_exit_code(capsys):

@@ -65,6 +65,7 @@ SWEEP = ["test_properties::test_sweep_matches_reference_sweep"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
+CSV_TEXT = ["test_cli::test_csv_text_is_csv_writers_text"]
 RECORDS = ["test_model::test_records_keep_their_contract"]
 MAX_PLUS = [
     "test_properties::test_max_plus_pass_finds_the_first_maximizer_on_any_option_lists",
@@ -230,8 +231,8 @@ MUTANTS = [
     ),
     (
         "strict spoiled bit lands on the next block",
-        (bounds, "_spoiled"),
-        _edited(bounds._spoiled, "spoiled |= 1 << b", "spoiled |= 1 << b + 1"),
+        (bounds, "_spoil_rule"),
+        _edited(bounds._spoil_rule, "yield block", "yield block + 1"),
         ["test_properties::test_sweep_bounds_match_certificates"],
     ),
     (
@@ -329,6 +330,18 @@ MUTANTS = [
         (model, "validate_association"),
         _edited(model.validate_association, "and max(members) <= assoc.k", ""),
         ["test_model::test_validate_association_finds_each_lone_violation"],
+    ),
+    (
+        "CSV piece whose index range starts one row late",
+        (cli, "_csv_chunks"),
+        _edited(cli._csv_chunks, "first = start * size", "first = start * size + 1"),
+        CSV_TEXT,
+    ),
+    (
+        "CSV subtree text joined from the row of the wrong depth",
+        (_pure, "tuple_texts"),
+        _edited(_pure.tuple_texts, "for row_of in reversed(rows):", "for row_of in rows:"),
+        CSV_TEXT,
     ),
     (
         "int-list writer uses the outer separator inside each list",

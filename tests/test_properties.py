@@ -958,6 +958,49 @@ def test_sweep_bounds_match_certificates(case):
     assert swept_reconstruction_values(k, nc, one_each) == [reconstruction_bound(assoc).value]
 
 
+def ref_or_mask_flags(k, nc, cells, strict):
+    """(block, start, good) per full block, in the OR-mask form.
+
+    Each user's spoiled blocks are an int bitmask, bit b for block b + 1,
+    the masks are ORed over the users, and goodness is read bit by bit
+    off the bit string of the OR.
+    """
+    length = 2 * nc - 1
+    full = k // length
+    spoiled = 0
+    for i, cell in enumerate(cells, 1):
+        b, r = divmod(i - nc, length)  # user i is local to block b + 1 when r < 2
+        if r < 2 and 0 <= b < full and i - r not in cell:
+            spoiled |= 1 << b
+        for j in cell if strict else ():
+            b, r = divmod(j - nc, length)  # j is the middle bs of block b + 1 when r = 0
+            if not r and 0 <= b < full and i - j not in (0, 1):
+                spoiled |= 1 << b
+    bits = f"{spoiled:0{full}b}"[::-1]
+    return tuple((b + 1, b * length + 1, bits[b] == "0") for b in range(full))
+
+
+@SETTINGS
+@given(st.one_of(windowed(max_k=40), wide()))
+# User 5 holds the middle bs 2 of block 1 from three stations away.
+@example((association(5, 2, [[1], [2], [2, 3], [4], [2, 5]]), frozenset()))
+def test_block_flags_match_the_or_mask_form(case):
+    assoc, _active = case
+    k, nc = assoc.k, assoc.nc
+    if nc == 1:  # blocks are defined for nc >= 2 only
+        return
+    for strict in (False, True):
+        flags = _block_flags(assoc, strict)
+        assert [(f.block, f.start, f.good) for f in flags] == list(
+            ref_or_mask_flags(k, nc, assoc.cells, strict)
+        ), strict
+    # A sweep's strict masks, ORed over the users, spoil the same blocks.
+    one_each = [(tuple(sorted(cell)),) for cell in assoc.cells]
+    mask = functools.reduce(operator.or_, [m for [m] in _spoil_masks(k, nc, one_each)], 0)
+    assert [not mask >> b & 1 for b in range(len(flags))] == [f.good for f in flags]
+    assert mask >> len(flags) == 0
+
+
 @SETTINGS
 @given(windowed())
 def test_issued_certificates_verify_after_a_json_round_trip(case):

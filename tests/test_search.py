@@ -15,7 +15,7 @@ from cellassoc import (
     association,
     pair_association,
 )
-from cellassoc import search
+from cellassoc import cli, search
 from cellassoc._kernels import UL_RULE, family_best
 from cellassoc.bounds import _counting_value
 from cellassoc.schemes import MAX_SCHEME_K
@@ -251,13 +251,13 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     assert soundness_sweep(4, 2, 1, cap=10**10).total == 784
 
 
-def test_only_csv_rows_list_the_family(monkeypatch):
+def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
     listed, passes = [], []
     real = search.tuple_ends
 
     def listing(rows):
         ends = real(rows)
-        listed.append(len(ends))
+        listed.append((len(rows), len(ends)))  # (depth listed, tuples listed)
         return ends
 
     def counted(name):
@@ -268,6 +268,7 @@ def test_only_csv_rows_list_the_family(monkeypatch):
         raise AssertionError("a sweep built an association")
 
     monkeypatch.setattr(search, "tuple_ends", listing)
+    monkeypatch.setattr(cli, "tuple_ends", listing)
     for name in ("family_best", "family_walk", "tuple_counts"):
         counted(name)
     walk = search.family_walk
@@ -277,15 +278,38 @@ def test_only_csv_rows_list_the_family(monkeypatch):
         rows, finals = walk(*args)
         return rows, {t: (dl, ul + 1, *rest) for t, (dl, ul, *rest) in finals.items()}
 
-    for family in ((6, 2, 1), (4, 3, 3)):
+    # (depth d, prefixes listed) of a CLI CSV search: 196 prefixes of 196
+    # rows each, and 225 of 225; (2, 1, 1) has 9 rows, one subtree at d = 0.
+    prefixes = {(6, 2, 1): (3, 196), (4, 3, 3): (2, 225), (2, 1, 1): None}
+    for family, expected in prefixes.items():
+        k = family[0]
         for objective in ("avg", "ul", "dl"):
             # A JSON winner comes from the max-plus pass alone.
             json_result = exhaustive_search(*family, objective)
             assert listed == [] and passes == ["family_best"]
             # CSV rows walk the family; their winner comes from the same pass.
             csv_result = exhaustive_search(*family, objective, collect_rows=True)
-            assert listed.pop() == csv_result.candidates and csv_result == json_result
+            assert csv_result == json_result and len(csv_result.rows) == csv_result.candidates
             assert passes == ["family_best", "family_best", "family_walk"]
+            # They list every candidate's last pair on the first row read, once.
+            assert listed == []
+            assert csv_result.rows[-1][0] == csv_result.candidates - 1
+            assert csv_result.rows[0][0] == 0
+            assert listed == [(k, csv_result.candidates)]
+            listed.clear()
+            passes.clear()
+            # The CLI reads the rows whole and lists only the depth-d prefixes.
+            argv = ["search", "--k", str(k), "--nc", str(family[1]), "--window", str(family[2])]
+            assert cli.main(argv + ["--objective", objective, "--format", "csv",
+                                    "--out", str(tmp_path / "rows.csv")]) == 0
+            assert passes == ["family_best", "family_walk"]
+            assert listed == ([expected] if expected else [])
+            if expected:
+                depth, count = expected
+                size = csv_result.candidates // count
+                assert depth < k and size * count == csv_result.candidates
+                assert size <= cli._CSV_BLOCK_ROWS < size * len(search._user_options(*family)[depth - 1])
+            listed.clear()
             passes.clear()
         # A sound sweep counts its tight candidates and lists none.
         with monkeypatch.context() as patched:
@@ -299,7 +323,7 @@ def test_only_csv_rows_list_the_family(monkeypatch):
             patched.setattr(search, "family_walk", raised)
             patched.setattr(search, "association", never)
             report = soundness_sweep(*family)
-        assert report.violations and listed == [report.total]
+        assert report.violations and listed == [(k, report.total)]
         assert passes == ["family_walk", "tuple_counts"]
         listed.clear()
         passes.clear()
