@@ -12,21 +12,18 @@ So taking every user the rule allows is exact, and one pass per question
 runs over them: a greedy pass that maximizes a session, or the chain
 bound, exactly at every k in O(k) for a fixed budget; a count-free
 reachability pass that decides whether one active set is feasible, the
-reference the tests check the greedy pass against; and one walk over a
-family, `family_walk`, which takes the rules, the family's options and
-other per-option parts (such as bitmasks), walks the distinct tuples
-that the family reaches over memoized forward layers, one table per rule
-whose layers are one state and its count, and returns its rows and each
-last tuple's final values.  Three readers answer from the rows:
-`tuple_counts` counts the associations that end in each last tuple,
-`tuple_ends` lists the tuples a depth's prefixes end in, in enumeration
-order (the last depth's for a sweep's violators, a shallow one for CSV
-rows), and `tuple_texts` joins texts given per last tuple backward into
-one text per tuple of a depth, so CSV rows list no candidate.  A
-search's winner needs none of them: `family_best`
-is a max-plus pass over the tuples of the rules' states, which carry no
-count, and returns the first association of the best weighted sum of
-the rules' maxima.  `_pure` states the rules and the passes.
+reference the tests check the greedy pass against; and, over a family of
+associations, one graph (`family_graph`) whose nodes are the tuples of
+the states of its parts, which carry no count (`rule_part` makes a rule
+a part), with three passes over it.  `family_best` is a max-plus pass
+that returns the first association of the best weighted sum of gains,
+`family_above` a (max, count) pass that counts the associations at a
+bound and lists those above it, and `family_walk` a walk over the
+distinct (node, sums) tuples that CSV rows read: `tuple_ends` lists the
+tuples a depth's prefixes end in, in enumeration order, and
+`tuple_texts` joins texts given per last tuple backward into one text
+per tuple of a depth, so CSV rows list no candidate.  `_pure` states
+the rules and the passes.
 """
 
 from __future__ import annotations
@@ -38,9 +35,11 @@ from ._pure import (
     dl_max_active,
     dl_rule,
     dl_set_feasible,
+    family_above,
     family_best,
+    family_graph,
     family_walk,
-    tuple_counts,
+    rule_part,
     tuple_ends,
     tuple_texts,
     ul_max_active,

@@ -86,47 +86,42 @@ an include-first branch and bound over ascending users finds, in O(k)
 for a fixed budget, and the chain bound is its size.  Set feasibility is
 `_reaches`: a count-free pass that follows the one state each user's
 fixed activity leads to, kept apart from the maximizer as the reference
-the tests compare it against.  For a family, `FamilyLayers` runs the
-same greedy step from each layer, one state and its count, and memoizes
-it per (state, step); each listing or sweep builds one table per rule, so
-associations that share a prefix of options share its layers, and users
-whose options look the same from where they stand share its moves at
-every depth.
+the tests compare it against.
 
-One walk reads these tables.  `family_walk` takes the rules, the
-family's options and any other per-option parts such as bitmasks, and
-returns the rows of `tuple_walk` and each last tuple's final values (the
-largest active set of each rule, then each part's value), so its callers
-take tuples whole and never read a layer.  `tuple_walk` walks the
-product of the parts over distinct tuples: after each user it keeps the
-set of tuples of component values that some prefix of options reaches,
-and the row of tuples each leads to, so its work grows with the distinct
-tuples and not with the candidates.  Three passes read its rows:
-`tuple_counts` sums the number of associations that end in each last
-tuple, the counting pass of Mohri's semiring framework ("Semiring
-frameworks and algorithms for shortest-distance problems", 2002) over
-the family, which lists no candidate; `tuple_ends` lists the tuples that
-the prefixes of one depth end in, in enumeration order, every
-association's last tuple for the violators of a sweep that finds any;
-and `tuple_texts`, the framework's concatenation pass run backward,
-joins a text per last tuple into one text per tuple of a depth, each
-built once, which CSV rows read with the prefixes that tuple_ends lists
-at that depth.
-
-A search's winner comes from the max-plus pass of the same framework,
-`family_best`, which builds no layer and reads no count.  Its nodes are
-the tuples of the rules' states, and a move is each rule's greedy step
-with a gain of 0 or 1, so the best weighted sum of the rules' maxima is
-the longest path in the node graph, whose width is the number of
-distinct state tuples, a few dozen at window nc <= 4 whatever k is.  A
-forward pass collects the nodes each depth reaches, a backward pass the
-best gain still to come from each, and a descent that takes each user's
-first option that keeps it the first maximizer in enumeration order.
+Every question about a family of associations, which offers each user a
+list of options, is a pass over one graph, `family_graph`.  A part is
+(start, moves, step), a line rule becoming one with a gain of 1 when it
+takes the user (`rule_part`), and a node is the tuple of the parts'
+states, which hold no count.  An association's path through the graph
+is each rule's greedy pass over it, so its sums of gains are the rules'
+maxima, by the argument above.  Options with the same steps make one
+class, and a move, memoized per (node, column of classes), serves every
+user with that column, so the graph's width is the number of distinct
+state tuples, a few dozen at window nc <= 4 whatever k is.  Three passes
+of Mohri's semiring framework ("Semiring frameworks and algorithms for
+shortest-distance problems", 2002) read it.  A search's winner comes
+from the max-plus pass, `family_best`: a backward pass gives the best
+weighted gain still to come from each node, and a descent takes each
+user's first option that keeps it the first maximizer in enumeration
+order.  A sweep's certificates come from the (max, count) pass,
+`family_above`: a backward pass gives each node the best weighted gain
+still to come and the number of suffixes that reach it, so the start
+node tells how many associations meet a bound, and a descent that
+enters only the subtrees whose best passes the bound lists the
+associations above it.  CSV rows come from `family_walk`, which walks
+the distinct (node, sums) tuples that some prefix of options reaches,
+each tuple's row read off its node's row, so its work grows with the
+distinct tuples and not with the candidates.  Two passes read the
+walk's rows: `tuple_ends` lists the tuples that the prefixes of one
+depth end in, in enumeration order, and `tuple_texts`, the framework's
+concatenation pass run backward, joins a text per last tuple into one
+text per tuple of a depth, each built once, which CSV rows read with the
+prefixes that tuple_ends lists at that depth.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
 from math import inf
 from operator import add
@@ -239,179 +234,179 @@ def _greedy(rule, cells):
     return frozenset(chosen)
 
 
-class FamilyLayers:
-    """Forward layers of one rule's greedy pass over a family, user by user.
+def rule_part(rule):
+    """A line rule as a part of a family pass: (start, moves, step).
 
-    rule is a line rule (see dl_rule) and options[m-1] lists the
-    association sets user m may take; steps[m-1][o] is user m's step
-    under options[m-1][o].  A layer is the state the greedy pass reaches
-    after a prefix of options and the number of users it took, interned
-    as an integer id; the start layer is id 0, and best[lid] is the count
-    of layer lid, which after the last user is the size of the largest
-    feasible active set.  row(lid, column) lists the ids of the layers
-    that a user leads to from layer lid, one per step of column (its
-    options' steps).
-
-    A user's move is the greedy step: the active successor at one more
-    user when the rule allows it, idle at the same count when it does
-    not.  No other state of the prefixes' max-count layer can count again:
-    one user after a layer of count M, the inactive move leads to idle at
-    M, and idle covers every state, so a state reached at M or less never
-    counts more.  A step reads no count, so a move runs once per (state,
-    step) and adds its gain to the count; steps and states hold no
-    position, so a move serves every depth and every layer of its state,
-    and users whose options look the same from where they stand share it,
-    whatever counts their prefixes reached.
+    moves(column, state, weight) lists the rule's greedy step from state
+    for each step of column, as (the state after, weight times the gain,
+    the gain): the gain is 1 when the rule takes the user, and 0 when it
+    does not and the state after is idle.
     """
+    start, idle, nxt, step = rule
 
-    def __init__(self, rule, options):
-        start, self._idle, self._next, step = rule
-        self.steps = [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
-        self._layers = [(start, 0)]  # (state, count) of each layer
-        self._ids = {self._layers[0]: 0}
-        self._moves = {}  # (state, step) -> (state after, gain in count)
-        self.best = [0]
+    def moves(column, state, weight):
+        return [(idle, 0, 0) if (t := nxt(s, state)) is None else (t, weight, 1) for s in column]
 
-    def _move(self, lid, step):
-        state, count = self._layers[lid]
-        moved = self._moves.get((state, step))
-        if moved is None:
-            t = self._next(step, state)
-            moved = self._moves[state, step] = (self._idle, 0) if t is None else (t, 1)
-        key = moved[0], count + moved[1]
-        lid = self._ids.get(key)
-        if lid is None:
-            lid = self._ids[key] = len(self._layers)
-            self._layers.append(key)
-            self.best.append(key[1])
-        return lid
-
-    def row(self, lid, column):
-        return [self._move(lid, step) for step in column]
+    return start, moves, step
 
 
-def tuple_walk(parts):
-    """The distinct value tuples of a product walk over a family, user by user.
+def family_graph(parts, options, weights):
+    """(start, users, rows, last): the node graph of a family, built forward.
 
-    parts holds one (row, columns) per component, all over the same
-    options: row(v, columns[m-1]) lists the component's values after user
-    m from value v, one per option of the user, and every component starts
-    at 0 (a rule's FamilyLayers gives (table.row, table.steps)).  A choice
-    of options for users 1..d leads to the tuple of its components' values.
-
-    Returns (rows, last): rows[d] maps each tuple that some choice for
-    users 1..d reaches to its tuples after user d+1, one per option in
-    order, and last is the set of tuples after the last user.  The work
-    grows with the distinct tuples, not with the candidates.
+    parts hold one (start, moves, step) per component (see rule_part) and
+    weights one integer per part; a node is the tuple of the parts'
+    states.  Options with the same steps make one class: users[d][o] is
+    the class of option o of user d+1, numbered by first option.  A
+    move reads no position, so it is memoized per (node, column of
+    classes), users with equal columns sharing it: rows[d] maps each node
+    that some prefix of options for users 1..d reaches to (afters,
+    gains, part_gains), one entry per class of user d+1, where gains are
+    weighted sums of part_gains[p], part p's gains.  last is the set of
+    nodes after the last user.
     """
-    rows_of, columns = zip(*parts)
-    here, rows = {(0,) * len(parts)}, []
-    for column in zip(*columns):
-        # Each component's row, once per distinct value of it.
-        per_part = [
-            {v: row(v, entries) for v in {t[c] for t in here}}
-            for c, (row, entries) in enumerate(zip(rows_of, column))
-        ]
-        row_of = {t: list(zip(*map(dict.__getitem__, per_part, t))) for t in here}
-        here = set(chain.from_iterable(row_of.values()))
-        rows.append(row_of)
-    return rows, here
-
-
-def family_walk(rules, options, *extra):
-    """(rows, finals): tuple_walk over one FamilyLayers per rule, then the extra parts.
-
-    rules are line rules (see dl_rule) over the family whose user m may
-    take any set of options[m-1], and extra holds more (row, columns)
-    parts over the same options.  rows are tuple_walk's rows, whose
-    tuples the other passes take whole, and finals maps each last tuple
-    to its final values: the largest active set each rule allows, in the
-    order of rules, then each extra part's value.
-    """
-    tables = [FamilyLayers(rule, options) for rule in rules]
-    rows, last = tuple_walk([*((t.row, t.steps) for t in tables), *extra])
-    # Column by column, in C: each table's counts of its layers, then each part's values.
-    columns = list(zip(*last))
-    finals = [*map(map, [t.best.__getitem__ for t in tables], columns), *columns[len(tables) :]]
-    return rows, dict(zip(last, zip(*finals)))
-
-
-def family_best(rules, options, weights):
-    """(index, sums) of the first association with the largest weighted sum of the rules' maxima.
-
-    rules are line rules (see dl_rule) over the family whose user m may
-    take any set of options[m-1], and weights holds one integer per rule.
-    sums are the winner's largest active set sizes, one per rule, and
-    index its place in enumeration order (see tuple_ends).  A node is
-    the tuple of the rules' states, and a move each rule's greedy step,
-    with a gain of 1 when the rule takes the user; a move reads no count
-    (see FamilyLayers), so the best weighted sum is the longest path in
-    the node graph.  Options with the same steps make one class, which
-    keeps its first option index, and moves are memoized per (node,
-    column), users with equal columns sharing them.  A forward pass
-    collects the nodes each depth reaches, a backward max-plus pass the
-    best weighted gain still to come from each, and the descent takes,
-    at each user, the first class that keeps the optimum.
-    """
-    starts, idles, nexts, steps = zip(*rules)
-    per_rule = list(zip(nexts, idles, weights))
-    columns, ids, tables = [], {}, []
+    starts, each_moves, steps = zip(*parts)
+    per_part = list(zip(each_moves, weights))
+    users, columns, ids = [], [], {}
     for m, opts in enumerate(options, 1):
         first = {}
-        for o, cell in enumerate(opts):
-            first.setdefault(tuple([step(m, cell) for step in steps]), o)
-        cid = ids.setdefault(tuple(first), len(ids))
-        if cid == len(tables):  # per rule: its steps in the column, its moves per state, the rule
-            tables.append([(column, {}, *rule) for column, rule in zip(zip(*first), per_rule)])
-        columns.append((cid, list(first.values()), len(opts)))
-    moves, rows, here = {}, [], {starts}
-    for cid, _firsts, _n in columns:
+        keys = zip(*[[step(m, cell) for cell in opts] for step in steps])  # each option's steps
+        users.append([first.setdefault(key, len(first)) for key in keys])
+        column = ids.get(key := tuple(first))
+        if column is None:  # per part: its column of steps, its moves per state, the part; the rows
+            column = ids[key] = [(col, {}, *part) for col, part in zip(zip(*first), per_part)], {}
+        columns.append(column)
+    rows, here = [], {starts}
+    for tables, memo in columns:
         row_of = {}
         for node in here:
-            row = moves.get((node, cid))
+            row = memo.get(node)
             if row is None:
-                parts = []
-                for (column, memo, nxt, idle, w), state in zip(tables[cid], node):
-                    part = memo.get(state)
-                    if part is None:  # per step: the state after, the weighted gain, whether taken
-                        part = memo[state] = tuple(zip(*[
-                            (idle, 0, False) if (t := nxt(step, state)) is None else (t, w, True)
-                            for step in column
-                        ]))
-                    parts.append(part)
-                afters, gains, taken = zip(*parts)
-                row = moves[node, cid] = list(zip(*afters)), list(map(sum, zip(*gains))), taken
+                cells = []
+                for (column, moved, moves, w), state in zip(tables, node):
+                    cell = moved.get(state)
+                    if cell is None:  # per class: the state after, the weighted gain, the gain
+                        cell = moved[state] = tuple(zip(*moves(column, state, w)))
+                    cells.append(cell)
+                afters, gains, part_gains = zip(*cells)
+                gains = list(reduce(partial(map, add), gains))  # summed over the parts
+                row = memo[node] = list(zip(*afters)), gains, part_gains
             row_of[node] = row
-        here = set().union(*[afters for afters, _g, _t in row_of.values()])
+        here = set().union(*[afters for afters, _g, _p in row_of.values()])
         rows.append(row_of)
-    togo = [dict.fromkeys(here, 0)]  # togo[d][node]: the best weighted gain after user d
+    return starts, users, rows, here
+
+
+def family_best(graph):
+    """(index, sums) of the first association with the largest weighted sum of gains.
+
+    graph is a family_graph; sums are the winner's sums of gains, one
+    per part (with rule_part, its largest active set sizes), and index
+    its place in enumeration order (see tuple_ends).  The best weighted
+    sum is the longest path in the graph.  A backward max-plus pass gives
+    the best weighted gain still to come from each node, and the descent
+    takes, at each user, the first class that keeps the optimum, and that
+    class's first option.
+    """
+    node, users, rows, last = graph
+    togo = [dict.fromkeys(last, 0)]  # togo[d][node]: the best weighted gain after user d
     for row_of in reversed(rows):
         ahead = togo[-1].__getitem__
-        togo.append({node: max(map(add, g, map(ahead, a))) for node, (a, g, _t) in row_of.items()})
+        togo.append({node: max(map(add, g, map(ahead, a))) for node, (a, g, _p) in row_of.items()})
     togo.reverse()
-    node, index, sums = starts, 0, [0] * len(rules)
-    for (_cid, firsts, n), row_of, best, ahead in zip(columns, rows, togo, togo[1:]):
-        afters, gains, taken = row_of[node]
+    index, sums = 0, [0] * len(node)
+    for classes, row_of, best, ahead in zip(users, rows, togo, togo[1:]):
+        afters, gains, part_gains = row_of[node]
         j = list(map(add, gains, map(ahead.__getitem__, afters))).index(best[node])
-        index, node = index * n + firsts[j], afters[j]
-        sums = [s + t[j] for s, t in zip(sums, taken)]
+        index, node = index * len(classes) + classes.index(j), afters[j]
+        sums = [s + g[j] for s, g in zip(sums, part_gains)]
     return index, tuple(sums)
 
 
-def tuple_counts(rows):
-    """The number of associations that end in each last tuple of a tuple_walk."""
-    counts = dict.fromkeys(rows[0], 1)
-    for row_of in rows:
-        after = {}
-        for t, n in counts.items():
-            for u in row_of[t]:
-                after[u] = after.get(u, 0) + n
-        counts = after
-    return counts
+def family_above(graph, bound):
+    """(tight, above): the associations whose weighted sum of gains reaches bound.
+
+    graph is a family_graph.  tight is the number of associations whose
+    weighted sum equals bound, and above lists (index, sums) of each one
+    whose sum passes it, in enumeration order (see tuple_ends), sums
+    being its per-part sums of gains.  A backward pass in the (max,
+    count) semiring of Mohri's framework gives each node the best
+    weighted gain still to come and the number of suffixes that reach
+    it, each class counting once per option.  A descent from the start,
+    option by option, enters a subtree only when its prefix plus its
+    best passes bound, and adds to tight the count of a subtree whose
+    best ends exactly at bound, so it lists no association of a family
+    whose best stays within bound.
+    """
+    start, users, rows, last = graph
+    tables = [dict.fromkeys(last, (0, 1))]  # tables[d][node]: (best gain after user d, its count)
+    for classes, row_of in zip(reversed(users), reversed(rows)):
+        ahead, table = tables[-1], {}
+        mults = list(map(classes.count, range(max(classes) + 1)))  # options per class
+        for node, (afters, gains, _p) in row_of.items():
+            top, count = -inf, 0
+            for after, gain, mult in zip(afters, gains, mults):
+                value, n = ahead[after]
+                value += gain
+                if value > top:
+                    top, count = value, mult * n
+                elif value == top:
+                    count += mult * n
+            table[node] = top, count
+        tables.append(table)
+    tables.reverse()
+    tight, above = 0, []
+    stack = [(0, start, 0, 0, (0,) * len(start))]  # (depth, node, index, weighted sum, sums)
+    while stack:
+        depth, node, index, total, sums = stack.pop()
+        if depth == len(rows):
+            above.append((index, sums))
+            continue
+        afters, gains, part_gains = rows[depth][node]
+        ahead, children, classes = tables[depth + 1], [], users[depth]
+        for o, j in enumerate(classes):
+            best, n = ahead[afters[j]]
+            value = total + gains[j]
+            if value + best > bound:
+                children.append((depth + 1, afters[j], index * len(classes) + o, value,
+                                 tuple(s + g[j] for s, g in zip(sums, part_gains))))
+            elif value + best == bound:
+                tight += n
+        stack.extend(reversed(children))  # the first option's subtree is taken first
+    return tight, above
+
+
+def family_walk(graph):
+    """(rows, sums): the walk of a family over its distinct (node, sums) tuples.
+
+    graph is a family_graph.  A tuple is a node and the sums of gains of
+    the prefix of options that reaches it, one per part, held as one
+    integer: sum p written in base k + 1 as digit p (with rule_part, no
+    sum passes k), so a row adds a user's gains in C.  rows[d] maps each
+    tuple that some choice of options for users 1..d reaches to its
+    tuples after user d+1, one per option in order, the rows of
+    tuple_ends and tuple_texts, and sums maps each last tuple to its
+    sums.  The work grows with the distinct tuples, not with the
+    candidates.
+    """
+    start, users, rows, _last = graph
+    base = len(users) + 1
+    here, walked = {(start, 0)}, []
+    for classes, row_of in zip(users, rows):
+        per_option = {}  # node -> (each option's node after, each option's gains as one integer)
+        for node, (afters, _g, part_gains) in row_of.items():
+            digits = [sum(g * base**p for p, g in enumerate(gains)) for gains in zip(*part_gains)]
+            per_option[node] = [afters[j] for j in classes], [digits[j] for j in classes]
+        row = {}
+        for t in here:
+            afters, digits = per_option[t[0]]
+            row[t] = list(zip(afters, map(t[1].__add__, digits)))
+        here = set(chain.from_iterable(row.values()))
+        walked.append(row)
+    return walked, {t: tuple(t[1] // base**p % base for p in range(len(start))) for t in here}
 
 
 def tuple_ends(rows):
-    """The last tuple of every association of a tuple_walk, in enumeration order.
+    """The last tuple of every association of a family_walk, in enumeration order.
 
     Enumeration order is the product order of the options: an
     association's index is the mixed-radix number whose digit for user m
@@ -429,7 +424,7 @@ def tuple_ends(rows):
 def tuple_texts(rows, texts):
     """Each first tuple of rows mapped to the join of its last tuples' texts, in enumeration order.
 
-    rows are the rows of a tuple_walk from some depth on, and texts maps
+    rows are the rows of a family_walk from some depth on, and texts maps
     each last tuple to its text.  The pass runs backward, the
     concatenation pass of Mohri's framework: a tuple's text is the join
     of its row's texts, built once per distinct tuple at each depth.

@@ -21,9 +21,10 @@ recomputed from the flagged data alone:
   so the seed count bounds the downlink sum.  Goodness is one per-user
   rule, _spoil_rule: the indices of the blocks a user's set keeps from
   being good, index b for block b + 1.  One association marks its users'
-  blocks in one byte per block (_block_flags), and a sweep ORs them as
-  bitmasks, bit b for block b + 1, along its family (_spoil_masks);
-  either way the value is _reconstruction_value of the spoiled count.
+  blocks in one byte per block (_block_flags); a sweep carries, user by
+  user, the spoiled blocks that a later user can still spoil, and counts
+  each block when it is first spoiled (_spoil_part).  Either way the
+  value is _reconstruction_value of the spoiled count.
 
 * counting bound (average): per full block, one session is charged
   2*nc - 1 and the other 2*nc - 2 depending on the middle-bs association
@@ -225,19 +226,34 @@ def _reconstruction_value(k: int, nc: int, spoiled: int) -> int:
     return (2 * nc - 2) * full + spoiled + tail
 
 
-def _spoil_masks(k: int, nc: int, options) -> list[list[int]]:
-    """Per user, the spoiled blocks of each of its options under the strict test, as a bitmask.
+def _spoil_part(k: int, nc: int, w: int):
+    """The strict test's spoiled blocks over a window-w family, as a part of a family pass.
 
-    options[i-1] lists the association sets user i may take, and bit b of
-    a mask stands for block b + 1 (see _spoil_rule).  An association's
-    spoiled blocks are its users' masks ORed, which a sweep does along
-    its family.
+    A part is (start, moves, step), as _kernels.rule_part makes of a line
+    rule.  User m's step is the set of blocks its set spoils
+    (_spoil_rule), each written as its middle bs's offset from m; a
+    state is the set of blocks spoiled so far that a later user can
+    still spoil, each written as its middle bs's offset from the next
+    user; and a move's gain is the number of blocks it newly spoils, so
+    an association's gains add up to its spoiled count.  In a window-w
+    family user m spoils only blocks whose middle bs lies in [m - r, m +
+    w], r = max(w, 1), so a block leaves the state once its middle bs
+    lies below m + 1 - r: no later user spoils it again.  Offsets keep
+    states free of any position, so moves serve every depth.
     """
-    spoiled = _spoil_rule(k, nc, True)
-    return [
-        [sum({1 << b for b in spoiled(i, cell)}) for cell in opts]
-        for i, opts in enumerate(options, 1)
-    ]
+    length, spoiled, reach = 2 * nc - 1, _spoil_rule(k, nc, True), max(w, 1)
+
+    def step(m: int, cell) -> frozenset:
+        return frozenset([nc + b * length - m for b in spoiled(m, cell)])
+
+    def moves(column, live: frozenset, weight: int) -> list[tuple[frozenset, int, int]]:
+        return [
+            (frozenset([o - 1 for o in live | blocks if o > -reach]), weight * n, n)
+            for blocks in column
+            for n in [len(blocks - live)]
+        ]
+
+    return frozenset(), moves, step
 
 
 def _counting_value(k: int, nc: int) -> Fraction:

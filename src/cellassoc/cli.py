@@ -237,13 +237,13 @@ def _csv_chunks(result) -> Iterator[str]:
 
     The bytes are those csv.writer writes for integers (comma-separated,
     "\\r\\n" after each row).  Everything after a row's index depends
-    only on its last pair in the search's walk, so each distinct last pair
+    only on its last tuple in the search's walk, so each distinct last tuple
     gets one text, with "%d" for the index.  Every prefix of the first d
     users has a subtree of the same size, the product of the later users'
     option counts, and d is the shallowest depth whose subtrees hold at
-    most _CSV_BLOCK_ROWS rows.  _kernels.tuple_texts joins the last pairs'
-    texts backward into one text per distinct pair at depth d, and
-    tuple_ends lists only the pairs the depth-d prefixes end in, so no
+    most _CSV_BLOCK_ROWS rows.  _kernels.tuple_texts joins the last tuples'
+    texts backward into one text per distinct tuple at depth d, and
+    tuple_ends lists only the tuples the depth-d prefixes end in, so no
     candidate is listed.  A piece joins the texts of whole subtrees and
     fills in their indices with one % in C.
     """

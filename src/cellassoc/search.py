@@ -8,39 +8,40 @@ first maximizer, which is therefore the lexicographically smallest one.
 
 A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
-sizes are needed.  A search hands the two rules, each in the one rule
-shape of _kernels, the family's options and the objective's weights
-(_WEIGHTS) to _kernels.family_best, a max-plus pass over the pairs of
-rule states, which returns the index of the first candidate of the best
-key, dl * weight + ul * weight, and that candidate's (dl, ul) sums.  The
-winner is decoded from the mixed-radix digits of that index (_decode),
-so a search lists no candidate to find it.  No channel value is drawn
-per candidate; the winner alone becomes an association and gets a
-zero-forcing witness and a decoding order from max_downlink_dof and
-max_uplink_dof, which must reproduce the search value.  Collected rows
-(search --format csv) come from _kernels.family_walk, which walks the
-family user by user over the distinct pairs of rule states and counts
-that some prefix of options reaches: its rows, and the sums of each
-distinct last pair.  _Rows keeps both and lists every candidate's last
-pair in enumeration order (_kernels.tuple_ends, one reference of 8 bytes
-per candidate) only when a row is read; the CLI's CSV writer reads the
-walk's rows and sums whole and lists no candidate.  The rows' winner is
-the same family_best winner, so a CSV search runs both passes.
+sizes are needed.  A search builds the graph of the family over the
+pairs of rule states (_kernels.family_graph), from the two rules, each
+made a part of it (_kernels.rule_part), the family's options and the
+objective's weights (_WEIGHTS).  Its max-plus pass, _kernels.family_best,
+returns the index of the first candidate of the best key, dl * weight +
+ul * weight, and that candidate's (dl, ul) sums.  The winner is decoded
+from the mixed-radix digits of that index (_decode), so a search lists
+no candidate to find it.  No channel value is drawn per candidate; the
+winner alone becomes an association and gets a zero-forcing witness and
+a decoding order from max_downlink_dof and max_uplink_dof, which must
+reproduce the search value.  Collected rows (search --format csv) come
+from _kernels.family_walk over the same graph, which walks the family
+user by user over the distinct (pair of rule states, sums) tuples that
+some prefix of options reaches: its rows, and the sums of each distinct
+last tuple.  _Rows keeps both and lists every candidate's last tuple in
+enumeration order (_kernels.tuple_ends, one reference of 8 bytes per
+candidate) only when a row is read; the CLI's CSV writer reads the
+walk's rows and sums whole and lists no candidate.
 
-A soundness sweep runs the same walk over the (dl, ul, chain) rules,
-and for nc >= 2 the OR of the options' spoiled-block masks of the
-reconstruction bound (bounds._spoil_masks) as one more part, whose final
-value comes after the three sums, so every certificate is decided once per
-distinct last tuple, the reconstruction value from the mask's bit count
-(bounds._reconstruction_value): the tight counts are sums of the numbers
-of candidates that end in each tuple (_kernels.tuple_counts).  Only when
-some tuple breaks a certificate does the sweep list every candidate's
-last tuple (_kernels.tuple_ends, one reference of 8 bytes per
-candidate); the violators are the indices that end in a broken tuple,
-kept in order by a C-level filter, and each one's sets are read off its
-decoded options.  A sweep builds no association, and a sound one lists
-no candidate.  The winner's bound and the sweep's kinds come from
-bounds.ISSUERS and bounds.KIND_*.
+A soundness sweep runs one (max, count) pass of _kernels (family_above)
+per certificate, each on two parts: the chain bound on the uplink and
+chain rules, ul - chain against 0; for nc >= 2, the reconstruction bound
+on the downlink rule and the strict test's spoiled blocks
+(bounds._spoil_part), dl - (newly spoiled blocks) against the value with
+no block spoiled (bounds._reconstruction_value); and the counting bound
+on the two sessions' rules, dl + ul against twice its value.  Each slack
+adds up along the line, so a certificate holds iff its pass's best stays
+within its bound, and its tight count is the pass's count at the bound.
+Only a pass whose best passes its bound lists the associations above it,
+by a descent in enumeration order; the sweep merges them by index, then
+by certificate, and reads each violator's sets off its decoded options.
+A sweep builds no association, and a sound one lists no candidate.  The
+winner's bound and the sweep's kinds come from bounds.ISSUERS and
+bounds.KIND_*.
 
 Both entry points count the family (_family_size) before listing any
 option and refuse one with more than cap candidates, or more than
@@ -67,9 +68,11 @@ from ._kernels import (
     CHAIN_RULE,
     UL_RULE,
     dl_rule,
+    family_above,
     family_best,
+    family_graph,
     family_walk,
-    tuple_counts,
+    rule_part,
     tuple_ends,
 )
 from .bounds import (
@@ -80,7 +83,7 @@ from .bounds import (
     BoundCertificate,
     _counting_value,
     _reconstruction_value,
-    _spoil_masks,
+    _spoil_part,
 )
 from .downlink_zf import DlEvaluation, max_downlink_dof
 from .errors import BudgetExceededError, InternalCheckError, SizeLimitError, ValidationError
@@ -271,6 +274,10 @@ class _Rows(Sequence):
     def __len__(self):
         return self._total
 
+    def __iter__(self):
+        sums = self.sums
+        return ((i, *sums[t]) for i, t in enumerate(self.ends))
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple((i, *self.sums[t]) for i, t in zip(range(len(self))[index], self.ends[index]))
@@ -364,8 +371,9 @@ def exhaustive_search(
     w, options, total = _family(k, nc, window, cap)
     seeds = check_seeds(seeds)
 
-    rules = _dl_rule(k, nc, w), UL_RULE
-    best_index, sums = family_best(rules, options, _WEIGHTS[objective])
+    parts = rule_part(_dl_rule(k, nc, w)), rule_part(UL_RULE)
+    graph = family_graph(parts, options, _WEIGHTS[objective])
+    best_index, sums = family_best(graph)
     best_value = _objective_value(objective, k, *sums)
     best_assoc = association(k, nc, _decode(options, best_index))
 
@@ -389,7 +397,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=ISSUERS[KIND_COUNTING](best_assoc),
-        rows=_Rows(*family_walk(rules, options), total) if collect_rows else None,
+        rows=_Rows(*family_walk(graph), total) if collect_rows else None,
     )
 
 
@@ -420,11 +428,6 @@ class SweepReport(Record):
         }
 
 
-def _or_each(mask, spoils):
-    """mask ORed with each option's spoiled blocks in turn."""
-    return [mask | spoil for spoil in spoils]
-
-
 def soundness_sweep(
     k: int,
     nc: int,
@@ -445,42 +448,30 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     check_seeds(seeds)
-    # Blocks are defined for nc >= 2 only.
-    masks = [(_or_each, _spoil_masks(k, nc, options))] if nc >= 2 else []
-    rows, finals = family_walk((_dl_rule(k, nc, w), UL_RULE, CHAIN_RULE), options, *masks)
-    counting_twice = int(2 * _counting_value(k, nc))  # an integer for every k, nc
-
-    tight = {"chain": 0, "reconstruction": 0, "counting": 0}
-    broken: dict = {}
-    for t, n in tuple_counts(rows).items():
-        dl, ul, chain, *mask = finals[t]  # the mask of spoiled blocks when nc >= 2
-        checks = [(KIND_CHAIN, "chain", ul, chain)]
-        if nc >= 2:
-            checks += [
-                (KIND_RECONSTRUCTION, "reconstruction", dl,
-                 _reconstruction_value(k, nc, mask[0].bit_count())),
-                (KIND_COUNTING, "counting", dl + ul, counting_twice),
-            ]
-        for kind, name, achieved, bound in checks:
-            if achieved > bound:
-                broken.setdefault(t, []).append((kind, achieved, bound))
-            elif achieved == bound:
-                tight[name] += n
-
-    violations = []
-    if broken:  # a sound sweep lists no candidate
-        ends = tuple_ends(rows)
-        for index in itertools.compress(range(len(ends)), map(broken.__contains__, ends)):
+    dl, ul = rule_part(_dl_rule(k, nc, w)), rule_part(UL_RULE)
+    # (kind, name, parts, weights, bound): the certificate holds where the
+    # weighted sum of the parts' gains is at most bound.
+    checks = [(KIND_CHAIN, "chain", (ul, rule_part(CHAIN_RULE)), (1, -1), 0)]
+    if nc >= 2:  # blocks are defined for nc >= 2 only
+        checks += [
+            (KIND_RECONSTRUCTION, "reconstruction", (dl, _spoil_part(k, nc, w)), (1, -1),
+             _reconstruction_value(k, nc, 0)),
+            (KIND_COUNTING, "counting", (dl, ul), (1, 1), int(2 * _counting_value(k, nc))),
+        ]
+    tight, broken = {"chain": 0, "reconstruction": 0, "counting": 0}, []
+    for order, (kind, name, parts, weights, bound) in enumerate(checks):
+        tight[name], above = family_above(family_graph(parts, options, weights), bound)
+        for index, (first, second) in above:
+            # ul against the chain count, dl against the value at its spoiled
+            # count, or dl + ul against twice the counting bound
+            achieved, limit = first, bound + second
+            if kind == KIND_COUNTING:
+                achieved, limit = (frac_to_str(Fraction(v, 2)) for v in (first + second, bound))
             cells = [list(cell) for cell in _decode(options, index)]  # sorted tuples in 1..k
-            for kind, achieved, bound in broken[ends[index]]:
-                if kind == KIND_COUNTING:  # dl + ul against twice the bound
-                    achieved, bound = (frac_to_str(Fraction(v, 2)) for v in (achieved, bound))
-                violations.append({"kind": kind, "assoc": cells, "achieved": achieved, "bound": bound})
-
-    return SweepReport(
-        k=k, nc=nc, window=w, total=total,
-        violations=tuple(violations), tight=tight,
-    )
+            violation = {"kind": kind, "assoc": cells, "achieved": achieved, "bound": limit}
+            broken.append(((index, order), violation))
+    violations = tuple(violation for _key, violation in sorted(broken))
+    return SweepReport(k=k, nc=nc, window=w, total=total, violations=violations, tight=tight)
 
 
 class PeriodicPattern(Record):

@@ -22,7 +22,7 @@ from cellassoc import (
 )
 from cellassoc._kernels import _pure
 from cellassoc.bounds import chain_flags
-from test_properties import family_rules, ref_chain_dp
+from test_properties import family_rules, ref_chain_dp, rule_graph
 from test_references import chain_covers, dl_covers, ul_covers
 
 
@@ -85,6 +85,12 @@ def test_rules_on_tiny_cases():
     assert not kernels.dl_set_feasible(1, [set()], {1})
 
 
+def steps_of(rule, options):
+    """steps[m-1][o]: user m's step under its option o."""
+    step = rule[3]
+    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
+
+
 def test_rules_are_stationary_on_a_windowed_family():
     # Users w+1..k-w-1 see the same options relative to themselves, so no
     # step may depend on where the user stands or on k.
@@ -93,7 +99,7 @@ def test_rules_are_stationary_on_a_windowed_family():
         for w in (1, 2):
             options = search._user_options(k, nc, w)
             rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
-            steps = [_pure.FamilyLayers(rule, options).steps for rule in rules]
+            steps = [steps_of(rule, options) for rule in rules]
             for rule_steps in steps:
                 interior = rule_steps[w : k - w - 1]
                 assert len(interior) >= 3
@@ -120,7 +126,7 @@ def test_each_rule_moves_to_at_most_one_state_that_idle_covers():
         orders = dl_covers, ul_covers, chain_covers
         for name, rule, covers in zip(("dl", "ul", "chain"), family_rules(k, options), orders):
             start, idle, nxt, _step = rule
-            steps = _pure.FamilyLayers(rule, options).steps
+            steps = steps_of(rule, options)
             here = {start}
             for user in steps:
                 after = {idle}
@@ -146,16 +152,19 @@ def test_tuple_ends_lists_past_the_recursion_limit():
 
 
 def test_layers_keep_their_antichains_small():
-    # A layer that keeps a state that cannot count again still gives every
-    # right answer, so only sizes show the loss: the distinct states of each
-    # rule's table and the widest depth of the (dl, ul) walk of a search.
+    # A node that keeps a state that cannot count again still gives every
+    # right answer, so only sizes show the loss: the distinct states that
+    # each rule's graph reaches and the widest depth of the (dl, ul) walk
+    # of a search.
     for (k, nc, w), states, widest in (((5, 2, 1), [4, 3, 5], 38), ((16, 3, 2), [9, 3, 5], 1268)):
         options = search._user_options(k, nc, w)
         rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
-        tables = [_pure.FamilyLayers(rule, options) for rule in rules]
-        rows, _last = _pure.tuple_walk([(t.row, t.steps) for t in tables[:2]])
-        _pure.tuple_walk([(tables[2].row, tables[2].steps)])
-        assert [len({s for s, _n in t._layers}) for t in tables] == states, (k, nc, w)
+        reached = []
+        for rule in rules:
+            _start, _users, rows, last = rule_graph([rule], options, (1,))
+            reached.append(len(last.union(*rows)))
+        assert reached == states, (k, nc, w)
+        rows, _sums = kernels.family_walk(rule_graph(rules[:2], options, (1, 1)))
         assert max(map(len, rows)) == widest, (k, nc, w)
 
 

@@ -62,6 +62,7 @@ REFERENCES = ["test_references::test_references_match_the_rules_on_every_active_
 LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
 WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
 SWEEP = ["test_properties::test_sweep_matches_reference_sweep"]
+COUNT = ["test_properties::test_count_pass_matches_the_listing_on_any_option_lists"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
 VERIFY = ["test_properties::test_verify_witness_matches_dense_reference"]
 PLAIN = ["test_cli::test_plain_reader_reads_what_parse_args_reads"]
@@ -148,14 +149,14 @@ MUTANTS = [
     ),
     (
         "forbidden layer move still gains 1",
-        (_pure.FamilyLayers, "_move"),
-        _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(self._idle, 1)"),
+        (_pure, "rule_part"),
+        _edited(_pure.rule_part, "(idle, 0, 0)", "(idle, weight, 1)"),
         LAYERS,
     ),
     (
         "forbidden layer move keeps its state",
-        (_pure.FamilyLayers, "_move"),
-        _edited(_pure.FamilyLayers._move, "(self._idle, 0)", "(state, 0)"),
+        (_pure, "rule_part"),
+        _edited(_pure.rule_part, "(idle, 0, 0)", "(state, 0, 0)"),
         WALK,
     ),
     (
@@ -171,9 +172,27 @@ MUTANTS = [
     ),
     (
         "max-plus rows drop the second rule's gain",
-        (_pure, "family_best"),
-        _edited(_pure.family_best, "list(map(sum, zip(*gains)))", "list(map(sum, zip(*gains[:1])))"),
+        (_pure, "family_graph"),
+        _edited(_pure.family_graph, "list(reduce(partial(map, add), gains))", "list(gains[0])"),
         MAX_PLUS,
+    ),
+    (
+        "count pass does not multiply by the class multiplicity",
+        (_pure, "family_above"),
+        _edited(
+            _pure.family_above,
+            "top, count = value, mult * n\n                elif value == top:\n"
+            "                    count += mult * n",
+            "top, count = value, n\n                elif value == top:\n"
+            "                    count += n",
+        ),
+        COUNT,
+    ),
+    (
+        "count-pass descent takes the last option first",
+        (_pure, "family_above"),
+        _edited(_pure.family_above, "stack.extend(reversed(children))", "stack.extend(children)"),
+        COUNT,
     ),
     (
         "chain credit survives only a flagged pair",
@@ -195,26 +214,22 @@ MUTANTS = [
         ],
     ),
     (
-        "family walk reads the mask from the first tuple position",
-        (_pure, "family_walk"),
-        _edited(_pure.family_walk, "[len(tables) :]", "[: len(columns) - len(tables)]"),
-        ["test_search::test_soundness_sweep"],
-    ),
-    (
         "sweep reports each violator at the next index",
         (search, "soundness_sweep"),
-        _edited(search.soundness_sweep, "range(len(ends))", "range(1, len(ends) + 1)"),
+        _edited(search.soundness_sweep, "_decode(options, index)", "_decode(options, index + 1)"),
         SWEEP,
     ),
     (
         "sweep lists its violators last index first",
         (search, "soundness_sweep"),
-        _edited(
-            search.soundness_sweep,
-            "in itertools.compress(range(len(ends)), map(broken.__contains__, ends)):",
-            "in reversed(list(itertools.compress(range(len(ends)), map(broken.__contains__, ends)))):",
-        ),
+        _edited(search.soundness_sweep, "sorted(broken)", "sorted(broken, reverse=True)"),
         SWEEP,
+    ),
+    (
+        "live spoiled set drops a block one user early",
+        (bounds, "_spoil_part"),
+        _edited(bounds._spoil_part, "True), max(w, 1)", "True), max(w, 1) - 1"),
+        ["test_properties::test_reconstruction_values_match_certificates"],
     ),
     (
         "counting bound gives 2nc - 1 per full block",
@@ -365,6 +380,10 @@ EQUIVALENT = {
     ),
     "line DP pick tries idle first": (
         "there is no pick: the greedy pass takes every user the rule allows"
+    ),
+    "family walk reads the mask from the first tuple position": (
+        "family_walk takes no part but the rules: a sweep's spoiled blocks are a part of its "
+        "own count pass"
     ),
 }
 

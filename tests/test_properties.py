@@ -19,11 +19,8 @@ scheme plan must also pass the multi-seed reference and both value-free
 rules.
 """
 
-import collections
-import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -40,7 +37,7 @@ from cellassoc.bounds import (
     _block_flags,
     _chain_dp,
     _reconstruction_value,
-    _spoil_masks,
+    _spoil_part,
     chain_flags,
     counting_bound,
     lemma2_chain_bound,
@@ -392,13 +389,41 @@ def ref_good_blocks(k, nc, cells, strict):
     return tuple(goods)
 
 
+def swept_spoiled(k, nc, options):
+    """The spoiled count of every association of a family, in enumeration order,
+    as a sweep adds it up: the gains of the spoiled part (bounds._spoil_part)
+    along each association, its window read off the options."""
+    w = max((abs(j - m) for m, opts in enumerate(options, 1) for cell in opts for j in cell), default=0)
+    start, moves, step = _spoil_part(k, nc, w)
+    counts = []
+    for combo in itertools.product(*options):
+        state, spoiled = start, 0
+        for m, cell in enumerate(combo, 1):
+            [(state, _weighted, gain)] = moves([step(m, cell)], state, 1)
+            spoiled += gain
+        counts.append(spoiled)
+    return counts
+
+
 def swept_reconstruction_values(k, nc, options):
     """The reconstruction bound of every association of a family, in enumeration order,
-    as a sweep reads it: each option's spoiled blocks ORed along the product."""
-    return [
-        _reconstruction_value(k, nc, functools.reduce(operator.or_, masks, 0).bit_count())
-        for masks in itertools.product(*_spoil_masks(k, nc, options))
-    ]
+    as a sweep reads it: the value at each association's swept spoiled count."""
+    return [_reconstruction_value(k, nc, spoiled) for spoiled in swept_spoiled(k, nc, options)]
+
+
+def raised_part(part, extra):
+    """part (see _kernels.rule_part) with extra added to the gain of user 1's every option,
+    so to the sum of every association."""
+    start, moves, step = part
+
+    def raised_moves(column, state, weight):
+        listed = moves([s for _first, s in column], state, weight)
+        return [
+            (after, weighted + weight * extra * first, gain + extra * first)
+            for (first, _s), (after, weighted, gain) in zip(column, listed)
+        ]
+
+    return start, raised_moves, lambda m, cell: (m == 1, step(m, cell))
 
 
 def ref_sweep(k, nc, sums):
@@ -847,8 +872,8 @@ def test_chain_rule_matches_reference_dp(case):
 @given(families())
 def test_tuple_ends_match_per_candidate_maxima(family):
     k, options = family
-    _counts, rows, sums, expected = rule_walk(k, options)
-    assert [sums[t] for t in _kernels.tuple_ends(rows)] == expected
+    rows, sums = _kernels.family_walk(rule_graph(family_rules(k, options), options, (1, 1, 1)))
+    assert [sums[t] for t in _kernels.tuple_ends(rows)] == ref_rule_sums(k, options)
 
 
 @settings(max_examples=80, deadline=None)
@@ -862,11 +887,18 @@ def test_layer_moves_match_the_reference_fold(family):
     # nothing below it but idle.
     k, options = family
     for rule, covers in zip(family_rules(k, options), (dl_covers, ul_covers, chain_covers)):
-        idle = rule[1]
-        table = _pure.FamilyLayers(rule, options)
-        _pure.tuple_walk([(table.row, table.steps)])
-        assert table._moves
-        for (state, step), (after, gain) in table._moves.items():
+        idle, step_of = rule[1], rule[3]
+        _start, moves, _step = _pure.rule_part(rule)
+        _start, _users, rows, _last = rule_graph([rule], options, (1,))
+        # Each state the family's graph reaches before a user, with each step of that user.
+        met = {
+            (state, step_of(m, cell))
+            for m, (opts, row_of) in enumerate(zip(options, rows), 1)
+            for (state,) in row_of
+            for cell in opts
+        }
+        for state, step in met:
+            [(after, _weighted, gain)] = moves([step], state, 1)
             layer = {idle: -1, state: 0}
             expected, expected_gain = ref_layer_move(ref_automaton(rule, covers), layer, step)
             top = frozenset(s for s, n in expected.items() if n == 0)
@@ -994,11 +1026,13 @@ def test_block_flags_match_the_or_mask_form(case):
         assert [(f.block, f.start, f.good) for f in flags] == list(
             ref_or_mask_flags(k, nc, assoc.cells, strict)
         ), strict
-    # A sweep's strict masks, ORed over the users, spoil the same blocks.
+    # A sweep's spoiled part spoils the same blocks along the association:
+    # its steps name their middle base stations, and its gains count each once.
     one_each = [(tuple(sorted(cell)),) for cell in assoc.cells]
-    mask = functools.reduce(operator.or_, [m for [m] in _spoil_masks(k, nc, one_each)], 0)
-    assert [not mask >> b & 1 for b in range(len(flags))] == [f.good for f in flags]
-    assert mask >> len(flags) == 0
+    _start, _moves, step = _spoil_part(k, nc, k)
+    mids = {m + o for m, [cell] in enumerate(one_each, 1) for o in step(m, cell)}
+    assert mids == {f.start + nc - 1 for f in flags if not f.good}
+    assert swept_spoiled(k, nc, one_each) == [len(mids)]
 
 
 @SETTINGS
@@ -1015,6 +1049,9 @@ def test_issued_certificates_verify_after_a_json_round_trip(case):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SMALL_FAMILIES), families(), st.integers(2, 4))
+# User 1 may hold bs 2, the middle of block 1, which user 3 spoils again
+# after user 2 has passed it.
+@example((3, 2, 1), (1, [[()]]), 2)
 def test_reconstruction_values_match_certificates(small, part, nc):
     # Whole small families, and parts of families under a budget that
     # covers every option; blocks are defined for nc >= 2 only.
@@ -1046,15 +1083,14 @@ def test_sweep_matches_reference_sweep(family, dl_extra, ul_extra):
         for c, dl, ul in ref_session_sums(k, options)
     ]
     tight, violations = ref_sweep(k, nc, [row[:3] for row in sums])
-    real = search.family_walk
+    real = search.rule_part
 
-    def raised(*args):
-        rows, finals = real(*args)
-        return rows, {
-            t: (dl + dl_extra, ul + ul_extra, *rest) for t, (dl, ul, *rest) in finals.items()
-        }
+    def raised(rule):
+        # The passes' downlink and uplink parts gain the extras; the chain part does not.
+        extra = ul_extra if rule is _pure.UL_RULE else 0 if rule is _pure.CHAIN_RULE else dl_extra
+        return raised_part(real(rule), extra)
 
-    with mock.patch.object(search, "family_walk", raised):
+    with mock.patch.object(search, "rule_part", raised):
         report = search.soundness_sweep(k, nc, w)
     assert report.total == len(sums)
     assert report.tight == tight
@@ -1093,39 +1129,37 @@ def family_rules(k, options):
     return _pure.dl_rule(k, cap), _pure.UL_RULE, _pure.CHAIN_RULE
 
 
-def rule_walk(k, options):
-    """family_walk over the three rules, and every candidate's reference sums.
+def rule_graph(rules, options, weights):
+    """The family graph of line rules (family_graph over each rule's rule_part)."""
+    return _kernels.family_graph([_pure.rule_part(rule) for rule in rules], options, weights)
 
-    Returns the walk's counts, rows and (dl, ul, chain) sums per last
-    tuple, and the (dl, ul, chain) of each candidate in enumeration order,
-    each maximized from scratch.
-    """
-    rows, sums = _kernels.family_walk(family_rules(k, options), options)
-    counts = _kernels.tuple_counts(rows)
-    assert set(counts) == set(sums)
+
+def ref_rule_sums(k, options):
+    """The (dl, ul, chain) of each candidate in enumeration order, each maximized from scratch."""
     # Every family has nc <= 3, and chain_flags does not read nc.
-    expected = [
+    return [
         (dl, ul, ref_chain_dp(k, chain_flags(association(k, 3, combo))))
         for combo, dl, ul in ref_session_sums(k, options)
     ]
-    return counts, rows, sums, expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(families())
+# Forbidden moves from states other than idle.
+@example((3, search._user_options(3, 1, 1)))
 def test_tuple_walk_matches_the_listing(family):
     k, options = family
-    counts, rows, sums, expected = rule_walk(k, options)
+    rows, sums = _kernels.family_walk(rule_graph(family_rules(k, options), options, (1, 1, 1)))
     # Each candidate's last tuple, read off the rows digit by digit.
     finals = []
     for digits in itertools.product(*(range(len(opts)) for opts in options)):
-        t = (0, 0, 0)
+        [t] = rows[0]  # the start tuple
         for depth, o in enumerate(digits):
             t = rows[depth][t][o]
         finals.append(t)
     assert _kernels.tuple_ends(rows) == finals
-    assert [sums[t] for t in finals] == expected
-    assert counts == collections.Counter(finals)
+    assert set(finals) == set(sums)
+    assert [sums[t] for t in finals] == ref_rule_sums(k, options)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1140,4 +1174,26 @@ def test_max_plus_pass_finds_the_first_maximizer_on_any_option_lists(family):
     for weights in (*OBJECTIVE_WEIGHTS.values(), (k + 1, k + 2)):
         keys = [weights[0] * dl + weights[1] * ul for dl, ul in sums]
         index = keys.index(max(keys))
-        assert _kernels.family_best((dl_rule, ul_rule), options, weights) == (index, sums[index])
+        graph = rule_graph((dl_rule, ul_rule), options, weights)
+        assert _kernels.family_best(graph) == (index, sums[index])
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(), st.permutations(range(3)), st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.integers(-1, 1), st.booleans())
+# Options out of sorted order, and several above the bound.
+@example((3, [[(1, 2), (1,), ()], [(2,), (1, 2, 3), (1,)], [(3,), (2, 3), ()]]), (0, 1, 2), (1, 1), -1,
+         False)
+# Classes of several options each after the first user, the bound at the best sum.
+@example((3, search._user_options(3, 1, 1)), (0, 1, 2), (1, 1), 0, True)
+def test_count_pass_matches_the_listing_on_any_option_lists(family, order, weights, shift, at_max):
+    # Two of the three rules, weighted, against a bound at, next to or inside the range of sums.
+    k, options = family
+    rules = family_rules(k, options)
+    a, b = order[:2]
+    sums = [(s[a], s[b]) for s in ref_rule_sums(k, options)]
+    values = [weights[0] * x + weights[1] * y for x, y in sums]
+    bound = (max(values) if at_max else sorted(values)[len(values) // 2]) + shift
+    tight, above = _kernels.family_above(rule_graph((rules[a], rules[b]), options, weights), bound)
+    assert tight == values.count(bound)
+    assert above == [(i, s) for i, (s, v) in enumerate(zip(sums, values)) if v > bound]

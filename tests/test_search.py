@@ -1,6 +1,5 @@
 """Windowed enumeration, exhaustive search, sweeps, periodic probes."""
 
-import functools
 import itertools
 import math
 import time
@@ -16,7 +15,7 @@ from cellassoc import (
     pair_association,
 )
 from cellassoc import cli, search
-from cellassoc._kernels import UL_RULE, family_best
+from cellassoc._kernels import UL_RULE, family_best, family_graph, rule_part
 from cellassoc.bounds import _counting_value
 from cellassoc.schemes import MAX_SCHEME_K
 from cellassoc.search import (
@@ -31,6 +30,7 @@ from cellassoc.search import (
     tau,
     tau_downlink,
 )
+from test_properties import raised_part
 
 
 def test_candidate_counts():
@@ -184,8 +184,9 @@ def test_paper_claims_and_closed_forms_hold_far_past_the_enumeration():
     # largest dl among them.
     for nc, longest in ((1, 60), (2, 60), (3, 40), (4, 24)):
         for k in range(1, longest + 1):
-            rules = search._dl_rule(k, nc, nc), UL_RULE
-            best = functools.partial(family_best, rules, search._user_options(k, nc, nc))
+            parts = rule_part(search._dl_rule(k, nc, nc)), rule_part(UL_RULE)
+            options = search._user_options(k, nc, nc)
+            best = lambda weights: family_best(family_graph(parts, options, weights))
             _, (dl_first, ul_most) = best((k + 1, k + 2))
             _, (dl_most, ul_first) = best((k + 2, k + 1))
             total = dl_first + ul_most
@@ -208,6 +209,8 @@ def test_collect_rows():
     assert r.rows[5] == (5, 2, 2)
     best_avg = max(Fraction(dl + ul, 2 * 3) for _i, dl, ul in r.rows)
     assert best_avg == r.value
+    # Iterating reads the rows that a whole slice reads, in order.
+    assert list(r.rows) == list(r.rows[:]) == [r.rows[i] for i in range(36)]
 
 
 def test_cap_refuses_large_runs():
@@ -228,10 +231,12 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     def never(*_args):
         raise AssertionError("the family was listed")
 
-    # Neither the max-plus pass (JSON and CSV search), the family walk
-    # (sweeps and CSV rows) nor the listing of its last tuples (CSV rows)
-    # may start.
+    # Neither the family graph that every pass reads, the max-plus pass
+    # (JSON and CSV search), the count pass (sweeps), the family walk (CSV
+    # rows) nor the listing of its last tuples (CSV rows) may start.
+    monkeypatch.setattr(search, "family_graph", never)
     monkeypatch.setattr(search, "family_best", never)
+    monkeypatch.setattr(search, "family_above", never)
     monkeypatch.setattr(search, "family_walk", never)
     monkeypatch.setattr(search, "tuple_ends", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
@@ -269,14 +274,13 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
 
     monkeypatch.setattr(search, "tuple_ends", listing)
     monkeypatch.setattr(cli, "tuple_ends", listing)
-    for name in ("family_best", "family_walk", "tuple_counts"):
+    for name in ("family_best", "family_walk", "family_above"):
         counted(name)
-    walk = search.family_walk
+    part = search.rule_part
 
-    def raised(*args):
-        # One more uplink user than the walk found, as in test_sweep_matches_reference_sweep.
-        rows, finals = walk(*args)
-        return rows, {t: (dl, ul + 1, *rest) for t, (dl, ul, *rest) in finals.items()}
+    def raised(rule):
+        # One more uplink user than the passes find, as in test_sweep_matches_reference_sweep.
+        return raised_part(part(rule), 1 if rule is UL_RULE else 0)
 
     # (depth d, prefixes listed) of a CLI CSV search: 196 prefixes of 196
     # rows each, and 225 of 225; (2, 1, 1) has 9 rows, one subtree at d = 0.
@@ -311,21 +315,23 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
                 assert size <= cli._CSV_BLOCK_ROWS < size * len(search._user_options(*family)[depth - 1])
             listed.clear()
             passes.clear()
+        # A sweep runs one count pass per certificate, three at nc >= 2.
+        sweep_passes = ["family_above"] * (3 if family[1] >= 2 else 1)
         # A sound sweep counts its tight candidates and lists none.
         with monkeypatch.context() as patched:
             patched.setattr(search, "association", never)
             assert soundness_sweep(*family).sound
-        assert listed == [] and passes == ["family_walk", "tuple_counts"]
+        assert listed == [] and passes == sweep_passes
         passes.clear()
-        # Raised sums break certificates, so the sweep lists the family once to
-        # find them, and reads each violator's sets off its options.
+        # Raised sums break certificates, and the passes' descents find them
+        # without listing the family; the sweep reads each violator's sets off
+        # its options.
         with monkeypatch.context() as patched:
-            patched.setattr(search, "family_walk", raised)
+            patched.setattr(search, "rule_part", raised)
             patched.setattr(search, "association", never)
             report = soundness_sweep(*family)
-        assert report.violations and listed == [(k, report.total)]
-        assert passes == ["family_walk", "tuple_counts"]
-        listed.clear()
+        assert report.violations and listed == []
+        assert passes == sweep_passes
         passes.clear()
 
 
