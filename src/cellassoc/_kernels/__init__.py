@@ -18,12 +18,11 @@ the states of its parts, which carry no count (`rule_part` makes a rule
 a part), with three passes over it.  `family_best` is a max-plus pass
 that returns the first association of the best weighted sum of gains,
 `family_above` a (max, count) pass that counts the associations at a
-bound and lists those above it, and `family_walk` a walk over the
-distinct (node, sums) tuples that CSV rows read: `tuple_ends` lists the
-tuples a depth's prefixes end in, in enumeration order, and
-`tuple_texts` joins texts given per last tuple backward into one text
-per tuple of a depth, so CSV rows list no candidate.  `_pure` states
-the rules and the passes.
+bound and lists those above it, and `family_texts` a concatenation pass
+that yields, for each prefix of a depth in enumeration order, the text
+of its subtree's associations, joined once per distinct (depth, node,
+sums) key, so CSV rows list no candidate.  `_pure` states the rules
+and the passes.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ from ._pure import (
     family_above,
     family_best,
     family_graph,
-    family_walk,
+    family_texts,
     rule_part,
-    tuple_ends,
-    tuple_texts,
     ul_max_active,
     ul_set_feasible,
 )

@@ -108,15 +108,12 @@ order.  A sweep's certificates come from the (max, count) pass,
 still to come and the number of suffixes that reach it, so the start
 node tells how many associations meet a bound, and a descent that
 enters only the subtrees whose best passes the bound lists the
-associations above it.  CSV rows come from `family_walk`, which walks
-the distinct (node, sums) tuples that some prefix of options reaches,
-each tuple's row read off its node's row, so its work grows with the
-distinct tuples and not with the candidates.  Two passes read the
-walk's rows: `tuple_ends` lists the tuples that the prefixes of one
-depth end in, in enumeration order, and `tuple_texts`, the framework's
-concatenation pass run backward, joins a text per last tuple into one
-text per tuple of a depth, each built once, which CSV rows read with the
-prefixes that tuple_ends lists at that depth.
+associations above it.  CSV rows come from the framework's
+concatenation pass, `family_texts`, run top-down with memoization: the
+text of a subtree depends only on its depth, its node and the sums of
+the prefix that reaches it, so each distinct key's text is joined once
+from the graph's rows, and the work grows with the distinct keys and
+not with the candidates.
 """
 
 from __future__ import annotations
@@ -301,7 +298,7 @@ def family_best(graph):
 
     graph is a family_graph; sums are the winner's sums of gains, one
     per part (with rule_part, its largest active set sizes), and index
-    its place in enumeration order (see tuple_ends).  The best weighted
+    its place in enumeration order (see family_texts).  The best weighted
     sum is the longest path in the graph.  A backward max-plus pass gives
     the best weighted gain still to come from each node, and the descent
     takes, at each user, the first class that keeps the optimum, and that
@@ -327,7 +324,7 @@ def family_above(graph, bound):
 
     graph is a family_graph.  tight is the number of associations whose
     weighted sum equals bound, and above lists (index, sums) of each one
-    whose sum passes it, in enumeration order (see tuple_ends), sums
+    whose sum passes it, in enumeration order (see family_texts), sums
     being its per-part sums of gains.  A backward pass in the (max,
     count) semiring of Mohri's framework gives each node the best
     weighted gain still to come and the number of suffixes that reach
@@ -375,63 +372,59 @@ def family_above(graph, bound):
     return tight, above
 
 
-def family_walk(graph):
-    """(rows, sums): the walk of a family over its distinct (node, sums) tuples.
+class _Texts(dict):
+    """family_texts' memo: each key (d, node, sums) mapped to the join of its subtree's texts.
 
-    graph is a family_graph.  A tuple is a node and the sums of gains of
-    the prefix of options that reaches it, one per part, held as one
-    integer: sum p written in base k + 1 as digit p (with rule_part, no
-    sum passes k), so a row adds a user's gains in C.  rows[d] maps each
-    tuple that some choice of options for users 1..d reaches to its
-    tuples after user d+1, one per option in order, the rows of
-    tuple_ends and tuple_texts, and sums maps each last tuple to its
-    sums.  The work grows with the distinct tuples, not with the
-    candidates.
+    A key is a node that a choice of options for users 1..d reaches and
+    the sums of gains of that choice, one per part.  A missing key's text
+    is text(sums) after the last user, and otherwise the join of its
+    keys after user d+1 in option order, each looked up (and built) in
+    turn.  Nothing refers back to the memo, so it is freed with the
+    pass's iterator; a cached closure would refer to itself and wait for
+    the garbage collector, which made a CSV search about 4% slower.
     """
-    start, users, rows, _last = graph
-    base = len(users) + 1
-    here, walked = {(start, 0)}, []
-    for classes, row_of in zip(users, rows):
-        per_option = {}  # node -> (each option's node after, each option's gains as one integer)
-        for node, (afters, _g, part_gains) in row_of.items():
-            digits = [sum(g * base**p for p, g in enumerate(gains)) for gains in zip(*part_gains)]
-            per_option[node] = [afters[j] for j in classes], [digits[j] for j in classes]
-        row = {}
-        for t in here:
-            afters, digits = per_option[t[0]]
-            row[t] = list(zip(afters, map(t[1].__add__, digits)))
-        here = set(chain.from_iterable(row.values()))
-        walked.append(row)
-    return walked, {t: tuple(t[1] // base**p % base for p in range(len(start))) for t in here}
+
+    def __init__(self, graph, text):
+        super().__init__()
+        _start, self.users, self.rows, _last = graph
+        self.text = text
+
+    def after(self, key):
+        """The keys after user d+1 of key (d, node, sums), one per option in order."""
+        d, node, sums = key
+        afters, _g, part_gains = self.rows[d][node]
+        per_class = [(d + 1, a, tuple(map(add, sums, g))) for a, g in zip(afters, zip(*part_gains))]
+        return map(per_class.__getitem__, self.users[d])
+
+    def __missing__(self, key):
+        joined = key[0] < len(self.rows)
+        self[key] = "".join(map(self.__getitem__, self.after(key))) if joined else self.text(key[2])
+        return self[key]
 
 
-def tuple_ends(rows):
-    """The last tuple of every association of a family_walk, in enumeration order.
+def family_texts(graph, text, depth):
+    """For each choice of options for users 1..depth, the join of text(sums) over its completions.
 
-    Enumeration order is the product order of the options: an
-    association's index is the mixed-radix number whose digit for user m
-    is the position of its option, the last user's varying fastest.  Each
-    depth expands every tuple into its row, in C iterators, so the
-    list holds one reference per candidate to a shared tuple.  Given the
-    first d rows, it lists the tuple of every choice for users 1..d.
+    graph is a family_graph, and text(sums) the text of one association,
+    sums being its per-part sums of gains.  Enumeration order is the
+    product order of the options: an association's index is the
+    mixed-radix number whose digit for user m is the position of its
+    option, the last user's varying fastest.  The choices come lazily in
+    that order, and each piece joins its completions' texts in that
+    order; at depth len(users) a piece is text(sums) itself.  The pass is
+    the concatenation pass of Mohri's framework run top-down with
+    memoization: a subtree's join depends only on its key (depth, node,
+    prefix sums), so it is built once per distinct key from the graph's
+    rows (afters, part_gains), in a memo (_Texts) that lives as long as
+    the iterator.  The choices are expanded in C iterators, one level per
+    user, and the joins recurse below them, so the pass nests at most
+    len(users) + 1 deep.
     """
-    ends = list(rows[0])  # the start tuple alone
-    for row_of in rows:
-        ends = list(chain.from_iterable(map(row_of.__getitem__, ends)))
-    return ends
-
-
-def tuple_texts(rows, texts):
-    """Each first tuple of rows mapped to the join of its last tuples' texts, in enumeration order.
-
-    rows are the rows of a family_walk from some depth on, and texts maps
-    each last tuple to its text.  The pass runs backward, the
-    concatenation pass of Mohri's framework: a tuple's text is the join
-    of its row's texts, built once per distinct tuple at each depth.
-    """
-    for row_of in reversed(rows):
-        texts = {t: "".join(map(texts.__getitem__, after)) for t, after in row_of.items()}
-    return texts
+    texts = _Texts(graph, text)
+    keys = [(0, graph[0], (0,) * len(graph[0]))]
+    for _ in range(depth):
+        keys = chain.from_iterable(map(texts.after, keys))
+    return map(texts.__getitem__, keys)
 
 
 def _reaches(rule, cells, active):

@@ -56,7 +56,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import Optional, Sequence
 
-from ._kernels import tuple_ends, tuple_texts
+from ._kernels import family_texts
 from .bounds import ISSUERS, KIND_CHAIN, KIND_COUNTING, KIND_RECONSTRUCTION
 from .downlink_zf import max_downlink_dof
 from .errors import (
@@ -237,36 +237,34 @@ def _csv_chunks(result) -> Iterator[str]:
 
     The bytes are those csv.writer writes for integers (comma-separated,
     "\\r\\n" after each row).  Everything after a row's index depends
-    only on its last tuple in the search's walk, so each distinct last tuple
-    gets one text, with "%d" for the index.  Every prefix of the first d
-    users has a subtree of the same size, the product of the later users'
-    option counts, and d is the shallowest depth whose subtrees hold at
-    most _CSV_BLOCK_ROWS rows.  _kernels.tuple_texts joins the last tuples'
-    texts backward into one text per distinct tuple at depth d, and
-    tuple_ends lists only the tuples the depth-d prefixes end in, so no
+    only on its (dl, ul) sums, so a row's text has "%d" for the index.
+    Every prefix of the first d users has a subtree of the same size, the
+    product of the later users' option counts, and d is the shallowest
+    depth whose subtrees hold at most _CSV_BLOCK_ROWS rows.
+    _kernels.family_texts yields each depth-d prefix's subtree text in
+    enumeration order, each distinct subtree's text built once, so no
     candidate is listed.  A piece joins the texts of whole subtrees and
     fills in their indices with one % in C.
     """
     yield "assoc_id,dl_dof,ul_dof,avg_num,avg_den,bound_num,bound_den\r\n"
-    rows = result.rows.rows
     bound = result.bound.per_user
     tail = f",{bound.numerator},{bound.denominator}\r\n"
-    texts = {}
-    for t, (dl, ul) in result.rows.sums.items():
-        avg = average_per_user(dl, ul, result.k)
-        texts[t] = f"%d,{dl},{ul},{avg.numerator},{avg.denominator}{tail}"
-    counts = [len(next(iter(row_of.values()))) for row_of in rows]  # options per user
-    depth, size = len(rows), 1
+
+    def text(sums):
+        avg = average_per_user(*sums, result.k)
+        return f"%d,{sums[0]},{sums[1]},{avg.numerator},{avg.denominator}{tail}"
+
+    counts = list(map(len, result.rows.graph[1]))  # options per user
+    depth, size = len(counts), 1
     while depth and size * counts[depth - 1] <= _CSV_BLOCK_ROWS:
         depth -= 1
         size *= counts[depth]
-    texts = tuple_texts(rows[depth:], texts)
-    prefixes = tuple_ends(rows[:depth]) if depth else list(texts)
+    texts = family_texts(result.rows.graph, text, depth)
     per_piece = _CSV_CHUNK_ROWS // size
-    for start in range(0, len(prefixes), per_piece):
-        part = prefixes[start : start + per_piece]
+    for start in range(0, len(result.rows) // size, per_piece):
+        part = list(itertools.islice(texts, per_piece))
         first = start * size
-        yield "".join(map(texts.__getitem__, part)) % tuple(range(first, first + len(part) * size))
+        yield "".join(part) % tuple(range(first, first + len(part) * size))
 
 
 def _seeds(args) -> tuple:

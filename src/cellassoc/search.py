@@ -18,14 +18,13 @@ from the mixed-radix digits of that index (_decode), so a search lists
 no candidate to find it.  No channel value is drawn per candidate; the
 winner alone becomes an association and gets a zero-forcing witness and
 a decoding order from max_downlink_dof and max_uplink_dof, which must
-reproduce the search value.  Collected rows (search --format csv) come
-from _kernels.family_walk over the same graph, which walks the family
-user by user over the distinct (pair of rule states, sums) tuples that
-some prefix of options reaches: its rows, and the sums of each distinct
-last tuple.  _Rows keeps both and lists every candidate's last tuple in
-enumeration order (_kernels.tuple_ends, one reference of 8 bytes per
-candidate) only when a row is read; the CLI's CSV writer reads the
-walk's rows and sums whole and lists no candidate.
+reproduce the search value.  Collected rows (search --format csv) are
+read off the same graph (_Rows): iterating them runs the text pass
+_kernels.family_texts down to the last user, yielding each candidate's
+(dl, ul) sums lazily, and a row read by index adds up the gains along the
+classes that its index decodes to.  The CLI's CSV writer runs the same
+pass to a shallower depth with each row's text, so neither lists a
+candidate.
 
 A soundness sweep runs one (max, count) pass of _kernels (family_above)
 per certificate, each on two parts: the chain bound on the uplink and
@@ -58,7 +57,6 @@ signature of a per-user rate that has stabilized.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from collections.abc import Iterator, Sequence
@@ -71,9 +69,8 @@ from ._kernels import (
     family_above,
     family_best,
     family_graph,
-    family_walk,
+    family_texts,
     rule_part,
-    tuple_ends,
 )
 from .bounds import (
     ISSUERS,
@@ -104,8 +101,9 @@ from .uplink_decode import UlEvaluation, max_uplink_dof
 DEFAULT_CAP = 100_000
 
 # Largest family a search or sweep takes, whatever its cap: about 0.2 GB
-# of CSV text, and, once a row of collect_rows is read, 8 bytes per
-# candidate (16 while the list is built, _kernels.tuple_ends).
+# of CSV text, written in pieces.  Every user has at least two options, so
+# such a family has at most 23 users, and _kernels.family_texts nests at
+# most 24 deep.
 MAX_CANDIDATES = 10**7
 
 # Largest count count_associations works out, in bits (about 19,700
@@ -257,31 +255,34 @@ def enumerate_associations(
 
 
 class _Rows(Sequence):
-    """The (index, dl, ul) rows of a search, from a family walk's rows and each last pair's sums.
+    """The (index, dl, ul) rows of a search, read off its family graph.
 
-    rows and sums are family_walk's, and total is the candidate count.
-    Every candidate's last pair (ends) is listed on the first read of a
-    row, not before, so a writer that reads rows and sums whole lists none.
+    graph is the search's family_graph and total its candidate count.
+    Iteration yields family_texts(graph, tuple, k) lazily, and a row read
+    by index adds up the gains along the classes its index decodes to,
+    so no candidate is listed either way.
     """
 
-    def __init__(self, rows, sums, total):
-        self.rows, self.sums, self._total = rows, sums, total
-
-    @functools.cached_property
-    def ends(self):
-        return tuple_ends(self.rows)
+    def __init__(self, graph, total):
+        self.graph, self._total = graph, total
 
     def __len__(self):
         return self._total
 
     def __iter__(self):
-        sums = self.sums
-        return ((i, *sums[t]) for i, t in enumerate(self.ends))
+        sums = family_texts(self.graph, tuple, len(self.graph[1]))  # each candidate's (dl, ul)
+        return ((i, dl, ul) for i, (dl, ul) in enumerate(sums))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple((i, *self.sums[t]) for i, t in zip(range(len(self))[index], self.ends[index]))
-        return (range(len(self))[index], *self.sums[self.ends[index]])
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        index = range(len(self))[index]
+        node, users, rows, _last = self.graph
+        dl = ul = 0
+        for row_of, j in zip(rows, _decode(users, index)):
+            afters, _g, (dl_gains, ul_gains) = row_of[node]
+            node, dl, ul = afters[j], dl + dl_gains[j], ul + ul_gains[j]
+        return index, dl, ul
 
 
 class SearchResult(Record):
@@ -358,13 +359,12 @@ def exhaustive_search(
     """Evaluate every windowed association and return the best one.
 
     Both sessions are evaluated for every candidate regardless of the
-    objective, so collected rows always carry (index, dl, ul); they are a
-    read-only sequence over the family walk's last pairs, walked only
-    when collect_rows is set and listed on the first row read, and the
-    winner comes from the max-plus pass
-    (_kernels.family_best) either way.  Refuses to start when the
-    candidate count exceeds cap or MAX_CANDIDATES.  The seeds
-    (model.check_seeds) only draw the channels of the winner's
+    objective, so collected rows always carry (index, dl, ul); when
+    collect_rows is set they are a read-only sequence over the search's
+    family graph that lists no candidate (_Rows), and the winner comes
+    from the max-plus pass (_kernels.family_best) either way.  Refuses to
+    start when the candidate count exceeds cap or MAX_CANDIDATES.  The
+    seeds (model.check_seeds) only draw the channels of the winner's
     zero-forcing witness.
     """
     objective = _normalize_objective(objective)
@@ -397,7 +397,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=ISSUERS[KIND_COUNTING](best_assoc),
-        rows=_Rows(*family_walk(graph), total) if collect_rows else None,
+        rows=_Rows(graph, total) if collect_rows else None,
     )
 
 

@@ -326,11 +326,11 @@ def test_search_refuses_families_above_the_ceiling_whatever_the_cap(capsys, monk
         raise AssertionError("the family was listed")
 
     # 4,519,603,984 candidates, about 72 GB of CSV rows at 16 bytes each.
-    # Neither the max-plus pass (JSON and CSV), the family walk (CSV) nor
-    # the listing of its last tuples (CSV) may start.
+    # Neither the max-plus pass (JSON and CSV) nor the text pass (CSV rows)
+    # may start.
     monkeypatch.setattr(search, "family_best", never)
-    monkeypatch.setattr(search, "family_walk", never)
-    monkeypatch.setattr(search, "tuple_ends", never)
+    monkeypatch.setattr(search, "family_texts", never)
+    monkeypatch.setattr(cli, "family_texts", never)
     argv = ("search", "--k", "12", "--nc", "2", "--window", "1", "--cap", "10000000000")
     for fmt in ("json", "csv"):
         code, out, err = run(capsys, *argv, "--format", fmt)

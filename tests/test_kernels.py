@@ -8,6 +8,7 @@ the tests here run them on long ones.
 """
 
 import itertools
+import sys
 from functools import partial
 from math import inf
 
@@ -140,22 +141,37 @@ def test_each_rule_moves_to_at_most_one_state_that_idle_covers():
                 here = after - {None}
 
 
-def test_tuple_ends_lists_past_the_recursion_limit():
-    # 5000 users from the start tuple 0: the first user keeps 0 or moves it
-    # to 1, the next 4998 keep their tuple, and the last keeps 0 or moves it
-    # to 1 while 1 stays.
-    first = {(0,): [(0,), (1,)]}
-    keep = {(0,): [(0,)], (1,): [(1,)]}
-    last = {(0,): [(0,), (1,)], (1,): [(1,), (1,)]}
-    rows = [first] + [keep] * 4998 + [last]
-    assert kernels.tuple_ends(rows) == [(0,), (1,), (1,), (1,)]
+def test_text_pass_nests_a_few_frames_per_user():
+    # Every user has at least two options, so a family under the search
+    # ceiling has at most 23 users.  Joined whole, the text pass of such a
+    # line takes at most three calls of the recursion limit for each of
+    # its 24 levels (71 in all; the check leaves a margin of 10), and not
+    # one per candidate.
+    assert 2**23 <= search.MAX_CANDIDATES < 2**24
+    k = 23
+    options = search._user_options(k, 1, 0)  # () or (i,) for every user
+    graph = rule_graph(family_rules(k, options)[:2], options, (1, 1))
+
+    def headroom():  # the calls left below the recursion limit
+        try:
+            return 1 + headroom()
+        except RecursionError:
+            return 0
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - headroom() + 3 * (k + 1) + 10)
+    try:
+        assert list(kernels.family_texts(graph, lambda sums: "", 0)) == [""]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_layers_keep_their_antichains_small():
     # A node that keeps a state that cannot count again still gives every
     # right answer, so only sizes show the loss: the distinct states that
-    # each rule's graph reaches and the widest depth of the (dl, ul) walk
-    # of a search.
+    # each rule's graph reaches, and the most distinct (node, (dl, ul))
+    # tuples that the prefixes of one depth before the last user reach in
+    # a search's graph, the keys of CSV rows' text pass.
     for (k, nc, w), states, widest in (((5, 2, 1), [4, 3, 5], 38), ((16, 3, 2), [9, 3, 5], 1268)):
         options = search._user_options(k, nc, w)
         rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
@@ -164,8 +180,17 @@ def test_layers_keep_their_antichains_small():
             _start, _users, rows, last = rule_graph([rule], options, (1,))
             reached.append(len(last.union(*rows)))
         assert reached == states, (k, nc, w)
-        rows, _sums = kernels.family_walk(rule_graph(rules[:2], options, (1, 1)))
-        assert max(map(len, rows)) == widest, (k, nc, w)
+        start, users, rows, _last = rule_graph(rules[:2], options, (1, 1))
+        here, widths = {(start, (0, 0))}, []
+        for classes, row_of in zip(users, rows):
+            widths.append(len(here))
+            here = {
+                (afters[j], (dl + dl_gains[j], ul + ul_gains[j]))
+                for node, (dl, ul) in here
+                for afters, _g, (dl_gains, ul_gains) in [row_of[node]]
+                for j in set(classes)
+            }
+        assert max(widths) == widest, (k, nc, w)
 
 
 def test_search_caps_the_downlink_run_at_the_longest_left_side():

@@ -53,6 +53,15 @@ def _edited(function, old, new):
     return namespace[function.__name__]
 
 
+class _TextsByDepthAndNode(_pure._Texts):
+    """The text pass's memo answering a key (depth, node, sums) by its (depth, node) alone."""
+
+    def __missing__(self, key):
+        if key[:2] not in self:
+            self[key[:2]] = super().__missing__(key)
+        return self[key[:2]]
+
+
 _UL_RANK_R_ABOVE_SHUT = {_pure._OPEN: 0, _pure._RIGHT: 1, _pure._SHUT: 2}
 
 TILING = ["test_schemes::test_block_plans_match_the_whole_line_uplink_maximum"]
@@ -60,7 +69,7 @@ ORDERS = ["test_references::test_each_rule_order_is_a_simulation"]
 ORACLES = ["test_properties::test_rules_match_oracles"]
 REFERENCES = ["test_references::test_references_match_the_rules_on_every_active_set"]
 LINE = ["test_properties::test_line_dp_matches_branch_and_bound"]
-WALK = ["test_properties::test_tuple_walk_matches_the_listing"]
+WALK = ["test_properties::test_text_pass_and_rows_match_the_listing"]
 SWEEP = ["test_properties::test_sweep_matches_reference_sweep"]
 COUNT = ["test_properties::test_count_pass_matches_the_listing_on_any_option_lists"]
 LAYERS = ["test_properties::test_layer_moves_match_the_reference_fold"]
@@ -353,10 +362,17 @@ MUTANTS = [
         CSV_TEXT,
     ),
     (
-        "CSV subtree text joined from the row of the wrong depth",
-        (_pure, "tuple_texts"),
-        _edited(_pure.tuple_texts, "for row_of in reversed(rows):", "for row_of in rows:"),
-        CSV_TEXT,
+        "text pass joins and lists a subtree's keys in class order, not option order",
+        (_pure._Texts, "after"),
+        _edited(_pure._Texts.after, "return map(per_class.__getitem__, self.users[d])",
+                "return iter(per_class)"),
+        CSV_TEXT + WALK,
+    ),
+    (
+        "text pass memo key drops the prefix's sums",
+        (_pure, "_Texts"),
+        _TextsByDepthAndNode,
+        WALK,  # the CSV test's reference rows come from the same pass
     ),
     (
         "int-list writer uses the outer separator inside each list",
@@ -382,8 +398,8 @@ EQUIVALENT = {
         "there is no pick: the greedy pass takes every user the rule allows"
     ),
     "family walk reads the mask from the first tuple position": (
-        "family_walk takes no part but the rules: a sweep's spoiled blocks are a part of its "
-        "own count pass"
+        "no pass reads a mask out of a tuple: CSV rows' text pass keys on the sums of a search's "
+        "two rule parts, and a sweep's spoiled blocks are a part of its own count pass"
     ),
 }
 

@@ -870,14 +870,6 @@ def test_chain_rule_matches_reference_dp(case):
 
 @settings(max_examples=80, deadline=None)
 @given(families())
-def test_tuple_ends_match_per_candidate_maxima(family):
-    k, options = family
-    rows, sums = _kernels.family_walk(rule_graph(family_rules(k, options), options, (1, 1, 1)))
-    assert [sums[t] for t in _kernels.tuple_ends(rows)] == ref_rule_sums(k, options)
-
-
-@settings(max_examples=80, deadline=None)
-@given(families())
 # Its tables hold forbidden moves, which gain nothing.
 @example((3, search._user_options(3, 2, 1)))
 def test_layer_moves_match_the_reference_fold(family):
@@ -949,7 +941,7 @@ def test_search_winner_is_the_first_maximizer_at_its_index(family):
     for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
         result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
         assert result.candidates == search.count_associations(k, nc, w) == len(sums)
-        # The listed rows (tuple_ends) are the reference sums too.
+        # The rows read off the graph (family_texts) are the reference sums too.
         assert [(dl, ul) for _index, dl, ul in result.rows] == sums
         keys = [dl_weight * dl + ul_weight * ul for dl, ul in sums]
         assert result.best_index == keys.index(max(keys))
@@ -1147,19 +1139,30 @@ def ref_rule_sums(k, options):
 @given(families())
 # Forbidden moves from states other than idle.
 @example((3, search._user_options(3, 1, 1)))
-def test_tuple_walk_matches_the_listing(family):
+def test_text_pass_and_rows_match_the_listing(family):
     k, options = family
-    rows, sums = _kernels.family_walk(rule_graph(family_rules(k, options), options, (1, 1, 1)))
-    # Each candidate's last tuple, read off the rows digit by digit.
-    finals = []
-    for digits in itertools.product(*(range(len(opts)) for opts in options)):
-        [t] = rows[0]  # the start tuple
-        for depth, o in enumerate(digits):
-            t = rows[depth][t][o]
-        finals.append(t)
-    assert _kernels.tuple_ends(rows) == finals
-    assert set(finals) == set(sums)
-    assert [sums[t] for t in finals] == ref_rule_sums(k, options)
+    expected = ref_rule_sums(k, options)
+    text = "%d,%d,%d;".__mod__
+    texts = list(map(text, expected))
+    graph = rule_graph(family_rules(k, options), options, (1, 1, 1))
+    # At every depth, one piece per prefix in enumeration order: the
+    # texts of its subtree's candidates, joined in enumeration order.
+    for depth in range(k + 1):
+        size = math.prod(map(len, options[depth:]))
+        pieces = list(_kernels.family_texts(graph, text, depth))
+        assert pieces == ["".join(texts[i : i + size]) for i in range(0, len(texts), size)]
+    # A search's rows over the (dl, ul) graph, read whole, by index and by slice.
+    reference = [(i, dl, ul) for i, (dl, ul, _chain) in enumerate(expected)]
+    rows = search._Rows(rule_graph(family_rules(k, options)[:2], options, (1, 1)), len(expected))
+    assert list(rows) == reference
+    n = len(reference)
+    assert [rows[i] for i in range(-n, n)] == reference + reference
+    for part in (slice(None), slice(None, None, -1), slice(1, None, 2), slice(-3, None),
+                 slice(2, -1, 3), slice(n, None), slice(-n - 5, n + 5)):
+        assert rows[part] == tuple(reference[part]), part
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
 
 
 @settings(max_examples=100, deadline=None)

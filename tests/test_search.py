@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,18 @@ def test_collect_rows():
     assert list(r.rows) == list(r.rows[:]) == [r.rows[i] for i in range(36)]
 
 
+def test_iterating_rows_lists_no_candidate():
+    # 147,456 candidates: one 8-byte reference per candidate would take 1.2 MB.
+    rows = exhaustive_search(9, 1, 1, cap=200_000, collect_rows=True).rows
+    tracemalloc.start()
+    try:
+        count = sum(1 for _row in rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(rows) == 147_456 and peak < 500_000, peak
+
+
 def test_cap_refuses_large_runs():
     with pytest.raises(BudgetExceededError):
         exhaustive_search(6, 2, 1, cap=1000)
@@ -232,13 +245,12 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
         raise AssertionError("the family was listed")
 
     # Neither the family graph that every pass reads, the max-plus pass
-    # (JSON and CSV search), the count pass (sweeps), the family walk (CSV
-    # rows) nor the listing of its last tuples (CSV rows) may start.
+    # (JSON and CSV search), the count pass (sweeps) nor the text pass
+    # (CSV rows) may start.
     monkeypatch.setattr(search, "family_graph", never)
     monkeypatch.setattr(search, "family_best", never)
     monkeypatch.setattr(search, "family_above", never)
-    monkeypatch.setattr(search, "family_walk", never)
-    monkeypatch.setattr(search, "tuple_ends", never)
+    monkeypatch.setattr(search, "family_texts", never)
     assert count_associations(12, 2, 1) == 4_519_603_984 > search.MAX_CANDIDATES
     ceiling = f"more than {search.MAX_CANDIDATES} candidates, the most any search lists"
     for cap in (search.MAX_CANDIDATES + 1, 10**10, 10**100):
@@ -258,12 +270,13 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
 
 def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
     listed, passes = [], []
-    real = search.tuple_ends
+    real = search.family_texts
 
-    def listing(rows):
-        ends = real(rows)
-        listed.append((len(rows), len(ends)))  # (depth listed, tuples listed)
-        return ends
+    def listing(graph, text, depth):
+        listed.append([depth, 0])  # (depth listed, prefixes yielded so far)
+        for piece in real(graph, text, depth):
+            listed[-1][1] += 1
+            yield piece
 
     def counted(name):
         wrapped = getattr(search, name)
@@ -272,9 +285,9 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
     def never(*_args):
         raise AssertionError("a sweep built an association")
 
-    monkeypatch.setattr(search, "tuple_ends", listing)
-    monkeypatch.setattr(cli, "tuple_ends", listing)
-    for name in ("family_best", "family_walk", "family_above"):
+    monkeypatch.setattr(search, "family_texts", listing)
+    monkeypatch.setattr(cli, "family_texts", listing)
+    for name in ("family_best", "family_above"):
         counted(name)
     part = search.rule_part
 
@@ -284,35 +297,36 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
 
     # (depth d, prefixes listed) of a CLI CSV search: 196 prefixes of 196
     # rows each, and 225 of 225; (2, 1, 1) has 9 rows, one subtree at d = 0.
-    prefixes = {(6, 2, 1): (3, 196), (4, 3, 3): (2, 225), (2, 1, 1): None}
+    prefixes = {(6, 2, 1): [3, 196], (4, 3, 3): [2, 225], (2, 1, 1): [0, 1]}
     for family, expected in prefixes.items():
         k = family[0]
         for objective in ("avg", "ul", "dl"):
             # A JSON winner comes from the max-plus pass alone.
             json_result = exhaustive_search(*family, objective)
             assert listed == [] and passes == ["family_best"]
-            # CSV rows walk the family; their winner comes from the same pass.
+            # CSV rows read the same graph; their winner comes from the same pass.
             csv_result = exhaustive_search(*family, objective, collect_rows=True)
             assert csv_result == json_result and len(csv_result.rows) == csv_result.candidates
-            assert passes == ["family_best", "family_best", "family_walk"]
-            # They list every candidate's last pair on the first row read, once.
-            assert listed == []
+            assert passes == ["family_best", "family_best"]
+            # A row read by index lists nothing; iteration yields one prefix per candidate.
             assert csv_result.rows[-1][0] == csv_result.candidates - 1
             assert csv_result.rows[0][0] == 0
-            assert listed == [(k, csv_result.candidates)]
+            assert listed == []
+            assert sum(1 for _row in csv_result.rows) == csv_result.candidates
+            assert listed == [[k, csv_result.candidates]]
             listed.clear()
             passes.clear()
-            # The CLI reads the rows whole and lists only the depth-d prefixes.
+            # The CLI yields only the depth-d prefixes' subtree texts.
             argv = ["search", "--k", str(k), "--nc", str(family[1]), "--window", str(family[2])]
             assert cli.main(argv + ["--objective", objective, "--format", "csv",
                                     "--out", str(tmp_path / "rows.csv")]) == 0
-            assert passes == ["family_best", "family_walk"]
-            assert listed == ([expected] if expected else [])
-            if expected:
-                depth, count = expected
-                size = csv_result.candidates // count
-                assert depth < k and size * count == csv_result.candidates
-                assert size <= cli._CSV_BLOCK_ROWS < size * len(search._user_options(*family)[depth - 1])
+            assert passes == ["family_best"]
+            assert listed == [expected]
+            depth, count = expected
+            size = csv_result.candidates // count
+            assert depth < k and size * count == csv_result.candidates
+            counts = [len(opts) for opts in search._user_options(*family)]
+            assert size <= cli._CSV_BLOCK_ROWS < size * ([math.inf] + counts)[depth]  # the shallowest d
             listed.clear()
             passes.clear()
         # A sweep runs one count pass per certificate, three at nc >= 2.
