@@ -417,13 +417,19 @@ def family_texts(graph, text, depth):
     prefix sums), so it is built once per distinct key from the graph's
     rows (afters, part_gains), in a memo (_Texts) that lives as long as
     the iterator.  The choices are expanded in C iterators, one level per
-    user, and the joins recurse below them, so the pass nests at most
-    len(users) + 1 deep.
+    user, each distinct key's keys after it listed once, and the joins
+    recurse below them, so the pass nests at most len(users) + 1 deep.
     """
-    texts = _Texts(graph, text)
+    texts, children = _Texts(graph, text), {}
+
+    def after(key):
+        if key not in children:
+            children[key] = tuple(texts.after(key))
+        return children[key]
+
     keys = [(0, graph[0], (0,) * len(graph[0]))]
     for _ in range(depth):
-        keys = chain.from_iterable(map(texts.after, keys))
+        keys = chain.from_iterable(map(after, keys))
     return map(texts.__getitem__, keys)
 
 

@@ -282,23 +282,25 @@ def _load_assoc(path: str) -> CellAssociation:
     return assoc
 
 
+# --type names -> (plan builder, the nc the type fixes or None), in the
+# parser's order.  Each builder looks its function up when called, so a
+# wrapper put on the module's name (perfbench/tracing.py) sees the call.
+_SCHEME_TYPES = {
+    "avg": (lambda k, nc, seeds: avg_optimal(k, nc, seeds=seeds), None),
+    "downlink": (lambda k, nc, seeds: downlink_optimal(k, nc, seeds=seeds), None),
+    "pair": (lambda k, nc, seeds: avg_optimal(k, nc, seeds=seeds), 2),
+    "ncone": (lambda k, nc, seeds: avg_optimal(k, nc, seeds=seeds), 1),
+}
+
+
 def _cmd_scheme(args) -> int:
-    seeds = _seeds(args)
-    kind = args.type
-    if kind == "pair":
-        if args.nc not in (None, 2):
-            raise ValidationError("--type pair fixes nc = 2")
-        plan = avg_optimal(args.k, 2, seeds=seeds)
-    elif kind == "ncone":
-        if args.nc not in (None, 1):
-            raise ValidationError("--type ncone fixes nc = 1")
-        plan = avg_optimal(args.k, 1, seeds=seeds)
-    else:
-        if args.nc is None:
-            raise ValidationError(f"--type {kind} requires --nc")
-        builder = avg_optimal if kind == "avg" else downlink_optimal
-        plan = builder(args.k, args.nc, seeds=seeds)
-    _emit_json(plan.to_json(), args.out)
+    builder, fixed = _SCHEME_TYPES[args.type]
+    nc = args.nc if fixed is None else fixed
+    if nc is None:
+        raise ValidationError(f"--type {args.type} requires --nc")
+    if args.nc not in (None, nc):
+        raise ValidationError(f"--type {args.type} fixes nc = {nc}")
+    _emit_json(builder(args.k, nc, _seeds(args)).to_json(), args.out)
     return 0
 
 
@@ -344,10 +346,8 @@ def _cmd_search(args) -> int:
     if "k" not in given or "nc" not in given:
         raise ValidationError("search needs k and nc (flags or --config)")
 
-    want_csv = args.format == "csv"
-    result = exhaustive_search(given.pop("k"), given.pop("nc"), **given, collect_rows=want_csv)
-
-    if want_csv:
+    result = exhaustive_search(given.pop("k"), given.pop("nc"), **given)
+    if args.format == "csv":
         _emit(_csv_chunks(result), args.out)
     else:
         _emit_json(result.to_json(), args.out)
@@ -441,7 +441,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument(
         "--type",
         required=True,
-        choices=("avg", "downlink", "pair", "ncone"),
+        choices=tuple(_SCHEME_TYPES),
         help="scheme family",
     )
     p.add_argument(

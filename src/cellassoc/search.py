@@ -18,13 +18,13 @@ from the mixed-radix digits of that index (_decode), so a search lists
 no candidate to find it.  No channel value is drawn per candidate; the
 winner alone becomes an association and gets a zero-forcing witness and
 a decoding order from max_downlink_dof and max_uplink_dof, which must
-reproduce the search value.  Collected rows (search --format csv) are
-read off the same graph (_Rows): iterating them runs the text pass
-_kernels.family_texts down to the last user, yielding each candidate's
-(dl, ul) sums lazily, and a row read by index adds up the gains along the
-classes that its index decodes to.  The CLI's CSV writer runs the same
-pass to a shallower depth with each row's text, so neither lists a
-candidate.
+reproduce the search value.  Every search carries its rows (search
+--format csv), read off the same graph (_Rows) only when they are read:
+iterating them runs the text pass _kernels.family_texts down to the last
+user, yielding each candidate's (dl, ul) sums lazily, and a row read by
+index adds up the gains along the classes that its index decodes to.
+The CLI's CSV writer runs the same pass to a shallower depth with each
+row's text, so neither lists a candidate.
 
 A soundness sweep runs one (max, count) pass of _kernels (family_above)
 per certificate, each on two parts: the chain bound on the uplink and
@@ -44,10 +44,12 @@ bounds.KIND_*.
 
 Both entry points count the family (_family_size) before listing any
 option and refuse one with more than cap candidates, or more than
-MAX_CANDIDATES whatever the cap, which they can tell after at most
-log2(min(cap, MAX_CANDIDATES)) + 1 users since every user has at least
-two options.  count_associations uses the same count and refuses a
-family of more than 2**MAX_COUNT_BITS candidates, and
+MAX_CANDIDATES whatever the cap.  Every user has at least two options,
+so a line with at least as many users as min(cap, MAX_CANDIDATES) has
+bits is refused before any user is counted, and otherwise the count
+stops as soon as the users counted, with two options for each user still
+to come, pass the limit.  count_associations uses the same count and
+refuses a family of more than 2**MAX_COUNT_BITS candidates, and
 enumerate_associations refuses the same families when it is called.
 
 Periodic evaluation instantiates a repeating pattern at three sizes and
@@ -108,9 +110,10 @@ MAX_CANDIDATES = 10**7
 
 # Largest count count_associations works out, in bits (about 19,700
 # decimal digits).  Every user has at least two choices, so a line of more
-# users is refused at once.  The count of 6000 users at (nc, window) =
-# (3, 3) takes about 36,000 bits, and no count or refusal takes more than
-# about 0.3 s on a 2-vCPU VM.
+# users is refused before any user is counted.  The count of 6000 users at
+# (nc, window) = (3, 3) takes about 36,000 bits.  The users are counted one
+# by one, and no count or refusal takes more than about 0.35 s on a 2-vCPU
+# VM: the slowest is near k = 32,500 with nc and window of 10**12.
 MAX_COUNT_BITS = 2**16
 
 _OBJECTIVES = {
@@ -149,35 +152,25 @@ def _family_size(k: int, nc: int, w: int, limit: int) -> Optional[int]:
 
     User i sees n = min(k, i + w) - max(1, i - w) + 1 base stations and
     has the sum of comb(n, r) over r <= nc choices, at least two, each term
-    worked out from the one before.  The users w+1..k-w all see 2w + 1, so
-    they are counted once and raised to their number with one pow; the
-    others are counted one by one from both ends of the line.  A count
-    that, times the count so far and two for every user still to come,
-    reaches 2**limit.bit_length() ends the count, so a refusal comes after
-    at most log2(limit) + 1 users and no product formed has more than
-    about twice the bits of limit.
+    worked out from the one before.  With bits = limit.bit_length(), a line
+    of bits users or more has at least 2**bits > limit candidates and is
+    refused before anything is counted.  Otherwise the users are counted
+    one by one, and a partial count that, times the count so far and two
+    for every user still to come, reaches 2**bits ends the count, so no
+    product formed has more than bits + 1 bits.
     """
-    bits = limit.bit_length()
-    inner = max(0, k - 2 * w)
-    ends = itertools.chain(range(1, min(w, k) + 1), range(max(w, k - w) + 1, k + 1))
-    groups = itertools.chain(
-        ((min(k, i + w) - max(1, i - w) + 1, 1) for i in ends),
-        [(2 * w + 1, inner)] if inner else [],
-    )
-    later, total = k, 1
-    for n, times in groups:
-        later -= times
-        room = bits - later - times - total.bit_length() + 2
+    bits, total = limit.bit_length(), 1
+    if k >= bits:
+        return None
+    for i in range(1, k + 1):
+        n = min(k, i + w) - max(1, i - w) + 1
         count, term = 0, 1
         for r in range(min(nc, n) + 1):
             count += term
-            if count.bit_length() > room:
+            if count.bit_length() + total.bit_length() + (k - i) - 2 >= bits:
                 return None
             term = term * (n - r) // (r + 1)
-        # count**times is at least 2**((count.bit_length() - 1) * times).
-        if (count.bit_length() - 1) * times + total.bit_length() > bits:
-            return None
-        total *= count**times
+        total *= count
     return total if total <= limit else None
 
 
@@ -299,7 +292,8 @@ class SearchResult(Record):
     dl: DlEvaluation
     ul: UlEvaluation
     bound: BoundCertificate
-    # A function of (k, nc, window), so it takes no part in comparisons.
+    # Every search sets it, None on a record built by hand.  A function of
+    # (k, nc, window), so it takes no part in comparisons.
     rows: Optional[Sequence] = None
     _uncompared = ("rows",)
     __hash__ = None  # its downlink witness holds a dict
@@ -354,17 +348,16 @@ def exhaustive_search(
     *,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     cap: int = DEFAULT_CAP,
-    collect_rows: bool = False,
 ) -> SearchResult:
     """Evaluate every windowed association and return the best one.
 
-    Both sessions are evaluated for every candidate regardless of the
-    objective, so collected rows always carry (index, dl, ul); when
-    collect_rows is set they are a read-only sequence over the search's
-    family graph that lists no candidate (_Rows), and the winner comes
-    from the max-plus pass (_kernels.family_best) either way.  Refuses to
-    start when the candidate count exceeds cap or MAX_CANDIDATES.  The
-    seeds (model.check_seeds) only draw the channels of the winner's
+    The winner comes from the max-plus pass (_kernels.family_best).  Both
+    sessions are evaluated for every candidate regardless of the
+    objective, so the result's rows carry (index, dl, ul): a read-only
+    sequence over the search's family graph (_Rows) that lists nothing
+    until it is read, and no candidate then.  Refuses to start when the
+    candidate count exceeds cap or MAX_CANDIDATES.  The seeds
+    (model.check_seeds) only draw the channels of the winner's
     zero-forcing witness.
     """
     objective = _normalize_objective(objective)
@@ -397,7 +390,7 @@ def exhaustive_search(
         dl=dl_ev,
         ul=ul_ev,
         bound=ISSUERS[KIND_COUNTING](best_assoc),
-        rows=_Rows(graph, total) if collect_rows else None,
+        rows=_Rows(graph, total),
     )
 
 

@@ -372,7 +372,7 @@ MUTANTS = [
         "text pass memo key drops the prefix's sums",
         (_pure, "_Texts"),
         _TextsByDepthAndNode,
-        WALK,  # the CSV test's reference rows come from the same pass
+        CSV_TEXT + WALK,
     ),
     (
         "int-list writer uses the outer separator inside each list",

@@ -939,7 +939,7 @@ def test_search_winner_is_the_first_maximizer_at_its_index(family):
     sums = [(dl, ul) for _combo, dl, ul in ref_session_sums(k, search._user_options(k, nc, w))]
     listed = list(search.enumerate_associations(k, nc, w))
     for objective, (dl_weight, ul_weight) in OBJECTIVE_WEIGHTS.items():
-        result = search.exhaustive_search(k, nc, w, objective, collect_rows=True)
+        result = search.exhaustive_search(k, nc, w, objective)
         assert result.candidates == search.count_associations(k, nc, w) == len(sums)
         # The rows read off the graph (family_texts) are the reference sums too.
         assert [(dl, ul) for _index, dl, ul in result.rows] == sums
@@ -954,7 +954,7 @@ def test_search_rows_index_like_the_reference_list():
         _combos, dls, uls = zip(*ref_session_sums(k, options))
         n = len(dls)
         expected = list(zip(range(n), dls, uls))
-        rows = search.exhaustive_search(k, nc, w, collect_rows=True).rows
+        rows = search.exhaustive_search(k, nc, w).rows
         assert len(rows) == n and list(rows) == expected
         assert rows[-1] == expected[-1] and rows[-n] == expected[0]
         assert rows[2:7] == tuple(expected[2:7])

@@ -203,8 +203,8 @@ def test_paper_claims_and_closed_forms_hold_far_past_the_enumeration():
                 assert total == 2 * _counting_value(k, nc) - short, (k, nc)
 
 
-def test_collect_rows():
-    r = exhaustive_search(3, 1, 1, objective="avg", collect_rows=True)
+def test_search_rows():
+    r = exhaustive_search(3, 1, 1, objective="avg")
     assert r.rows is not None and len(r.rows) == 36
     assert r.rows[0] == (0, 0, 0)
     assert r.rows[5] == (5, 2, 2)
@@ -216,7 +216,7 @@ def test_collect_rows():
 
 def test_iterating_rows_lists_no_candidate():
     # 147,456 candidates: one 8-byte reference per candidate would take 1.2 MB.
-    rows = exhaustive_search(9, 1, 1, cap=200_000, collect_rows=True).rows
+    rows = exhaustive_search(9, 1, 1, cap=200_000).rows
     tracemalloc.start()
     try:
         count = sum(1 for _row in rows)
@@ -260,8 +260,6 @@ def test_ceiling_refuses_huge_families_whatever_the_cap(monkeypatch):
     # At or below the ceiling the cap itself refuses, as before.
     with pytest.raises(BudgetExceededError, match=r"more than 10000000 candidates \(the cap\)"):
         exhaustive_search(12, 2, 1, cap=search.MAX_CANDIDATES)
-    with pytest.raises(BudgetExceededError, match=ceiling):
-        exhaustive_search(12, 2, 1, cap=10**10, collect_rows=True)
     monkeypatch.undo()
     # A cap above the ceiling still runs a family below it.
     assert exhaustive_search(4, 2, 1, cap=10**10).candidates == 784
@@ -301,19 +299,16 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
     for family, expected in prefixes.items():
         k = family[0]
         for objective in ("avg", "ul", "dl"):
-            # A JSON winner comes from the max-plus pass alone.
-            json_result = exhaustive_search(*family, objective)
+            # A JSON search runs family_best alone; its rows read the same graph.
+            result = exhaustive_search(*family, objective)
             assert listed == [] and passes == ["family_best"]
-            # CSV rows read the same graph; their winner comes from the same pass.
-            csv_result = exhaustive_search(*family, objective, collect_rows=True)
-            assert csv_result == json_result and len(csv_result.rows) == csv_result.candidates
-            assert passes == ["family_best", "family_best"]
+            assert len(result.rows) == result.candidates
             # A row read by index lists nothing; iteration yields one prefix per candidate.
-            assert csv_result.rows[-1][0] == csv_result.candidates - 1
-            assert csv_result.rows[0][0] == 0
+            assert result.rows[-1][0] == result.candidates - 1
+            assert result.rows[0][0] == 0
             assert listed == []
-            assert sum(1 for _row in csv_result.rows) == csv_result.candidates
-            assert listed == [[k, csv_result.candidates]]
+            assert sum(1 for _row in result.rows) == result.candidates
+            assert listed == [[k, result.candidates]]
             listed.clear()
             passes.clear()
             # The CLI yields only the depth-d prefixes' subtree texts.
@@ -323,8 +318,8 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
             assert passes == ["family_best"]
             assert listed == [expected]
             depth, count = expected
-            size = csv_result.candidates // count
-            assert depth < k and size * count == csv_result.candidates
+            size = result.candidates // count
+            assert depth < k and size * count == result.candidates
             counts = [len(opts) for opts in search._user_options(*family)]
             assert size <= cli._CSV_BLOCK_ROWS < size * ([math.inf] + counts)[depth]  # the shallowest d
             listed.clear()
