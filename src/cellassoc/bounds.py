@@ -51,7 +51,6 @@ from .model import (
     bool_from_json,
     check_int,
     frac_from_str,
-    frac_to_str,
     int_from_json,
     ints_from_json,
     shown,
@@ -82,27 +81,12 @@ class BoundCertificate(Record):
     k: int
     nc: int
     assumptions: tuple[str, ...] = ()
+    _json_extras = ("per_user",)
 
     @property
     def per_user(self) -> Fraction:
         """The bound per user, value / k."""
         return self.value / self.k
-
-    def to_json(self) -> dict:
-        flagged: list
-        if self.kind == KIND_CHAIN:
-            flagged = list(self.flagged)
-        else:
-            flagged = [f.to_json() for f in self.flagged]
-        return {
-            "kind": self.kind,
-            "flagged": flagged,
-            "value": frac_to_str(self.value),
-            "k": self.k,
-            "nc": self.nc,
-            "per_user": frac_to_str(self.per_user),
-            "assumptions": list(self.assumptions),
-        }
 
     @classmethod
     def from_json(cls, data: object) -> "BoundCertificate":

@@ -105,17 +105,10 @@ class DlEvaluation(Record):
     active_users: frozenset[int]
     witness: Optional[ZfWitness]
     seeds: tuple[int, ...]
+    exact = True
+    disagreements = 0
+    _json_extras = ("exact", "disagreements")
     __hash__ = None  # its witness holds a dict
-
-    def to_json(self) -> dict:
-        return {
-            "sum_dof": self.sum_dof,
-            "active_users": sorted(self.active_users),
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "seeds": list(self.seeds),
-            "exact": True,
-            "disagreements": 0,
-        }
 
 
 def strip_silent(assoc: CellAssociation, silent_bs) -> CellAssociation:

@@ -20,7 +20,8 @@ Every result and input type of the package (associations, draws,
 witnesses, evaluations, certificates, plans, reports) is a frozen
 record: a subclass of Record, which lists its fields as annotations and
 shares one set of methods, so defining a record type costs no generated
-code at import.
+code at import.  One of them, to_json, writes every record whose JSON is
+its fields by one rule (_json_value).
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class Record:
     deletion.  Two records are equal when they are of the same class and
     their fields are equal, leaving out the names in the class's
     _uncompared; hash follows ==, and a class that sets __hash__ = None
-    stays unhashable.  repr writes Class(field=value, ...).
+    stays unhashable.  repr writes Class(field=value, ...).  to_json maps
+    each field, then each name in the class's _json_extras (a class
+    constant or a property), to its value through _json_value.
 
     Defining a subclass generates no code: __init_subclass__ only reads
     its field names, defaults and __post_init__ once.  The keyword dict
@@ -65,6 +68,7 @@ class Record:
     """
 
     _uncompared = ()
+    _json_extras = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -72,6 +76,7 @@ class Record:
         cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         cls._post_init = getattr(cls, "__post_init__", None)
+        cls._json_names = cls._fields + cls._json_extras
 
     def __init__(self, *args: object, **values: object) -> None:
         if args:
@@ -107,6 +112,31 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_json(self) -> dict:
+        return {name: _json_value(getattr(self, name)) for name in self._json_names}
+
+
+def _json_value(value: object) -> object:
+    """A record's value as JSON data: the one rule of Record.to_json.
+
+    A record is written by its own to_json, a Fraction by frac_to_str, a
+    frozenset as its sorted list, a tuple as the list of its converted
+    members and a dict with its values converted; any other value is its
+    own JSON.  Fraction is matched by its exact class: an isinstance
+    check against it, an abstract base class, costs several plain ones.
+    """
+    if isinstance(value, Record):
+        return value.to_json()
+    if type(value) is Fraction:
+        return frac_to_str(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(map(_json_value, value))
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
 
 
 def shown(value: object, before: str, after: str = "") -> str:

@@ -60,7 +60,6 @@ from .model import (
     check_ints,
     check_seeds,
     frac_from_str,
-    frac_to_str,
     ints_from_json,
     shown,
 )
@@ -84,16 +83,6 @@ class SchemePlan(Record):
     ul_active_users: frozenset[int]
     claimed_dl_dof: Fraction
     claimed_ul_dof: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "assoc": self.assoc.to_json(),
-            "dl_active_users": sorted(self.dl_active_users),
-            "dl_silent_bs": sorted(self.dl_silent_bs),
-            "ul_active_users": sorted(self.ul_active_users),
-            "claimed_dl_dof": frac_to_str(self.claimed_dl_dof),
-            "claimed_ul_dof": frac_to_str(self.claimed_ul_dof),
-        }
 
     @classmethod
     def from_json(cls, data: object) -> "SchemePlan":

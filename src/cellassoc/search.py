@@ -403,22 +403,12 @@ class SweepReport(Record):
     total: int
     violations: tuple
     tight: dict
+    _json_extras = ("sound",)
     __hash__ = None  # it holds a dict
 
     @property
     def sound(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "nc": self.nc,
-            "window": self.window,
-            "total": self.total,
-            "sound": self.sound,
-            "violations": list(self.violations),
-            "tight": dict(self.tight),
-        }
 
 
 def soundness_sweep(
@@ -507,9 +497,6 @@ class PeriodicPattern(Record):
             cells.append(cell)
         return association(k, nc, cells)
 
-    def to_json(self) -> dict:
-        return {"period": self.period, "offsets": [list(o) for o in self.offsets]}
-
 
 class PeriodicReport(Record):
     """Three-point extrapolation of a periodic pattern's session sums."""
@@ -524,22 +511,8 @@ class PeriodicReport(Record):
     dl_per_user: Optional[Fraction]
     ul_per_user: Optional[Fraction]
     avg_per_user: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        opt = lambda v: None if v is None else frac_to_str(v)
-        return {
-            "pattern": self.pattern.to_json(),
-            "nc": self.nc,
-            "ks": list(self.ks),
-            "dl_sums": list(self.dl_sums),
-            "ul_sums": list(self.ul_sums),
-            "dl_affine": self.dl_affine,
-            "ul_affine": self.ul_affine,
-            "dl_per_user": opt(self.dl_per_user),
-            "ul_per_user": opt(self.ul_per_user),
-            "avg_per_user": opt(self.avg_per_user),
-            "disagreements": 0,
-        }
+    disagreements = 0
+    _json_extras = ("disagreements",)
 
 
 def periodic_eval(
@@ -615,17 +588,6 @@ class TheoremComparison(Record):
     observed: Optional[Fraction]
     gap: Optional[Fraction]
 
-    def to_json(self) -> dict:
-        opt = lambda v: None if v is None else frac_to_str(v)
-        return {
-            "nc": self.nc,
-            "tau": frac_to_str(self.tau),
-            "tau_downlink": frac_to_str(self.tau_downlink),
-            "relation_holds": self.relation_holds,
-            "observed": opt(self.observed),
-            "gap": opt(self.gap),
-        }
-
 
 def compare_with_theorem(
     nc: int, observed: Optional[Fraction] = None
@@ -635,14 +597,18 @@ def compare_with_theorem(
     For nc >= 2 the average target satisfies
     tau(nc) = (1 + tau_downlink(nc - 1)) / 2; relation_holds records that
     check.  An observed per-user value (e.g. from a search or a periodic
-    probe) is reported alongside with its gap to tau(nc).
+    probe) is reported alongside with its gap to tau(nc), both stored as
+    Fractions so that to_json writes them as "p/q"; a float observed is
+    the rational it holds, and its gap the float tau(nc) - observed.
     """
     t = tau(nc)
     td = tau_downlink(nc)
     relation = None
     if nc >= 2:
         relation = t == (1 + tau_downlink(nc - 1)) / 2
-    gap = None if observed is None else t - observed
+    gap = None
+    if observed is not None:
+        gap, observed = Fraction(t - observed), Fraction(observed)
     return TheoremComparison(
         nc=nc,
         tau=t,

@@ -66,14 +66,8 @@ class UlEvaluation(Record):
     sum_dof: int
     active_users: frozenset[int]
     order: Optional[DecodingOrder]
-
-    def to_json(self) -> dict:
-        return {
-            "sum_dof": self.sum_dof,
-            "active_users": sorted(self.active_users),
-            "order": None if self.order is None else self.order.to_json(),
-            "exact": True,
-        }
+    exact = True
+    _json_extras = ("exact",)
 
 
 def prune(assoc: CellAssociation) -> CellAssociation:

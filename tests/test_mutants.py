@@ -375,6 +375,18 @@ MUTANTS = [
         CSV_TEXT + WALK,
     ),
     (
+        "record JSON leaves a nested record as it is",
+        (model, "_json_value"),
+        _edited(model._json_value, "isinstance(value, Record)", "False"),
+        ["test_json_records::test_record_json", "test_json_records::test_periodic_reports"],
+    ),
+    (
+        "record JSON writes a frozenset in its own order",
+        (model, "_json_value"),
+        _edited(model._json_value, "return sorted(value)", "return list(value)"),
+        ["test_json_records::test_record_json"],
+    ),
+    (
         "int-list writer uses the outer separator inside each list",
         (cli, "_json_texts"),
         _edited(cli._json_texts, 'item = "%d," + inner', 'item = "%d," + newline'),
