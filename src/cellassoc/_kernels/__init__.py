@@ -13,9 +13,11 @@ runs over them: a greedy pass that maximizes a session, or the chain
 bound, exactly at every k in O(k) for a fixed budget; a count-free
 reachability pass that decides whether one active set is feasible, the
 reference the tests check the greedy pass against; and, over a family of
-associations, one graph (`family_graph`) whose nodes are the tuples of
-the states of its parts, which carry no count (`rule_part` makes a rule
-a part), with three passes over it.  `family_best` is a max-plus pass
+associations, one graph (`family_graph`) of exactly two parts, whose
+nodes are the pairs of the parts' states, which carry no count
+(`rule_part` makes a rule a part, and `part_steps` lists a part's step
+of every option, once for all the graphs that share it), with three
+passes over it.  `family_best` is a max-plus pass
 that returns the first association of the best weighted sum of gains,
 `family_above` a (max, count) pass that counts the associations at a
 bound and lists those above it, and `family_texts` a concatenation pass
@@ -38,6 +40,7 @@ from ._pure import (
     family_best,
     family_graph,
     family_texts,
+    part_steps,
     rule_part,
     ul_max_active,
     ul_set_feasible,

@@ -89,15 +89,21 @@ fixed activity leads to, kept apart from the maximizer as the reference
 the tests compare it against.
 
 Every question about a family of associations, which offers each user a
-list of options, is a pass over one graph, `family_graph`.  A part is
-(start, moves, step), a line rule becoming one with a gain of 1 when it
-takes the user (`rule_part`), and a node is the tuple of the parts'
-states, which hold no count.  An association's path through the graph
-is each rule's greedy pass over it, so its sums of gains are the rules'
-maxima, by the argument above.  Options with the same steps make one
-class, and a move, memoized per (node, column of classes), serves every
-user with that column, so the graph's width is the number of distinct
-state tuples, a few dozen at window nc <= 4 whatever k is.  Three passes
+list of options, is a pass over one graph, `family_graph`, of exactly
+two parts: every question pairs two rules (a search the two sessions, a
+sweep's certificate a session and its bound).  A part is (start, moves,
+step), a line rule becoming one with a gain of 1 when it takes the user
+(`rule_part`); its caller lists each part's step of every option once
+(`part_steps`), so graphs that share a part share its listing; and a
+node is the pair of the parts' states, which hold no count.  An
+association's path through the graph is each rule's greedy pass over
+it, so its sums of gains are the rules' maxima, by the argument above.
+Options with the same pair of steps make one class, and a move,
+memoized per (node, column of classes), serves every user with that
+column, so the graph's width is the number of distinct state pairs, a
+few dozen at window nc <= 4 whatever k is.  A row is built from the two
+parts' moves, each memoized per (state, column), and a text key's sums
+are the prefix's two sums plus the two gains.  Three passes
 of Mohri's semiring framework ("Semiring frameworks and algorithms for
 shortest-distance problems", 2002) read it.  A search's winner comes
 from the max-plus pass, `family_best`: a backward pass gives the best
@@ -118,7 +124,7 @@ not with the candidates.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from itertools import chain
 from math import inf
 from operator import add
@@ -247,50 +253,58 @@ def rule_part(rule):
     return start, moves, step
 
 
-def family_graph(parts, options, weights):
-    """(start, users, rows, last): the node graph of a family, built forward.
+def part_steps(part, options):
+    """Each user's steps of part, one per option: [[step(m, cell) for cell in options[m-1]], ...]."""
+    step = part[2]
+    return [[step(m, cell) for cell in opts] for m, opts in enumerate(options, 1)]
 
-    parts hold one (start, moves, step) per component (see rule_part) and
-    weights one integer per part; a node is the tuple of the parts'
-    states.  Options with the same steps make one class: users[d][o] is
-    the class of option o of user d+1, numbered by first option.  A
-    move reads no position, so it is memoized per (node, column of
-    classes), users with equal columns sharing it: rows[d] maps each node
-    that some prefix of options for users 1..d reaches to (afters,
-    gains, part_gains), one entry per class of user d+1, where gains are
-    weighted sums of part_gains[p], part p's gains.  last is the set of
-    nodes after the last user.
+
+def family_graph(parts, steps, weights):
+    """(start, users, rows, last): the node graph of a family of two parts, built forward.
+
+    parts hold the two parts' (start, moves, step) (see rule_part), steps
+    their steps of every option (see part_steps) and weights one integer
+    per part; a node is the pair of the parts' states.  Options with the
+    same pair of steps make one class: users[d][o] is the class of option
+    o of user d+1, numbered by first option.  A move reads no position,
+    so it is memoized per (node, column of classes), users with equal
+    columns sharing it: rows[d] maps each node that some prefix of
+    options for users 1..d reaches to (afters, gains, (gains0, gains1)),
+    one entry per class of user d+1, where gains are the weighted sums of
+    gains0 and gains1, the two parts' gains.  last is the set of nodes
+    after the last user.
     """
-    starts, each_moves, steps = zip(*parts)
-    per_part = list(zip(each_moves, weights))
+    (start0, moves0, _step0), (start1, moves1, _step1) = parts
+    weight0, weight1 = weights
     users, columns, ids = [], [], {}
-    for m, opts in enumerate(options, 1):
+    for keys in zip(*steps):  # per user: each part's steps of its options
         first = {}
-        keys = zip(*[[step(m, cell) for cell in opts] for step in steps])  # each option's steps
-        users.append([first.setdefault(key, len(first)) for key in keys])
+        users.append([first.setdefault(key, len(first)) for key in zip(*keys)])
         column = ids.get(key := tuple(first))
-        if column is None:  # per part: its column of steps, its moves per state, the part; the rows
-            column = ids[key] = [(col, {}, *part) for col, part in zip(zip(*first), per_part)], {}
+        if column is None:  # per part: its column of steps and its moves per state; the rows
+            column0, column1 = zip(*first)
+            column = ids[key] = column0, {}, column1, {}, {}
         columns.append(column)
-    rows, here = [], {starts}
-    for tables, memo in columns:
+    rows, here = [], {(start0, start1)}
+    for column0, moved0, column1, moved1, memo in columns:
         row_of = {}
         for node in here:
             row = memo.get(node)
             if row is None:
-                cells = []
-                for (column, moved, moves, w), state in zip(tables, node):
-                    cell = moved.get(state)
-                    if cell is None:  # per class: the state after, the weighted gain, the gain
-                        cell = moved[state] = tuple(zip(*moves(column, state, w)))
-                    cells.append(cell)
-                afters, gains, part_gains = zip(*cells)
-                gains = list(reduce(partial(map, add), gains))  # summed over the parts
-                row = memo[node] = list(zip(*afters)), gains, part_gains
+                state0, state1 = node
+                cell0 = moved0.get(state0)
+                if cell0 is None:  # per class: the state after, the weighted gain, the gain
+                    cell0 = moved0[state0] = tuple(zip(*moves0(column0, state0, weight0)))
+                cell1 = moved1.get(state1)
+                if cell1 is None:
+                    cell1 = moved1[state1] = tuple(zip(*moves1(column1, state1, weight1)))
+                (afters0, weighted0, gains0), (afters1, weighted1, gains1) = cell0, cell1
+                row = memo[node] = (list(zip(afters0, afters1)), list(map(add, weighted0, weighted1)),
+                                    (gains0, gains1))
             row_of[node] = row
         here = set().union(*[afters for afters, _g, _p in row_of.values()])
         rows.append(row_of)
-    return starts, users, rows, here
+    return (start0, start1), users, rows, here
 
 
 def family_best(graph):
@@ -310,13 +324,13 @@ def family_best(graph):
         ahead = togo[-1].__getitem__
         togo.append({node: max(map(add, g, map(ahead, a))) for node, (a, g, _p) in row_of.items()})
     togo.reverse()
-    index, sums = 0, [0] * len(node)
+    index, sum0, sum1 = 0, 0, 0
     for classes, row_of, best, ahead in zip(users, rows, togo, togo[1:]):
-        afters, gains, part_gains = row_of[node]
+        afters, gains, (gains0, gains1) = row_of[node]
         j = list(map(add, gains, map(ahead.__getitem__, afters))).index(best[node])
         index, node = index * len(classes) + classes.index(j), afters[j]
-        sums = [s + g[j] for s, g in zip(sums, part_gains)]
-    return index, tuple(sums)
+        sum0, sum1 = sum0 + gains0[j], sum1 + gains1[j]
+    return index, (sum0, sum1)
 
 
 def family_above(graph, bound):
@@ -352,20 +366,21 @@ def family_above(graph, bound):
         tables.append(table)
     tables.reverse()
     tight, above = 0, []
-    stack = [(0, start, 0, 0, (0,) * len(start))]  # (depth, node, index, weighted sum, sums)
+    stack = [(0, start, 0, 0, (0, 0))]  # (depth, node, index, weighted sum, sums)
     while stack:
         depth, node, index, total, sums = stack.pop()
         if depth == len(rows):
             above.append((index, sums))
             continue
-        afters, gains, part_gains = rows[depth][node]
+        sum0, sum1 = sums
+        afters, gains, (gains0, gains1) = rows[depth][node]
         ahead, children, classes = tables[depth + 1], [], users[depth]
         for o, j in enumerate(classes):
             best, n = ahead[afters[j]]
             value = total + gains[j]
             if value + best > bound:
                 children.append((depth + 1, afters[j], index * len(classes) + o, value,
-                                 tuple(s + g[j] for s, g in zip(sums, part_gains))))
+                                 (sum0 + gains0[j], sum1 + gains1[j])))
             elif value + best == bound:
                 tight += n
         stack.extend(reversed(children))  # the first option's subtree is taken first
@@ -391,9 +406,9 @@ class _Texts(dict):
 
     def after(self, key):
         """The keys after user d+1 of key (d, node, sums), one per option in order."""
-        d, node, sums = key
-        afters, _g, part_gains = self.rows[d][node]
-        per_class = [(d + 1, a, tuple(map(add, sums, g))) for a, g in zip(afters, zip(*part_gains))]
+        d, node, (s0, s1) = key
+        afters, _g, (gains0, gains1) = self.rows[d][node]
+        per_class = [(d + 1, a, (s0 + g0, s1 + g1)) for a, g0, g1 in zip(afters, gains0, gains1)]
         return map(per_class.__getitem__, self.users[d])
 
     def __missing__(self, key):
@@ -415,10 +430,11 @@ def family_texts(graph, text, depth):
     the concatenation pass of Mohri's framework run top-down with
     memoization: a subtree's join depends only on its key (depth, node,
     prefix sums), so it is built once per distinct key from the graph's
-    rows (afters, part_gains), in a memo (_Texts) that lives as long as
-    the iterator.  The choices are expanded in C iterators, one level per
-    user, each distinct key's keys after it listed once, and the joins
-    recurse below them, so the pass nests at most len(users) + 1 deep.
+    rows (afters and the two parts' gains), in a memo (_Texts) that lives
+    as long as the iterator.  The choices are expanded in C iterators, one
+    level per user, each distinct key's keys after it listed once, and the
+    joins recurse below them, so the pass nests at most len(users) + 1
+    deep.
     """
     texts, children = _Texts(graph, text), {}
 
@@ -427,7 +443,7 @@ def family_texts(graph, text, depth):
             children[key] = tuple(texts.after(key))
         return children[key]
 
-    keys = [(0, graph[0], (0,) * len(graph[0]))]
+    keys = [(0, graph[0], (0, 0))]
     for _ in range(depth):
         keys = chain.from_iterable(map(after, keys))
     return map(texts.__getitem__, keys)

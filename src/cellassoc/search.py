@@ -10,12 +10,13 @@ A candidate's two session sums are the sizes of the largest active sets
 the two value-free feasibility rules of _kernels allow, and only those
 sizes are needed.  A search builds the graph of the family over the
 pairs of rule states (_kernels.family_graph), from the two rules, each
-made a part of it (_kernels.rule_part), the family's options and the
-objective's weights (_WEIGHTS).  Its max-plus pass, _kernels.family_best,
-returns the index of the first candidate of the best key, dl * weight +
-ul * weight, and that candidate's (dl, ul) sums.  The winner is decoded
-from the mixed-radix digits of that index (_decode), so a search lists
-no candidate to find it.  No channel value is drawn per candidate; the
+made a part of it (_kernels.rule_part), each part's steps of the
+family's options (_kernels.part_steps) and the objective's weights
+(_WEIGHTS).  Its max-plus pass, _kernels.family_best, returns the index
+of the first candidate of the best key, dl * weight + ul * weight, and
+that candidate's (dl, ul) sums.  The winner is decoded from the
+mixed-radix digits of that index (_decode), so a search lists no
+candidate to find it.  No channel value is drawn per candidate; the
 winner alone becomes an association and gets a zero-forcing witness and
 a decoding order from max_downlink_dof and max_uplink_dof, which must
 reproduce the search value.  Every search carries its rows (search
@@ -27,7 +28,8 @@ The CLI's CSV writer runs the same pass to a shallower depth with each
 row's text, so neither lists a candidate.
 
 A soundness sweep runs one (max, count) pass of _kernels (family_above)
-per certificate, each on two parts: the chain bound on the uplink and
+per certificate, each on a graph of two parts, and lists each part's
+steps once for all its graphs: the chain bound on the uplink and
 chain rules, ul - chain against 0; for nc >= 2, the reconstruction bound
 on the downlink rule and the strict test's spoiled blocks
 (bounds._spoil_part), dl - (newly spoiled blocks) against the value with
@@ -72,6 +74,7 @@ from ._kernels import (
     family_best,
     family_graph,
     family_texts,
+    part_steps,
     rule_part,
 )
 from .bounds import (
@@ -365,7 +368,7 @@ def exhaustive_search(
     seeds = check_seeds(seeds)
 
     parts = rule_part(_dl_rule(k, nc, w)), rule_part(UL_RULE)
-    graph = family_graph(parts, options, _WEIGHTS[objective])
+    graph = family_graph(parts, [part_steps(part, options) for part in parts], _WEIGHTS[objective])
     best_index, sums = family_best(graph)
     best_value = _objective_value(objective, k, *sums)
     best_assoc = association(k, nc, _decode(options, best_index))
@@ -431,19 +434,24 @@ def soundness_sweep(
     """
     w, options, total = _family(k, nc, window, cap)
     check_seeds(seeds)
-    dl, ul = rule_part(_dl_rule(k, nc, w)), rule_part(UL_RULE)
-    # (kind, name, parts, weights, bound): the certificate holds where the
-    # weighted sum of the parts' gains is at most bound.
-    checks = [(KIND_CHAIN, "chain", (ul, rule_part(CHAIN_RULE)), (1, -1), 0)]
+
+    def listed(part):  # a part and its steps of every option, listed once for every graph
+        return part, part_steps(part, options)
+
+    ul = listed(rule_part(UL_RULE))
+    # (kind, name, listed parts, weights, bound): the certificate holds where
+    # the weighted sum of the parts' gains is at most bound.
+    checks = [(KIND_CHAIN, "chain", (ul, listed(rule_part(CHAIN_RULE))), (1, -1), 0)]
     if nc >= 2:  # blocks are defined for nc >= 2 only
+        dl = listed(rule_part(_dl_rule(k, nc, w)))
         checks += [
-            (KIND_RECONSTRUCTION, "reconstruction", (dl, _spoil_part(k, nc, w)), (1, -1),
+            (KIND_RECONSTRUCTION, "reconstruction", (dl, listed(_spoil_part(k, nc, w))), (1, -1),
              _reconstruction_value(k, nc, 0)),
             (KIND_COUNTING, "counting", (dl, ul), (1, 1), int(2 * _counting_value(k, nc))),
         ]
     tight, broken = {"chain": 0, "reconstruction": 0, "counting": 0}, []
-    for order, (kind, name, parts, weights, bound) in enumerate(checks):
-        tight[name], above = family_above(family_graph(parts, options, weights), bound)
+    for order, (kind, name, pair, weights, bound) in enumerate(checks):
+        tight[name], above = family_above(family_graph(*zip(*pair), weights), bound)
         for index, (first, second) in above:
             # ul against the chain count, dl against the value at its spoiled
             # count, or dl + ul against twice the counting bound
@@ -599,7 +607,7 @@ def compare_with_theorem(
     check.  An observed per-user value (e.g. from a search or a periodic
     probe) is reported alongside with its gap to tau(nc), both stored as
     Fractions so that to_json writes them as "p/q"; a float observed is
-    the rational it holds, and its gap the float tau(nc) - observed.
+    the rational it holds, and its gap is taken exactly from that rational.
     """
     t = tau(nc)
     td = tau_downlink(nc)
@@ -608,7 +616,8 @@ def compare_with_theorem(
         relation = t == (1 + tau_downlink(nc - 1)) / 2
     gap = None
     if observed is not None:
-        gap, observed = Fraction(t - observed), Fraction(observed)
+        observed = Fraction(observed)
+        gap = t - observed
     return TheoremComparison(
         nc=nc,
         tau=t,

@@ -103,8 +103,8 @@ def test_periodic_reports():
         (None, (None, None)),
         (Fraction(5, 6), ("5/6", "0")),
         (1, ("1", "-1/6")),
-        # 5/6 - 0.5 is a float, written as the exact rational it holds.
-        (0.5, ("1/2", "3002399751580331/9007199254740992")),
+        # A float is the exact rational it holds, and its gap is exact too.
+        (0.5, ("1/2", "1/3")),
     ],
 )
 def test_theorem_comparisons(observed, written):

@@ -177,8 +177,8 @@ def test_layers_keep_their_antichains_small():
         rules = search._dl_rule(k, nc, w), _pure.UL_RULE, _pure.CHAIN_RULE
         reached = []
         for rule in rules:
-            _start, _users, rows, last = rule_graph([rule], options, (1,))
-            reached.append(len(last.union(*rows)))
+            _start, _users, rows, last = rule_graph((rule, rule), options, (1, 1))
+            reached.append(len({state for state, _same in last.union(*rows)}))
         assert reached == states, (k, nc, w)
         start, users, rows, _last = rule_graph(rules[:2], options, (1, 1))
         here, widths = {(start, (0, 0))}, []

@@ -182,7 +182,7 @@ MUTANTS = [
     (
         "max-plus rows drop the second rule's gain",
         (_pure, "family_graph"),
-        _edited(_pure.family_graph, "list(reduce(partial(map, add), gains))", "list(gains[0])"),
+        _edited(_pure.family_graph, "list(map(add, weighted0, weighted1))", "list(weighted0)"),
         MAX_PLUS,
     ),
     (
@@ -367,6 +367,12 @@ MUTANTS = [
         _edited(_pure._Texts.after, "return map(per_class.__getitem__, self.users[d])",
                 "return iter(per_class)"),
         CSV_TEXT + WALK,
+    ),
+    (
+        "text pass adds the first part's gain to both sums",
+        (_pure._Texts, "after"),
+        _edited(_pure._Texts.after, "(s0 + g0, s1 + g1)", "(s0 + g0, s1 + g0)"),
+        WALK,
     ),
     (
         "text pass memo key drops the prefix's sums",

@@ -881,12 +881,13 @@ def test_layer_moves_match_the_reference_fold(family):
     for rule, covers in zip(family_rules(k, options), (dl_covers, ul_covers, chain_covers)):
         idle, step_of = rule[1], rule[3]
         _start, moves, _step = _pure.rule_part(rule)
-        _start, _users, rows, _last = rule_graph([rule], options, (1,))
-        # Each state the family's graph reaches before a user, with each step of that user.
+        _start, _users, rows, _last = rule_graph((rule, rule), options, (1, 1))
+        # Each state the family's graph of the rule beside itself reaches
+        # before a user, with each step of that user.
         met = {
             (state, step_of(m, cell))
             for m, (opts, row_of) in enumerate(zip(options, rows), 1)
-            for (state,) in row_of
+            for state, _same in row_of
             for cell in opts
         }
         for state, step in met:
@@ -1122,8 +1123,9 @@ def family_rules(k, options):
 
 
 def rule_graph(rules, options, weights):
-    """The family graph of line rules (family_graph over each rule's rule_part)."""
-    return _kernels.family_graph([_pure.rule_part(rule) for rule in rules], options, weights)
+    """The family graph of two line rules (family_graph over each rule's rule_part and its steps)."""
+    parts = [_pure.rule_part(rule) for rule in rules]
+    return _kernels.family_graph(parts, [_kernels.part_steps(part, options) for part in parts], weights)
 
 
 def ref_rule_sums(k, options):
@@ -1142,15 +1144,18 @@ def ref_rule_sums(k, options):
 def test_text_pass_and_rows_match_the_listing(family):
     k, options = family
     expected = ref_rule_sums(k, options)
-    text = "%d,%d,%d;".__mod__
-    texts = list(map(text, expected))
-    graph = rule_graph(family_rules(k, options), options, (1, 1, 1))
-    # At every depth, one piece per prefix in enumeration order: the
-    # texts of its subtree's candidates, joined in enumeration order.
-    for depth in range(k + 1):
-        size = math.prod(map(len, options[depth:]))
-        pieces = list(_kernels.family_texts(graph, text, depth))
-        assert pieces == ["".join(texts[i : i + size]) for i in range(0, len(texts), size)]
+    rules = family_rules(k, options)
+    text = "%d,%d;".__mod__
+    # Each pair of the (dl, ul, chain) rules, so that every rule meets the pass.
+    for a, b in itertools.combinations(range(3), 2):
+        texts = [text((sums[a], sums[b])) for sums in expected]
+        graph = rule_graph((rules[a], rules[b]), options, (1, 1))
+        # At every depth, one piece per prefix in enumeration order: the
+        # texts of its subtree's candidates, joined in enumeration order.
+        for depth in range(k + 1):
+            size = math.prod(map(len, options[depth:]))
+            pieces = list(_kernels.family_texts(graph, text, depth))
+            assert pieces == ["".join(texts[i : i + size]) for i in range(0, len(texts), size)], (a, b)
     # A search's rows over the (dl, ul) graph, read whole, by index and by slice.
     reference = [(i, dl, ul) for i, (dl, ul, _chain) in enumerate(expected)]
     rows = search._Rows(rule_graph(family_rules(k, options)[:2], options, (1, 1)), len(expected))

@@ -16,7 +16,7 @@ from cellassoc import (
     pair_association,
 )
 from cellassoc import cli, search
-from cellassoc._kernels import UL_RULE, family_best, family_graph, rule_part
+from cellassoc._kernels import CHAIN_RULE, UL_RULE, family_best, family_graph, part_steps, rule_part
 from cellassoc.bounds import _counting_value
 from cellassoc.schemes import MAX_SCHEME_K
 from cellassoc.search import (
@@ -187,7 +187,8 @@ def test_paper_claims_and_closed_forms_hold_far_past_the_enumeration():
         for k in range(1, longest + 1):
             parts = rule_part(search._dl_rule(k, nc, nc)), rule_part(UL_RULE)
             options = search._user_options(k, nc, nc)
-            best = lambda weights: family_best(family_graph(parts, options, weights))
+            steps = [part_steps(part, options) for part in parts]
+            best = lambda weights: family_best(family_graph(parts, steps, weights))
             _, (dl_first, ul_most) = best((k + 1, k + 2))
             _, (dl_most, ul_first) = best((k + 2, k + 1))
             total = dl_first + ul_most
@@ -342,6 +343,31 @@ def test_only_csv_rows_list_the_family(monkeypatch, tmp_path):
         assert report.violations and listed == []
         assert passes == sweep_passes
         passes.clear()
+
+
+def test_a_sweep_lists_each_session_step_once(monkeypatch):
+    # The reconstruction and counting graphs share the downlink part, and
+    # the chain and counting graphs the uplink part: each session's step
+    # is read once per option, not once per graph.
+    calls = {"dl": 0, "ul": 0}
+    part = search.rule_part
+
+    def counted(rule):
+        start, moves, step = part(rule)
+        if rule is CHAIN_RULE:
+            return start, moves, step
+        name = "ul" if rule is UL_RULE else "dl"
+
+        def counted_step(m, cell):
+            calls[name] += 1
+            return step(m, cell)
+
+        return start, moves, counted_step
+
+    monkeypatch.setattr(search, "rule_part", counted)
+    assert soundness_sweep(5, 2, 1).sound
+    options = sum(map(len, search._user_options(5, 2, 1)))
+    assert calls == {"dl": options, "ul": options}
 
 
 def test_cap_below_one_is_invalid_input():
