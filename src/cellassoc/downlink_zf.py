@@ -16,18 +16,19 @@ b = k or some user in [m+1, b+1] is inactive.  max_downlink_dof maximizes
 that rule exactly with one greedy pass along the line, which serves
 every message the rule allows.
 
-GF(p) arithmetic only emits the certificate: zf_feasible builds each
-message's nullspace precoder on one exact channel draw by back-substitution
-along one of the two runs of C_m that user m hears, the run that ends at
-m-1 and, failing that, the run that starts at m (see _message_witness).
-It walks only those two runs; the rest of C_m gets 0.  It reads the
-gains from the realization's two rows masked once per call to the active
-set (_gain_rows: g(i, i-1) and g(i, i) mod p of each active user, 0 for
-the others) and inverts with pow(x, -1, p).  verify_witness re-checks
-the precoders by direct evaluation at user m and at the users j and j+1
-that hear each nonzero coefficient on bs j, independent of how they were
-built: it reads the realization's rows (ch.left[r], ch.diag[r]) and the
-association itself and shares no table with zf_feasible.
+GF(p) arithmetic only emits the certificate, and each half of it is one
+loop over the active messages.  zf_feasible builds each message's
+nullspace precoder on one exact channel draw by back-substitution along
+one of the two runs of C_m that user m hears, the run that ends at m-1
+and, failing that, the run that starts at m, with one pow per run.  It
+walks only those two runs; the rest of C_m gets 0.  It reads the gains
+from the realization's two rows masked once per call to the active set
+(_gain_rows: g(i, i-1) and g(i, i) mod p of each active user, 0 for the
+others).  verify_witness re-checks the precoders by direct evaluation at
+user m and at the active users j and j+1 that hear each nonzero
+coefficient on bs j, independent of how they were built: it reads the
+realization's rows (ch.left[r], ch.diag[r]) and the association itself
+and shares no table with zf_feasible.
 certify_downlink does both on the first seed's draw; evaluations and
 scheme plans are certified that way, so only the first seed is ever used.
 zf_feasible_majority, which draws several seeds and takes a majority
@@ -140,42 +141,27 @@ def _gain_rows(ch: ChannelRealization, active) -> tuple[list[int], list[int]]:
     return left, diag
 
 
-def _message_witness(cell, m, left, diag, p):
-    """Nullspace precoder for active message m over base stations cell, or None.
+def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
+    """Witness for the active set under one realization, or None.
+
+    Every active user must have a nonempty association set; an empty one
+    raises EmptyCellError since such a user can never be served.
 
     left and diag are _gain_rows of the active set.  The rows are the other
     active users; user r hears columns r-1 and r only.  Columns c and c+1
     are linked when user c+1 is a row with both gains nonzero, and the
-    linked runs of cell decouple.  User m hears columns m-1 and m alone and
+    linked runs of C_m decouple.  User m hears columns m-1 and m alone and
     links no pair, so only two runs can carry its precoder: the left run
     [a, m-1] that ends at m-1, and the right run [m, b] that starts at m.
     The other runs stay at 0 unread.  A run has one free column, its last,
     unless it is pinned to zero.  The left run is pinned when user a hears
     a alone (g(a, a) != 0), and it carries when g(m, m-1) != 0.  The right
     run is pinned when user b+1 hears b alone (g(b+1, b) != 0), and it
-    carries when g(m, m) != 0.  The first free run that carries, left
-    before right, gets 1 at its last column, then back-substitution along
-    the links, and 0 elsewhere in cell.  That is the vector an RREF over
-    the same rows returns (free columns ascending, the first with nonzero
-    desired gain), read from the two runs alone.
-    """
-    if left[m] and m - 1 in cell:
-        a = m - 1
-        while left[a] and diag[a] and a - 1 in cell:
-            a -= 1
-        if not diag[a]:
-            return _run_precoder(cell, a, m - 1, left, diag, p)
-    if diag[m] and m in cell:
-        b = m
-        while left[b + 1] and diag[b + 1] and b + 1 in cell:
-            b += 1
-        if not left[b + 1]:
-            return _run_precoder(cell, m, b, left, diag, p)
-    return None
-
-
-def _run_precoder(cell, a, c, left, diag, p):
-    """1 at column c, back-substituted along the linked run [a, c], 0 elsewhere in cell.
+    carries when g(m, m) != 0.  The first free run [a, c] that carries,
+    left before right, gets 1 at its last column c, then back-substitution
+    along the links, and 0 elsewhere in C_m.  That is the vector an RREF
+    over the same rows returns (free columns ascending, the first with
+    nonzero desired gain), read from the two runs alone.
 
     User r in (a, c] links r-1 and r, so g(r, r-1) != 0, and the step
     v[r-1] = -g(r, r) v[r] / g(r, r-1) gives v[r-1] = num[r] / den[r], with
@@ -184,38 +170,41 @@ def _run_precoder(cell, a, c, left, diag, p):
     (1/den[r+1] = g(r, r-1) / den[r]; Montgomery's batch inversion), so a
     run costs one pow, not one per link.
     """
-    k = len(left) - 2
-    vec = {j: 0 for j in cell if 0 < j <= k}
-    vec[c] = 1
-    if c > a:
-        num = den = 1
-        for r in range(c, a, -1):
-            num = vec[r - 1] = -diag[r] * num % p
-            den = left[r] * den % p
-        inv = pow(den, -1, p)  # 1/den[a+1]
-        for r in range(a + 1, c + 1):
-            vec[r - 1] = vec[r - 1] * inv % p
-            inv = inv * left[r] % p
-    return vec
-
-
-def zf_feasible(assoc, active, ch) -> Optional[ZfWitness]:
-    """Witness for the active set under one realization, or None.
-
-    Every active user must have a nonempty association set; an empty one
-    raises EmptyCellError since such a user can never be served.
-    """
     active = _check_active(assoc, active)
-    if ch.k != assoc.k:
-        raise ValidationError(f"realization has k={ch.k}, association has k={assoc.k}")
+    k, p, cells = ch.k, ch.prime, assoc.cells
+    if k != assoc.k:
+        raise ValidationError(f"realization has k={k}, association has k={assoc.k}")
     left, diag = _gain_rows(ch, active)
     precoders = {}
     for m in sorted(active):
-        vec = _message_witness(assoc.cells[m - 1], m, left, diag, ch.prime)
-        if vec is None:
+        cell, c = cells[m - 1], 0  # c: the last column of the chosen run; 0 while none is
+        if left[m] and m - 1 in cell:
+            a = m - 1
+            while left[a] and diag[a] and a - 1 in cell:
+                a -= 1
+            if not diag[a]:
+                c = m - 1
+        if not c and diag[m] and m in cell:
+            b = m
+            while left[b + 1] and diag[b + 1] and b + 1 in cell:
+                b += 1
+            if not left[b + 1]:
+                a, c = m, b
+        if not c:
             return None
+        vec = {j: 0 for j in cell if 0 < j <= k}
+        vec[c] = 1
+        if c > a:
+            num = den = 1
+            for r in range(c, a, -1):
+                num = vec[r - 1] = -diag[r] * num % p
+                den = left[r] * den % p
+            inv = pow(den, -1, p)  # 1/den[a+1]
+            for r in range(a + 1, c + 1):
+                vec[r - 1] = vec[r - 1] * inv % p
+                inv = inv * left[r] % p
         precoders[m] = vec
-    return ZfWitness(seed=ch.seed, prime=ch.prime, precoders=precoders)
+    return ZfWitness(seed=ch.seed, prime=p, precoders=precoders)
 
 
 def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
@@ -224,12 +213,13 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     User r hears base stations r-1 and r only, so it receives the
     precoder v as g(r, r-1)*v[r-1] + g(r, r)*v[r], and a nonzero
     coefficient on bs j reaches users j and j+1 alone.  Each message is
-    checked at its own user m and at the receivers j and j+1 of its
-    nonzero coefficients, in O(1) each: O(|C_m|) per message, linear in
-    the witness size overall.  The gains are read from the realization's
-    own rows, not from the masked rows zf_feasible builds.  A message or
-    active user outside 1..k, or a realization of another k, fails the
-    check before any row is read, so no index wraps to the other end.
+    checked at its own user m, which must hear it, then at each active
+    receiver j or j+1 of each nonzero coefficient but m, which must not,
+    in O(1) each: O(|C_m|) per message, linear in the witness size
+    overall.  The gains are read from the realization's own rows, not
+    from the masked rows zf_feasible builds.  A message or active user
+    outside 1..k, or a realization of another k, fails the check before
+    any row is read, so no index wraps to the other end.
     """
     active = frozenset(active)
     k = ch.k
@@ -241,15 +231,14 @@ def verify_witness(witness: ZfWitness, assoc, active, ch) -> bool:
     for m, vec in witness.precoders.items():
         if not vec.keys() <= cells[m - 1]:
             return False
-        receivers = {m}
+        if (left[m] * vec.get(m - 1, 0) + diag[m] * vec.get(m, 0)) % p == 0:
+            return False
         for j, v in vec.items():
             if v:
-                receivers.add(j)
-                receivers.add(j + 1)
-        for r in receivers:
-            if r == m or r in active:
-                heard = left[r] * vec.get(r - 1, 0) + diag[r] * vec.get(r, 0)
-                if (heard % p == 0) == (r == m):  # user m must hear it, the others must not
+                if j != m and j in active and (left[j] * vec.get(j - 1, 0) + diag[j] * v) % p:
+                    return False
+                r = j + 1
+                if r != m and r in active and (left[r] * v + diag[r] * vec.get(r, 0)) % p:
                     return False
     return True
 

@@ -22,7 +22,7 @@ from cellassoc import (
     zf_feasible_majority,
 )
 from cellassoc.model import DEFAULT_SEEDS, ChannelRealization
-from cellassoc.schemes import downlink_optimal
+from cellassoc.schemes import avg_optimal, downlink_optimal
 
 
 def test_single_cell_network():
@@ -124,6 +124,23 @@ def test_witness_verification_is_linear_in_the_association():
     bad[1][100] = (bad[1][100] + 1) % ch.prime
     tampered = ZfWitness(seed=w.seed, prime=w.prime, precoders=bad)
     assert not verify_witness(tampered, assoc, active, ch)
+
+
+def test_witness_builder_reads_each_active_gain_once():
+    # The builder masks the realization's two rows to the active users once
+    # per call, and every run walk and back-substitution reads that copy:
+    # on the 2,401 messages of this plan, a read per message or per link
+    # would show as a second read of some gain.
+    plan = avg_optimal(3001, 3)
+    assoc = strip_silent(plan.assoc, plan.dl_silent_bs)
+    active = plan.dl_active_users
+    ch = draw_channels(3001, DEFAULT_SEEDS[0])
+    left, diag = CountingRow(ch.left), CountingRow(ch.diag)
+    counted = ChannelRealization(k=ch.k, prime=ch.prime, seed=ch.seed, left=left, diag=diag)
+    del left.read[:], diag.read[:]
+    w = zf_feasible(assoc, active, counted)
+    assert w is not None and w == zf_feasible(assoc, active, ch)
+    assert sorted(left.read) == sorted(active) == sorted(diag.read)
 
 
 def test_verify_witness_refuses_indices_off_the_line():

@@ -280,20 +280,27 @@ MUTANTS = [
     (
         "witness check skips receiver j + 1",
         (downlink_zf, "verify_witness"),
-        _edited(downlink_zf.verify_witness, "receivers.add(j + 1)", "pass"),
+        _edited(downlink_zf.verify_witness, "if r != m and r in active and", "if False and"),
         VERIFY,
     ),
     (
         "witness check reads diag for left",
         (downlink_zf, "verify_witness"),
-        _edited(downlink_zf.verify_witness, "left[r] * vec.get", "diag[r] * vec.get"),
+        _edited(downlink_zf.verify_witness, "left[j] * vec.get", "diag[j] * vec.get"),
         VERIFY,
     ),
     (
         "batched inverse steps up the run by the wrong gain",
-        (downlink_zf, "_run_precoder"),
-        _edited(downlink_zf._run_precoder, "inv = inv * left[r] % p", "inv = inv * left[r - 1] % p"),
-        ["test_properties::test_run_precoder_matches_one_inverse_per_link"],
+        (downlink_zf, "zf_feasible"),
+        _edited(downlink_zf.zf_feasible, "inv = inv * left[r] % p", "inv = inv * left[r - 1] % p"),
+        ["test_properties::test_zf_feasible_matches_one_inverse_per_link"],
+    ),
+    (
+        # With the right run always tried, a free right run wins over a free left one.
+        "witness builder tries the right run before the left",
+        (downlink_zf, "zf_feasible"),
+        _edited(downlink_zf.zf_feasible, "if not c and diag[m] and m in cell:", "if diag[m] and m in cell:"),
+        ["test_properties::test_zf_feasible_matches_rref_on_every_small_case"],
     ),
     (
         # The realization refuses the swapped rows before the pinned gains are compared.

@@ -46,16 +46,13 @@ from cellassoc.bounds import (
 )
 from cellassoc.downlink_zf import (
     ZfWitness,
-    _gain_rows,
-    _message_witness,
-    _run_precoder,
     max_downlink_dof,
     strip_silent,
     verify_witness,
     zf_feasible,
     zf_feasible_majority,
 )
-from cellassoc.errors import InternalCheckError
+from cellassoc.errors import EmptyCellError, InternalCheckError
 from cellassoc.model import (
     DEFAULT_PRIME,
     ChannelRealization,
@@ -153,7 +150,7 @@ def ref_message_witness(assoc, active, ch, m):
 
 
 def ref_run_precoder(cell, a, c, left, diag, p):
-    """downlink_zf._run_precoder with one modular inverse per link."""
+    """1 at column c of the linked run [a, c], back-substituted with one inverse per link."""
     k = len(left) - 2
     vec = {j: 0 for j in cell if 0 < j <= k}
     vec[c] = 1
@@ -721,56 +718,96 @@ def test_verify_witness_matches_dense_reference(case, seed, prime, zeroed, how, 
     assert verify_witness(witness, assoc, active, ch) == expected
 
 
-def test_message_witness_matches_rref_on_every_small_case():
-    # Every message, cell, active set and zero pattern of one GF(13) draw at
-    # k <= 4.  Honest draws have no zero gain, so only the zero patterns
-    # exercise the zero tests of the link, pin and reach rules.
-    cases = 0
+def test_zf_feasible_matches_rref_on_every_small_case():
+    # Every message m, cell of m, set of other active users and zero
+    # pattern of one GF(13) draw at k <= 4.  Honest draws have no zero gain,
+    # so only the zero patterns exercise the zero tests of the link, pin and
+    # reach rules.  The other active users hold the whole line: a shorter
+    # cell only stops a run walk sooner, where the run is pinned, so a
+    # message served by any cell is served by that one.  Where another
+    # active user has no witness, no association has one, and m's precoder
+    # is no output of zf_feasible.
+    outcomes = {"left run": 0, "right run": 0, "no witness": 0, "empty cell": 0}
     for k in range(1, 5):
         base = draw_channels(k, 1, 13)
         draws = [with_zeros(base, z) for z in subsets(range(2 * k - 1))]
-        for m in range(1, k + 1):
-            others = [r for r in range(1, k + 1) if r != m]
-            for cell in subsets(range(1, k + 1)):
-                assoc = association(k, k, [cell if i == m else () for i in range(1, k + 1)])
+        line = range(1, k + 1)
+        for m in line:
+            others = [r for r in line if r != m]
+            for cell in subsets(line):
                 for rest in subsets(others):
                     active = frozenset((m, *rest))
+                    cells = [cell if i == m else line if i in rest else () for i in line]
+                    assoc = association(k, k, cells)
                     for ch in draws:
-                        got = _message_witness(assoc.cells[m - 1], m, *_gain_rows(ch, active), ch.prime)
-                        assert got == ref_message_witness(assoc, active, ch, m), (
+                        if not cell:
+                            with pytest.raises(EmptyCellError):
+                                zf_feasible(assoc, active, ch)
+                            outcomes["empty cell"] += 1
+                            continue
+                        got = zf_feasible(assoc, active, ch)
+                        assert got == ref_zf_feasible(assoc, active, ch), (
                             k, m, cell, active, ch.left, ch.diag,
                         )
-                        cases += 1
-    assert cases == 68740
+                        if got is None:
+                            outcomes["no witness"] += 1
+                        elif got.precoders[m].get(m - 1) == 1:  # the left run ends at m - 1
+                            outcomes["left run"] += 1
+                        else:
+                            outcomes["right run"] += 1
+    assert outcomes == {"left run": 5112, "right run": 7074, "no witness": 52040, "empty cell": 4514}
+    assert sum(outcomes.values()) == 68740
 
 
 @st.composite
 def linked_runs(draw):
-    """(a, c, left, diag, cell): gain rows over users 0..k+1 and a run [a, c] in cell.
+    """(k, a, c, left, diag, cell, side): unreduced gain rows, a run [a, c] in cell.
 
-    The gains are reduced by the test; the cell may hold columns off the
-    run and off the line (0 and k + 1).
+    The rows run over users 0..k+1 and get 0 in the off-line slots; the
+    cell may hold columns off the run and off the line (0 and k + 1).  side
+    says which run of its message [a, c] is: the left run of user c + 1 or
+    the right run of user a.
     """
-    k = draw(st.integers(1, 61))
-    a = draw(st.integers(1, k))
-    c = draw(st.integers(a, k))
+    k = draw(st.integers(2, 62))
+    a = draw(st.integers(1, k - 1))
+    c = draw(st.integers(a, k - 1))
     row = st.lists(st.integers(0, 2**64), min_size=k + 2, max_size=k + 2)
     extra = draw(st.frozensets(st.integers(0, k + 1)))
-    return a, c, draw(row), draw(row), extra | frozenset(range(a, c + 1))
+    side = draw(st.sampled_from(("left", "right")))
+    return k, a, c, draw(row), draw(row), extra | frozenset(range(a, c + 1)), side
 
 
 @SETTINGS
 @given(primes, linked_runs())
-@example(13, (1, 3, [0, 0, 2, 3, 0], [0, 1, 2, 3, 0], frozenset({1, 2, 3})))
-def test_run_precoder_matches_one_inverse_per_link(prime, run):
+@example(13, (4, 1, 3, [0, 0, 2, 3, 5, 0], [0, 1, 2, 3, 5, 0], frozenset({1, 2, 3}), "left"))
+@example(13, (4, 1, 3, [0, 0, 2, 3, 5, 0], [0, 1, 2, 3, 5, 0], frozenset({0, 1, 2, 3, 5}), "right"))
+def test_zf_feasible_matches_one_inverse_per_link(prime, run):
     # Runs of up to 60 links, where the exhaustive k <= 4 check above
-    # reaches 3; every link r in (a, c] has g(r, r-1) != 0.
-    a, c, left, diag, cell = run
-    left, diag = [g % prime for g in left], [g % prime for g in diag]
-    for r in range(a + 1, c + 1):
-        left[r] = left[r] or 1
-    got = _run_precoder(cell, a, c, left, diag, prime)
-    assert got == ref_run_precoder(cell, a, c, left, diag, prime)
+    # reaches 3.  The users linking the run are active with both gains
+    # nonzero, and the user at its free end is not, so its message takes
+    # it; every user in the run serves its own message along a piece of it.
+    k, a, c, left, diag, cell, side = run
+    rest = range(a + 1, c + 1)
+    for r in rest:
+        left[r] = left[r] % prime or 1
+        diag[r] = diag[r] % prime or 1
+    if side == "left":
+        m = c + 1
+        left[m] = left[m] % prime or 1
+        pieces = {r: range(a, r) for r in rest}  # the left run [a, r - 1] of user r
+    else:
+        m = a
+        left[m], diag[m] = 0, diag[m] % prime or 1  # user m hears bs m alone
+        pieces = {r: range(r, c + 1) for r in rest}  # the right run [r, c] of user r
+    left[0] = left[1] = diag[0] = left[k + 1] = diag[k + 1] = 0
+    ch = ChannelRealization(k=k, prime=prime, seed=1, left=tuple(left), diag=tuple(diag))
+    cells = [cell if i == m else pieces.get(i, ()) for i in range(1, k + 1)]
+    got = zf_feasible(association(k, k, cells), frozenset((m, *rest)), ch)
+    rows = [g % prime for g in left], [g % prime for g in diag]
+    assert got is not None
+    assert got.precoders[m] == ref_run_precoder(cell, a, c, *rows, prime)
+    for r, piece in pieces.items():
+        assert got.precoders[r] == ref_run_precoder(piece, piece[0], piece[-1], *rows, prime)
 
 
 @settings(max_examples=40, deadline=None)
